@@ -19,7 +19,7 @@ import csv
 import glob as globmod
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .highway import DriftInjection, ScenarioConfig, ScenarioError
@@ -216,13 +216,7 @@ def _metrics_row(trace: EpisodeTrace, metrics: Metrics) -> dict:
         "scenario": trace.scenario.name,
         "mode": trace.offload.mode,
         "seed": trace.seed,
-        "offload_rate": metrics.offload_rate,
-        "mean_latency_ms": metrics.mean_latency_ms,
-        "p95_latency_ms": metrics.p95_latency_ms,
-        "total_bytes_up": metrics.total_bytes_up,
-        "collision_count": metrics.collision_count,
-        "agreement_rate": metrics.agreement_rate,
-        "in_window_offload_fraction": metrics.in_window_offload_fraction,
+        **asdict(metrics),
     }
 
 

@@ -78,6 +78,17 @@ def _kolmogorov_sf(lam: float) -> float:
     return max(0.0, min(1.0, 2.0 * total))
 
 
+def _ks_sorted(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """KS statistic and asymptotic p-value of two sorted, non-empty samples."""
+    n_a, n_b = a.size, b.size
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / n_a
+    cdf_b = np.searchsorted(b, grid, side="right") / n_b
+    stat = float(np.max(np.abs(cdf_a - cdf_b)))
+    n_eff = n_a * n_b / (n_a + n_b)
+    return stat, _kolmogorov_sf(stat * math.sqrt(n_eff))
+
+
 def ks_two_sample(a, b) -> tuple[float, float]:
     """Two-sample KS test: exact sup-CDF-difference statistic, asymptotic p.
 
@@ -86,16 +97,9 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     """
     a = np.sort(np.asarray(a, dtype=np.float64))
     b = np.sort(np.asarray(b, dtype=np.float64))
-    n_a, n_b = a.size, b.size
-    if n_a == 0 or n_b == 0:
+    if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / n_a
-    cdf_b = np.searchsorted(b, grid, side="right") / n_b
-    stat = float(np.max(np.abs(cdf_a - cdf_b)))
-    n_eff = n_a * n_b / (n_a + n_b)
-    p_value = _kolmogorov_sf(stat * math.sqrt(n_eff))
-    return stat, p_value
+    return _ks_sorted(a, b)
 
 
 def median_bandwidth(reference: np.ndarray) -> float:
@@ -215,19 +219,8 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
         raise ValueError("window dimension does not match the reference")
 
     if detector.method == "ks":
-        n_a = detector.n_ref
-        n_b = detector.window
-        n_eff = n_a * n_b / (n_a + n_b)
-        stats = np.empty(detector.n_features)
-        p_values = np.empty(detector.n_features)
-        for j in range(detector.n_features):
-            ref_col = detector._ref_sorted[:, j]
-            win_col = np.sort(win[:, j])
-            grid = np.concatenate([ref_col, win_col])
-            cdf_a = np.searchsorted(ref_col, grid, side="right") / n_a
-            cdf_b = np.searchsorted(win_col, grid, side="right") / n_b
-            stats[j] = np.max(np.abs(cdf_a - cdf_b))
-            p_values[j] = _kolmogorov_sf(float(stats[j]) * math.sqrt(n_eff))
+        columns = zip(detector._ref_sorted.T, np.sort(win.T))
+        stats, p_values = map(np.array, zip(*(_ks_sorted(r, w) for r, w in columns)))
         threshold = detector.alpha / detector.n_features
         return DriftReport(
             is_drift=bool(p_values.min() < threshold),

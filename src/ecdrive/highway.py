@@ -6,7 +6,9 @@ on an infinite straight road. One decision step defaults to dt = 1 s.
 
 Scripted perturbations (new obstacles, traffic-pattern shifts, sensor noise)
 are applied per step through :func:`inject_drift`, which is the identity
-outside its [start_step, end_step) window.
+outside its [start_step, end_step) window. Each one only sets overlay fields
+of the scene (``obstacles``, ``target_offset``, ``noise_sigma``), so the
+caller can keep a pristine scene and overlay it afresh every step.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ class VehicleState:
     """One vehicle: lane index, longitudinal position, speed, acceleration.
 
     ``target_speed`` is the cruise speed a non-ego vehicle relaxes toward at
-    +-1 m/s^2; ``None`` means "hold the current speed as target". The ego's
+    +-1 m/s^2; ``None`` means "hold the current speed as target" and is
+    resolved to the vehicle's own speed by :func:`spawn_scenario`. The ego's
     target_speed is ignored (its speed follows the executed actions).
     """
 
@@ -77,7 +80,10 @@ class Obstacle:
 
 @dataclass(frozen=True)
 class Scene:
-    """Full ground-truth world state for one decision step."""
+    """Full ground-truth world state for one decision step.
+
+    ``target_offset`` is added to every non-ego target speed by :func:`step`.
+    """
 
     time: float
     lane_count: int
@@ -86,6 +92,7 @@ class Scene:
     obstacles: tuple[Obstacle, ...] = ()
     noise_sigma: float = 0.0
     v_max: float = DEFAULT_V_MAX
+    target_offset: float = 0.0
 
     def validate(self) -> None:
         if self.lane_count < 1:
@@ -125,8 +132,9 @@ class DriftInjection:
     """Scripted scenario perturbation active on steps in [start_step, end_step).
 
     kind is one of ``NewObstacle`` (adds an obstacle), ``TrafficPatternShift``
-    (adds ``speed_offset`` to every non-ego target speed) or ``SensorNoise``
-    (sets the scene's observation-noise sigma).
+    (adds ``speed_offset`` to the scene's ``target_offset``, shifting every
+    non-ego target speed) or ``SensorNoise`` (sets the scene's
+    observation-noise sigma).
     """
 
     kind: str
@@ -156,7 +164,8 @@ class DriftInjection:
 class ScenarioConfig:
     """Deterministic scenario template expanded by :func:`spawn_scenario`.
 
-    ``fixed_others`` pins exact vehicles (id, lane, position, speed, accel);
+    ``fixed_others`` pins exact vehicles (id, lane, position, speed, accel;
+    a ``None`` target speed becomes the vehicle's speed);
     ``n_random_vehicles`` more are placed from the seed inside ``spawn_span``
     with per-lane gaps of at least 10 m, speeds drawn from ``speed_range``
     and used as their target speeds.
@@ -206,7 +215,10 @@ def spawn_scenario(config: ScenarioConfig, seed: int) -> Scene:
         speed=config.ego_speed,
         accel=config.ego_accel,
     )
-    others = list(config.fixed_others)
+    others = [
+        v if v.target_speed is not None else replace(v, target_speed=v.speed)
+        for v in config.fixed_others
+    ]
     rng = np.random.default_rng(seed)
     lanes = config.spawn_lanes or tuple(range(config.lane_count))
     next_id = max([1000] + [v.id + 1 for v in others])
@@ -274,7 +286,8 @@ def step(scene: Scene, action: Action, dt: float = DEFAULT_DT) -> Scene:
     """Advance the world one decision step with the ego executing ``action``.
 
     Lane changes complete within the step and preserve speed. Other vehicles
-    relax toward their target speeds at +-1 m/s^2. Raises
+    relax toward their target speeds plus ``scene.target_offset`` at
+    +-1 m/s^2. Raises
     :class:`IllegalLaneChange` for a lane change at the road edge.
     """
     if dt <= 0:
@@ -303,7 +316,7 @@ def step(scene: Scene, action: Action, dt: float = DEFAULT_DT) -> Scene:
 
     new_others = []
     for veh in scene.others:
-        target = veh.resolved_target()
+        target = veh.resolved_target() + scene.target_offset
         delta = target - veh.speed
         # Land exactly on the target instead of oscillating around it.
         a_rev = max(-REVERSION_ACCEL, min(REVERSION_ACCEL, delta / dt))
@@ -349,23 +362,33 @@ def inject_drift(scene: Scene, injection: DriftInjection, step_index: int) -> Sc
             return scene
         return replace(scene, obstacles=scene.obstacles + (obstacle,))
     if injection.kind == "TrafficPatternShift":
-        shifted = tuple(
-            replace(v, target_speed=v.resolved_target() + injection.speed_offset)
-            for v in scene.others
-        )
-        return replace(scene, others=shifted)
+        return replace(scene, target_offset=scene.target_offset + injection.speed_offset)
     if injection.kind == "SensorNoise":
         return replace(scene, noise_sigma=injection.sigma)
     raise ScenarioError(f"unknown injection kind {injection.kind!r}")
 
 
-def _nearest(candidates: list[VehicleState], ego: VehicleState) -> NeighborInfo | None:
-    if not candidates:
-        return None
-    best = min(candidates, key=lambda v: abs(v.position - ego.position))
-    return NeighborInfo(
-        gap=abs(best.position - ego.position),
-        rel_speed=best.speed - ego.speed,
+def lane_neighbors(
+    scene: Scene, lane: int
+) -> tuple[NeighborInfo | None, NeighborInfo | None]:
+    """Nearest vehicle ahead of (or level with) the ego in ``lane``, and
+    nearest behind; ``None`` where the lane holds none. Gaps are measured
+    position-to-position; the first vehicle wins a tie."""
+    ego = scene.ego
+    front = rear = None
+    front_gap = rear_gap = math.inf
+    for veh in scene.others:
+        if veh.lane != lane:
+            continue
+        gap = veh.position - ego.position
+        if gap >= 0:
+            if gap < front_gap:
+                front, front_gap = veh, gap
+        elif -gap < rear_gap:
+            rear, rear_gap = veh, -gap
+    return (
+        None if front is None else NeighborInfo(front_gap, front.speed - ego.speed),
+        None if rear is None else NeighborInfo(rear_gap, rear.speed - ego.speed),
     )
 
 
@@ -376,20 +399,11 @@ def nearest_neighbors(scene: Scene) -> NeighborSet:
     lane, and ahead in the adjacent left/right lanes. Gaps are measured
     position-to-position. Obstacles are not part of this view.
     """
-    ego = scene.ego
-    front_same = [v for v in scene.others if v.lane == ego.lane and v.position >= ego.position]
-    rear_same = [v for v in scene.others if v.lane == ego.lane and v.position < ego.position]
-    front_left = [
-        v for v in scene.others
-        if v.lane == ego.lane + 1 and v.position >= ego.position
-    ]
-    front_right = [
-        v for v in scene.others
-        if v.lane == ego.lane - 1 and v.position >= ego.position
-    ]
+    lane = scene.ego.lane
+    front_same, rear_same = lane_neighbors(scene, lane)
     return NeighborSet(
-        front_same=_nearest(front_same, ego),
-        rear_same=_nearest(rear_same, ego),
-        front_left=_nearest(front_left, ego),
-        front_right=_nearest(front_right, ego),
+        front_same=front_same,
+        rear_same=rear_same,
+        front_left=lane_neighbors(scene, lane + 1)[0],
+        front_right=lane_neighbors(scene, lane - 1)[0],
     )

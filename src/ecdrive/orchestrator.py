@@ -8,9 +8,11 @@ configured constants so seeded experiments are machine independent; only
 measured remote calls record wall-clock time.
 
 Injections never mutate the persistent world: the effective scene of a step
-is derived by overlaying the active injections on the pristine state and
-the overlay is stripped again after stepping, so an obstacle vanishes and
-traffic targets revert once their window closes.
+is the pristine scene with the active injections overlaid, and only the
+evolved state (time, ego, other vehicles) is carried over from stepping it.
+Obstacles, the traffic target offset and the noise level therefore come
+from the pristine scene again on the next step, so an obstacle vanishes,
+traffic targets revert and noise stops once their window closes.
 
 Traces serialize to JSON Lines: a header object (schema_version "1", config
 snapshot, seed, summary), then one object per step record.
@@ -34,7 +36,6 @@ from .drift import DriftReport, confidence_gate, fit, predict
 from .highway import (
     Action,
     DriftInjection,
-    Obstacle,
     Scene,
     ScenarioConfig,
     VehicleState,
@@ -174,39 +175,6 @@ def _apply_injections(
     return scene
 
 
-def _strip_injections(
-    scene: Scene, injections: tuple[DriftInjection, ...], step_index: int
-) -> Scene:
-    """Undo the overlay of every injection active on ``step_index``.
-
-    Evolved quantities (speeds, positions) keep the effect the injection had
-    during the step; only the overlayed fields revert so the next step's
-    overlay starts from pristine state.
-    """
-    for injection in injections:
-        if not (injection.start_step <= step_index < injection.end_step):
-            continue
-        if injection.kind == "NewObstacle":
-            marker = Obstacle(
-                lane=injection.lane,
-                position=injection.position,
-                extent_m=injection.extent_m,
-                kind=injection.obstacle_kind,
-            )
-            scene = replace(
-                scene, obstacles=tuple(o for o in scene.obstacles if o != marker)
-            )
-        elif injection.kind == "TrafficPatternShift":
-            reverted = tuple(
-                replace(v, target_speed=v.resolved_target() - injection.speed_offset)
-                for v in scene.others
-            )
-            scene = replace(scene, others=reverted)
-        elif injection.kind == "SensorNoise":
-            scene = replace(scene, noise_sigma=0.0)
-    return scene
-
-
 def _timed_remote(
     scene: Scene,
     endpoint: EndpointConfig,
@@ -331,7 +299,7 @@ def run_episode(
         )
 
         advanced = step(effective, executed)
-        scene = _strip_injections(advanced, injections, index)
+        scene = replace(scene, time=advanced.time, ego=advanced.ego, others=advanced.others)
 
     summary = aggregate_metrics(records, injections, config.window)
     return EpisodeTrace(
@@ -432,22 +400,13 @@ def scenario_to_dict(scenario: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    fixed = tuple(VehicleState(**v) for v in data.get("fixed_others", []))
-    lanes = data.get("spawn_lanes")
-    return ScenarioConfig(
-        name=data.get("name", "scenario"),
-        lane_count=data.get("lane_count", 4),
-        ego_lane=data.get("ego_lane", 0),
-        ego_speed=data.get("ego_speed", 25.0),
-        ego_position=data.get("ego_position", 0.0),
-        ego_accel=data.get("ego_accel", 0.0),
-        v_max=data.get("v_max", 30.0),
-        n_random_vehicles=data.get("n_random_vehicles", 0),
-        speed_range=tuple(data.get("speed_range", (18.0, 24.0))),
-        spawn_span=tuple(data.get("spawn_span", (50.0, 1500.0))),
-        spawn_lanes=tuple(lanes) if lanes else None,
-        fixed_others=fixed,
-    )
+    data = {**data}
+    for key in ("speed_range", "spawn_span"):
+        if key in data:
+            data[key] = tuple(data[key])
+    data["spawn_lanes"] = tuple(data["spawn_lanes"]) if data.get("spawn_lanes") else None
+    data["fixed_others"] = tuple(VehicleState(**v) for v in data.get("fixed_others", ()))
+    return ScenarioConfig(**data)
 
 
 def injection_to_dict(injection: DriftInjection) -> dict:

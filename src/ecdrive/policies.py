@@ -18,12 +18,13 @@ and decodes the reply with the decision lexicon.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import os
 from dataclasses import dataclass
 
-from .codec import describe, parse_decision
+from .codec import GAP_SENTINEL, describe, parse_decision
 from .highway import (
     ACCEL_CMD,
     DECEL_CMD,
@@ -31,6 +32,7 @@ from .highway import (
     VEHICLE_LENGTH_M,
     Action,
     Scene,
+    lane_neighbors,
     legal_actions,
     nearest_neighbors,
 )
@@ -46,7 +48,6 @@ W_COLLISION = 1000.0
 W_SPEED = 1.0
 W_LANE_CHANGE = 2.0
 W_HEADWAY = 50.0
-GAP_SENTINEL = 200.0
 
 #: Deterministic tie-break order for the cloud argmin.
 ACTION_ORDER = (
@@ -102,22 +103,6 @@ def _confidence(margin_m: float, kappa: float) -> float:
     return delta / (delta + kappa)
 
 
-def _gaps_for_lane(scene: Scene, lane: int) -> tuple[float, float]:
-    """(front gap, rear gap) to the nearest vehicles in ``lane``; 200 if none."""
-    ego = scene.ego
-    front = GAP_SENTINEL
-    rear = GAP_SENTINEL
-    for veh in scene.others:
-        if veh.lane != lane:
-            continue
-        gap = veh.position - ego.position
-        if gap >= 0:
-            front = min(front, gap)
-        else:
-            rear = min(rear, -gap)
-    return front, rear
-
-
 def edge_decide(scene: Scene) -> Decision:
     """Fast sequential rule chain; sees vehicles only, never obstacles.
 
@@ -164,7 +149,10 @@ def edge_decide(scene: Scene) -> Decision:
         if not (0 <= target_lane < scene.lane_count):
             rationale.append(f"Can change lane {side}? no lane to the {side}.")
             continue
-        front_t, rear_t = _gaps_for_lane(scene, target_lane)
+        front_t, rear_t = (
+            GAP_SENTINEL if n is None else min(n.gap, GAP_SENTINEL)
+            for n in lane_neighbors(scene, target_lane)
+        )
         front_need = G_MIN + T_HEADWAY * v
         ok = front_t >= front_need and rear_t >= G_MIN
         rationale.append(
@@ -373,7 +361,8 @@ def remote_decide(scene: Scene, endpoint: EndpointConfig, role: str | None = Non
     :class:`NoDecisionFound` propagate on undecodable replies; the caller is
     expected to fall back to the local policy of the same role.
     """
-    import requests
+    import urllib.request
+    from http.client import HTTPException
 
     role = role or endpoint.role
     if role not in _SYSTEM_PROMPTS:
@@ -390,15 +379,22 @@ def remote_decide(scene: Scene, endpoint: EndpointConfig, role: str | None = Non
         ],
         "temperature": 0,
     }
-    url = endpoint.base_url.rstrip("/") + "/chat/completions"
+    request = urllib.request.Request(
+        endpoint.base_url.rstrip("/") + "/chat/completions",
+        data=json.dumps(body).encode("utf-8"),
+        headers=headers,
+        method="POST",
+    )
     try:
-        response = requests.post(url, json=body, headers=headers, timeout=endpoint.timeout_s)
-        response.raise_for_status()
-        content = response.json()["choices"][0]["message"]["content"]
-    except requests.Timeout as exc:
-        raise RemoteUnavailable(f"remote endpoint timed out: {exc}", timed_out=True) from exc
-    except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-        raise RemoteUnavailable(f"remote endpoint failed: {exc}") from exc
+        with urllib.request.urlopen(request, timeout=endpoint.timeout_s) as response:
+            content = json.loads(response.read())["choices"][0]["message"]["content"]
+    except (OSError, HTTPException, KeyError, IndexError, TypeError, ValueError) as exc:
+        # urlopen wraps a connect timeout in URLError; a read timeout is raw.
+        timed_out = isinstance(exc, TimeoutError) or isinstance(
+            getattr(exc, "reason", None), TimeoutError
+        )
+        what = "timed out" if timed_out else "failed"
+        raise RemoteUnavailable(f"remote endpoint {what}: {exc}", timed_out=timed_out) from exc
 
     action = parse_decision(content)
     lines = tuple(line for line in content.splitlines() if line.strip()) or (content,)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from ecdrive.cli import (
     cmd_validate,
     main,
 )
+from ecdrive.orchestrator import Metrics
 
 
 def base_config(tmp_path: Path) -> dict:
@@ -142,6 +144,15 @@ class TestCmdValidate:
         cmd_validate(str(path))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key", [("scenario", "n_random_vehicle"),
+                                              ("offload", "windw")])
+    def test_misspelled_key_rejected(self, tmp_path, capsys, section, key):
+        config = base_config(tmp_path)
+        config[section][key] = 5
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
     def test_empty_seeds_rejected(self, tmp_path, capsys):
         config = base_config(tmp_path)
         config["seeds"] = []
@@ -171,6 +182,9 @@ class TestCmdSummarize:
         assert {r["mode"] for r in aggregate_rows} == {"EdgeOnly", "Collaborative"}
         edge_rows = [r for r in rows if r["mode"] == "EdgeOnly" and r["seed"] != ""]
         assert all(float(r["offload_rate"]) == 0.0 for r in edge_rows)
+
+    def test_metric_columns_are_the_metrics_fields(self):
+        assert CSV_COLUMNS[3:] == tuple(f.name for f in dataclasses.fields(Metrics))
 
     def test_empty_glob(self, tmp_path, capsys):
         assert cmd_summarize(str(tmp_path / "nothing*.jsonl"), str(tmp_path / "o.csv")) == EXIT_CONFIG

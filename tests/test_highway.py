@@ -21,6 +21,7 @@ from ecdrive import (
     check_collision,
     featurize,
     inject_drift,
+    lane_neighbors,
     nearest_neighbors,
     spawn_scenario,
     step,
@@ -42,6 +43,7 @@ class TestSpawn:
         assert other.position == 372.81
         assert other.speed == 21.2
         assert other.accel == 0.2
+        assert other.target_speed == 21.2  # a None target holds the pinned speed
 
     def test_zero_vehicles_gives_empty_others(self):
         scene = spawn_scenario(ScenarioConfig(name="empty", n_random_vehicles=0), seed=7)
@@ -208,18 +210,22 @@ class TestInjectDrift:
         assert out.obstacles == (Obstacle(lane=0, position=50.0, extent_m=6.0, kind="injected"),)
 
     def test_traffic_pattern_shift_moves_targets(self):
-        scene = Scene(
-            time=0.0, lane_count=2,
-            ego=VehicleState(id=0, lane=0, position=0.0, speed=10.0),
-            others=(
+        config = ScenarioConfig(
+            name="shift", lane_count=2, ego_lane=0, ego_speed=10.0,
+            fixed_others=(
                 VehicleState(id=1, lane=0, position=50.0, speed=21.2),
                 VehicleState(id=2, lane=1, position=80.0, speed=24.0),
             ),
         )
         injection = DriftInjection(kind="TrafficPatternShift", start_step=0, end_step=10,
                                    speed_offset=-8.0)
-        out = inject_drift(scene, injection, 0)
-        assert [v.resolved_target() for v in out.others] == [13.2, 16.0]
+        scene = inject_drift(spawn_scenario(config, seed=0), injection, 0)
+        assert scene.target_offset == -8.0
+        for _ in range(10):
+            scene = step(scene, Action.KEEP)
+        # -1 m/s^2 for eight steps, then held at the shifted targets
+        assert [v.speed for v in scene.others] == [pytest.approx(13.2), pytest.approx(16.0)]
+        assert [v.target_speed for v in scene.others] == [21.2, 24.0]
 
     def test_sensor_noise_sets_sigma_and_featurize_variance(self):
         scene = _ego_scene(25.0)
@@ -262,3 +268,41 @@ class TestNearestNeighbors:
             ),
         )
         assert nearest_neighbors(scene).front_same.gap == 8.0
+
+
+class TestLaneNeighbors:
+    def _scene(self, *others: VehicleState) -> Scene:
+        return Scene(time=0.0, lane_count=3,
+                     ego=VehicleState(id=0, lane=1, position=100.0, speed=20.0),
+                     others=others)
+
+    def test_nearest_front_and_rear_in_the_lane(self):
+        scene = self._scene(
+            VehicleState(id=1, lane=2, position=130.0, speed=25.0),
+            VehicleState(id=2, lane=2, position=115.0, speed=22.0),
+            VehicleState(id=3, lane=2, position=60.0, speed=18.0),
+            VehicleState(id=4, lane=2, position=90.0, speed=21.0),
+            VehicleState(id=5, lane=1, position=105.0, speed=10.0),
+        )
+        front, rear = lane_neighbors(scene, 2)
+        assert (front.gap, front.rel_speed) == (15.0, 2.0)
+        assert (rear.gap, rear.rel_speed) == (10.0, 1.0)
+
+    def test_level_vehicle_counts_as_front(self):
+        front, rear = lane_neighbors(
+            self._scene(VehicleState(id=1, lane=0, position=100.0, speed=20.0)), 0
+        )
+        assert front.gap == 0.0
+        assert rear is None
+
+    def test_empty_or_missing_lane(self):
+        scene = self._scene(VehicleState(id=1, lane=0, position=150.0, speed=20.0))
+        assert lane_neighbors(scene, 2) == (None, None)
+        assert lane_neighbors(scene, 3) == (None, None)
+
+    def test_first_vehicle_wins_a_tie(self):
+        scene = self._scene(
+            VehicleState(id=1, lane=1, position=120.0, speed=21.0),
+            VehicleState(id=2, lane=1, position=120.0, speed=25.0),
+        )
+        assert lane_neighbors(scene, 1)[0].rel_speed == 1.0

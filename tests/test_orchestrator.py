@@ -8,6 +8,7 @@ import pytest
 from ecdrive import (
     Action,
     Decision,
+    DriftInjection,
     DriftReport,
     OffloadConfig,
     StepRecord,
@@ -17,6 +18,7 @@ from ecdrive import (
     run_episode,
     write_trace,
 )
+from ecdrive import orchestrator
 from ecdrive.orchestrator import trace_lines
 
 from scenarios import (
@@ -25,6 +27,7 @@ from scenarios import (
     obstacle_zone_config,
     obstacle_zone_injections,
     open_highway_config,
+    reference_config,
 )
 
 
@@ -167,6 +170,87 @@ def _record(step: int, offloaded: bool, latency: float, edge_action=Action.KEEP,
         cloud_decision=cloud, executed_action=cloud_action if offloaded else edge_action,
         latency_ms=latency, bytes_up=2048 if offloaded else 0, collision=collision,
     )
+
+
+class TestInjectionLifecycle:
+    """Each step sees the pristine scene with only the active injections
+    overlaid; the effective scenes are captured at the loop's collision
+    check."""
+
+    STEPS = 24
+    CONFIG = OffloadConfig(mode="EdgeOnly", n_ref=30, window=10)
+
+    def _effective_scenes(self, monkeypatch, scenario, injections):
+        scenes = []
+        check_collision = orchestrator.check_collision
+
+        def capture(scene):
+            scenes.append(scene)
+            return check_collision(scene)
+
+        monkeypatch.setattr(orchestrator, "check_collision", capture)
+        trace = run_episode(scenario, injections, self.CONFIG, seed=0, steps=self.STEPS)
+        assert len(scenes) == self.STEPS
+        return trace, scenes
+
+    def test_obstacle_seen_only_inside_window(self, monkeypatch):
+        injection = DriftInjection(kind="NewObstacle", start_step=5, end_step=12,
+                                   lane=0, position=1000.0, extent_m=4.0)
+        trace, scenes = self._effective_scenes(monkeypatch, corridor_config(), [injection])
+        inside = [5 <= i < 12 for i in range(self.STEPS)]
+        assert [bool(s.obstacles) for s in scenes] == inside
+        # front_same_present: the corridor is empty but for the obstacle
+        assert [r.feature[5] == 1.0 for r in trace.records] == inside
+
+    def test_noise_stops_when_window_ends(self, monkeypatch):
+        injection = DriftInjection(kind="SensorNoise", start_step=3, end_step=8, sigma=2.0)
+        trace, scenes = self._effective_scenes(monkeypatch, corridor_config(), [injection])
+        inside = [3 <= i < 8 for i in range(self.STEPS)]
+        assert [s.noise_sigma for s in scenes] == [2.0 if hit else 0.0 for hit in inside]
+        # the corridor ego cruises at exactly 10 m/s; only noise perturbs it
+        assert [r.feature[0] != 10.0 for r in trace.records] == inside
+
+    @staticmethod
+    def _expected_speeds(start: float, offsets: list[float]) -> list[float]:
+        """Speed at the start of each step, relaxing at 1 m/s^2 toward
+        ``start + offset`` of the step (the vehicle's own target is its
+        initial speed)."""
+        speeds = [start]
+        for offset in offsets[:-1]:
+            v = speeds[-1]
+            speeds.append(v + max(-1.0, min(1.0, start + offset - v)))
+        return speeds
+
+    def _check_shifts(self, monkeypatch, injections):
+        _, scenes = self._effective_scenes(monkeypatch, reference_config(), injections)
+        offsets = [
+            sum(i.speed_offset for i in injections if i.start_step <= k < i.end_step)
+            for k in range(self.STEPS)
+        ]
+        assert [s.target_offset for s in scenes] == offsets
+        # the pinned vehicle's target stays its own speed; only the offset moves
+        assert all(s.others[0].target_speed == 21.2 for s in scenes)
+        speeds = [s.others[0].speed for s in scenes]
+        assert speeds == pytest.approx(self._expected_speeds(21.2, offsets), abs=1e-9)
+        return speeds
+
+    def test_shift_moves_pinned_vehicle_and_reverts(self, monkeypatch):
+        shift = DriftInjection(kind="TrafficPatternShift", start_step=2, end_step=12,
+                               speed_offset=-4.0)
+        speeds = self._check_shifts(monkeypatch, [shift])
+        assert speeds[6:13] == pytest.approx([17.2] * 7)
+        assert speeds[-1] == pytest.approx(21.2)
+
+    def test_overlapping_shifts_add_and_revert(self, monkeypatch):
+        shifts = [
+            DriftInjection(kind="TrafficPatternShift", start_step=2, end_step=12,
+                           speed_offset=-4.0),
+            DriftInjection(kind="TrafficPatternShift", start_step=6, end_step=16,
+                           speed_offset=-2.0),
+        ]
+        speeds = self._check_shifts(monkeypatch, shifts)
+        assert speeds[8:13] == pytest.approx([15.2] * 5)
+        assert speeds[-1] == pytest.approx(21.2)
 
 
 class TestAggregateMetrics:

@@ -17,10 +17,11 @@ from ecdrive import (
     check_collision,
     cloud_decide,
     edge_decide,
+    lane_neighbors,
     rollout_cost,
     step,
 )
-from ecdrive.policies import G_MIN, T_HEADWAY, _gaps_for_lane, _segment_hits
+from ecdrive.policies import G_MIN, T_HEADWAY, _segment_hits
 
 from scenarios import reference_scene, static_obstacle_scene
 
@@ -28,6 +29,11 @@ from scenarios import reference_scene, static_obstacle_scene
 def empty_road(speed: float = 25.0, lane: int = 0, lane_count: int = 4) -> Scene:
     return Scene(time=0.0, lane_count=lane_count,
                  ego=VehicleState(id=0, lane=lane, position=0.0, speed=speed))
+
+
+def _gaps_for_lane(scene: Scene, lane: int) -> tuple[float, float]:
+    """(front gap, rear gap) in ``lane``, capped at 200 m like the edge policy."""
+    return tuple(200.0 if n is None else min(n.gap, 200.0) for n in lane_neighbors(scene, lane))
 
 
 class TestEdgeDecide:

@@ -100,10 +100,25 @@ class TestRemoteDecide:
             remote_decide(reference_scene(), endpoint)
         assert excinfo.value.timed_out
 
+    def test_wrapped_timeout_is_flagged(self, monkeypatch):
+        # urlopen reports a connect timeout as a URLError around the TimeoutError
+        import urllib.error
+        import urllib.request
+
+        def fake_urlopen(request, timeout):
+            raise urllib.error.URLError(TimeoutError("timed out"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        endpoint = EndpointConfig(base_url="http://127.0.0.1:9", timeout_s=0.2)
+        with pytest.raises(RemoteUnavailable) as excinfo:
+            remote_decide(reference_scene(), endpoint)
+        assert excinfo.value.timed_out
+
     def test_unreachable_endpoint(self):
         endpoint = EndpointConfig(base_url="http://127.0.0.1:9", timeout_s=0.5)
-        with pytest.raises(RemoteUnavailable):
+        with pytest.raises(RemoteUnavailable) as excinfo:
             remote_decide(reference_scene(), endpoint)
+        assert not excinfo.value.timed_out
 
 
 def _near_block(steps: int):
