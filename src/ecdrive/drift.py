@@ -7,6 +7,16 @@ and an RBF-kernel MMD permutation test with the median-heuristic bandwidth.
 KS p-values are asymptotic: p = Q(D * sqrt(n_eff)) where Q is the Kolmogorov
 survival function and n_eff = n_a * n_b / (n_a + n_b). Window sizes of 40+
 make the approximation adequate and avoid exact-distribution combinatorics.
+
+The MMD test uses the unbiased MMD^2 estimator (Gretton et al., "A Kernel
+Two-Sample Test", JMLR 2012). Its permutations are drawn once per fitted
+detector, in ``default_rng(seed)`` order, so every window is tested against
+the same permutations; ``fit`` also reduces the reference-reference kernel
+block to per-permutation sums, and ``predict`` only evaluates the
+reference-window and window-window blocks. All permuted statistics come from
+one batch of matrix products over the permutation masks. A permuted
+statistic counts as reaching the observed one when it is at least
+``observed - TIE_TOLERANCE``, so exact ties are not decided by rounding.
 """
 
 from __future__ import annotations
@@ -15,6 +25,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# A permuted MMD^2 counts as reaching the observed one when it is within this
+# margin below it: ties are exact in real arithmetic (e.g. on constant
+# features) and rounding of kernel sums (about N * eps) must not break them.
+TIE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,6 +59,7 @@ class DriftDetector:
     n_perm: int = 100
     bandwidth: float = 1.0
     _ref_sorted: np.ndarray = field(default=None, repr=False)
+    _mmd: _MmdReference | None = field(default=None, repr=False)
 
     @property
     def n_ref(self) -> int:
@@ -102,26 +118,114 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     return _ks_sorted(a, b)
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and of b, clipped at 0."""
+    sq_a = np.sum(a * a, axis=1)
+    sq_b = np.sum(b * b, axis=1)
+    return np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * a @ b.T, 0.0)
+
+
 def median_bandwidth(reference: np.ndarray) -> float:
     """Median pairwise Euclidean distance of the rows; 1.0 when degenerate."""
-    n = reference.shape[0]
-    sq = np.sum(reference * reference, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * reference @ reference.T
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(np.sqrt(np.maximum(d2[iu], 0.0))))
+    iu = np.triu_indices(reference.shape[0], k=1)
+    med = float(np.median(np.sqrt(_sq_dists(reference, reference)[iu])))
     return med if med > 0.0 else 1.0
 
 
-def _mmd2_from_kernel(kernel: np.ndarray, idx_x: np.ndarray, idx_y: np.ndarray) -> float:
-    """Unbiased MMD^2 of a label partition, reusing the full kernel matrix."""
-    n, m = idx_x.size, idx_y.size
-    k_xx = kernel[np.ix_(idx_x, idx_x)]
-    k_yy = kernel[np.ix_(idx_y, idx_y)]
-    k_xy = kernel[np.ix_(idx_x, idx_y)]
-    term_xx = (k_xx.sum() - np.trace(k_xx)) / (n * (n - 1))
-    term_yy = (k_yy.sum() - np.trace(k_yy)) / (m * (m - 1))
-    term_xy = k_xy.sum() / (n * m)
-    return float(term_xx + term_yy - 2.0 * term_xy)
+def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
+    """RBF kernel block k(a_i, b_j) = exp(-||a_i - b_j||^2 / (2 bandwidth^2))."""
+    return np.exp(-_sq_dists(a, b) / (2.0 * bandwidth * bandwidth))
+
+
+def _offdiag_mean(k_block: np.ndarray) -> np.float64:
+    """Mean of a square kernel block over its off-diagonal entries."""
+    n = k_block.shape[0]
+    return (k_block.sum() - np.trace(k_block)) / (n * (n - 1))
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two matrices of one shape."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True)
+class _MmdReference:
+    """The parts of the permutation test that depend only on the reference.
+
+    With z = [x; y] the stacked sample (n reference rows, then a window of
+    m), row i of ``in_x`` (n_perm x (n + m)) is the 0/1 mask of the rows
+    permutation i assigns to the x side. ``ref_sums[:, i]`` holds the
+    x-x, y-y and x-y kernel sums of permutation i restricted to pairs of
+    reference rows (self-pairs excluded); ``term_xx`` is the observed
+    statistic's x-x term.
+    """
+
+    term_xx: np.float64
+    in_x: np.ndarray
+    ref_sums: np.ndarray
+
+
+def _mmd_reference(
+    x: np.ndarray, window: int, bandwidth: float, n_perm: int, seed: int
+) -> _MmdReference:
+    """Draw the permutations and reduce the reference kernel block once."""
+    if n_perm < 20:
+        raise ValueError("n_perm must be >= 20")
+    n = x.shape[0]
+    total = n + window
+    rng = np.random.default_rng(seed)
+    in_x = np.zeros((n_perm, total))
+    for row in in_x:
+        row[rng.permutation(total)[:n]] = 1.0
+    k_xx = _rbf_kernel(x, x, bandwidth)
+    diag = np.diag(k_xx)
+    a_x = in_x[:, :n]
+    b_x = 1.0 - a_x
+    ak_xx = a_x @ k_xx
+    ref_sums = np.stack([
+        _rowdot(ak_xx, a_x) - a_x @ diag,
+        _rowdot(b_x @ k_xx, b_x) - b_x @ diag,
+        _rowdot(ak_xx, b_x),
+    ])
+    return _MmdReference(
+        term_xx=_offdiag_mean(k_xx),
+        in_x=_readonly(in_x),
+        ref_sums=_readonly(ref_sums),
+    )
+
+
+def _mmd_test(
+    x: np.ndarray, reference: _MmdReference, y: np.ndarray, bandwidth: float
+) -> tuple[float, float]:
+    """Observed unbiased MMD^2 of (x, y) and its permutation p-value.
+
+    Only the x-y and y-y kernel blocks are evaluated. Each permutation's
+    kernel sums are its reference-pair sums plus row-wise dot products of
+    one batch of mask-times-kernel products.
+    """
+    n, m = x.shape[0], y.shape[0]
+    k_xy = _rbf_kernel(x, y, bandwidth)
+    k_yy = _rbf_kernel(y, y, bandwidth)
+    observed = float(reference.term_xx + _offdiag_mean(k_yy) - 2.0 * (k_xy.sum() / (n * m)))
+
+    # a: x-side masks, b = 1 - a: y-side masks, split into reference and window columns
+    a_x, a_y = reference.in_x[:, :n], reference.in_x[:, n:]
+    b_x, b_y = 1.0 - a_x, 1.0 - a_y
+    ak_xy, bk_xy = a_x @ k_xy, b_x @ k_xy
+    ak_yy, bk_yy = a_y @ k_yy, b_y @ k_yy
+    diag = np.diag(k_yy)
+    ref_aa, ref_bb, ref_ab = reference.ref_sums
+    sum_aa = ref_aa + 2.0 * _rowdot(ak_xy, a_y) + _rowdot(ak_yy, a_y) - a_y @ diag
+    sum_bb = ref_bb + 2.0 * _rowdot(bk_xy, b_y) + _rowdot(bk_yy, b_y) - b_y @ diag
+    sum_ab = ref_ab + _rowdot(ak_xy, b_y) + _rowdot(bk_xy, a_y) + _rowdot(ak_yy, b_y)
+    permuted = sum_aa / (n * (n - 1)) + sum_bb / (m * (m - 1)) - 2.0 * sum_ab / (n * m)
+    exceed = int(np.count_nonzero(permuted >= observed - TIE_TOLERANCE))
+    return observed, (1 + exceed) / (1 + reference.in_x.shape[0])
 
 
 def mmd_permutation(
@@ -134,7 +238,9 @@ def mmd_permutation(
     """Unbiased MMD^2 with RBF kernel and a label-permutation p-value.
 
     kernel k(u, v) = exp(-||u - v||^2 / (2 bandwidth^2));
-    p = (1 + #{permuted mmd^2 >= observed}) / (1 + n_perm).
+    p = (1 + #{permuted mmd^2 >= observed - TIE_TOLERANCE}) / (1 + n_perm),
+    where permutation i assigns ``default_rng(seed).permutation(N)[:n]``
+    (the i-th draw) to the x side.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
@@ -142,24 +248,8 @@ def mmd_permutation(
         raise ValueError("both samples must be non-empty")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"column counts differ: {x.shape[1]} vs {y.shape[1]}")
-    if n_perm < 20:
-        raise ValueError("n_perm must be >= 20")
-    z = np.vstack([x, y])
-    sq = np.sum(z * z, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * z @ z.T, 0.0)
-    kernel = np.exp(-d2 / (2.0 * bandwidth * bandwidth))
-    n = x.shape[0]
-    total = n + y.shape[0]
-    observed = _mmd2_from_kernel(kernel, np.arange(n), np.arange(n, total))
-    rng = np.random.default_rng(seed)
-    exceed = 0
-    for _ in range(n_perm):
-        perm = rng.permutation(total)
-        stat = _mmd2_from_kernel(kernel, perm[:n], perm[n:])
-        if stat >= observed:
-            exceed += 1
-    p_value = (1 + exceed) / (1 + n_perm)
-    return observed, p_value
+    reference = _mmd_reference(x, y.shape[0], bandwidth, n_perm, seed)
+    return _mmd_test(x, reference, y, bandwidth)
 
 
 def fit(
@@ -173,7 +263,8 @@ def fit(
     """Freeze a reference sample into a detector.
 
     Requires at least 30 reference vectors of a consistent dimension. For
-    the MMD method the median-heuristic bandwidth is precomputed here.
+    the MMD method the median-heuristic bandwidth, the permutations and the
+    reference kernel block's per-permutation sums are precomputed here.
     """
     ref = np.asarray(reference, dtype=np.float64)
     if ref.ndim != 2:
@@ -187,11 +278,10 @@ def fit(
         raise ValueError("alpha must lie in (0, 1)")
     if window < 10:
         raise ValueError("window must be >= 10")
-    ref = ref.copy()
-    ref.setflags(write=False)
-    ref_sorted = np.sort(ref, axis=0)
-    ref_sorted.setflags(write=False)
+    ref = _readonly(ref.copy())
+    ref_sorted = _readonly(np.sort(ref, axis=0))
     bandwidth = median_bandwidth(ref) if method == "mmd" else 1.0
+    mmd = _mmd_reference(ref, window, bandwidth, n_perm, seed) if method == "mmd" else None
     return DriftDetector(
         reference=ref,
         method=method,
@@ -201,6 +291,7 @@ def fit(
         n_perm=n_perm,
         bandwidth=bandwidth,
         _ref_sorted=ref_sorted,
+        _mmd=mmd,
     )
 
 
@@ -229,13 +320,7 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
             threshold_used=threshold,
         )
 
-    mmd2, p_value = mmd_permutation(
-        detector.reference,
-        win,
-        bandwidth=detector.bandwidth,
-        n_perm=detector.n_perm,
-        seed=detector.rng_seed,
-    )
+    mmd2, p_value = _mmd_test(detector.reference, detector._mmd, win, detector.bandwidth)
     return DriftReport(
         is_drift=bool(p_value < detector.alpha),
         p_values=np.array([p_value]),

@@ -26,6 +26,7 @@ DECEL_CMD = -3.0      # m/s^2, firm braking
 REVERSION_ACCEL = 1.0  # m/s^2, other vehicles relaxing toward target speed
 DEFAULT_V_MAX = 30.0
 DEFAULT_DT = 1.0
+EGO_ID = 0
 
 
 class Action(str, Enum):
@@ -203,13 +204,16 @@ class ScenarioConfig:
         for lane in self.spawn_lanes or ():
             if not (0 <= lane < self.lane_count):
                 raise ScenarioError(f"spawn lane {lane} out of range")
+        ids = [EGO_ID] + [v.id for v in self.fixed_others]
+        if len(set(ids)) != len(ids):
+            raise ScenarioError(f"vehicle ids must be unique (the ego is id {EGO_ID})")
 
 
 def spawn_scenario(config: ScenarioConfig, seed: int) -> Scene:
     """Build the initial scene as a deterministic function of (config, seed)."""
     config.validate()
     ego = VehicleState(
-        id=0,
+        id=EGO_ID,
         lane=config.ego_lane,
         position=config.ego_position,
         speed=config.ego_speed,

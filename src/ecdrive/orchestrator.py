@@ -87,6 +87,10 @@ class OffloadConfig:
             raise ValueError(f"unknown detector method {self.method!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
+        for name in ("window", "n_ref", "n_perm", "uplink_bytes_per_sample"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.window < 10:
             raise ValueError("window must be >= 10")
         if self.n_ref < 30:

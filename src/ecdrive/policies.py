@@ -388,6 +388,8 @@ def remote_decide(scene: Scene, endpoint: EndpointConfig, role: str | None = Non
     try:
         with urllib.request.urlopen(request, timeout=endpoint.timeout_s) as response:
             content = json.loads(response.read())["choices"][0]["message"]["content"]
+        if not isinstance(content, str):
+            raise TypeError(f"reply content is {type(content).__name__}, not a string")
     except (OSError, HTTPException, KeyError, IndexError, TypeError, ValueError) as exc:
         # urlopen wraps a connect timeout in URLError; a read timeout is raw.
         timed_out = isinstance(exc, TimeoutError) or isinstance(

@@ -153,6 +153,29 @@ class TestCmdValidate:
         assert cmd_validate(str(path)) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("window", 40.5), ("n_ref", 200.0),
+                                            ("n_perm", 100.0), ("window", True),
+                                            ("uplink_bytes_per_sample", 2048.5)])
+    def test_non_integer_sizes_rejected(self, tmp_path, capsys, key, value):
+        config = base_config(tmp_path)
+        config["offload"]["method"] = "mmd"
+        config["offload"][key] = value
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err and "integer" in err
+
+    @pytest.mark.parametrize("ids", [(0,), (5, 5)])
+    def test_duplicate_vehicle_ids_rejected(self, tmp_path, capsys, ids):
+        config = base_config(tmp_path)
+        config["scenario"]["fixed_others"] = [
+            {"id": vid, "lane": 0, "position": 100.0 + 50.0 * i, "speed": 10.0}
+            for i, vid in enumerate(ids)
+        ]
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        assert "ids" in capsys.readouterr().err
+
     def test_empty_seeds_rejected(self, tmp_path, capsys):
         config = base_config(tmp_path)
         config["seeds"] = []

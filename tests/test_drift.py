@@ -20,6 +20,35 @@ from ecdrive import (
 )
 
 
+def rbf_block(a, b, bandwidth):
+    sq_a = np.sum(a * a, axis=1)
+    sq_b = np.sum(b * b, axis=1)
+    d2 = np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * a @ b.T, 0.0)
+    return np.exp(-d2 / (2.0 * bandwidth * bandwidth))
+
+
+def loop_mmd_permutation(kernel, n, n_perm, seed):
+    """Oracle: one unbiased MMD^2 per permutation, each from its own index gather."""
+
+    def mmd2(idx_x, idx_y):
+        k_xx = kernel[np.ix_(idx_x, idx_x)]
+        k_yy = kernel[np.ix_(idx_y, idx_y)]
+        k_xy = kernel[np.ix_(idx_x, idx_y)]
+        a, b = idx_x.size, idx_y.size
+        term_xx = (k_xx.sum() - np.trace(k_xx)) / (a * (a - 1))
+        term_yy = (k_yy.sum() - np.trace(k_yy)) / (b * (b - 1))
+        return float(term_xx + term_yy - 2.0 * (k_xy.sum() / (a * b)))
+
+    total = kernel.shape[0]
+    observed = mmd2(np.arange(n), np.arange(n, total))
+    rng = np.random.default_rng(seed)
+    exceed = 0
+    for _ in range(n_perm):
+        perm = rng.permutation(total)
+        exceed += mmd2(perm[:n], perm[n:]) >= observed - 1e-12
+    return observed, (1 + exceed) / (1 + n_perm)
+
+
 def brute_force_ks(a, b) -> float:
     """Oracle: evaluate both empirical CDFs at every sample point."""
     a = np.asarray(a, dtype=float)
@@ -192,6 +221,36 @@ class TestMmd:
                                    bandwidth=1.0, n_perm=100, seed=s)
             assert any(abs(p - g) < 1e-12 for g in grid)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_ties_count_as_exceeding(self, seed):
+        # one odd row among identical ones: MMD^2 is exactly 0 under every
+        # permutation, so every permuted statistic ties the observed one
+        x = np.zeros((200, 15))
+        y = np.zeros((40, 15))
+        y[0, 0] = 1.0
+        mmd2, p = mmd_permutation(x, y, bandwidth=1.0, n_perm=100, seed=seed)
+        assert mmd2 == 0.0
+        assert p == 1.0
+
+    @pytest.mark.parametrize("n, m, d", [(30, 10, 1), (45, 12, 3), (60, 20, 15), (17, 9, 4)])
+    def test_matches_per_permutation_loop(self, n, m, d):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(n, d))
+            y = rng.normal(loc=0.1 * (seed % 4), size=(m, d))
+            bandwidth = median_bandwidth(x)
+            got = mmd_permutation(x, y, bandwidth=bandwidth, n_perm=40, seed=seed)
+            # kernel assembled block by block, as the batched test evaluates it
+            k_xy = rbf_block(x, y, bandwidth)
+            kernel = np.block([[rbf_block(x, x, bandwidth), k_xy],
+                               [k_xy.T, rbf_block(y, y, bandwidth)]])
+            assert got == loop_mmd_permutation(kernel, n, 40, seed)
+            # one kernel over the stacked sample: summation order may differ
+            stacked = np.vstack([x, y])
+            mmd2, p = loop_mmd_permutation(rbf_block(stacked, stacked, bandwidth), n, 40, seed)
+            assert got[0] == pytest.approx(mmd2, rel=0.0, abs=1e-12)
+            assert got[1] == p
+
     def test_validation_errors(self):
         x = np.zeros((5, 2))
         with pytest.raises(ValueError):
@@ -200,6 +259,38 @@ class TestMmd:
             mmd_permutation(x, x, bandwidth=1.0, n_perm=5)
         with pytest.raises(ValueError):
             mmd_permutation(np.zeros((0, 2)), x, bandwidth=1.0)
+
+
+class TestMmdDetector:
+    def _detector(self, seed=0):
+        rng = np.random.default_rng(seed)
+        return fit(rng.normal(size=(200, 15)), method="mmd", window=40, seed=seed), rng
+
+    def test_predict_matches_mmd_permutation(self):
+        for seed in range(4):
+            det, rng = self._detector(seed)
+            for shift in (0.0, 0.3, 1.0):
+                win = rng.normal(loc=shift, size=(40, 15))
+                report = predict(det, win)
+                mmd2, p = mmd_permutation(det.reference, win, det.bandwidth,
+                                          det.n_perm, det.rng_seed)
+                assert report.statistic.tolist() == [mmd2]
+                assert report.p_values.tolist() == [p]
+                assert report.is_drift == (p < det.alpha)
+
+    def test_repeated_predict_is_identical(self):
+        det, rng = self._detector()
+        win = rng.normal(loc=0.5, size=(40, 15))
+        first, second = predict(det, win), predict(det, win)
+        np.testing.assert_array_equal(first.statistic, second.statistic)
+        np.testing.assert_array_equal(first.p_values, second.p_values)
+        assert first.is_drift == second.is_drift
+
+    def test_cached_arrays_are_read_only(self):
+        det, _ = self._detector()
+        for cached in (det._mmd.in_x, det._mmd.ref_sums):
+            with pytest.raises(ValueError):
+                cached[0, 0] = 1.0
 
 
 class TestConfidenceGate:

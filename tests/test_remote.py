@@ -93,6 +93,13 @@ class TestRemoteDecide:
         with pytest.raises(NoDecisionFound):
             remote_decide(reference_scene(), endpoint)
 
+    def test_null_content_is_unavailable(self, stub_server):
+        _StubHandler.reply_text = None
+        endpoint = EndpointConfig(base_url=stub_server, timeout_s=5.0)
+        with pytest.raises(RemoteUnavailable) as excinfo:
+            remote_decide(reference_scene(), endpoint)
+        assert not excinfo.value.timed_out
+
     def test_timeout_raises_remote_unavailable(self, stub_server):
         _StubHandler.sleep_s = 1.0
         endpoint = EndpointConfig(base_url=stub_server, timeout_s=0.2)
@@ -161,6 +168,17 @@ class TestOrchestratorFallback:
         # the local cloud policy stands in, and the episode still avoids the block
         assert all(r.cloud_decision.source == "Cloud" for r in offloaded)
         assert trace.summary.collision_count == 0
+
+    def test_null_content_falls_back_to_local_cloud(self, stub_server):
+        _StubHandler.reply_text = None
+        endpoint = EndpointConfig(base_url=stub_server, timeout_s=5.0, role="Cloud")
+        trace = run_episode(
+            obstacle_zone_config(), _near_block(14), self._config(),
+            seed=0, steps=14, endpoint=endpoint,
+        )
+        offloaded = [r for r in trace.records if r.offloaded]
+        assert offloaded
+        assert all(r.cloud_decision.source == "Cloud" for r in offloaded)
 
     def test_timeout_fallback_records_timeout_latency(self, stub_server):
         _StubHandler.sleep_s = 0.6
