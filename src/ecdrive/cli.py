@@ -29,6 +29,7 @@ from .orchestrator import (
     Metrics,
     OffloadConfig,
     aggregate_metrics,
+    fit_reference,
     injection_from_dict,
     load_trace,
     offload_from_dict,
@@ -81,11 +82,23 @@ def _require(data: dict, field: str):
     return data[field]
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} is not allowed")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_experiment_config(path) -> ExperimentConfig:
-    """Parse and invariant-check an experiment JSON file."""
+    """Parse and invariant-check an experiment JSON file.
+
+    NaN and Infinity are rejected while parsing, and booleans never pass
+    as integers.
+    """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config ({exc})") from exc
     except json.JSONDecodeError as exc:
@@ -121,11 +134,11 @@ def load_experiment_config(path) -> ExperimentConfig:
     seeds = _require(data, "seeds")
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds: must be a non-empty list of integers")
-    if not all(isinstance(s, int) for s in seeds):
+    if not all(_is_int(s) for s in seeds):
         raise ConfigError("seeds: must be a non-empty list of integers")
 
     steps = _require(data, "steps")
-    if not isinstance(steps, int) or steps < 1:
+    if not _is_int(steps) or steps < 1:
         raise ConfigError("steps: must be an integer >= 1")
 
     output_dir = Path(_require(data, "output_dir"))
@@ -171,7 +184,11 @@ def trace_filename(scenario_name: str, mode: str, seed: int) -> str:
 
 
 def cmd_run(config_path: str) -> int:
-    """Run every (seed x mode) episode of the experiment and write traces."""
+    """Run every (seed x mode) episode of the experiment and write traces.
+
+    The burn-in and detector fit do not depend on the mode, so each seed's
+    detector is fitted once and shared by all of its modes.
+    """
     try:
         config = load_experiment_config(config_path)
     except ConfigError as exc:
@@ -184,6 +201,9 @@ def cmd_run(config_path: str) -> int:
         print(f"io error: cannot create output_dir: {exc}", file=sys.stderr)
         return EXIT_IO
 
+    detectors = {
+        seed: fit_reference(config.scenario, config.offload, seed) for seed in config.seeds
+    }
     for mode in config.modes:
         offload = replace(config.offload, mode=mode)
         for seed in config.seeds:
@@ -194,6 +214,7 @@ def cmd_run(config_path: str) -> int:
                 seed=seed,
                 steps=config.steps,
                 endpoint=config.endpoint,
+                detector=detectors[seed],
             )
             path = config.output_dir / trace_filename(config.scenario.name, mode, seed)
             try:

@@ -7,6 +7,12 @@ and an RBF-kernel MMD permutation test with the median-heuristic bandwidth.
 KS p-values are asymptotic: p = Q(D * sqrt(n_eff)) where Q is the Kolmogorov
 survival function and n_eff = n_a * n_b / (n_a + n_b). Window sizes of 40+
 make the approximation adequate and avoid exact-distribution combinatorics.
+All features are tested in one batched merge: ``fit`` stores the sorted
+reference feature-major, and ``predict`` sorts every feature's reference and
+window values together at once and reads both empirical CDFs from the
+running counts of reference and window values. D lies on a lattice of
+multiples of 1 / (n_a * n_b), so its values recur from window to window and
+Q is memoized in a bounded cache.
 
 The MMD test uses the unbiased MMD^2 estimator (Gretton et al., "A Kernel
 Two-Sample Test", JMLR 2012). Its permutations are drawn once per fitted
@@ -21,6 +27,7 @@ statistic counts as reaching the observed one when it is at least
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -49,7 +56,11 @@ class DriftReport:
 
 @dataclass(frozen=True)
 class DriftDetector:
-    """Immutable detector state: frozen reference sample plus test settings."""
+    """Immutable detector state: frozen reference sample plus test settings.
+
+    ``_ref_sorted`` is the reference sorted per feature, one contiguous row
+    per feature (n_features x n_ref), as the batched KS merge reads it.
+    """
 
     reference: np.ndarray
     method: str
@@ -70,6 +81,7 @@ class DriftDetector:
         return self.reference.shape[1]
 
 
+@functools.lru_cache(maxsize=4096)
 def _kolmogorov_sf(lam: float) -> float:
     """Survival function of the Kolmogorov distribution, Q(lam).
 
@@ -94,28 +106,42 @@ def _kolmogorov_sf(lam: float) -> float:
     return max(0.0, min(1.0, 2.0 * total))
 
 
-def _ks_sorted(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """KS statistic and asymptotic p-value of two sorted, non-empty samples."""
-    n_a, n_b = a.size, b.size
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / n_a
-    cdf_b = np.searchsorted(b, grid, side="right") / n_b
-    stat = float(np.max(np.abs(cdf_a - cdf_b)))
-    n_eff = n_a * n_b / (n_a + n_b)
-    return stat, _kolmogorov_sf(stat * math.sqrt(n_eff))
+def _ks_rows(ref: np.ndarray, sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """KS D and asymptotic p of each row of ``ref`` against that row of ``sample``.
+
+    Each row's values are merged in one sort; at the last position of each
+    run of equal values, the running count of ``ref`` values is the ``ref``
+    CDF times n_a. Other positions are skipped, so each CDF is read after
+    the last of a run of ties, as ``searchsorted(side="right")`` does. The
+    stable sort merges two sorted runs in linear time, so sorted ``ref``
+    rows are fastest.
+    """
+    n_a, n_b = ref.shape[1], sample.shape[1]
+    merged = np.concatenate([ref, sample], axis=1)
+    order = np.argsort(merged, axis=1, kind="stable")
+    values = np.sort(merged, axis=1)
+    cnt_a = np.cumsum(order < n_a, axis=1)
+    cnt_b = np.arange(1, n_a + n_b + 1) - cnt_a
+    gap = np.abs(cnt_a / n_a - cnt_b / n_b)
+    gap[:, :-1][values[:, :-1] == values[:, 1:]] = 0.0
+    stats = gap.max(axis=1)
+    root_n_eff = math.sqrt(n_a * n_b / (n_a + n_b))
+    p_values = np.array([_kolmogorov_sf(d * root_n_eff) for d in stats.tolist()])
+    return stats, p_values
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
     """Two-sample KS test: exact sup-CDF-difference statistic, asymptotic p.
 
     Ties are handled by evaluating both empirical CDFs just after every
-    merged sample point.
+    merged sample point. Runs the batched merge of the detector on one row.
     """
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
-    return _ks_sorted(a, b)
+    stats, p_values = _ks_rows(a.reshape(1, -1), b.reshape(1, -1))
+    return float(stats[0]), float(p_values[0])
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -240,12 +266,15 @@ def mmd_permutation(
     kernel k(u, v) = exp(-||u - v||^2 / (2 bandwidth^2));
     p = (1 + #{permuted mmd^2 >= observed - TIE_TOLERANCE}) / (1 + n_perm),
     where permutation i assigns ``default_rng(seed).permutation(N)[:n]``
-    (the i-th draw) to the x side.
+    (the i-th draw) to the x side. Each sample needs at least 2 rows.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.size == 0 or y.size == 0:
         raise ValueError("both samples must be non-empty")
+    if x.shape[0] < 2 or y.shape[0] < 2:
+        # the unbiased estimator divides by n * (n - 1)
+        raise ValueError(f"both samples need at least 2 rows, got {x.shape[0]} and {y.shape[0]}")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"column counts differ: {x.shape[1]} vs {y.shape[1]}")
     reference = _mmd_reference(x, y.shape[0], bandwidth, n_perm, seed)
@@ -279,7 +308,7 @@ def fit(
     if window < 10:
         raise ValueError("window must be >= 10")
     ref = _readonly(ref.copy())
-    ref_sorted = _readonly(np.sort(ref, axis=0))
+    ref_sorted = _readonly(np.ascontiguousarray(np.sort(ref, axis=0).T))
     bandwidth = median_bandwidth(ref) if method == "mmd" else 1.0
     mmd = _mmd_reference(ref, window, bandwidth, n_perm, seed) if method == "mmd" else None
     return DriftDetector(
@@ -299,6 +328,8 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
     """Test one window of samples against the frozen reference.
 
     KS: per-feature tests, drift iff min p < alpha / n_features (Bonferroni).
+    All features run in one batched merge against the feature-major sorted
+    reference stored at ``fit``; p-values come from the memoized Q.
     MMD: single permutation test, drift iff p < alpha.
     """
     win = np.asarray(window_samples, dtype=np.float64)
@@ -310,8 +341,7 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
         raise ValueError("window dimension does not match the reference")
 
     if detector.method == "ks":
-        columns = zip(detector._ref_sorted.T, np.sort(win.T))
-        stats, p_values = map(np.array, zip(*(_ks_sorted(r, w) for r, w in columns)))
+        stats, p_values = _ks_rows(detector._ref_sorted, win.T)
         threshold = detector.alpha / detector.n_features
         return DriftReport(
             is_drift=bool(p_values.min() < threshold),

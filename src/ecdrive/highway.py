@@ -199,6 +199,16 @@ class ScenarioConfig:
             raise ScenarioError("speed_range must satisfy 0 <= lo <= hi")
         if self.v_max <= 0:
             raise ScenarioError("v_max must be positive")
+        # step clamps speeds to v_max, a jump no action could produce
+        if self.ego_speed > self.v_max:
+            raise ScenarioError(f"ego_speed {self.ego_speed} exceeds v_max {self.v_max}")
+        if self.n_random_vehicles > 0 and hi > self.v_max:
+            raise ScenarioError(f"speed_range upper bound {hi} exceeds v_max {self.v_max}")
+        for vehicle in self.fixed_others:
+            if vehicle.speed > self.v_max:
+                raise ScenarioError(
+                    f"vehicle {vehicle.id} speed {vehicle.speed} exceeds v_max {self.v_max}"
+                )
         if self.spawn_span[1] < self.spawn_span[0]:
             raise ScenarioError("spawn_span must be ordered")
         for lane in self.spawn_lanes or ():

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import featurize
-from .drift import DriftReport, confidence_gate, fit, predict
+from .drift import DriftDetector, DriftReport, confidence_gate, fit, predict
 from .highway import (
     Action,
     DriftInjection,
@@ -206,6 +206,31 @@ def _timed_remote(
         return fallback(scene), elapsed
 
 
+def fit_reference(scenario: ScenarioConfig, config: OffloadConfig, seed: int) -> DriftDetector:
+    """Burn in and fit the drift detector of one seeded episode.
+
+    The burn-in runs ``config.n_ref`` injection-free steps of the local
+    edge policy from the seed's initial scene and fits the detector to
+    their features. It does not depend on the mode, tau or latency
+    settings, so episodes of one seed that differ only in those can share
+    the fitted detector.
+    """
+    config.validate()
+    scene = spawn_scenario(scenario, seed)
+    reference = []
+    for _ in range(config.n_ref):
+        reference.append(featurize(scene))
+        scene = step(scene, edge_decide(scene).action)
+    return fit(
+        reference,
+        method=config.method,
+        alpha=config.alpha,
+        window=config.window,
+        seed=seed,
+        n_perm=config.n_perm,
+    )
+
+
 def run_episode(
     scenario: ScenarioConfig,
     injections,
@@ -213,13 +238,15 @@ def run_episode(
     seed: int,
     steps: int,
     endpoint: EndpointConfig | None = None,
+    detector: DriftDetector | None = None,
 ) -> EpisodeTrace:
     """Run one seeded episode of the collaboration loop.
 
-    A burn-in pass of ``config.n_ref`` injection-free steps from the same
-    seed collects the detector's reference features first; the measured
-    episode then restarts from the identical initial scene. Remote failures
-    degrade to the local policy of the affected role and never abort.
+    The detector comes from :func:`fit_reference` (a burn-in pass of
+    ``config.n_ref`` injection-free steps from the same seed) unless an
+    already fitted one is passed; the measured episode then restarts from
+    the identical initial scene. Remote failures degrade to the local
+    policy of the affected role and never abort.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -229,19 +256,14 @@ def run_episode(
     for injection in injections:
         injection.validate()
 
-    scene = spawn_scenario(scenario, seed)
-    reference = []
-    for _ in range(config.n_ref):
-        reference.append(featurize(scene))
-        scene = step(scene, edge_decide(scene).action)
-    detector = fit(
-        reference,
-        method=config.method,
-        alpha=config.alpha,
-        window=config.window,
-        seed=seed,
-        n_perm=config.n_perm,
-    )
+    if detector is None:
+        detector = fit_reference(scenario, config, seed)
+    else:
+        fitted_for = (detector.method, detector.alpha, detector.window, detector.n_ref,
+                      detector.n_perm, detector.rng_seed)
+        if fitted_for != (config.method.lower(), config.alpha, config.window, config.n_ref,
+                          config.n_perm, seed):
+            raise ValueError("detector was not fitted with this episode's settings and seed")
 
     scene = spawn_scenario(scenario, seed)
     noise_rng = np.random.default_rng(seed)
@@ -516,7 +538,9 @@ def write_trace(trace: EpisodeTrace, path) -> None:
 def load_trace(path) -> EpisodeTrace:
     """Parse a JSONL trace file back into an :class:`EpisodeTrace`.
 
-    Raises ``ValueError`` naming the offending line on malformed content.
+    Raises ``ValueError`` naming the offending line on malformed content or
+    a header whose ``schema_version`` is missing or not
+    ``TRACE_SCHEMA_VERSION``.
     """
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -524,6 +548,11 @@ def load_trace(path) -> EpisodeTrace:
         raise ValueError(f"{path}: empty trace file")
     try:
         header = json.loads(lines[0])
+        version = header.get("schema_version") if isinstance(header, dict) else None
+        if version != TRACE_SCHEMA_VERSION:
+            raise ValueError(
+                f"{path}: line 1: schema_version {version!r} is not {TRACE_SCHEMA_VERSION!r}"
+            )
         config = header["config"]
         scenario = scenario_from_dict(config["scenario"])
         injections = tuple(injection_from_dict(i) for i in config["injections"])

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ecdrive import orchestrator
 from ecdrive.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -18,9 +19,10 @@ from ecdrive.cli import (
     cmd_run,
     cmd_summarize,
     cmd_validate,
+    load_experiment_config,
     main,
 )
-from ecdrive.orchestrator import Metrics
+from ecdrive.orchestrator import Metrics, run_episode, write_trace
 
 
 def base_config(tmp_path: Path) -> dict:
@@ -88,6 +90,43 @@ class TestCmdRun:
         assert cmd_run(str(path)) == EXIT_OK
         names = sorted(f.name for f in (tmp_path / "out").glob("*.jsonl"))
         assert names == ["corridor_CloudOnly_0.jsonl", "corridor_EdgeOnly_0.jsonl"]
+
+    def test_modes_share_one_burn_in_per_seed(self, tmp_path, capsys, monkeypatch):
+        modes, seeds = ["EdgeOnly", "Collaborative", "CloudOnly"], [0, 1]
+        config = base_config(tmp_path)
+        config["modes"], config["seeds"] = modes, seeds
+        path = write_config(tmp_path, config)
+        fitted = []
+        real_fit = orchestrator.fit
+
+        def counting_fit(*args, **kwargs):
+            fitted.append(kwargs["seed"])
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "fit", counting_fit)
+        assert cmd_run(str(path)) == EXIT_OK
+        assert sorted(fitted) == seeds
+        # printed mode by mode, each mode over all seeds
+        printed = [line.split()[1:3] for line in capsys.readouterr().out.splitlines()]
+        assert printed == [[f"mode={m}", f"seed={s}:"] for m in modes for s in seeds]
+
+        # each trace equals the episode run on its own, with its own burn-in
+        experiment = load_experiment_config(path)
+        solo = tmp_path / "solo"
+        solo.mkdir()
+        for mode in modes:
+            for seed in seeds:
+                trace = run_episode(
+                    experiment.scenario,
+                    experiment.injections,
+                    dataclasses.replace(experiment.offload, mode=mode),
+                    seed=seed,
+                    steps=experiment.steps,
+                )
+                name = f"corridor_{mode}_{seed}.jsonl"
+                write_trace(trace, solo / name)
+                assert (solo / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
+        assert len(fitted) == len(seeds) + len(modes) * len(seeds)
 
     def test_missing_steps_names_the_field(self, tmp_path, capsys):
         config = base_config(tmp_path)
@@ -176,6 +215,47 @@ class TestCmdValidate:
         assert cmd_validate(str(path)) == EXIT_CONFIG
         assert "ids" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, field", [
+        ({"ego_speed": 40.0, "v_max": 30.0}, "ego_speed"),
+        ({"fixed_others": [{"id": 1, "lane": 0, "position": 100.0, "speed": 12.0}]},
+         "vehicle 1 speed"),
+        ({"n_random_vehicles": 2, "spawn_span": [100.0, 900.0]}, "speed_range"),
+    ])
+    def test_speeds_above_v_max_rejected(self, tmp_path, capsys, scenario, field):
+        config = base_config(tmp_path)  # v_max 10, default speed_range (18, 24)
+        config["scenario"].update(scenario)
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert field in err and "v_max" in err
+
+    def test_speed_range_unchecked_without_random_vehicles(self, tmp_path, capsys):
+        config = base_config(tmp_path)
+        config["scenario"].update(speed_range=[18.0, 24.0], n_random_vehicles=0)
+        assert cmd_validate(str(write_config(tmp_path, config))) == EXIT_OK
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("scenario", "ego_speed", float("nan")),
+        ("offload", "cloud_ms", float("inf")),
+        ("offload", "tau", float("-inf")),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, section, key, value):
+        config = base_config(tmp_path)
+        config[section][key] = value  # json.dumps writes NaN / Infinity / -Infinity
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("seeds", [True]), ("seeds", [0, False]),
+                                            ("steps", True)])
+    def test_booleans_are_not_integers(self, tmp_path, capsys, key, value):
+        config = base_config(tmp_path)
+        config[key] = value
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
     def test_empty_seeds_rejected(self, tmp_path, capsys):
         config = base_config(tmp_path)
         config["seeds"] = []
@@ -235,6 +315,19 @@ class TestCmdSummarize:
                              str(run_outputs / "bad.csv"))
         assert code == EXIT_TRACE
         assert "does not match" in capsys.readouterr().err
+
+    def test_unknown_schema_version(self, run_outputs, capsys):
+        victim = next((run_outputs / "out").glob("*.jsonl"))
+        lines = victim.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["schema_version"] = "99"
+        lines[0] = json.dumps(header, separators=(",", ":"))
+        victim.write_text("\n".join(lines) + "\n")
+        code = cmd_summarize(str(run_outputs / "out" / "*.jsonl"),
+                             str(run_outputs / "bad.csv"))
+        assert code == EXIT_TRACE
+        err = capsys.readouterr().err
+        assert victim.name in err and "line 1" in err and "schema_version" in err
 
     def test_summarize_own_output_never_fails(self, run_outputs):
         # anything cmd_run produced must summarize cleanly

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import kolmogorov as scipy_kolmogorov
+from scipy.stats import ks_2samp
 
+from ecdrive import drift
 from ecdrive import (
     confidence_gate,
     fit,
@@ -60,6 +63,21 @@ def brute_force_ks(a, b) -> float:
         fb = float((b <= g).mean())
         best = max(best, abs(fa - fb))
     return best
+
+
+def per_feature_ks(ref, win):
+    """Oracle: one concatenate and two searchsorted per feature, unmemoized Q."""
+    kolmogorov_sf = drift._kolmogorov_sf.__wrapped__
+    stats, p_values = [], []
+    for a, b in zip(np.sort(ref, axis=0).T, np.sort(win, axis=0).T):
+        n_a, n_b = a.size, b.size
+        grid = np.concatenate([a, b])
+        cdf_a = np.searchsorted(a, grid, side="right") / n_a
+        cdf_b = np.searchsorted(b, grid, side="right") / n_b
+        stat = float(np.max(np.abs(cdf_a - cdf_b)))
+        stats.append(stat)
+        p_values.append(kolmogorov_sf(stat * math.sqrt(n_a * n_b / (n_a + n_b))))
+    return np.array(stats), np.array(p_values)
 
 
 class TestKsTwoSample:
@@ -187,6 +205,49 @@ class TestDetector:
         assert detected / trials >= 0.95
 
 
+class TestBatchedKs:
+    @pytest.mark.parametrize("n_ref, window", [(200, 40), (30, 10), (57, 13)])
+    def test_predict_matches_per_feature_loop(self, n_ref, window):
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            decimals = seed % 3  # 0 and 1 decimals give many ties
+            ref = np.round(rng.normal(size=(n_ref, 15)), decimals)
+            win = np.round(rng.normal(loc=rng.uniform(-1.0, 1.0), size=(window, 15)), decimals)
+            ref[:, 1] = win[:, 1] = 0.0  # constant in both samples
+            ref[:, 2] = 1.0  # constant in the reference only
+            ref[:, 3], win[:, 3] = 7.0, 8.0  # two different constants
+            report = predict(fit(ref, window=window, seed=seed), win)
+            stats, p_values = per_feature_ks(ref, win)
+            assert report.statistic.tolist() == stats.tolist()
+            assert report.p_values.tolist() == p_values.tolist()
+            assert report.is_drift == bool(p_values.min() < 0.05 / 15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_predict_matches_scipy(self, data):
+        n_ref = data.draw(st.integers(30, 60))
+        window = data.draw(st.integers(10, 20))
+        n_features = data.draw(st.integers(1, 4))
+        # a coarse integer grid mixed with arbitrary floats makes ties likely
+        values = st.one_of(st.integers(-3, 3).map(float), st.floats(-50, 50))
+        ref = data.draw(arrays(np.float64, (n_ref, n_features), elements=values))
+        win = data.draw(arrays(np.float64, (window, n_features), elements=values))
+        report = predict(fit(ref, window=window), win)
+        n_eff = n_ref * window / (n_ref + window)
+        for j in range(n_features):
+            stat = report.statistic[j]
+            assert stat == ks_2samp(ref[:, j], win[:, j], method="asymp").statistic
+            assert report.p_values[j] == pytest.approx(
+                float(scipy_kolmogorov(stat * math.sqrt(n_eff))), abs=1e-12
+            )
+
+    def test_fit_stores_feature_major_sorted_reference(self):
+        ref = np.random.default_rng(3).normal(size=(50, 4))
+        cached = fit(ref, window=10)._ref_sorted
+        assert cached.shape == (4, 50) and cached.flags.c_contiguous
+        np.testing.assert_array_equal(cached, np.sort(ref, axis=0).T)
+
+
 class TestMmd:
     def test_identical_inputs_near_zero(self):
         rng = np.random.default_rng(5)
@@ -259,6 +320,12 @@ class TestMmd:
             mmd_permutation(x, x, bandwidth=1.0, n_perm=5)
         with pytest.raises(ValueError):
             mmd_permutation(np.zeros((0, 2)), x, bandwidth=1.0)
+
+    @pytest.mark.parametrize("x_rows, y_rows", [(5, 1), (1, 5)])
+    def test_one_row_sample_rejected(self, x_rows, y_rows):
+        # the unbiased estimator divides by n (n - 1): one row gave NaN and p = 1/101
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            mmd_permutation(np.zeros((x_rows, 2)), np.ones((y_rows, 2)), bandwidth=1.0)
 
 
 class TestMmdDetector:

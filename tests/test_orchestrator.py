@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from ecdrive import (
     OffloadConfig,
     StepRecord,
     aggregate_metrics,
+    fit_reference,
     load_trace,
     offload_rule,
     run_episode,
@@ -145,6 +149,24 @@ class TestRunEpisodeModes:
         trace = run_episode(obstacle_zone_config(), obstacle_zone_injections(120),
                             OffloadConfig(mode="EdgeOnly"), seed=0, steps=120)
         assert trace.summary.collision_count > 0
+
+    def test_prefitted_detector_gives_the_same_trace(self):
+        cfg = OffloadConfig(mode="Collaborative", tau=0.0, n_ref=60, window=20)
+        detector = fit_reference(corridor_config(), replace(cfg, mode="EdgeOnly"), seed=2)
+        shared = run_episode(corridor_config(), corridor_obstacle(), cfg, seed=2, steps=80,
+                             detector=detector)
+        own = run_episode(corridor_config(), corridor_obstacle(), cfg, seed=2, steps=80)
+        assert trace_lines(shared) == trace_lines(own)
+
+    @pytest.mark.parametrize("change", [{"seed": 3}, {"window": 30}, {"method": "mmd"},
+                                        {"n_ref": 70}, {"alpha": 0.01}])
+    def test_mismatched_detector_rejected(self, change):
+        cfg = OffloadConfig(mode="EdgeOnly", n_ref=60, window=20)
+        detector = fit_reference(corridor_config(), cfg, seed=2)
+        seed = change.pop("seed", 2)
+        with pytest.raises(ValueError, match="detector was not fitted"):
+            run_episode(corridor_config(), (), replace(cfg, **change), seed=seed, steps=5,
+                        detector=detector)
 
     def test_steps_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -314,6 +336,22 @@ class TestTraceRoundTrip:
         lines[5] = "{broken json"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"line 6"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("version", ["2", 1, None, "missing"])
+    def test_schema_version_checked(self, tmp_path, version):
+        cfg = OffloadConfig(mode="EdgeOnly", n_ref=40, window=10)
+        path = tmp_path / "trace.jsonl"
+        write_trace(run_episode(corridor_config(), (), cfg, seed=0, steps=5), path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        if version == "missing":
+            del header["schema_version"]
+        else:
+            header["schema_version"] = version
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"line 1: schema_version"):
             load_trace(path)
 
     def test_summary_survives_json_exactly(self, tmp_path):
