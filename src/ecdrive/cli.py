@@ -22,7 +22,8 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .highway import DriftInjection, ScenarioConfig, ScenarioError
+from .drift import DriftDetector
+from .highway import DriftInjection, ScenarioConfig, ScenarioError, spawn_scenario
 from .orchestrator import (
     MODES,
     EpisodeTrace,
@@ -183,14 +184,30 @@ def trace_filename(scenario_name: str, mode: str, seed: int) -> str:
     return f"{scenario_name}_{mode}_{seed}.jsonl"
 
 
+def _seed_error(seed: int, exc: ScenarioError) -> ConfigError:
+    return ConfigError(f"scenario: seed {seed}: {exc}")
+
+
+def _fit_seeds(config: ExperimentConfig) -> dict[int, DriftDetector]:
+    detectors = {}
+    for seed in config.seeds:
+        try:
+            detectors[seed] = fit_reference(config.scenario, config.offload, seed)
+        except ScenarioError as exc:
+            raise _seed_error(seed, exc) from exc
+    return detectors
+
+
 def cmd_run(config_path: str) -> int:
     """Run every (seed x mode) episode of the experiment and write traces.
 
     The burn-in and detector fit do not depend on the mode, so each seed's
-    detector is fitted once and shared by all of its modes.
+    detector is fitted once and shared by all of its modes. A seed whose
+    scene cannot be spawned is a config error, reported before any output.
     """
     try:
         config = load_experiment_config(config_path)
+        detectors = _fit_seeds(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -201,9 +218,6 @@ def cmd_run(config_path: str) -> int:
         print(f"io error: cannot create output_dir: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    detectors = {
-        seed: fit_reference(config.scenario, config.offload, seed) for seed in config.seeds
-    }
     for mode in config.modes:
         offload = replace(config.offload, mode=mode)
         for seed in config.seeds:
@@ -297,9 +311,18 @@ def cmd_summarize(trace_glob: str, out_csv: str) -> int:
 
 
 def cmd_validate(config_path: str) -> int:
-    """Parse and invariant-check a config file without side effects."""
+    """Parse and invariant-check a config file without side effects.
+
+    Each seed's initial scene is spawned too, so a config ``validate``
+    accepts cannot fail to spawn in ``run``.
+    """
     try:
-        load_experiment_config(config_path)
+        config = load_experiment_config(config_path)
+        for seed in config.seeds:
+            try:
+                spawn_scenario(config.scenario, seed)
+            except ScenarioError as exc:
+                raise _seed_error(seed, exc) from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -47,6 +47,18 @@ class IllegalLaneChange(ValueError):
     """Lane change requested at a road edge; signals a caller bug."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require(test, what: str, prefix: str = "", **values) -> None:
+    """Raise :class:`ScenarioError` naming the first value (or tuple holding
+    an item) that fails ``test``."""
+    for name, value in values.items():
+        if not all(test(x) for x in (value if isinstance(value, tuple) else (value,))):
+            raise ScenarioError(f"{prefix}{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class VehicleState:
     """One vehicle: lane index, longitudinal position, speed, acceleration.
@@ -151,6 +163,14 @@ class DriftInjection:
     KINDS = ("NewObstacle", "TrafficPatternShift", "SensorNoise")
 
     def validate(self) -> None:
+        _require(
+            math.isfinite,
+            "finite",
+            position=self.position,
+            extent_m=self.extent_m,
+            speed_offset=self.speed_offset,
+            sigma=self.sigma,
+        )
         if self.kind not in self.KINDS:
             raise ScenarioError(f"unknown injection kind {self.kind!r}")
         if self.start_step >= self.end_step:
@@ -186,6 +206,36 @@ class ScenarioConfig:
     fixed_others: tuple[VehicleState, ...] = ()
 
     def validate(self) -> None:
+        _require(
+            math.isfinite,
+            "finite",
+            ego_speed=self.ego_speed,
+            ego_position=self.ego_position,
+            ego_accel=self.ego_accel,
+            v_max=self.v_max,
+            speed_range=self.speed_range,
+            spawn_span=self.spawn_span,
+        )
+        _require(
+            _is_int,
+            "an integer",
+            lane_count=self.lane_count,
+            ego_lane=self.ego_lane,
+            n_random_vehicles=self.n_random_vehicles,
+            spawn_lanes=self.spawn_lanes or (),
+        )
+        for v in self.fixed_others:
+            prefix = f"vehicle {v.id} "
+            _require(_is_int, "an integer", prefix, id=v.id, lane=v.lane)
+            _require(
+                math.isfinite,
+                "finite",
+                prefix,
+                position=v.position,
+                speed=v.speed,
+                accel=v.accel,
+                target_speed=v.resolved_target(),
+            )
         if self.lane_count < 1:
             raise ScenarioError("lane_count must be >= 1")
         if not (0 <= self.ego_lane < self.lane_count):
@@ -326,7 +376,7 @@ def step(scene: Scene, action: Action, dt: float = DEFAULT_DT) -> Scene:
         a_cmd = 0.0
 
     v_new, p_new, a_eff = _advance(ego.speed, a_cmd, ego.position, dt, scene.v_max)
-    new_ego = replace(ego, lane=lane, position=p_new, speed=v_new, accel=a_eff)
+    new_ego = VehicleState(ego.id, lane, p_new, v_new, a_eff, ego.target_speed)
 
     new_others = []
     for veh in scene.others:
@@ -335,7 +385,7 @@ def step(scene: Scene, action: Action, dt: float = DEFAULT_DT) -> Scene:
         # Land exactly on the target instead of oscillating around it.
         a_rev = max(-REVERSION_ACCEL, min(REVERSION_ACCEL, delta / dt))
         v2, p2, a2 = _advance(veh.speed, a_rev, veh.position, dt, scene.v_max)
-        new_others.append(replace(veh, position=p2, speed=v2, accel=a2))
+        new_others.append(VehicleState(veh.id, veh.lane, p2, v2, a2, veh.target_speed))
 
     return replace(scene, time=scene.time + dt, ego=new_ego, others=tuple(new_others))
 

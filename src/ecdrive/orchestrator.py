@@ -24,6 +24,7 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import time
 from collections import deque
 from dataclasses import dataclass, replace
@@ -98,7 +99,10 @@ class OffloadConfig:
         if self.n_perm < 20:
             raise ValueError("n_perm must be >= 20")
         for name in ("edge_ms", "cloud_ms", "rtt_ms"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.uplink_bytes_per_sample < 0:
             raise ValueError("uplink_bytes_per_sample must be >= 0")
@@ -532,7 +536,18 @@ def trace_lines(trace: EpisodeTrace) -> list[str]:
 
 
 def write_trace(trace: EpisodeTrace, path) -> None:
-    Path(path).write_text("\n".join(trace_lines(trace)) + "\n", encoding="utf-8")
+    """Write a trace atomically: to a temporary file beside ``path``, then
+    renamed over it, so a failed write leaves no partial trace behind and
+    any earlier file at ``path`` intact."""
+    path = Path(path)
+    text = "\n".join(trace_lines(trace)) + "\n"
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_trace(path) -> EpisodeTrace:

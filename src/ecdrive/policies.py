@@ -11,6 +11,9 @@ every entity forward with a constant-acceleration rollout, and picks the
 cheapest action under a collision-dominated cost. A crashed rollout halts
 the ego (speed zero for the remaining horizon), so unavoidable impacts are
 priced by how much motion survives before them: later and slower is cheaper.
+The entities' paths do not depend on the ego, so they are predicted once
+per decision and every candidate action's rollout reads them, checking
+only the hazards in its target lane.
 
 ``remote_decide`` delegates either role to a chat-completion HTTP endpoint
 and decodes the reply with the decision lexicon.
@@ -175,28 +178,36 @@ def edge_decide(scene: Scene) -> Decision:
     )
 
 
-@dataclass(frozen=True)
-class _Entity:
-    """A hazard in the rollout: a vehicle or a static obstacle."""
+def _predict_hazards(
+    scene: Scene, horizon: int
+) -> tuple[list[int], list[float], list[list[float]]]:
+    """Predict every hazard ``horizon`` steps ahead; the ego does not matter.
 
-    lane: int
-    position: float
-    speed: float
-    accel: float
-    radius: float  # center distance below which the ego overlaps it
-    moves: bool
-
-
-def _scene_entities(scene: Scene) -> list[_Entity]:
-    entities = [
-        _Entity(v.lane, v.position, v.speed, v.accel, VEHICLE_LENGTH_M, True)
-        for v in scene.others
+    Returns the hazards' lanes, their radii (the center distance below
+    which the ego overlaps them) and ``horizon + 1`` rows of positions,
+    row 0 being the current one. Vehicles come first, then obstacles.
+    Vehicles keep their current acceleration; obstacles stay put.
+    """
+    dt = DEFAULT_DT
+    v_max = scene.v_max
+    others, obstacles = scene.others, scene.obstacles
+    lanes = [v.lane for v in others] + [o.lane for o in obstacles]
+    radii = [VEHICLE_LENGTH_M] * len(others) + [
+        VEHICLE_LENGTH_M / 2.0 + o.extent_m / 2.0 for o in obstacles
     ]
-    entities += [
-        _Entity(o.lane, o.position, 0.0, 0.0, VEHICLE_LENGTH_M / 2.0 + o.extent_m / 2.0, False)
-        for o in scene.obstacles
-    ]
-    return entities
+    positions = [v.position for v in others] + [o.position for o in obstacles]
+    still = [0.0] * len(obstacles)
+    speeds = [v.speed for v in others] + still
+    accels = [v.accel for v in others]  # zip with speeds stops at the vehicles
+    rows = [positions]
+    for _ in range(horizon):
+        new_speeds = [min(max(s + a * dt, 0.0), v_max) for s, a in zip(speeds, accels)] + still
+        positions = [
+            p + 0.5 * (s + s_new) * dt for p, s, s_new in zip(positions, speeds, new_speeds)
+        ]
+        speeds = new_speeds
+        rows.append(positions)
+    return lanes, radii, rows
 
 
 def _segment_hits(rel0: float, rel1: float, radius: float) -> bool:
@@ -206,11 +217,21 @@ def _segment_hits(rel0: float, rel1: float, radius: float) -> bool:
     return min(abs(rel0), abs(rel1)) < radius
 
 
-def rollout_cost(scene: Scene, action: Action, horizon: int = HORIZON) -> RolloutResult:
+def rollout_cost(
+    scene: Scene,
+    action: Action,
+    horizon: int = HORIZON,
+    hazards: tuple[list[int], list[float], list[list[float]]] | None = None,
+) -> RolloutResult:
     """Predict ``horizon`` steps of executing ``action`` then holding speed.
 
-    Other vehicles keep their current acceleration; obstacles stay put. A
-    predicted collision zeroes the ego's speed for the rest of the horizon.
+    Other vehicles keep their current acceleration; obstacles stay put.
+    Their trajectories do not depend on the ego, so ``hazards`` may carry
+    a prediction from :func:`_predict_hazards`, covering at least
+    ``horizon`` steps, shared by several actions; without it the
+    prediction is made here. Only hazards in the ego's
+    target lane are checked. A predicted collision zeroes the ego's speed
+    for the rest of the horizon.
     cost = 1000 * [collision] + (v_max - mean ego speed)
          + 2 * [lane change] + 50 * max(0, T_h - min headway) / T_h.
     Illegal lane changes cost infinity and are excluded from planning.
@@ -219,6 +240,9 @@ def rollout_cost(scene: Scene, action: Action, horizon: int = HORIZON) -> Rollou
         raise ValueError("horizon must be >= 1")
     if action not in legal_actions(scene):
         return RolloutResult(action, math.inf, 0.0, False)
+    if hazards is None:
+        hazards = _predict_hazards(scene, horizon)
+    lanes, radii, rows = hazards
 
     dt = DEFAULT_DT
     ego_lane = scene.ego.lane
@@ -226,12 +250,10 @@ def rollout_cost(scene: Scene, action: Action, horizon: int = HORIZON) -> Rollou
         ego_lane += 1
     elif action is Action.LANE_CHANGE_RIGHT:
         ego_lane -= 1
+    in_lane = [i for i, lane in enumerate(lanes) if lane == ego_lane]
 
     ego_v = scene.ego.speed
     ego_p = scene.ego.position
-    entities = _scene_entities(scene)
-    positions = [e.position for e in entities]
-    speeds = [e.speed for e in entities]
 
     collided = False
     min_gap = GAP_SENTINEL
@@ -251,33 +273,22 @@ def rollout_cost(scene: Scene, action: Action, horizon: int = HORIZON) -> Rollou
             ego_v_new = min(max(ego_v + a_cmd * dt, 0.0), scene.v_max)
             ego_p_new = ego_p + 0.5 * (ego_v + ego_v_new) * dt
 
-        new_positions = []
-        new_speeds = []
-        for ent, pos, spd in zip(entities, positions, speeds):
-            spd_new = min(max(spd + ent.accel * dt, 0.0), scene.v_max) if ent.moves else 0.0
-            pos_new = pos + 0.5 * (spd + spd_new) * dt
-            new_positions.append(pos_new)
-            new_speeds.append(spd_new)
-
+        positions, new_positions = rows[k], rows[k + 1]
         if not collided:
-            for ent, pos, pos_new in zip(entities, positions, new_positions):
-                if ent.lane != ego_lane:
-                    continue
-                if _segment_hits(pos - ego_p, pos_new - ego_p_new, ent.radius):
+            for i in in_lane:
+                if _segment_hits(positions[i] - ego_p, new_positions[i] - ego_p_new, radii[i]):
                     collided = True
                     ego_v_new = 0.0
                     break
 
         ego_v, ego_p = ego_v_new, ego_p_new
-        positions, speeds = new_positions, new_speeds
         speed_sum += ego_v
 
         if collided:
             min_gap = 0.0
             min_headway = 0.0
         else:
-            front = [p - ego_p for ent, p in zip(entities, positions)
-                     if ent.lane == ego_lane and p >= ego_p]
+            front = [new_positions[i] - ego_p for i in in_lane if new_positions[i] >= ego_p]
             gap = min(front) if front else GAP_SENTINEL
             min_gap = min(min_gap, gap)
             min_headway = min(min_headway, gap / ego_v if ego_v > 0 else math.inf)
@@ -315,7 +326,8 @@ def cloud_decide(scene: Scene, horizon: int = HORIZON) -> Decision:
 
     candidates = [a for a in ACTION_ORDER if a in legal_actions(scene)]
     rationale.append(f"predicted {horizon}-step rollouts for {len(candidates)} candidate actions")
-    results = [rollout_cost(scene, a, horizon) for a in candidates]
+    hazards = _predict_hazards(scene, horizon)
+    results = [rollout_cost(scene, a, horizon, hazards) for a in candidates]
     for res in results:
         rationale.append(f"cost[{res.action.value}] = {res.cost:.3f}")
 

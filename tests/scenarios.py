@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 from ecdrive import DriftInjection, Obstacle, ScenarioConfig, Scene, VehicleState
 
 
@@ -118,4 +120,50 @@ def static_obstacle_scene(gap: float, lane_count: int = 3, speed: float = 25.0,
         lane_count=lane_count,
         ego=VehicleState(id=0, lane=0, position=0.0, speed=speed),
         obstacles=(Obstacle(lane=0, position=gap, extent_m=extent),),
+    )
+
+
+def _speeds(v_max: float):
+    """Speeds near 0, near ``v_max`` or anywhere between, to hit both clamps."""
+    return st.one_of(st.floats(0.0, 1.0), st.floats(v_max - 1.0, v_max), st.floats(0.0, v_max))
+
+
+@st.composite
+def random_scenes(draw, max_vehicles: int = 40) -> Scene:
+    """Dense random scenes around an ego at the origin: 1-4 lanes, up to
+    ``max_vehicles`` accelerating or braking vehicles (some with no target
+    speed), obstacles in the ego's and adjacent lanes, a shifted target."""
+    lane_count = draw(st.integers(1, 4))
+    ego_lane = draw(st.integers(0, lane_count - 1))
+    v_max = draw(st.sampled_from((10.0, 30.0)))
+    ego = VehicleState(0, ego_lane, 0.0, draw(_speeds(v_max)),
+                       target_speed=draw(st.none() | _speeds(v_max)))
+    others = tuple(
+        VehicleState(
+            id=i + 1,
+            lane=draw(st.integers(0, lane_count - 1)),
+            position=draw(st.floats(-80.0, 150.0)),
+            speed=draw(_speeds(v_max)),
+            accel=draw(st.one_of(st.floats(-5.0, -0.1), st.floats(0.1, 5.0))),
+            target_speed=draw(st.none() | _speeds(v_max)),
+        )
+        for i in range(draw(st.integers(0, max_vehicles)))
+    )
+    near_lanes = [lane for lane in (ego_lane - 1, ego_lane, ego_lane + 1) if 0 <= lane < lane_count]
+    obstacles = tuple(
+        Obstacle(
+            lane=draw(st.sampled_from(near_lanes)),
+            position=draw(st.floats(-20.0, 120.0)),
+            extent_m=draw(st.floats(0.5, 10.0)),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    return Scene(
+        time=0.0,
+        lane_count=lane_count,
+        ego=ego,
+        others=others,
+        obstacles=obstacles,
+        v_max=v_max,
+        target_offset=draw(st.sampled_from((0.0, -6.0))) + draw(st.floats(-2.0, 2.0)),
     )

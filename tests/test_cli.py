@@ -63,6 +63,11 @@ def base_config(tmp_path: Path) -> dict:
     }
 
 
+def unplaceable_spawn() -> dict:
+    """500 vehicles cannot keep 10 m gaps in a 50 m span."""
+    return {"n_random_vehicles": 500, "spawn_span": [50.0, 100.0], "speed_range": [5.0, 9.0]}
+
+
 def write_config(tmp_path: Path, data: dict, name: str = "config.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(data, indent=2))
@@ -134,6 +139,15 @@ class TestCmdRun:
         path = write_config(tmp_path, config)
         assert cmd_run(str(path)) == EXIT_CONFIG
         assert "steps" in capsys.readouterr().err
+
+    def test_unplaceable_spawn_is_a_config_error(self, tmp_path, capsys):
+        config = base_config(tmp_path)
+        config["scenario"].update(unplaceable_spawn())
+        path = write_config(tmp_path, config)
+        assert cmd_run(str(path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "seed 0" in err and "spawn_span" in err
+        assert not list((tmp_path / "out").glob("*.jsonl"))
 
     def test_unwritable_output_dir(self, tmp_path, capsys):
         config = base_config(tmp_path)
@@ -255,6 +269,32 @@ class TestCmdValidate:
         path = write_config(tmp_path, config)
         assert cmd_validate(str(path)) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, field", [
+        ({"lane_count": 2.5}, "lane_count"),
+        ({"ego_lane": 0.5}, "ego_lane"),
+        ({"n_random_vehicles": 2.0, "speed_range": [5.0, 9.0]}, "n_random_vehicles"),
+        ({"lane_count": 2, "spawn_lanes": [1.0]}, "spawn_lanes"),
+        ({"fixed_others": [{"id": 1, "lane": 0.5, "position": 100.0, "speed": 5.0}]},
+         "vehicle 1 lane"),
+        ({"fixed_others": [{"id": 1.5, "lane": 0, "position": 100.0, "speed": 5.0}]},
+         "vehicle 1.5 id"),
+    ])
+    def test_non_integer_scenario_fields_rejected(self, tmp_path, capsys, scenario, field):
+        config = base_config(tmp_path)
+        config["scenario"].update(scenario)
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{field} must be an integer" in err
+
+    def test_unplaceable_spawn_rejected(self, tmp_path, capsys):
+        config = base_config(tmp_path)
+        config["scenario"].update(unplaceable_spawn())
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "seed 0" in err and "spawn_span" in err
 
     def test_empty_seeds_rejected(self, tmp_path, capsys):
         config = base_config(tmp_path)

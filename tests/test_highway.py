@@ -27,7 +27,15 @@ from ecdrive import (
     step,
 )
 
-from scenarios import reference_config
+from ecdrive.highway import (
+    ACCEL_CMD,
+    DECEL_CMD,
+    DEFAULT_DT,
+    REVERSION_ACCEL,
+    _advance,
+)
+
+from scenarios import random_scenes, reference_config
 
 
 class TestSpawn:
@@ -79,6 +87,52 @@ class TestSpawn:
         config = dataclasses.replace(ScenarioConfig(name="bad"), **bad)
         with pytest.raises(ScenarioError):
             spawn_scenario(config, seed=0)
+
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            (dict(ego_speed=float("nan")), "ego_speed"),
+            (dict(ego_position=float("inf")), "ego_position"),
+            (dict(ego_accel=float("nan")), "ego_accel"),
+            (dict(v_max=float("inf")), "v_max"),
+            (dict(speed_range=(float("nan"), 20.0)), "speed_range"),
+            (dict(spawn_span=(50.0, float("inf"))), "spawn_span"),
+            (dict(fixed_others=(VehicleState(7, 1, 80.0, float("nan")),)), "vehicle 7 speed"),
+            (dict(fixed_others=(VehicleState(7, 1, float("-inf"), 20.0),)), "vehicle 7 position"),
+            (dict(fixed_others=(VehicleState(7, 1, 80.0, 20.0, float("nan")),)), "vehicle 7 accel"),
+            (dict(fixed_others=(VehicleState(7, 1, 80.0, 20.0, 0.0, float("inf")),)),
+             "vehicle 7 target_speed"),
+        ],
+    )
+    def test_non_finite_fields_rejected(self, bad, field):
+        config = dataclasses.replace(ScenarioConfig(name="bad"), **bad)
+        with pytest.raises(ScenarioError, match=f"{field} must be finite"):
+            config.validate()
+
+
+def _oracle_step(scene: Scene, action: Action, dt: float = DEFAULT_DT) -> Scene:
+    """``step`` rebuilding every vehicle with ``dataclasses.replace``."""
+    ego = scene.ego
+    lane = ego.lane
+    a_cmd = {Action.ACCELERATE: ACCEL_CMD, Action.DECELERATE: DECEL_CMD}.get(action, 0.0)
+    if action is Action.LANE_CHANGE_LEFT:
+        if lane >= scene.lane_count - 1:
+            raise IllegalLaneChange("already in the leftmost lane")
+        lane += 1
+    elif action is Action.LANE_CHANGE_RIGHT:
+        if lane <= 0:
+            raise IllegalLaneChange("already in the rightmost lane")
+        lane -= 1
+    v_new, p_new, a_eff = _advance(ego.speed, a_cmd, ego.position, dt, scene.v_max)
+    new_ego = dataclasses.replace(ego, lane=lane, position=p_new, speed=v_new, accel=a_eff)
+    new_others = []
+    for veh in scene.others:
+        target = veh.resolved_target() + scene.target_offset
+        a_rev = max(-REVERSION_ACCEL, min(REVERSION_ACCEL, (target - veh.speed) / dt))
+        v2, p2, a2 = _advance(veh.speed, a_rev, veh.position, dt, scene.v_max)
+        new_others.append(dataclasses.replace(veh, position=p2, speed=v2, accel=a2))
+    return dataclasses.replace(scene, time=scene.time + dt, ego=new_ego,
+                               others=tuple(new_others))
 
 
 def _ego_scene(speed: float, lane: int = 0, lane_count: int = 4, accel: float = 0.0) -> Scene:
@@ -136,6 +190,19 @@ class TestStep:
         assert s1.others[0].speed == 21.0  # +1 m/s^2 cap
         s2 = step(step(step(s1, Action.KEEP), Action.KEEP), Action.KEEP)
         assert s2.others[0].speed == 23.5  # lands exactly on the target
+
+    @settings(max_examples=100, deadline=None)
+    @given(scene=random_scenes(), action=st.sampled_from(list(Action)))
+    def test_matches_replace_oracle(self, scene, action):
+        # random_scenes draws None and set target speeds and a nonzero offset
+        try:
+            expected = _oracle_step(scene, action)
+        except IllegalLaneChange:
+            with pytest.raises(IllegalLaneChange):
+                step(scene, action)
+            return
+        nxt = step(scene, action)
+        assert nxt == expected and repr(nxt) == repr(expected)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -241,6 +308,20 @@ class TestInjectDrift:
             DriftInjection(kind="NewObstacle", start_step=5, end_step=5).validate()
         with pytest.raises(ScenarioError):
             DriftInjection(kind="Nope", start_step=0, end_step=1).validate()
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("NewObstacle", "position", float("nan")),
+            ("NewObstacle", "extent_m", float("inf")),
+            ("TrafficPatternShift", "speed_offset", float("nan")),
+            ("SensorNoise", "sigma", float("inf")),
+        ],
+    )
+    def test_non_finite_injection_fields_rejected(self, kind, field, value):
+        injection = DriftInjection(kind=kind, start_step=0, end_step=10, **{field: value})
+        with pytest.raises(ScenarioError, match=f"{field} must be finite"):
+            injection.validate()
 
 
 class TestNearestNeighbors:

@@ -168,6 +168,15 @@ class TestRunEpisodeModes:
             run_episode(corridor_config(), (), replace(cfg, **change), seed=seed, steps=5,
                         detector=detector)
 
+    @pytest.mark.parametrize("field", ["edge_ms", "cloud_ms", "rtt_ms"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_latency_rejected(self, field, value):
+        config = OffloadConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            config.validate()
+        with pytest.raises(ValueError, match=field):
+            run_episode(corridor_config(), (), config, seed=0, steps=5)
+
     def test_steps_must_be_positive(self):
         with pytest.raises(ValueError):
             run_episode(corridor_config(), (), OffloadConfig(), seed=0, steps=0)
@@ -353,6 +362,35 @@ class TestTraceRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"line 1: schema_version"):
             load_trace(path)
+
+    def test_failed_write_keeps_the_old_trace(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        import signal
+
+        cfg = OffloadConfig(mode="EdgeOnly", n_ref=40, window=10)
+        old = run_episode(corridor_config(), (), cfg, seed=0, steps=20)
+        new = run_episode(corridor_config(), (), cfg, seed=1, steps=20)
+        path = tmp_path / "trace.jsonl"
+        write_trace(old, path)
+        before = path.read_bytes()
+        fresh = tmp_path / "fresh.jsonl"
+        # A file size limit makes the write fail with EFBIG after 1 KiB.
+        limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1024, limits[1]))
+        try:
+            with pytest.raises(OSError):
+                write_trace(new, path)
+            with pytest.raises(OSError):
+                write_trace(new, fresh)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+            signal.signal(signal.SIGXFSZ, handler)
+        assert len(before) > 1024
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
+        write_trace(new, path)
+        assert path.read_text() == "\n".join(trace_lines(new)) + "\n"
 
     def test_summary_survives_json_exactly(self, tmp_path):
         cfg = OffloadConfig(mode="Collaborative", tau=0.6)

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecdrive import (
@@ -18,12 +19,26 @@ from ecdrive import (
     cloud_decide,
     edge_decide,
     lane_neighbors,
+    legal_actions,
     rollout_cost,
     step,
 )
-from ecdrive.policies import G_MIN, T_HEADWAY, _segment_hits
+from ecdrive import policies
+from ecdrive.codec import GAP_SENTINEL
+from ecdrive.highway import ACCEL_CMD, DECEL_CMD, DEFAULT_DT, VEHICLE_LENGTH_M
+from ecdrive.policies import (
+    G_MIN,
+    HORIZON,
+    T_HEADWAY,
+    W_COLLISION,
+    W_HEADWAY,
+    W_LANE_CHANGE,
+    W_SPEED,
+    RolloutResult,
+    _segment_hits,
+)
 
-from scenarios import reference_scene, static_obstacle_scene
+from scenarios import random_scenes, reference_scene, static_obstacle_scene
 
 
 def empty_road(speed: float = 25.0, lane: int = 0, lane_count: int = 4) -> Scene:
@@ -160,6 +175,126 @@ class TestRolloutCost:
             others=(VehicleState(id=1, lane=0, position=45.0, speed=25.0),),
         )
         assert not rollout_cost(scene, Action.KEEP).collision_predicted
+
+
+@dataclasses.dataclass(frozen=True)
+class _Entity:
+    lane: int
+    position: float
+    speed: float
+    accel: float
+    radius: float
+    moves: bool
+
+
+def _oracle_rollout(scene: Scene, action: Action, horizon: int = HORIZON,
+                    hazards=None) -> RolloutResult:
+    """Per-action rollout that propagates every entity itself and scans all
+    lanes (``hazards`` is ignored); the shared-prediction planner must
+    reproduce it bit for bit."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if action not in legal_actions(scene):
+        return RolloutResult(action, math.inf, 0.0, False)
+    dt = DEFAULT_DT
+    ego_lane = scene.ego.lane
+    if action is Action.LANE_CHANGE_LEFT:
+        ego_lane += 1
+    elif action is Action.LANE_CHANGE_RIGHT:
+        ego_lane -= 1
+    ego_v = scene.ego.speed
+    ego_p = scene.ego.position
+    entities = [_Entity(v.lane, v.position, v.speed, v.accel, VEHICLE_LENGTH_M, True)
+                for v in scene.others]
+    entities += [_Entity(o.lane, o.position, 0.0, 0.0,
+                         VEHICLE_LENGTH_M / 2.0 + o.extent_m / 2.0, False)
+                 for o in scene.obstacles]
+    positions = [e.position for e in entities]
+    speeds = [e.speed for e in entities]
+    collided = False
+    min_gap = GAP_SENTINEL
+    min_headway = math.inf
+    speed_sum = 0.0
+    for k in range(horizon):
+        a_cmd = 0.0
+        if k == 0 and action is Action.ACCELERATE:
+            a_cmd = ACCEL_CMD
+        elif k == 0 and action is Action.DECELERATE:
+            a_cmd = DECEL_CMD
+        if collided:
+            ego_v_new, ego_p_new = 0.0, ego_p
+        else:
+            ego_v_new = min(max(ego_v + a_cmd * dt, 0.0), scene.v_max)
+            ego_p_new = ego_p + 0.5 * (ego_v + ego_v_new) * dt
+        new_positions = []
+        new_speeds = []
+        for ent, pos, spd in zip(entities, positions, speeds):
+            spd_new = min(max(spd + ent.accel * dt, 0.0), scene.v_max) if ent.moves else 0.0
+            new_positions.append(pos + 0.5 * (spd + spd_new) * dt)
+            new_speeds.append(spd_new)
+        if not collided:
+            for ent, pos, pos_new in zip(entities, positions, new_positions):
+                if ent.lane != ego_lane:
+                    continue
+                if _segment_hits(pos - ego_p, pos_new - ego_p_new, ent.radius):
+                    collided = True
+                    ego_v_new = 0.0
+                    break
+        ego_v, ego_p = ego_v_new, ego_p_new
+        positions, speeds = new_positions, new_speeds
+        speed_sum += ego_v
+        if collided:
+            min_gap = 0.0
+            min_headway = 0.0
+        else:
+            front = [p - ego_p for ent, p in zip(entities, positions)
+                     if ent.lane == ego_lane and p >= ego_p]
+            gap = min(front) if front else GAP_SENTINEL
+            min_gap = min(min_gap, gap)
+            min_headway = min(min_headway, gap / ego_v if ego_v > 0 else math.inf)
+    mean_speed = speed_sum / horizon
+    headway_term = (0.0 if math.isinf(min_headway)
+                    else max(0.0, T_HEADWAY - min_headway) / T_HEADWAY)
+    is_lc = action in (Action.LANE_CHANGE_LEFT, Action.LANE_CHANGE_RIGHT)
+    cost = (W_COLLISION * collided + W_SPEED * (scene.v_max - mean_speed)
+            + W_LANE_CHANGE * is_lc + W_HEADWAY * headway_term)
+    return RolloutResult(action, cost, min_gap, collided)
+
+
+def _follow(lead: VehicleState, speed: float = 10.0) -> Scene:
+    return Scene(time=0.0, lane_count=2,
+                 ego=VehicleState(id=0, lane=0, position=0.0, speed=speed), others=(lead,))
+
+
+class TestSharedHazardPrediction:
+    def test_matches_per_action_oracle(self):
+        seen = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(scene=random_scenes(), horizon=st.integers(1, 5))
+        # the nearest vehicle ahead is stopped by the clamp at 0, then at v_max
+        @example(scene=_follow(VehicleState(1, 0, 60.0, 0.5, accel=-3.0)), horizon=3)
+        @example(scene=_follow(VehicleState(1, 0, 20.0, 29.8, accel=2.0), 29.5), horizon=3)
+        def check(scene, horizon):
+            for action in Action:  # illegal lane changes included
+                result = rollout_cost(scene, action, horizon)
+                expected = _oracle_rollout(scene, action, horizon)
+                assert result == expected and repr(result) == repr(expected)
+                seen.add("illegal" if math.isinf(result.cost) else
+                         "collision" if result.collision_predicted else "clean")
+            with mock.patch.object(policies, "rollout_cost", _oracle_rollout):
+                expected = cloud_decide(scene, horizon)
+            decision = cloud_decide(scene, horizon)
+            assert decision == expected and repr(decision) == repr(expected)
+            for v in scene.others:
+                if v.speed + v.accel * DEFAULT_DT < 0:
+                    seen.add("clamp at 0")
+                if v.speed + v.accel * DEFAULT_DT > scene.v_max:
+                    seen.add("clamp at v_max")
+
+        check()
+        # the scenes must reach every branch for the property to mean much
+        assert seen == {"illegal", "collision", "clean", "clamp at 0", "clamp at v_max"}
 
 
 class TestCloudDecide:
