@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .drift import DriftDetector
-from .highway import DriftInjection, ScenarioConfig, ScenarioError, spawn_scenario
+from .highway import DriftInjection, ScenarioConfig, ScenarioError, _is_int, spawn_scenario
 from .orchestrator import (
     MODES,
     EpisodeTrace,
@@ -87,10 +87,6 @@ def _reject_constant(name: str):
     raise ConfigError(f"non-finite number {name} is not allowed")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse and invariant-check an experiment JSON file.
 
@@ -152,21 +148,17 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError("modes: must not be empty")
 
     endpoint = None
-    if "remote" in data and data["remote"] is not None:
-        remote = data["remote"]
+    remote = data.get("remote")
+    if remote is not None:
+        if not isinstance(remote, dict):
+            raise ConfigError("remote: must be a JSON object")
         try:
-            endpoint = EndpointConfig(
-                base_url=_require(remote, "base_url"),
-                model=remote.get("model", "gpt-4"),
-                timeout_s=remote.get("timeout_s", 10.0),
-                role=remote.get("role", "Cloud"),
-            )
-        except ConfigError:
-            raise ConfigError("remote.base_url: missing required field") from None
-        if endpoint.role not in ("Edge", "Cloud"):
-            raise ConfigError("remote.role: must be 'Edge' or 'Cloud'")
-        if endpoint.timeout_s <= 0:
-            raise ConfigError("remote.timeout_s: must be positive")
+            endpoint = EndpointConfig(**remote)
+            endpoint.validate()
+        except ValueError as exc:
+            raise ConfigError(f"remote: {exc}") from exc
+        except TypeError as exc:
+            raise ConfigError(f"remote: unknown or malformed field ({exc})") from exc
 
     return ExperimentConfig(
         scenario=scenario,
@@ -204,6 +196,8 @@ def cmd_run(config_path: str) -> int:
     The burn-in and detector fit do not depend on the mode, so each seed's
     detector is fitted once and shared by all of its modes. A seed whose
     scene cannot be spawned is a config error, reported before any output.
+    A trace that cannot be written is reported and the remaining episodes
+    still run; the exit code is then EXIT_IO.
     """
     try:
         config = load_experiment_config(config_path)
@@ -218,6 +212,7 @@ def cmd_run(config_path: str) -> int:
         print(f"io error: cannot create output_dir: {exc}", file=sys.stderr)
         return EXIT_IO
 
+    exit_code = EXIT_OK
     for mode in config.modes:
         offload = replace(config.offload, mode=mode)
         for seed in config.seeds:
@@ -235,7 +230,8 @@ def cmd_run(config_path: str) -> int:
                 write_trace(trace, path)
             except OSError as exc:
                 print(f"io error: cannot write {path}: {exc}", file=sys.stderr)
-                return EXIT_IO
+                exit_code = EXIT_IO
+                continue
             s = trace.summary
             print(
                 f"{config.scenario.name} mode={mode} seed={seed}: "
@@ -243,7 +239,7 @@ def cmd_run(config_path: str) -> int:
                 f"mean_latency={s.mean_latency_ms:.1f}ms "
                 f"bytes_up={s.total_bytes_up} collisions={s.collision_count}"
             )
-    return EXIT_OK
+    return exit_code
 
 
 def _metrics_row(trace: EpisodeTrace, metrics: Metrics) -> dict:

@@ -90,14 +90,16 @@ def describe(scene: Scene) -> SceneText:
         f"with an acceleration of {ego.accel:.1f} m/s², "
         f"and its lane position is {ego.position:.2f} m."
     ]
-    by_gap = sorted(scene.others, key=lambda v: (abs(v.position - ego.position), v.id))
-    for veh in by_gap:
-        direction = "ahead" if veh.position >= ego.position else "behind"
+    others = scene.others
+    rows = zip(*others.lists, others.accel.tolist())
+    by_gap = sorted(rows, key=lambda row: (abs(row[2] - ego.position), row[0]))
+    for vid, lane, position, speed, accel in by_gap:
+        direction = "ahead" if position >= ego.position else "behind"
         parts.append(
-            f"Vehicle {veh.id} is in the {_relative_lane(veh.lane - ego.lane)} lane, "
-            f"{direction} by {veh.position:.2f} m, "
-            f"traveling at a speed of {veh.speed:.1f} m/s, "
-            f"with an acceleration of {veh.accel:.1f} m/s²."
+            f"Vehicle {vid} is in the {_relative_lane(lane - ego.lane)} lane, "
+            f"{direction} by {position:.2f} m, "
+            f"traveling at a speed of {speed:.1f} m/s, "
+            f"with an acceleration of {accel:.1f} m/s²."
         )
     return SceneText(text=" ".join(parts))
 

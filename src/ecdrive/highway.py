@@ -4,6 +4,25 @@ World state is an immutable :class:`Scene`; :func:`step` returns a new one.
 Lane 0 is the rightmost lane. Positions are longitudinal stations in meters
 on an infinite straight road. One decision step defaults to dt = 1 s.
 
+The ego is a :class:`VehicleState`; the other vehicles are struct-of-arrays
+:class:`Vehicles` columns (id, lane, position, speed, accel, target speed
+and a has-target mask), read-only numpy arrays in vehicle order.
+:func:`step` advances all of them in one elementwise pass through the same
+:func:`_advance` expressions the ego uses, with ``np.maximum`` and
+``np.minimum`` as the clamps, so every element rounds exactly as a
+per-vehicle float loop would. The scalar readers (:func:`lane_neighbors`,
+:func:`check_collision`, ``Scene.validate``, the scene text and the cloud
+planner's perception) scan ``Vehicles.lists``, the columns as Python lists
+made with each column set, and visit only the lanes they ask about through
+``Vehicles.by_lane``, which :func:`step` carries over because vehicles
+never change lanes. With up to a few tens of vehicles such a scan beats a
+chain of masked numpy calls, each of which costs about a microsecond. The
+four neighbor slots are computed once per scene.
+``Scene.others`` is the column set; it also reads as a tuple of
+``VehicleState`` built on demand (iteration, indexing, ``==``, ``repr``),
+which configs and tests use but the per-step path never does. A ``Scene``
+built with ``others=`` a tuple of ``VehicleState`` converts it.
+
 Scripted perturbations (new obstacles, traffic-pattern shifts, sensor noise)
 are applied per step through :func:`inject_drift`, which is the identity
 outside its [start_step, end_step) window. Each one only sets overlay fields
@@ -14,8 +33,11 @@ caller can keep a pristine scene and overlay it afresh every step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +102,123 @@ class VehicleState:
         return self.speed if self.target_speed is None else self.target_speed
 
 
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.setflags(write=False)
+    return column
+
+
+class VehicleLists(NamedTuple):
+    """The columns the scalar readers scan, as Python lists."""
+
+    id: list[int]
+    lane: list[int]
+    position: list[float]
+    speed: list[float]
+
+
+@dataclass(frozen=True, eq=False)
+class Vehicles(Sequence):
+    """Read-only columns of a scene's non-ego vehicles, in vehicle order.
+
+    ``target`` holds each target speed where ``has_target`` is true and 0.0
+    where the vehicle has none (``target_speed=None``). As a sequence the
+    columns read as a tuple of :class:`VehicleState`, built on demand;
+    equality, hashing and ``repr`` are those of that tuple.
+    """
+
+    id: np.ndarray
+    lane: np.ndarray
+    position: np.ndarray
+    speed: np.ndarray
+    accel: np.ndarray
+    target: np.ndarray
+    has_target: np.ndarray
+    #: lane -> indices of its vehicles, ascending; derived from ``lane``
+    #: unless passed in by :meth:`moved`, which keeps every lane
+    by_lane: dict[int, tuple[int, ...]] | None = field(default=None, repr=False)
+    #: id, lane, position and speed as lists, for the scalar readers
+    lists: VehicleLists = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        lists = VehicleLists(
+            self.id.tolist(), self.lane.tolist(), self.position.tolist(), self.speed.tolist()
+        )
+        object.__setattr__(self, "lists", lists)
+        if self.by_lane is None:
+            by_lane: dict[int, list[int]] = {}
+            for i, lane in enumerate(lists.lane):
+                by_lane.setdefault(lane, []).append(i)
+            object.__setattr__(self, "by_lane", {k: tuple(v) for k, v in by_lane.items()})
+
+    @classmethod
+    def from_states(cls, states) -> Vehicles:
+        states = tuple(states)
+
+        def column(values, dtype) -> np.ndarray:
+            return _read_only(np.array(values, dtype=dtype))
+
+        return cls(
+            id=column([v.id for v in states], np.int64),
+            lane=column([v.lane for v in states], np.int64),
+            position=column([v.position for v in states], np.float64),
+            speed=column([v.speed for v in states], np.float64),
+            accel=column([v.accel for v in states], np.float64),
+            target=column(
+                [0.0 if v.target_speed is None else v.target_speed for v in states],
+                np.float64,
+            ),
+            has_target=column([v.target_speed is not None for v in states], bool),
+        )
+
+    def moved(self, speed: np.ndarray, position: np.ndarray, accel: np.ndarray) -> Vehicles:
+        """The same vehicles, in the same lanes, with new kinematic columns
+        (made read-only here), in :func:`_advance`'s return order."""
+        return Vehicles(
+            self.id, self.lane, _read_only(position), _read_only(speed), _read_only(accel),
+            self.target, self.has_target, self.by_lane,
+        )
+
+    def states(self) -> tuple[VehicleState, ...]:
+        lists = self.lists
+        targets = [
+            t if has else None
+            for t, has in zip(self.target.tolist(), self.has_target.tolist())
+        ]
+        return tuple(
+            map(
+                VehicleState,
+                lists.id,
+                lists.lane,
+                lists.position,
+                lists.speed,
+                self.accel.tolist(),
+                targets,
+            )
+        )
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __getitem__(self, index):
+        return self.states()[index]
+
+    def __iter__(self):
+        return iter(self.states())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Vehicles):
+            return self.states() == other.states()
+        if isinstance(other, tuple):
+            return self.states() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.states())
+
+    def __repr__(self) -> str:
+        return repr(self.states())
+
+
 @dataclass(frozen=True)
 class Obstacle:
     """Static same-lane hazard centered at ``position`` with total length
@@ -95,31 +234,53 @@ class Obstacle:
 class Scene:
     """Full ground-truth world state for one decision step.
 
+    ``others`` holds the non-ego vehicles as :class:`Vehicles` columns; a
+    tuple of :class:`VehicleState` passed here is converted to them.
     ``target_offset`` is added to every non-ego target speed by :func:`step`.
     """
 
     time: float
     lane_count: int
     ego: VehicleState
-    others: tuple[VehicleState, ...] = ()
+    others: Vehicles = ()
     obstacles: tuple[Obstacle, ...] = ()
     noise_sigma: float = 0.0
     v_max: float = DEFAULT_V_MAX
     target_offset: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.others, Vehicles):
+            object.__setattr__(self, "others", Vehicles.from_states(self.others))
+
+    @cached_property
+    def _neighbors(self) -> NeighborSet:
+        # computed once per scene: the features and the edge policy both read it
+        lane = self.ego.lane
+        front_same, rear_same = lane_neighbors(self, lane)
+        return NeighborSet(
+            front_same=front_same,
+            rear_same=rear_same,
+            front_left=lane_neighbors(self, lane + 1)[0],
+            front_right=lane_neighbors(self, lane - 1)[0],
+        )
+
     def validate(self) -> None:
         if self.lane_count < 1:
             raise ScenarioError("lane_count must be >= 1")
-        ids = [self.ego.id] + [v.id for v in self.others]
+        ego, others = self.ego, self.others.lists
+        ids = [ego.id] + others.id
         if len(set(ids)) != len(ids):
             raise ScenarioError("vehicle ids must be unique")
-        for v in (self.ego, *self.others):
-            if v.speed < 0:
-                raise ScenarioError(f"vehicle {v.id} has negative speed")
-            if not (0 <= v.lane < self.lane_count):
-                raise ScenarioError(f"vehicle {v.id} lane {v.lane} out of range")
-            if not math.isfinite(v.position):
-                raise ScenarioError(f"vehicle {v.id} position not finite")
+        lanes = [ego.lane] + others.lane
+        positions = [ego.position] + others.position
+        speeds = [ego.speed] + others.speed
+        for vid, lane, position, speed in zip(ids, lanes, positions, speeds):
+            if speed < 0:
+                raise ScenarioError(f"vehicle {vid} has negative speed")
+            if not (0 <= lane < self.lane_count):
+                raise ScenarioError(f"vehicle {vid} lane {lane} out of range")
+            if not math.isfinite(position):
+                raise ScenarioError(f"vehicle {vid} position not finite")
 
 
 @dataclass(frozen=True)
@@ -324,23 +485,31 @@ def spawn_scenario(config: ScenarioConfig, seed: int) -> Scene:
     return scene
 
 
+# (lane to the left?, lane to the right?) -> legal actions, in a fixed order
+_LEGAL_ACTIONS = {
+    (left, right): (Action.ACCELERATE, Action.DECELERATE, Action.KEEP)
+    + (Action.LANE_CHANGE_LEFT,) * left
+    + (Action.LANE_CHANGE_RIGHT,) * right
+    for left in (False, True)
+    for right in (False, True)
+}
+
+
 def legal_actions(scene: Scene) -> tuple[Action, ...]:
     """Actions executable from the ego's current lane."""
-    acts = [Action.ACCELERATE, Action.DECELERATE, Action.KEEP]
-    if scene.ego.lane < scene.lane_count - 1:
-        acts.append(Action.LANE_CHANGE_LEFT)
-    if scene.ego.lane > 0:
-        acts.append(Action.LANE_CHANGE_RIGHT)
-    return tuple(acts)
+    lane = scene.ego.lane
+    return _LEGAL_ACTIONS[lane < scene.lane_count - 1, lane > 0]
 
 
-def _advance(v: float, a_cmd: float, position: float, dt: float, v_max: float) -> tuple[float, float, float]:
+def _advance(v, a_cmd, position, dt: float, v_max: float, lo=max, hi=min):
     """Integrate one step with the speed clamp folded into the acceleration.
 
     Returns (new_speed, new_position, effective_accel). When no clamp binds
-    this is exactly p' = p + v dt + a dt^2 / 2.
+    this is exactly p' = p + v dt + a dt^2 / 2. With the builtin clamps it
+    works on floats; with ``np.maximum``/``np.minimum`` it works elementwise
+    on columns, and every element rounds as the float expression does.
     """
-    v_new = min(max(v + a_cmd * dt, 0.0), v_max)
+    v_new = hi(lo(v + a_cmd * dt, 0.0), v_max)
     a_eff = (v_new - v) / dt
     p_new = position + v * dt + 0.5 * a_eff * dt * dt
     return v_new, p_new, a_eff
@@ -378,16 +547,18 @@ def step(scene: Scene, action: Action, dt: float = DEFAULT_DT) -> Scene:
     v_new, p_new, a_eff = _advance(ego.speed, a_cmd, ego.position, dt, scene.v_max)
     new_ego = VehicleState(ego.id, lane, p_new, v_new, a_eff, ego.target_speed)
 
-    new_others = []
-    for veh in scene.others:
-        target = veh.resolved_target() + scene.target_offset
-        delta = target - veh.speed
+    others = scene.others
+    if len(others):
+        speed = others.speed
+        target = np.where(others.has_target, others.target, speed) + scene.target_offset
+        delta = target - speed
         # Land exactly on the target instead of oscillating around it.
-        a_rev = max(-REVERSION_ACCEL, min(REVERSION_ACCEL, delta / dt))
-        v2, p2, a2 = _advance(veh.speed, a_rev, veh.position, dt, scene.v_max)
-        new_others.append(VehicleState(veh.id, veh.lane, p2, v2, a2, veh.target_speed))
+        a_rev = np.maximum(-REVERSION_ACCEL, np.minimum(REVERSION_ACCEL, delta / dt))
+        others = others.moved(
+            *_advance(speed, a_rev, others.position, dt, scene.v_max, np.maximum, np.minimum)
+        )
 
-    return replace(scene, time=scene.time + dt, ego=new_ego, others=tuple(new_others))
+    return replace(scene, time=scene.time + dt, ego=new_ego, others=others)
 
 
 def check_collision(scene: Scene) -> bool:
@@ -397,8 +568,9 @@ def check_collision(scene: Scene) -> bool:
     overlap is strict interval intersection.
     """
     ego = scene.ego
-    for veh in scene.others:
-        if veh.lane == ego.lane and abs(veh.position - ego.position) < VEHICLE_LENGTH_M:
+    positions = scene.others.lists.position
+    for i in scene.others.by_lane.get(ego.lane, ()):
+        if abs(positions[i] - ego.position) < VEHICLE_LENGTH_M:
             return True
     for obs in scene.obstacles:
         radius = VEHICLE_LENGTH_M / 2.0 + obs.extent_m / 2.0
@@ -439,20 +611,21 @@ def lane_neighbors(
     nearest behind; ``None`` where the lane holds none. Gaps are measured
     position-to-position; the first vehicle wins a tie."""
     ego = scene.ego
+    others = scene.others
+    positions = others.lists.position
     front = rear = None
     front_gap = rear_gap = math.inf
-    for veh in scene.others:
-        if veh.lane != lane:
-            continue
-        gap = veh.position - ego.position
+    for i in others.by_lane.get(lane, ()):
+        gap = positions[i] - ego.position
         if gap >= 0:
             if gap < front_gap:
-                front, front_gap = veh, gap
+                front, front_gap = i, gap
         elif -gap < rear_gap:
-            rear, rear_gap = veh, -gap
+            rear, rear_gap = i, -gap
+    speeds = others.lists.speed
     return (
-        None if front is None else NeighborInfo(front_gap, front.speed - ego.speed),
-        None if rear is None else NeighborInfo(rear_gap, rear.speed - ego.speed),
+        None if front is None else NeighborInfo(front_gap, speeds[front] - ego.speed),
+        None if rear is None else NeighborInfo(rear_gap, speeds[rear] - ego.speed),
     )
 
 
@@ -461,13 +634,8 @@ def nearest_neighbors(scene: Scene) -> NeighborSet:
 
     Slots cover the nearest vehicle ahead in the ego lane, behind in the ego
     lane, and ahead in the adjacent left/right lanes. Gaps are measured
-    position-to-position. Obstacles are not part of this view.
+    position-to-position. Obstacles are not part of this view. The slots
+    are computed once per scene, since the feature vector and the edge
+    policy both read them every step.
     """
-    lane = scene.ego.lane
-    front_same, rear_same = lane_neighbors(scene, lane)
-    return NeighborSet(
-        front_same=front_same,
-        rear_same=rear_same,
-        front_left=lane_neighbors(scene, lane + 1)[0],
-        front_right=lane_neighbors(scene, lane - 1)[0],
-    )
+    return scene._neighbors

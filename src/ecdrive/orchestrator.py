@@ -40,6 +40,7 @@ from .highway import (
     Scene,
     ScenarioConfig,
     VehicleState,
+    _is_int,
     check_collision,
     inject_drift,
     legal_actions,
@@ -90,7 +91,7 @@ class OffloadConfig:
             raise ValueError("alpha must lie in (0, 1)")
         for name in ("window", "n_ref", "n_perm", "uplink_bytes_per_sample"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.window < 10:
             raise ValueError("window must be >= 10")
@@ -259,6 +260,8 @@ def run_episode(
     injections = tuple(injections)
     for injection in injections:
         injection.validate()
+    if endpoint is not None:
+        endpoint.validate()
 
     if detector is None:
         detector = fit_reference(scenario, config, seed)
@@ -329,7 +332,10 @@ def run_episode(
         )
 
         advanced = step(effective, executed)
-        scene = replace(scene, time=advanced.time, ego=advanced.ego, others=advanced.others)
+        if effective is scene:  # no overlay active: nothing to strip
+            scene = advanced
+        else:
+            scene = replace(scene, time=advanced.time, ego=advanced.ego, others=advanced.others)
 
     summary = aggregate_metrics(records, injections, config.window)
     return EpisodeTrace(

@@ -27,6 +27,8 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .codec import GAP_SENTINEL, describe, parse_decision
 from .highway import (
     ACCEL_CMD,
@@ -99,6 +101,22 @@ class EndpointConfig:
     model: str = "gpt-4"
     timeout_s: float = 10.0
     role: str = "Cloud"
+
+    def validate(self) -> None:
+        if not isinstance(self.base_url, str) or not self.base_url:
+            raise ValueError(f"base_url must be a non-empty string, got {self.base_url!r}")
+        if not isinstance(self.model, str):
+            raise ValueError(f"model must be a string, got {self.model!r}")
+        timeout = self.timeout_s
+        if (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not math.isfinite(timeout)
+            or timeout <= 0
+        ):
+            raise ValueError(f"timeout_s must be a finite number > 0, got {timeout!r}")
+        if self.role not in ("Edge", "Cloud"):
+            raise ValueError(f"role must be 'Edge' or 'Cloud', got {self.role!r}")
 
 
 def _confidence(margin_m: float, kappa: float) -> float:
@@ -185,28 +203,29 @@ def _predict_hazards(
 
     Returns the hazards' lanes, their radii (the center distance below
     which the ego overlaps them) and ``horizon + 1`` rows of positions,
-    row 0 being the current one. Vehicles come first, then obstacles.
-    Vehicles keep their current acceleration; obstacles stay put.
+    row 0 being the current one, all as lists. Vehicles come first, then
+    obstacles. Vehicles keep their current acceleration, and each row of
+    theirs is one elementwise pass over the columns; obstacles stay put.
     """
     dt = DEFAULT_DT
-    v_max = scene.v_max
     others, obstacles = scene.others, scene.obstacles
-    lanes = [v.lane for v in others] + [o.lane for o in obstacles]
+    lanes = others.lists.lane + [o.lane for o in obstacles]
     radii = [VEHICLE_LENGTH_M] * len(others) + [
         VEHICLE_LENGTH_M / 2.0 + o.extent_m / 2.0 for o in obstacles
     ]
-    positions = [v.position for v in others] + [o.position for o in obstacles]
-    still = [0.0] * len(obstacles)
-    speeds = [v.speed for v in others] + still
-    accels = [v.accel for v in others]  # zip with speeds stops at the vehicles
-    rows = [positions]
+    fixed = [o.position for o in obstacles]
+    # p + 0.5 * (0.0 + 0.0) * dt: a standing obstacle moves by +0.0
+    parked = [p + 0.0 for p in fixed]
+    rows = [others.lists.position + fixed]
+    if not len(others):
+        return lanes, radii, rows + [parked] * horizon
+    positions, speeds = others.position, others.speed
+    dv = others.accel * dt
     for _ in range(horizon):
-        new_speeds = [min(max(s + a * dt, 0.0), v_max) for s, a in zip(speeds, accels)] + still
-        positions = [
-            p + 0.5 * (s + s_new) * dt for p, s, s_new in zip(positions, speeds, new_speeds)
-        ]
+        new_speeds = np.minimum(np.maximum(speeds + dv, 0.0), scene.v_max)
+        positions = positions + 0.5 * (speeds + new_speeds) * dt
         speeds = new_speeds
-        rows.append(positions)
+        rows.append(positions.tolist() + parked)
     return lanes, radii, rows
 
 
@@ -313,10 +332,10 @@ def cloud_decide(scene: Scene, horizon: int = HORIZON) -> Decision:
     the best and second-best action.
     """
     rationale: list[str] = []
-    for veh in scene.others:
+    for vid, lane, position, speed in zip(*scene.others.lists):
         rationale.append(
-            f"perceived: vehicle {veh.id} in lane {veh.lane} at {veh.position:.2f} m, "
-            f"speed {veh.speed:.1f} m/s"
+            f"perceived: vehicle {vid} in lane {lane} at {position:.2f} m, "
+            f"speed {speed:.1f} m/s"
         )
     for obs in scene.obstacles:
         rationale.append(
@@ -324,7 +343,8 @@ def cloud_decide(scene: Scene, horizon: int = HORIZON) -> Decision:
             f"extent {obs.extent_m:.1f} m"
         )
 
-    candidates = [a for a in ACTION_ORDER if a in legal_actions(scene)]
+    legal = legal_actions(scene)
+    candidates = [a for a in ACTION_ORDER if a in legal]
     rationale.append(f"predicted {horizon}-step rollouts for {len(candidates)} candidate actions")
     hazards = _predict_hazards(scene, horizon)
     results = [rollout_cost(scene, a, horizon, hazards) for a in candidates]

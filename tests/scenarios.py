@@ -129,10 +129,14 @@ def _speeds(v_max: float):
 
 
 @st.composite
-def random_scenes(draw, max_vehicles: int = 40) -> Scene:
+def random_scenes(draw, max_vehicles: int = 40, positions=None) -> Scene:
     """Dense random scenes around an ego at the origin: 1-4 lanes, up to
     ``max_vehicles`` accelerating or braking vehicles (some with no target
-    speed), obstacles in the ego's and adjacent lanes, a shifted target."""
+    speed), obstacles in the ego's and adjacent lanes, a shifted target.
+
+    ``positions`` overrides the vehicles' position strategy, e.g. a few
+    sampled values to force ties."""
+    positions = st.floats(-80.0, 150.0) if positions is None else positions
     lane_count = draw(st.integers(1, 4))
     ego_lane = draw(st.integers(0, lane_count - 1))
     v_max = draw(st.sampled_from((10.0, 30.0)))
@@ -142,7 +146,7 @@ def random_scenes(draw, max_vehicles: int = 40) -> Scene:
         VehicleState(
             id=i + 1,
             lane=draw(st.integers(0, lane_count - 1)),
-            position=draw(st.floats(-80.0, 150.0)),
+            position=draw(positions),
             speed=draw(_speeds(v_max)),
             accel=draw(st.one_of(st.floats(-5.0, -0.1), st.floats(0.1, 5.0))),
             target_speed=draw(st.none() | _speeds(v_max)),

@@ -158,6 +158,29 @@ class TestCmdRun:
         assert cmd_run(str(path)) == EXIT_IO
         assert "output_dir" in capsys.readouterr().err
 
+    def test_write_error_finishes_the_suite(self, tmp_path, capsys):
+        config = base_config(tmp_path)
+        config["modes"] = ["EdgeOnly", "Collaborative"]
+        out = tmp_path / "out"
+        # a directory where one trace should go makes only that write fail
+        blocked = out / "corridor_EdgeOnly_1.jsonl"
+        blocked.mkdir(parents=True)
+        path = write_config(tmp_path, config)
+        assert cmd_run(str(path)) == EXIT_IO
+        captured = capsys.readouterr()
+        io_lines = [line for line in captured.err.splitlines() if line.startswith("io error:")]
+        assert len(io_lines) == 1 and str(blocked) in io_lines[0]
+        assert captured.out.count("mode=") == 5
+        written = sorted(f.name for f in out.glob("*.jsonl") if f.is_file())
+        assert written == [
+            "corridor_Collaborative_0.jsonl",
+            "corridor_Collaborative_1.jsonl",
+            "corridor_Collaborative_2.jsonl",
+            "corridor_EdgeOnly_0.jsonl",
+            "corridor_EdgeOnly_2.jsonl",
+        ]
+        assert not list(out.glob(".*.tmp"))
+
     def test_run_is_byte_deterministic(self, tmp_path):
         config_a = base_config(tmp_path)
         config_a["output_dir"] = str(tmp_path / "a")
@@ -295,6 +318,29 @@ class TestCmdValidate:
         assert cmd_validate(str(path)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "seed 0" in err and "spawn_span" in err
+
+    @pytest.mark.parametrize("remote, message", [
+        ({"base_url": "http://localhost:9", "timeout_s": "10"}, "remote: timeout_s"),
+        (["x"], "remote: must be a JSON object"),
+        ({"base_url": 5}, "remote: base_url"),
+        ({"base_url": "http://localhost:9", "timout_s": 10}, "timout_s"),
+        ({"model": "gpt-4"}, "base_url"),
+        ({"base_url": ""}, "remote: base_url"),
+        ({"base_url": "http://localhost:9", "model": 4}, "remote: model"),
+        ({"base_url": "http://localhost:9", "timeout_s": 0}, "remote: timeout_s"),
+        ({"base_url": "http://localhost:9", "timeout_s": True}, "remote: timeout_s"),
+        ({"base_url": "http://localhost:9", "role": "Fog"}, "remote: role"),
+    ])
+    def test_malformed_remote_rejected(self, tmp_path, capsys, remote, message):
+        config = base_config(tmp_path)
+        config["remote"] = remote
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        # run rejects it the same way instead of crashing mid-suite
+        assert cmd_run(str(path)) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     def test_empty_seeds_rejected(self, tmp_path, capsys):
         config = base_config(tmp_path)

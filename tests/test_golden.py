@@ -1,0 +1,134 @@
+"""Golden traces: the sha256 of every trace ``ecdrive run`` writes for a few
+small KS configs is pinned, so a change to the world, the policies, the
+detector or the serializer that alters any byte of a seeded trace fails here.
+
+The MMD detector is left out: its kernel sums go through BLAS, whose
+rounding may differ between hosts in the last ulp.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from ecdrive.cli import EXIT_OK, cmd_run
+
+_SMALL_KS = {"method": "ks", "n_ref": 30, "window": 10}
+
+
+def _open_highway() -> dict:
+    return {
+        "name": "open_highway",
+        "lane_count": 4,
+        "ego_lane": 0,
+        "ego_speed": 25.0,
+        "ego_position": 0.0,
+        "n_random_vehicles": 6,
+        "speed_range": [18.0, 24.0],
+        "spawn_span": [150.0, 1400.0],
+        "spawn_lanes": [0],
+    }
+
+
+CASES = {
+    # 40 vehicles on four lanes, every step escalated
+    "dense_cloud": {
+        "scenario": {
+            "name": "dense",
+            "lane_count": 4,
+            "ego_lane": 1,
+            "ego_speed": 25.0,
+            "ego_position": 0.0,
+            "n_random_vehicles": 40,
+            "speed_range": [18.0, 28.0],
+            "spawn_span": [-400.0, 1600.0],
+        },
+        "injections": [],
+        "offload": {"mode": "CloudOnly", **_SMALL_KS},
+        "seeds": [0, 1],
+        "steps": 60,
+    },
+    "traffic_shift": {
+        "scenario": _open_highway(),
+        "injections": [{"kind": "TrafficPatternShift", "start_step": 20, "end_step": 50,
+                        "speed_offset": -6.0}],
+        "offload": {"mode": "Collaborative", **_SMALL_KS},
+        "modes": ["EdgeOnly", "Collaborative", "CloudOnly"],
+        "seeds": [3],
+        "steps": 80,
+    },
+    # noise is drawn from the episode's rng only inside the window
+    "sensor_noise": {
+        "scenario": {**_open_highway(), "name": "noisy", "spawn_lanes": [0, 1, 2]},
+        "injections": [{"kind": "SensorNoise", "start_step": 15, "end_step": 40,
+                        "sigma": 0.8}],
+        "offload": {"mode": "Collaborative", "tau": 0.3, **_SMALL_KS},
+        "seeds": [5],
+        "steps": 60,
+    },
+    # an obstacle the edge cannot see, one lane left of the ego, next to a
+    # pinned vehicle with no target speed
+    "adjacent_obstacle": {
+        "scenario": {
+            "name": "adjacent",
+            "lane_count": 3,
+            "ego_lane": 0,
+            "ego_speed": 20.0,
+            "ego_position": 0.0,
+            "n_random_vehicles": 8,
+            "speed_range": [12.0, 18.0],
+            "spawn_span": [60.0, 900.0],
+            "spawn_lanes": [0, 2],
+            "fixed_others": [{"id": 7, "lane": 1, "position": 40.0, "speed": 21.0,
+                              "accel": 0.5}],
+        },
+        "injections": [{"kind": "NewObstacle", "start_step": 10, "end_step": 45,
+                        "lane": 1, "position": 500.0, "extent_m": 6.0}],
+        "offload": {"mode": "Collaborative", "tau": 0.6, **_SMALL_KS},
+        "seeds": [2],
+        "steps": 60,
+    },
+}
+
+GOLDEN = {
+    "dense_cloud": {
+        "dense_CloudOnly_0.jsonl":
+            "6295d8af8e1f383af609a13469985047a39a6d2b7c865b800ee780fe606125d0",
+        "dense_CloudOnly_1.jsonl":
+            "62b94c9d4550f699f3dbf750e54e9eabbc407b8034cda6c13bf054acf6b9d267",
+    },
+    "traffic_shift": {
+        "open_highway_CloudOnly_3.jsonl":
+            "3e96659a51ac4d730d7430fed9e334783e3289e9aff887efac119f20c788842d",
+        "open_highway_Collaborative_3.jsonl":
+            "d78fe96748c6083cd648b54b723e33a008ff0fbaec55f3f1d21811825c519311",
+        "open_highway_EdgeOnly_3.jsonl":
+            "69a7129c0f8584734ff903a51418e0cd3a7cb2c4b2d9fce6ddaee5a1610aaf9d",
+    },
+    "sensor_noise": {
+        "noisy_Collaborative_5.jsonl":
+            "443089a10409c8d6f785d1e6ad34a7eae5a5cf96c129faaf3291ad3e84812129",
+    },
+    "adjacent_obstacle": {
+        "adjacent_Collaborative_2.jsonl":
+            "deeecca1492761d74dd493889214d3c21b2da4851b0e9dce91aa0de6ca1f6acb",
+    },
+}
+
+
+def _run_hashes(tmp_path, config: dict) -> dict[str, str]:
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "output_dir": str(out)}))
+    assert cmd_run(str(path)) == EXIT_OK
+    return {
+        trace.name: hashlib.sha256(trace.read_bytes()).hexdigest()
+        for trace in sorted(out.glob("*.jsonl"))
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_traces_match_golden_hashes(tmp_path, capsys, case):
+    assert _run_hashes(tmp_path, CASES[case]) == GOLDEN[case]

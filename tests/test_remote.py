@@ -206,3 +206,28 @@ class TestOrchestratorFallback:
         first = offloaded[0]
         assert first.cloud_decision.action is Action.LANE_CHANGE_RIGHT
         assert first.executed_action is Action.KEEP
+
+
+class TestEndpointConfig:
+    @pytest.mark.parametrize("fields, name", [
+        ({"base_url": 5}, "base_url"),
+        ({"base_url": ""}, "base_url"),
+        ({"base_url": "http://localhost:9", "model": None}, "model"),
+        ({"base_url": "http://localhost:9", "timeout_s": float("nan")}, "timeout_s"),
+        ({"base_url": "http://localhost:9", "timeout_s": float("inf")}, "timeout_s"),
+        ({"base_url": "http://localhost:9", "timeout_s": -1.0}, "timeout_s"),
+        ({"base_url": "http://localhost:9", "timeout_s": "10"}, "timeout_s"),
+        ({"base_url": "http://localhost:9", "role": "cloud"}, "role"),
+    ])
+    def test_invalid_fields_rejected(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            EndpointConfig(**fields).validate()
+
+    def test_defaults_are_valid(self):
+        EndpointConfig(base_url="http://localhost:9").validate()
+        EndpointConfig(base_url="http://localhost:9", timeout_s=2, role="Edge").validate()
+
+    def test_run_episode_rejects_an_invalid_endpoint(self):
+        with pytest.raises(ValueError, match="base_url"):
+            run_episode(obstacle_zone_config(), (), OffloadConfig(mode="EdgeOnly"),
+                        seed=0, steps=1, endpoint=EndpointConfig(base_url=5))
