@@ -112,7 +112,10 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"scenario: unknown or malformed field ({exc})") from exc
 
     injections = []
-    for i, item in enumerate(data.get("injections", [])):
+    items = data.get("injections", [])
+    if not isinstance(items, list):
+        raise ConfigError("injections: must be a list")
+    for i, item in enumerate(items):
         try:
             injection = injection_from_dict(item)
             injection.validate()
@@ -130,17 +133,22 @@ def load_experiment_config(path) -> ExperimentConfig:
 
     seeds = _require(data, "seeds")
     if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("seeds: must be a non-empty list of integers")
-    if not all(_is_int(s) for s in seeds):
-        raise ConfigError("seeds: must be a non-empty list of integers")
+        raise ConfigError("seeds: must be a non-empty list of non-negative integers")
+    if not all(_is_int(s) and s >= 0 for s in seeds):
+        raise ConfigError("seeds: must be a non-empty list of non-negative integers")
 
     steps = _require(data, "steps")
     if not _is_int(steps) or steps < 1:
         raise ConfigError("steps: must be an integer >= 1")
 
-    output_dir = Path(_require(data, "output_dir"))
+    output_dir = _require(data, "output_dir")
+    if not isinstance(output_dir, str):
+        raise ConfigError("output_dir: must be a string")
 
-    modes = tuple(data.get("modes", [offload.mode]))
+    modes = data.get("modes", [offload.mode])
+    if not isinstance(modes, list):
+        raise ConfigError("modes: must be a list")
+    modes = tuple(modes)
     for mode in modes:
         if mode not in MODES:
             raise ConfigError(f"modes: {mode!r} is not one of {MODES}")
@@ -166,7 +174,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         offload=offload,
         seeds=tuple(seeds),
         steps=steps,
-        output_dir=output_dir,
+        output_dir=Path(output_dir),
         modes=modes,
         endpoint=endpoint,
     )

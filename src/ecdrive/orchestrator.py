@@ -26,14 +26,13 @@ import logging
 import math
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .codec import featurize
-from .drift import DriftDetector, DriftReport, confidence_gate, fit, predict
+from .drift import DriftDetector, DriftReport, SlidingWindow, confidence_gate, fit, predict
 from .highway import (
     Action,
     DriftInjection,
@@ -211,6 +210,11 @@ def _timed_remote(
         return fallback(scene), elapsed
 
 
+def _check_seed(seed) -> None:
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def fit_reference(scenario: ScenarioConfig, config: OffloadConfig, seed: int) -> DriftDetector:
     """Burn in and fit the drift detector of one seeded episode.
 
@@ -221,6 +225,7 @@ def fit_reference(scenario: ScenarioConfig, config: OffloadConfig, seed: int) ->
     the fitted detector.
     """
     config.validate()
+    _check_seed(seed)
     scene = spawn_scenario(scenario, seed)
     reference = []
     for _ in range(config.n_ref):
@@ -250,11 +255,14 @@ def run_episode(
     The detector comes from :func:`fit_reference` (a burn-in pass of
     ``config.n_ref`` injection-free steps from the same seed) unless an
     already fitted one is passed; the measured episode then restarts from
-    the identical initial scene. Remote failures degrade to the local
-    policy of the affected role and never abort.
+    the identical initial scene. The episode keeps its own
+    :class:`SlidingWindow` of features, so a detector shared by several
+    episodes stays frozen. Remote failures degrade to the local policy of
+    the affected role and never abort.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    _check_seed(seed)
     config.validate()
     scenario.validate()
     injections = tuple(injections)
@@ -274,7 +282,7 @@ def run_episode(
 
     scene = spawn_scenario(scenario, seed)
     noise_rng = np.random.default_rng(seed)
-    window_buf: deque[np.ndarray] = deque(maxlen=config.window)
+    window = SlidingWindow(detector)
     records: list[StepRecord] = []
     remote_edge = endpoint is not None and endpoint.role == "Edge"
     remote_cloud = endpoint is not None and endpoint.role == "Cloud"
@@ -289,12 +297,8 @@ def run_episode(
         else:
             edge, edge_latency = edge_decide(effective), config.edge_ms
 
-        window_buf.append(feature)
-        report = (
-            predict(detector, np.asarray(window_buf))
-            if len(window_buf) == config.window
-            else None
-        )
+        window.push(feature)
+        report = predict(detector, window) if window.full else None
         offloaded, reason = offload_rule(report, edge.confidence, config)
 
         cloud: Decision | None = None

@@ -342,6 +342,25 @@ class TestCmdValidate:
         assert cmd_run(str(path)) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seeds", [-1], "seeds: must be a non-empty list of non-negative integers"),
+        ("seeds", [0, -3], "seeds: must be a non-empty list of non-negative integers"),
+        ("output_dir", 5, "output_dir: must be a string"),
+        ("output_dir", None, "output_dir: must be a string"),
+        ("injections", 5, "injections: must be a list"),
+        ("injections", {"kind": "NewObstacle"}, "injections: must be a list"),
+        ("modes", "EdgeOnly", "modes: must be a list"),
+    ])
+    def test_malformed_top_level_fields_rejected(self, tmp_path, capsys, key, value, message):
+        config = base_config(tmp_path)
+        config[key] = value
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert cmd_run(str(path)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_empty_seeds_rejected(self, tmp_path, capsys):
         config = base_config(tmp_path)
         config["seeds"] = []

@@ -14,6 +14,7 @@ from scipy.stats import ks_2samp
 
 from ecdrive import drift
 from ecdrive import (
+    SlidingWindow,
     confidence_gate,
     fit,
     ks_two_sample,
@@ -50,6 +51,74 @@ def loop_mmd_permutation(kernel, n, n_perm, seed):
         perm = rng.permutation(total)
         exceed += mmd2(perm[:n], perm[n:]) >= observed - 1e-12
     return observed, (1 + exceed) / (1 + n_perm)
+
+
+def block_mmd_test(x, y, bandwidth, n_perm, seed):
+    """Oracle: the whole-window test, every kernel block of the window evaluated anew.
+
+    A copy of the batched test as it ran before the sliding window: the
+    masks and the reference-pair sums come from the same draws and
+    reductions as at ``fit``, the x-y and y-y blocks from scratch and every
+    permutation's sums from mask-times-kernel block products.
+    """
+    n, m = x.shape[0], y.shape[0]
+    rng = np.random.default_rng(seed)
+    in_x = np.zeros((n_perm, n + m))
+    for row in in_x:
+        row[rng.permutation(n + m)[:n]] = 1.0
+
+    def rowdot(a, b):
+        return np.einsum("ij,ij->i", a, b)
+
+    def offdiag_mean(k):
+        return (k.sum() - np.trace(k)) / (k.shape[0] * (k.shape[0] - 1))
+
+    k_xx = rbf_block(x, x, bandwidth)
+    a_x, a_y = in_x[:, :n], in_x[:, n:]
+    b_x, b_y = 1.0 - a_x, 1.0 - a_y
+    ak_xx = a_x @ k_xx
+    ref_aa = rowdot(ak_xx, a_x) - a_x @ np.diag(k_xx)
+    ref_bb = rowdot(b_x @ k_xx, b_x) - b_x @ np.diag(k_xx)
+    ref_ab = rowdot(ak_xx, b_x)
+
+    k_xy = rbf_block(x, y, bandwidth)
+    k_yy = rbf_block(y, y, bandwidth)
+    observed = float(offdiag_mean(k_xx) + offdiag_mean(k_yy) - 2.0 * (k_xy.sum() / (n * m)))
+    ak_xy, bk_xy = a_x @ k_xy, b_x @ k_xy
+    ak_yy, bk_yy = a_y @ k_yy, b_y @ k_yy
+    diag = np.diag(k_yy)
+    sum_aa = ref_aa + 2.0 * rowdot(ak_xy, a_y) + rowdot(ak_yy, a_y) - a_y @ diag
+    sum_bb = ref_bb + 2.0 * rowdot(bk_xy, b_y) + rowdot(bk_yy, b_y) - b_y @ diag
+    sum_ab = ref_ab + rowdot(ak_xy, b_y) + rowdot(bk_xy, a_y) + rowdot(ak_yy, b_y)
+    permuted = sum_aa / (n * (n - 1)) + sum_bb / (m * (m - 1)) - 2.0 * sum_ab / (n * m)
+    exceed = int(np.count_nonzero(permuted >= observed - drift.TIE_TOLERANCE))
+    return observed, (1 + exceed) / (1 + n_perm)
+
+
+def sliding_stream(n_ref, window, d, seed):
+    """A reference and a stream of 4 windows' length that shifts halfway.
+
+    The kind of data cycles with the seed: plain normal draws; draws rounded
+    to one decimal (exact ties and repeated rows); a constant reference with
+    a few odd stream rows (every kernel entry ties, as on an empty road);
+    and stream rows copied from the reference beside a constant feature.
+    """
+    rng = np.random.default_rng(seed)
+    ref = rng.normal(size=(n_ref, d))
+    stream = rng.normal(size=(4 * window, d))
+    stream[2 * window:] += 0.5
+    kind = seed % 4
+    if kind == 1:
+        ref, stream = np.round(ref, 1), np.round(stream, 1)
+    elif kind == 2:
+        ref[:] = 1.0
+        stream[:] = 1.0
+        stream[rng.integers(0, stream.shape[0], size=3), 0] = 2.0
+    elif kind == 3:
+        stream[::3] = ref[rng.integers(0, n_ref, size=stream[::3].shape[0])]
+        if d > 1:
+            ref[:, -1] = stream[:, -1] = 0.25
+    return ref, stream
 
 
 def brute_force_ks(a, b) -> float:
@@ -355,9 +424,71 @@ class TestMmdDetector:
 
     def test_cached_arrays_are_read_only(self):
         det, _ = self._detector()
-        for cached in (det._mmd.in_x, det._mmd.ref_sums):
+        cached = [value for value in vars(det._mmd).values() if isinstance(value, np.ndarray)]
+        assert len(cached) == 5
+        for array in cached:
             with pytest.raises(ValueError):
-                cached[0, 0] = 1.0
+                array[(0,) * array.ndim] = 1.0
+
+
+class TestSlidingWindow:
+    # 210 x 40 kernel entries exceed numpy's 8192-element reduction buffer,
+    # past which a strided block sums in another order than a contiguous one
+    SHAPES = [(200, 40, 15), (30, 10, 1), (57, 13, 4), (45, 12, 3), (210, 40, 3)]
+
+    @pytest.mark.parametrize("n_ref, window, d", SHAPES)
+    def test_mmd_matches_block_test_while_sliding(self, n_ref, window, d):
+        for seed in range(8):
+            ref, stream = sliding_stream(n_ref, window, d, seed)
+            det = fit(ref, method="mmd", window=window, seed=seed)
+            ring = SlidingWindow(det)
+            for t, row in enumerate(stream):
+                ring.push(row)
+                assert ring.full == (t >= window - 1)
+                if not ring.full:
+                    continue
+                report = predict(det, ring)
+                mmd2, p = block_mmd_test(det.reference, stream[t - window + 1:t + 1],
+                                         det.bandwidth, det.n_perm, det.rng_seed)
+                assert report.statistic.tolist() == [mmd2]
+                assert report.p_values.tolist() == [p]
+                assert report.is_drift == (p < det.alpha)
+
+    @pytest.mark.parametrize("n_ref, window, d", SHAPES)
+    def test_ks_report_equals_predict_on_the_slot_ordered_array(self, n_ref, window, d):
+        for seed in range(4):
+            ref, stream = sliding_stream(n_ref, window, d, seed)
+            det = fit(ref, window=window, seed=seed)
+            ring = SlidingWindow(det)
+            slots = np.empty((window, d))
+            for t, row in enumerate(stream):
+                ring.push(row)
+                slots[t % window] = row
+                if not ring.full:
+                    continue
+                report = predict(det, ring)
+                for expected in (predict(det, slots), predict(det, stream[t - window + 1:t + 1])):
+                    assert report.statistic.tolist() == expected.statistic.tolist()
+                    assert report.p_values.tolist() == expected.p_values.tolist()
+                    assert report.is_drift == expected.is_drift
+
+    @pytest.mark.parametrize("method", ["ks", "mmd"])
+    def test_errors(self, method):
+        rng = np.random.default_rng(0)
+        det = fit(rng.normal(size=(40, 3)), method=method, window=10)
+        ring = SlidingWindow(det)
+        for shape in [(4,), (2,), (1, 3), ()]:
+            with pytest.raises(ValueError, match="sample must have shape"):
+                ring.push(np.zeros(shape))
+        for _ in range(9):
+            ring.push(rng.normal(size=3))
+        with pytest.raises(ValueError, match="holds 9 of 10 samples"):
+            predict(det, ring)
+        ring.push(rng.normal(size=3))
+        other = fit(rng.normal(size=(40, 3)), method=method, window=10)
+        with pytest.raises(ValueError, match="another detector"):
+            predict(other, ring)
+        predict(det, ring)
 
 
 class TestConfidenceGate:

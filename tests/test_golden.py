@@ -2,18 +2,22 @@
 small KS configs is pinned, so a change to the world, the policies, the
 detector or the serializer that alters any byte of a seeded trace fails here.
 
-The MMD detector is left out: its kernel sums go through BLAS, whose
-rounding may differ between hosts in the last ulp.
+MMD traces are not hashed: their kernel sums go through BLAS, whose rounding
+may differ between hosts in the last ulp. For a few small MMD configs the
+per-step drift decisions, p-values and offload steps are pinned exactly
+instead, and the statistic within 1e-12 (``golden_mmd.json``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from ecdrive.cli import EXIT_OK, cmd_run
+from ecdrive.orchestrator import load_trace
 
 _SMALL_KS = {"method": "ks", "n_ref": 30, "window": 10}
 
@@ -132,3 +136,53 @@ def _run_hashes(tmp_path, config: dict) -> dict[str, str]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_traces_match_golden_hashes(tmp_path, capsys, case):
     assert _run_hashes(tmp_path, CASES[case]) == GOLDEN[case]
+
+
+_CORRIDOR = {"name": "corridor", "lane_count": 1, "ego_lane": 0, "ego_speed": 10.0,
+             "ego_position": 0.0, "v_max": 10.0}
+
+MMD_CASES = {
+    # empty road: every kernel entry ties until the obstacle enters the window
+    "corridor_obstacle": {
+        "scenario": _CORRIDOR,
+        "injections": [{"kind": "NewObstacle", "start_step": 40, "end_step": 80, "lane": 0,
+                        "position": 580.0, "extent_m": 4.0}],
+        "offload": {"mode": "Collaborative", "tau": 0.0, "method": "mmd", "n_ref": 60,
+                    "window": 20},
+        "seeds": [0, 1],
+        "steps": 120,
+    },
+    "noisy_highway": {
+        "scenario": {**_open_highway(), "spawn_lanes": [0, 1]},
+        "injections": [{"kind": "SensorNoise", "start_step": 30, "end_step": 60, "sigma": 0.8},
+                       {"kind": "TrafficPatternShift", "start_step": 70, "end_step": 100,
+                        "speed_offset": -6.0}],
+        "offload": {"mode": "Collaborative", "tau": 0.0, "method": "mmd", "n_ref": 45,
+                    "window": 12},
+        "seeds": [4],
+        "steps": 120,
+    },
+}
+
+GOLDEN_MMD = json.loads((Path(__file__).parent / "golden_mmd.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(MMD_CASES))
+def test_mmd_decisions_match_golden(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**MMD_CASES[case], "output_dir": str(out)}))
+    assert cmd_run(str(path)) == EXIT_OK
+    traces = sorted(out.glob("*.jsonl"))
+    assert traces
+    for trace_path in traces:
+        golden = GOLDEN_MMD[trace_path.name]
+        records = load_trace(trace_path).records
+        reports = [r.drift_report for r in records if r.drift_report is not None]
+        assert records[golden["first_report"]].drift_report is not None
+        assert records[golden["first_report"] - 1].drift_report is None
+        assert [int(r.is_drift) for r in reports] == golden["is_drift"]
+        assert [float(r.p_values[0]) for r in reports] == golden["p_value"]
+        assert [r.step for r in records if r.offloaded] == golden["offload_steps"]
+        statistic = [float(r.statistic[0]) for r in reports]
+        assert statistic == pytest.approx(golden["statistic"], rel=0.0, abs=1e-12)

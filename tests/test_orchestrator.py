@@ -168,6 +168,15 @@ class TestRunEpisodeModes:
             run_episode(corridor_config(), (), replace(cfg, **change), seed=seed, steps=5,
                         detector=detector)
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        cfg = OffloadConfig(mode="EdgeOnly", n_ref=60, window=20)
+        message = f"seed must be a non-negative integer, got {seed!r}"
+        with pytest.raises(ValueError, match=message):
+            fit_reference(corridor_config(), cfg, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            run_episode(corridor_config(), (), cfg, seed=seed, steps=5)
+
     @pytest.mark.parametrize("field", ["edge_ms", "cloud_ms", "rtt_ms"])
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_latency_rejected(self, field, value):
