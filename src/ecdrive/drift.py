@@ -7,12 +7,15 @@ and an RBF-kernel MMD permutation test with the median-heuristic bandwidth.
 KS p-values are asymptotic: p = Q(D * sqrt(n_eff)) where Q is the Kolmogorov
 survival function and n_eff = n_a * n_b / (n_a + n_b). Window sizes of 40+
 make the approximation adequate and avoid exact-distribution combinatorics.
-All features are tested in one batched merge: ``fit`` stores the sorted
-reference feature-major, and ``predict`` sorts every feature's reference and
-window values together at once and reads both empirical CDFs from the
-running counts of reference and window values. D lies on a lattice of
-multiples of 1 / (n_a * n_b), so its values recur from window to window and
-Q is memoized in a bounded cache.
+The reference is frozen, so each window sample is ranked against it once,
+when it enters: ``fit`` stores the sorted reference as complex keys
+``feature + 1j * value``, and one ``searchsorted`` per side gives, for every
+feature, the fractions of reference values at or below and strictly below
+the entering value. A window test then sorts only the window's values and
+ranks (see :func:`_ks_statistic`); ``ks_two_sample`` ranks its ``b`` the
+same way and shares that function. D lies on a lattice of multiples of
+1 / (n_a * n_b), so its values recur from window to window and Q is
+memoized in a bounded cache.
 
 The MMD test uses the unbiased MMD^2 estimator (Gretton et al., "A Kernel
 Two-Sample Test", JMLR 2012). Its permutations are drawn once per fitted
@@ -61,8 +64,12 @@ class DriftReport:
 class DriftDetector:
     """Immutable detector state: frozen reference sample plus test settings.
 
-    ``_ref_sorted`` is the reference sorted per feature, one contiguous row
-    per feature (n_features x n_ref), as the batched KS merge reads it.
+    For KS, ``_ref_keys`` is the reference sorted per feature, one
+    contiguous row per feature (n_features x n_ref), as complex keys
+    ``feature + 1j * value``. numpy orders complex numbers by real part,
+    then imaginary part, so the flattened array is sorted and one
+    ``searchsorted`` ranks a value against every feature's reference at
+    once. The comparison is the float one (-0.0 equals 0.0).
     """
 
     reference: np.ndarray
@@ -72,7 +79,7 @@ class DriftDetector:
     rng_seed: int
     n_perm: int = 100
     bandwidth: float = 1.0
-    _ref_sorted: np.ndarray = field(default=None, repr=False)
+    _ref_keys: np.ndarray | None = field(default=None, repr=False)
     _mmd: _MmdReference | None = field(default=None, repr=False)
 
     @property
@@ -109,42 +116,62 @@ def _kolmogorov_sf(lam: float) -> float:
     return max(0.0, min(1.0, 2.0 * total))
 
 
-def _ks_rows(ref: np.ndarray, sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """KS D and asymptotic p of each row of ``ref`` against that row of ``sample``.
+def _ks_statistic(
+    values: np.ndarray, at: np.ndarray, below: np.ndarray, steps: np.ndarray
+) -> np.ndarray:
+    """KS D of each row of a window against that row's reference, from ranks.
 
-    Each row's values are merged in one sort; at the last position of each
-    run of equal values, the running count of ``ref`` values is the ``ref``
-    CDF times n_a. Other positions are skipped, so each CDF is read after
-    the last of a run of ties, as ``searchsorted(side="right")`` does. The
-    stable sort merges two sorted runs in linear time, so sorted ``ref``
-    rows are fastest.
+    ``values`` holds the window's m values per row; ``at`` and ``below``
+    hold, for each value, the fractions #{ref <= value} / n and
+    #{ref < value} / n of the n reference values; ``steps`` is
+    ``arange(m + 1) / m``. Both fractions never decrease as the value
+    grows, so sorting each row on its own pairs them with the sorted
+    values. With v sorted and k = 0..m-1, D is the largest of the gaps
+    |at_k - (k+1)/m| at the last index of each run of equal v and
+    |below_k - k/m| at the first index of each run.
+
+    D equals, bit for bit, the D of merging the window with the reference:
+    the largest gap |#{ref <= u}/n - #{win <= u}/m| over the values u of
+    both samples, computed with these float expressions. The first gaps
+    are those at the window values. Between
+    two neighbouring window values w < w' (or before the first, or after
+    the last), #{win <= u}/m is a constant c, and #{ref <= u} ranges over
+    the integers A from #{ref <= w} to #{ref < w'}. ``A / n - c`` rounds
+    monotonically in A, so its absolute value is largest at one end: at
+    #{ref <= w}, the gap at w; at #{ref < w'}, the second gap, which is the
+    gap at the largest reference value below w' (or, with none, equals the
+    gap at w, or is 0 before the first window value). After the last
+    window value the other end is A = n with c = 1, a gap of 0.
     """
-    n_a, n_b = ref.shape[1], sample.shape[1]
-    merged = np.concatenate([ref, sample], axis=1)
-    order = np.argsort(merged, axis=1, kind="stable")
-    values = np.sort(merged, axis=1)
-    cnt_a = np.cumsum(order < n_a, axis=1)
-    cnt_b = np.arange(1, n_a + n_b + 1) - cnt_a
-    gap = np.abs(cnt_a / n_a - cnt_b / n_b)
-    gap[:, :-1][values[:, :-1] == values[:, 1:]] = 0.0
-    stats = gap.max(axis=1)
+    values = np.sort(values, axis=1)
+    new_run = values[:, 1:] != values[:, :-1]
+    gap_at = np.abs(np.sort(at, axis=1) - steps[1:])
+    gap_at[:, :-1] *= new_run
+    gap_below = np.abs(np.sort(below, axis=1) - steps[:-1])
+    gap_below[:, 1:] *= new_run
+    return np.maximum(gap_at.max(axis=1), gap_below.max(axis=1))
+
+
+def _ks_p_values(stats: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
     root_n_eff = math.sqrt(n_a * n_b / (n_a + n_b))
-    p_values = np.array([_kolmogorov_sf(d * root_n_eff) for d in stats.tolist()])
-    return stats, p_values
+    return np.array([_kolmogorov_sf(d * root_n_eff) for d in stats.tolist()])
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
     """Two-sample KS test: exact sup-CDF-difference statistic, asymptotic p.
 
     Ties are handled by evaluating both empirical CDFs just after every
-    merged sample point. Runs the batched merge of the detector on one row.
+    merged sample point. Ranks ``b`` against the sorted ``a`` and runs the
+    detector's window test on one row.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
+    b = np.asarray(b, dtype=np.float64).reshape(1, -1)
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
-    stats, p_values = _ks_rows(a.reshape(1, -1), b.reshape(1, -1))
-    return float(stats[0]), float(p_values[0])
+    at = np.searchsorted(a, b, side="right") / a.size
+    below = np.searchsorted(a, b, side="left") / a.size
+    stats = _ks_statistic(b, at, below, np.arange(b.size + 1) / b.size)
+    return float(stats[0]), float(_ks_p_values(stats, a.size, b.size)[0])
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -256,14 +283,20 @@ class SlidingWindow:
     """The last ``detector.window`` samples of one episode, kept in a ring.
 
     ``push`` writes a sample over the oldest one; the window is ``full``
-    once ``detector.window`` samples have been pushed. For the MMD detector
-    ``push`` also stores the kernel terms of the sample that enters: its
-    kernel column against the reference and that column's sum, its kernel
-    row and column in the window-window block, and ``a_x @ column`` for
-    every permutation. A window test then reads cached terms only, so no
-    kernel entry is evaluated twice. Each slot s of these caches is stored
-    at s and at s + window, so the window, oldest sample first, is a plain
-    slice from the oldest sample's slot.
+    once ``detector.window`` samples have been pushed. For the KS detector
+    ``push`` also ranks the entering sample against the reference: per
+    feature, the fractions of reference values at or below it and strictly
+    below it, found with two ``searchsorted`` calls over the detector's
+    complex keys. Values and both fractions are stored feature-major
+    (n_features x window), so a window test sorts only the window and
+    never touches the reference; slot order does not matter to KS.
+    For the MMD detector ``push`` stores the kernel terms of the sample
+    that enters: its kernel column against the reference and that column's
+    sum, its kernel row and column in the window-window block, and
+    ``a_x @ column`` for every permutation. A window test then reads cached
+    terms only, so no kernel entry is evaluated twice. Each slot s of these
+    caches is stored at s and at s + window, so the window, oldest sample
+    first, is a plain slice from the oldest sample's slot.
     """
 
     def __init__(self, detector: DriftDetector):
@@ -271,7 +304,15 @@ class SlidingWindow:
         self.detector = detector
         self.pushed = 0
         if detector.method == "ks":
-            self._rows = np.zeros((m, d))
+            self._values = np.zeros((d, m))
+            self._rows = self._values.T
+            self._at = np.zeros((d, m))
+            self._below = np.zeros((d, m))
+            self._steps = np.arange(m + 1) / m
+            self._keys = detector._ref_keys.ravel()
+            self._offsets = np.arange(d) * n
+            self._query = np.zeros(d, dtype=np.complex128)
+            self._query.real = np.arange(d)
             return
         # reference rows, then the ring; zeros keep unfilled slots finite
         self._stacked = np.zeros((n + m, d))
@@ -299,8 +340,18 @@ class SlidingWindow:
         slot = self.pushed % self.detector.window
         self._rows[slot] = row
         self.pushed += 1
-        if self.detector.method == "mmd":
+        if self.detector.method == "ks":
+            self._store_ranks(slot, row)
+        else:
             self._store_kernel_terms(slot)
+
+    def _store_ranks(self, slot: int, row: np.ndarray) -> None:
+        n = self.detector.n_ref
+        self._query.imag = row
+        at = self._keys.searchsorted(self._query, side="right") - self._offsets
+        below = self._keys.searchsorted(self._query, side="left") - self._offsets
+        self._at[:, slot] = at / n
+        self._below[:, slot] = below / n
 
     def _store_kernel_terms(self, slot: int) -> None:
         detector = self.detector
@@ -418,8 +469,9 @@ def fit(
     """Freeze a reference sample into a detector.
 
     Requires at least 30 reference vectors of a consistent dimension. For
-    the MMD method the median-heuristic bandwidth, the permutations and the
-    reference kernel block's per-permutation sums are precomputed here.
+    the KS method the sorted reference is stored as complex search keys.
+    For the MMD method the median-heuristic bandwidth, the permutations and
+    the reference kernel block's per-permutation sums are precomputed here.
     """
     ref = np.asarray(reference, dtype=np.float64)
     if ref.ndim != 2:
@@ -434,7 +486,12 @@ def fit(
     if window < 10:
         raise ValueError("window must be >= 10")
     ref = _readonly(ref.copy())
-    ref_sorted = _readonly(np.ascontiguousarray(np.sort(ref, axis=0).T))
+    keys = None
+    if method == "ks":
+        keys = np.empty((ref.shape[1], ref.shape[0]), dtype=np.complex128)
+        keys.real = np.arange(ref.shape[1])[:, None]
+        keys.imag = np.sort(ref, axis=0).T
+        keys = _readonly(keys)
     bandwidth = median_bandwidth(ref) if method == "mmd" else 1.0
     mmd = _mmd_reference(ref, window, bandwidth, n_perm, seed) if method == "mmd" else None
     return DriftDetector(
@@ -445,7 +502,7 @@ def fit(
         rng_seed=seed,
         n_perm=n_perm,
         bandwidth=bandwidth,
-        _ref_sorted=ref_sorted,
+        _ref_keys=keys,
         _mmd=mmd,
     )
 
@@ -457,9 +514,11 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
     detector, or an array of exactly ``detector.window`` samples, which is
     pushed into a fresh window and tested the same way.
     KS: per-feature tests, drift iff min p < alpha / n_features (Bonferroni).
-    All features run in one batched merge of the window's ring rows (KS does
-    not depend on sample order) against the feature-major sorted reference
-    stored at ``fit``; p-values come from the memoized Q.
+    All features are tested at once from the values and reference ranks
+    the window stored at ``push`` (KS does not depend on sample order):
+    only the window is sorted, and D is bit-identical to merging the
+    window with the reference (see :func:`_ks_statistic`); p-values come
+    from the memoized Q.
     MMD: single permutation test over the window's cached kernel terms,
     drift iff p < alpha.
     """
@@ -482,7 +541,8 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
         window = _filled_window(detector, win)
 
     if detector.method == "ks":
-        stats, p_values = _ks_rows(detector._ref_sorted, window._rows.T)
+        stats = _ks_statistic(window._values, window._at, window._below, window._steps)
+        p_values = _ks_p_values(stats, detector.n_ref, detector.window)
         threshold = detector.alpha / detector.n_features
         return DriftReport(
             is_drift=bool(p_values.min() < threshold),

@@ -33,6 +33,7 @@ caller can keep a pristine scene and overlay it afresh every step.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -367,6 +368,21 @@ class ScenarioConfig:
     fixed_others: tuple[VehicleState, ...] = ()
 
     def validate(self) -> None:
+        name = self.name
+        # the name is part of every trace file name, so it must stay one path part
+        if not isinstance(name, str) or name in ("", ".", "..") or any(
+            sep in name for sep in (os.sep, os.altsep) if sep
+        ):
+            raise ScenarioError(
+                f"name must be a non-empty string without path separators, "
+                f"not '.' or '..', got {name!r}"
+            )
+        for field_name, pair in (("speed_range", self.speed_range),
+                                 ("spawn_span", self.spawn_span)):
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                            for x in pair)):
+                raise ScenarioError(f"{field_name} must be a pair of finite numbers, got {pair!r}")
         _require(
             math.isfinite,
             "finite",

@@ -149,6 +149,16 @@ class TestCmdRun:
         assert err.startswith("config error: ") and "seed 0" in err and "spawn_span" in err
         assert not list((tmp_path / "out").glob("*.jsonl"))
 
+    @pytest.mark.parametrize("name", ["../x", ".."])
+    def test_name_outside_output_dir_is_a_config_error(self, tmp_path, capsys, name):
+        config = base_config(tmp_path)
+        config["scenario"]["name"] = name
+        config["output_dir"] = str(tmp_path / "out" / "sub")
+        path = write_config(tmp_path, config)
+        assert cmd_run(str(path)) == EXIT_CONFIG
+        assert "scenario: name" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.jsonl"))
+
     def test_unwritable_output_dir(self, tmp_path, capsys):
         config = base_config(tmp_path)
         blocker = tmp_path / "blocker"
@@ -265,6 +275,23 @@ class TestCmdValidate:
         assert cmd_validate(str(path)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert field in err and "v_max" in err
+
+    @pytest.mark.parametrize("field, value", [("speed_range", [1]), ("spawn_span", [1]),
+                                              ("speed_range", [1, 2, 3]), ("spawn_span", [])])
+    def test_range_fields_must_be_pairs(self, tmp_path, capsys, field, value):
+        config = base_config(tmp_path)
+        config["scenario"][field] = value
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        assert f"scenario: {field} must be a pair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["../x", "a/b", ".", "", 5, None, ["x"]])
+    def test_name_must_be_a_plain_file_name_part(self, tmp_path, capsys, name):
+        config = base_config(tmp_path)
+        config["scenario"]["name"] = name
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        assert "scenario: name" in capsys.readouterr().err
 
     def test_speed_range_unchecked_without_random_vehicles(self, tmp_path, capsys):
         config = base_config(tmp_path)

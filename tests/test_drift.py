@@ -149,6 +149,27 @@ def per_feature_ks(ref, win):
     return np.array(stats), np.array(p_values)
 
 
+def merged_ks_rows(ref, sample):
+    """Oracle: each row of ``ref`` and ``sample`` merged in one stable sort.
+
+    The batched KS test as it ran before windows stored reference ranks:
+    both CDFs are read from running counts at the last position of each run
+    of equal merged values, with the detector's memoized Q.
+    """
+    n_a, n_b = ref.shape[1], sample.shape[1]
+    merged = np.concatenate([ref, sample], axis=1)
+    order = np.argsort(merged, axis=1, kind="stable")
+    values = np.sort(merged, axis=1)
+    cnt_a = np.cumsum(order < n_a, axis=1)
+    cnt_b = np.arange(1, n_a + n_b + 1) - cnt_a
+    gap = np.abs(cnt_a / n_a - cnt_b / n_b)
+    gap[:, :-1][values[:, :-1] == values[:, 1:]] = 0.0
+    stats = gap.max(axis=1)
+    root_n_eff = math.sqrt(n_a * n_b / (n_a + n_b))
+    p_values = np.array([drift._kolmogorov_sf(d * root_n_eff) for d in stats.tolist()])
+    return stats, p_values
+
+
 class TestKsTwoSample:
     def test_identical_samples(self):
         stat, p = ks_two_sample([1, 2, 3, 4, 5], [1, 2, 3, 4, 5])
@@ -181,6 +202,22 @@ class TestKsTwoSample:
             assert p == pytest.approx(
                 float(scipy_kolmogorov(stat * math.sqrt(n_eff))), abs=1e-6
             )
+
+    def test_equals_merged_oracle(self):
+        rng = np.random.default_rng(88)
+        pairs = [
+            ([0.0, -0.0, 1.0], [-0.0]),
+            ([2.0] * 6, [2.0] * 4),
+            ([2.0] * 6, [3.0]),
+            ([1.0, 2.0, 2.0, 3.0], [2.0, 2.0]),
+        ]
+        for _ in range(200):
+            a = np.round(rng.normal(size=int(rng.integers(1, 40))), int(rng.integers(0, 3)))
+            b = np.round(rng.normal(size=int(rng.integers(1, 40))), int(rng.integers(0, 3)))
+            pairs += [(a, b), (a, b[:1]), (a, np.concatenate([b, a[:3]]))]
+        for a, b in pairs:
+            stats, p_values = merged_ks_rows(np.reshape(a, (1, -1)), np.reshape(b, (1, -1)))
+            assert ks_two_sample(a, b) == (stats[0], p_values[0])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -312,9 +349,16 @@ class TestBatchedKs:
 
     def test_fit_stores_feature_major_sorted_reference(self):
         ref = np.random.default_rng(3).normal(size=(50, 4))
-        cached = fit(ref, window=10)._ref_sorted
-        assert cached.shape == (4, 50) and cached.flags.c_contiguous
-        np.testing.assert_array_equal(cached, np.sort(ref, axis=0).T)
+        keys = fit(ref, window=10)._ref_keys
+        assert keys.shape == (4, 50) and keys.flags.c_contiguous
+        assert keys.dtype == np.complex128
+        np.testing.assert_array_equal(keys.real, np.repeat(np.arange(4.0)[:, None], 50, axis=1))
+        np.testing.assert_array_equal(keys.imag, np.sort(ref, axis=0).T)
+        flat = keys.ravel()
+        assert np.all(flat[:-1] <= flat[1:])
+        with pytest.raises(ValueError):
+            keys[0, 0] = 0.0
+        assert fit(ref, method="mmd", window=10)._ref_keys is None
 
 
 class TestMmd:
@@ -471,6 +515,28 @@ class TestSlidingWindow:
                     assert report.statistic.tolist() == expected.statistic.tolist()
                     assert report.p_values.tolist() == expected.p_values.tolist()
                     assert report.is_drift == expected.is_drift
+
+    @pytest.mark.parametrize("n_ref, window, d", SHAPES[:4])
+    def test_ks_equals_merged_oracle_while_sliding(self, n_ref, window, d):
+        # seeds 0-3 cycle through the kinds of sliding_stream; seed 4 adds
+        # signed zeros, which compare equal to each other
+        for seed in range(5):
+            ref, stream = sliding_stream(n_ref, window, d, seed)
+            if seed == 4:
+                ref[::2, 0], ref[1::2, 0] = 0.0, -0.0
+                stream[::3, 0], stream[1::3, 0] = -0.0, 0.0
+            det = fit(ref, window=window, seed=seed)
+            ref_sorted = np.sort(ref, axis=0).T
+            ring = SlidingWindow(det)
+            for t, row in enumerate(stream):
+                ring.push(row)
+                if not ring.full:
+                    continue
+                report = predict(det, ring)
+                stats, p_values = merged_ks_rows(ref_sorted, stream[t - window + 1:t + 1].T)
+                assert report.statistic.tolist() == stats.tolist()
+                assert report.p_values.tolist() == p_values.tolist()
+                assert report.is_drift == bool(p_values.min() < det.alpha / d)
 
     @pytest.mark.parametrize("method", ["ks", "mmd"])
     def test_errors(self, method):

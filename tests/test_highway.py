@@ -109,6 +109,20 @@ class TestSpawn:
         with pytest.raises(ScenarioError, match=f"{field} must be finite"):
             config.validate()
 
+    @pytest.mark.parametrize("field", ["speed_range", "spawn_span"])
+    @pytest.mark.parametrize("value", [(1.0,), (), (1.0, 2.0, 3.0), 5.0, "ab", [1.0, 2.0],
+                                       (True, 2.0)])
+    def test_range_fields_must_be_pairs(self, field, value):
+        config = dataclasses.replace(ScenarioConfig(name="bad"), **{field: value})
+        with pytest.raises(ScenarioError, match=f"{field} must be a pair of finite numbers"):
+            config.validate()
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "/abs", 5, None])
+    def test_name_must_be_a_plain_file_name_part(self, name):
+        config = ScenarioConfig(name=name)
+        with pytest.raises(ScenarioError, match="name must be"):
+            config.validate()
+
 
 def _oracle_step(scene: Scene, action: Action, dt: float = DEFAULT_DT) -> Scene:
     """``step`` rebuilding every vehicle with ``dataclasses.replace``."""
