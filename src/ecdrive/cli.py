@@ -263,8 +263,10 @@ def cmd_summarize(trace_glob: str, out_csv: str) -> int:
     """Recompute and tabulate metrics for every trace matching the glob.
 
     Each trace's embedded summary is re-derived from its records; any
-    mismatch is an integrity failure (exit 4). The CSV gets one row per
-    trace plus one aggregate row per mode with means across seeds.
+    mismatch is an integrity failure (exit 4), as is a malformed trace; a
+    matched file that cannot be read is an I/O failure (exit 3). The CSV
+    gets one row per trace plus one aggregate row per mode with means
+    across seeds.
     """
     paths = sorted(globmod.glob(trace_glob))
     if not paths:
@@ -275,6 +277,9 @@ def cmd_summarize(trace_glob: str, out_csv: str) -> int:
     for path in paths:
         try:
             trace = load_trace(path)
+        except OSError as exc:
+            print(f"io error: cannot read {path}: {exc}", file=sys.stderr)
+            return EXIT_IO
         except ValueError as exc:
             print(f"trace error: {exc}", file=sys.stderr)
             return EXIT_TRACE

@@ -11,7 +11,8 @@ The reference is frozen, so each window sample is ranked against it once,
 when it enters: ``fit`` stores the sorted reference as complex keys
 ``feature + 1j * value``, and one ``searchsorted`` per side gives, for every
 feature, the fractions of reference values at or below and strictly below
-the entering value. A window test then sorts only the window's values and
+the entering value; a whole array of samples is ranked as one block the
+same way. A window test then sorts only the window's values and
 ranks (see :func:`_ks_statistic`); ``ks_two_sample`` ranks its ``b`` the
 same way and shares that function. D lies on a lattice of multiples of
 1 / (n_a * n_b), so its values recur from window to window and Q is
@@ -25,8 +26,8 @@ block to per-permutation sums. An episode slides a :class:`SlidingWindow`
 one sample per step: ``push`` evaluates only the kernel entries of the
 sample that enters (its column against the reference and its row against
 the window) and caches them, and ``predict`` combines the cached terms, so
-no kernel entry is evaluated twice. A plain array passed to ``predict`` is
-pushed into a fresh window first, so both go through one code path. A
+no kernel entry is evaluated twice. A plain array passed to ``predict``
+fills a fresh window first, so both go through one code path. A
 permuted statistic counts as reaching the observed one when it is at least
 ``observed - TIE_TOLERANCE``, so exact ties are not decided by rounding.
 """
@@ -311,7 +312,8 @@ class SlidingWindow:
             self._steps = np.arange(m + 1) / m
             self._keys = detector._ref_keys.ravel()
             self._offsets = np.arange(d) * n
-            self._query = np.zeros(d, dtype=np.complex128)
+            # each slot's search keys, so a block of slots is a contiguous slice
+            self._query = np.zeros((m, d), dtype=np.complex128)
             self._query.real = np.arange(d)
             return
         # reference rows, then the ring; zeros keep unfilled slots finite
@@ -345,13 +347,16 @@ class SlidingWindow:
         else:
             self._store_kernel_terms(slot)
 
-    def _store_ranks(self, slot: int, row: np.ndarray) -> None:
+    def _store_ranks(self, slots: int | slice, rows: np.ndarray) -> None:
+        """Rank one sample (an int slot) or a block of them (a slice)
+        against the reference: one ``searchsorted`` per side for all."""
         n = self.detector.n_ref
-        self._query.imag = row
-        at = self._keys.searchsorted(self._query, side="right") - self._offsets
-        below = self._keys.searchsorted(self._query, side="left") - self._offsets
-        self._at[:, slot] = at / n
-        self._below[:, slot] = below / n
+        query = self._query[slots]
+        query.imag = rows
+        at = self._keys.searchsorted(query, side="right") - self._offsets
+        below = self._keys.searchsorted(query, side="left") - self._offsets
+        self._at[:, slots] = (at / n).T
+        self._below[:, slots] = (below / n).T
 
     def _store_kernel_terms(self, slot: int) -> None:
         detector = self.detector
@@ -378,7 +383,14 @@ class SlidingWindow:
 
 
 def _filled_window(detector: DriftDetector, rows: np.ndarray) -> SlidingWindow:
+    """A fresh window holding ``rows``, which number at most ``detector.window``."""
     window = SlidingWindow(detector)
+    if detector.method == "ks":
+        # KS does not depend on slot order, so the block is ranked at once
+        window._rows[: len(rows)] = rows
+        window.pushed = len(rows)
+        window._store_ranks(slice(0, len(rows)), rows)
+        return window
     for row in rows:
         window.push(row)
     return window
@@ -511,8 +523,9 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
     """Test one window of samples against the frozen reference.
 
     ``window_samples`` is a full :class:`SlidingWindow` built for this
-    detector, or an array of exactly ``detector.window`` samples, which is
-    pushed into a fresh window and tested the same way.
+    detector, or an array of exactly ``detector.window`` samples, which
+    fills a fresh window and is tested the same way (KS ranks the array as
+    one block; MMD pushes it row by row).
     KS: per-feature tests, drift iff min p < alpha / n_features (Bonferroni).
     All features are tested at once from the values and reference ranks
     the window stored at ``push`` (KS does not depend on sample order):

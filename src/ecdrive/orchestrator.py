@@ -563,12 +563,16 @@ def write_trace(trace: EpisodeTrace, path) -> None:
 def load_trace(path) -> EpisodeTrace:
     """Parse a JSONL trace file back into an :class:`EpisodeTrace`.
 
-    Raises ``ValueError`` naming the offending line on malformed content or
-    a header whose ``schema_version`` is missing or not
-    ``TRACE_SCHEMA_VERSION``.
+    Raises ``ValueError`` naming the file on text that is not UTF-8, and
+    naming the offending line on malformed content or a header whose
+    ``schema_version`` is missing or not ``TRACE_SCHEMA_VERSION``. A file
+    that cannot be read raises ``OSError``.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
     if not lines:
         raise ValueError(f"{path}: empty trace file")
     try:
@@ -583,7 +587,10 @@ def load_trace(path) -> EpisodeTrace:
         injections = tuple(injection_from_dict(i) for i in config["injections"])
         offload = offload_from_dict(config["offload"])
         summary = Metrics(**header["summary"])
-        remote = config.get("remote", {}).get("base_url")
+        remote = config.get("remote", {})
+        if not isinstance(remote, dict):
+            raise TypeError(f"config.remote is {type(remote).__name__}, not an object")
+        remote = remote.get("base_url")
         seed = header["seed"]
         steps = config["steps"]
     except (KeyError, TypeError, json.JSONDecodeError) as exc:

@@ -11,9 +11,14 @@ every entity forward with a constant-acceleration rollout, and picks the
 cheapest action under a collision-dominated cost. A crashed rollout halts
 the ego (speed zero for the remaining horizon), so unavoidable impacts are
 priced by how much motion survives before them: later and slower is cheaper.
-The entities' paths do not depend on the ego, so they are predicted once
-per decision and every candidate action's rollout reads them, checking
-only the hazards in its target lane.
+The entities' paths do not depend on the ego, and the ego's path depends
+only on its first-step command, so both are computed once per decision.
+The hazards in the lanes the ego can reach are then sorted against the
+range of the ego's paths: those that stay behind it are dropped, those
+that stay ahead of it are reduced to each lane's nearest position per
+step, and only the rest are checked one by one by each candidate action's
+rollout. The results are bit-identical to checking every hazard (see
+``_plan_hazards``).
 
 ``remote_decide`` delegates either role to a chat-completion HTTP endpoint
 and decodes the reply with the decision lexicon.
@@ -26,6 +31,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -236,21 +242,107 @@ def _segment_hits(rel0: float, rel1: float, radius: float) -> bool:
     return min(abs(rel0), abs(rel1)) < radius
 
 
+def _ego_paths(scene: Scene, horizon: int) -> dict[float, tuple[list[float], list[float]]]:
+    """The ego's positions and speeds, ``horizon + 1`` of each, for every
+    first-step command (then holding speed), had nothing been hit."""
+    dt, v_max = DEFAULT_DT, scene.v_max
+    paths = {}
+    for first_cmd in (0.0, ACCEL_CMD, DECEL_CMD):
+        v, p, a_cmd = scene.ego.speed, scene.ego.position, first_cmd
+        positions, speeds = [p], [v]
+        for _ in range(horizon):
+            # min(max(v + a_cmd * dt, 0.0), v_max), compared as the builtins do
+            v_new = v + a_cmd * dt
+            if 0.0 > v_new:
+                v_new = 0.0
+            if v_max < v_new:
+                v_new = v_max
+            p = p + 0.5 * (v + v_new) * dt
+            v, a_cmd = v_new, 0.0
+            positions.append(p)
+            speeds.append(v)
+        paths[first_cmd] = positions, speeds
+    return paths
+
+
+class _HazardPlan(NamedTuple):
+    """What every candidate rollout of one decision reads; see
+    :func:`_plan_hazards`."""
+
+    #: first-step command -> the ego's (positions, speeds)
+    paths: dict[float, tuple[list[float], list[float]]]
+    #: lane -> (radius, positions) of each near hazard, in entity order
+    near: dict[int, list[tuple[float, tuple[float, ...]]]]
+    #: lane -> per-row minimum position of the hazards ahead
+    ahead: dict[int, list[float]]
+
+
+_FIRST_CMD = {Action.ACCELERATE: ACCEL_CMD, Action.DECELERATE: DECEL_CMD}
+
+
+def _plan_hazards(scene: Scene, horizon: int) -> _HazardPlan:
+    """Predict the hazards once and sort each lane's against the ego's reach.
+
+    The ego's uncollided path depends only on its first-step command (0,
+    ``ACCEL_CMD`` or ``DECEL_CMD``; lane changes keep speed), and a rollout
+    checks hazards only at positions on that path, so every check of
+    every candidate looks at an ego position in ``[e_lo, e_hi]``, the range
+    of the three paths. A hazard in a lane the ego can reach, with radius
+    ``r > 0`` whose square does not underflow, and positions ``P_0..P_H`` is
+    - **behind** if ``max P - e_lo <= -r``. Float subtraction rounds
+      monotonically, so every relative position ``P_k - e`` a rollout
+      forms is ``<= -r``: the product of two of them is ``>= r * r > 0``
+      and neither is within ``r``, so it never hits, and ``P_k < e`` keeps
+      it out of every front gap. It is dropped.
+    - **ahead** if ``min P - e_hi >= r``. By the same argument it never
+      hits and is in front at every step; its gap is ``P_k - e``, and
+      ``fl(min_i P_ik - e) == min_i fl(P_ik - e)`` because rounding is
+      monotone, so the lane keeps only the per-row minimum over its ahead
+      hazards. That gap is ``>= r > 0``, so the other candidates' order
+      cannot decide a tie between ``0.0`` and ``-0.0``.
+    - **near** otherwise; so is every hazard with another radius. Near
+      hazards keep their own positions and are checked as before, in
+      entity order.
+    A plan built for a longer horizon serves a shorter one: its range and
+    its hazards' extremes only grow with the horizon. The argument assumes
+    finite positions; a config with NaN or Infinity in it fails validation.
+    """
+    paths = _ego_paths(scene, horizon)
+    reach = [p for positions, _ in paths.values() for p in positions]
+    e_lo, e_hi = min(reach), max(reach)
+    ego_lane = scene.ego.lane
+    near: dict[int, list[tuple[float, tuple[float, ...]]]] = {}
+    ahead_tracks: dict[int, list[tuple[float, ...]]] = {}
+    lanes, radii, rows = _predict_hazards(scene, horizon)
+    for lane, radius, track in zip(lanes, radii, zip(*rows)):
+        if not -1 <= lane - ego_lane <= 1:
+            continue
+        if radius > 0.0 and radius * radius > 0.0:
+            if max(track) - e_lo <= -radius:
+                continue
+            if min(track) - e_hi >= radius:
+                ahead_tracks.setdefault(lane, []).append(track)
+                continue
+        near.setdefault(lane, []).append((radius, track))
+    ahead = {lane: [min(row) for row in zip(*tracks)] for lane, tracks in ahead_tracks.items()}
+    return _HazardPlan(paths, near, ahead)
+
+
 def rollout_cost(
     scene: Scene,
     action: Action,
     horizon: int = HORIZON,
-    hazards: tuple[list[int], list[float], list[list[float]]] | None = None,
+    hazards: _HazardPlan | None = None,
 ) -> RolloutResult:
     """Predict ``horizon`` steps of executing ``action`` then holding speed.
 
     Other vehicles keep their current acceleration; obstacles stay put.
     Their trajectories do not depend on the ego, so ``hazards`` may carry
-    a prediction from :func:`_predict_hazards`, covering at least
-    ``horizon`` steps, shared by several actions; without it the
-    prediction is made here. Only hazards in the ego's
-    target lane are checked. A predicted collision zeroes the ego's speed
-    for the rest of the horizon.
+    a plan from :func:`_plan_hazards`, covering at least ``horizon``
+    steps, shared by several actions; without it the plan is made here.
+    Only hazards in the ego's target lane are checked, and of those only
+    the ones the plan could not rule out. A predicted collision zeroes the
+    ego's speed for the rest of the horizon.
     cost = 1000 * [collision] + (v_max - mean ego speed)
          + 2 * [lane change] + 50 * max(0, T_h - min headway) / T_h.
     Illegal lane changes cost infinity and are excluded from planning.
@@ -260,19 +352,16 @@ def rollout_cost(
     if action not in legal_actions(scene):
         return RolloutResult(action, math.inf, 0.0, False)
     if hazards is None:
-        hazards = _predict_hazards(scene, horizon)
-    lanes, radii, rows = hazards
+        hazards = _plan_hazards(scene, horizon)
 
-    dt = DEFAULT_DT
     ego_lane = scene.ego.lane
     if action is Action.LANE_CHANGE_LEFT:
         ego_lane += 1
     elif action is Action.LANE_CHANGE_RIGHT:
         ego_lane -= 1
-    in_lane = [i for i, lane in enumerate(lanes) if lane == ego_lane]
-
-    ego_v = scene.ego.speed
-    ego_p = scene.ego.position
+    near = hazards.near.get(ego_lane, ())
+    ahead = hazards.ahead.get(ego_lane)
+    positions, speeds = hazards.paths[_FIRST_CMD.get(action, 0.0)]
 
     collided = False
     min_gap = GAP_SENTINEL
@@ -280,37 +369,30 @@ def rollout_cost(
     speed_sum = 0.0
 
     for k in range(horizon):
-        a_cmd = 0.0
-        if k == 0 and action is Action.ACCELERATE:
-            a_cmd = ACCEL_CMD
-        elif k == 0 and action is Action.DECELERATE:
-            a_cmd = DECEL_CMD
-
+        ego_p, ego_p_new = positions[k], positions[k + 1]
+        front = []
+        for radius, track in near:
+            rel_new = track[k + 1] - ego_p_new
+            if _segment_hits(track[k] - ego_p, rel_new, radius):
+                collided = True
+                break
+            if track[k + 1] >= ego_p_new:
+                front.append(rel_new)
         if collided:
-            ego_v_new, ego_p_new = 0.0, ego_p
-        else:
-            ego_v_new = min(max(ego_v + a_cmd * dt, 0.0), scene.v_max)
-            ego_p_new = ego_p + 0.5 * (ego_v + ego_v_new) * dt
-
-        positions, new_positions = rows[k], rows[k + 1]
-        if not collided:
-            for i in in_lane:
-                if _segment_hits(positions[i] - ego_p, new_positions[i] - ego_p_new, radii[i]):
-                    collided = True
-                    ego_v_new = 0.0
-                    break
-
-        ego_v, ego_p = ego_v_new, ego_p_new
+            # the halted ego adds 0.0 to the speed sum for the rest of the horizon
+            min_gap = min_headway = 0.0
+            break
+        if ahead is not None:
+            front.append(ahead[k + 1] - ego_p_new)
+        gap = min(front) if front else GAP_SENTINEL
+        ego_v = speeds[k + 1]
         speed_sum += ego_v
-
-        if collided:
-            min_gap = 0.0
-            min_headway = 0.0
-        else:
-            front = [new_positions[i] - ego_p for i in in_lane if new_positions[i] >= ego_p]
-            gap = min(front) if front else GAP_SENTINEL
-            min_gap = min(min_gap, gap)
-            min_headway = min(min_headway, gap / ego_v if ego_v > 0 else math.inf)
+        headway = gap / ego_v if ego_v > 0 else math.inf
+        # min(min_gap, gap) and min(min_headway, headway), compared as the builtins do
+        if gap < min_gap:
+            min_gap = gap
+        if headway < min_headway:
+            min_headway = headway
 
     mean_speed = speed_sum / horizon
     headway_term = 0.0 if math.isinf(min_headway) else max(0.0, T_HEADWAY - min_headway) / T_HEADWAY
@@ -324,19 +406,19 @@ def rollout_cost(
     return RolloutResult(action, cost, min_gap, collided)
 
 
+_PERCEIVED_VEHICLE = "perceived: vehicle %d in lane %d at %.2f m, speed %.1f m/s"
+
+
 def cloud_decide(scene: Scene, horizon: int = HORIZON) -> Decision:
     """Three-stage cloud policy: perceive everything, predict, plan by argmin.
 
     Rationale lists one "perceived:" line per hazard, the per-action rollout
     costs, and the selection. Confidence comes from the cost margin between
-    the best and second-best action.
+    the best and second-best action. The hazards are predicted and sorted
+    against the ego's reach once (:func:`_plan_hazards`), and every
+    candidate's :func:`rollout_cost` reads that plan.
     """
-    rationale: list[str] = []
-    for vid, lane, position, speed in zip(*scene.others.lists):
-        rationale.append(
-            f"perceived: vehicle {vid} in lane {lane} at {position:.2f} m, "
-            f"speed {speed:.1f} m/s"
-        )
+    rationale = list(map(_PERCEIVED_VEHICLE.__mod__, zip(*scene.others.lists)))
     for obs in scene.obstacles:
         rationale.append(
             f"perceived: obstacle ({obs.kind}) in lane {obs.lane} at {obs.position:.2f} m, "
@@ -346,7 +428,7 @@ def cloud_decide(scene: Scene, horizon: int = HORIZON) -> Decision:
     legal = legal_actions(scene)
     candidates = [a for a in ACTION_ORDER if a in legal]
     rationale.append(f"predicted {horizon}-step rollouts for {len(candidates)} candidate actions")
-    hazards = _predict_hazards(scene, horizon)
+    hazards = _plan_hazards(scene, horizon)
     results = [rollout_cost(scene, a, horizon, hazards) for a in candidates]
     for res in results:
         rationale.append(f"cost[{res.action.value}] = {res.cost:.3f}")

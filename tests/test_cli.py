@@ -461,6 +461,34 @@ class TestCmdSummarize:
         err = capsys.readouterr().err
         assert victim.name in err and "line 1" in err and "schema_version" in err
 
+    def test_remote_not_an_object_is_a_trace_error(self, run_outputs, capsys):
+        victim = next((run_outputs / "out").glob("*.jsonl"))
+        lines = victim.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["config"]["remote"] = None
+        lines[0] = json.dumps(header, separators=(",", ":"))
+        victim.write_text("\n".join(lines) + "\n")
+        code = cmd_summarize(str(run_outputs / "out" / "*.jsonl"),
+                             str(run_outputs / "bad.csv"))
+        assert code == EXIT_TRACE
+        err = capsys.readouterr().err
+        assert victim.name in err and "line 1: malformed header" in err
+
+    def test_unreadable_match_is_an_io_error(self, tmp_path, capsys):
+        (tmp_path / "x.jsonl").mkdir()
+        code = cmd_summarize(str(tmp_path / "*.jsonl"), str(tmp_path / "o.csv"))
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"io error: cannot read {tmp_path / 'x.jsonl'}: ")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_non_utf8_trace_is_a_trace_error(self, tmp_path, capsys):
+        (tmp_path / "bad.jsonl").write_bytes(b'{"schema_version": "\xff"}\n')
+        code = cmd_summarize(str(tmp_path / "*.jsonl"), str(tmp_path / "o.csv"))
+        assert code == EXIT_TRACE
+        err = capsys.readouterr().err
+        assert err.startswith("trace error: ") and "bad.jsonl" in err
+
     def test_summarize_own_output_never_fails(self, run_outputs):
         # anything cmd_run produced must summarize cleanly
         assert cmd_summarize(str(run_outputs / "out" / "*.jsonl"),

@@ -372,6 +372,25 @@ class TestTraceRoundTrip:
         with pytest.raises(ValueError, match=r"line 1: schema_version"):
             load_trace(path)
 
+    @pytest.mark.parametrize("remote", [None, [], "http://localhost:1", 5])
+    def test_remote_must_be_an_object(self, tmp_path, remote):
+        cfg = OffloadConfig(mode="EdgeOnly", n_ref=40, window=10)
+        path = tmp_path / "trace.jsonl"
+        write_trace(run_episode(corridor_config(), (), cfg, seed=0, steps=5), path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["config"]["remote"] = remote
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"line 1: malformed header \(config\.remote"):
+            load_trace(path)
+
+    def test_non_utf8_text_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes('{"schema_version": "1", "note": "caf\u00e9"}\n'.encode("latin-1"))
+        with pytest.raises(ValueError, match=r"latin1\.jsonl: not UTF-8 text"):
+            load_trace(path)
+
     def test_failed_write_keeps_the_old_trace(self, tmp_path):
         resource = pytest.importorskip("resource")
         import signal

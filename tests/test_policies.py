@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ecdrive import (
     Action,
+    Obstacle,
     Scene,
     VehicleState,
     check_collision,
@@ -266,6 +267,40 @@ def _follow(lead: VehicleState, speed: float = 10.0) -> Scene:
                  ego=VehicleState(id=0, lane=0, position=0.0, speed=speed), others=(lead,))
 
 
+def _road(speed: float = 10.0, others=(), obstacles=()) -> Scene:
+    """Ego at 0 m in lane 0 of 2. At ``speed`` 10 and horizon 3 its three
+    paths reach from e_lo = 0 m (the start) to e_hi = 35 m (accelerating)."""
+    return Scene(time=0.0, lane_count=2,
+                 ego=VehicleState(id=0, lane=0, position=0.0, speed=speed),
+                 others=others, obstacles=obstacles)
+
+
+def _on_the_bounds() -> Scene:
+    """At horizon 3: lo - e_hi == r (ahead) and hi - e_lo == -r (behind),
+    for obstacles (r = 4.5) and standing vehicles (r = 5)."""
+    return _road(others=(VehicleState(1, 0, 40.0, 0.0), VehicleState(2, 0, -5.0, 0.0)),
+                 obstacles=(Obstacle(0, 39.5, 4.0), Obstacle(0, -4.5, 4.0)))
+
+
+def _hazard_classes(scene: Scene, horizon: int) -> set[str]:
+    """The classes of ``_plan_hazards`` that the reachable hazards fall in,
+    recomputed from their definitions."""
+    paths = policies._plan_hazards(scene, horizon).paths
+    reach = [p for positions, _ in paths.values() for p in positions]
+    lanes, radii, rows = policies._predict_hazards(scene, horizon)
+    classes = set()
+    for lane, radius, track in zip(lanes, radii, zip(*rows)):
+        if abs(lane - scene.ego.lane) > 1:
+            continue
+        if radius > 0 and max(track) - min(reach) <= -radius:
+            classes.add("behind")
+        elif radius > 0 and min(track) - max(reach) >= radius:
+            classes.add("ahead")
+        else:
+            classes.add("near")
+    return classes
+
+
 class TestSharedHazardPrediction:
     def test_matches_per_action_oracle(self):
         seen = set()
@@ -275,6 +310,26 @@ class TestSharedHazardPrediction:
         # the nearest vehicle ahead is stopped by the clamp at 0, then at v_max
         @example(scene=_follow(VehicleState(1, 0, 60.0, 0.5, accel=-3.0)), horizon=3)
         @example(scene=_follow(VehicleState(1, 0, 20.0, 29.8, accel=2.0), 29.5), horizon=3)
+        @example(scene=_on_the_bounds(), horizon=3)
+        # 0.25 m inside those bounds the same vehicles are hit: accelerating
+        # reaches the one ahead, changing left starts beside the one behind
+        @example(scene=_road(others=(VehicleState(1, 0, 39.75, 0.0), VehicleState(2, 1, -4.75, 0.0))),
+                 horizon=3)
+        # two hazards ahead that swap order within the horizon
+        @example(scene=_road(others=(VehicleState(1, 0, 60.0, 28.0),
+                                     VehicleState(2, 0, 70.0, 10.0))), horizon=3)
+        # an obstacle at -0.0 with the ego at 0.0
+        @example(scene=_road(obstacles=(Obstacle(0, -0.0, 4.0),)), horizon=3)
+        # a standing ego (paths 0..5 m); obstacles with extent 0 (r = 2.5),
+        # one near and one on the ahead bound
+        @example(scene=_road(0.0, others=(VehicleState(1, 1, 30.0, 20.0),),
+                             obstacles=(Obstacle(0, 4.0, 0.0), Obstacle(0, 7.5, 0.0))),
+                 horizon=3)
+        # radii 0 and below are always checked one by one: read as behind or
+        # ahead, these two would miss the hits of changing left and of
+        # accelerating
+        @example(scene=_road(obstacles=(Obstacle(1, 0.0, -5.0), Obstacle(0, 34.0, -9.0))),
+                 horizon=3)
         def check(scene, horizon):
             for action in Action:  # illegal lane changes included
                 result = rollout_cost(scene, action, horizon)
@@ -291,10 +346,21 @@ class TestSharedHazardPrediction:
                     seen.add("clamp at 0")
                 if v.speed + v.accel * DEFAULT_DT > scene.v_max:
                     seen.add("clamp at v_max")
+            seen.update(_hazard_classes(scene, horizon))
 
         check()
         # the scenes must reach every branch for the property to mean much
-        assert seen == {"illegal", "collision", "clean", "clamp at 0", "clamp at v_max"}
+        assert seen == {"illegal", "collision", "clean", "clamp at 0", "clamp at v_max",
+                        "near", "ahead", "behind"}
+
+    def test_examples_sit_on_the_pruning_bounds(self):
+        # every hazard of _on_the_bounds is exactly on a bound, so the plan
+        # keeps none of them as near
+        plan = policies._plan_hazards(_on_the_bounds(), 3)
+        reach = [p for positions, _ in plan.paths.values() for p in positions]
+        assert (min(reach), max(reach)) == (0.0, 35.0)
+        assert plan.near == {}
+        assert plan.ahead == {0: [39.5] * 4}
 
 
 class TestCloudDecide:
