@@ -34,7 +34,7 @@ scenario = ScenarioConfig(
 scene = spawn_scenario(scenario, seed=0)
 
 print("=== Scene description (the remote-prompt text) ===")
-print(describe(scene).text)
+print(describe(scene))
 
 print("\n=== Neighbor slots (vehicle-only view) ===")
 slots = nearest_neighbors(scene)

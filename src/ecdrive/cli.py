@@ -31,14 +31,10 @@ from .orchestrator import (
     OffloadConfig,
     aggregate_metrics,
     fit_reference,
-    injection_from_dict,
-    load_trace,
-    offload_from_dict,
     run_episode,
-    scenario_from_dict,
-    write_trace,
 )
 from .policies import EndpointConfig
+from .trace import from_json, load_trace, write_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,7 +100,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError("config root must be a JSON object")
 
     try:
-        scenario = scenario_from_dict(_require(data, "scenario"))
+        scenario = from_json(ScenarioConfig, _require(data, "scenario"))
         scenario.validate()
     except ScenarioError as exc:
         raise ConfigError(f"scenario: {exc}") from exc
@@ -117,14 +113,14 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError("injections: must be a list")
     for i, item in enumerate(items):
         try:
-            injection = injection_from_dict(item)
+            injection = from_json(DriftInjection, item)
             injection.validate()
         except (ScenarioError, TypeError) as exc:
             raise ConfigError(f"injections[{i}]: {exc}") from exc
         injections.append(injection)
 
     try:
-        offload = offload_from_dict(_require(data, "offload"))
+        offload = from_json(OffloadConfig, _require(data, "offload"))
         offload.validate()
     except ValueError as exc:
         raise ConfigError(f"offload: {exc}") from exc
@@ -161,7 +157,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         if not isinstance(remote, dict):
             raise ConfigError("remote: must be a JSON object")
         try:
-            endpoint = EndpointConfig(**remote)
+            endpoint = from_json(EndpointConfig, remote)
             endpoint.validate()
         except ValueError as exc:
             raise ConfigError(f"remote: {exc}") from exc
@@ -283,9 +279,13 @@ def cmd_summarize(trace_glob: str, out_csv: str) -> int:
         except ValueError as exc:
             print(f"trace error: {exc}", file=sys.stderr)
             return EXIT_TRACE
-        recomputed = aggregate_metrics(
-            trace.records, trace.injections, trace.offload.window
-        )
+        try:
+            recomputed = aggregate_metrics(
+                trace.records, trace.injections, trace.offload.window
+            )
+        except TypeError as exc:  # a record value of the wrong type
+            print(f"trace error: {path}: malformed record values ({exc})", file=sys.stderr)
+            return EXIT_TRACE
         if recomputed != trace.summary:
             print(
                 f"trace error: {path}: stored summary does not match recomputed metrics",

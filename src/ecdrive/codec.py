@@ -8,8 +8,6 @@ drift detector is fitted on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .highway import Action, NeighborInfo, Scene, nearest_neighbors
@@ -44,13 +42,6 @@ class NoDecisionFound(ValueError):
     """No phrase of the decision lexicon occurs in the response text."""
 
 
-@dataclass(frozen=True)
-class SceneText:
-    """Template-rendered natural-language scene description."""
-
-    text: str
-
-
 def _lane_word(lane: int, lane_count: int) -> str:
     if lane_count == 1:
         return "only"
@@ -76,7 +67,7 @@ def _relative_lane(delta: int) -> str:
     return "far left" if delta > 0 else "far right"
 
 
-def describe(scene: Scene) -> SceneText:
+def describe(scene: Scene) -> str:
     """Render the fixed scene-description template.
 
     One ego sentence, then one sentence per other vehicle ordered by
@@ -101,7 +92,7 @@ def describe(scene: Scene) -> SceneText:
             f"traveling at a speed of {speed:.1f} m/s, "
             f"with an acceleration of {accel:.1f} m/s²."
         )
-    return SceneText(text=" ".join(parts))
+    return " ".join(parts)
 
 
 def _slot_values(slot: NeighborInfo | None) -> tuple[float, float, float]:
@@ -164,20 +155,6 @@ def featurize(scene: Scene, rng: np.random.Generator | None = None) -> np.ndarra
     vec = np.asarray(values, dtype=np.float64)
     assert vec.shape == (FEATURE_DIM,)
     return vec
-
-
-def validate_features(vec: np.ndarray) -> None:
-    """Raise if a feature vector violates its layout invariants."""
-    if vec.shape != (FEATURE_DIM,):
-        raise ValueError(f"feature vector must have length {FEATURE_DIM}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("feature vector contains non-finite values")
-    for base in (3, 6, 9, 12):
-        gap, _rel, present = vec[base], vec[base + 1], vec[base + 2]
-        if not (0.0 <= gap <= GAP_SENTINEL):
-            raise ValueError(f"gap feature {base} out of [0, 200]")
-        if present not in (0.0, 1.0):
-            raise ValueError(f"present flag {base + 2} must be 0 or 1")
 
 
 #: Decision lexicon: regex alternatives per action, matched case-insensitively;

@@ -282,6 +282,13 @@ class Scene:
                 raise ScenarioError(f"vehicle {vid} lane {lane} out of range")
             if not math.isfinite(position):
                 raise ScenarioError(f"vehicle {vid} position not finite")
+        for obstacle in self.obstacles:
+            if not (0 <= obstacle.lane < self.lane_count):
+                raise ScenarioError(f"obstacle lane {obstacle.lane} out of range")
+            if not math.isfinite(obstacle.position):
+                raise ScenarioError(f"obstacle position {obstacle.position} not finite")
+            if not obstacle.extent_m > 0:
+                raise ScenarioError(f"obstacle extent_m {obstacle.extent_m} must be > 0")
 
 
 @dataclass(frozen=True)

@@ -14,20 +14,16 @@ Obstacles, the traffic target offset and the noise level therefore come
 from the pristine scene again on the next step, so an obstacle vanishes,
 traffic targets revert and noise stops once their window closes.
 
-Traces serialize to JSON Lines: a header object (schema_version "1", config
-snapshot, seed, summary), then one object per step record.
+The records and summary of an episode come back as an :class:`EpisodeTrace`;
+:mod:`ecdrive.trace` writes and reads it as JSON Lines.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +34,6 @@ from .highway import (
     DriftInjection,
     Scene,
     ScenarioConfig,
-    VehicleState,
     _is_int,
     check_collision,
     inject_drift,
@@ -58,7 +53,6 @@ from .codec import NoDecisionFound
 
 logger = logging.getLogger(__name__)
 
-TRACE_SCHEMA_VERSION = "1"
 MODES = ("EdgeOnly", "CloudOnly", "Collaborative")
 REASONS = ("Drift", "LowConfidence", "None", "Both")
 
@@ -84,7 +78,7 @@ class OffloadConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not (0.0 <= self.tau <= 1.0):
             raise ValueError("tau must lie in [0, 1]")
-        if self.method.lower() not in ("ks", "mmd"):
+        if not isinstance(self.method, str) or self.method.lower() not in ("ks", "mmd"):
             raise ValueError(f"unknown detector method {self.method!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
@@ -400,216 +394,4 @@ def aggregate_metrics(
         collision_count=sum(1 for r in records if r.collision),
         agreement_rate=agree / n_off if n_off else 1.0,
         in_window_offload_fraction=in_window / n_off if n_off else 0.0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# JSONL trace serialization
-# ---------------------------------------------------------------------------
-
-
-def _decision_dict(decision: Decision | None):
-    if decision is None:
-        return None
-    return {
-        "action": decision.action.value,
-        "rationale": list(decision.rationale),
-        "confidence": decision.confidence,
-        "source": decision.source,
-    }
-
-
-def _report_dict(report: DriftReport | None):
-    if report is None:
-        return None
-    return {
-        "is_drift": report.is_drift,
-        "p_values": [float(p) for p in report.p_values],
-        "statistic": [float(s) for s in report.statistic],
-        "threshold_used": report.threshold_used,
-    }
-
-
-def scenario_to_dict(scenario: ScenarioConfig) -> dict:
-    data = dataclasses.asdict(scenario)
-    data["speed_range"] = list(scenario.speed_range)
-    data["spawn_span"] = list(scenario.spawn_span)
-    data["spawn_lanes"] = list(scenario.spawn_lanes) if scenario.spawn_lanes else None
-    data["fixed_others"] = [dataclasses.asdict(v) for v in scenario.fixed_others]
-    return data
-
-
-def scenario_from_dict(data: dict) -> ScenarioConfig:
-    data = {**data}
-    for key in ("speed_range", "spawn_span"):
-        if key in data:
-            data[key] = tuple(data[key])
-    data["spawn_lanes"] = tuple(data["spawn_lanes"]) if data.get("spawn_lanes") else None
-    data["fixed_others"] = tuple(VehicleState(**v) for v in data.get("fixed_others", ()))
-    return ScenarioConfig(**data)
-
-
-def injection_to_dict(injection: DriftInjection) -> dict:
-    return dataclasses.asdict(injection)
-
-
-def injection_from_dict(data: dict) -> DriftInjection:
-    return DriftInjection(**data)
-
-
-def offload_to_dict(config: OffloadConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
-def offload_from_dict(data: dict) -> OffloadConfig:
-    return OffloadConfig(**data)
-
-
-def _metrics_dict(metrics: Metrics) -> dict:
-    return dataclasses.asdict(metrics)
-
-
-def _record_dict(record: StepRecord) -> dict:
-    return {
-        "step": record.step,
-        "feature": [float(x) for x in record.feature],
-        "edge_decision": _decision_dict(record.edge_decision),
-        "drift_report": _report_dict(record.drift_report),
-        "offloaded": record.offloaded,
-        "offload_reason": record.offload_reason,
-        "cloud_decision": _decision_dict(record.cloud_decision),
-        "executed_action": record.executed_action.value,
-        "latency_ms": record.latency_ms,
-        "bytes_up": record.bytes_up,
-        "collision": record.collision,
-    }
-
-
-def _decision_from_dict(data) -> Decision | None:
-    if data is None:
-        return None
-    return Decision(
-        action=Action(data["action"]),
-        rationale=tuple(data["rationale"]),
-        confidence=data["confidence"],
-        source=data["source"],
-    )
-
-
-def _report_from_dict(data) -> DriftReport | None:
-    if data is None:
-        return None
-    return DriftReport(
-        is_drift=data["is_drift"],
-        p_values=np.asarray(data["p_values"]),
-        statistic=np.asarray(data["statistic"]),
-        threshold_used=data["threshold_used"],
-    )
-
-
-def _record_from_dict(data: dict) -> StepRecord:
-    return StepRecord(
-        step=data["step"],
-        feature=np.asarray(data["feature"]),
-        edge_decision=_decision_from_dict(data["edge_decision"]),
-        drift_report=_report_from_dict(data["drift_report"]),
-        offloaded=data["offloaded"],
-        offload_reason=data["offload_reason"],
-        cloud_decision=_decision_from_dict(data["cloud_decision"]),
-        executed_action=Action(data["executed_action"]),
-        latency_ms=data["latency_ms"],
-        bytes_up=data["bytes_up"],
-        collision=data["collision"],
-    )
-
-
-def trace_lines(trace: EpisodeTrace) -> list[str]:
-    """Serialize a trace to its JSONL lines (header first)."""
-    header = {
-        "schema_version": TRACE_SCHEMA_VERSION,
-        "config": {
-            "scenario": scenario_to_dict(trace.scenario),
-            "injections": [injection_to_dict(i) for i in trace.injections],
-            "offload": offload_to_dict(trace.offload),
-            "steps": trace.steps,
-        },
-        "seed": trace.seed,
-        "summary": _metrics_dict(trace.summary),
-    }
-    if trace.remote_base_url is not None:
-        header["config"]["remote"] = {"base_url": trace.remote_base_url}
-    lines = [json.dumps(header, separators=(",", ":"))]
-    lines += [
-        json.dumps(_record_dict(r), separators=(",", ":")) for r in trace.records
-    ]
-    return lines
-
-
-def write_trace(trace: EpisodeTrace, path) -> None:
-    """Write a trace atomically: to a temporary file beside ``path``, then
-    renamed over it, so a failed write leaves no partial trace behind and
-    any earlier file at ``path`` intact."""
-    path = Path(path)
-    text = "\n".join(trace_lines(trace)) + "\n"
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def load_trace(path) -> EpisodeTrace:
-    """Parse a JSONL trace file back into an :class:`EpisodeTrace`.
-
-    Raises ``ValueError`` naming the file on text that is not UTF-8, and
-    naming the offending line on malformed content or a header whose
-    ``schema_version`` is missing or not ``TRACE_SCHEMA_VERSION``. A file
-    that cannot be read raises ``OSError``.
-    """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
-    if not lines:
-        raise ValueError(f"{path}: empty trace file")
-    try:
-        header = json.loads(lines[0])
-        version = header.get("schema_version") if isinstance(header, dict) else None
-        if version != TRACE_SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}: line 1: schema_version {version!r} is not {TRACE_SCHEMA_VERSION!r}"
-            )
-        config = header["config"]
-        scenario = scenario_from_dict(config["scenario"])
-        injections = tuple(injection_from_dict(i) for i in config["injections"])
-        offload = offload_from_dict(config["offload"])
-        summary = Metrics(**header["summary"])
-        remote = config.get("remote", {})
-        if not isinstance(remote, dict):
-            raise TypeError(f"config.remote is {type(remote).__name__}, not an object")
-        remote = remote.get("base_url")
-        seed = header["seed"]
-        steps = config["steps"]
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: line 1: malformed header ({exc})") from exc
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            records.append(_record_from_dict(json.loads(line)))
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise ValueError(f"{path}: line {lineno}: malformed record ({exc})") from exc
-    return EpisodeTrace(
-        scenario=scenario,
-        injections=injections,
-        offload=offload,
-        seed=seed,
-        steps=steps,
-        records=tuple(records),
-        summary=summary,
-        remote_base_url=remote,
     )

@@ -85,7 +85,7 @@ class Decision:
     action: Action
     rationale: tuple[str, ...]
     confidence: float
-    source: str = "Edge"
+    source: str
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,7 @@ def edge_decide(scene: Scene) -> Decision:
             action=Action.ACCELERATE,
             rationale=tuple(rationale),
             confidence=_confidence(margin_headway, KAPPA_EDGE),
+            source="Edge",
         )
 
     h_keep = gap_f / v if v > 0 else math.inf
@@ -169,6 +170,7 @@ def edge_decide(scene: Scene) -> Decision:
             action=Action.KEEP,
             rationale=tuple(rationale),
             confidence=_confidence(margin_headway, KAPPA_EDGE),
+            source="Edge",
         )
 
     for side, action in (("left", Action.LANE_CHANGE_LEFT), ("right", Action.LANE_CHANGE_RIGHT)):
@@ -192,6 +194,7 @@ def edge_decide(scene: Scene) -> Decision:
                 action=action,
                 rationale=tuple(rationale),
                 confidence=_confidence(margin, KAPPA_EDGE),
+                source="Edge",
             )
 
     rationale.append(f"Falling back to braking: front gap {gap_f:.1f} m.")
@@ -199,6 +202,7 @@ def edge_decide(scene: Scene) -> Decision:
         action=Action.DECELERATE,
         rationale=tuple(rationale),
         confidence=_confidence(gap_f - G_MIN, KAPPA_EDGE),
+        source="Edge",
     )
 
 
@@ -489,7 +493,7 @@ def remote_decide(scene: Scene, endpoint: EndpointConfig, role: str | None = Non
         "model": endpoint.model,
         "messages": [
             {"role": "system", "content": _SYSTEM_PROMPTS[role]},
-            {"role": "user", "content": describe(scene).text},
+            {"role": "user", "content": describe(scene)},
         ],
         "temperature": 0,
     }

@@ -1,0 +1,200 @@
+"""JSON Lines traces and the dataclass codec that traces and configs share.
+
+A trace is a header object (schema_version "1", config snapshot, seed,
+summary), then one object per step record.
+
+Every dataclass crosses JSON through :func:`to_json` and :func:`from_json`,
+whose per-class converters are built once from the field type hints: an
+Enum travels as its value, a tuple or ndarray as a list, ``X | None`` as
+null or X, a nested dataclass as an object, and anything else as it is.
+Decoding rejects unknown keys, and a missing key takes the field's default
+(a field without one raises ``TypeError``). An Enum value decodes through a
+``{value: member}`` dict, so an unknown value raises ``KeyError``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import operator
+import os
+import typing
+from enum import Enum
+from pathlib import Path
+
+import numpy as np
+
+from .highway import DriftInjection, ScenarioConfig
+from .orchestrator import EpisodeTrace, Metrics, OffloadConfig, StepRecord
+
+TRACE_SCHEMA_VERSION = "1"
+
+
+@functools.cache
+def _codec(hint) -> tuple:
+    """(encode, decode) for values of one type hint; ``None`` passes a value
+    through unchanged."""
+    if dataclasses.is_dataclass(hint):
+        return _dataclass_codec(hint)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return operator.attrgetter("value"), {m.value: m for m in hint}.__getitem__
+    if hint is np.ndarray:
+        return np.ndarray.tolist, np.asarray
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:  # homogeneous: tuple[X, ...] or (X, X)
+        encode, decode = _codec(args[0])
+        return (
+            list if encode is None else lambda v: [encode(x) for x in v],
+            tuple if decode is None else lambda v: tuple(map(decode, v)),
+        )
+    if type(None) in args:
+        (inner,) = (a for a in args if a is not type(None))
+        encode, decode = _codec(inner)
+        return (
+            encode and (lambda v: None if v is None else encode(v)),
+            decode and (lambda v: None if v is None else decode(v)),
+        )
+    return None, None
+
+
+def _dataclass_codec(cls) -> tuple:
+    hints = typing.get_type_hints(cls)
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    encoders, decoders = zip(*(_codec(hints[name]) for name in names))
+    # one extra name keeps the getter's result a tuple for a one-field class
+    values = operator.attrgetter(*names, names[0])
+    known = frozenset(names)
+    pairs = tuple(zip(names, decoders))
+
+    def encode(obj) -> dict:
+        return {
+            name: value if enc is None else enc(value)
+            for name, enc, value in zip(names, encoders, values(obj))
+        }
+
+    def decode(data):
+        if type(data) is not dict:
+            raise TypeError(f"{cls.__name__} must be an object, got {type(data).__name__}")
+        if not known.issuperset(data):
+            unknown = next(k for k in data if k not in known)
+            raise TypeError(f"{cls.__name__} has no field {unknown!r}")
+        # every field given: a positional call (field order is constructor order) is faster
+        if len(data) == len(names):
+            return cls(*[data[k] if dec is None else dec(data[k]) for k, dec in pairs])
+        return cls(**{
+            k: data[k] if dec is None else dec(data[k]) for k, dec in pairs if k in data
+        })
+
+    return encode, decode
+
+
+def to_json(obj) -> dict:
+    """The JSON object of a dataclass instance, fields in declaration order."""
+    return _codec(type(obj))[0](obj)
+
+
+def from_json(cls, data):
+    """Build a ``cls`` dataclass from its JSON object (see the module doc)."""
+    return _codec(cls)[1](data)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def trace_lines(trace: EpisodeTrace) -> list[str]:
+    """Serialize a trace to its JSONL lines (header first)."""
+    config = {
+        "scenario": to_json(trace.scenario),
+        "injections": [to_json(i) for i in trace.injections],
+        "offload": to_json(trace.offload),
+        "steps": trace.steps,
+    }
+    if trace.remote_base_url is not None:
+        config["remote"] = {"base_url": trace.remote_base_url}
+    header = {
+        "schema_version": TRACE_SCHEMA_VERSION,
+        "config": config,
+        "seed": trace.seed,
+        "summary": to_json(trace.summary),
+    }
+    encode = _codec(StepRecord)[0]
+    return [_dumps(header)] + [_dumps(encode(r)) for r in trace.records]
+
+
+def write_trace(trace: EpisodeTrace, path) -> None:
+    """Write a trace atomically: to a temporary file beside ``path``, then
+    renamed over it, so a failed write leaves no partial trace behind and
+    any earlier file at ``path`` intact."""
+    path = Path(path)
+    text = "\n".join(trace_lines(trace)) + "\n"
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def load_trace(path) -> EpisodeTrace:
+    """Parse a JSONL trace file back into an :class:`EpisodeTrace`.
+
+    Raises ``ValueError`` naming the file on text that is not UTF-8, and
+    naming the offending line on malformed content, a header whose
+    ``schema_version`` is missing or not ``TRACE_SCHEMA_VERSION``, or a
+    header config that fails its own ``validate``. A file that cannot be
+    read raises ``OSError``.
+    """
+    path = Path(path)
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
+    if not lines:
+        raise ValueError(f"{path}: empty trace file")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line 1: malformed header ({exc})") from exc
+    version = header.get("schema_version") if isinstance(header, dict) else None
+    if version != TRACE_SCHEMA_VERSION:
+        raise ValueError(
+            f"{path}: line 1: schema_version {version!r} is not {TRACE_SCHEMA_VERSION!r}"
+        )
+    try:
+        config = header["config"]
+        scenario = from_json(ScenarioConfig, config["scenario"])
+        injections = tuple(from_json(DriftInjection, i) for i in config["injections"])
+        offload = from_json(OffloadConfig, config["offload"])
+        for part in (scenario, offload, *injections):
+            part.validate()
+        summary = from_json(Metrics, header["summary"])
+        remote = config.get("remote", {})
+        if not isinstance(remote, dict):
+            raise TypeError(f"config.remote is {type(remote).__name__}, not an object")
+        remote = remote.get("base_url")
+        seed = header["seed"]
+        steps = config["steps"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: line 1: malformed header ({exc})") from exc
+    decode = _codec(StepRecord)[1]
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            records.append(decode(json.loads(line)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {lineno}: malformed record ({exc})") from exc
+    return EpisodeTrace(
+        scenario=scenario,
+        injections=injections,
+        offload=offload,
+        seed=seed,
+        steps=steps,
+        records=tuple(records),
+        summary=summary,
+        remote_base_url=remote,
+    )

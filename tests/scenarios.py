@@ -4,7 +4,15 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from ecdrive import DriftInjection, Obstacle, ScenarioConfig, Scene, VehicleState
+from ecdrive import (
+    MODES,
+    DriftInjection,
+    Obstacle,
+    OffloadConfig,
+    ScenarioConfig,
+    Scene,
+    VehicleState,
+)
 
 
 def reference_scene() -> Scene:
@@ -170,4 +178,76 @@ def random_scenes(draw, max_vehicles: int = 40, positions=None) -> Scene:
         obstacles=obstacles,
         v_max=v_max,
         target_offset=draw(st.sampled_from((0.0, -6.0))) + draw(st.floats(-2.0, 2.0)),
+    )
+
+
+def _numbers(lo: float = -1e4, hi: float = 1e4):
+    """Finite floats, or integers, which JSON keeps as integers."""
+    return st.floats(lo, hi) | st.integers(int(lo), int(hi))
+
+
+def _names():
+    return st.text(min_size=1, max_size=12)
+
+
+def scenario_configs():
+    """Any value of every ``ScenarioConfig`` field's declared type, valid or not."""
+    pair = st.tuples(_numbers(), _numbers())
+    vehicles = st.builds(
+        VehicleState,
+        id=st.integers(0, 100),
+        lane=st.integers(-1, 6),
+        position=_numbers(),
+        speed=_numbers(),
+        accel=_numbers(-10.0, 10.0),
+        target_speed=st.none() | _numbers(),
+    )
+    return st.builds(
+        ScenarioConfig,
+        name=_names(),
+        lane_count=st.integers(-1, 8),
+        ego_lane=st.integers(-1, 8),
+        ego_speed=_numbers(),
+        ego_position=_numbers(),
+        ego_accel=_numbers(-10.0, 10.0),
+        v_max=_numbers(),
+        n_random_vehicles=st.integers(0, 50),
+        speed_range=pair,
+        spawn_span=pair,
+        spawn_lanes=st.none() | st.lists(st.integers(0, 8), max_size=4).map(tuple),
+        fixed_others=st.lists(vehicles, max_size=3).map(tuple),
+    )
+
+
+def drift_injections():
+    """Any value of every ``DriftInjection`` field's declared type, valid or not."""
+    return st.builds(
+        DriftInjection,
+        kind=st.sampled_from(DriftInjection.KINDS) | _names(),
+        start_step=st.integers(-10, 1000),
+        end_step=st.integers(-10, 1000),
+        lane=st.integers(-1, 8),
+        position=_numbers(),
+        extent_m=_numbers(),
+        obstacle_kind=_names(),
+        speed_offset=_numbers(),
+        sigma=_numbers(),
+    )
+
+
+def offload_configs():
+    """Any value of every ``OffloadConfig`` field's declared type, valid or not."""
+    return st.builds(
+        OffloadConfig,
+        mode=st.sampled_from(MODES) | _names(),
+        tau=_numbers(-1.0, 2.0),
+        method=st.sampled_from(("ks", "mmd", "KS")) | _names(),
+        alpha=_numbers(-1.0, 2.0),
+        window=st.integers(0, 500),
+        n_ref=st.integers(0, 1000),
+        n_perm=st.integers(0, 500),
+        edge_ms=_numbers(),
+        cloud_ms=_numbers(),
+        rtt_ms=_numbers(),
+        uplink_bytes_per_sample=st.integers(0, 10**6),
     )

@@ -255,7 +255,7 @@ def test_criterion_8_determinism(tmp_path):
 
 @criterion(9, "codec fidelity")
 def test_criterion_9_codec_fidelity():
-    text = describe(reference_scene()).text
+    text = describe(reference_scene())
     for token in ("25.0", "0.0", "361.18", "496", "372.81", "21.2", "0.2"):
         assert token in text, f"expected token {token} missing from description"
 

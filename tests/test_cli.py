@@ -22,7 +22,8 @@ from ecdrive.cli import (
     load_experiment_config,
     main,
 )
-from ecdrive.orchestrator import Metrics, run_episode, write_trace
+from ecdrive.orchestrator import Metrics, run_episode
+from ecdrive.trace import write_trace
 
 
 def base_config(tmp_path: Path) -> dict:
@@ -238,6 +239,22 @@ class TestCmdValidate:
         path = write_config(tmp_path, config)
         assert cmd_validate(str(path)) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", [5, None, ["ks"]])
+    def test_non_string_method_rejected(self, tmp_path, capsys, method):
+        config = base_config(tmp_path)
+        config["offload"]["method"] = method
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        assert "offload: unknown detector method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spawn_lanes", [0, False])
+    def test_spawn_lanes_must_be_a_list(self, tmp_path, capsys, spawn_lanes):
+        config = base_config(tmp_path)
+        config["scenario"]["spawn_lanes"] = spawn_lanes
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        assert "scenario: unknown or malformed field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("window", 40.5), ("n_ref", 200.0),
                                             ("n_perm", 100.0), ("window", True),
@@ -473,6 +490,42 @@ class TestCmdSummarize:
         assert code == EXIT_TRACE
         err = capsys.readouterr().err
         assert victim.name in err and "line 1: malformed header" in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("offload", "window", "a"),
+        ("offload", "window", 0),
+        ("injection", "end_step", "x"),
+    ])
+    def test_invalid_header_config_is_a_trace_error(self, run_outputs, capsys,
+                                                    section, key, value):
+        victim = next((run_outputs / "out").glob("*.jsonl"))
+        lines = victim.read_text().splitlines()
+        header = json.loads(lines[0])
+        config = header["config"]
+        target = config["injections"][0] if section == "injection" else config[section]
+        target[key] = value
+        lines[0] = json.dumps(header, separators=(",", ":"))
+        victim.write_text("\n".join(lines) + "\n")
+        code = cmd_summarize(str(run_outputs / "out" / "*.jsonl"),
+                             str(run_outputs / "bad.csv"))
+        assert code == EXIT_TRACE
+        err = capsys.readouterr().err
+        assert victim.name in err and "line 1: malformed header" in err
+
+    @pytest.mark.parametrize("key, value", [("latency_ms", None), ("latency_ms", "fast"),
+                                            ("bytes_up", "x")])
+    def test_wrongly_typed_record_value_is_a_trace_error(self, run_outputs, capsys,
+                                                         key, value):
+        victim = next((run_outputs / "out").glob("*.jsonl"))
+        lines = victim.read_text().splitlines()
+        record = json.loads(lines[3])
+        record[key] = value
+        lines[3] = json.dumps(record, separators=(",", ":"))
+        victim.write_text("\n".join(lines) + "\n")
+        code = cmd_summarize(str(run_outputs / "out" / "*.jsonl"),
+                             str(run_outputs / "bad.csv"))
+        assert code == EXIT_TRACE
+        assert capsys.readouterr().err.startswith(f"trace error: {victim}: ")
 
     def test_unreadable_match_is_an_io_error(self, tmp_path, capsys):
         (tmp_path / "x.jsonl").mkdir()

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecdrive import (
+    FEATURE_DIM,
+    GAP_SENTINEL,
     Action,
     NoDecisionFound,
     Obstacle,
@@ -19,14 +21,27 @@ from ecdrive import (
     featurize,
     parse_decision,
 )
-from ecdrive.codec import validate_features
 
 from scenarios import reference_scene
 
 
+def validate_features(vec: np.ndarray) -> None:
+    """Raise if a feature vector violates its layout invariants."""
+    if vec.shape != (FEATURE_DIM,):
+        raise ValueError(f"feature vector must have length {FEATURE_DIM}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("feature vector contains non-finite values")
+    for base in (3, 6, 9, 12):
+        gap, _rel, present = vec[base], vec[base + 1], vec[base + 2]
+        if not (0.0 <= gap <= GAP_SENTINEL):
+            raise ValueError(f"gap feature {base} out of [0, 200]")
+        if present not in (0.0, 1.0):
+            raise ValueError(f"present flag {base + 2} must be 0 or 1")
+
+
 class TestDescribe:
     def test_reference_scene_published_values(self):
-        text = describe(reference_scene()).text
+        text = describe(reference_scene())
         assert "rightmost lane of a four-lane road at a speed of 25.0 m/s" in text
         assert "with an acceleration of 0.0 m/s²" in text
         assert "lane position is 361.18 m" in text
@@ -38,7 +53,7 @@ class TestDescribe:
     def test_no_others_gives_single_sentence(self):
         scene = Scene(time=0.0, lane_count=2,
                       ego=VehicleState(id=0, lane=1, position=10.0, speed=15.0))
-        text = describe(scene).text
+        text = describe(scene)
         assert text.count("Vehicle ") == 0
         assert text.startswith("The ego vehicle is traveling in the leftmost lane")
 
@@ -51,7 +66,7 @@ class TestDescribe:
                 VehicleState(id=8, lane=1, position=5.0, speed=10.0),
             ),
         )
-        text = describe(scene).text
+        text = describe(scene)
         assert text.index("Vehicle 8") < text.index("Vehicle 7")
 
     def test_behind_wording(self):
@@ -60,7 +75,7 @@ class TestDescribe:
             ego=VehicleState(id=0, lane=1, position=100.0, speed=10.0),
             others=(VehicleState(id=3, lane=0, position=40.0, speed=12.0),),
         )
-        text = describe(scene).text
+        text = describe(scene)
         assert "Vehicle 3 is in the right lane, behind by 40.00 m" in text
 
     @settings(max_examples=40, deadline=None)
@@ -79,7 +94,7 @@ class TestDescribe:
             others=(VehicleState(id=42, lane=2, position=other_pos,
                                  speed=other_speed, accel=other_accel),),
         )
-        text = describe(scene).text
+        text = describe(scene)
         ego_match = re.search(
             r"at a speed of (-?\d+\.\d) m/s, with an acceleration of (-?\d+\.\d) m/s², "
             r"and its lane position is (-?\d+\.\d\d) m\.",

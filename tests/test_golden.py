@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from ecdrive.cli import EXIT_OK, cmd_run
-from ecdrive.orchestrator import load_trace
+from ecdrive.trace import load_trace
 
 _SMALL_KS = {"method": "ks", "n_ref": 30, "window": 10}
 

@@ -124,6 +124,33 @@ class TestSpawn:
             config.validate()
 
 
+class TestSceneValidate:
+    @staticmethod
+    def _scene(*obstacles) -> Scene:
+        return Scene(time=0.0, lane_count=2,
+                     ego=VehicleState(id=0, lane=0, position=0.0, speed=10.0),
+                     obstacles=obstacles)
+
+    def test_bad_obstacle_rejected(self):
+        with pytest.raises(ScenarioError, match="obstacle"):
+            self._scene(Obstacle(lane=7, position=float("nan"), extent_m=-5.0)).validate()
+
+    @pytest.mark.parametrize("obstacle, message", [
+        (Obstacle(lane=2, position=50.0, extent_m=4.0), "obstacle lane 2 out of range"),
+        (Obstacle(lane=-1, position=50.0, extent_m=4.0), "obstacle lane -1 out of range"),
+        (Obstacle(lane=1, position=float("inf"), extent_m=4.0), "obstacle position inf"),
+        (Obstacle(lane=1, position=50.0, extent_m=0.0), "obstacle extent_m 0.0"),
+        (Obstacle(lane=1, position=50.0, extent_m=float("nan")), "obstacle extent_m nan"),
+    ])
+    def test_each_obstacle_check(self, obstacle, message):
+        with pytest.raises(ScenarioError, match=message):
+            self._scene(Obstacle(lane=0, position=9.0, extent_m=1.0), obstacle).validate()
+
+    def test_valid_obstacles_pass(self):
+        self._scene(Obstacle(lane=0, position=-3.0, extent_m=0.5),
+                    Obstacle(lane=1, position=1e4, extent_m=20.0)).validate()
+
+
 def _oracle_step(scene: Scene, action: Action, dt: float = DEFAULT_DT) -> Scene:
     """``step`` rebuilding every vehicle with ``dataclasses.replace``."""
     ego = scene.ego

@@ -23,7 +23,7 @@ from ecdrive import (
     write_trace,
 )
 from ecdrive import orchestrator
-from ecdrive.orchestrator import trace_lines
+from ecdrive.trace import trace_lines
 
 from scenarios import (
     corridor_config,

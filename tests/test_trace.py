@@ -1,0 +1,258 @@
+"""Trace module tests: the dataclass codec, trace round trips, a strict loader."""
+
+from __future__ import annotations
+
+import json
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from ecdrive import (
+    Action,
+    Decision,
+    DriftInjection,
+    DriftReport,
+    OffloadConfig,
+    ScenarioConfig,
+    StepRecord,
+    VehicleState,
+    from_json,
+    run_episode,
+    to_json,
+)
+from ecdrive import trace as trace_module
+from ecdrive.cli import EXIT_OK, cmd_run
+from ecdrive.trace import load_trace, trace_lines, write_trace
+
+from scenarios import (
+    corridor_config,
+    corridor_obstacle,
+    drift_injections,
+    offload_configs,
+    scenario_configs,
+)
+
+
+def _json_round_trip(cls, value):
+    return from_json(cls, json.loads(json.dumps(to_json(value))))
+
+
+class TestCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(scenario_configs())
+    def test_scenario_config_round_trips(self, config):
+        assert _json_round_trip(ScenarioConfig, config) == config
+
+    @settings(max_examples=150, deadline=None)
+    @given(drift_injections())
+    def test_drift_injection_round_trips(self, injection):
+        assert _json_round_trip(DriftInjection, injection) == injection
+
+    @settings(max_examples=150, deadline=None)
+    @given(offload_configs())
+    def test_offload_config_round_trips(self, config):
+        assert _json_round_trip(OffloadConfig, config) == config
+
+    def test_field_types_map_to_json_and_back(self):
+        record = StepRecord(
+            step=3,
+            feature=np.array([1.5, -0.0, 200.0]),
+            edge_decision=Decision(Action.KEEP, ("a", "b"), 0.25, "Edge"),
+            drift_report=DriftReport(True, np.array([0.01]), np.array([0.4]), 0.05),
+            offloaded=True,
+            offload_reason="Drift",
+            cloud_decision=None,
+            executed_action=Action.LANE_CHANGE_LEFT,
+            latency_ms=850.0,
+            bytes_up=2048,
+            collision=False,
+        )
+        data = to_json(record)
+        assert data == {
+            "step": 3,
+            "feature": [1.5, -0.0, 200.0],
+            "edge_decision": {"action": "Keep", "rationale": ["a", "b"],
+                              "confidence": 0.25, "source": "Edge"},
+            "drift_report": {"is_drift": True, "p_values": [0.01], "statistic": [0.4],
+                             "threshold_used": 0.05},
+            "offloaded": True,
+            "offload_reason": "Drift",
+            "cloud_decision": None,
+            "executed_action": "LaneChangeLeft",
+            "latency_ms": 850.0,
+            "bytes_up": 2048,
+            "collision": False,
+        }
+        back = from_json(StepRecord, data)
+        assert back.executed_action is Action.LANE_CHANGE_LEFT
+        assert back.edge_decision == record.edge_decision
+        assert isinstance(back.edge_decision.rationale, tuple)
+        assert isinstance(back.feature, np.ndarray)
+        assert back.feature.tolist() == [1.5, -0.0, 200.0]
+        assert back.drift_report.p_values.tolist() == [0.01]
+        assert back.cloud_decision is None
+
+    def test_nested_dataclasses_decode(self):
+        config = from_json(ScenarioConfig, {
+            "fixed_others": [{"id": 4, "lane": 1, "position": 80.0, "speed": 12.0}],
+            "spawn_lanes": [1, 2],
+            "speed_range": [10, 20.5],
+        })
+        assert config.fixed_others == (VehicleState(4, 1, 80.0, 12.0),)
+        assert config.spawn_lanes == (1, 2)
+        assert config.speed_range == (10, 20.5)
+
+    def test_missing_keys_take_the_field_default(self):
+        assert from_json(ScenarioConfig, {}) == ScenarioConfig()
+        assert from_json(OffloadConfig, {"window": 12}) == OffloadConfig(window=12)
+
+    def test_missing_key_without_default_is_rejected(self):
+        with pytest.raises(TypeError, match="source"):
+            from_json(Decision, {"action": "Keep", "rationale": [], "confidence": 1.0})
+
+    def test_unknown_key_is_rejected_by_name(self):
+        with pytest.raises(TypeError, match="OffloadConfig has no field 'windw'"):
+            from_json(OffloadConfig, {"windw": 12})
+
+    @pytest.mark.parametrize("data", [None, [], "", 5, ["window"]])
+    def test_non_object_is_rejected(self, data):
+        with pytest.raises(TypeError, match="OffloadConfig must be an object"):
+            from_json(OffloadConfig, data)
+
+    def test_unknown_enum_value_is_a_key_error(self):
+        data = {"action": "Hover", "rationale": [], "confidence": 1.0, "source": "Edge"}
+        with pytest.raises(KeyError):
+            from_json(Decision, data)
+
+    def test_null_only_where_the_type_allows_it(self):
+        record = to_json(run_episode(corridor_config(), (), OffloadConfig(
+            mode="EdgeOnly", n_ref=40, window=10), seed=0, steps=1).records[0])
+        assert record["drift_report"] is None and record["cloud_decision"] is None
+        assert from_json(StepRecord, record).drift_report is None
+        with pytest.raises(TypeError, match="Decision must be an object, got NoneType"):
+            from_json(StepRecord, {**record, "edge_decision": None})
+
+    def test_converters_are_built_once_per_class(self):
+        record = run_episode(corridor_config(), (), OffloadConfig(
+            mode="EdgeOnly", n_ref=40, window=10), seed=0, steps=1).records[0]
+        data = to_json(record)
+        with mock.patch.object(trace_module.typing, "get_type_hints",
+                               side_effect=AssertionError("hints walked again")):
+            assert to_json(record) == data
+            from_json(StepRecord, data)
+
+
+def _episode(mode: str = "CloudOnly", steps: int = 15):
+    cfg = OffloadConfig(mode=mode, tau=0.0, n_ref=40, window=10)
+    return run_episode(corridor_config(), corridor_obstacle(), cfg, seed=2, steps=steps)
+
+
+class TestTraceFile:
+    def test_write_load_serialize_gives_the_same_lines(self, tmp_path):
+        trace = _episode(mode="Collaborative", steps=160)
+        path = tmp_path / "trace.jsonl"
+        write_trace(trace, path)
+        lines = trace_lines(trace)
+        assert any(json.loads(line)["cloud_decision"] for line in lines[1:])
+        assert any(json.loads(line)["drift_report"] for line in lines[1:])
+        assert trace_lines(load_trace(path)) == lines
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_empty_spawn_lanes_write_an_empty_list(self, tmp_path):
+        # () and None both mean every lane, so only the header differs
+        texts = {}
+        for name, spawn_lanes in (("empty", []), ("null", None)):
+            config = {
+                "scenario": {"name": name, "lane_count": 3, "ego_lane": 1,
+                             "n_random_vehicles": 8, "spawn_span": [60.0, 900.0],
+                             "spawn_lanes": spawn_lanes},
+                "offload": {"mode": "CloudOnly", "n_ref": 40, "window": 10},
+                "seeds": [0],
+                "steps": 20,
+                "output_dir": str(tmp_path / name),
+            }
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            assert cmd_run(str(path)) == EXIT_OK
+            texts[name] = (tmp_path / name / f"{name}_CloudOnly_0.jsonl").read_text()
+        empty, null = (texts[k].splitlines() for k in ("empty", "null"))
+        assert json.loads(empty[0])["config"]["scenario"]["spawn_lanes"] == []
+        assert json.loads(null[0])["config"]["scenario"]["spawn_lanes"] is None
+        assert empty[1:] == null[1:]
+        assert empty[0].replace('"name":"empty"', '"name":"null"').replace(
+            '"spawn_lanes":[]', '"spawn_lanes":null') == null[0]
+
+
+def _mutated_trace(tmp_path, line_index: int, mutate) -> str:
+    """Write a CloudOnly episode, apply ``mutate`` to the JSON object on one
+    line (0 is the header) and return the file's path."""
+    path = tmp_path / "trace.jsonl"
+    write_trace(_episode(), path)
+    lines = path.read_text().splitlines()
+    data = json.loads(lines[line_index])
+    mutate(data)
+    lines[line_index] = json.dumps(data)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _set(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def mutate(data):
+        for key in keys[:-1]:
+            data = data[key]
+        data[keys[-1]] = value
+
+    return mutate
+
+
+def _delete(*keys):
+    def mutate(data):
+        for key in keys[:-1]:
+            data = data[key]
+        del data[keys[-1]]
+
+    return mutate
+
+
+class TestStrictLoader:
+    @pytest.mark.parametrize("mutate", [
+        _set("extra", 1),
+        _delete("edge_decision", "source"),
+        _set("edge_decision", None),
+        _set("executed_action", "Hover"),
+        _set("edge_decision", "action", "keep"),
+        _set("cloud_decision", "extra", 1),
+        _set("drift_report", "extra", 1),
+        _delete("drift_report", "threshold_used"),
+        _set("cloud_decision", "rationale", None),
+    ], ids=["unknown_record_key", "decision_without_source", "null_edge_decision",
+            "unknown_action", "action_in_lower_case", "unknown_decision_key",
+            "unknown_report_key", "report_without_threshold", "null_rationale"])
+    def test_malformed_record_names_its_line(self, tmp_path, mutate):
+        # line 14 holds step 12: a cloud decision and a full-window drift report
+        path = _mutated_trace(tmp_path, 13, mutate)
+        with pytest.raises(ValueError, match=r"trace\.jsonl: line 14: malformed record"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("mutate", [
+        _set("config", "offload", "window", "a"),
+        _set("config", "offload", "window", 0),
+        _set("config", "offload", "method", 5),
+        _set("config", "injections", 0, "end_step", "x"),
+        _set("config", "scenario", "lane_count", 0),
+        _set("config", "scenario", "extra", 1),
+        _set("summary", "extra", 1),
+    ], ids=["window_a", "window_0", "method_5", "end_step_x", "no_lanes",
+            "unknown_scenario_key", "unknown_summary_key"])
+    def test_header_configs_are_validated(self, tmp_path, mutate):
+        path = _mutated_trace(tmp_path, 0, mutate)
+        with pytest.raises(ValueError, match=r"trace\.jsonl: line 1: malformed header"):
+            load_trace(path)
+
+    def test_an_untouched_trace_loads(self, tmp_path):
+        path = _mutated_trace(tmp_path, 0, lambda data: None)
+        assert len(load_trace(path).records) == 15

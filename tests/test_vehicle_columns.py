@@ -228,7 +228,7 @@ class TestColumnReaders:
     @given(scene=SCENES)
     @example(scene=_tie_scene())
     def test_text_matches_oracle(self, scene):
-        _same(describe(scene).text, _oracle_describe(scene))
+        _same(describe(scene), _oracle_describe(scene))
         perceived = [r for r in cloud_decide(scene).rationale
                      if r.startswith("perceived: vehicle")]
         assert perceived == _oracle_perceived(scene)
