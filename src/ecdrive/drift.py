@@ -19,13 +19,18 @@ same way and shares that function. D lies on a lattice of multiples of
 memoized in a bounded cache.
 
 The MMD test uses the unbiased MMD^2 estimator (Gretton et al., "A Kernel
-Two-Sample Test", JMLR 2012). Its permutations are drawn once per fitted
-detector, in ``default_rng(seed)`` order, so every window is tested against
-the same permutations; ``fit`` also reduces the reference-reference kernel
-block to per-permutation sums. An episode slides a :class:`SlidingWindow`
-one sample per step: ``push`` evaluates only the kernel entries of the
-sample that enters (its column against the reference and its row against
-the window) and caches them, and ``predict`` combines the cached terms, so
+Two-Sample Test", JMLR 2012). A squared distance adds the squared
+coordinate differences one feature at a time, never through BLAS, so the
+observed statistic does not depend on the BLAS build, a row's distance to
+itself is exactly 0 and every self-kernel is exactly 1. Its permutations
+are drawn once per fitted detector, in ``default_rng(seed)`` order, so
+every window is tested against the same permutations; ``fit`` computes the
+reference's squared distances once, for the median-heuristic bandwidth and
+the reference-reference kernel block, and reduces that block to
+per-permutation sums. An episode slides a :class:`SlidingWindow` one
+sample per step: ``push`` evaluates only the kernel entries of the sample
+that enters (its column against the reference and its row against the
+window) and keeps the terms a test needs, and ``predict`` combines them, so
 no kernel entry is evaluated twice. A plain array passed to ``predict``
 fills a fresh window first, so both go through one code path. A
 permuted statistic counts as reaching the observed one when it is at least
@@ -176,28 +181,38 @@ def ks_two_sample(a, b) -> tuple[float, float]:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of a and of b, clipped at 0."""
-    sq_a = np.sum(a * a, axis=1)
-    sq_b = np.sum(b * b, axis=1)
-    return np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * a @ b.T, 0.0)
+    """Squared Euclidean distances between the rows of a and of b.
+
+    Each entry adds the squared coordinate differences one feature at a
+    time, in feature order, as :class:`SlidingWindow` does, so no entry
+    goes through BLAS and a row's distance to an equal row is exactly 0.
+    """
+    out = np.zeros((a.shape[0], b.shape[0]))
+    diff = np.empty_like(out)
+    for k in range(a.shape[1]):
+        np.subtract.outer(a[:, k], b[:, k], out=diff)
+        np.multiply(diff, diff, out=diff)
+        out += diff
+    return out
+
+
+def _median_distance(sq_dists: np.ndarray) -> float:
+    """Median off-diagonal distance of a square matrix of squared
+    distances; 1.0 when degenerate."""
+    iu = np.triu_indices(sq_dists.shape[0], k=1)
+    med = float(np.median(np.sqrt(sq_dists[iu])))
+    return med if med > 0.0 else 1.0
 
 
 def median_bandwidth(reference: np.ndarray) -> float:
     """Median pairwise Euclidean distance of the rows; 1.0 when degenerate."""
-    iu = np.triu_indices(reference.shape[0], k=1)
-    med = float(np.median(np.sqrt(_sq_dists(reference, reference)[iu])))
-    return med if med > 0.0 else 1.0
+    return _median_distance(_sq_dists(reference, reference))
 
 
-def _rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidth: float) -> np.ndarray:
-    """RBF kernel block k(a_i, b_j) = exp(-||a_i - b_j||^2 / (2 bandwidth^2))."""
-    return np.exp(-_sq_dists(a, b) / (2.0 * bandwidth * bandwidth))
-
-
-def _offdiag_mean(k_block: np.ndarray) -> np.float64:
-    """Mean of a square kernel block over its off-diagonal entries."""
-    n = k_block.shape[0]
-    return (k_block.sum() - np.trace(k_block)) / (n * (n - 1))
+def _rbf(sq_dists: np.ndarray, bandwidth: float, out: np.ndarray | None = None) -> np.ndarray:
+    """RBF kernel entries exp(-d^2 / (2 bandwidth^2)) of squared distances d^2."""
+    out = np.divide(sq_dists, -2.0 * bandwidth * bandwidth, out=out)
+    return np.exp(out, out=out)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,21 +233,24 @@ class _MmdReference:
     m, oldest sample first), row i of the 0/1 masks ``[a_x, a_y]`` marks
     the rows permutation i assigns to the x side; b = 1 - a marks the y
     side. A permuted MMD^2 weighs its x-x, y-y and x-y kernel sums by
-    u = 1/(n(n-1)), v = 1/(m(m-1)) and -w = -2/(nm). The sums over pairs
-    of reference rows are fixed, so ``ref_part`` holds each permutation's
-    weighted reference-pair sums. With S = a_x K_xy, c the column sums of
-    K_xy and K = K_yy, the rest is linear in the window's kernel blocks:
+    u = 1/(n(n-1)), v = 1/(m(m-1)) and -w = -2/(nm). Every self-kernel is
+    exactly 1, so the x-x and y-y sums leave out n and m self-pairs under
+    every permutation. The sums over pairs of reference rows are fixed, so
+    ``ref_part`` holds each permutation's weighted reference-pair sums,
+    with -u n for the x side's self-pairs. With S = a_x K_xy, c the column
+    sums of K_xy and K = K_yy, the rest is linear in the window's kernel
+    blocks:
 
-        x-x  2 rowdot(S, a) + rowdot(aK, a) - a.diag(K)
+        x-x  2 rowdot(S, a) + rowdot(aK, a)
         y-y  2 (sum c - a.c - rowsum(S) + rowdot(S, a))
-             + sum K - 2 rowsum(aK) + rowdot(aK, a) - trace K + a.diag(K)
+             + sum K - 2 rowsum(aK) + rowdot(aK, a) - m
         x-y  rowsum(S) - 2 rowdot(S, a) + a.c + rowsum(aK) - rowdot(aK, a)
 
     Collected per term, a permuted MMD^2 is ``ref_part``
-    + rowdot(S, xy_weights) + rowdot(aK, yy_weights)
-    + a.(col_weight c + diag_weight diag(K))
-    + const_weight (2 sum c + sum K - trace K).
-    ``term_xx`` is the observed statistic's x-x term.
+    + rowdot(S, xy_weights^T) + rowdot(aK, yy_weights) + col_weight a.c
+    + const_weight (2 sum c + sum K - m). ``xy_weights`` is stored
+    transposed (m x n_perm), one row per window position, as the window
+    stores S. ``term_xx`` is the observed statistic's x-x term.
     """
 
     term_xx: np.float64
@@ -242,40 +260,38 @@ class _MmdReference:
     xy_weights: np.ndarray
     yy_weights: np.ndarray
     col_weight: float
-    diag_weight: float
     const_weight: float
 
 
 def _mmd_reference(
-    x: np.ndarray, window: int, bandwidth: float, n_perm: int, seed: int
+    sq_dists: np.ndarray, window: int, bandwidth: float, n_perm: int, seed: int
 ) -> _MmdReference:
-    """Draw the permutations and reduce the reference kernel block once."""
+    """Draw the permutations and reduce the reference kernel block once,
+    from the reference's squared distances."""
     if n_perm < 20:
         raise ValueError("n_perm must be >= 20")
-    n = x.shape[0]
+    n = sq_dists.shape[0]
     total = n + window
     rng = np.random.default_rng(seed)
     in_x = np.zeros((n_perm, total))
     for row in in_x:
         row[rng.permutation(total)[:n]] = 1.0
-    k_xx = _rbf_kernel(x, x, bandwidth)
-    diag = np.diag(k_xx)
+    k_xx = _rbf(sq_dists, bandwidth)
     a_x, a_y = in_x[:, :n], in_x[:, n:]
     b_x = 1.0 - a_x
     ak_xx = a_x @ k_xx
-    sum_aa = _rowdot(ak_xx, a_x) - a_x @ diag
-    sum_bb = _rowdot(b_x @ k_xx, b_x) - b_x @ diag
+    sum_aa = _rowdot(ak_xx, a_x) - n
+    sum_bb = _rowdot(b_x @ k_xx, b_x)
     sum_ab = _rowdot(ak_xx, b_x)
     u, v, w = 1.0 / (n * (n - 1)), 1.0 / (window * (window - 1)), 2.0 / (n * window)
     return _MmdReference(
-        term_xx=_offdiag_mean(k_xx),
+        term_xx=(k_xx.sum() - n) / (n * (n - 1)),
         a_x=_readonly(np.ascontiguousarray(a_x)),
         a_y=_readonly(np.ascontiguousarray(a_y)),
         ref_part=_readonly(u * sum_aa + v * sum_bb - w * sum_ab),
-        xy_weights=_readonly(2.0 * (u + v + w) * a_y - (2.0 * v + w)),
+        xy_weights=_readonly(np.ascontiguousarray((2.0 * (u + v + w) * a_y - (2.0 * v + w)).T)),
         yy_weights=_readonly((u + v + w) * a_y - (2.0 * v + w)),
         col_weight=-(2.0 * v + w),
-        diag_weight=v - u,
         const_weight=v,
     )
 
@@ -291,13 +307,18 @@ class SlidingWindow:
     complex keys. Values and both fractions are stored feature-major
     (n_features x window), so a window test sorts only the window and
     never touches the reference; slot order does not matter to KS.
-    For the MMD detector ``push`` stores the kernel terms of the sample
-    that enters: its kernel column against the reference and that column's
-    sum, its kernel row and column in the window-window block, and
-    ``a_x @ column`` for every permutation. A window test then reads cached
-    terms only, so no kernel entry is evaluated twice. Each slot s of these
-    caches is stored at s and at s + window, so the window, oldest sample
-    first, is a plain slice from the oldest sample's slot.
+    For the MMD detector the reference and the ring are stored
+    feature-major too, side by side, and ``push`` evaluates the kernel
+    entries of the sample that enters against both at once: the squared
+    differences of each feature, added one feature at a time (as
+    ``_sq_dists`` adds them, without BLAS), so its entry against itself is
+    exactly 1. It keeps the sum of its column against the reference,
+    ``a_x @ column`` for every permutation (one contiguous row per slot)
+    and its row and column in the window-window block; the column itself
+    is not kept. A window test then reads these terms only, so no kernel
+    entry is evaluated twice. Each slot s of these caches is stored at s
+    and at s + window, so the window, oldest sample first, is a plain
+    slice from the oldest sample's slot.
     """
 
     def __init__(self, detector: DriftDetector):
@@ -316,17 +337,15 @@ class SlidingWindow:
             self._query = np.zeros((m, d), dtype=np.complex128)
             self._query.real = np.arange(d)
             return
-        # reference rows, then the ring; zeros keep unfilled slots finite
-        self._stacked = np.zeros((n + m, d))
-        self._stacked[:n] = detector.reference
-        self._rows = self._stacked[n:]
-        self._sq_norms = np.zeros(n + m)
-        self._sq_norms[:n] = np.sum(detector.reference * detector.reference, axis=1)
-        self._pair = np.empty((2, d))
-        self._k_xy = np.empty((n, 2 * m))
+        # reference columns, then the ring; zeros keep unfilled slots finite
+        self._stacked = np.zeros((d, n + m))
+        self._stacked[:, :n] = detector.reference.T
+        self._rows = self._stacked[:, n:].T
+        self._diffs = np.empty((d, n + m))
+        self._kernel = np.empty(n + m)
         self._k_yy = np.empty((2 * m, 2 * m))
         self._col_sums = np.empty(2 * m)
-        self._ak_xy = np.empty((detector.n_perm, 2 * m))
+        self._ak_xy = np.empty((2 * m, detector.n_perm))
 
     @property
     def full(self) -> bool:
@@ -345,7 +364,7 @@ class SlidingWindow:
         if self.detector.method == "ks":
             self._store_ranks(slot, row)
         else:
-            self._store_kernel_terms(slot)
+            self._store_kernel_terms(slot, row)
 
     def _store_ranks(self, slots: int | slice, rows: np.ndarray) -> None:
         """Rank one sample (an int slot) or a block of them (a slice)
@@ -358,25 +377,18 @@ class SlidingWindow:
         self._at[:, slots] = (at / n).T
         self._below[:, slots] = (below / n).T
 
-    def _store_kernel_terms(self, slot: int) -> None:
+    def _store_kernel_terms(self, slot: int, row: np.ndarray) -> None:
         detector = self.detector
         n, m = detector.n_ref, detector.window
-        sq_norms = self._sq_norms
-        sq_norms[n + slot] = np.sum(self._rows[slot] * self._rows[slot])
-        # The sample row goes in twice because a product with two or more
-        # columns rounds each entry as the whole-block products of
-        # _sq_dists do, while a matrix-vector product does not (OpenBLAS
-        # 0.3.31, 200 random shapes: no entry differed at widths 2, 4 and 8;
-        # the vector product differed in 193), and the observed statistic
-        # must not change.
-        self._pair[:] = self._rows[slot]
-        dots = (self._stacked @ self._pair.T)[:, 0]
-        sq_dists = np.maximum(sq_norms + sq_norms[n + slot] - 2.0 * dots, 0.0)
-        kernel = np.exp(-sq_dists / (2.0 * detector.bandwidth * detector.bandwidth))
+        diffs = np.subtract(self._stacked, row[:, None], out=self._diffs)
+        np.multiply(diffs, diffs, out=diffs)
+        # a reduction over the outer axis adds the features in order
+        kernel = np.add.reduce(diffs, axis=0, out=self._kernel)
+        _rbf(kernel, detector.bandwidth, out=kernel)
         column = kernel[:n]
-        self._k_xy[:, slot] = self._k_xy[:, slot + m] = column
         self._col_sums[slot] = self._col_sums[slot + m] = column.sum()
-        self._ak_xy[:, slot] = self._ak_xy[:, slot + m] = detector._mmd.a_x @ column
+        np.dot(detector._mmd.a_x, column, out=self._ak_xy[slot])
+        self._ak_xy[slot + m] = self._ak_xy[slot]
         k_yy = self._k_yy
         k_yy[slot, :m] = k_yy[slot, m:] = kernel[n:]
         k_yy[slot + m] = k_yy[:, slot] = k_yy[:, slot + m] = k_yy[slot]
@@ -399,33 +411,32 @@ def _filled_window(detector: DriftDetector, rows: np.ndarray) -> SlidingWindow:
 def _mmd_test(window: SlidingWindow) -> tuple[float, float]:
     """Observed unbiased MMD^2 of a full window and its permutation p-value.
 
-    The observed statistic sums C-contiguous copies of the window's kernel
-    blocks, oldest sample first, laid out as a from-scratch evaluation lays
-    them out, so it adds in the same order (numpy sums a strided block of
-    more than 8192 entries in another order). The permuted statistics
-    combine the cached terms with the weights of :class:`_MmdReference`.
+    The observed x-y sum adds the window's per-slot column sums, oldest
+    sample first; the y-y sum is taken over a C-contiguous copy of the
+    window's block, laid out oldest sample first. Every self-kernel is
+    exactly 1, so the off-diagonal sums subtract n and m. The permuted
+    statistics combine the cached terms with the weights of
+    :class:`_MmdReference`.
     """
     detector = window.detector
     reference = detector._mmd
     n, m = detector.n_ref, detector.window
     oldest = window.pushed % m
     ages = slice(oldest, oldest + m)
-    k_xy = window._k_xy[:, ages].copy()
+    col_sums = window._col_sums[ages]
     k_yy = window._k_yy[ages, ages].copy()
-    total_xy = k_xy.sum()
-    offdiag_yy = k_yy.sum() - np.trace(k_yy)
+    total_xy = col_sums.sum()
+    offdiag_yy = k_yy.sum() - m
     observed = float(
         reference.term_xx + offdiag_yy / (m * (m - 1)) - 2.0 * (total_xy / (n * m))
     )
 
     a = reference.a_y
-    window_part = reference.col_weight * window._col_sums[ages]
-    window_part += reference.diag_weight * np.diag(k_yy)
     permuted = (
         reference.ref_part
-        + _rowdot(window._ak_xy[:, ages], reference.xy_weights)
+        + np.einsum("ji,ji->i", window._ak_xy[ages], reference.xy_weights)
         + _rowdot(a @ k_yy, reference.yy_weights)
-        + a @ window_part
+        + reference.col_weight * (a @ col_sums)
         + reference.const_weight * (2.0 * total_xy + offdiag_yy)
     )
     exceed = int(np.count_nonzero(permuted >= observed - TIE_TOLERANCE))
@@ -465,7 +476,7 @@ def mmd_permutation(
         rng_seed=seed,
         n_perm=n_perm,
         bandwidth=bandwidth,
-        _mmd=_mmd_reference(x, y.shape[0], bandwidth, n_perm, seed),
+        _mmd=_mmd_reference(_sq_dists(x, x), y.shape[0], bandwidth, n_perm, seed),
     )
     return _mmd_test(_filled_window(detector, y))
 
@@ -504,8 +515,12 @@ def fit(
         keys.real = np.arange(ref.shape[1])[:, None]
         keys.imag = np.sort(ref, axis=0).T
         keys = _readonly(keys)
-    bandwidth = median_bandwidth(ref) if method == "mmd" else 1.0
-    mmd = _mmd_reference(ref, window, bandwidth, n_perm, seed) if method == "mmd" else None
+    bandwidth, mmd = 1.0, None
+    if method == "mmd":
+        # one distance matrix serves the bandwidth and the reference kernel block
+        sq_dists = _sq_dists(ref, ref)
+        bandwidth = _median_distance(sq_dists)
+        mmd = _mmd_reference(sq_dists, window, bandwidth, n_perm, seed)
     return DriftDetector(
         reference=ref,
         method=method,

@@ -9,7 +9,12 @@ Enum travels as its value, a tuple or ndarray as a list, ``X | None`` as
 null or X, a nested dataclass as an object, and anything else as it is.
 Decoding rejects unknown keys, and a missing key takes the field's default
 (a field without one raises ``TypeError``). An Enum value decodes through a
-``{value: member}`` dict, so an unknown value raises ``KeyError``.
+``{value: member}`` dict, so an unknown value raises ``KeyError``. Outside
+config classes, which check their own fields in ``validate``, a scalar or
+array field of the wrong JSON type raises ``TypeError``: a bool is not a
+number, a float field takes an int or a float, and an array is a flat list
+of numbers (numpy's conversion, which reads a boolean among numbers as 0 or
+1, judges its elements).
 """
 
 from __future__ import annotations
@@ -30,27 +35,69 @@ from .orchestrator import EpisodeTrace, Metrics, OffloadConfig, StepRecord
 
 TRACE_SCHEMA_VERSION = "1"
 
+# The JSON value types a scalar or array field accepts: a bool is not a
+# number, and a float field takes an int as well.
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), np.ndarray: (list,)}
+
+
+def _wrong_type(cls, name: str, types: tuple, value) -> TypeError:
+    expected = " or ".join(t.__name__ for t in types)
+    return TypeError(f"{cls.__name__}.{name} must be {expected}, got {value!r}")
+
+
+def _decode_array(value: list) -> np.ndarray:
+    array = np.asarray(value)
+    # numpy's conversion judges the elements: a null, a string, a nested
+    # list or a list of only booleans has another kind or shape
+    if array.ndim != 1 or array.dtype.kind not in "fi":
+        raise TypeError(f"an array must be a flat list of numbers, got {value!r}")
+    return array
+
+
+def _full_decoder(cls, pairs: tuple, checked: tuple):
+    """The decoder of an object that holds every field of ``cls``, generated
+    as one function, the way ``dataclasses`` generates ``__init__``: it
+    checks the JSON type of each checked field inline and calls the
+    constructor positionally (field order is constructor order). It
+    returns None when a check fails."""
+    scope = {"cls": cls}
+    args, tests = [], []
+    for i, (name, decode) in enumerate(pairs):
+        scope[f"decode{i}"] = decode
+        args.append(f"data[{name!r}]" if decode is None else f"decode{i}(data[{name!r}])")
+    for i, (name, types) in enumerate(checked):
+        scope[f"types{i}"] = types
+        tests.append(f"type(data[{name!r}]) in types{i}")
+    exec(
+        "def decode_full(data):\n"
+        f"    if {' and '.join(tests) or 'True'}:\n"
+        f"        return cls({', '.join(args)})\n",
+        scope,
+    )
+    return scope["decode_full"]
+
 
 @functools.cache
-def _codec(hint) -> tuple:
+def _codec(hint, typed: bool = True) -> tuple:
     """(encode, decode) for values of one type hint; ``None`` passes a value
-    through unchanged."""
+    through unchanged. With ``typed``, dataclass decoders check the JSON
+    types of scalar and array fields (see :func:`_dataclass_codec`)."""
     if dataclasses.is_dataclass(hint):
-        return _dataclass_codec(hint)
+        return _dataclass_codec(hint, typed)
     if isinstance(hint, type) and issubclass(hint, Enum):
         return operator.attrgetter("value"), {m.value: m for m in hint}.__getitem__
     if hint is np.ndarray:
-        return np.ndarray.tolist, np.asarray
+        return np.ndarray.tolist, _decode_array
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:  # homogeneous: tuple[X, ...] or (X, X)
-        encode, decode = _codec(args[0])
+        encode, decode = _codec(args[0], typed)
         return (
             list if encode is None else lambda v: [encode(x) for x in v],
             tuple if decode is None else lambda v: tuple(map(decode, v)),
         )
     if type(None) in args:
         (inner,) = (a for a in args if a is not type(None))
-        encode, decode = _codec(inner)
+        encode, decode = _codec(inner, typed)
         return (
             encode and (lambda v: None if v is None else encode(v)),
             decode and (lambda v: None if v is None else decode(v)),
@@ -58,14 +105,22 @@ def _codec(hint) -> tuple:
     return None, None
 
 
-def _dataclass_codec(cls) -> tuple:
+def _dataclass_codec(cls, typed: bool) -> tuple:
+    """The codec of one dataclass. Its decoder checks the JSON type of every
+    scalar and array field unless ``cls`` has a ``validate`` method: a
+    config class checks its own fields, and those of the dataclasses inside
+    it, with messages that name them."""
     hints = typing.get_type_hints(cls)
     names = tuple(f.name for f in dataclasses.fields(cls))
-    encoders, decoders = zip(*(_codec(hints[name]) for name in names))
+    typed = typed and not hasattr(cls, "validate")
+    encoders, decoders = zip(*(_codec(hints[name], typed) for name in names))
     # one extra name keeps the getter's result a tuple for a one-field class
     values = operator.attrgetter(*names, names[0])
     known = frozenset(names)
     pairs = tuple(zip(names, decoders))
+    # the scalar and array fields, whose JSON types decode checks
+    checked = tuple((n, t) for n in names if typed and (t := _JSON_TYPES.get(hints[n])))
+    decode_full = _full_decoder(cls, pairs, checked)
 
     def encode(obj) -> dict:
         return {
@@ -79,9 +134,11 @@ def _dataclass_codec(cls) -> tuple:
         if not known.issuperset(data):
             unknown = next(k for k in data if k not in known)
             raise TypeError(f"{cls.__name__} has no field {unknown!r}")
-        # every field given: a positional call (field order is constructor order) is faster
-        if len(data) == len(names):
-            return cls(*[data[k] if dec is None else dec(data[k]) for k, dec in pairs])
+        if len(data) == len(names) and (obj := decode_full(data)) is not None:
+            return obj
+        for name, types in checked:
+            if name in data and type(data[name]) not in types:
+                raise _wrong_type(cls, name, types, data[name])
         return cls(**{
             k: data[k] if dec is None else dec(data[k]) for k, dec in pairs if k in data
         })
@@ -99,8 +156,8 @@ def from_json(cls, data):
     return _codec(cls)[1](data)
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# one encoder for every line: json.dumps would build one per call
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def trace_lines(trace: EpisodeTrace) -> list[str]:

@@ -527,6 +527,33 @@ class TestCmdSummarize:
         assert code == EXIT_TRACE
         assert capsys.readouterr().err.startswith(f"trace error: {victim}: ")
 
+    @pytest.mark.parametrize("keys, value", [
+        (["feature"], None),
+        (["offloaded"], "yes"),
+        (["offload_reason"], 5),
+        (["latency_ms"], True),
+        (["edge_decision", "confidence"], "x"),
+        (["edge_decision", "source"], []),
+    ])
+    def test_wrongly_typed_value_is_a_malformed_record_on_its_line(
+        self, run_outputs, capsys, keys, value
+    ):
+        victim = next((run_outputs / "out").glob("*.jsonl"))
+        lines = victim.read_text().splitlines()
+        record = json.loads(lines[3])
+        parent = record
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        lines[3] = json.dumps(record, separators=(",", ":"))
+        victim.write_text("\n".join(lines) + "\n")
+        code = cmd_summarize(str(run_outputs / "out" / "*.jsonl"),
+                             str(run_outputs / "bad.csv"))
+        assert code == EXIT_TRACE
+        err = capsys.readouterr().err
+        assert err.startswith(f"trace error: {victim}: line 4: malformed record (")
+        assert keys[-1] in err
+
     def test_unreadable_match_is_an_io_error(self, tmp_path, capsys):
         (tmp_path / "x.jsonl").mkdir()
         code = cmd_summarize(str(tmp_path / "*.jsonl"), str(tmp_path / "o.csv"))

@@ -25,10 +25,17 @@ from ecdrive import (
 
 
 def rbf_block(a, b, bandwidth):
-    sq_a = np.sum(a * a, axis=1)
-    sq_b = np.sum(b * b, axis=1)
-    d2 = np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * a @ b.T, 0.0)
+    """Kernel block from squared coordinate differences, added one feature at a time."""
+    d2 = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        diff = a[:, k, None] - b[None, :, k]
+        d2 += diff * diff
     return np.exp(-d2 / (2.0 * bandwidth * bandwidth))
+
+
+def cross_sum(k_xy):
+    """Sum of an x-y kernel block as the detector adds it: per y column, then across."""
+    return np.array([column.sum() for column in k_xy.T]).sum()
 
 
 def loop_mmd_permutation(kernel, n, n_perm, seed):
@@ -41,7 +48,7 @@ def loop_mmd_permutation(kernel, n, n_perm, seed):
         a, b = idx_x.size, idx_y.size
         term_xx = (k_xx.sum() - np.trace(k_xx)) / (a * (a - 1))
         term_yy = (k_yy.sum() - np.trace(k_yy)) / (b * (b - 1))
-        return float(term_xx + term_yy - 2.0 * (k_xy.sum() / (a * b)))
+        return float(term_xx + term_yy - 2.0 * (cross_sum(k_xy) / (a * b)))
 
     total = kernel.shape[0]
     observed = mmd2(np.arange(n), np.arange(n, total))
@@ -59,7 +66,8 @@ def block_mmd_test(x, y, bandwidth, n_perm, seed):
     A copy of the batched test as it ran before the sliding window: the
     masks and the reference-pair sums come from the same draws and
     reductions as at ``fit``, the x-y and y-y blocks from scratch and every
-    permutation's sums from mask-times-kernel block products.
+    permutation's sums from mask-times-kernel block products. The observed
+    x-y sum adds per-column sums, in the window's summation order.
     """
     n, m = x.shape[0], y.shape[0]
     rng = np.random.default_rng(seed)
@@ -83,7 +91,7 @@ def block_mmd_test(x, y, bandwidth, n_perm, seed):
 
     k_xy = rbf_block(x, y, bandwidth)
     k_yy = rbf_block(y, y, bandwidth)
-    observed = float(offdiag_mean(k_xx) + offdiag_mean(k_yy) - 2.0 * (k_xy.sum() / (n * m)))
+    observed = float(offdiag_mean(k_xx) + offdiag_mean(k_yy) - 2.0 * (cross_sum(k_xy) / (n * m)))
     ak_xy, bk_xy = a_x @ k_xy, b_x @ k_xy
     ak_yy, bk_yy = a_y @ k_yy, b_y @ k_yy
     diag = np.diag(k_yy)
@@ -414,16 +422,11 @@ class TestMmd:
             y = rng.normal(loc=0.1 * (seed % 4), size=(m, d))
             bandwidth = median_bandwidth(x)
             got = mmd_permutation(x, y, bandwidth=bandwidth, n_perm=40, seed=seed)
-            # kernel assembled block by block, as the batched test evaluates it
-            k_xy = rbf_block(x, y, bandwidth)
-            kernel = np.block([[rbf_block(x, x, bandwidth), k_xy],
-                               [k_xy.T, rbf_block(y, y, bandwidth)]])
-            assert got == loop_mmd_permutation(kernel, n, 40, seed)
-            # one kernel over the stacked sample: summation order may differ
+            # one kernel over the stacked sample: each entry depends only on
+            # its two rows, so it equals the entry of the block it falls in
             stacked = np.vstack([x, y])
-            mmd2, p = loop_mmd_permutation(rbf_block(stacked, stacked, bandwidth), n, 40, seed)
-            assert got[0] == pytest.approx(mmd2, rel=0.0, abs=1e-12)
-            assert got[1] == p
+            kernel = rbf_block(stacked, stacked, bandwidth)
+            assert got == loop_mmd_permutation(kernel, n, 40, seed)
 
     def test_validation_errors(self):
         x = np.zeros((5, 2))
@@ -476,8 +479,8 @@ class TestMmdDetector:
 
 
 class TestSlidingWindow:
-    # 210 x 40 kernel entries exceed numpy's 8192-element reduction buffer,
-    # past which a strided block sums in another order than a contiguous one
+    # 210 x 40 x-y kernel entries exceed numpy's 8192-element reduction
+    # buffer, past which a whole block would sum in another order
     SHAPES = [(200, 40, 15), (30, 10, 1), (57, 13, 4), (45, 12, 3), (210, 40, 3)]
 
     @pytest.mark.parametrize("n_ref, window, d", SHAPES)

@@ -1,17 +1,21 @@
 """Golden traces: the sha256 of every trace ``ecdrive run`` writes for a few
-small KS configs is pinned, so a change to the world, the policies, the
+small configs is pinned, so a change to the world, the policies, the
 detector or the serializer that alters any byte of a seeded trace fails here.
 
-MMD traces are not hashed: their kernel sums go through BLAS, whose rounding
-may differ between hosts in the last ulp. For a few small MMD configs the
-per-step drift decisions, p-values and offload steps are pinned exactly
-instead, and the statistic within 1e-12 (``golden_mmd.json``).
+The MMD statistic is formed without BLAS, so one vehicle-rich MMD config is
+hashed too, and a test runs it under two OpenBLAS kernels and compares the
+bytes. For a few small MMD configs the per-step drift decisions, p-values
+and offload steps are also pinned exactly, and the statistic within 1e-12
+(``golden_mmd.json``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,6 +98,15 @@ CASES = {
         "seeds": [2],
         "steps": 60,
     },
+    # the MMD detector at its default size on a road with traffic: the
+    # kernel entries take many distinct values
+    "highway_mmd": {
+        "scenario": _open_highway(),
+        "injections": [],
+        "offload": {"mode": "Collaborative", "method": "mmd"},
+        "seeds": [0],
+        "steps": 200,
+    },
 }
 
 GOLDEN = {
@@ -119,6 +132,10 @@ GOLDEN = {
         "adjacent_Collaborative_2.jsonl":
             "deeecca1492761d74dd493889214d3c21b2da4851b0e9dce91aa0de6ca1f6acb",
     },
+    "highway_mmd": {
+        "open_highway_Collaborative_0.jsonl":
+            "0f2744fd84dba3d49630197dca79bde965a8428128d76dd225d3e3a2de702535",
+    },
 }
 
 
@@ -136,6 +153,55 @@ def _run_hashes(tmp_path, config: dict) -> dict[str, str]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_traces_match_golden_hashes(tmp_path, capsys, case):
     assert _run_hashes(tmp_path, CASES[case]) == GOLDEN[case]
+
+
+# A child process: prints the sha256 of a probe matrix product, then runs
+# the config given as JSON into the directory given and prints the sha256
+# of every trace.
+_CHILD = """
+import contextlib, hashlib, json, sys
+from pathlib import Path
+import numpy as np
+rng = np.random.default_rng(0)
+probe = rng.normal(size=(64, 15))
+print(hashlib.sha256((probe @ probe.T).tobytes()).hexdigest(), flush=True)
+from ecdrive.cli import cmd_run
+out = Path(sys.argv[2])
+config = out / "config.json"
+config.write_text(json.dumps({**json.loads(sys.argv[1]), "output_dir": str(out / "out")}))
+with contextlib.redirect_stdout(sys.stderr):
+    assert cmd_run(str(config)) == 0
+for trace in sorted((out / "out").glob("*.jsonl")):
+    print(trace.name, hashlib.sha256(trace.read_bytes()).hexdigest())
+"""
+
+
+def _run_in_child(tmp_path, config: dict, coretype: str) -> tuple[str, dict[str, str]]:
+    """(probe hash, trace hashes) of a run under ``OPENBLAS_CORETYPE=coretype``;
+    an empty probe hash if the child died before it printed one."""
+    out = tmp_path / coretype
+    out.mkdir()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(config), str(out)],
+                           env=env, capture_output=True, text=True, timeout=120)
+    lines = child.stdout.splitlines()
+    if not lines:
+        return "", {}
+    assert child.returncode == 0, child.stderr
+    return lines[0], dict(line.split() for line in lines[1:])
+
+
+def test_mmd_trace_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    config = CASES["highway_mmd"]
+    probe_a, traces_a = _run_in_child(tmp_path, config, "Haswell")
+    probe_b, traces_b = _run_in_child(tmp_path, config, "Prescott")
+    if not probe_a or not probe_b or probe_a == probe_b:
+        pytest.skip("OPENBLAS_CORETYPE Haswell and Prescott do not round a probe matrix "
+                    "product differently here (not OpenBLAS, or a kernel cannot run), "
+                    "so equal traces would prove nothing")
+    assert traces_a == traces_b == GOLDEN["highway_mmd"]
 
 
 _CORRIDOR = {"name": "corridor", "lane_count": 1, "ego_lane": 0, "ego_speed": 10.0,

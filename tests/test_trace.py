@@ -239,6 +239,44 @@ class TestStrictLoader:
             load_trace(path)
 
     @pytest.mark.parametrize("mutate", [
+        _set("feature", None),
+        _set("feature", [1.0, "x"]),
+        _set("feature", [True, False]),
+        _set("feature", [[1.0]]),
+        _set("step", 12.0),
+        _set("offloaded", "yes"),
+        _set("offloaded", 1),
+        _set("offload_reason", 5),
+        _set("latency_ms", True),
+        _set("latency_ms", "850"),
+        _set("bytes_up", 2048.0),
+        _set("collision", None),
+        _set("edge_decision", "confidence", "x"),
+        _set("edge_decision", "source", []),
+        _set("cloud_decision", "confidence", False),
+        _set("drift_report", "is_drift", "x"),
+        _set("drift_report", "p_values", None),
+        _set("drift_report", "statistic", [[0.1]]),
+        _set("drift_report", "threshold_used", "0.05"),
+    ], ids=["null_feature", "string_in_feature", "bool_feature", "nested_feature", "float_step",
+            "string_offloaded", "int_offloaded", "int_reason", "bool_latency",
+            "string_latency", "float_bytes", "null_collision", "string_confidence",
+            "list_source", "bool_confidence", "string_is_drift", "null_p_values",
+            "nested_statistic", "string_threshold"])
+    def test_wrongly_typed_value_is_a_malformed_record(self, tmp_path, mutate):
+        path = _mutated_trace(tmp_path, 13, mutate)
+        with pytest.raises(ValueError, match=r"trace\.jsonl: line 14: malformed record"):
+            load_trace(path)
+
+    def test_an_int_is_accepted_for_a_float_field(self, tmp_path):
+        def mutate(data):
+            data["latency_ms"] = int(data["latency_ms"])
+            data["drift_report"]["p_values"] = [1]
+
+        record = load_trace(_mutated_trace(tmp_path, 13, mutate)).records[12]
+        assert record.latency_ms == 850 and record.drift_report.p_values.tolist() == [1]
+
+    @pytest.mark.parametrize("mutate", [
         _set("config", "offload", "window", "a"),
         _set("config", "offload", "window", 0),
         _set("config", "offload", "method", 5),
