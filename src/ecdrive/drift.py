@@ -12,11 +12,20 @@ when it enters: ``fit`` stores the sorted reference as complex keys
 ``feature + 1j * value``, and one ``searchsorted`` per side gives, for every
 feature, the fractions of reference values at or below and strictly below
 the entering value; a whole array of samples is ranked as one block the
-same way. A window test then sorts only the window's values and
-ranks (see :func:`_ks_statistic`); ``ks_two_sample`` ranks its ``b`` the
-same way and shares that function. D lies on a lattice of multiples of
-1 / (n_a * n_b), so its values recur from window to window and Q is
-memoized in a bounded cache.
+same way. The two fractions are stacked, 2 x n_features rows per window,
+and a window test sorts only those ranks, once; the window's values are
+never needed (see :func:`_ks_statistic`). ``ks_two_sample`` ranks its
+``b`` the same way and shares that function. D lies on a lattice of
+multiples of 1 / (n_a * n_b), so its values recur from window to window
+and Q is memoized in a bounded cache.
+
+Where no decision waits for a window's report, :func:`predict_windows`
+tests every window of a whole sequence at once: KS ranks all samples with
+one ``searchsorted`` per side and runs the window test over blocks of
+windows viewed on those ranks, each block copied once to be sorted; MMD
+slides one window.
+Its reports are those of a :class:`SlidingWindow` pushed sample by sample,
+bit for bit.
 
 The MMD test uses the unbiased MMD^2 estimator (Gretton et al., "A Kernel
 Two-Sample Test", JMLR 2012). A squared distance adds the squared
@@ -122,40 +131,78 @@ def _kolmogorov_sf(lam: float) -> float:
     return max(0.0, min(1.0, 2.0 * total))
 
 
-def _ks_statistic(
-    values: np.ndarray, at: np.ndarray, below: np.ndarray, steps: np.ndarray
-) -> np.ndarray:
-    """KS D of each row of a window against that row's reference, from ranks.
+def _ks_steps(d: int, m: int) -> np.ndarray:
+    """The window CDF steps a KS test of d features over m values subtracts
+    from stacked ranks: (k + 1) / m in rows [:d] and k / m in rows [d:],
+    for k = 0..m-1."""
+    steps = np.empty((2 * d, m))
+    steps[:d] = np.arange(1, m + 1) / m
+    steps[d:] = np.arange(m) / m
+    return steps
 
-    ``values`` holds the window's m values per row; ``at`` and ``below``
-    hold, for each value, the fractions #{ref <= value} / n and
-    #{ref < value} / n of the n reference values; ``steps`` is
-    ``arange(m + 1) / m``. Both fractions never decrease as the value
-    grows, so sorting each row on its own pairs them with the sorted
-    values. With v sorted and k = 0..m-1, D is the largest of the gaps
-    |at_k - (k+1)/m| at the last index of each run of equal v and
-    |below_k - k/m| at the first index of each run.
 
-    D equals, bit for bit, the D of merging the window with the reference:
-    the largest gap |#{ref <= u}/n - #{win <= u}/m| over the values u of
-    both samples, computed with these float expressions. The first gaps
-    are those at the window values. Between
-    two neighbouring window values w < w' (or before the first, or after
-    the last), #{win <= u}/m is a constant c, and #{ref <= u} ranges over
-    the integers A from #{ref <= w} to #{ref < w'}. ``A / n - c`` rounds
-    monotonically in A, so its absolute value is largest at one end: at
-    #{ref <= w}, the gap at w; at #{ref < w'}, the second gap, which is the
+def _ks_statistic(ranks: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """KS D of each feature of a window against its reference, from ranks.
+
+    ``ranks`` stacks, for each of the window's m values of d features, the
+    fractions of the n reference values at or below it, #{ref <= x} / n, in
+    rows [:d], and strictly below it, #{ref < x} / n, in rows [d:]; leading
+    axes hold further windows. ``steps`` is ``_ks_steps(d, m)``. Both
+    fractions never decrease as x grows, so sorting each row on its own
+    pairs them in the order of the values, which are never needed. With
+    k = 0..m-1 along the sorted rows, D is the largest of the gaps
+    |at_k - (k+1)/m| at the last index of each run of equal (at, below)
+    pairs and |below_k - k/m| at the first index of each run. One sort of
+    the 2d rows and one comparison of neighbours find the runs.
+
+    Runs of equal pairs give the same D as runs of equal values. Equal
+    values share a pair. Distinct values x < y that share a pair have no
+    reference value in [x, y]: one in [x, y) would count in #{ref < y} but
+    not in #{ref < x}, and y would count in #{ref <= y} but not in
+    #{ref <= x}. So they lie strictly between the same two neighbouring
+    reference values, and a run of pairs that holds several distinct
+    values has at = below = A/n throughout. Over such a run, from index i
+    to j, its runs of equal values contribute gaps |fl(A/n) - fl(k/m)| for
+    some k in [i, j+1], always including k = i and k = j+1. ``fl(k/m)`` and
+    the rounded difference are monotone in k, so the absolute gap is
+    largest at one of those two ends, which the run of pairs contributes
+    too.
+
+    D then equals, bit for bit, the D of merging the window with the
+    reference: the largest gap |#{ref <= u}/n - #{win <= u}/m| over the
+    values u of both samples, computed with these float expressions. The
+    gaps at the last index of each run of equal values are those at the
+    window values. Between two neighbouring window values w < w' (or
+    before the first, or after the last), #{win <= u}/m is a constant c,
+    and #{ref <= u} ranges over the integers A from #{ref <= w} to
+    #{ref < w'}. ``A / n - c`` rounds monotonically in A, so its absolute
+    value is largest at one end: at #{ref <= w}, the gap at w; at
+    #{ref < w'}, the gap at the first index of the run of w', which is the
     gap at the largest reference value below w' (or, with none, equals the
-    gap at w, or is 0 before the first window value). After the last
-    window value the other end is A = n with c = 1, a gap of 0.
+    gap at w, or is 0 before the first window value). After the last window
+    value the other end is A = n with c = 1, a gap of 0.
     """
-    values = np.sort(values, axis=1)
-    new_run = values[:, 1:] != values[:, :-1]
-    gap_at = np.abs(np.sort(at, axis=1) - steps[1:])
-    gap_at[:, :-1] *= new_run
-    gap_below = np.abs(np.sort(below, axis=1) - steps[:-1])
-    gap_below[:, 1:] *= new_run
-    return np.maximum(gap_at.max(axis=1), gap_below.max(axis=1))
+    d = ranks.shape[-2] // 2
+    # a C-ordered copy: a block of windows may be a strided view
+    gaps = np.array(ranks, order="C")
+    gaps.sort(axis=-1)
+    same = gaps[..., 1:] == gaps[..., :-1]
+    same_pair = same[..., :d, :] & same[..., d:, :]
+    np.subtract(gaps, steps, out=gaps)
+    np.abs(gaps, out=gaps)
+    # keep the at-gap at each run's last index and the below-gap at its first
+    np.copyto(gaps[..., :d, :-1], 0.0, where=same_pair)
+    np.copyto(gaps[..., d:, 1:], 0.0, where=same_pair)
+    largest = gaps.max(axis=-1)
+    return np.maximum(largest[..., :d], largest[..., d:])
+
+
+def _ks_query(rows: np.ndarray) -> np.ndarray:
+    """The search keys ``feature + 1j * value`` of samples (k x d)."""
+    query = np.empty(rows.shape, dtype=np.complex128)
+    query.real = np.arange(rows.shape[1])
+    query.imag = rows
+    return query
 
 
 def _ks_p_values(stats: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
@@ -174,9 +221,10 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     b = np.asarray(b, dtype=np.float64).reshape(1, -1)
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
-    at = np.searchsorted(a, b, side="right") / a.size
-    below = np.searchsorted(a, b, side="left") / a.size
-    stats = _ks_statistic(b, at, below, np.arange(b.size + 1) / b.size)
+    ranks = np.concatenate(
+        (np.searchsorted(a, b, side="right"), np.searchsorted(a, b, side="left"))
+    ) / a.size
+    stats = _ks_statistic(ranks, _ks_steps(1, b.size))
     return float(stats[0]), float(_ks_p_values(stats, a.size, b.size)[0])
 
 
@@ -198,10 +246,25 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _median_distance(sq_dists: np.ndarray) -> float:
     """Median off-diagonal distance of a square matrix of squared
-    distances; 1.0 when degenerate."""
-    iu = np.triu_indices(sq_dists.shape[0], k=1)
-    med = float(np.median(np.sqrt(sq_dists[iu])))
-    return med if med > 0.0 else 1.0
+    distances; 1.0 when degenerate (no pairs, a NaN, or a median of 0).
+
+    Only the middle order statistics of the squared distances are found
+    and square-rooted: ``sqrt`` is monotone, so they are the middle order
+    statistics of the distances, and their mean is ``np.median`` of the
+    distances bit for bit. One ``np.partition`` places the upper middle
+    one; the lower one is the largest element before it (numpy partitions
+    at several indices far more slowly than at one).
+    """
+    n = sq_dists.shape[0]
+    flat = sq_dists[np.arange(n)[:, None] < np.arange(n)]
+    if flat.size == 0:
+        return 1.0
+    half = flat.size // 2
+    part = np.partition(flat, half)
+    middle = [part[:half].max(), part[half]] if flat.size % 2 == 0 else [part[half]]
+    med = float(np.mean(np.sqrt(middle)))
+    # a NaN sorts after every number, so it lies at or after index half
+    return med if med > 0.0 and not np.isnan(part[half:].max()) else 1.0
 
 
 def median_bandwidth(reference: np.ndarray) -> float:
@@ -301,12 +364,13 @@ class SlidingWindow:
 
     ``push`` writes a sample over the oldest one; the window is ``full``
     once ``detector.window`` samples have been pushed. For the KS detector
-    ``push`` also ranks the entering sample against the reference: per
-    feature, the fractions of reference values at or below it and strictly
-    below it, found with two ``searchsorted`` calls over the detector's
-    complex keys. Values and both fractions are stored feature-major
-    (n_features x window), so a window test sorts only the window and
-    never touches the reference; slot order does not matter to KS.
+    ``push`` keeps only the entering sample's ranks against the reference:
+    per feature, the fractions of reference values at or below it and
+    strictly below it, found with two ``searchsorted`` calls over the
+    detector's complex keys and stored as one column of the stacked rank
+    buffer (2 n_features x window: the at-or-below rows, then the
+    strictly-below rows), so a window test sorts only that buffer and never
+    touches the reference or the values; slot order does not matter to KS.
     For the MMD detector the reference and the ring are stored
     feature-major too, side by side, and ``push`` evaluates the kernel
     entries of the sample that enters against both at once: the squared
@@ -326,15 +390,12 @@ class SlidingWindow:
         self.detector = detector
         self.pushed = 0
         if detector.method == "ks":
-            self._values = np.zeros((d, m))
-            self._rows = self._values.T
-            self._at = np.zeros((d, m))
-            self._below = np.zeros((d, m))
-            self._steps = np.arange(m + 1) / m
+            self._ranks = np.zeros((2 * d, m))
+            self._steps = _ks_steps(d, m)
             self._keys = detector._ref_keys.ravel()
-            self._offsets = np.arange(d) * n
-            # each slot's search keys, so a block of slots is a contiguous slice
-            self._query = np.zeros((m, d), dtype=np.complex128)
+            self._offsets = np.tile(np.arange(d) * n, 2)
+            # the entering sample's search keys
+            self._query = np.zeros(d, dtype=np.complex128)
             self._query.real = np.arange(d)
             return
         # reference columns, then the ring; zeros keep unfilled slots finite
@@ -359,23 +420,27 @@ class SlidingWindow:
                 f"sample must have shape ({self.detector.n_features},), got {row.shape}"
             )
         slot = self.pushed % self.detector.window
-        self._rows[slot] = row
         self.pushed += 1
         if self.detector.method == "ks":
-            self._store_ranks(slot, row)
+            self._query.imag = row
+            self._ranks[:, slot] = self._rank(self._query)
         else:
+            self._rows[slot] = row
             self._store_kernel_terms(slot, row)
 
-    def _store_ranks(self, slots: int | slice, rows: np.ndarray) -> None:
-        """Rank one sample (an int slot) or a block of them (a slice)
-        against the reference: one ``searchsorted`` per side for all."""
-        n = self.detector.n_ref
-        query = self._query[slots]
-        query.imag = rows
-        at = self._keys.searchsorted(query, side="right") - self._offsets
-        below = self._keys.searchsorted(query, side="left") - self._offsets
-        self._at[:, slots] = (at / n).T
-        self._below[:, slots] = (below / n).T
+    def _rank(self, query: np.ndarray) -> np.ndarray:
+        """Stacked ranks of samples against the KS reference, from their
+        search keys ``query`` (d per sample along the last axis; see
+        :func:`_ks_query`): per sample, #{ref <= value} / n for the d
+        features, then #{ref < value} / n, along the last axis. One
+        ``searchsorted`` per side ranks every sample."""
+        counts = np.concatenate(
+            (self._keys.searchsorted(query, side="right"),
+             self._keys.searchsorted(query, side="left")),
+            axis=-1,
+        )
+        counts -= self._offsets
+        return counts / self.detector.n_ref
 
     def _store_kernel_terms(self, slot: int, row: np.ndarray) -> None:
         detector = self.detector
@@ -399,9 +464,8 @@ def _filled_window(detector: DriftDetector, rows: np.ndarray) -> SlidingWindow:
     window = SlidingWindow(detector)
     if detector.method == "ks":
         # KS does not depend on slot order, so the block is ranked at once
-        window._rows[: len(rows)] = rows
+        window._ranks[:, : len(rows)] = window._rank(_ks_query(rows)).T
         window.pushed = len(rows)
-        window._store_ranks(slice(0, len(rows)), rows)
         return window
     for row in rows:
         window.push(row)
@@ -542,11 +606,11 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
     fills a fresh window and is tested the same way (KS ranks the array as
     one block; MMD pushes it row by row).
     KS: per-feature tests, drift iff min p < alpha / n_features (Bonferroni).
-    All features are tested at once from the values and reference ranks
-    the window stored at ``push`` (KS does not depend on sample order):
-    only the window is sorted, and D is bit-identical to merging the
-    window with the reference (see :func:`_ks_statistic`); p-values come
-    from the memoized Q.
+    All features are tested at once from the reference ranks the window
+    stored at ``push`` (KS does not depend on sample order): only those
+    ranks are sorted, and D is bit-identical to merging the window with
+    the reference (see :func:`_ks_statistic`); p-values come from the
+    memoized Q.
     MMD: single permutation test over the window's cached kernel terms,
     drift iff p < alpha.
     """
@@ -569,7 +633,7 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
         window = _filled_window(detector, win)
 
     if detector.method == "ks":
-        stats = _ks_statistic(window._values, window._at, window._below, window._steps)
+        stats = _ks_statistic(window._ranks, window._steps)
         p_values = _ks_p_values(stats, detector.n_ref, detector.window)
         threshold = detector.alpha / detector.n_features
         return DriftReport(
@@ -586,6 +650,53 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
         statistic=np.array([mmd2]),
         threshold_used=detector.alpha,
     )
+
+
+def predict_windows(detector: DriftDetector, samples) -> list[DriftReport]:
+    """Test every full window of a sequence of samples against the reference.
+
+    ``samples`` holds T samples in order (T x n_features). Report t is the
+    report ``predict`` gives for samples t..t+window-1, bit for bit, as a
+    :class:`SlidingWindow` pushed the samples one by one would give it; a
+    sequence shorter than the window gives no report.
+    KS ranks all T samples with one ``searchsorted`` per side, views the
+    windows of the stacked ranks with ``sliding_window_view`` and runs
+    :func:`_ks_statistic` over blocks of at most ``window`` windows, which
+    bounds the sorted copy; the memoized Q is looked up once per distinct D.
+    MMD slides one :class:`SlidingWindow` and tests it at every full step.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[1] != detector.n_features:
+        raise ValueError(
+            f"samples must have shape (T, {detector.n_features}), got {samples.shape}"
+        )
+    m = detector.window
+    # for KS the window only ranks the samples and holds the steps
+    window = SlidingWindow(detector)
+    if detector.method == "mmd":
+        reports = []
+        for row in samples:
+            window.push(row)
+            if window.full:
+                reports.append(predict(detector, window))
+        return reports
+    if len(samples) < m:
+        return []
+    # windows x 2d x m, a view: window t holds the ranks of samples t..t+m-1
+    windows = np.lib.stride_tricks.sliding_window_view(
+        window._rank(_ks_query(samples)), m, axis=0
+    )
+    stats = np.concatenate(
+        [_ks_statistic(windows[t : t + m], window._steps) for t in range(0, len(windows), m)]
+    )
+    distinct, index = np.unique(stats.ravel(), return_inverse=True)
+    p_values = _ks_p_values(distinct, detector.n_ref, m)[index].reshape(stats.shape)
+    threshold = detector.alpha / detector.n_features
+    flags = (p_values.min(axis=1) < threshold).tolist()
+    return [
+        DriftReport(is_drift=flag, p_values=p, statistic=stat, threshold_used=threshold)
+        for flag, p, stat in zip(flags, p_values, stats)
+    ]
 
 
 def confidence_gate(decision_confidence: float, tau: float) -> bool:

@@ -28,7 +28,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .codec import featurize
-from .drift import DriftDetector, DriftReport, SlidingWindow, confidence_gate, fit, predict
+from .drift import (
+    DriftDetector,
+    DriftReport,
+    SlidingWindow,
+    confidence_gate,
+    fit,
+    predict,
+    predict_windows,
+)
 from .highway import (
     Action,
     DriftInjection,
@@ -249,9 +257,13 @@ def run_episode(
     The detector comes from :func:`fit_reference` (a burn-in pass of
     ``config.n_ref`` injection-free steps from the same seed) unless an
     already fitted one is passed; the measured episode then restarts from
-    the identical initial scene. The episode keeps its own
-    :class:`SlidingWindow` of features, so a detector shared by several
-    episodes stays frozen. Remote failures degrade to the local policy of
+    the identical initial scene. A detector shared by several episodes
+    stays frozen: in Collaborative mode, where the drift report decides
+    whether a step escalates, the episode keeps its own
+    :class:`SlidingWindow` of features and tests each window as it fills;
+    in EdgeOnly and CloudOnly the report decides nothing, so every window
+    is tested in one batch after the last step (:func:`predict_windows`),
+    with the same reports. Remote failures degrade to the local policy of
     the affected role and never abort.
     """
     if steps < 1:
@@ -276,8 +288,13 @@ def run_episode(
 
     scene = spawn_scenario(scenario, seed)
     noise_rng = np.random.default_rng(seed)
-    window = SlidingWindow(detector)
-    records: list[StepRecord] = []
+    # only a Collaborative step waits for its drift report
+    window = SlidingWindow(detector) if config.mode == "Collaborative" else None
+    features: list[np.ndarray] = []
+    edges: list[Decision] = []
+    reports: list[DriftReport | None] = []
+    # each step's record fields after drift_report, in StepRecord's field order
+    outcomes: list[tuple] = []
     remote_edge = endpoint is not None and endpoint.role == "Edge"
     remote_cloud = endpoint is not None and endpoint.role == "Cloud"
 
@@ -291,8 +308,13 @@ def run_episode(
         else:
             edge, edge_latency = edge_decide(effective), config.edge_ms
 
-        window.push(feature)
-        report = predict(detector, window) if window.full else None
+        features.append(feature)
+        edges.append(edge)
+        report = None
+        if window is not None:
+            window.push(feature)
+            report = predict(detector, window) if window.full else None
+            reports.append(report)
         offloaded, reason = offload_rule(report, edge.confidence, config)
 
         cloud: Decision | None = None
@@ -313,21 +335,15 @@ def run_episode(
             )
             executed = Action.KEEP
 
-        records.append(
-            StepRecord(
-                step=index,
-                feature=feature,
-                edge_decision=edge,
-                drift_report=report,
-                offloaded=offloaded,
-                offload_reason=reason,
-                cloud_decision=cloud,
-                executed_action=executed,
-                latency_ms=edge_latency + cloud_latency,
-                bytes_up=config.uplink_bytes_per_sample if offloaded else 0,
-                collision=collision,
-            )
-        )
+        outcomes.append((
+            offloaded,
+            reason,
+            cloud,
+            executed,
+            edge_latency + cloud_latency,
+            config.uplink_bytes_per_sample if offloaded else 0,
+            collision,
+        ))
 
         advanced = step(effective, executed)
         if effective is scene:  # no overlay active: nothing to strip
@@ -335,6 +351,13 @@ def run_episode(
         else:
             scene = replace(scene, time=advanced.time, ego=advanced.ego, others=advanced.others)
 
+    if window is None:
+        reports = [None] * min(steps, config.window - 1) + predict_windows(detector, features)
+    records = [
+        StepRecord(index, feature, edge, report, *outcome)
+        for index, (feature, edge, report, outcome)
+        in enumerate(zip(features, edges, reports, outcomes))
+    ]
     summary = aggregate_metrics(records, injections, config.window)
     return EpisodeTrace(
         scenario=scenario,

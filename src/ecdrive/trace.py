@@ -10,11 +10,13 @@ null or X, a nested dataclass as an object, and anything else as it is.
 Decoding rejects unknown keys, and a missing key takes the field's default
 (a field without one raises ``TypeError``). An Enum value decodes through a
 ``{value: member}`` dict, so an unknown value raises ``KeyError``. Outside
-config classes, which check their own fields in ``validate``, a scalar or
-array field of the wrong JSON type raises ``TypeError``: a bool is not a
-number, a float field takes an int or a float, and an array is a flat list
-of numbers (numpy's conversion, which reads a boolean among numbers as 0 or
-1, judges its elements).
+config classes, which check their own fields in ``validate``, a scalar,
+array or tuple-of-scalars field of the wrong JSON type raises
+``TypeError``: a bool is not a number, a float field takes an int or a
+float, an array is a flat list of numbers (ints or floats, never a bool,
+which numpy would read as 0 or 1), and a tuple of scalars is a list whose
+every element has the scalar's JSON type (so a string is not a tuple of
+characters).
 """
 
 from __future__ import annotations
@@ -35,13 +37,33 @@ from .orchestrator import EpisodeTrace, Metrics, OffloadConfig, StepRecord
 
 TRACE_SCHEMA_VERSION = "1"
 
-# The JSON value types a scalar or array field accepts: a bool is not a
-# number, and a float field takes an int as well.
-_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), np.ndarray: (list,)}
+# The JSON value types a scalar field accepts: a bool is not a number, and
+# a float field takes an int as well.
+_SCALAR_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
-def _wrong_type(cls, name: str, types: tuple, value) -> TypeError:
+def _json_types(hint) -> tuple[tuple, frozenset | None] | None:
+    """The JSON types a value of a scalar, array or tuple-of-scalars hint
+    may have, and those of its elements (None for a scalar); None for any
+    other hint."""
+    if hint in _SCALAR_TYPES:
+        return _SCALAR_TYPES[hint], None
+    if hint is np.ndarray:
+        return (list,), frozenset(_SCALAR_TYPES[float])
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple and args[0] in _SCALAR_TYPES:
+        return (list,), frozenset(_SCALAR_TYPES[args[0]])
+    return None
+
+
+def _has_json_types(value, types: tuple, elements: frozenset | None) -> bool:
+    return type(value) in types and (elements is None or elements.issuperset(map(type, value)))
+
+
+def _wrong_type(cls, name: str, types: tuple, elements: frozenset | None, value) -> TypeError:
     expected = " or ".join(t.__name__ for t in types)
+    if elements is not None:
+        expected += " of " + " or ".join(sorted(t.__name__ for t in elements))
     return TypeError(f"{cls.__name__}.{name} must be {expected}, got {value!r}")
 
 
@@ -57,21 +79,31 @@ def _decode_array(value: list) -> np.ndarray:
 def _full_decoder(cls, pairs: tuple, checked: tuple):
     """The decoder of an object that holds every field of ``cls``, generated
     as one function, the way ``dataclasses`` generates ``__init__``: it
-    checks the JSON type of each checked field inline and calls the
-    constructor positionally (field order is constructor order). It
-    returns None when a check fails."""
-    scope = {"cls": cls}
-    args, tests = [], []
+    checks the JSON type of each checked field, and of each element of a
+    checked list, inline, and returns None when a check fails. It then
+    fills a new instance's ``__dict__`` in field order, which is all a
+    dataclass ``__init__`` without ``__post_init__`` does, minus a frozen
+    class's ``object.__setattr__`` call per field (a class with
+    ``__post_init__`` is built through its constructor)."""
+    scope = {"cls": cls, "new": object.__new__}
+    values, tests = [], []
     for i, (name, decode) in enumerate(pairs):
         scope[f"decode{i}"] = decode
-        args.append(f"data[{name!r}]" if decode is None else f"decode{i}(data[{name!r}])")
-    for i, (name, types) in enumerate(checked):
-        scope[f"types{i}"] = types
+        values.append(f"data[{name!r}]" if decode is None else f"decode{i}(data[{name!r}])")
+    for i, (name, types, elements) in enumerate(checked):
+        scope[f"types{i}"], scope[f"elements{i}"] = types, elements
         tests.append(f"type(data[{name!r}]) in types{i}")
+        if elements is not None:
+            tests.append(f"elements{i}.issuperset(map(type, data[{name!r}]))")
+    if hasattr(cls, "__post_init__"):
+        build = f"return cls({', '.join(values)})"
+    else:
+        fields = ", ".join(f"{name!r}: {value}" for (name, _), value in zip(pairs, values))
+        build = f"obj = new(cls); obj.__dict__.update({{{fields}}}); return obj"
     exec(
         "def decode_full(data):\n"
         f"    if {' and '.join(tests) or 'True'}:\n"
-        f"        return cls({', '.join(args)})\n",
+        f"        {build}\n",
         scope,
     )
     return scope["decode_full"]
@@ -118,8 +150,8 @@ def _dataclass_codec(cls, typed: bool) -> tuple:
     values = operator.attrgetter(*names, names[0])
     known = frozenset(names)
     pairs = tuple(zip(names, decoders))
-    # the scalar and array fields, whose JSON types decode checks
-    checked = tuple((n, t) for n in names if typed and (t := _JSON_TYPES.get(hints[n])))
+    # the scalar, array and tuple-of-scalars fields, whose JSON types decode checks
+    checked = tuple((n, *t) for n in names if typed and (t := _json_types(hints[n])))
     decode_full = _full_decoder(cls, pairs, checked)
 
     def encode(obj) -> dict:
@@ -131,14 +163,20 @@ def _dataclass_codec(cls, typed: bool) -> tuple:
     def decode(data):
         if type(data) is not dict:
             raise TypeError(f"{cls.__name__} must be an object, got {type(data).__name__}")
+        if len(data) == len(names):
+            # with every field's key read, no key is unknown; any KeyError
+            # (a missing key or an unknown Enum value) is raised again below
+            try:
+                if (obj := decode_full(data)) is not None:
+                    return obj
+            except KeyError:
+                pass
         if not known.issuperset(data):
             unknown = next(k for k in data if k not in known)
             raise TypeError(f"{cls.__name__} has no field {unknown!r}")
-        if len(data) == len(names) and (obj := decode_full(data)) is not None:
-            return obj
-        for name, types in checked:
-            if name in data and type(data[name]) not in types:
-                raise _wrong_type(cls, name, types, data[name])
+        for name, types, elements in checked:
+            if name in data and not _has_json_types(data[name], types, elements):
+                raise _wrong_type(cls, name, types, elements, data[name])
         return cls(**{
             k: data[k] if dec is None else dec(data[k]) for k, dec in pairs if k in data
         })

@@ -534,6 +534,8 @@ class TestCmdSummarize:
         (["latency_ms"], True),
         (["edge_decision", "confidence"], "x"),
         (["edge_decision", "source"], []),
+        (["edge_decision", "rationale"], "ab"),
+        (["feature"], [True, 1.5]),
     ])
     def test_wrongly_typed_value_is_a_malformed_record_on_its_line(
         self, run_outputs, capsys, keys, value

@@ -21,6 +21,7 @@ from ecdrive import (
     median_bandwidth,
     mmd_permutation,
     predict,
+    predict_windows,
 )
 
 
@@ -176,6 +177,33 @@ def merged_ks_rows(ref, sample):
     root_n_eff = math.sqrt(n_a * n_b / (n_a + n_b))
     p_values = np.array([drift._kolmogorov_sf(d * root_n_eff) for d in stats.tolist()])
     return stats, p_values
+
+
+# window values with exact ties, signed zeros and integers among other floats
+KS_VALUES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 3.0]) | st.floats(-3.0, 3.0)
+
+
+class TestKsStatistic:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_sort_d_equals_merged_oracle(self, data):
+        d = data.draw(st.integers(1, 4))
+        ref = data.draw(arrays(np.float64, (data.draw(st.integers(1, 30)), d),
+                               elements=KS_VALUES))
+        m = data.draw(st.integers(1, 20))
+        windows = data.draw(arrays(np.float64, (3, m, d), elements=KS_VALUES))
+        # ranks counted directly, independent of the detector's search keys
+        ranks = np.array([
+            np.concatenate([(ref[None, :, :] <= win[:, None, :]).sum(axis=1).T,
+                            (ref[None, :, :] < win[:, None, :]).sum(axis=1).T]) / len(ref)
+            for win in windows
+        ])
+        steps = drift._ks_steps(d, m)
+        batch = drift._ks_statistic(ranks, steps)
+        for win, block, stats in zip(windows, ranks, batch):
+            expected, _ = merged_ks_rows(ref.T, win.T)
+            assert stats.tolist() == expected.tolist()
+            assert drift._ks_statistic(block, steps).tolist() == expected.tolist()
 
 
 class TestKsTwoSample:
@@ -560,6 +588,99 @@ class TestSlidingWindow:
         with pytest.raises(ValueError, match="another detector"):
             predict(other, ring)
         predict(det, ring)
+
+
+def slid_reports(detector, stream):
+    """The report of every full window, pushed one sample at a time."""
+    ring, reports = SlidingWindow(detector), []
+    for row in stream:
+        ring.push(row)
+        if ring.full:
+            reports.append(predict(detector, ring))
+    return reports
+
+
+class TestPredictWindows:
+    @pytest.mark.parametrize("method", ["ks", "mmd"])
+    @pytest.mark.parametrize("n_ref, window, d", TestSlidingWindow.SHAPES[:4])
+    def test_equals_the_sliding_window_bit_for_bit(self, method, n_ref, window, d):
+        # seeds 0-3 cycle through the kinds of sliding_stream (ties, a
+        # constant reference); then signed zeros, integer values and a
+        # stream equal to the constant reference
+        for seed in range(7):
+            ref, stream = sliding_stream(n_ref, window, d, seed)
+            if seed == 4:
+                ref[::2, 0], ref[1::2, 0] = 0.0, -0.0
+                stream[::3, 0], stream[1::3, 0] = -0.0, 0.0
+            elif seed == 5:
+                ref, stream = np.floor(2.0 * ref), np.floor(2.0 * stream)
+            elif seed == 6:
+                ref[:], stream[:] = 3.0, 3.0
+            det = fit(ref, method=method, window=window, seed=seed, n_perm=30)
+            expected = slid_reports(det, stream)
+            reports = predict_windows(det, stream)
+            assert len(reports) == len(expected) == len(stream) - window + 1
+            for report, want in zip(reports, expected):
+                assert report.statistic.tolist() == want.statistic.tolist()
+                assert report.p_values.tolist() == want.p_values.tolist()
+                assert report.is_drift is want.is_drift
+                assert report.threshold_used == want.threshold_used
+
+    def test_spans_several_blocks_of_windows(self):
+        # 200 samples are 161 windows, blocks of at most 40 windows each
+        rng = np.random.default_rng(3)
+        det = fit(rng.normal(size=(60, 5)), window=40)
+        stream = np.round(rng.normal(size=(200, 5)), 1)
+        stream[100:] += 1.0
+        reports = predict_windows(det, stream)
+        expected = slid_reports(det, stream)
+        assert [r.statistic.tolist() for r in reports] == [
+            r.statistic.tolist() for r in expected]
+        assert [r.is_drift for r in reports] == [r.is_drift for r in expected]
+        assert any(r.is_drift for r in reports) and not all(r.is_drift for r in reports)
+
+    @pytest.mark.parametrize("method", ["ks", "mmd"])
+    def test_shorter_than_a_window_gives_no_report(self, method):
+        rng = np.random.default_rng(0)
+        det = fit(rng.normal(size=(40, 3)), method=method, window=10)
+        assert predict_windows(det, rng.normal(size=(9, 3))) == []
+        assert len(predict_windows(det, rng.normal(size=(10, 3)))) == 1
+
+    @pytest.mark.parametrize("shape", [(20, 4), (20,), (2, 20, 3)])
+    def test_wrong_shape_raises(self, shape):
+        det = fit(np.random.default_rng(0).normal(size=(40, 3)), window=10)
+        with pytest.raises(ValueError, match="samples must have shape"):
+            predict_windows(det, np.zeros(shape))
+
+
+def median_of_all_distances(sq_dists):
+    """Oracle: the median of the square roots of every off-diagonal entry."""
+    iu = np.triu_indices(sq_dists.shape[0], k=1)
+    med = float(np.median(np.sqrt(sq_dists[iu])))
+    return med if med > 0.0 else 1.0
+
+
+class TestMedianBandwidth:
+    def test_equals_the_median_of_all_distances(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n, d = int(rng.integers(2, 70)), int(rng.integers(1, 6))
+            reference = rng.normal(size=(n, d))
+            kind = trial % 3
+            if kind == 1:  # duplicate rows
+                reference[rng.integers(0, n, size=n // 2)] = reference[0]
+            elif kind == 2:  # coarse values: many equal distances
+                reference = np.round(reference, 1)
+            sq = drift._sq_dists(reference, reference)
+            assert drift._median_distance(sq) == median_of_all_distances(sq)
+            assert median_bandwidth(reference) == median_of_all_distances(sq)
+
+    def test_degenerate_references_fall_back_to_one(self):
+        assert median_bandwidth(np.ones((40, 3))) == 1.0
+        assert median_bandwidth(np.ones((1, 3))) == 1.0
+        reference = np.random.default_rng(0).normal(size=(40, 3))
+        reference[5, 1] = np.nan
+        assert median_bandwidth(reference) == 1.0
 
 
 class TestConfidenceGate:

@@ -107,6 +107,18 @@ CASES = {
         "seeds": [0],
         "steps": 200,
     },
+    # the MMD detector where no decision waits for its report, so every
+    # window is tested after the episode
+    "deferred_mmd": {
+        "scenario": _open_highway(),
+        "injections": [{"kind": "TrafficPatternShift", "start_step": 20, "end_step": 50,
+                        "speed_offset": -6.0}],
+        "offload": {"mode": "CloudOnly", "method": "mmd", "n_ref": 40, "window": 12,
+                    "n_perm": 30},
+        "modes": ["EdgeOnly", "CloudOnly"],
+        "seeds": [1],
+        "steps": 70,
+    },
 }
 
 GOLDEN = {
@@ -135,6 +147,12 @@ GOLDEN = {
     "highway_mmd": {
         "open_highway_Collaborative_0.jsonl":
             "0f2744fd84dba3d49630197dca79bde965a8428128d76dd225d3e3a2de702535",
+    },
+    "deferred_mmd": {
+        "open_highway_CloudOnly_1.jsonl":
+            "a39e4f7b37bdead917a9a09b14e36794e0faea725595f71742c2214462dc56cd",
+        "open_highway_EdgeOnly_1.jsonl":
+            "47359414f3cc4212117f4450ffe55301f52ce50c0cb80c41f22c044c710fe86a",
     },
 }
 

@@ -14,11 +14,13 @@ from ecdrive import (
     DriftInjection,
     DriftReport,
     OffloadConfig,
+    SlidingWindow,
     StepRecord,
     aggregate_metrics,
     fit_reference,
     load_trace,
     offload_rule,
+    predict,
     run_episode,
     write_trace,
 )
@@ -195,6 +197,41 @@ class TestRunEpisodeModes:
         trace = run_episode(corridor_config(), (), cfg, seed=0, steps=60)
         for record in trace.records:
             assert (record.drift_report is None) == (record.step < 39)
+
+    @pytest.mark.parametrize("mode", ["EdgeOnly", "CloudOnly"])
+    @pytest.mark.parametrize("method", ["ks", "mmd"])
+    def test_deferred_reports_equal_a_window_slid_over_the_features(
+        self, monkeypatch, mode, method
+    ):
+        calls = []
+        monkeypatch.setattr(orchestrator, "predict", lambda *args: calls.append(args))
+        cfg = OffloadConfig(mode=mode, method=method, n_ref=40, window=12, n_perm=30)
+        shift = DriftInjection(kind="TrafficPatternShift", start_step=20, end_step=40,
+                               speed_offset=-6.0)
+        trace = run_episode(open_highway_config(), (shift,), cfg, seed=1, steps=60)
+        # no decision waits for a report, so no window is tested during the episode
+        assert calls == []
+        detector = fit_reference(open_highway_config(), cfg, seed=1)
+        window = SlidingWindow(detector)
+        for record in trace.records:
+            window.push(record.feature)
+            if not window.full:
+                assert record.drift_report is None
+                continue
+            expected = predict(detector, window)
+            assert record.drift_report.statistic.tolist() == expected.statistic.tolist()
+            assert record.drift_report.p_values.tolist() == expected.p_values.tolist()
+            assert record.drift_report.is_drift is expected.is_drift
+
+    @pytest.mark.parametrize("mode", ["EdgeOnly", "CloudOnly"])
+    @pytest.mark.parametrize("steps", [5, 12, 13, 40])
+    def test_deferred_drift_report_absent_until_window_fills(self, mode, steps):
+        cfg = OffloadConfig(mode=mode, n_ref=40, window=12)
+        trace = run_episode(open_highway_config(), (), cfg, seed=0, steps=steps)
+        reports = [r.drift_report for r in trace.records]
+        assert len(reports) == steps
+        assert reports[:11] == [None] * min(steps, 11)
+        assert all(r is not None for r in reports[11:])
 
 
 def _record(step: int, offloaded: bool, latency: float, edge_action=Action.KEEP,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from unittest import mock
 
@@ -115,6 +116,25 @@ class TestCodec:
     def test_unknown_key_is_rejected_by_name(self):
         with pytest.raises(TypeError, match="OffloadConfig has no field 'windw'"):
             from_json(OffloadConfig, {"windw": 12})
+
+    def test_unknown_key_in_place_of_a_field_is_rejected_by_name(self):
+        # as many keys as fields, so the one-function decoder meets the missing one first
+        data = {"action": "Keep", "rationale": [], "confidence": 1.0, "sauce": "Edge"}
+        with pytest.raises(TypeError, match="Decision has no field 'sauce'"):
+            from_json(Decision, data)
+
+    def test_post_init_runs_when_decoding(self):
+        @dataclasses.dataclass(frozen=True)
+        class Positive:
+            value: float
+
+            def __post_init__(self):
+                if self.value <= 0:
+                    raise ValueError("value must be positive")
+
+        assert from_json(Positive, {"value": 2.5}) == Positive(2.5)
+        with pytest.raises(ValueError, match="must be positive"):
+            from_json(Positive, {"value": -1.0})
 
     @pytest.mark.parametrize("data", [None, [], "", 5, ["window"]])
     def test_non_object_is_rejected(self, data):
@@ -258,11 +278,19 @@ class TestStrictLoader:
         _set("drift_report", "p_values", None),
         _set("drift_report", "statistic", [[0.1]]),
         _set("drift_report", "threshold_used", "0.05"),
+        # numpy reads a boolean among numbers as 0 or 1, and tuple("ab") is ("a", "b")
+        _set("feature", [True, 1.5]),
+        _set("drift_report", "p_values", [0.5, False]),
+        _set("edge_decision", "rationale", "ab"),
+        _set("cloud_decision", "rationale", [5]),
+        _set("edge_decision", "rationale", ["a", None]),
     ], ids=["null_feature", "string_in_feature", "bool_feature", "nested_feature", "float_step",
             "string_offloaded", "int_offloaded", "int_reason", "bool_latency",
             "string_latency", "float_bytes", "null_collision", "string_confidence",
             "list_source", "bool_confidence", "string_is_drift", "null_p_values",
-            "nested_statistic", "string_threshold"])
+            "nested_statistic", "string_threshold", "bool_among_features",
+            "bool_among_p_values", "string_rationale", "int_in_rationale",
+            "null_in_rationale"])
     def test_wrongly_typed_value_is_a_malformed_record(self, tmp_path, mutate):
         path = _mutated_trace(tmp_path, 13, mutate)
         with pytest.raises(ValueError, match=r"trace\.jsonl: line 14: malformed record"):
