@@ -376,12 +376,13 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         name = self.name
-        # the name is part of every trace file name, so it must stay one path part
+        # the name is part of every trace file name, so it must stay one path
+        # part, and no file name may hold a NUL
         if not isinstance(name, str) or name in ("", ".", "..") or any(
-            sep in name for sep in (os.sep, os.altsep) if sep
+            sep in name for sep in (os.sep, os.altsep, "\0") if sep
         ):
             raise ScenarioError(
-                f"name must be a non-empty string without path separators, "
+                f"name must be a non-empty string without path separators or NUL, "
                 f"not '.' or '..', got {name!r}"
             )
         for field_name, pair in (("speed_range", self.speed_range),

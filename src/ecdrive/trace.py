@@ -1,7 +1,16 @@
 """JSON Lines traces and the dataclass codec that traces and configs share.
 
 A trace is a header object (schema_version "1", config snapshot, seed,
-summary), then one object per step record.
+summary), then one object per step record. The loader requires a
+non-negative integer seed, a string ``remote.base_url`` when there is a
+remote, and ``config.steps`` records whose ``step`` values run 0, 1, ... in
+order.
+
+The header is written by ``json``. Each step record is written by a text
+writer generated once per dataclass from the same type hints
+(:func:`_text_writer`): it gives the bytes ``json`` would give for the
+record's JSON object, and formats each distinct float64 array element once
+per trace, through a memo keyed by the element's bit pattern.
 
 Every dataclass crosses JSON through :func:`to_json` and :func:`from_json`,
 whose per-class converters are built once from the field type hints: an
@@ -24,15 +33,17 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import operator
 import os
+import struct
 import typing
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .highway import DriftInjection, ScenarioConfig
+from .highway import DriftInjection, ScenarioConfig, _is_int
 from .orchestrator import EpisodeTrace, Metrics, OffloadConfig, StepRecord
 
 TRACE_SCHEMA_VERSION = "1"
@@ -196,10 +207,109 @@ def from_json(cls, data):
 
 # one encoder for every line: json.dumps would build one per call
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
+_DOUBLE, _INT64 = struct.Struct("d"), struct.Struct("q")
+
+
+class _FloatTexts(dict):
+    """The JSON text of float64 values, keyed by their bit pattern (so 0.0
+    and -0.0 never share an entry); each distinct value is formatted once,
+    the first time it is looked up: a finite one by ``float.__repr__``, as
+    ``json`` does, any other by ``json`` itself."""
+
+    def __missing__(self, bits: int) -> str:
+        value = _DOUBLE.unpack(_INT64.pack(bits))[0]
+        finite = -math.inf < value < math.inf
+        text = self[bits] = float.__repr__(value) if finite else _dumps(value)
+        return text
+
+
+# names the generated writers read, besides each field's own helpers
+_WRITER_SCOPE = {
+    "float_repr": float.__repr__,
+    "int_repr": int.__repr__,
+    "encode_str": json.encoder.encode_basestring_ascii,
+    "inf": math.inf,
+    "ndarray": np.ndarray,
+    "float64": np.dtype(np.float64),
+    "int64": np.int64,
+    "strs": frozenset((str,)),
+}
+
+
+def _text_expr(hint, var: str, scope: dict) -> str:
+    """A Python expression for the JSON text of local ``var``, a value of
+    ``hint``, as ``_dumps`` would write the value's JSON object (see
+    :func:`_text_writer`). A value of the hint's usual runtime type is
+    written inline; any other goes through its codec encoder and
+    ``_dumps``, which also raises wherever ``json`` would."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        (inner,) = (a for a in args if a is not type(None))
+        return f'("null" if {var} is None else {_text_expr(inner, var, scope)})'
+    n = len(scope)
+    encode = _codec(hint)[0]
+    scope[f"slow{n}"] = _dumps if encode is None else lambda value: _dumps(encode(value))
+    slow = f"slow{n}({var})"
+    if hint is float:  # NaN and infinities fall through to json's spelling
+        return f"(float_repr({var}) if type({var}) is float and -inf < {var} < inf else {slow})"
+    if hint is int:
+        return f"(int_repr({var}) if type({var}) is int else {slow})"
+    if hint is bool:
+        return f'("true" if {var} is True else "false" if {var} is False else {slow})'
+    if hint is str:
+        return f"(encode_str({var}) if type({var}) is str else {slow})"
+    if hint is np.ndarray:
+        return (
+            f'("[" + ",".join(map(floats, {var}.view(int64).tolist())) + "]"'
+            f" if type({var}) is ndarray and {var}.ndim == 1 and {var}.dtype == float64"
+            f" else {slow})"
+        )
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        scope[f"enum{n}"], scope[f"texts{n}"] = hint, {m: _dumps(m.value) for m in hint}
+        return f"(texts{n}[{var}] if type({var}) is enum{n} else {slow})"
+    if dataclasses.is_dataclass(hint):
+        scope[f"cls{n}"], scope[f"write{n}"] = hint, _text_writer(hint)
+        return f"(write{n}({var}, floats) if type({var}) is cls{n} else {slow})"
+    if typing.get_origin(hint) is tuple and args[0] is str:
+        return (
+            f'("[" + ",".join(map(encode_str, {var})) + "]"'
+            f" if type({var}) is tuple and strs.issuperset(map(type, {var})) else {slow})"
+        )
+    return slow
+
+
+@functools.cache
+def _text_writer(cls):
+    """``write(obj, floats)``: the JSON text that ``_dumps(to_json(obj))``
+    gives for a ``cls`` instance, generated once per dataclass the way
+    :func:`_full_decoder` is. ``floats`` maps the bit pattern of a float64
+    to its text; every element of a 1-D float64 array is written through
+    it. A value's runtime type picks its spelling wherever it picks
+    json's: an int in a float field is written as an int, a non-finite
+    float as ``NaN`` or ``Infinity``, and an array that is not 1-D float64
+    as its ``tolist()``."""
+    hints = typing.get_type_hints(cls)
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    scope = {**_WRITER_SCOPE, "values": operator.attrgetter(*names, names[0])}
+    parts = []
+    for i, name in enumerate(names):
+        # a field name holds no brace or quote; a non-ASCII one is \u-escaped
+        key = _dumps(name).replace("\\", "\\\\")
+        parts.append(f"{key}:{{{_text_expr(hints[name], f'v{i}', scope)}}}")
+    unpack = "".join(f"v{i}, " for i in range(len(names)))
+    exec(
+        "def write(obj, floats):\n"
+        f"    {unpack}_ = values(obj)\n"
+        f"    return f'{{{{{','.join(parts)}}}}}'\n",
+        scope,
+    )
+    return scope["write"]
 
 
 def trace_lines(trace: EpisodeTrace) -> list[str]:
-    """Serialize a trace to its JSONL lines (header first)."""
+    """Serialize a trace to its JSONL lines (header first). The records are
+    written by the generated :func:`_text_writer`, with one float memo for
+    the whole trace."""
     config = {
         "scenario": to_json(trace.scenario),
         "injections": [to_json(i) for i in trace.injections],
@@ -214,8 +324,8 @@ def trace_lines(trace: EpisodeTrace) -> list[str]:
         "seed": trace.seed,
         "summary": to_json(trace.summary),
     }
-    encode = _codec(StepRecord)[0]
-    return [_dumps(header)] + [_dumps(encode(r)) for r in trace.records]
+    write, floats = _text_writer(StepRecord), _FloatTexts().__getitem__
+    return [_dumps(header)] + [write(r, floats) for r in trace.records]
 
 
 def write_trace(trace: EpisodeTrace, path) -> None:
@@ -238,9 +348,11 @@ def load_trace(path) -> EpisodeTrace:
 
     Raises ``ValueError`` naming the file on text that is not UTF-8, and
     naming the offending line on malformed content, a header whose
-    ``schema_version`` is missing or not ``TRACE_SCHEMA_VERSION``, or a
-    header config that fails its own ``validate``. A file that cannot be
-    read raises ``OSError``.
+    ``schema_version`` is missing or not ``TRACE_SCHEMA_VERSION``, a
+    header config that fails its own ``validate``, a header seed, steps or
+    remote of the wrong type, a record whose ``step`` is out of order
+    (named on its line), or a record count other than ``config.steps``
+    (named on line 1). A file that cannot be read raises ``OSError``.
     """
     path = Path(path)
     try:
@@ -266,12 +378,20 @@ def load_trace(path) -> EpisodeTrace:
         for part in (scenario, offload, *injections):
             part.validate()
         summary = from_json(Metrics, header["summary"])
-        remote = config.get("remote", {})
-        if not isinstance(remote, dict):
-            raise TypeError(f"config.remote is {type(remote).__name__}, not an object")
-        remote = remote.get("base_url")
+        remote = None
+        if "remote" in config:
+            block = config["remote"]
+            if type(block) is not dict:
+                raise TypeError(f"config.remote is {type(block).__name__}, not an object")
+            remote = block.get("base_url")
+            if type(remote) is not str:
+                raise TypeError(f"config.remote.base_url must be a string, got {remote!r}")
         seed = header["seed"]
+        if not _is_int(seed) or seed < 0:
+            raise TypeError(f"seed must be a non-negative integer, got {seed!r}")
         steps = config["steps"]
+        if not _is_int(steps) or steps < 1:
+            raise TypeError(f"config.steps must be a positive integer, got {steps!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: line 1: malformed header ({exc})") from exc
     decode = _codec(StepRecord)[1]
@@ -280,9 +400,17 @@ def load_trace(path) -> EpisodeTrace:
         if not line.strip():
             continue
         try:
-            records.append(decode(json.loads(line)))
+            record = decode(json.loads(line))
+            if record.step != len(records):
+                raise ValueError(f"step is {record.step}, not {len(records)}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: line {lineno}: malformed record ({exc})") from exc
+        records.append(record)
+    if len(records) != steps:
+        raise ValueError(
+            f"{path}: line 1: malformed header (config.steps is {steps}, "
+            f"but the trace has {len(records)} records)"
+        )
     return EpisodeTrace(
         scenario=scenario,
         injections=injections,

@@ -190,33 +190,39 @@ def _names():
     return st.text(min_size=1, max_size=12)
 
 
-def scenario_configs():
-    """Any value of every ``ScenarioConfig`` field's declared type, valid or not."""
+def vehicle_states(**fields):
+    """Any value of every ``VehicleState`` field's declared type, valid or not;
+    ``fields`` replaces the strategies of the named fields."""
+    return st.builds(VehicleState, **{
+        "id": st.integers(0, 100),
+        "lane": st.integers(-1, 6),
+        "position": _numbers(),
+        "speed": _numbers(),
+        "accel": _numbers(-10.0, 10.0),
+        "target_speed": st.none() | _numbers(),
+        **fields,
+    })
+
+
+def scenario_configs(**fields):
+    """Any value of every ``ScenarioConfig`` field's declared type, valid or
+    not; ``fields`` replaces the strategies of the named fields."""
     pair = st.tuples(_numbers(), _numbers())
-    vehicles = st.builds(
-        VehicleState,
-        id=st.integers(0, 100),
-        lane=st.integers(-1, 6),
-        position=_numbers(),
-        speed=_numbers(),
-        accel=_numbers(-10.0, 10.0),
-        target_speed=st.none() | _numbers(),
-    )
-    return st.builds(
-        ScenarioConfig,
-        name=_names(),
-        lane_count=st.integers(-1, 8),
-        ego_lane=st.integers(-1, 8),
-        ego_speed=_numbers(),
-        ego_position=_numbers(),
-        ego_accel=_numbers(-10.0, 10.0),
-        v_max=_numbers(),
-        n_random_vehicles=st.integers(0, 50),
-        speed_range=pair,
-        spawn_span=pair,
-        spawn_lanes=st.none() | st.lists(st.integers(0, 8), max_size=4).map(tuple),
-        fixed_others=st.lists(vehicles, max_size=3).map(tuple),
-    )
+    return st.builds(ScenarioConfig, **{
+        "name": _names(),
+        "lane_count": st.integers(-1, 8),
+        "ego_lane": st.integers(-1, 8),
+        "ego_speed": _numbers(),
+        "ego_position": _numbers(),
+        "ego_accel": _numbers(-10.0, 10.0),
+        "v_max": _numbers(),
+        "n_random_vehicles": st.integers(0, 50),
+        "speed_range": pair,
+        "spawn_span": pair,
+        "spawn_lanes": st.none() | st.lists(st.integers(0, 8), max_size=4).map(tuple),
+        "fixed_others": st.lists(vehicle_states(), max_size=3).map(tuple),
+        **fields,
+    })
 
 
 def drift_injections():
@@ -235,19 +241,20 @@ def drift_injections():
     )
 
 
-def offload_configs():
-    """Any value of every ``OffloadConfig`` field's declared type, valid or not."""
-    return st.builds(
-        OffloadConfig,
-        mode=st.sampled_from(MODES) | _names(),
-        tau=_numbers(-1.0, 2.0),
-        method=st.sampled_from(("ks", "mmd", "KS")) | _names(),
-        alpha=_numbers(-1.0, 2.0),
-        window=st.integers(0, 500),
-        n_ref=st.integers(0, 1000),
-        n_perm=st.integers(0, 500),
-        edge_ms=_numbers(),
-        cloud_ms=_numbers(),
-        rtt_ms=_numbers(),
-        uplink_bytes_per_sample=st.integers(0, 10**6),
-    )
+def offload_configs(**fields):
+    """Any value of every ``OffloadConfig`` field's declared type, valid or
+    not; ``fields`` replaces the strategies of the named fields."""
+    return st.builds(OffloadConfig, **{
+        "mode": st.sampled_from(MODES) | _names(),
+        "tau": _numbers(-1.0, 2.0),
+        "method": st.sampled_from(("ks", "mmd", "KS")) | _names(),
+        "alpha": _numbers(-1.0, 2.0),
+        "window": st.integers(0, 500),
+        "n_ref": st.integers(0, 1000),
+        "n_perm": st.integers(0, 500),
+        "edge_ms": _numbers(),
+        "cloud_ms": _numbers(),
+        "rtt_ms": _numbers(),
+        "uplink_bytes_per_sample": st.integers(0, 10**6),
+        **fields,
+    })

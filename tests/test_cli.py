@@ -5,11 +5,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from ecdrive import orchestrator
+from ecdrive import MODES, orchestrator, to_json
 from ecdrive.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -23,7 +26,10 @@ from ecdrive.cli import (
     main,
 )
 from ecdrive.orchestrator import Metrics, run_episode
-from ecdrive.trace import write_trace
+from ecdrive.trace import load_trace, trace_lines, write_trace
+
+from scenarios import _numbers, offload_configs, scenario_configs, vehicle_states
+from test_codec import validate_features
 
 
 def base_config(tmp_path: Path) -> dict:
@@ -150,7 +156,7 @@ class TestCmdRun:
         assert err.startswith("config error: ") and "seed 0" in err and "spawn_span" in err
         assert not list((tmp_path / "out").glob("*.jsonl"))
 
-    @pytest.mark.parametrize("name", ["../x", ".."])
+    @pytest.mark.parametrize("name", ["../x", "..", "nul\x00"])
     def test_name_outside_output_dir_is_a_config_error(self, tmp_path, capsys, name):
         config = base_config(tmp_path)
         config["scenario"]["name"] = name
@@ -575,6 +581,160 @@ class TestCmdSummarize:
         # anything cmd_run produced must summarize cleanly
         assert cmd_summarize(str(run_outputs / "out" / "*.jsonl"),
                              str(run_outputs / "ok.csv")) == EXIT_OK
+
+
+class TestSummarizeHeaderAndRecordOrder:
+    """A 20-step EdgeOnly corridor trace with its header or its records edited."""
+
+    @pytest.fixture()
+    def victim(self, tmp_path):
+        config = base_config(tmp_path)
+        config["offload"]["mode"] = "EdgeOnly"
+        config["seeds"] = [0]
+        config["steps"] = 20
+        assert cmd_run(str(write_config(tmp_path, config))) == EXIT_OK
+        (path,) = (tmp_path / "out").glob("*.jsonl")
+        return path
+
+    def _summarize(self, path, capsys) -> tuple[int, str]:
+        code = cmd_summarize(str(path), str(path.with_name("o.csv")))
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys, value", [
+        (["seed"], "x"),
+        (["seed"], None),
+        (["seed"], -5),
+        (["seed"], True),
+        (["seed"], 0.0),
+        (["config", "remote"], {"base_url": 5}),
+        (["config", "remote"], {}),
+        (["config", "steps"], "abc"),
+        (["config", "steps"], 999),
+        (["config", "steps"], 0),
+        (["config", "steps"], 20.0),
+        (["config", "steps"], True),
+    ])
+    def test_wrongly_typed_header_value_is_a_malformed_header(self, victim, capsys,
+                                                              keys, value):
+        lines = victim.read_text().splitlines()
+        header = json.loads(lines[0])
+        parent = header
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        lines[0] = json.dumps(header, separators=(",", ":"))
+        victim.write_text("\n".join(lines) + "\n")
+        code, err = self._summarize(victim, capsys)
+        assert code == EXIT_TRACE
+        assert err.startswith(f"trace error: {victim}: line 1: malformed header (")
+        assert keys[-1] in err
+
+    def test_missing_last_record_is_a_malformed_header(self, victim, capsys):
+        lines = victim.read_text().splitlines()
+        victim.write_text("\n".join(lines[:-1]) + "\n")
+        code, err = self._summarize(victim, capsys)
+        assert code == EXIT_TRACE
+        assert err.startswith(f"trace error: {victim}: line 1: malformed header (")
+        assert "20" in err and "19" in err
+
+    def test_extra_record_is_a_malformed_header(self, victim, capsys):
+        lines = victim.read_text().splitlines()
+        extra = json.loads(lines[-1])
+        extra["step"] = 20
+        victim.write_text("\n".join(lines + [json.dumps(extra)]) + "\n")
+        code, err = self._summarize(victim, capsys)
+        assert code == EXIT_TRACE
+        assert err.startswith(f"trace error: {victim}: line 1: malformed header (")
+
+    def test_out_of_order_step_is_a_malformed_record_on_its_line(self, victim, capsys):
+        # steps 0, 0, 1, ..., 18: the recomputed summary still matches
+        lines = victim.read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        for index, record in enumerate(records):
+            record["step"] = max(index - 1, 0)
+        victim.write_text("\n".join(
+            lines[:1] + [json.dumps(r, separators=(",", ":")) for r in records]) + "\n")
+        code, err = self._summarize(victim, capsys)
+        assert code == EXIT_TRACE
+        assert err.startswith(f"trace error: {victim}: line 3: malformed record (")
+        assert "step" in err
+
+    def test_untouched_trace_summarizes(self, victim, capsys):
+        assert self._summarize(victim, capsys)[0] == EXIT_OK
+
+
+_SPEEDS = st.floats(0.0, 40.0) | st.integers(0, 40)
+_SPANS = st.tuples(_numbers(-2000.0, 2000.0), _numbers(-2000.0, 2000.0)).map(sorted).map(tuple)
+
+
+def _runnable_scenarios():
+    """``scenario_configs`` with the fields ``validate`` rejects most often
+    drawn from around their valid ranges, edges included, so that most
+    draws validate; the rest of the field space stays as drawn there."""
+    return scenario_configs(
+        lane_count=st.integers(1, 4),
+        ego_lane=st.integers(0, 3),
+        ego_speed=_SPEEDS,
+        v_max=st.floats(0.5, 40.0) | st.integers(1, 40),
+        n_random_vehicles=st.integers(0, 30),
+        speed_range=st.tuples(_SPEEDS, _SPEEDS).map(sorted).map(tuple),
+        spawn_span=_SPANS,
+        spawn_lanes=st.none() | st.lists(st.integers(0, 3), max_size=3).map(tuple),
+        fixed_others=st.lists(vehicle_states(
+            id=st.integers(1, 100),
+            lane=st.integers(0, 3),
+            position=_numbers(-2000.0, 2000.0),
+            speed=_SPEEDS,
+            target_speed=st.none() | _SPEEDS,
+        ), max_size=3).map(tuple),
+    )
+
+
+def _runnable_offloads():
+    """``offload_configs`` around the valid ranges, with the small detector
+    (``n_ref`` 30, ``window`` 10) and latency constants that are JSON
+    integers about half the time."""
+    return offload_configs(
+        mode=st.sampled_from(MODES),
+        tau=st.floats(0.0, 1.0) | st.integers(0, 1),
+        method=st.sampled_from(("ks", "mmd", "KS")),
+        alpha=st.floats(0.001, 0.5),
+        window=st.just(10),
+        n_ref=st.just(30),
+        n_perm=st.integers(20, 40),
+        edge_ms=_numbers(0.0, 1e4),
+        cloud_ms=_numbers(0.0, 1e4),
+        rtt_ms=_numbers(0.0, 1e4),
+    )
+
+
+class TestValidatedConfigsRun:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(scenario=_runnable_scenarios(), offload=_runnable_offloads(),
+           seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 25))
+    def test_a_config_validate_accepts_runs_and_its_trace_round_trips(
+        self, scenario, offload, seed, steps
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            path = write_config(tmp, {
+                "scenario": to_json(scenario),
+                "injections": [],
+                "offload": to_json(offload),
+                "seeds": [seed],
+                "steps": steps,
+                "output_dir": str(tmp / "out"),
+            })
+            assume(cmd_validate(str(path)) == EXIT_OK)
+            assert cmd_run(str(path)) == EXIT_OK
+            (trace_path,) = (tmp / "out").glob("*.jsonl")
+            trace = load_trace(trace_path)
+            # the file holds the lines of the trace run wrote
+            assert "\n".join(trace_lines(trace)) + "\n" == trace_path.read_text()
+            for record in trace.records:
+                validate_features(record.feature)
+            assert cmd_summarize(str(trace_path), str(tmp / "o.csv")) == EXIT_OK
 
 
 class TestMain:

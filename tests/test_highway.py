@@ -117,7 +117,7 @@ class TestSpawn:
         with pytest.raises(ScenarioError, match=f"{field} must be a pair of finite numbers"):
             config.validate()
 
-    @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "/abs", 5, None])
+    @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "/abs", "nul\x00", 5, None])
     def test_name_must_be_a_plain_file_name_part(self, name):
         config = ScenarioConfig(name=name)
         with pytest.raises(ScenarioError, match="name must be"):

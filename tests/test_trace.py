@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecdrive import (
     Action,
     Decision,
     DriftInjection,
     DriftReport,
+    EpisodeTrace,
+    Metrics,
     OffloadConfig,
     ScenarioConfig,
     StepRecord,
@@ -162,6 +166,129 @@ class TestCodec:
                                side_effect=AssertionError("hints walked again")):
             assert to_json(record) == data
             from_json(StepRecord, data)
+
+
+# floats json spells specially or that share a value but not a bit pattern,
+# any float, and an int where a float is declared
+_SCALARS = (
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308, 1e300])
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.integers(-(2**70), 2**70)
+)
+_ARRAY_FLOATS = (
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 0.05]) | st.floats()
+)
+_ARRAYS = (
+    st.lists(_ARRAY_FLOATS, max_size=16)
+    # one-element MMD p-values and statistics
+    | st.lists(_ARRAY_FLOATS, min_size=1, max_size=1)
+).map(lambda values: np.array(values, dtype=np.float64))
+_TEXTS = st.text() | st.sampled_from(
+    ['say "hi"', "back\\slash", "tab\tnul\x00\x1f\x7f", "é≥😀"]
+)
+_DECISIONS = st.builds(
+    Decision,
+    action=st.sampled_from(Action),
+    rationale=st.lists(_TEXTS, max_size=4).map(tuple),
+    confidence=_SCALARS,
+    source=_TEXTS,
+)
+_RECORDS = st.builds(
+    StepRecord,
+    step=st.integers(0, 2**40),
+    feature=_ARRAYS,
+    edge_decision=_DECISIONS,
+    drift_report=st.none() | st.builds(
+        DriftReport,
+        is_drift=st.booleans(),
+        p_values=_ARRAYS,
+        statistic=_ARRAYS,
+        threshold_used=_SCALARS,
+    ),
+    offloaded=st.booleans(),
+    offload_reason=_TEXTS,
+    cloud_decision=st.none() | _DECISIONS,
+    executed_action=st.sampled_from(Action),
+    latency_ms=_SCALARS,
+    bytes_up=st.integers(0, 2**40),
+    collision=st.booleans(),
+)
+
+
+def _trace_of(records) -> EpisodeTrace:
+    return EpisodeTrace(
+        scenario=ScenarioConfig(),
+        injections=(),
+        offload=OffloadConfig(),
+        seed=0,
+        steps=len(records),
+        records=tuple(records),
+        summary=Metrics(0.0, 0.0, 0.0, 0, 0, 1.0, 0.0),
+    )
+
+
+def _json_lines(records) -> list[str]:
+    return [trace_module._dumps(to_json(r)) for r in records]
+
+
+class TestRecordWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_RECORDS, min_size=1, max_size=4))
+    def test_record_text_is_the_json_text(self, records):
+        # one trace, so the records share one float memo
+        assert trace_lines(_trace_of(records))[1:] == _json_lines(records)
+
+    def test_zero_and_negative_zero_keep_their_signs(self):
+        record = _episode(steps=1).records[0]
+        records = [
+            dataclasses.replace(record, feature=np.array([0.0, -0.0, 0.0])),
+            dataclasses.replace(record, feature=np.array([-0.0, 0.0]), latency_ms=-0.0),
+        ]
+        lines = trace_lines(_trace_of(records))[1:]
+        assert '"feature":[0.0,-0.0,0.0]' in lines[0]
+        assert '"feature":[-0.0,0.0]' in lines[1] and '"latency_ms":-0.0' in lines[1]
+
+    @pytest.mark.parametrize("feature", [
+        np.array([1, 2, 3]),
+        np.array([0.5, 0.25], dtype=np.float32),
+        np.array([[0.5, -0.0], [1.0, 2.0]]),
+        np.array([0.5, -0.0]).astype(">f8"),
+        np.array([True, False]),
+        np.array(0.5),
+    ], ids=["int64", "float32", "2d", "big_endian", "bool", "0d"])
+    def test_an_array_that_is_not_1d_float64_is_written_as_its_list(self, feature):
+        record = dataclasses.replace(_episode(steps=1).records[0], feature=feature)
+        (line,) = trace_lines(_trace_of([record]))[1:]
+        assert line == trace_module._dumps(to_json(record))
+        assert f'"feature":{json.dumps(feature.tolist(), separators=(",", ":"))}' in line
+
+    @pytest.mark.parametrize("rationale", [("a", 5), ["a", "b"], ("a", None)])
+    def test_a_rationale_of_other_types_is_written_as_json_writes_it(self, rationale):
+        record = _episode(steps=1).records[0]
+        record = dataclasses.replace(
+            record, edge_decision=dataclasses.replace(record.edge_decision, rationale=rationale))
+        assert trace_lines(_trace_of([record]))[1:] == _json_lines([record])
+
+    def test_an_int_latency_constant_is_written_as_an_int(self):
+        config = OffloadConfig(mode="CloudOnly", n_ref=40, window=10, edge_ms=50,
+                               cloud_ms=750, rtt_ms=50)
+        trace = run_episode(corridor_config(), (), config, seed=0, steps=3)
+        assert all('"latency_ms":850,' in line for line in trace_lines(trace)[1:])
+        assert trace_lines(trace)[1:] == _json_lines(trace.records)
+
+    def test_a_value_json_cannot_write_raises_as_before(self):
+        record = dataclasses.replace(_episode(steps=1).records[0], bytes_up=np.int64(5))
+        with pytest.raises(TypeError, match="int64"):
+            trace_module._dumps(to_json(record))
+        with pytest.raises(TypeError, match="int64"):
+            trace_lines(_trace_of([record]))
+
+    def test_writers_are_built_once_per_class(self):
+        trace = _episode(steps=12)
+        lines = trace_lines(trace)
+        with mock.patch.object(trace_module.typing, "get_type_hints",
+                               side_effect=AssertionError("hints walked again")):
+            assert trace_lines(trace) == lines
 
 
 def _episode(mode: str = "CloudOnly", steps: int = 15):
