@@ -18,12 +18,20 @@ import argparse
 import csv
 import glob as globmod
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .drift import DriftDetector
-from .highway import DriftInjection, ScenarioConfig, ScenarioError, _is_int, spawn_scenario
+from .highway import (
+    DriftInjection,
+    ScenarioConfig,
+    ScenarioError,
+    _is_int,
+    spawn_scenario,
+    validate_injection,
+)
 from .orchestrator import (
     MODES,
     EpisodeTrace,
@@ -34,12 +42,17 @@ from .orchestrator import (
     run_episode,
 )
 from .policies import EndpointConfig
-from .trace import from_json, load_trace, write_trace
+from .trace import from_json, load_trace, temp_name, write_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_TRACE = 4
+
+# the longest file name most file systems take, in bytes
+NAME_MAX = 255
+# the largest process id Linux hands out (PID_MAX_LIMIT on 64-bit hosts)
+PID_MAX = 4_194_304
 
 CSV_COLUMNS = (
     "scenario",
@@ -114,7 +127,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     for i, item in enumerate(items):
         try:
             injection = from_json(DriftInjection, item)
-            injection.validate()
+            validate_injection(injection, scenario.lane_count)
         except (ScenarioError, TypeError) as exc:
             raise ConfigError(f"injections[{i}]: {exc}") from exc
         injections.append(injection)
@@ -150,6 +163,7 @@ def load_experiment_config(path) -> ExperimentConfig:
             raise ConfigError(f"modes: {mode!r} is not one of {MODES}")
     if not modes:
         raise ConfigError("modes: must not be empty")
+    _check_trace_names(scenario.name, modes, seeds)
 
     endpoint = None
     remote = data.get("remote")
@@ -178,6 +192,22 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 def trace_filename(scenario_name: str, mode: str, seed: int) -> str:
     return f"{scenario_name}_{mode}_{seed}.jsonl"
+
+
+def _check_trace_names(scenario_name: str, modes, seeds) -> None:
+    """Reject a scenario name that some trace file of the run could not
+    carry: the longest name ``run`` writes is the temporary file of the
+    longest mode and seed, under the longest process id."""
+    longest = temp_name(trace_filename(scenario_name, max(modes, key=len), max(seeds)), PID_MAX)
+    try:
+        size = len(os.fsencode(longest))
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"scenario: name is not a valid file name ({exc})") from exc
+    if size > NAME_MAX:
+        raise ConfigError(
+            f"scenario: name is too long: trace file names reach {size} bytes, "
+            f"over the {NAME_MAX}-byte limit"
+        )
 
 
 def _seed_error(seed: int, exc: ScenarioError) -> ConfigError:

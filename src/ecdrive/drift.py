@@ -41,7 +41,7 @@ sample per step: ``push`` evaluates only the kernel entries of the sample
 that enters (its column against the reference and its row against the
 window) and keeps the terms a test needs, and ``predict`` combines them, so
 no kernel entry is evaluated twice. A plain array passed to ``predict``
-fills a fresh window first, so both go through one code path. A
+is tested as the one window of :func:`predict_windows`. A
 permuted statistic counts as reaching the observed one when it is at least
 ``observed - TIE_TOLERANCE``, so exact ties are not decided by rounding.
 """
@@ -459,19 +459,6 @@ class SlidingWindow:
         k_yy[slot + m] = k_yy[:, slot] = k_yy[:, slot + m] = k_yy[slot]
 
 
-def _filled_window(detector: DriftDetector, rows: np.ndarray) -> SlidingWindow:
-    """A fresh window holding ``rows``, which number at most ``detector.window``."""
-    window = SlidingWindow(detector)
-    if detector.method == "ks":
-        # KS does not depend on slot order, so the block is ranked at once
-        window._ranks[:, : len(rows)] = window._rank(_ks_query(rows)).T
-        window.pushed = len(rows)
-        return window
-    for row in rows:
-        window.push(row)
-    return window
-
-
 def _mmd_test(window: SlidingWindow) -> tuple[float, float]:
     """Observed unbiased MMD^2 of a full window and its permutation p-value.
 
@@ -520,8 +507,8 @@ def mmd_permutation(
     p = (1 + #{permuted mmd^2 >= observed - TIE_TOLERANCE}) / (1 + n_perm),
     where permutation i assigns ``default_rng(seed).permutation(N)[:n]``
     (the i-th draw) to the x side. Each sample needs at least 2 rows.
-    The rows of y are pushed, in order, into a fresh :class:`SlidingWindow`
-    over x, and the window is tested exactly as ``predict`` tests it.
+    y is tested as the one window of :func:`predict_windows` over x, so
+    exactly as ``predict`` tests a window.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
@@ -535,14 +522,15 @@ def mmd_permutation(
     detector = DriftDetector(
         reference=x,
         method="mmd",
-        alpha=0.05,  # not read by the test
+        alpha=0.05,  # sets only the report's drift flag, which is not returned
         window=y.shape[0],
         rng_seed=seed,
         n_perm=n_perm,
         bandwidth=bandwidth,
         _mmd=_mmd_reference(_sq_dists(x, x), y.shape[0], bandwidth, n_perm, seed),
     )
-    return _mmd_test(_filled_window(detector, y))
+    report = predict_windows(detector, y)[0]
+    return float(report.statistic[0]), float(report.p_values[0])
 
 
 def fit(
@@ -602,9 +590,8 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
     """Test one window of samples against the frozen reference.
 
     ``window_samples`` is a full :class:`SlidingWindow` built for this
-    detector, or an array of exactly ``detector.window`` samples, which
-    fills a fresh window and is tested the same way (KS ranks the array as
-    one block; MMD pushes it row by row).
+    detector, or an array of exactly ``detector.window`` samples, which is
+    tested as the one window of :func:`predict_windows`.
     KS: per-feature tests, drift iff min p < alpha / n_features (Bonferroni).
     All features are tested at once from the reference ranks the window
     stored at ``push`` (KS does not depend on sample order): only those
@@ -614,15 +601,7 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
     MMD: single permutation test over the window's cached kernel terms,
     drift iff p < alpha.
     """
-    if isinstance(window_samples, SlidingWindow):
-        window = window_samples
-        if window.detector is not detector:
-            raise ValueError("window was built for another detector")
-        if not window.full:
-            raise ValueError(
-                f"window holds {window.pushed} of {detector.window} samples"
-            )
-    else:
+    if not isinstance(window_samples, SlidingWindow):
         win = np.asarray(window_samples, dtype=np.float64)
         if win.ndim != 2 or win.shape[0] != detector.window:
             raise ValueError(
@@ -630,18 +609,17 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
             )
         if win.shape[1] != detector.n_features:
             raise ValueError("window dimension does not match the reference")
-        window = _filled_window(detector, win)
+        return predict_windows(detector, win)[0]
+    window = window_samples
+    if window.detector is not detector:
+        raise ValueError("window was built for another detector")
+    if not window.full:
+        raise ValueError(f"window holds {window.pushed} of {detector.window} samples")
 
     if detector.method == "ks":
         stats = _ks_statistic(window._ranks, window._steps)
         p_values = _ks_p_values(stats, detector.n_ref, detector.window)
-        threshold = detector.alpha / detector.n_features
-        return DriftReport(
-            is_drift=bool(p_values.min() < threshold),
-            p_values=p_values,
-            statistic=stats,
-            threshold_used=threshold,
-        )
+        return _ks_reports(detector, stats[None], p_values[None])[0]
 
     mmd2, p_value = _mmd_test(window)
     return DriftReport(
@@ -691,6 +669,15 @@ def predict_windows(detector: DriftDetector, samples) -> list[DriftReport]:
     )
     distinct, index = np.unique(stats.ravel(), return_inverse=True)
     p_values = _ks_p_values(distinct, detector.n_ref, m)[index].reshape(stats.shape)
+    return _ks_reports(detector, stats, p_values)
+
+
+def _ks_reports(
+    detector: DriftDetector, stats: np.ndarray, p_values: np.ndarray
+) -> list[DriftReport]:
+    """The reports of KS windows from their D statistics and p-values
+    (windows x features): drift iff min p < alpha / n_features
+    (Bonferroni)."""
     threshold = detector.alpha / detector.n_features
     flags = (p_values.min(axis=1) < threshold).tolist()
     return [

@@ -2,11 +2,11 @@
 
 World state is an immutable :class:`Scene`; :func:`step` returns a new one.
 Lane 0 is the rightmost lane. Positions are longitudinal stations in meters
-on an infinite straight road. One decision step defaults to dt = 1 s.
+on an infinite straight road. One decision step lasts ``DEFAULT_DT`` = 1 s.
 
 The ego is a :class:`VehicleState`; the other vehicles are struct-of-arrays
-:class:`Vehicles` columns (id, lane, position, speed, accel, target speed
-and a has-target mask), read-only numpy arrays in vehicle order.
+:class:`Vehicles` columns (id, lane, position, speed, accel and target
+speed), read-only numpy arrays in vehicle order.
 :func:`step` advances all of them in one elementwise pass through the same
 :func:`_advance` expressions the ego uses, with ``np.maximum`` and
 ``np.minimum`` as the clamps, so every element rounds exactly as a
@@ -18,10 +18,9 @@ made with each column set, and visit only the lanes they ask about through
 never change lanes. With up to a few tens of vehicles such a scan beats a
 chain of masked numpy calls, each of which costs about a microsecond. The
 four neighbor slots are computed once per scene.
-``Scene.others`` is the column set; it also reads as a tuple of
-``VehicleState`` built on demand (iteration, indexing, ``==``, ``repr``),
-which configs and tests use but the per-step path never does. A ``Scene``
-built with ``others=`` a tuple of ``VehicleState`` converts it.
+``Scene.others`` is the column set. A ``Scene`` built with ``others=`` a
+tuple of ``VehicleState`` converts it, resolving a ``None`` target speed to
+the vehicle's speed then. Scenes and columns compare by identity.
 
 Scripted perturbations (new obstacles, traffic-pattern shifts, sensor noise)
 are applied per step through :func:`inject_drift`, which is the identity
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -88,8 +86,9 @@ class VehicleState:
 
     ``target_speed`` is the cruise speed a non-ego vehicle relaxes toward at
     +-1 m/s^2; ``None`` means "hold the current speed as target" and is
-    resolved to the vehicle's own speed by :func:`spawn_scenario`. The ego's
-    target_speed is ignored (its speed follows the executed actions).
+    resolved to the vehicle's own speed when a :class:`Scene` is built from
+    it. The ego's target_speed is ignored (its speed follows the executed
+    actions).
     """
 
     id: int
@@ -118,13 +117,12 @@ class VehicleLists(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class Vehicles(Sequence):
+class Vehicles:
     """Read-only columns of a scene's non-ego vehicles, in vehicle order.
 
-    ``target`` holds each target speed where ``has_target`` is true and 0.0
-    where the vehicle has none (``target_speed=None``). As a sequence the
-    columns read as a tuple of :class:`VehicleState`, built on demand;
-    equality, hashing and ``repr`` are those of that tuple.
+    ``target`` holds each vehicle's target speed; :meth:`from_states`
+    resolves a ``None`` target to the vehicle's speed at that moment.
+    Columns compare by identity.
     """
 
     id: np.ndarray
@@ -133,7 +131,6 @@ class Vehicles(Sequence):
     speed: np.ndarray
     accel: np.ndarray
     target: np.ndarray
-    has_target: np.ndarray
     #: lane -> indices of its vehicles, ascending; derived from ``lane``
     #: unless passed in by :meth:`moved`, which keeps every lane
     by_lane: dict[int, tuple[int, ...]] | None = field(default=None, repr=False)
@@ -164,11 +161,7 @@ class Vehicles(Sequence):
             position=column([v.position for v in states], np.float64),
             speed=column([v.speed for v in states], np.float64),
             accel=column([v.accel for v in states], np.float64),
-            target=column(
-                [0.0 if v.target_speed is None else v.target_speed for v in states],
-                np.float64,
-            ),
-            has_target=column([v.target_speed is not None for v in states], bool),
+            target=column([v.resolved_target() for v in states], np.float64),
         )
 
     def moved(self, speed: np.ndarray, position: np.ndarray, accel: np.ndarray) -> Vehicles:
@@ -176,48 +169,11 @@ class Vehicles(Sequence):
         (made read-only here), in :func:`_advance`'s return order."""
         return Vehicles(
             self.id, self.lane, _read_only(position), _read_only(speed), _read_only(accel),
-            self.target, self.has_target, self.by_lane,
-        )
-
-    def states(self) -> tuple[VehicleState, ...]:
-        lists = self.lists
-        targets = [
-            t if has else None
-            for t, has in zip(self.target.tolist(), self.has_target.tolist())
-        ]
-        return tuple(
-            map(
-                VehicleState,
-                lists.id,
-                lists.lane,
-                lists.position,
-                lists.speed,
-                self.accel.tolist(),
-                targets,
-            )
+            self.target, self.by_lane,
         )
 
     def __len__(self) -> int:
         return len(self.id)
-
-    def __getitem__(self, index):
-        return self.states()[index]
-
-    def __iter__(self):
-        return iter(self.states())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Vehicles):
-            return self.states() == other.states()
-        if isinstance(other, tuple):
-            return self.states() == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.states())
-
-    def __repr__(self) -> str:
-        return repr(self.states())
 
 
 @dataclass(frozen=True)
@@ -231,13 +187,15 @@ class Obstacle:
     kind: str = "debris"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
     """Full ground-truth world state for one decision step.
 
     ``others`` holds the non-ego vehicles as :class:`Vehicles` columns; a
-    tuple of :class:`VehicleState` passed here is converted to them.
+    tuple of :class:`VehicleState` passed here is converted to them, each
+    ``None`` target speed becoming the vehicle's speed at construction.
     ``target_offset`` is added to every non-ego target speed by :func:`step`.
+    Scenes compare by identity.
     """
 
     time: float
@@ -316,7 +274,8 @@ class DriftInjection:
     kind is one of ``NewObstacle`` (adds an obstacle), ``TrafficPatternShift``
     (adds ``speed_offset`` to the scene's ``target_offset``, shifting every
     non-ego target speed) or ``SensorNoise`` (sets the scene's
-    observation-noise sigma).
+    observation-noise sigma). :func:`validate_injection` also checks an
+    obstacle's lane against the road.
     """
 
     kind: str
@@ -340,14 +299,33 @@ class DriftInjection:
             speed_offset=self.speed_offset,
             sigma=self.sigma,
         )
+        _require(
+            _is_int,
+            "an integer",
+            start_step=self.start_step,
+            end_step=self.end_step,
+            lane=self.lane,
+        )
+        if not isinstance(self.obstacle_kind, str):
+            raise ScenarioError(f"obstacle_kind must be a string, got {self.obstacle_kind!r}")
         if self.kind not in self.KINDS:
             raise ScenarioError(f"unknown injection kind {self.kind!r}")
+        if self.start_step < 0:
+            raise ScenarioError("injection start_step must be >= 0")
         if self.start_step >= self.end_step:
             raise ScenarioError("injection start_step must be < end_step")
         if self.kind == "NewObstacle" and self.extent_m <= 0:
             raise ScenarioError("obstacle extent_m must be positive")
         if self.kind == "SensorNoise" and self.sigma < 0:
             raise ScenarioError("noise sigma must be >= 0")
+
+
+def validate_injection(injection: DriftInjection, lane_count: int) -> None:
+    """Check ``injection`` on its own and, for a ``NewObstacle``, that its
+    lane lies on a road of ``lane_count`` lanes."""
+    injection.validate()
+    if injection.kind == "NewObstacle" and not 0 <= injection.lane < lane_count:
+        raise ScenarioError(f"obstacle lane {injection.lane} out of range for {lane_count} lanes")
 
 
 @dataclass(frozen=True)
@@ -464,10 +442,7 @@ def spawn_scenario(config: ScenarioConfig, seed: int) -> Scene:
         speed=config.ego_speed,
         accel=config.ego_accel,
     )
-    others = [
-        v if v.target_speed is not None else replace(v, target_speed=v.speed)
-        for v in config.fixed_others
-    ]
+    others = list(config.fixed_others)
     rng = np.random.default_rng(seed)
     lanes = config.spawn_lanes or tuple(range(config.lane_count))
     next_id = max([1000] + [v.id + 1 for v in others])
@@ -539,16 +514,17 @@ def _advance(v, a_cmd, position, dt: float, v_max: float, lo=max, hi=min):
     return v_new, p_new, a_eff
 
 
-def step(scene: Scene, action: Action, dt: float = DEFAULT_DT) -> Scene:
-    """Advance the world one decision step with the ego executing ``action``.
+def step(scene: Scene, action: Action) -> Scene:
+    """Advance the world one decision step of ``DEFAULT_DT`` with the ego
+    executing ``action``.
 
-    Lane changes complete within the step and preserve speed. Other vehicles
-    relax toward their target speeds plus ``scene.target_offset`` at
-    +-1 m/s^2. Raises
+    The step length is fixed because the planners in :mod:`ecdrive.policies`
+    predict with the same ``DEFAULT_DT``. Lane changes complete within the
+    step and preserve speed. Other vehicles relax toward their target speeds
+    plus ``scene.target_offset`` at +-1 m/s^2. Raises
     :class:`IllegalLaneChange` for a lane change at the road edge.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    dt = DEFAULT_DT
     ego = scene.ego
     lane = ego.lane
     if action is Action.LANE_CHANGE_LEFT:
@@ -574,8 +550,7 @@ def step(scene: Scene, action: Action, dt: float = DEFAULT_DT) -> Scene:
     others = scene.others
     if len(others):
         speed = others.speed
-        target = np.where(others.has_target, others.target, speed) + scene.target_offset
-        delta = target - speed
+        delta = others.target + scene.target_offset - speed
         # Land exactly on the target instead of oscillating around it.
         a_rev = np.maximum(-REVERSION_ACCEL, np.minimum(REVERSION_ACCEL, delta / dt))
         others = others.moved(
@@ -607,7 +582,7 @@ def inject_drift(scene: Scene, injection: DriftInjection, step_index: int) -> Sc
     """Apply ``injection`` if ``step_index`` falls inside its window.
 
     Outside [start_step, end_step) the scene passes through unchanged (the
-    very same object, so structural identity holds).
+    very same object).
     """
     if not (injection.start_step <= step_index < injection.end_step):
         return scene

@@ -48,6 +48,7 @@ from .highway import (
     legal_actions,
     spawn_scenario,
     step,
+    validate_injection,
 )
 from .policies import (
     Decision,
@@ -273,7 +274,7 @@ def run_episode(
     scenario.validate()
     injections = tuple(injections)
     for injection in injections:
-        injection.validate()
+        validate_injection(injection, scenario.lane_count)
     if endpoint is not None:
         endpoint.validate()
 

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .highway import DriftInjection, ScenarioConfig, _is_int
+from .highway import DriftInjection, ScenarioConfig, _is_int, validate_injection
 from .orchestrator import EpisodeTrace, Metrics, OffloadConfig, StepRecord
 
 TRACE_SCHEMA_VERSION = "1"
@@ -328,13 +328,19 @@ def trace_lines(trace: EpisodeTrace) -> list[str]:
     return [_dumps(header)] + [write(r, floats) for r in trace.records]
 
 
+def temp_name(name: str, pid: int) -> str:
+    """The name of the temporary file process ``pid`` writes a trace file
+    ``name`` to before renaming it into place."""
+    return f".{name}.{pid}.tmp"
+
+
 def write_trace(trace: EpisodeTrace, path) -> None:
     """Write a trace atomically: to a temporary file beside ``path``, then
     renamed over it, so a failed write leaves no partial trace behind and
     any earlier file at ``path`` intact."""
     path = Path(path)
     text = "\n".join(trace_lines(trace)) + "\n"
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(temp_name(path.name, os.getpid()))
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
@@ -375,8 +381,10 @@ def load_trace(path) -> EpisodeTrace:
         scenario = from_json(ScenarioConfig, config["scenario"])
         injections = tuple(from_json(DriftInjection, i) for i in config["injections"])
         offload = from_json(OffloadConfig, config["offload"])
-        for part in (scenario, offload, *injections):
-            part.validate()
+        scenario.validate()
+        offload.validate()
+        for injection in injections:
+            validate_injection(injection, scenario.lane_count)
         summary = from_json(Metrics, header["summary"])
         remote = None
         if "remote" in config:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import strategies as st
 
 from ecdrive import (
@@ -13,6 +15,36 @@ from ecdrive import (
     Scene,
     VehicleState,
 )
+
+
+def others_states(scene: Scene) -> tuple[VehicleState, ...]:
+    """The scene's non-ego vehicles as ``VehicleState``s, read from its
+    columns, for the per-vehicle reference implementations."""
+    others = scene.others
+    return tuple(map(
+        VehicleState,
+        others.id.tolist(),
+        others.lane.tolist(),
+        others.position.tolist(),
+        others.speed.tolist(),
+        others.accel.tolist(),
+        others.target.tolist(),
+    ))
+
+
+def assert_same_scene(actual: Scene, expected: Scene) -> None:
+    """Assert that two scenes hold the same values bit for bit: every
+    ``Vehicles`` column with the same dtype and bytes, every other field
+    with the same type and ``repr`` (which tells -0.0 from 0.0)."""
+    for f in dataclasses.fields(Scene):
+        a, b = getattr(actual, f.name), getattr(expected, f.name)
+        if f.name != "others":
+            assert (type(a), repr(a)) == (type(b), repr(b)), f.name
+            continue
+        for column in ("id", "lane", "position", "speed", "accel", "target"):
+            x, y = getattr(a, column), getattr(b, column)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), column
+        assert a.by_lane == b.by_lane
 
 
 def reference_scene() -> Scene:
@@ -225,20 +257,21 @@ def scenario_configs(**fields):
     })
 
 
-def drift_injections():
-    """Any value of every ``DriftInjection`` field's declared type, valid or not."""
-    return st.builds(
-        DriftInjection,
-        kind=st.sampled_from(DriftInjection.KINDS) | _names(),
-        start_step=st.integers(-10, 1000),
-        end_step=st.integers(-10, 1000),
-        lane=st.integers(-1, 8),
-        position=_numbers(),
-        extent_m=_numbers(),
-        obstacle_kind=_names(),
-        speed_offset=_numbers(),
-        sigma=_numbers(),
-    )
+def drift_injections(**fields):
+    """Any value of every ``DriftInjection`` field's declared type, valid or
+    not; ``fields`` replaces the strategies of the named fields."""
+    return st.builds(DriftInjection, **{
+        "kind": st.sampled_from(DriftInjection.KINDS) | _names(),
+        "start_step": st.integers(-10, 1000),
+        "end_step": st.integers(-10, 1000),
+        "lane": st.integers(-1, 8),
+        "position": _numbers(),
+        "extent_m": _numbers(),
+        "obstacle_kind": _names(),
+        "speed_offset": _numbers(),
+        "sigma": _numbers(),
+        **fields,
+    })
 
 
 def offload_configs(**fields):

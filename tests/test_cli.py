@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ecdrive import MODES, orchestrator, to_json
+from ecdrive import MODES, DriftInjection, ScenarioError, from_json, orchestrator, to_json
 from ecdrive.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -25,10 +25,17 @@ from ecdrive.cli import (
     load_experiment_config,
     main,
 )
-from ecdrive.orchestrator import Metrics, run_episode
+from ecdrive.highway import ScenarioConfig
+from ecdrive.orchestrator import Metrics, OffloadConfig, run_episode
 from ecdrive.trace import load_trace, trace_lines, write_trace
 
-from scenarios import _numbers, offload_configs, scenario_configs, vehicle_states
+from scenarios import (
+    _numbers,
+    drift_injections,
+    offload_configs,
+    scenario_configs,
+    vehicle_states,
+)
 from test_codec import validate_features
 
 
@@ -230,6 +237,63 @@ class TestCmdValidate:
         path = write_config(tmp_path, config)
         assert cmd_validate(str(path)) == EXIT_CONFIG
         assert "start_step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("injection, lane_count, message", [
+        ({"start_step": 2.5}, 1, "start_step must be an integer, got 2.5"),
+        ({"start_step": True}, 1, "start_step must be an integer, got True"),
+        ({"start_step": 0, "end_step": 60.0}, 1, "end_step must be an integer, got 60.0"),
+        ({"start_step": 0, "end_step": True}, 1, "end_step must be an integer, got True"),
+        ({"lane": 0.5}, 2, "lane must be an integer, got 0.5"),
+        ({"lane": True}, 2, "lane must be an integer, got True"),
+        ({"start_step": -1}, 1, "injection start_step must be >= 0"),
+        ({"lane": 7}, 2, "obstacle lane 7 out of range for 2 lanes"),
+        ({"lane": -1}, 2, "obstacle lane -1 out of range for 2 lanes"),
+        ({"lane": 1}, 1, "obstacle lane 1 out of range for 1 lanes"),
+        ({"obstacle_kind": 5}, 1, "obstacle_kind must be a string, got 5"),
+    ])
+    def test_malformed_injection_rejected(self, tmp_path, capsys, injection, lane_count,
+                                          message):
+        config = base_config(tmp_path)
+        config["scenario"]["lane_count"] = lane_count
+        config["injections"][0].update(injection)
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: injections[0]: {message}\n"
+        assert cmd_run(str(path)) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+        scenario = from_json(ScenarioConfig, config["scenario"])
+        with pytest.raises(ScenarioError, match=message):
+            run_episode(scenario, [from_json(DriftInjection, config["injections"][0])],
+                        OffloadConfig(mode="EdgeOnly", n_ref=30, window=10), seed=0, steps=3)
+
+    def test_lane_of_other_injection_kinds_is_not_a_road_lane(self, tmp_path, capsys):
+        config = base_config(tmp_path)
+        config["injections"] = [{"kind": "TrafficPatternShift", "start_step": 0, "end_step": 5,
+                                 "lane": 7, "speed_offset": -3.0}]
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_OK
+
+    # base_config runs seeds 0-2 in Collaborative mode, so its longest file
+    # is ".<name>_Collaborative_2.jsonl.<pid>.tmp": 35 bytes around the name
+    @pytest.mark.parametrize("name", ["a" * 221, "é" * 111, "a" * 240, "\ud800x"])
+    def test_name_too_long_for_a_trace_file_is_a_config_error(self, tmp_path, capsys, name):
+        config = base_config(tmp_path)
+        config["scenario"]["name"] = name
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        assert "config error: scenario: name" in capsys.readouterr().err
+        assert cmd_run(str(path)) == EXIT_CONFIG
+        assert "config error: scenario: name" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_longest_name_a_trace_file_can_carry_runs(self, tmp_path, capsys):
+        config = base_config(tmp_path)
+        config["scenario"]["name"] = "a" * 220
+        config["steps"] = 3
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_OK
+        assert cmd_run(str(path)) == EXIT_OK
+        assert len(list((tmp_path / "out").glob("*.jsonl"))) == 3
 
     def test_validate_has_no_side_effects(self, tmp_path):
         config = base_config(tmp_path)
@@ -501,6 +565,8 @@ class TestCmdSummarize:
         ("offload", "window", "a"),
         ("offload", "window", 0),
         ("injection", "end_step", "x"),
+        ("injection", "start_step", 2.5),
+        ("injection", "lane", 7),
     ])
     def test_invalid_header_config_is_a_trace_error(self, run_outputs, capsys,
                                                     section, key, value):
@@ -708,19 +774,38 @@ def _runnable_offloads():
     )
 
 
+def _runnable_injections():
+    """Up to three ``drift_injections`` of every kind, with windows of up to
+    10 steps starting around the first 25 and the other fields drawn
+    around their valid ranges, edges included, so that most draws
+    validate."""
+    windows = st.tuples(st.integers(-1, 25), st.integers(0, 10))
+    return st.lists(windows.flatmap(lambda w: drift_injections(
+        kind=st.sampled_from(DriftInjection.KINDS),
+        start_step=st.just(w[0]),
+        end_step=st.just(w[0] + w[1]),
+        lane=st.integers(0, 3) | st.integers(-1, 4),
+        position=_numbers(-2000.0, 2000.0),
+        extent_m=st.floats(0.0, 30.0) | st.integers(0, 30),
+        speed_offset=_numbers(-40.0, 40.0),
+        sigma=st.floats(0.0, 10.0) | st.integers(-1, 10),
+    )), max_size=3)
+
+
 class TestValidatedConfigsRun:
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
     @given(scenario=_runnable_scenarios(), offload=_runnable_offloads(),
-           seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 25))
+           injections=_runnable_injections(), seed=st.integers(0, 2**32 - 1),
+           steps=st.integers(1, 25))
     def test_a_config_validate_accepts_runs_and_its_trace_round_trips(
-        self, scenario, offload, seed, steps
+        self, scenario, offload, injections, seed, steps
     ):
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             path = write_config(tmp, {
                 "scenario": to_json(scenario),
-                "injections": [],
+                "injections": [to_json(i) for i in injections],
                 "offload": to_json(offload),
                 "seeds": [seed],
                 "steps": steps,

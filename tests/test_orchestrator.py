@@ -306,8 +306,8 @@ class TestInjectionLifecycle:
         ]
         assert [s.target_offset for s in scenes] == offsets
         # the pinned vehicle's target stays its own speed; only the offset moves
-        assert all(s.others[0].target_speed == 21.2 for s in scenes)
-        speeds = [s.others[0].speed for s in scenes]
+        assert all(s.others.target[0] == 21.2 for s in scenes)
+        speeds = [s.others.speed[0] for s in scenes]
         assert speeds == pytest.approx(self._expected_speeds(21.2, offsets), abs=1e-9)
         return speeds
 

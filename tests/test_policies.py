@@ -39,7 +39,7 @@ from ecdrive.policies import (
     _segment_hits,
 )
 
-from scenarios import random_scenes, reference_scene, static_obstacle_scene
+from scenarios import others_states, random_scenes, reference_scene, static_obstacle_scene
 
 
 def empty_road(speed: float = 25.0, lane: int = 0, lane_count: int = 4) -> Scene:
@@ -206,7 +206,7 @@ def _oracle_rollout(scene: Scene, action: Action, horizon: int = HORIZON,
     ego_v = scene.ego.speed
     ego_p = scene.ego.position
     entities = [_Entity(v.lane, v.position, v.speed, v.accel, VEHICLE_LENGTH_M, True)
-                for v in scene.others]
+                for v in others_states(scene)]
     entities += [_Entity(o.lane, o.position, 0.0, 0.0,
                          VEHICLE_LENGTH_M / 2.0 + o.extent_m / 2.0, False)
                  for o in scene.obstacles]
@@ -341,7 +341,7 @@ class TestSharedHazardPrediction:
                 expected = cloud_decide(scene, horizon)
             decision = cloud_decide(scene, horizon)
             assert decision == expected and repr(decision) == repr(expected)
-            for v in scene.others:
+            for v in others_states(scene):
                 if v.speed + v.accel * DEFAULT_DT < 0:
                     seen.add("clamp at 0")
                 if v.speed + v.accel * DEFAULT_DT > scene.v_max:
@@ -439,7 +439,7 @@ def _true_swept_collision(scene: Scene, action: Action, horizon: int = 3) -> boo
     act = action
     for _ in range(horizon):
         nxt = step(current, act)
-        for before, after in zip(current.others, nxt.others):
+        for before, after in zip(others_states(current), others_states(nxt)):
             if before.lane != nxt.ego.lane:
                 continue
             rel0 = before.position - current.ego.position

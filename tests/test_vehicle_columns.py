@@ -1,8 +1,9 @@
 """The struct-of-arrays vehicle columns against per-``VehicleState`` oracles.
 
 Each oracle below is a test-local copy of the reader as it was written over
-a tuple of ``VehicleState`` objects; the column readers must reproduce it
-exactly, by ``==`` and by ``repr``.
+a tuple of ``VehicleState`` objects, read from the columns by
+``scenarios.others_states``; the column readers must reproduce it exactly,
+by ``==`` and by ``repr``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from ecdrive.codec import (
 from ecdrive.highway import DEFAULT_DT, VEHICLE_LENGTH_M, NeighborInfo, Vehicles
 from ecdrive.policies import _predict_hazards
 
-from scenarios import random_scenes
+from scenarios import assert_same_scene, others_states, random_scenes
 
 # A few positions, the ego's 0.0 among them, so vehicles tie with each other
 # and with the ego.
@@ -55,7 +56,7 @@ def _oracle_lane_neighbors(scene: Scene, lane: int):
     ego = scene.ego
     front = rear = None
     front_gap = rear_gap = math.inf
-    for veh in scene.others:
+    for veh in others_states(scene):
         if veh.lane != lane:
             continue
         gap = veh.position - ego.position
@@ -83,7 +84,7 @@ def _oracle_nearest_neighbors(scene: Scene) -> NeighborSet:
 
 def _oracle_check_collision(scene: Scene) -> bool:
     ego = scene.ego
-    for veh in scene.others:
+    for veh in others_states(scene):
         if veh.lane == ego.lane and abs(veh.position - ego.position) < VEHICLE_LENGTH_M:
             return True
     for obs in scene.obstacles:
@@ -118,7 +119,7 @@ def _oracle_featurize(scene: Scene, rng=None) -> np.ndarray:
 def _oracle_predict_hazards(scene: Scene, horizon: int):
     dt = DEFAULT_DT
     v_max = scene.v_max
-    others, obstacles = tuple(scene.others), scene.obstacles
+    others, obstacles = others_states(scene), scene.obstacles
     lanes = [v.lane for v in others] + [o.lane for o in obstacles]
     radii = [VEHICLE_LENGTH_M] * len(others) + [
         VEHICLE_LENGTH_M / 2.0 + o.extent_m / 2.0 for o in obstacles
@@ -146,7 +147,7 @@ def _oracle_describe(scene: Scene) -> str:
         f"with an acceleration of {ego.accel:.1f} m/s², "
         f"and its lane position is {ego.position:.2f} m."
     ]
-    by_gap = sorted(scene.others, key=lambda v: (abs(v.position - ego.position), v.id))
+    by_gap = sorted(others_states(scene), key=lambda v: (abs(v.position - ego.position), v.id))
     for veh in by_gap:
         direction = "ahead" if veh.position >= ego.position else "behind"
         parts.append(
@@ -162,17 +163,18 @@ def _oracle_perceived(scene: Scene) -> list[str]:
     return [
         f"perceived: vehicle {veh.id} in lane {veh.lane} at {veh.position:.2f} m, "
         f"speed {veh.speed:.1f} m/s"
-        for veh in scene.others
+        for veh in others_states(scene)
     ]
 
 
 def _oracle_validate(scene: Scene) -> None:
     if scene.lane_count < 1:
         raise ScenarioError("lane_count must be >= 1")
-    ids = [scene.ego.id] + [v.id for v in scene.others]
+    others = others_states(scene)
+    ids = [scene.ego.id] + [v.id for v in others]
     if len(set(ids)) != len(ids):
         raise ScenarioError("vehicle ids must be unique")
-    for v in (scene.ego, *scene.others):
+    for v in (scene.ego, *others):
         if v.speed < 0:
             raise ScenarioError(f"vehicle {v.id} has negative speed")
         if not (0 <= v.lane < scene.lane_count):
@@ -260,24 +262,19 @@ class TestVehicleColumns:
     @settings(max_examples=60, deadline=None)
     @given(scene=SCENES)
     def test_others_round_trips_the_vehicles(self, scene):
-        states = tuple(scene.others)
-        assert all(type(v) is VehicleState for v in states)
-        rebuilt = Scene(time=0.0, lane_count=scene.lane_count, ego=scene.ego, others=states)
-        _same(tuple(rebuilt.others), states)
-        _same(rebuilt.others, scene.others)
-        assert rebuilt.others == states and len(rebuilt.others) == len(states)
-        assert [scene.others[i] for i in range(len(states))] == list(states)
+        states = others_states(scene)
+        rebuilt = dataclasses.replace(scene, others=states)
+        assert rebuilt.others is not scene.others and len(rebuilt.others) == len(states)
+        assert_same_scene(rebuilt, scene)
 
-    def test_none_targets_stay_distinguishable(self):
-        vehicles = (VehicleState(1, 0, 10.0, 12.0), VehicleState(2, 0, 20.0, 12.0, 0.0, 12.0))
+    def test_none_target_becomes_the_speed(self):
+        vehicles = (VehicleState(1, 0, 10.0, 12.5), VehicleState(2, 0, 20.0, 12.0, 0.0, 14.0))
         scene = Scene(time=0.0, lane_count=1, ego=VehicleState(0, 0, 0.0, 5.0), others=vehicles)
-        assert scene.others.has_target.tolist() == [False, True]
-        assert [v.target_speed for v in scene.others] == [None, 12.0]
-        assert repr(scene.others) == repr(vehicles)
+        assert scene.others.target.tolist() == [12.5, 14.0]
 
     def test_zero_vehicles(self):
         scene = Scene(time=0.0, lane_count=1, ego=VehicleState(0, 0, 0.0, 5.0))
-        assert scene.others == () and len(scene.others) == 0 and list(scene.others) == []
+        assert len(scene.others) == 0 and others_states(scene) == ()
         assert isinstance(scene.others, Vehicles)
         assert step(scene, Action.KEEP).others is scene.others
 
@@ -299,8 +296,8 @@ class TestVehicleColumns:
                       step(spawn_scenario(config, seed=1), Action.KEEP)):
             others = scene.others
             columns = (others.id, others.lane, others.position, others.speed, others.accel,
-                       others.target, others.has_target)
-            assert [c.dtype.kind for c in columns] == ["i", "i", "f", "f", "f", "f", "b"]
+                       others.target)
+            assert [c.dtype.kind for c in columns] == ["i", "i", "f", "f", "f", "f"]
             for column in columns:
                 assert not column.flags.writeable
                 with pytest.raises(ValueError):
