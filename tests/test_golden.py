@@ -98,6 +98,31 @@ CASES = {
         "seeds": [2],
         "steps": 60,
     },
+    # all three modes with sensor noise over an obstacle only the cloud
+    # sees: the modes meet the same noisy scenes and then part, and each
+    # draws its noise from its own rng
+    "noisy_obstacle": {
+        "scenario": {
+            "name": "noisy_obstacle",
+            "lane_count": 3,
+            "ego_lane": 0,
+            "ego_speed": 20.0,
+            "ego_position": 0.0,
+            "n_random_vehicles": 6,
+            "speed_range": [18.0, 24.0],
+            "spawn_span": [150.0, 1400.0],
+            "spawn_lanes": [1, 2],
+        },
+        "injections": [
+            {"kind": "SensorNoise", "start_step": 5, "end_step": 50, "sigma": 0.8},
+            {"kind": "NewObstacle", "start_step": 0, "end_step": 70, "lane": 0,
+             "position": 700.0, "extent_m": 6.0},
+        ],
+        "offload": {"mode": "Collaborative", "tau": 0.4, **_SMALL_KS},
+        "modes": ["EdgeOnly", "Collaborative", "CloudOnly"],
+        "seeds": [6],
+        "steps": 70,
+    },
     # the MMD detector at its default size on a road with traffic: the
     # kernel entries take many distinct values
     "highway_mmd": {
@@ -143,6 +168,14 @@ GOLDEN = {
     "adjacent_obstacle": {
         "adjacent_Collaborative_2.jsonl":
             "deeecca1492761d74dd493889214d3c21b2da4851b0e9dce91aa0de6ca1f6acb",
+    },
+    "noisy_obstacle": {
+        "noisy_obstacle_CloudOnly_6.jsonl":
+            "a763098f58f6599f370a9fa2ad528175f2902ff45438f7e95785b677ae584628",
+        "noisy_obstacle_Collaborative_6.jsonl":
+            "a8b217bceb8be3c75a67bee3b0c89d19e0aa6cb73bec83d7a86275f272755b2a",
+        "noisy_obstacle_EdgeOnly_6.jsonl":
+            "ada8724856cec5004ae80a0c57c0cde28b64c3a2f320cfb15230b6db1649eece",
     },
     "highway_mmd": {
         "open_highway_Collaborative_0.jsonl":
