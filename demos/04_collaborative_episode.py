@@ -1,15 +1,16 @@
 """One full collaboration episode with a mid-run obstacle injection.
 
-Runs the same seeded scenario in all three modes. An obstacle materializes
-in the ego's lane for steps [100, 200); the drift monitor notices the gap
-features leaving the reference distribution, escalates those steps to the
-cloud, and the cloud brakes the ego short of the blockage. An ASCII
-timeline shows where the offloads landed.
+Runs the same seeded scenario in all three modes, in lockstep through one
+``run_episodes`` call, which computes each scene the modes share once. An
+obstacle materializes in the ego's lane for steps [100, 200); the drift
+monitor notices the gap features leaving the reference distribution,
+escalates those steps to the cloud, and the cloud brakes the ego short of
+the blockage. An ASCII timeline shows where the offloads landed.
 
 Run:  python3 demos/04_collaborative_episode.py
 """
 
-from ecdrive import DriftInjection, OffloadConfig, ScenarioConfig, run_episode
+from ecdrive import DriftInjection, OffloadConfig, ScenarioConfig, run_episodes
 
 scenario = ScenarioConfig(
     name="corridor",
@@ -28,12 +29,9 @@ STEPS = 300
 print("Scenario: single-lane 10 m/s corridor; blockage appears 180 m ahead")
 print("of the ego at step 100 and is cleared again at step 200.\n")
 
-traces = {}
-for mode in ("EdgeOnly", "Collaborative", "CloudOnly"):
-    traces[mode] = run_episode(
-        scenario, injections, OffloadConfig(mode=mode, tau=0.0),
-        seed=0, steps=STEPS,
-    )
+modes = ("EdgeOnly", "Collaborative", "CloudOnly")
+configs = [OffloadConfig(mode=mode, tau=0.0) for mode in modes]
+traces = dict(zip(modes, run_episodes(scenario, injections, configs, seed=0, steps=STEPS)))
 
 print(f"{'mode':14s} {'offload%':>9s} {'mean ms':>8s} {'p95 ms':>7s} "
       f"{'KB up':>7s} {'collisions':>10s} {'in-window':>9s}")

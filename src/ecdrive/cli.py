@@ -39,7 +39,8 @@ from .orchestrator import (
     OffloadConfig,
     aggregate_metrics,
     fit_reference,
-    run_episode,
+    run_episode,  # noqa: F401 (bench/tracer.py wraps this name)
+    run_episodes,
 )
 from .policies import EndpointConfig
 from .trace import from_json, load_trace, temp_name, write_trace
@@ -145,6 +146,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError("seeds: must be a non-empty list of non-negative integers")
     if not all(_is_int(s) and s >= 0 for s in seeds):
         raise ConfigError("seeds: must be a non-empty list of non-negative integers")
+    _reject_repeats("seeds", seeds)
 
     steps = _require(data, "steps")
     if not _is_int(steps) or steps < 1:
@@ -163,6 +165,7 @@ def load_experiment_config(path) -> ExperimentConfig:
             raise ConfigError(f"modes: {mode!r} is not one of {MODES}")
     if not modes:
         raise ConfigError("modes: must not be empty")
+    _reject_repeats("modes", modes)
     _check_trace_names(scenario.name, modes, seeds)
 
     endpoint = None
@@ -188,6 +191,16 @@ def load_experiment_config(path) -> ExperimentConfig:
         modes=modes,
         endpoint=endpoint,
     )
+
+
+def _reject_repeats(field: str, values) -> None:
+    """Each seed and mode names one episode and one trace file, so none may
+    repeat."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"{field}: {value!r} appears more than once")
+        seen.add(value)
 
 
 def trace_filename(scenario_name: str, mode: str, seed: int) -> str:
@@ -228,10 +241,14 @@ def cmd_run(config_path: str) -> int:
     """Run every (seed x mode) episode of the experiment and write traces.
 
     The burn-in and detector fit do not depend on the mode, so each seed's
-    detector is fitted once and shared by all of its modes. A seed whose
-    scene cannot be spawned is a config error, reported before any output.
-    A trace that cannot be written is reported and the remaining episodes
-    still run; the exit code is then EXIT_IO.
+    detector is fitted once and shared by all of its modes. Each seed's
+    modes then run in lockstep through one :func:`run_episodes` call, which
+    computes each scene they share once, and that seed's traces are written
+    before the next seed runs. The summary lines follow at the end, one per
+    written trace, in (mode, seed) order. A seed whose scene cannot be
+    spawned is a config error, reported before any output. A trace that
+    cannot be written is reported and the remaining episodes still run; the
+    exit code is then EXIT_IO.
     """
     try:
         config = load_experiment_config(config_path)
@@ -247,18 +264,19 @@ def cmd_run(config_path: str) -> int:
         return EXIT_IO
 
     exit_code = EXIT_OK
-    for mode in config.modes:
-        offload = replace(config.offload, mode=mode)
-        for seed in config.seeds:
-            trace = run_episode(
-                config.scenario,
-                config.injections,
-                offload,
-                seed=seed,
-                steps=config.steps,
-                endpoint=config.endpoint,
-                detector=detectors[seed],
-            )
+    offloads = [replace(config.offload, mode=mode) for mode in config.modes]
+    lines = {}
+    for seed in config.seeds:
+        traces = run_episodes(
+            config.scenario,
+            config.injections,
+            offloads,
+            seed=seed,
+            steps=config.steps,
+            endpoint=config.endpoint,
+            detector=detectors[seed],
+        )
+        for mode, trace in zip(config.modes, traces):
             path = config.output_dir / trace_filename(config.scenario.name, mode, seed)
             try:
                 write_trace(trace, path)
@@ -267,12 +285,16 @@ def cmd_run(config_path: str) -> int:
                 exit_code = EXIT_IO
                 continue
             s = trace.summary
-            print(
+            lines[mode, seed] = (
                 f"{config.scenario.name} mode={mode} seed={seed}: "
                 f"offload_rate={s.offload_rate:.3f} "
                 f"mean_latency={s.mean_latency_ms:.1f}ms "
                 f"bytes_up={s.total_bytes_up} collisions={s.collision_count}"
             )
+    for mode in config.modes:
+        for seed in config.seeds:
+            if (mode, seed) in lines:
+                print(lines[mode, seed])
     return exit_code
 
 

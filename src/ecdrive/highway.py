@@ -17,10 +17,13 @@ made with each column set, and visit only the lanes they ask about through
 ``Vehicles.by_lane``, which :func:`step` carries over because vehicles
 never change lanes. With up to a few tens of vehicles such a scan beats a
 chain of masked numpy calls, each of which costs about a microsecond. The
-four neighbor slots are computed once per scene.
+four neighbor slots are computed once per scene, and so are the other
+vehicles' columns one step on, which no ego action changes.
 ``Scene.others`` is the column set. A ``Scene`` built with ``others=`` a
 tuple of ``VehicleState`` converts it, resolving a ``None`` target speed to
-the vehicle's speed then. Scenes and columns compare by identity.
+the vehicle's speed then. Scenes and columns compare by identity; a scene's
+content is compared through ``Scene.key``, built from the bit pattern of
+every field.
 
 Scripted perturbations (new obstacles, traffic-pattern shifts, sensor noise)
 are applied per step through :func:`inject_drift`, which is the identity
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -70,6 +74,21 @@ class IllegalLaneChange(ValueError):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """An int or a float; a bool is not a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _content_bytes(values) -> bytes:
+    """The pickle of ``values``, a content key. A float pickles as its eight
+    IEEE 754 bytes, so 0.0 and -0.0 differ and no float ``==`` is involved,
+    and an int, a bool and None each under an opcode of their own; the
+    pickle loads back to the same values, so equal bytes mean equal values
+    of equal types. An equal string held twice may pickle apart, which can
+    only lose a match."""
+    return pickle.dumps(values, 5)
 
 
 def _require(test, what: str, prefix: str = "", **values) -> None:
@@ -175,6 +194,16 @@ class Vehicles:
     def __len__(self) -> int:
         return len(self.id)
 
+    @cached_property
+    def key(self) -> bytes:
+        """Content key of the columns: the pickle of each one's type code,
+        byte order and shape, then their bytes. The scenes that
+        :func:`step` and the injection overlays derive from one another
+        share their columns, so it is formed once for all of them."""
+        columns = (self.id, self.lane, self.position, self.speed, self.accel, self.target)
+        layout = [(c.dtype.char, c.dtype.byteorder, c.shape) for c in columns]
+        return _content_bytes(layout) + b"".join([c.tobytes() for c in columns])
+
 
 @dataclass(frozen=True)
 class Obstacle:
@@ -195,7 +224,7 @@ class Scene:
     tuple of :class:`VehicleState` passed here is converted to them, each
     ``None`` target speed becoming the vehicle's speed at construction.
     ``target_offset`` is added to every non-ego target speed by :func:`step`.
-    Scenes compare by identity.
+    Scenes compare by identity; :attr:`key` compares their content.
     """
 
     time: float
@@ -210,6 +239,35 @@ class Scene:
     def __post_init__(self) -> None:
         if not isinstance(self.others, Vehicles):
             object.__setattr__(self, "others", Vehicles.from_states(self.others))
+
+    @cached_property
+    def key(self) -> bytes:
+        """Content key: the pickle of every scalar field of the scene, its
+        ego and each obstacle, then the columns' key. Scenes with equal keys
+        hold the same values bit for bit, so every pure function of a scene
+        gives them the same result (see :func:`_content_bytes`)."""
+        ego = self.ego
+        return _content_bytes((
+            self.time, self.lane_count, self.noise_sigma, self.v_max, self.target_offset,
+            ego.id, ego.lane, ego.position, ego.speed, ego.accel, ego.target_speed,
+            [(o.lane, o.position, o.extent_m, o.kind) for o in self.obstacles],
+        )) + self.others.key
+
+    @cached_property
+    def _moved_others(self) -> Vehicles:
+        # the other vehicles one step on: no ego action moves them, so a
+        # scene stepped with several actions moves them once
+        others = self.others
+        if not len(others):
+            return others
+        dt = DEFAULT_DT
+        speed = others.speed
+        delta = others.target + self.target_offset - speed
+        # Land exactly on the target instead of oscillating around it.
+        a_rev = np.maximum(-REVERSION_ACCEL, np.minimum(REVERSION_ACCEL, delta / dt))
+        return others.moved(
+            *_advance(speed, a_rev, others.position, dt, self.v_max, np.maximum, np.minimum)
+        )
 
     @cached_property
     def _neighbors(self) -> NeighborSet:
@@ -291,14 +349,10 @@ class DriftInjection:
     KINDS = ("NewObstacle", "TrafficPatternShift", "SensorNoise")
 
     def validate(self) -> None:
-        _require(
-            math.isfinite,
-            "finite",
-            position=self.position,
-            extent_m=self.extent_m,
-            speed_offset=self.speed_offset,
-            sigma=self.sigma,
-        )
+        numbers = dict(position=self.position, extent_m=self.extent_m,
+                       speed_offset=self.speed_offset, sigma=self.sigma)
+        _require(_is_number, "a number", **numbers)
+        _require(math.isfinite, "finite", **numbers)
         _require(
             _is_int,
             "an integer",
@@ -366,16 +420,15 @@ class ScenarioConfig:
         for field_name, pair in (("speed_range", self.speed_range),
                                  ("spawn_span", self.spawn_span)):
             if not (isinstance(pair, tuple) and len(pair) == 2
-                    and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                            for x in pair)):
+                    and all(map(_is_number, pair))):
                 raise ScenarioError(f"{field_name} must be a pair of finite numbers, got {pair!r}")
+        numbers = dict(ego_speed=self.ego_speed, ego_position=self.ego_position,
+                       ego_accel=self.ego_accel, v_max=self.v_max)
+        _require(_is_number, "a number", **numbers)
         _require(
             math.isfinite,
             "finite",
-            ego_speed=self.ego_speed,
-            ego_position=self.ego_position,
-            ego_accel=self.ego_accel,
-            v_max=self.v_max,
+            **numbers,
             speed_range=self.speed_range,
             spawn_span=self.spawn_span,
         )
@@ -390,15 +443,10 @@ class ScenarioConfig:
         for v in self.fixed_others:
             prefix = f"vehicle {v.id} "
             _require(_is_int, "an integer", prefix, id=v.id, lane=v.lane)
-            _require(
-                math.isfinite,
-                "finite",
-                prefix,
-                position=v.position,
-                speed=v.speed,
-                accel=v.accel,
-                target_speed=v.resolved_target(),
-            )
+            numbers = dict(position=v.position, speed=v.speed, accel=v.accel,
+                           target_speed=v.resolved_target())
+            _require(_is_number, "a number", prefix, **numbers)
+            _require(math.isfinite, "finite", prefix, **numbers)
         if self.lane_count < 1:
             raise ScenarioError("lane_count must be >= 1")
         if not (0 <= self.ego_lane < self.lane_count):
@@ -547,17 +595,7 @@ def step(scene: Scene, action: Action) -> Scene:
     v_new, p_new, a_eff = _advance(ego.speed, a_cmd, ego.position, dt, scene.v_max)
     new_ego = VehicleState(ego.id, lane, p_new, v_new, a_eff, ego.target_speed)
 
-    others = scene.others
-    if len(others):
-        speed = others.speed
-        delta = others.target + scene.target_offset - speed
-        # Land exactly on the target instead of oscillating around it.
-        a_rev = np.maximum(-REVERSION_ACCEL, np.minimum(REVERSION_ACCEL, delta / dt))
-        others = others.moved(
-            *_advance(speed, a_rev, others.position, dt, scene.v_max, np.maximum, np.minimum)
-        )
-
-    return replace(scene, time=scene.time + dt, ego=new_ego, others=others)
+    return replace(scene, time=scene.time + dt, ego=new_ego, others=scene._moved_others)
 
 
 def check_collision(scene: Scene) -> bool:

@@ -43,6 +43,7 @@ from .highway import (
     Scene,
     ScenarioConfig,
     _is_int,
+    _is_number,
     check_collision,
     inject_drift,
     legal_actions,
@@ -85,6 +86,10 @@ class OffloadConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("tau", "alpha", "edge_ms", "cloud_ms", "rtt_ms"):
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not (0.0 <= self.tau <= 1.0):
             raise ValueError("tau must lie in [0, 1]")
         if not isinstance(self.method, str) or self.method.lower() not in ("ks", "mmd"):
@@ -186,6 +191,16 @@ def _apply_injections(
     return scene
 
 
+def _next_scene(scene: Scene, effective: Scene, action: Action) -> Scene:
+    """The scene of the next step: ``effective`` stepped with ``action``,
+    its injection overlay stripped again by taking only the evolved state
+    (time, ego, other vehicles) onto ``scene``."""
+    advanced = step(effective, action)
+    if effective is scene:  # no overlay active: nothing to strip
+        return advanced
+    return replace(scene, time=advanced.time, ego=advanced.ego, others=advanced.others)
+
+
 def _timed_remote(
     scene: Scene,
     endpoint: EndpointConfig,
@@ -244,6 +259,187 @@ def fit_reference(scenario: ScenarioConfig, config: OffloadConfig, seed: int) ->
     )
 
 
+def _detector_settings(config: OffloadConfig) -> tuple:
+    """The settings a fitted detector depends on, besides the seed."""
+    return (config.method.lower(), config.alpha, config.window, config.n_ref, config.n_perm)
+
+
+def _shared(entry: dict | None, name, compute, *args):
+    """``compute(*args)``, computed once per ``entry`` and ``name``; with no
+    entry, computed on every call."""
+    if entry is None:
+        return compute(*args)
+    value = entry.get(name, entry)  # the entry itself is never a stored value
+    if value is entry:
+        value = entry[name] = compute(*args)
+    return value
+
+
+class _Episode:
+    """The state one episode of :func:`run_episodes` carries between steps."""
+
+    def __init__(self, config: OffloadConfig, detector: DriftDetector, scene: Scene,
+                 seed: int):
+        self.config = config
+        self.detector = detector
+        self.scene = scene
+        self.noise_rng = np.random.default_rng(seed)
+        # only a Collaborative step waits for its drift report
+        self.window = SlidingWindow(detector) if config.mode == "Collaborative" else None
+        self.features: list[np.ndarray] = []
+        self.edges: list[Decision] = []
+        self.reports: list[DriftReport | None] = []
+        # each step's record fields after drift_report, in StepRecord's field order
+        self.outcomes: list[tuple] = []
+
+    def advance(self, index: int, injections: tuple[DriftInjection, ...],
+                endpoint: EndpointConfig | None, shared: dict | None) -> None:
+        """Run step ``index``. The pure per-scene results are looked up in,
+        or added to, the entry of ``shared`` under the scene's key; a remote
+        call and a noisy feature are always the episode's own. Every episode
+        overlays the same injections at the same index, so equal scenes have
+        equal effective scenes, and the entry holds the effective scene too."""
+        config = self.config
+        scene = self.scene
+        entry = None if shared is None else shared.setdefault(scene.key, {})
+        effective = _shared(entry, "effective", _apply_injections, scene, injections, index)
+        collision = _shared(entry, "collision", check_collision, effective)
+        # noise is drawn from the episode's own rng
+        noiseless = entry if not effective.noise_sigma > 0 else None
+        feature = _shared(noiseless, "feature", featurize, effective, self.noise_rng)
+
+        if endpoint is not None and endpoint.role == "Edge":
+            edge, edge_latency = _timed_remote(effective, endpoint, "Edge", edge_decide)
+        else:
+            edge, edge_latency = _shared(entry, "edge", edge_decide, effective), config.edge_ms
+
+        self.features.append(feature)
+        self.edges.append(edge)
+        report = None
+        window = self.window
+        if window is not None:
+            window.push(feature)
+            report = predict(self.detector, window) if window.full else None
+            self.reports.append(report)
+        offloaded, reason = offload_rule(report, edge.confidence, config)
+
+        cloud: Decision | None = None
+        cloud_latency = 0.0
+        if offloaded:
+            if endpoint is not None and endpoint.role == "Cloud":
+                cloud, cloud_latency = _timed_remote(effective, endpoint, "Cloud", cloud_decide)
+            else:
+                cloud = _shared(entry, "cloud", cloud_decide, effective)
+                cloud_latency = config.rtt_ms + config.cloud_ms
+
+        executed = cloud.action if cloud is not None else edge.action
+        if executed not in legal_actions(effective):
+            logger.warning(
+                "step %d: illegal action %s from %s, executing Keep instead",
+                index,
+                executed.value,
+                (cloud or edge).source,
+            )
+            executed = Action.KEEP
+
+        self.outcomes.append((
+            offloaded,
+            reason,
+            cloud,
+            executed,
+            edge_latency + cloud_latency,
+            config.uplink_bytes_per_sample if offloaded else 0,
+            collision,
+        ))
+
+        self.scene = _shared(entry, ("step", executed), _next_scene, scene, effective, executed)
+
+    def records(self, steps: int) -> list[StepRecord]:
+        reports = self.reports
+        if self.window is None:
+            reports = [None] * min(steps, self.config.window - 1) + predict_windows(
+                self.detector, self.features
+            )
+        return [
+            StepRecord(index, feature, edge, report, *outcome)
+            for index, (feature, edge, report, outcome)
+            in enumerate(zip(self.features, self.edges, reports, self.outcomes))
+        ]
+
+
+def run_episodes(
+    scenario: ScenarioConfig,
+    injections,
+    configs,
+    seed: int,
+    steps: int,
+    endpoint: EndpointConfig | None = None,
+    detector: DriftDetector | None = None,
+) -> list[EpisodeTrace]:
+    """Run one seeded episode per offload config, in lockstep; one trace
+    each, in the order of ``configs``.
+
+    Every episode starts from the same initial scene and advances one step
+    at a time beside the others. At each step index the pure per-scene calls
+    (the injection overlay, :func:`check_collision`, a noiseless
+    :func:`featurize`, the local :func:`edge_decide` and
+    :func:`cloud_decide`, and :func:`step` for each executed action) run
+    once per distinct scene: episodes find each other through
+    ``Scene.key``, and what they share is dropped after the step. The drift
+    test, the offload rule, a noisy feature (drawn from the episode's own
+    rng) and every remote call stay each episode's own. One episode alone
+    forms no key. Each trace equals the one :func:`run_episode` gives for
+    its config alone, byte for byte.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    _check_seed(seed)
+    configs = tuple(configs)
+    for config in configs:
+        config.validate()
+    scenario.validate()
+    injections = tuple(injections)
+    for injection in injections:
+        validate_injection(injection, scenario.lane_count)
+    if endpoint is not None:
+        endpoint.validate()
+
+    detectors = {}
+    for config in configs:
+        settings = _detector_settings(config)
+        if detector is not None:
+            fitted_for = (detector.method, detector.alpha, detector.window, detector.n_ref,
+                          detector.n_perm, detector.rng_seed)
+            if fitted_for != settings + (seed,):
+                raise ValueError("detector was not fitted with this episode's settings and seed")
+            detectors[settings] = detector
+        elif settings not in detectors:
+            detectors[settings] = fit_reference(scenario, config, seed)
+
+    scene = spawn_scenario(scenario, seed)
+    episodes = [_Episode(c, detectors[_detector_settings(c)], scene, seed) for c in configs]
+    lockstep = len(episodes) > 1
+    for index in range(steps):
+        shared = {} if lockstep else None
+        for episode in episodes:
+            episode.advance(index, injections, endpoint, shared)
+
+    traces = []
+    for episode in episodes:
+        records = episode.records(steps)
+        traces.append(EpisodeTrace(
+            scenario=scenario,
+            injections=injections,
+            offload=episode.config,
+            seed=seed,
+            steps=steps,
+            records=tuple(records),
+            summary=aggregate_metrics(records, injections, episode.config.window),
+            remote_base_url=endpoint.base_url if endpoint else None,
+        ))
+    return traces
+
+
 def run_episode(
     scenario: ScenarioConfig,
     injections,
@@ -253,7 +449,8 @@ def run_episode(
     endpoint: EndpointConfig | None = None,
     detector: DriftDetector | None = None,
 ) -> EpisodeTrace:
-    """Run one seeded episode of the collaboration loop.
+    """Run one seeded episode of the collaboration loop:
+    ``run_episodes(..., (config,), ...)[0]``.
 
     The detector comes from :func:`fit_reference` (a burn-in pass of
     ``config.n_ref`` injection-free steps from the same seed) unless an
@@ -267,109 +464,7 @@ def run_episode(
     with the same reports. Remote failures degrade to the local policy of
     the affected role and never abort.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    _check_seed(seed)
-    config.validate()
-    scenario.validate()
-    injections = tuple(injections)
-    for injection in injections:
-        validate_injection(injection, scenario.lane_count)
-    if endpoint is not None:
-        endpoint.validate()
-
-    if detector is None:
-        detector = fit_reference(scenario, config, seed)
-    else:
-        fitted_for = (detector.method, detector.alpha, detector.window, detector.n_ref,
-                      detector.n_perm, detector.rng_seed)
-        if fitted_for != (config.method.lower(), config.alpha, config.window, config.n_ref,
-                          config.n_perm, seed):
-            raise ValueError("detector was not fitted with this episode's settings and seed")
-
-    scene = spawn_scenario(scenario, seed)
-    noise_rng = np.random.default_rng(seed)
-    # only a Collaborative step waits for its drift report
-    window = SlidingWindow(detector) if config.mode == "Collaborative" else None
-    features: list[np.ndarray] = []
-    edges: list[Decision] = []
-    reports: list[DriftReport | None] = []
-    # each step's record fields after drift_report, in StepRecord's field order
-    outcomes: list[tuple] = []
-    remote_edge = endpoint is not None and endpoint.role == "Edge"
-    remote_cloud = endpoint is not None and endpoint.role == "Cloud"
-
-    for index in range(steps):
-        effective = _apply_injections(scene, injections, index)
-        collision = check_collision(effective)
-        feature = featurize(effective, noise_rng)
-
-        if remote_edge:
-            edge, edge_latency = _timed_remote(effective, endpoint, "Edge", edge_decide)
-        else:
-            edge, edge_latency = edge_decide(effective), config.edge_ms
-
-        features.append(feature)
-        edges.append(edge)
-        report = None
-        if window is not None:
-            window.push(feature)
-            report = predict(detector, window) if window.full else None
-            reports.append(report)
-        offloaded, reason = offload_rule(report, edge.confidence, config)
-
-        cloud: Decision | None = None
-        cloud_latency = 0.0
-        if offloaded:
-            if remote_cloud:
-                cloud, cloud_latency = _timed_remote(effective, endpoint, "Cloud", cloud_decide)
-            else:
-                cloud, cloud_latency = cloud_decide(effective), config.rtt_ms + config.cloud_ms
-
-        executed = cloud.action if cloud is not None else edge.action
-        if executed not in legal_actions(effective):
-            logger.warning(
-                "step %d: illegal action %s from %s, executing Keep instead",
-                index,
-                executed.value,
-                (cloud or edge).source,
-            )
-            executed = Action.KEEP
-
-        outcomes.append((
-            offloaded,
-            reason,
-            cloud,
-            executed,
-            edge_latency + cloud_latency,
-            config.uplink_bytes_per_sample if offloaded else 0,
-            collision,
-        ))
-
-        advanced = step(effective, executed)
-        if effective is scene:  # no overlay active: nothing to strip
-            scene = advanced
-        else:
-            scene = replace(scene, time=advanced.time, ego=advanced.ego, others=advanced.others)
-
-    if window is None:
-        reports = [None] * min(steps, config.window - 1) + predict_windows(detector, features)
-    records = [
-        StepRecord(index, feature, edge, report, *outcome)
-        for index, (feature, edge, report, outcome)
-        in enumerate(zip(features, edges, reports, outcomes))
-    ]
-    summary = aggregate_metrics(records, injections, config.window)
-    return EpisodeTrace(
-        scenario=scenario,
-        injections=injections,
-        offload=config,
-        seed=seed,
-        steps=steps,
-        records=tuple(records),
-        summary=summary,
-        remote_base_url=endpoint.base_url if endpoint else None,
-    )
+    return run_episodes(scenario, injections, (config,), seed, steps, endpoint, detector)[0]
 
 
 def _nearest_rank_p95(values: list[float]) -> float:

@@ -291,3 +291,66 @@ def offload_configs(**fields):
         "uplink_bytes_per_sample": st.integers(0, 10**6),
         **fields,
     })
+
+
+_SPEEDS = st.floats(0.0, 40.0) | st.integers(0, 40)
+_SPANS = st.tuples(_numbers(-2000.0, 2000.0), _numbers(-2000.0, 2000.0)).map(sorted).map(tuple)
+
+
+def runnable_scenarios():
+    """``scenario_configs`` with the fields ``validate`` rejects most often
+    drawn from around their valid ranges, edges included, so that most
+    draws validate; the rest of the field space stays as drawn there."""
+    return scenario_configs(
+        lane_count=st.integers(1, 4),
+        ego_lane=st.integers(0, 3),
+        ego_speed=_SPEEDS,
+        v_max=st.floats(0.5, 40.0) | st.integers(1, 40),
+        n_random_vehicles=st.integers(0, 30),
+        speed_range=st.tuples(_SPEEDS, _SPEEDS).map(sorted).map(tuple),
+        spawn_span=_SPANS,
+        spawn_lanes=st.none() | st.lists(st.integers(0, 3), max_size=3).map(tuple),
+        fixed_others=st.lists(vehicle_states(
+            id=st.integers(1, 100),
+            lane=st.integers(0, 3),
+            position=_numbers(-2000.0, 2000.0),
+            speed=_SPEEDS,
+            target_speed=st.none() | _SPEEDS,
+        ), max_size=3).map(tuple),
+    )
+
+
+def runnable_offloads():
+    """``offload_configs`` around the valid ranges, with the small detector
+    (``n_ref`` 30, ``window`` 10) and latency constants that are JSON
+    integers about half the time."""
+    return offload_configs(
+        mode=st.sampled_from(MODES),
+        tau=st.floats(0.0, 1.0) | st.integers(0, 1),
+        method=st.sampled_from(("ks", "mmd", "KS")),
+        alpha=st.floats(0.001, 0.5),
+        window=st.just(10),
+        n_ref=st.just(30),
+        n_perm=st.integers(20, 40),
+        edge_ms=_numbers(0.0, 1e4),
+        cloud_ms=_numbers(0.0, 1e4),
+        rtt_ms=_numbers(0.0, 1e4),
+    )
+
+
+def runnable_injections():
+    """Up to three ``drift_injections`` of every kind, with windows of up to
+    10 steps starting around the first 25 and the other fields drawn
+    around their valid ranges, edges included, so that most draws
+    validate."""
+    windows = st.tuples(st.integers(-1, 25), st.integers(0, 10))
+    return st.lists(windows.flatmap(lambda w: drift_injections(
+        kind=st.sampled_from(DriftInjection.KINDS),
+        start_step=st.just(w[0]),
+        end_step=st.just(w[0] + w[1]),
+        lane=st.integers(0, 3) | st.integers(-1, 4),
+        position=_numbers(-2000.0, 2000.0),
+        extent_m=st.floats(0.0, 30.0) | st.integers(0, 30),
+        speed_offset=_numbers(-40.0, 40.0),
+        sigma=st.floats(0.0, 10.0) | st.integers(-1, 10),
+    )), max_size=3)

@@ -29,13 +29,7 @@ from ecdrive.highway import ScenarioConfig
 from ecdrive.orchestrator import Metrics, OffloadConfig, run_episode
 from ecdrive.trace import load_trace, trace_lines, write_trace
 
-from scenarios import (
-    _numbers,
-    drift_injections,
-    offload_configs,
-    scenario_configs,
-    vehicle_states,
-)
+from scenarios import runnable_injections, runnable_offloads, runnable_scenarios
 from test_codec import validate_features
 
 
@@ -475,6 +469,44 @@ class TestCmdValidate:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, repeated", [
+        ("seeds", [1, 1], "1"),
+        ("seeds", [0, 2, 0], "0"),
+        ("modes", ["EdgeOnly", "EdgeOnly"], "'EdgeOnly'"),
+        ("modes", ["CloudOnly", "Collaborative", "CloudOnly"], "'CloudOnly'"),
+    ])
+    def test_repeated_seed_or_mode_rejected(self, tmp_path, capsys, key, value, repeated):
+        config = base_config(tmp_path)
+        config[key] = value
+        path = write_config(tmp_path, config)
+        message = f"config error: {key}: {repeated} appears more than once\n"
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        assert capsys.readouterr().err == message
+        assert cmd_run(str(path)) == EXIT_CONFIG
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, fields, message", [
+        ("scenario", {"ego_speed": True}, "scenario: ego_speed"),
+        ("scenario", {"v_max": True}, "scenario: v_max"),
+        ("scenario", {"fixed_others": [{"id": 1, "lane": 0, "position": True, "speed": 5.0}]},
+         "scenario: vehicle 1 position"),
+        ("injection", {"position": True}, "injections[0]: position"),
+        ("injection", {"extent_m": True}, "injections[0]: extent_m"),
+        ("injection", {"speed_offset": True}, "injections[0]: speed_offset"),
+        ("injection", {"sigma": True}, "injections[0]: sigma"),
+        ("offload", {"tau": True}, "offload: tau"),
+        ("offload", {"edge_ms": True}, "offload: edge_ms"),
+    ])
+    def test_booleans_are_not_floats(self, tmp_path, capsys, section, fields, message):
+        config = base_config(tmp_path)
+        (config["injections"][0] if section == "injection" else config[section]).update(fields)
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message} must be a number, got True\n"
+        assert cmd_run(str(path)) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     def test_empty_seeds_rejected(self, tmp_path, capsys):
         config = base_config(tmp_path)
         config["seeds"] = []
@@ -567,6 +599,9 @@ class TestCmdSummarize:
         ("injection", "end_step", "x"),
         ("injection", "start_step", 2.5),
         ("injection", "lane", 7),
+        ("injection", "sigma", True),
+        ("scenario", "ego_speed", True),
+        ("offload", "rtt_ms", True),
     ])
     def test_invalid_header_config_is_a_trace_error(self, run_outputs, capsys,
                                                     section, key, value):
@@ -729,74 +764,11 @@ class TestSummarizeHeaderAndRecordOrder:
         assert self._summarize(victim, capsys)[0] == EXIT_OK
 
 
-_SPEEDS = st.floats(0.0, 40.0) | st.integers(0, 40)
-_SPANS = st.tuples(_numbers(-2000.0, 2000.0), _numbers(-2000.0, 2000.0)).map(sorted).map(tuple)
-
-
-def _runnable_scenarios():
-    """``scenario_configs`` with the fields ``validate`` rejects most often
-    drawn from around their valid ranges, edges included, so that most
-    draws validate; the rest of the field space stays as drawn there."""
-    return scenario_configs(
-        lane_count=st.integers(1, 4),
-        ego_lane=st.integers(0, 3),
-        ego_speed=_SPEEDS,
-        v_max=st.floats(0.5, 40.0) | st.integers(1, 40),
-        n_random_vehicles=st.integers(0, 30),
-        speed_range=st.tuples(_SPEEDS, _SPEEDS).map(sorted).map(tuple),
-        spawn_span=_SPANS,
-        spawn_lanes=st.none() | st.lists(st.integers(0, 3), max_size=3).map(tuple),
-        fixed_others=st.lists(vehicle_states(
-            id=st.integers(1, 100),
-            lane=st.integers(0, 3),
-            position=_numbers(-2000.0, 2000.0),
-            speed=_SPEEDS,
-            target_speed=st.none() | _SPEEDS,
-        ), max_size=3).map(tuple),
-    )
-
-
-def _runnable_offloads():
-    """``offload_configs`` around the valid ranges, with the small detector
-    (``n_ref`` 30, ``window`` 10) and latency constants that are JSON
-    integers about half the time."""
-    return offload_configs(
-        mode=st.sampled_from(MODES),
-        tau=st.floats(0.0, 1.0) | st.integers(0, 1),
-        method=st.sampled_from(("ks", "mmd", "KS")),
-        alpha=st.floats(0.001, 0.5),
-        window=st.just(10),
-        n_ref=st.just(30),
-        n_perm=st.integers(20, 40),
-        edge_ms=_numbers(0.0, 1e4),
-        cloud_ms=_numbers(0.0, 1e4),
-        rtt_ms=_numbers(0.0, 1e4),
-    )
-
-
-def _runnable_injections():
-    """Up to three ``drift_injections`` of every kind, with windows of up to
-    10 steps starting around the first 25 and the other fields drawn
-    around their valid ranges, edges included, so that most draws
-    validate."""
-    windows = st.tuples(st.integers(-1, 25), st.integers(0, 10))
-    return st.lists(windows.flatmap(lambda w: drift_injections(
-        kind=st.sampled_from(DriftInjection.KINDS),
-        start_step=st.just(w[0]),
-        end_step=st.just(w[0] + w[1]),
-        lane=st.integers(0, 3) | st.integers(-1, 4),
-        position=_numbers(-2000.0, 2000.0),
-        extent_m=st.floats(0.0, 30.0) | st.integers(0, 30),
-        speed_offset=_numbers(-40.0, 40.0),
-        sigma=st.floats(0.0, 10.0) | st.integers(-1, 10),
-    )), max_size=3)
-
-
 class TestValidatedConfigsRun:
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-    @given(scenario=_runnable_scenarios(), offload=_runnable_offloads(),
-           injections=_runnable_injections(), seed=st.integers(0, 2**32 - 1),
+    @given(scenario=runnable_scenarios(), offload=runnable_offloads(),
+           injections=runnable_injections(), seed=st.integers(0, 2**32 - 1),
            steps=st.integers(1, 25))
     def test_a_config_validate_accepts_runs_and_its_trace_round_trips(
         self, scenario, offload, injections, seed, steps

@@ -18,6 +18,7 @@ from ecdrive import (
     ScenarioError,
     Scene,
     VehicleState,
+    Vehicles,
     check_collision,
     featurize,
     inject_drift,
@@ -149,6 +150,72 @@ class TestSceneValidate:
     def test_valid_obstacles_pass(self):
         self._scene(Obstacle(lane=0, position=-3.0, extent_m=0.5),
                     Obstacle(lane=1, position=1e4, extent_m=20.0)).validate()
+
+
+class TestSceneKey:
+    """``Scene.key`` parts scenes that differ in any one value, 0.0 from
+    -0.0 included, and joins scenes built apart with the same values."""
+
+    COLUMNS = ("id", "lane", "position", "speed", "accel", "target")
+
+    @staticmethod
+    def _scene(**changes) -> Scene:
+        fields = dict(
+            time=0.0,
+            lane_count=3,
+            ego=VehicleState(id=0, lane=1, position=0.0, speed=20.0, accel=0.0),
+            others=(VehicleState(1, 0, 40.0, 18.0, 0.0, 0.0),
+                    VehicleState(2, 2, -30.0, 22.0, 0.5)),
+            obstacles=(Obstacle(lane=1, position=0.0, extent_m=4.0),),
+            noise_sigma=0.0,
+            v_max=30.0,
+            target_offset=0.0,
+        )
+        return Scene(**{**fields, **changes})
+
+    def test_scenes_built_apart_share_a_key(self):
+        assert self._scene().key == self._scene().key
+
+    @pytest.mark.parametrize("field, value", [
+        ("time", 1.0), ("time", -0.0), ("lane_count", 4), ("noise_sigma", 0.5),
+        ("noise_sigma", -0.0), ("v_max", 29.0), ("v_max", 30), ("target_offset", -6.0),
+        ("target_offset", -0.0), ("obstacles", ()),
+    ])
+    def test_a_scene_field_changes_the_key(self, field, value):
+        assert self._scene(**{field: value}).key != self._scene().key
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", 5), ("lane", 0), ("position", 1.0), ("position", -0.0), ("speed", 19.0),
+        ("accel", -0.0), ("target_speed", 20.0),
+    ])
+    def test_an_ego_field_changes_the_key(self, field, value):
+        ego = dataclasses.replace(self._scene().ego, **{field: value})
+        assert self._scene(ego=ego).key != self._scene().key
+
+    @pytest.mark.parametrize("column, value", [
+        ("id", 7), ("lane", 1), ("position", 41.0), ("speed", 18.5), ("accel", -0.0),
+        ("target", -0.0),
+    ])
+    def test_a_column_value_changes_the_key(self, column, value):
+        others = self._scene().others
+        values = getattr(others, column).copy()
+        values[0] = value
+        changed = Vehicles(**{**{c: getattr(others, c) for c in self.COLUMNS},
+                              column: values})
+        assert self._scene(others=changed).key != self._scene().key
+
+    def test_a_column_dtype_changes_the_key(self):
+        others = self._scene().others
+        columns = {c: getattr(others, c) for c in self.COLUMNS}
+        columns["id"] = columns["id"].astype(np.uint64)
+        assert self._scene(others=Vehicles(**columns)).key != self._scene().key
+
+    @pytest.mark.parametrize("field, value", [
+        ("lane", 0), ("position", -0.0), ("position", 3.0), ("extent_m", 5.0), ("kind", "cone"),
+    ])
+    def test_an_obstacle_field_changes_the_key(self, field, value):
+        obstacle = dataclasses.replace(self._scene().obstacles[0], **{field: value})
+        assert self._scene(obstacles=(obstacle,)).key != self._scene().key
 
 
 def _oracle_step(scene: Scene, action: Action) -> Scene:

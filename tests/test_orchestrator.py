@@ -7,8 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from ecdrive import (
+    MODES,
     Action,
     Decision,
     DriftInjection,
@@ -22,18 +25,25 @@ from ecdrive import (
     offload_rule,
     predict,
     run_episode,
+    run_episodes,
+    spawn_scenario,
     write_trace,
 )
 from ecdrive import orchestrator
+from ecdrive.highway import validate_injection
 from ecdrive.trace import trace_lines
 
 from scenarios import (
     corridor_config,
     corridor_obstacle,
+    drift_injections,
     obstacle_zone_config,
     obstacle_zone_injections,
     open_highway_config,
     reference_config,
+    runnable_injections,
+    runnable_offloads,
+    runnable_scenarios,
 )
 
 
@@ -232,6 +242,79 @@ class TestRunEpisodeModes:
         assert len(reports) == steps
         assert reports[:11] == [None] * min(steps, 11)
         assert all(r is not None for r in reports[11:])
+
+
+def _runs(scenario, injections, offloads, seed) -> bool:
+    """Whether ``run_episode`` accepts these settings."""
+    try:
+        scenario.validate()
+        spawn_scenario(scenario, seed)
+        for injection in injections:
+            validate_injection(injection, scenario.lane_count)
+        for offload in offloads:
+            offload.validate()
+    except (ValueError, TypeError):
+        return False
+    return True
+
+
+class TestRunEpisodes:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(scenario=runnable_scenarios(), offload=runnable_offloads(),
+           injections=runnable_injections(),
+           noise=drift_injections(kind=st.just("SensorNoise"), start_step=st.integers(0, 10),
+                                  end_step=st.integers(11, 20), sigma=st.floats(0.0, 3.0)),
+           tau=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 25))
+    def test_each_trace_equals_its_episode_run_alone(
+        self, scenario, offload, injections, noise, tau, seed, steps
+    ):
+        injections = (*injections, noise)
+        configs = [replace(offload, mode=mode) for mode in MODES]
+        configs.append(replace(offload, mode="Collaborative", tau=tau))
+        assume(_runs(scenario, injections, configs, seed))
+        traces = run_episodes(scenario, injections, configs, seed=seed, steps=steps)
+        assert len(traces) == len(configs)
+        for config, trace in zip(configs, traces):
+            alone = run_episode(scenario, injections, config, seed=seed, steps=steps)
+            assert trace_lines(trace) == trace_lines(alone)
+
+    def test_modes_share_their_scenes(self, monkeypatch):
+        steps = 120
+        configs = [OffloadConfig(mode=mode, n_ref=40, window=12) for mode in MODES]
+        detector = fit_reference(open_highway_config(), configs[0], seed=3)
+        calls = {"featurize": 0, "cloud_decide": 0}
+        for name in calls:
+            real = getattr(orchestrator, name)
+
+            def counting(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(orchestrator, name, counting)
+        shift = DriftInjection(kind="TrafficPatternShift", start_step=40, end_step=80,
+                               speed_offset=-6.0)
+        traces = run_episodes(open_highway_config(), (shift,), configs, seed=3, steps=steps,
+                              detector=detector)
+        offloaded = sum(r.offloaded for trace in traces for r in trace.records)
+        assert 0 < calls["cloud_decide"] < offloaded
+        assert 0 < calls["featurize"] < len(configs) * steps
+
+    def test_one_episode_forms_no_key(self, monkeypatch):
+        def no_key(scene):
+            raise AssertionError("a key was formed")
+
+        monkeypatch.setattr(orchestrator.Scene, "key", property(no_key))
+        cfg = OffloadConfig(mode="CloudOnly", n_ref=40, window=12)
+        trace = run_episodes(open_highway_config(), (), [cfg], seed=0, steps=20)[0]
+        assert trace.summary.offload_rate == 1.0
+
+    def test_a_detector_must_fit_every_config(self):
+        cfg = OffloadConfig(mode="EdgeOnly", n_ref=60, window=20)
+        detector = fit_reference(corridor_config(), cfg, seed=2)
+        with pytest.raises(ValueError, match="detector was not fitted"):
+            run_episodes(corridor_config(), (), [cfg, replace(cfg, window=30)], seed=2,
+                         steps=5, detector=detector)
 
 
 def _record(step: int, offloaded: bool, latency: float, edge_action=Action.KEEP,

@@ -10,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from ecdrive import (
+    MODES,
     Action,
     EndpointConfig,
     NoDecisionFound,
@@ -17,6 +18,7 @@ from ecdrive import (
     RemoteUnavailable,
     remote_decide,
     run_episode,
+    run_episodes,
 )
 
 from scenarios import obstacle_zone_config, obstacle_zone_injections, reference_scene
@@ -206,6 +208,25 @@ class TestOrchestratorFallback:
         first = offloaded[0]
         assert first.cloud_decision.action is Action.LANE_CHANGE_RIGHT
         assert first.executed_action is Action.KEEP
+
+
+    @pytest.mark.parametrize("role", ["Edge", "Cloud"])
+    def test_lockstep_episodes_each_make_their_own_calls(self, stub_server, role):
+        endpoint = EndpointConfig(base_url=stub_server, timeout_s=5.0, role=role)
+        configs = [self._config(mode=mode) for mode in MODES]
+        traces = run_episodes(obstacle_zone_config(), _near_block(14), configs, seed=0,
+                              steps=14, endpoint=endpoint)
+        counts = []
+        for trace in traces:
+            if role == "Edge":
+                decisions = [r.edge_decision for r in trace.records]
+            else:
+                decisions = [r.cloud_decision for r in trace.records if r.offloaded]
+            assert all(d.source == "Remote" for d in decisions)
+            counts.append(len(decisions))
+        # CloudOnly asks on every step, whichever the role
+        assert counts[MODES.index("CloudOnly")] == 14
+        assert len(_StubHandler.requests_seen) == sum(counts)
 
 
 class TestEndpointConfig:
