@@ -128,7 +128,8 @@ def featurize(scene: Scene, rng: np.random.Generator | None = None) -> np.ndarra
     With ``scene.noise_sigma > 0`` every observed speed and gap is perturbed
     by independent Gaussian noise drawn from ``rng``; sigma 0 yields exact
     values and consumes no randomness. Gaps are clamped to [0, 200] with 200
-    as the absent-slot sentinel.
+    as the absent-slot sentinel. The vector is read-only: episodes that
+    stand on equal scenes share it.
     """
     if scene.noise_sigma > 0 and rng is None:
         raise ValueError("featurize needs an rng when noise_sigma > 0")
@@ -154,6 +155,7 @@ def featurize(scene: Scene, rng: np.random.Generator | None = None) -> np.ndarra
         values.extend((gap, rel, present))
     vec = np.asarray(values, dtype=np.float64)
     assert vec.shape == (FEATURE_DIM,)
+    vec.setflags(write=False)
     return vec
 
 

@@ -20,12 +20,15 @@ multiples of 1 / (n_a * n_b), so its values recur from window to window
 and Q is memoized in a bounded cache.
 
 Where no decision waits for a window's report, :func:`predict_windows`
-tests every window of a whole sequence at once: KS ranks all samples with
-one ``searchsorted`` per side and runs the window test over blocks of
-windows viewed on those ranks, each block copied once to be sorted; MMD
-slides one window.
+tests the windows of a whole sequence at once, every one or a chosen
+subset: KS ranks all samples with one ``searchsorted`` per side and runs
+the window test over blocks of the chosen windows gathered from those
+ranks, each block copied once to be sorted; MMD slides one window and
+tests it where a window is chosen.
 Its reports are those of a :class:`SlidingWindow` pushed sample by sample,
-bit for bit.
+bit for bit. A report depends only on the window's samples in order, not
+on the samples before it, so a caller may keep one report per distinct
+window. Report arrays are read-only, since such a report may be shared.
 
 The MMD test uses the unbiased MMD^2 estimator (Gretton et al., "A Kernel
 Two-Sample Test", JMLR 2012). A squared distance adds the squared
@@ -147,7 +150,8 @@ def _ks_statistic(ranks: np.ndarray, steps: np.ndarray) -> np.ndarray:
     ``ranks`` stacks, for each of the window's m values of d features, the
     fractions of the n reference values at or below it, #{ref <= x} / n, in
     rows [:d], and strictly below it, #{ref < x} / n, in rows [d:]; leading
-    axes hold further windows. ``steps`` is ``_ks_steps(d, m)``. Both
+    axes hold further windows; they are sorted and overwritten in place.
+    ``steps`` is ``_ks_steps(d, m)``. Both
     fractions never decrease as x grows, so sorting each row on its own
     pairs them in the order of the values, which are never needed. With
     k = 0..m-1 along the sorted rows, D is the largest of the gaps
@@ -183,8 +187,7 @@ def _ks_statistic(ranks: np.ndarray, steps: np.ndarray) -> np.ndarray:
     value the other end is A = n with c = 1, a gap of 0.
     """
     d = ranks.shape[-2] // 2
-    # a C-ordered copy: a block of windows may be a strided view
-    gaps = np.array(ranks, order="C")
+    gaps = ranks
     gaps.sort(axis=-1)
     same = gaps[..., 1:] == gaps[..., :-1]
     same_pair = same[..., :d, :] & same[..., d:, :]
@@ -206,8 +209,11 @@ def _ks_query(rows: np.ndarray) -> np.ndarray:
 
 
 def _ks_p_values(stats: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
+    """Q(D * sqrt(n_eff)) of each D, in an array of the shape of ``stats``."""
     root_n_eff = math.sqrt(n_a * n_b / (n_a + n_b))
-    return np.array([_kolmogorov_sf(d * root_n_eff) for d in stats.tolist()])
+    p_values = np.array([_kolmogorov_sf(d * root_n_eff) for d in stats.ravel().tolist()])
+    p_values.shape = stats.shape
+    return p_values
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
@@ -617,31 +623,36 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
         raise ValueError(f"window holds {window.pushed} of {detector.window} samples")
 
     if detector.method == "ks":
-        stats = _ks_statistic(window._ranks, window._steps)
+        stats = _ks_statistic(window._ranks[None].copy(), window._steps)
         p_values = _ks_p_values(stats, detector.n_ref, detector.window)
-        return _ks_reports(detector, stats[None], p_values[None])[0]
+        return _ks_reports(detector, stats, p_values)[0]
 
     mmd2, p_value = _mmd_test(window)
     return DriftReport(
         is_drift=bool(p_value < detector.alpha),
-        p_values=np.array([p_value]),
-        statistic=np.array([mmd2]),
+        p_values=_readonly(np.array([p_value])),
+        statistic=_readonly(np.array([mmd2])),
         threshold_used=detector.alpha,
     )
 
 
-def predict_windows(detector: DriftDetector, samples) -> list[DriftReport]:
-    """Test every full window of a sequence of samples against the reference.
+def predict_windows(detector: DriftDetector, samples, starts=None) -> list[DriftReport]:
+    """Test full windows of a sequence of samples against the reference.
 
-    ``samples`` holds T samples in order (T x n_features). Report t is the
-    report ``predict`` gives for samples t..t+window-1, bit for bit, as a
+    ``samples`` holds T samples in order (T x n_features); window t holds
+    samples t..t+window-1. ``starts`` picks the windows to test, in strictly
+    ascending order, and defaults to every full window. Report i is the
+    report ``predict`` gives for window ``starts[i]``, bit for bit, as a
     :class:`SlidingWindow` pushed the samples one by one would give it; a
-    sequence shorter than the window gives no report.
+    sequence shorter than the window has no full window.
     KS ranks all T samples with one ``searchsorted`` per side, views the
-    windows of the stacked ranks with ``sliding_window_view`` and runs
-    :func:`_ks_statistic` over blocks of at most ``window`` windows, which
-    bounds the sorted copy; the memoized Q is looked up once per distinct D.
-    MMD slides one :class:`SlidingWindow` and tests it at every full step.
+    windows of the stacked ranks with ``sliding_window_view`` and gathers
+    the picked ones in blocks of at most ``window`` windows, which bounds
+    the copy :func:`_ks_statistic` sorts in place; the memoized Q is looked
+    up once per distinct D.
+    MMD slides one :class:`SlidingWindow` and tests it at each picked
+    window. A window's report does not depend on the samples before it, so
+    the samples that no picked window holds are never pushed.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] != detector.n_features:
@@ -649,26 +660,35 @@ def predict_windows(detector: DriftDetector, samples) -> list[DriftReport]:
             f"samples must have shape (T, {detector.n_features}), got {samples.shape}"
         )
     m = detector.window
+    full = max(len(samples) - m + 1, 0)
+    starts = np.arange(full) if starts is None else np.asarray(starts, dtype=np.intp)
+    if starts.ndim != 1 or (
+        len(starts) and (starts[0] < 0 or starts[-1] >= full or np.any(np.diff(starts) <= 0))
+    ):
+        raise ValueError(f"starts must ascend strictly within the {full} full windows")
     # for KS the window only ranks the samples and holds the steps
     window = SlidingWindow(detector)
     if detector.method == "mmd":
         reports = []
-        for row in samples:
-            window.push(row)
-            if window.full:
-                reports.append(predict(detector, window))
+        end = 0  # one past the last sample pushed
+        for start in starts.tolist():
+            for row in samples[max(end, start) : start + m]:
+                window.push(row)
+            end = start + m
+            reports.append(predict(detector, window))
         return reports
-    if len(samples) < m:
+    if not len(starts):
         return []
+    # 2d x T, so that a block gathered from the view below is C-ordered
+    ranks = np.ascontiguousarray(window._rank(_ks_query(samples)).T)
     # windows x 2d x m, a view: window t holds the ranks of samples t..t+m-1
-    windows = np.lib.stride_tricks.sliding_window_view(
-        window._rank(_ks_query(samples)), m, axis=0
-    )
-    stats = np.concatenate(
-        [_ks_statistic(windows[t : t + m], window._steps) for t in range(0, len(windows), m)]
-    )
-    distinct, index = np.unique(stats.ravel(), return_inverse=True)
-    p_values = _ks_p_values(distinct, detector.n_ref, m)[index].reshape(stats.shape)
+    windows = np.lib.stride_tricks.sliding_window_view(ranks, m, axis=1).transpose(1, 0, 2)
+    stats = np.concatenate([
+        _ks_statistic(windows[starts[i : i + m]], window._steps)
+        for i in range(0, len(starts), m)
+    ])
+    distinct, index = np.unique(stats, return_inverse=True)
+    p_values = _ks_p_values(distinct, detector.n_ref, m)[index.reshape(stats.shape)]
     return _ks_reports(detector, stats, p_values)
 
 
@@ -676,8 +696,10 @@ def _ks_reports(
     detector: DriftDetector, stats: np.ndarray, p_values: np.ndarray
 ) -> list[DriftReport]:
     """The reports of KS windows from their D statistics and p-values
-    (windows x features): drift iff min p < alpha / n_features
-    (Bonferroni)."""
+    (windows x features, each array its own, made read-only here): drift
+    iff min p < alpha / n_features (Bonferroni)."""
+    _readonly(stats)
+    _readonly(p_values)
     threshold = detector.alpha / detector.n_features
     flags = (p_values.min(axis=1) < threshold).tolist()
     return [

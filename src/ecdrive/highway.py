@@ -39,7 +39,6 @@ import os
 import pickle
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -89,6 +88,28 @@ def _content_bytes(values) -> bytes:
     of equal types. An equal string held twice may pickle apart, which can
     only lose a match."""
     return pickle.dumps(values, 5)
+
+
+class _cached:
+    """An attribute computed on first access and stored in the instance
+    ``__dict__``, where it shadows this non-data descriptor from then on.
+    It writes the ``__dict__`` directly, past a frozen dataclass's
+    ``__setattr__``. Unlike ``functools.cached_property`` on Python 3.11 it
+    takes no lock: each value is a pure function of the instance, so two
+    threads that race to compute it store equal values."""
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
 
 def _require(test, what: str, prefix: str = "", **values) -> None:
@@ -194,7 +215,7 @@ class Vehicles:
     def __len__(self) -> int:
         return len(self.id)
 
-    @cached_property
+    @_cached
     def key(self) -> bytes:
         """Content key of the columns: the pickle of each one's type code,
         byte order and shape, then their bytes. The scenes that
@@ -240,7 +261,7 @@ class Scene:
         if not isinstance(self.others, Vehicles):
             object.__setattr__(self, "others", Vehicles.from_states(self.others))
 
-    @cached_property
+    @_cached
     def key(self) -> bytes:
         """Content key: the pickle of every scalar field of the scene, its
         ego and each obstacle, then the columns' key. Scenes with equal keys
@@ -253,7 +274,7 @@ class Scene:
             [(o.lane, o.position, o.extent_m, o.kind) for o in self.obstacles],
         )) + self.others.key
 
-    @cached_property
+    @_cached
     def _moved_others(self) -> Vehicles:
         # the other vehicles one step on: no ego action moves them, so a
         # scene stepped with several actions moves them once
@@ -269,7 +290,7 @@ class Scene:
             *_advance(speed, a_rev, others.position, dt, self.v_max, np.maximum, np.minimum)
         )
 
-    @cached_property
+    @_cached
     def _neighbors(self) -> NeighborSet:
         # computed once per scene: the features and the edge policy both read it
         lane = self.ego.lane

@@ -14,6 +14,15 @@ Obstacles, the traffic target offset and the noise level therefore come
 from the pristine scene again on the next step, so an obstacle vanishes,
 traffic targets revert and noise stops once their window closes.
 
+Drift reports are memoized by window content for the length of one
+:func:`run_episodes` call. Each distinct feature vector, by its bytes, is
+interned as a small id the first time the call sees it, and a window's key
+is the tuple of its ids, oldest first: exact, and in order, because the
+MMD permutations depend on each sample's age. A window's report depends
+only on that content, so every window with the key shares one report,
+tested once, whether a Collaborative step tests it or an EdgeOnly or
+CloudOnly episode tests it in a batch after its last step.
+
 The records and summary of an episode come back as an :class:`EpisodeTrace`;
 :mod:`ecdrive.trace` writes and reads it as JSON Lines.
 """
@@ -276,17 +285,25 @@ def _shared(entry: dict | None, name, compute, *args):
 
 
 class _Episode:
-    """The state one episode of :func:`run_episodes` carries between steps."""
+    """The state one episode of :func:`run_episodes` carries between steps.
 
-    def __init__(self, config: OffloadConfig, detector: DriftDetector, scene: Scene,
-                 seed: int):
+    ``interned`` maps each distinct feature vector's bytes to a small id,
+    for every episode of the call; ``memo`` maps a window's key, the ids of
+    its features oldest first, to its report, for every episode of the call
+    with this detector."""
+
+    def __init__(self, config: OffloadConfig, detector: DriftDetector, memo: dict,
+                 interned: dict[bytes, int], scene: Scene, seed: int):
         self.config = config
         self.detector = detector
+        self.memo = memo
+        self.interned = interned
         self.scene = scene
         self.noise_rng = np.random.default_rng(seed)
         # only a Collaborative step waits for its drift report
         self.window = SlidingWindow(detector) if config.mode == "Collaborative" else None
         self.features: list[np.ndarray] = []
+        self.feature_ids: list[int] = []
         self.edges: list[Decision] = []
         self.reports: list[DriftReport | None] = []
         # each step's record fields after drift_report, in StepRecord's field order
@@ -314,12 +331,19 @@ class _Episode:
             edge, edge_latency = _shared(entry, "edge", edge_decide, effective), config.edge_ms
 
         self.features.append(feature)
+        interned = self.interned
+        self.feature_ids.append(interned.setdefault(feature.tobytes(), len(interned)))
         self.edges.append(edge)
         report = None
         window = self.window
         if window is not None:
+            # the ring stays current; only a window the memo misses is tested
             window.push(feature)
-            report = predict(self.detector, window) if window.full else None
+            if window.full:
+                key = tuple(self.feature_ids[-self.detector.window:])
+                report = self.memo.get(key)
+                if report is None:
+                    report = self.memo[key] = predict(self.detector, window)
             self.reports.append(report)
         offloaded, reason = offload_rule(report, edge.confidence, config)
 
@@ -354,12 +378,23 @@ class _Episode:
 
         self.scene = _shared(entry, ("step", executed), _next_scene, scene, effective, executed)
 
+    def _batch_reports(self) -> list[DriftReport]:
+        """The report of every full window, from the memo; the distinct
+        windows it misses are tested in one :func:`predict_windows` batch."""
+        m, ids, memo = self.detector.window, self.feature_ids, self.memo
+        keys = [tuple(ids[t : t + m]) for t in range(len(ids) - m + 1)]
+        missing: dict[tuple, int] = {}  # key -> its first window, ascending
+        for start, key in enumerate(keys):
+            if key not in memo:
+                missing.setdefault(key, start)
+        tested = predict_windows(self.detector, self.features, list(missing.values()))
+        memo.update(zip(missing, tested))
+        return [memo[key] for key in keys]
+
     def records(self, steps: int) -> list[StepRecord]:
         reports = self.reports
         if self.window is None:
-            reports = [None] * min(steps, self.config.window - 1) + predict_windows(
-                self.detector, self.features
-            )
+            reports = [None] * min(steps, self.detector.window - 1) + self._batch_reports()
         return [
             StepRecord(index, feature, edge, report, *outcome)
             for index, (feature, edge, report, outcome)
@@ -388,8 +423,16 @@ def run_episodes(
     ``Scene.key``, and what they share is dropped after the step. The drift
     test, the offload rule, a noisy feature (drawn from the episode's own
     rng) and every remote call stay each episode's own. One episode alone
-    forms no key. Each trace equals the one :func:`run_episode` gives for
-    its config alone, byte for byte.
+    forms no scene key.
+
+    The episodes that share a fitted detector share a memo of its drift
+    reports, keyed by window content (see the module docstring) and dropped
+    when the call returns. A Collaborative episode pushes every feature into
+    its own :class:`SlidingWindow` and calls :func:`predict` only for a
+    window the memo misses; an EdgeOnly or CloudOnly episode looks up every
+    window after its last step and tests the distinct ones the memo misses
+    in one :func:`predict_windows` batch. Each trace equals the one
+    :func:`run_episode` gives for its config alone, byte for byte.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -417,7 +460,12 @@ def run_episodes(
             detectors[settings] = fit_reference(scenario, config, seed)
 
     scene = spawn_scenario(scenario, seed)
-    episodes = [_Episode(c, detectors[_detector_settings(c)], scene, seed) for c in configs]
+    interned: dict[bytes, int] = {}
+    memos = {settings: {} for settings in detectors}
+    episodes = [
+        _Episode(c, detectors[s], memos[s], interned, scene, seed)
+        for c, s in zip(configs, map(_detector_settings, configs))
+    ]
     lockstep = len(episodes) > 1
     for index in range(steps):
         shared = {} if lockstep else None
@@ -459,10 +507,11 @@ def run_episode(
     stays frozen: in Collaborative mode, where the drift report decides
     whether a step escalates, the episode keeps its own
     :class:`SlidingWindow` of features and tests each window as it fills;
-    in EdgeOnly and CloudOnly the report decides nothing, so every window
-    is tested in one batch after the last step (:func:`predict_windows`),
-    with the same reports. Remote failures degrade to the local policy of
-    the affected role and never abort.
+    in EdgeOnly and CloudOnly the report decides nothing, so the windows
+    are tested in one batch after the last step (:func:`predict_windows`),
+    with the same reports. Each distinct window is tested once. Remote
+    failures degrade to the local policy of the affected role and never
+    abort.
     """
     return run_episodes(scenario, injections, (config,), seed, steps, endpoint, detector)[0]
 

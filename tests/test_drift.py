@@ -199,11 +199,11 @@ class TestKsStatistic:
             for win in windows
         ])
         steps = drift._ks_steps(d, m)
-        batch = drift._ks_statistic(ranks, steps)
+        batch = drift._ks_statistic(ranks.copy(), steps)
         for win, block, stats in zip(windows, ranks, batch):
             expected, _ = merged_ks_rows(ref.T, win.T)
             assert stats.tolist() == expected.tolist()
-            assert drift._ks_statistic(block, steps).tolist() == expected.tolist()
+            assert drift._ks_statistic(block.copy(), steps).tolist() == expected.tolist()
 
 
 class TestKsTwoSample:
@@ -625,6 +625,39 @@ class TestPredictWindows:
                 assert report.p_values.tolist() == want.p_values.tolist()
                 assert report.is_drift is want.is_drift
                 assert report.threshold_used == want.threshold_used
+
+    @pytest.mark.parametrize("method", ["ks", "mmd"])
+    def test_picked_windows_equal_their_full_reports(self, method):
+        # 4 windows of 13 samples are 40 full windows; the picks leave gaps
+        # narrower and wider than a window and span two blocks for KS
+        for seed in range(4):
+            ref, stream = sliding_stream(57, 13, 4, seed)
+            det = fit(ref, method=method, window=13, seed=seed, n_perm=30)
+            expected = slid_reports(det, stream)
+            for starts in ([0], [39], [2, 3, 5, 30], list(range(0, 40, 3)), list(range(1, 40))):
+                reports = predict_windows(det, stream, starts)
+                assert len(reports) == len(starts)
+                for report, start in zip(reports, starts):
+                    want = expected[start]
+                    assert report.statistic.tolist() == want.statistic.tolist()
+                    assert report.p_values.tolist() == want.p_values.tolist()
+                    assert report.is_drift is want.is_drift
+            assert predict_windows(det, stream, []) == []
+
+    @pytest.mark.parametrize("starts", [[-1], [40], [3, 3], [5, 2], [[1, 2]]])
+    def test_picked_windows_must_ascend_within_the_full_ones(self, starts):
+        det = fit(np.random.default_rng(0).normal(size=(40, 3)), window=10)
+        with pytest.raises(ValueError, match="starts must ascend strictly"):
+            predict_windows(det, np.zeros((49, 3)), starts)
+
+    @pytest.mark.parametrize("method", ["ks", "mmd"])
+    def test_report_arrays_are_read_only(self, method):
+        ref, stream = sliding_stream(45, 12, 3, 0)
+        det = fit(ref, method=method, window=12, n_perm=30)
+        for report in (predict_windows(det, stream)[3], slid_reports(det, stream)[3]):
+            for array in (report.p_values, report.statistic):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.5
 
     def test_spans_several_blocks_of_windows(self):
         # 200 samples are 161 windows, blocks of at most 40 windows each

@@ -20,10 +20,12 @@ from ecdrive import (
     SlidingWindow,
     StepRecord,
     aggregate_metrics,
+    fit,
     fit_reference,
     load_trace,
     offload_rule,
     predict,
+    predict_windows,
     run_episode,
     run_episodes,
     spawn_scenario,
@@ -202,11 +204,16 @@ class TestRunEpisodeModes:
         with pytest.raises(ValueError):
             run_episode(corridor_config(), (), OffloadConfig(), seed=0, steps=0)
 
-    def test_drift_report_absent_until_window_fills(self):
-        cfg = OffloadConfig(mode="Collaborative", window=40)
+    @pytest.mark.parametrize("method", ["ks", "mmd"])
+    def test_drift_report_absent_until_window_fills(self, monkeypatch, method):
+        tested = _count_tested_windows(monkeypatch)
+        cfg = OffloadConfig(mode="Collaborative", method=method, window=40)
         trace = run_episode(corridor_config(), (), cfg, seed=0, steps=60)
         for record in trace.records:
             assert (record.drift_report is None) == (record.step < 39)
+        # the empty corridor's features are constant: one distinct window
+        assert tested == {"predict": 1, "predict_windows": 0}
+        assert len({id(r.drift_report) for r in trace.records[39:]}) == 1
 
     @pytest.mark.parametrize("mode", ["EdgeOnly", "CloudOnly"])
     @pytest.mark.parametrize("method", ["ks", "mmd"])
@@ -242,6 +249,34 @@ class TestRunEpisodeModes:
         assert len(reports) == steps
         assert reports[:11] == [None] * min(steps, 11)
         assert all(r is not None for r in reports[11:])
+
+
+def _count_tested_windows(monkeypatch) -> dict[str, int]:
+    """Count the windows the loop tests from now on: one per ``predict``
+    call, and each window ``predict_windows`` is asked to test."""
+    tested = {"predict": 0, "predict_windows": 0}
+    predict_one, predict_some = orchestrator.predict, orchestrator.predict_windows
+
+    def counting_predict(detector, window):
+        tested["predict"] += 1
+        return predict_one(detector, window)
+
+    def counting_predict_windows(detector, samples, starts):
+        tested["predict_windows"] += len(starts)
+        return predict_some(detector, samples, starts)
+
+    monkeypatch.setattr(orchestrator, "predict", counting_predict)
+    monkeypatch.setattr(orchestrator, "predict_windows", counting_predict_windows)
+    return tested
+
+
+def _window_features(trace, window: int) -> list[bytes | None]:
+    """Per record, the bytes of its window's features, oldest first; None
+    until the window fills."""
+    features = [r.feature.tobytes() for r in trace.records]
+    return [None] * (window - 1) + [
+        b"".join(features[t : t + window]) for t in range(len(features) - window + 1)
+    ]
 
 
 def _runs(scenario, injections, offloads, seed) -> bool:
@@ -282,7 +317,9 @@ class TestRunEpisodes:
     def test_modes_share_their_scenes(self, monkeypatch):
         steps = 120
         configs = [OffloadConfig(mode=mode, n_ref=40, window=12) for mode in MODES]
+        configs.append(replace(configs[-1], tau=0.3))
         detector = fit_reference(open_highway_config(), configs[0], seed=3)
+        tested = _count_tested_windows(monkeypatch)
         calls = {"featurize": 0, "cloud_decide": 0}
         for name in calls:
             real = getattr(orchestrator, name)
@@ -299,6 +336,71 @@ class TestRunEpisodes:
         offloaded = sum(r.offloaded for trace in traces for r in trace.records)
         assert 0 < calls["cloud_decide"] < offloaded
         assert 0 < calls["featurize"] < len(configs) * steps
+        # each distinct window is tested once, and its report shared by
+        # every record whose window holds the same features
+        report_of = {}
+        for trace in traces:
+            for record, window in zip(trace.records, _window_features(trace, 12)):
+                if window is not None:
+                    assert report_of.setdefault(window, record.drift_report) is record.drift_report
+        assert sum(tested.values()) == len(report_of) < len(configs) * (steps - 11)
+        assert tested["predict"] > 0 and tested["predict_windows"] > 0
+        # the Collaborative configs that differ only in tau see the same windows
+        assert all(a.drift_report is b.drift_report
+                   for a, b in zip(traces[2].records[11:], traces[3].records[11:]))
+
+    def test_a_window_in_another_order_is_tested_apart(self, monkeypatch):
+        # the features cycle through 12 reference rows: every window holds
+        # each row once, in one of 12 orders, and the MMD permutations tell
+        # the orders apart
+        rng = np.random.default_rng(0)
+        reference = rng.normal(size=(40, 15))
+        cycle = reference[:12].copy()
+        cycle.setflags(write=False)
+        monkeypatch.setattr(orchestrator, "featurize",
+                            lambda scene, rng: cycle[int(scene.time) % 12])
+        configs = [OffloadConfig(mode=mode, method="mmd", n_ref=40, window=12, n_perm=30)
+                   for mode in ("Collaborative", "EdgeOnly")]
+        detector = fit(reference, method="mmd", window=12, seed=4, n_perm=30)
+        tested = _count_tested_windows(monkeypatch)
+        traces = run_episodes(corridor_config(), (), configs, seed=4, steps=40,
+                              detector=detector)
+        assert tested == {"predict": 12, "predict_windows": 0}
+        expected = [r.p_values.tolist()
+                    for r in predict_windows(detector, np.tile(cycle, (4, 1))[:40])]
+        for trace in traces:
+            assert [r.drift_report.p_values.tolist() for r in trace.records[11:]] == expected
+        assert len({p[0] for p in expected}) > 3
+
+    def test_noisy_windows_share_no_report_between_episodes(self):
+        # the ego closes on an obstacle: EdgeOnly accelerates and CloudOnly
+        # brakes from step 0, so their noisy features part after it
+        scenario = replace(corridor_config(), ego_speed=8.0)
+        injections = (
+            DriftInjection(kind="NewObstacle", start_step=0, end_step=60, lane=0,
+                           position=30.0, extent_m=4.0),
+            DriftInjection(kind="SensorNoise", start_step=0, end_step=60, sigma=1.0),
+        )
+        configs = [OffloadConfig(mode=mode, n_ref=40, window=12)
+                   for mode in ("EdgeOnly", "CloudOnly")]
+        edge, cloud = run_episodes(scenario, injections, configs, seed=0, steps=40)
+        assert edge.records[0].feature.tobytes() == cloud.records[0].feature.tobytes()
+        assert edge.records[1].feature.tobytes() != cloud.records[1].feature.tobytes()
+        reports = [{id(r.drift_report) for r in trace.records[11:]} for trace in (edge, cloud)]
+        assert len(reports[0]) == len(reports[1]) == 29
+        assert not reports[0] & reports[1]
+
+    @pytest.mark.parametrize("method", ["ks", "mmd"])
+    def test_record_arrays_are_read_only(self, method):
+        configs = [OffloadConfig(mode=m, method=method, n_ref=40, window=12, n_perm=30)
+                   for m in MODES]
+        traces = run_episodes(open_highway_config(), (), configs, seed=3, steps=30)
+        for trace in traces:
+            record = trace.records[20]
+            for array in (record.feature, record.drift_report.p_values,
+                          record.drift_report.statistic):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = -1.0
 
     def test_one_episode_forms_no_key(self, monkeypatch):
         def no_key(scene):
