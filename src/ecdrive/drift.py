@@ -23,7 +23,7 @@ Where no decision waits for a window's report, :func:`predict_windows`
 tests the windows of a whole sequence at once, every one or a chosen
 subset: KS ranks all samples with one ``searchsorted`` per side and runs
 the window test over blocks of the chosen windows gathered from those
-ranks, each block copied once to be sorted; MMD slides one window and
+ranks, each block copied to be sorted; MMD slides one window and
 tests it where a window is chosen.
 Its reports are those of a :class:`SlidingWindow` pushed sample by sample,
 bit for bit. A report depends only on the window's samples in order, not
@@ -150,8 +150,7 @@ def _ks_statistic(ranks: np.ndarray, steps: np.ndarray) -> np.ndarray:
     ``ranks`` stacks, for each of the window's m values of d features, the
     fractions of the n reference values at or below it, #{ref <= x} / n, in
     rows [:d], and strictly below it, #{ref < x} / n, in rows [d:]; leading
-    axes hold further windows; they are sorted and overwritten in place.
-    ``steps`` is ``_ks_steps(d, m)``. Both
+    axes hold further windows. ``steps`` is ``_ks_steps(d, m)``. Both
     fractions never decrease as x grows, so sorting each row on its own
     pairs them in the order of the values, which are never needed. With
     k = 0..m-1 along the sorted rows, D is the largest of the gaps
@@ -187,7 +186,8 @@ def _ks_statistic(ranks: np.ndarray, steps: np.ndarray) -> np.ndarray:
     value the other end is A = n with c = 1, a gap of 0.
     """
     d = ranks.shape[-2] // 2
-    gaps = ranks
+    # a C-ordered copy: a block of windows may be a strided view
+    gaps = np.array(ranks, order="C")
     gaps.sort(axis=-1)
     same = gaps[..., 1:] == gaps[..., :-1]
     same_pair = same[..., :d, :] & same[..., d:, :]
@@ -209,11 +209,8 @@ def _ks_query(rows: np.ndarray) -> np.ndarray:
 
 
 def _ks_p_values(stats: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
-    """Q(D * sqrt(n_eff)) of each D, in an array of the shape of ``stats``."""
     root_n_eff = math.sqrt(n_a * n_b / (n_a + n_b))
-    p_values = np.array([_kolmogorov_sf(d * root_n_eff) for d in stats.ravel().tolist()])
-    p_values.shape = stats.shape
-    return p_values
+    return np.array([_kolmogorov_sf(d * root_n_eff) for d in stats.tolist()])
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
@@ -623,9 +620,9 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
         raise ValueError(f"window holds {window.pushed} of {detector.window} samples")
 
     if detector.method == "ks":
-        stats = _ks_statistic(window._ranks[None].copy(), window._steps)
+        stats = _ks_statistic(window._ranks, window._steps)
         p_values = _ks_p_values(stats, detector.n_ref, detector.window)
-        return _ks_reports(detector, stats, p_values)[0]
+        return _ks_reports(detector, stats[None], p_values[None])[0]
 
     mmd2, p_value = _mmd_test(window)
     return DriftReport(
@@ -648,8 +645,8 @@ def predict_windows(detector: DriftDetector, samples, starts=None) -> list[Drift
     KS ranks all T samples with one ``searchsorted`` per side, views the
     windows of the stacked ranks with ``sliding_window_view`` and gathers
     the picked ones in blocks of at most ``window`` windows, which bounds
-    the copy :func:`_ks_statistic` sorts in place; the memoized Q is looked
-    up once per distinct D.
+    the copy :func:`_ks_statistic` sorts; the memoized Q is looked up once
+    per distinct D.
     MMD slides one :class:`SlidingWindow` and tests it at each picked
     window. A window's report does not depend on the samples before it, so
     the samples that no picked window holds are never pushed.
@@ -679,16 +676,16 @@ def predict_windows(detector: DriftDetector, samples, starts=None) -> list[Drift
         return reports
     if not len(starts):
         return []
-    # 2d x T, so that a block gathered from the view below is C-ordered
-    ranks = np.ascontiguousarray(window._rank(_ks_query(samples)).T)
     # windows x 2d x m, a view: window t holds the ranks of samples t..t+m-1
-    windows = np.lib.stride_tricks.sliding_window_view(ranks, m, axis=1).transpose(1, 0, 2)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        window._rank(_ks_query(samples)), m, axis=0
+    )
     stats = np.concatenate([
         _ks_statistic(windows[starts[i : i + m]], window._steps)
         for i in range(0, len(starts), m)
     ])
-    distinct, index = np.unique(stats, return_inverse=True)
-    p_values = _ks_p_values(distinct, detector.n_ref, m)[index.reshape(stats.shape)]
+    distinct, index = np.unique(stats.ravel(), return_inverse=True)
+    p_values = _ks_p_values(distinct, detector.n_ref, m)[index].reshape(stats.shape)
     return _ks_reports(detector, stats, p_values)
 
 

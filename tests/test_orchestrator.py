@@ -317,9 +317,7 @@ class TestRunEpisodes:
     def test_modes_share_their_scenes(self, monkeypatch):
         steps = 120
         configs = [OffloadConfig(mode=mode, n_ref=40, window=12) for mode in MODES]
-        configs.append(replace(configs[-1], tau=0.3))
         detector = fit_reference(open_highway_config(), configs[0], seed=3)
-        tested = _count_tested_windows(monkeypatch)
         calls = {"featurize": 0, "cloud_decide": 0}
         for name in calls:
             real = getattr(orchestrator, name)
@@ -336,6 +334,17 @@ class TestRunEpisodes:
         offloaded = sum(r.offloaded for trace in traces for r in trace.records)
         assert 0 < calls["cloud_decide"] < offloaded
         assert 0 < calls["featurize"] < len(configs) * steps
+
+    def test_each_distinct_window_is_tested_once(self, monkeypatch):
+        steps = 120
+        configs = [OffloadConfig(mode=mode, n_ref=40, window=12) for mode in MODES]
+        configs.append(replace(configs[-1], tau=0.3))
+        detector = fit_reference(open_highway_config(), configs[0], seed=3)
+        tested = _count_tested_windows(monkeypatch)
+        shift = DriftInjection(kind="TrafficPatternShift", start_step=40, end_step=80,
+                               speed_offset=-6.0)
+        traces = run_episodes(open_highway_config(), (shift,), configs, seed=3, steps=steps,
+                              detector=detector)
         # each distinct window is tested once, and its report shared by
         # every record whose window holds the same features
         report_of = {}
