@@ -18,7 +18,10 @@ range of the ego's paths: those that stay behind it are dropped, those
 that stay ahead of it are reduced to each lane's nearest position per
 step, and only the rest are checked one by one by each candidate action's
 rollout. The results are bit-identical to checking every hazard (see
-``_plan_hazards``).
+``_plan_hazards``). The rationale's perception stage lists the hazards that
+plan is made of, the near ones and those that hold a lane's nearest
+position at some step, rather than every entity on the road: a scene with
+only those hazards in it yields the same plan, costs and choice.
 
 ``remote_decide`` delegates either role to a chat-completion HTTP endpoint
 and decodes the reply with the decision lexicon.
@@ -133,10 +136,12 @@ def _confidence(margin_m: float, kappa: float) -> float:
 def edge_decide(scene: Scene) -> Decision:
     """Fast sequential rule chain; sees vehicles only, never obstacles.
 
-    Checks, in order: accelerate, keep speed, change left, change right,
-    then brakes as the fallback. Each evaluated rule records one reasoning
-    step. Confidence is margin / (margin + 5 m) where the margin is the
-    clearance in meters by which the chosen rule's gap constraint held.
+    Checks, in order: accelerate (never at or above ``scene.v_max``, where
+    it would step exactly as keeping speed does), keep speed, change left,
+    change right, then brakes as the fallback. Each evaluated rule records
+    one reasoning step. Confidence is margin / (margin + 5 m) where the
+    margin is the clearance in meters by which the chosen rule's gap
+    constraint held.
     """
     ego = scene.ego
     v = ego.speed
@@ -147,9 +152,12 @@ def edge_decide(scene: Scene) -> Decision:
     v_acc = min(v + ACCEL_CMD * DEFAULT_DT, scene.v_max)
     h_acc = gap_f / v_acc if v_acc > 0 else math.inf
     margin_headway = gap_f - T_HEADWAY * v
-    ok = h_acc >= T_HEADWAY and gap_f >= G_MIN
+    # at the speed limit the clamp makes Accelerate step exactly as Keep does
+    at_limit = v >= scene.v_max
+    ok = not at_limit and h_acc >= T_HEADWAY and gap_f >= G_MIN
     rationale.append(
         f"Can accelerate? front gap {gap_f:.1f} m, projected headway {h_acc:.2f} s"
+        f"{f', at the {scene.v_max:.1f} m/s limit' if at_limit else ''}"
         f" -> {'yes' if ok else 'no'}."
     )
     if ok:
@@ -279,6 +287,9 @@ class _HazardPlan(NamedTuple):
     near: dict[int, list[tuple[float, tuple[float, ...]]]]
     #: lane -> per-row minimum position of the hazards ahead
     ahead: dict[int, list[float]]
+    #: entity indices (vehicles in column order, then obstacles), ascending,
+    #: of the near hazards and of the ahead hazards that attain a minimum
+    listed: list[int]
 
 
 _FIRST_CMD = {Action.ACCELERATE: ACCEL_CMD, Action.DECELERATE: DECEL_CMD}
@@ -310,26 +321,47 @@ def _plan_hazards(scene: Scene, horizon: int) -> _HazardPlan:
     A plan built for a longer horizon serves a shorter one: its range and
     its hazards' extremes only grow with the horizon. The argument assumes
     finite positions; a config with NaN or Infinity in it fails validation.
+
+    ``listed`` names the hazards the plan is made of: every near hazard,
+    and in each ahead lane, per row, the hazard that holds the minimum (on
+    a tie the first in entity order, which is the one ``min`` returns). A
+    scene that holds only the listed hazards yields the same plan, so the
+    same rollouts and costs: each hazard is classified on its own, from its
+    own track and the ego's range; near hazards are checked one by one and
+    keep their entity order; an ahead lane is reduced to its per-row
+    minima, and the listed hazards attain every one of them, bit for bit.
     """
     paths = _ego_paths(scene, horizon)
     reach = [p for positions, _ in paths.values() for p in positions]
     e_lo, e_hi = min(reach), max(reach)
     ego_lane = scene.ego.lane
     near: dict[int, list[tuple[float, tuple[float, ...]]]] = {}
-    ahead_tracks: dict[int, list[tuple[float, ...]]] = {}
+    ahead_tracks: dict[int, tuple[list[int], list[tuple[float, ...]]]] = {}
+    listed = []
     lanes, radii, rows = _predict_hazards(scene, horizon)
-    for lane, radius, track in zip(lanes, radii, zip(*rows)):
+    for index, (lane, radius, track) in enumerate(zip(lanes, radii, zip(*rows))):
         if not -1 <= lane - ego_lane <= 1:
             continue
         if radius > 0.0 and radius * radius > 0.0:
             if max(track) - e_lo <= -radius:
                 continue
             if min(track) - e_hi >= radius:
-                ahead_tracks.setdefault(lane, []).append(track)
+                indices, tracks = ahead_tracks.setdefault(lane, ([], []))
+                indices.append(index)
+                tracks.append(track)
                 continue
         near.setdefault(lane, []).append((radius, track))
-    ahead = {lane: [min(row) for row in zip(*tracks)] for lane, tracks in ahead_tracks.items()}
-    return _HazardPlan(paths, near, ahead)
+        listed.append(index)
+    ahead = {}
+    for lane, (indices, tracks) in ahead_tracks.items():
+        minima = ahead[lane] = []
+        for row in zip(*tracks):
+            low = min(row)
+            minima.append(low)
+            listed.append(indices[row.index(low)])
+    if ahead:
+        listed = sorted(set(listed))
+    return _HazardPlan(paths, near, ahead, listed)
 
 
 def rollout_cost(
@@ -416,14 +448,23 @@ _PERCEIVED_VEHICLE = "perceived: vehicle %d in lane %d at %.2f m, speed %.1f m/s
 def cloud_decide(scene: Scene, horizon: int = HORIZON) -> Decision:
     """Three-stage cloud policy: perceive everything, predict, plan by argmin.
 
-    Rationale lists one "perceived:" line per hazard, the per-action rollout
-    costs, and the selection. Confidence comes from the cost margin between
-    the best and second-best action. The hazards are predicted and sorted
-    against the ego's reach once (:func:`_plan_hazards`), and every
-    candidate's :func:`rollout_cost` reads that plan.
+    The hazards are predicted and sorted against the ego's reach once
+    (:func:`_plan_hazards`), and every candidate's :func:`rollout_cost`
+    reads that plan. Rationale lists one "perceived:" line per hazard the
+    plan is made of (its ``listed`` hazards, in entity order; hazards behind
+    the ego, in unreachable lanes or hidden behind a nearer one ahead are
+    left out), the per-action rollout costs, and the selection. Confidence
+    comes from the cost margin between the best and second-best action.
     """
-    rationale = list(map(_PERCEIVED_VEHICLE.__mod__, zip(*scene.others.lists)))
-    for obs in scene.obstacles:
+    hazards = _plan_hazards(scene, horizon)
+    ids, lanes, positions, speeds = scene.others.lists
+    n_vehicles = len(ids)
+    rationale = []
+    for i in hazards.listed:
+        if i < n_vehicles:
+            rationale.append(_PERCEIVED_VEHICLE % (ids[i], lanes[i], positions[i], speeds[i]))
+            continue
+        obs = scene.obstacles[i - n_vehicles]
         rationale.append(
             f"perceived: obstacle ({obs.kind}) in lane {obs.lane} at {obs.position:.2f} m, "
             f"extent {obs.extent_m:.1f} m"
@@ -432,7 +473,6 @@ def cloud_decide(scene: Scene, horizon: int = HORIZON) -> Decision:
     legal = legal_actions(scene)
     candidates = [a for a in ACTION_ORDER if a in legal]
     rationale.append(f"predicted {horizon}-step rollouts for {len(candidates)} candidate actions")
-    hazards = _plan_hazards(scene, horizon)
     results = [rollout_cost(scene, a, horizon, hazards) for a in candidates]
     for res in results:
         rationale.append(f"cost[{res.action.value}] = {res.cost:.3f}")

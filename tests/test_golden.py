@@ -149,43 +149,43 @@ CASES = {
 GOLDEN = {
     "dense_cloud": {
         "dense_CloudOnly_0.jsonl":
-            "6295d8af8e1f383af609a13469985047a39a6d2b7c865b800ee780fe606125d0",
+            "8a4c75e5ad615b497275f27d301c6b686fd4eae1137dabb1713ed04e2b1fe246",
         "dense_CloudOnly_1.jsonl":
-            "62b94c9d4550f699f3dbf750e54e9eabbc407b8034cda6c13bf054acf6b9d267",
+            "07cdaa268c77998cee8b489edb0f2e2e2d63fb53b841dc65a63bedf72a4f9d39",
     },
     "traffic_shift": {
         "open_highway_CloudOnly_3.jsonl":
-            "3e96659a51ac4d730d7430fed9e334783e3289e9aff887efac119f20c788842d",
+            "8271c298af5409d70e456c1158156c98b80573d36e0910e5cc97971b1b39b867",
         "open_highway_Collaborative_3.jsonl":
-            "d78fe96748c6083cd648b54b723e33a008ff0fbaec55f3f1d21811825c519311",
+            "ea500419e829845fdfce294520f3ff218a511e200649102bdc753cbf1a4db7ac",
         "open_highway_EdgeOnly_3.jsonl":
-            "69a7129c0f8584734ff903a51418e0cd3a7cb2c4b2d9fce6ddaee5a1610aaf9d",
+            "51860012075bf85c2acaf0a7ad361214d3191fd8371c8ee5434cc11c8f40d89d",
     },
     "sensor_noise": {
         "noisy_Collaborative_5.jsonl":
-            "443089a10409c8d6f785d1e6ad34a7eae5a5cf96c129faaf3291ad3e84812129",
+            "6608a11b268401ef0b5b5ace6d836b306cda0616129885794039e62df6cb519e",
     },
     "adjacent_obstacle": {
         "adjacent_Collaborative_2.jsonl":
-            "deeecca1492761d74dd493889214d3c21b2da4851b0e9dce91aa0de6ca1f6acb",
+            "eb6034b16e1be35f058b2df2341023a70c3e87117d33e5c0888993481a6fa51e",
     },
     "noisy_obstacle": {
         "noisy_obstacle_CloudOnly_6.jsonl":
-            "a763098f58f6599f370a9fa2ad528175f2902ff45438f7e95785b677ae584628",
+            "4a8f5cc5ebe32f76040b488e1b023203c20d4def9b59eae3151e6e46065c668f",
         "noisy_obstacle_Collaborative_6.jsonl":
-            "a8b217bceb8be3c75a67bee3b0c89d19e0aa6cb73bec83d7a86275f272755b2a",
+            "27436d22c36587850d6b7eb9b26c349d501b22f7924a77f680c10d35134d8ad5",
         "noisy_obstacle_EdgeOnly_6.jsonl":
-            "ada8724856cec5004ae80a0c57c0cde28b64c3a2f320cfb15230b6db1649eece",
+            "59952c2d5d2a1a9ae58b169dfd777817bdad842f83da0ec130c36c55508cde7b",
     },
     "highway_mmd": {
         "open_highway_Collaborative_0.jsonl":
-            "0f2744fd84dba3d49630197dca79bde965a8428128d76dd225d3e3a2de702535",
+            "3bbed80face23b50396f79d1c400938149dd6696474c523a1740f3ce9d3a2692",
     },
     "deferred_mmd": {
         "open_highway_CloudOnly_1.jsonl":
-            "a39e4f7b37bdead917a9a09b14e36794e0faea725595f71742c2214462dc56cd",
+            "cd1d9ddfe86e818c70e221c9df39d7156775ec905112212fa3e4919b98b773e3",
         "open_highway_EdgeOnly_1.jsonl":
-            "47359414f3cc4212117f4450ffe55301f52ce50c0cb80c41f22c044c710fe86a",
+            "e3e60c9a0eb10f453955d249277b7073ccfbe2da9f7e2e5522acfa57471adee5",
     },
 }
 

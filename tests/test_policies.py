@@ -39,7 +39,13 @@ from ecdrive.policies import (
     _segment_hits,
 )
 
-from scenarios import others_states, random_scenes, reference_scene, static_obstacle_scene
+from scenarios import (
+    assert_same_scene,
+    others_states,
+    random_scenes,
+    reference_scene,
+    static_obstacle_scene,
+)
 
 
 def empty_road(speed: float = 25.0, lane: int = 0, lane_count: int = 4) -> Scene:
@@ -99,6 +105,20 @@ class TestEdgeDecide:
         assert "no lane to the left" in decision.rationale[2]
         assert "no lane to the right" in decision.rationale[3]
 
+    @pytest.mark.parametrize("speed", [30.0, 31.0])
+    def test_at_v_max_keeps_speed(self, speed):
+        # the clamp makes Accelerate step exactly as Keep does, so the edge
+        # keeps speed, with the confidence accelerating would have had
+        scene = _follow(VehicleState(id=1, lane=0, position=100.0, speed=28.0), speed)
+        assert scene.ego.speed >= scene.v_max
+        assert_same_scene(step(scene, Action.ACCELERATE), step(scene, Action.KEEP))
+        decision = edge_decide(scene)
+        assert decision.action is Action.KEEP
+        assert decision.rationale[0].endswith(", at the 30.0 m/s limit -> no.")
+        assert decision.confidence == policies._confidence(100.0 - T_HEADWAY * speed, 5.0)
+        below = edge_decide(_follow(VehicleState(id=1, lane=0, position=100.0, speed=28.0), 29.0))
+        assert below.action is Action.ACCELERATE
+
     def test_obstacles_are_invisible(self):
         clear = empty_road(25.0)
         blocked = static_obstacle_scene(gap=20.0, speed=25.0)
@@ -129,6 +149,7 @@ class TestEdgeDecide:
         decision = edge_decide(scene)
         front, _ = _gaps_for_lane(scene, ego_lane)
         if decision.action is Action.ACCELERATE:
+            assert v < scene.v_max
             v_acc = min(v + 2.0, scene.v_max)
             assert front >= G_MIN
             assert (front / v_acc if v_acc > 0 else math.inf) >= T_HEADWAY
@@ -301,6 +322,25 @@ def _hazard_classes(scene: Scene, horizon: int) -> set[str]:
     return classes
 
 
+def _hazard_index_classes(scene: Scene, horizon: int) -> dict[int, str]:
+    """Entity index -> class of ``_plan_hazards`` for the reachable hazards,
+    recomputed from the definitions, as ``_hazard_classes`` does."""
+    paths = policies._plan_hazards(scene, horizon).paths
+    reach = [p for positions, _ in paths.values() for p in positions]
+    lanes, radii, rows = policies._predict_hazards(scene, horizon)
+    classes = {}
+    for i, (lane, radius, track) in enumerate(zip(lanes, radii, zip(*rows))):
+        if abs(lane - scene.ego.lane) > 1:
+            continue
+        if radius > 0 and max(track) - min(reach) <= -radius:
+            classes[i] = "behind"
+        elif radius > 0 and min(track) - max(reach) >= radius:
+            classes[i] = "ahead"
+        else:
+            classes[i] = "near"
+    return classes
+
+
 class TestSharedHazardPrediction:
     def test_matches_per_action_oracle(self):
         seen = set()
@@ -361,6 +401,70 @@ class TestSharedHazardPrediction:
         assert (min(reach), max(reach)) == (0.0, 35.0)
         assert plan.near == {}
         assert plan.ahead == {0: [39.5] * 4}
+
+
+def _listed_only(scene: Scene, listed) -> Scene:
+    """``scene`` with only the hazards whose entity indices are ``listed``."""
+    others = others_states(scene)
+    n = len(others)
+    return dataclasses.replace(
+        scene,
+        others=tuple(others[i] for i in listed if i < n),
+        obstacles=tuple(scene.obstacles[i - n] for i in listed if i >= n),
+    )
+
+
+def _same_plan(actual, expected) -> None:
+    """Equal paths, near hazards and ahead minima, by ``==`` and by ``repr``
+    (which tells -0.0 from 0.0), whatever order the lanes were met in."""
+    for a, b in zip(actual[:3], expected[:3]):
+        a, b = sorted(a.items()), sorted(b.items())
+        assert a == b and repr(a) == repr(b)
+
+
+class TestPerceptionSet:
+    def test_listed_hazards_decide_alike(self):
+        seen = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(scene=random_scenes() | random_scenes(positions=st.sampled_from(
+                   (-12.5, -5.0, 0.0, 5.0, 40.0, 60.0, 90.0))),
+               horizon=st.integers(1, 5))
+        @example(scene=_on_the_bounds(), horizon=3)
+        # two hazards ahead that swap order within the horizon: both listed
+        @example(scene=_road(others=(VehicleState(1, 0, 60.0, 28.0),
+                                     VehicleState(2, 0, 70.0, 10.0))), horizon=3)
+        # level with each other ahead: only the first in entity order is listed
+        @example(scene=_road(others=(VehicleState(1, 0, 60.0, 10.0), VehicleState(2, 1, 80.0, 0.0),
+                                     VehicleState(3, 0, 60.0, 10.0))), horizon=3)
+        def check(scene, horizon):
+            plan = policies._plan_hazards(scene, horizon)
+            listed = plan.listed
+            assert listed == sorted(set(listed))
+            classes = _hazard_index_classes(scene, horizon)
+            assert {i for i, c in classes.items() if c == "near"} <= set(listed)
+            assert all(classes.get(i) in ("near", "ahead") for i in listed)
+            dropped = {i for i, c in classes.items() if c == "ahead"} - set(listed)
+            seen.update({"ahead dropped"} if dropped else ())
+            lanes = [lane for i, lane in enumerate(policies._predict_hazards(scene, horizon)[0])
+                     if classes.get(i) == "ahead" and i in listed]
+            seen.update({"two ahead listed in a lane"} if len(lanes) > len(set(lanes)) else ())
+
+            reduced = _listed_only(scene, listed)
+            reduced_plan = policies._plan_hazards(reduced, horizon)
+            _same_plan(reduced_plan, plan)
+            assert reduced_plan.listed == list(range(len(listed)))
+            for action in Action:
+                result, expected = rollout_cost(reduced, action, horizon), rollout_cost(
+                    scene, action, horizon)
+                assert result == expected and repr(result) == repr(expected)
+            decision, expected = cloud_decide(reduced, horizon), cloud_decide(scene, horizon)
+            assert decision == expected and repr(decision) == repr(expected)
+            perceived = [r for r in decision.rationale if r.startswith("perceived:")]
+            assert len(perceived) == len(listed)
+
+        check()
+        assert seen == {"ahead dropped", "two ahead listed in a lane"}
 
 
 class TestCloudDecide:

@@ -41,8 +41,15 @@ from ecdrive.codec import (
     _relative_lane,
     _slot_values,
 )
-from ecdrive.highway import DEFAULT_DT, VEHICLE_LENGTH_M, NeighborInfo, Vehicles
-from ecdrive.policies import _predict_hazards
+from ecdrive.highway import (
+    ACCEL_CMD,
+    DECEL_CMD,
+    DEFAULT_DT,
+    VEHICLE_LENGTH_M,
+    NeighborInfo,
+    Vehicles,
+)
+from ecdrive.policies import HORIZON, _predict_hazards
 
 from scenarios import assert_same_scene, others_states, random_scenes
 
@@ -159,12 +166,54 @@ def _oracle_describe(scene: Scene) -> str:
     return " ".join(parts)
 
 
-def _oracle_perceived(scene: Scene) -> list[str]:
-    return [
-        f"perceived: vehicle {veh.id} in lane {veh.lane} at {veh.position:.2f} m, "
-        f"speed {veh.speed:.1f} m/s"
-        for veh in others_states(scene)
-    ]
+def _oracle_reach(scene: Scene, horizon: int) -> tuple[float, float]:
+    """The lowest and highest position of the ego over its three paths:
+    one first-step command (none, accelerate, brake), then holding speed."""
+    reach = []
+    for a_cmd in (0.0, ACCEL_CMD, DECEL_CMD):
+        v, p = scene.ego.speed, scene.ego.position
+        reach.append(p)
+        for _ in range(horizon):
+            v_new = min(max(v + a_cmd * DEFAULT_DT, 0.0), scene.v_max)
+            p = p + 0.5 * (v + v_new) * DEFAULT_DT
+            v, a_cmd = v_new, 0.0
+            reach.append(p)
+    return min(reach), max(reach)
+
+
+def _oracle_perceived(scene: Scene, horizon: int = HORIZON) -> list[str]:
+    """One line per hazard in a lane the ego can reach that is neither
+    behind nor ahead of every ego position, plus, per lane and step, the
+    first of the ahead hazards nearest the ego, in entity order."""
+    e_lo, e_hi = _oracle_reach(scene, horizon)
+    lanes, radii, rows = _oracle_predict_hazards(scene, horizon)
+    tracks = list(zip(*rows))
+    listed, ahead = set(), {}
+    for i, (lane, radius, track) in enumerate(zip(lanes, radii, tracks)):
+        if abs(lane - scene.ego.lane) > 1:
+            continue
+        prunable = radius > 0 and radius * radius > 0
+        if prunable and max(track) - e_lo <= -radius:
+            continue
+        if prunable and min(track) - e_hi >= radius:
+            ahead.setdefault(lane, []).append(i)
+        else:
+            listed.add(i)
+    for members in ahead.values():
+        for k in range(horizon + 1):
+            listed.add(min(members, key=lambda i: tracks[i][k]))
+    others = others_states(scene)
+    lines = []
+    for i in sorted(listed):
+        if i < len(others):
+            veh = others[i]
+            lines.append(f"perceived: vehicle {veh.id} in lane {veh.lane} at {veh.position:.2f} m, "
+                         f"speed {veh.speed:.1f} m/s")
+        else:
+            obs = scene.obstacles[i - len(others)]
+            lines.append(f"perceived: obstacle ({obs.kind}) in lane {obs.lane} at "
+                         f"{obs.position:.2f} m, extent {obs.extent_m:.1f} m")
+    return lines
 
 
 def _oracle_validate(scene: Scene) -> None:
@@ -231,8 +280,7 @@ class TestColumnReaders:
     @example(scene=_tie_scene())
     def test_text_matches_oracle(self, scene):
         _same(describe(scene), _oracle_describe(scene))
-        perceived = [r for r in cloud_decide(scene).rationale
-                     if r.startswith("perceived: vehicle")]
+        perceived = [r for r in cloud_decide(scene).rationale if r.startswith("perceived:")]
         assert perceived == _oracle_perceived(scene)
 
     @pytest.mark.parametrize("others, lane_count", [
