@@ -155,9 +155,9 @@ def edge_decide(scene: Scene) -> Decision:
     # at the speed limit the clamp makes Accelerate step exactly as Keep does
     at_limit = v >= scene.v_max
     ok = not at_limit and h_acc >= T_HEADWAY and gap_f >= G_MIN
+    limit = f", at the {scene.v_max:.1f} m/s limit" if at_limit else ""
     rationale.append(
-        f"Can accelerate? front gap {gap_f:.1f} m, projected headway {h_acc:.2f} s"
-        f"{f', at the {scene.v_max:.1f} m/s limit' if at_limit else ''}"
+        f"Can accelerate? front gap {gap_f:.1f} m, projected headway {h_acc:.2f} s{limit}"
         f" -> {'yes' if ok else 'no'}."
     )
     if ok:

@@ -115,7 +115,8 @@ class TestEdgeDecide:
         decision = edge_decide(scene)
         assert decision.action is Action.KEEP
         assert decision.rationale[0].endswith(", at the 30.0 m/s limit -> no.")
-        assert decision.confidence == policies._confidence(100.0 - T_HEADWAY * speed, 5.0)
+        assert decision.confidence == policies._confidence(100.0 - T_HEADWAY * speed,
+                                                           policies.KAPPA_EDGE)
         below = edge_decide(_follow(VehicleState(id=1, lane=0, position=100.0, speed=28.0), 29.0))
         assert below.action is Action.ACCELERATE
 
@@ -303,28 +304,9 @@ def _on_the_bounds() -> Scene:
                  obstacles=(Obstacle(0, 39.5, 4.0), Obstacle(0, -4.5, 4.0)))
 
 
-def _hazard_classes(scene: Scene, horizon: int) -> set[str]:
-    """The classes of ``_plan_hazards`` that the reachable hazards fall in,
-    recomputed from their definitions."""
-    paths = policies._plan_hazards(scene, horizon).paths
-    reach = [p for positions, _ in paths.values() for p in positions]
-    lanes, radii, rows = policies._predict_hazards(scene, horizon)
-    classes = set()
-    for lane, radius, track in zip(lanes, radii, zip(*rows)):
-        if abs(lane - scene.ego.lane) > 1:
-            continue
-        if radius > 0 and max(track) - min(reach) <= -radius:
-            classes.add("behind")
-        elif radius > 0 and min(track) - max(reach) >= radius:
-            classes.add("ahead")
-        else:
-            classes.add("near")
-    return classes
-
-
-def _hazard_index_classes(scene: Scene, horizon: int) -> dict[int, str]:
-    """Entity index -> class of ``_plan_hazards`` for the reachable hazards,
-    recomputed from the definitions, as ``_hazard_classes`` does."""
+def _hazard_classes(scene: Scene, horizon: int) -> dict[int, str]:
+    """Entity index -> the class of ``_plan_hazards`` that each reachable
+    hazard falls in, recomputed from the definitions."""
     paths = policies._plan_hazards(scene, horizon).paths
     reach = [p for positions, _ in paths.values() for p in positions]
     lanes, radii, rows = policies._predict_hazards(scene, horizon)
@@ -386,7 +368,7 @@ class TestSharedHazardPrediction:
                     seen.add("clamp at 0")
                 if v.speed + v.accel * DEFAULT_DT > scene.v_max:
                     seen.add("clamp at v_max")
-            seen.update(_hazard_classes(scene, horizon))
+            seen.update(_hazard_classes(scene, horizon).values())
 
         check()
         # the scenes must reach every branch for the property to mean much
@@ -441,13 +423,13 @@ class TestPerceptionSet:
             plan = policies._plan_hazards(scene, horizon)
             listed = plan.listed
             assert listed == sorted(set(listed))
-            classes = _hazard_index_classes(scene, horizon)
+            classes = _hazard_classes(scene, horizon)
             assert {i for i, c in classes.items() if c == "near"} <= set(listed)
             assert all(classes.get(i) in ("near", "ahead") for i in listed)
             dropped = {i for i, c in classes.items() if c == "ahead"} - set(listed)
             seen.update({"ahead dropped"} if dropped else ())
-            lanes = [lane for i, lane in enumerate(policies._predict_hazards(scene, horizon)[0])
-                     if classes.get(i) == "ahead" and i in listed]
+            hazard_lanes = policies._predict_hazards(scene, horizon)[0]
+            lanes = [hazard_lanes[i] for i in listed if classes[i] == "ahead"]
             seen.update({"two ahead listed in a lane"} if len(lanes) > len(set(lanes)) else ())
 
             reduced = _listed_only(scene, listed)
@@ -455,8 +437,8 @@ class TestPerceptionSet:
             _same_plan(reduced_plan, plan)
             assert reduced_plan.listed == list(range(len(listed)))
             for action in Action:
-                result, expected = rollout_cost(reduced, action, horizon), rollout_cost(
-                    scene, action, horizon)
+                result = rollout_cost(reduced, action, horizon)
+                expected = rollout_cost(scene, action, horizon)
                 assert result == expected and repr(result) == repr(expected)
             decision, expected = cloud_decide(reduced, horizon), cloud_decide(scene, horizon)
             assert decision == expected and repr(decision) == repr(expected)
