@@ -23,7 +23,6 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .drift import DriftDetector
 from .highway import (
     DriftInjection,
     ScenarioConfig,
@@ -38,12 +37,12 @@ from .orchestrator import (
     Metrics,
     OffloadConfig,
     aggregate_metrics,
-    fit_reference,
+    burn_in,
     run_episode,  # noqa: F401 (bench/tracer.py wraps this name)
     run_episodes,
 )
 from .policies import EndpointConfig
-from .trace import from_json, load_trace, temp_name, write_trace
+from .trace import TextMemo, from_json, load_trace, temp_name, write_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -227,32 +226,34 @@ def _seed_error(seed: int, exc: ScenarioError) -> ConfigError:
     return ConfigError(f"scenario: seed {seed}: {exc}")
 
 
-def _fit_seeds(config: ExperimentConfig) -> dict[int, DriftDetector]:
-    detectors = {}
+def _spawn_seeds(config: ExperimentConfig) -> None:
+    """Spawn every seed's initial scene: a seed that cannot spawn is a
+    config error."""
     for seed in config.seeds:
         try:
-            detectors[seed] = fit_reference(config.scenario, config.offload, seed)
+            spawn_scenario(config.scenario, seed)
         except ScenarioError as exc:
             raise _seed_error(seed, exc) from exc
-    return detectors
 
 
 def cmd_run(config_path: str) -> int:
     """Run every (seed x mode) episode of the experiment and write traces.
 
-    The burn-in and detector fit do not depend on the mode, so each seed's
-    detector is fitted once and shared by all of its modes. Each seed's
-    modes then run in lockstep through one :func:`run_episodes` call, which
-    computes each scene they share once, and that seed's traces are written
-    before the next seed runs. The summary lines follow at the end, one per
-    written trace, in (mode, seed) order. A seed whose scene cannot be
-    spawned is a config error, reported before any output. A trace that
+    Each seed's modes run in lockstep through one :func:`run_episodes`
+    call, on one burn-in of the seed (the burn-in does not depend on the
+    mode): the call fits the detector to its features once and computes
+    each scene the modes and the burn-in share once. That seed's traces are
+    then written, through one :class:`TextMemo`, so each record part they
+    share is serialized once, and the burn-in, the traces and the memo are
+    freed before the next seed runs. The summary lines follow at the end,
+    one per written trace, in (mode, seed) order. A seed whose scene cannot
+    be spawned is a config error, reported before any output. A trace that
     cannot be written is reported and the remaining episodes still run; the
     exit code is then EXIT_IO.
     """
     try:
         config = load_experiment_config(config_path)
-        detectors = _fit_seeds(config)
+        _spawn_seeds(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -267,35 +268,47 @@ def cmd_run(config_path: str) -> int:
     offloads = [replace(config.offload, mode=mode) for mode in config.modes]
     lines = {}
     for seed in config.seeds:
-        traces = run_episodes(
-            config.scenario,
-            config.injections,
-            offloads,
-            seed=seed,
-            steps=config.steps,
-            endpoint=config.endpoint,
-            detector=detectors[seed],
-        )
-        for mode, trace in zip(config.modes, traces):
-            path = config.output_dir / trace_filename(config.scenario.name, mode, seed)
-            try:
-                write_trace(trace, path)
-            except OSError as exc:
-                print(f"io error: cannot write {path}: {exc}", file=sys.stderr)
-                exit_code = EXIT_IO
-                continue
-            s = trace.summary
-            lines[mode, seed] = (
-                f"{config.scenario.name} mode={mode} seed={seed}: "
-                f"offload_rate={s.offload_rate:.3f} "
-                f"mean_latency={s.mean_latency_ms:.1f}ms "
-                f"bytes_up={s.total_bytes_up} collisions={s.collision_count}"
-            )
+        if not _run_seed(config, offloads, seed, lines):
+            exit_code = EXIT_IO
     for mode in config.modes:
         for seed in config.seeds:
             if (mode, seed) in lines:
                 print(lines[mode, seed])
     return exit_code
+
+
+def _run_seed(config: ExperimentConfig, offloads: list[OffloadConfig], seed: int,
+              lines: dict) -> bool:
+    """Run and write one seed's episodes, adding a summary line per written
+    trace to ``lines``; False if a trace could not be written. The seed's
+    burn-in, traces and memo live only as long as this call."""
+    traces = run_episodes(
+        config.scenario,
+        config.injections,
+        offloads,
+        seed=seed,
+        steps=config.steps,
+        endpoint=config.endpoint,
+        burn=burn_in(config.scenario, config.offload.n_ref, seed),
+    )
+    texts = TextMemo()
+    written = True
+    for mode, trace in zip(config.modes, traces):
+        path = config.output_dir / trace_filename(config.scenario.name, mode, seed)
+        try:
+            write_trace(trace, path, texts)
+        except OSError as exc:
+            print(f"io error: cannot write {path}: {exc}", file=sys.stderr)
+            written = False
+            continue
+        s = trace.summary
+        lines[mode, seed] = (
+            f"{config.scenario.name} mode={mode} seed={seed}: "
+            f"offload_rate={s.offload_rate:.3f} "
+            f"mean_latency={s.mean_latency_ms:.1f}ms "
+            f"bytes_up={s.total_bytes_up} collisions={s.collision_count}"
+        )
+    return written
 
 
 def _metrics_row(trace: EpisodeTrace, metrics: Metrics) -> dict:
@@ -373,11 +386,7 @@ def cmd_validate(config_path: str) -> int:
     """
     try:
         config = load_experiment_config(config_path)
-        for seed in config.seeds:
-            try:
-                spawn_scenario(config.scenario, seed)
-            except ScenarioError as exc:
-                raise _seed_error(seed, exc) from exc
+        _spawn_seeds(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

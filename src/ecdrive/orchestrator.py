@@ -14,6 +14,13 @@ Obstacles, the traffic target offset and the noise level therefore come
 from the pristine scene again on the next step, so an obstacle vanishes,
 traffic targets revert and noise stops once their window closes.
 
+The episodes of a seed rest on one :func:`burn_in`: ``n_ref`` injection-free
+steps of the local edge policy from the seed's initial scene, kept scene by
+scene. Every detector is fitted to its features, every episode starts from
+its first scene, and an episode that stands on one of its scenes at a step
+with no injection overlaid takes over that step's feature, edge decision
+and stepped successor instead of computing them again.
+
 Drift reports are memoized by window content for the length of one
 :func:`run_episodes` call. Each distinct feature vector, by its bytes, is
 interned as a small id the first time the call sees it, and a window's key
@@ -242,30 +249,62 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def fit_reference(scenario: ScenarioConfig, config: OffloadConfig, seed: int) -> DriftDetector:
-    """Burn in and fit the drift detector of one seeded episode.
+@dataclass(frozen=True, eq=False)
+class BurnIn:
+    """The injection-free trajectory of the local edge policy from a seed's
+    initial scene, as :func:`burn_in` makes it.
 
-    The burn-in runs ``config.n_ref`` injection-free steps of the local
-    edge policy from the seed's initial scene and fits the detector to
-    their features. It does not depend on the mode, tau or latency
-    settings, so episodes of one seed that differ only in those can share
-    the fitted detector.
-    """
-    config.validate()
+    Step ``k`` stands on ``scenes[k]``, observes ``features[k]``, decides
+    ``edges[k]`` and steps to ``scenes[k + 1]``, so there is one scene more
+    than steps. Its scenes, feature vectors and decisions are immutable, so
+    the episodes of :func:`run_episodes` take them over as they are."""
+
+    scenario: ScenarioConfig
+    seed: int
+    scenes: tuple[Scene, ...]
+    features: tuple[np.ndarray, ...]
+    edges: tuple[Decision, ...]
+
+    @property
+    def n_ref(self) -> int:
+        return len(self.features)
+
+    def entry(self, index: int, injections: tuple[DriftInjection, ...]) -> dict | None:
+        """Step ``index`` of the burn-in as an entry of :func:`_shared`: what
+        an episode standing on its scene at that step reuses. None past the
+        burn-in's end and at a step where an injection overlays the scene."""
+        if index >= len(self.edges):
+            return None
+        scene, edge = self.scenes[index], self.edges[index]
+        if _apply_injections(scene, injections, index) is not scene:
+            return None
+        return {
+            "effective": scene,
+            "feature": self.features[index],
+            "edge": edge,
+            ("step", edge.action): self.scenes[index + 1],
+        }
+
+
+def burn_in(scenario: ScenarioConfig, n_ref: int, seed: int) -> BurnIn:
+    """Run ``n_ref`` injection-free steps of the local edge policy from the
+    seed's initial scene.
+
+    The burn-in depends on neither the mode nor any detector or latency
+    setting: every episode of the seed starts from its first scene, and
+    every detector of the seed is fitted to a prefix of its features (see
+    :func:`run_episodes`)."""
     _check_seed(seed)
+    if not _is_int(n_ref) or n_ref < 0:
+        raise ValueError(f"n_ref must be a non-negative integer, got {n_ref!r}")
     scene = spawn_scenario(scenario, seed)
-    reference = []
-    for _ in range(config.n_ref):
-        reference.append(featurize(scene))
-        scene = step(scene, edge_decide(scene).action)
-    return fit(
-        reference,
-        method=config.method,
-        alpha=config.alpha,
-        window=config.window,
-        seed=seed,
-        n_perm=config.n_perm,
-    )
+    scenes, features, edges = [scene], [], []
+    for _ in range(n_ref):
+        features.append(featurize(scene))
+        edges.append(edge_decide(scene))
+        scene = step(scene, edges[-1].action)
+        scenes.append(scene)
+    return BurnIn(scenario, seed, tuple(scenes), tuple(features), tuple(edges))
 
 
 def _detector_settings(config: OffloadConfig) -> tuple:
@@ -310,15 +349,15 @@ class _Episode:
         self.outcomes: list[tuple] = []
 
     def advance(self, index: int, injections: tuple[DriftInjection, ...],
-                endpoint: EndpointConfig | None, shared: dict | None) -> None:
+                endpoint: EndpointConfig | None, entry: dict | None) -> None:
         """Run step ``index``. The pure per-scene results are looked up in,
-        or added to, the entry of ``shared`` under the scene's key; a remote
-        call and a noisy feature are always the episode's own. Every episode
+        or added to, ``entry``, the results of the step on scenes equal to
+        the episode's (None: computed for this episode alone); a remote call
+        and a noisy feature are always the episode's own. Every episode
         overlays the same injections at the same index, so equal scenes have
         equal effective scenes, and the entry holds the effective scene too."""
         config = self.config
         scene = self.scene
-        entry = None if shared is None else shared.setdefault(scene.key, {})
         effective = _shared(entry, "effective", _apply_injections, scene, injections, index)
         collision = _shared(entry, "collision", check_collision, effective)
         # noise is drawn from the episode's own rng
@@ -409,21 +448,30 @@ def run_episodes(
     seed: int,
     steps: int,
     endpoint: EndpointConfig | None = None,
-    detector: DriftDetector | None = None,
+    burn: BurnIn | None = None,
 ) -> list[EpisodeTrace]:
     """Run one seeded episode per offload config, in lockstep; one trace
     each, in the order of ``configs``.
 
-    Every episode starts from the same initial scene and advances one step
-    at a time beside the others. At each step index the pure per-scene calls
-    (the injection overlay, :func:`check_collision`, a noiseless
+    The episodes rest on one :func:`burn_in` of the largest ``n_ref`` of
+    ``configs``: ``burn``, which must have been made for this scenario, seed
+    and ``n_ref`` (``ValueError`` otherwise), or else one made here. Each
+    distinct detector setting is fitted once, to the first ``n_ref``
+    features of the burn-in.
+
+    Every episode starts from the burn-in's first scene and advances one
+    step at a time beside the others. At each step index the pure per-scene
+    calls (the injection overlay, :func:`check_collision`, a noiseless
     :func:`featurize`, the local :func:`edge_decide` and
     :func:`cloud_decide`, and :func:`step` for each executed action) run
     once per distinct scene: episodes find each other through
-    ``Scene.key``, and what they share is dropped after the step. The drift
-    test, the offload rule, a noisy feature (drawn from the episode's own
-    rng) and every remote call stay each episode's own. One episode alone
-    forms no scene key.
+    ``Scene.key``, and what they share is dropped after the step. At a step
+    the burn-in made with no injection overlaid, an episode on a scene equal
+    to the burn-in's takes over its feature, edge decision and stepped
+    successor. The drift test, the offload rule, a noisy feature (drawn
+    from the episode's own rng) and every remote call stay each episode's
+    own. One episode alone forms no scene key: it takes over a burn-in step
+    only on the very scene object of that step.
 
     The episodes that share a fitted detector share a memo of its drift
     reports, keyed by window content (see the module docstring) and dropped
@@ -447,30 +495,43 @@ def run_episodes(
     if endpoint is not None:
         endpoint.validate()
 
+    n_ref = max((config.n_ref for config in configs), default=0)
+    if burn is None:
+        burn = burn_in(scenario, n_ref, seed)
+    elif burn.scenario != scenario or burn.seed != seed or burn.n_ref != n_ref:
+        raise ValueError("burn-in was not made for this episode's scenario, seed and n_ref")
     detectors = {}
     for config in configs:
         settings = _detector_settings(config)
-        if detector is not None:
-            fitted_for = (detector.method, detector.alpha, detector.window, detector.n_ref,
-                          detector.n_perm, detector.rng_seed)
-            if fitted_for != settings + (seed,):
-                raise ValueError("detector was not fitted with this episode's settings and seed")
-            detectors[settings] = detector
-        elif settings not in detectors:
-            detectors[settings] = fit_reference(scenario, config, seed)
+        if settings not in detectors:
+            detectors[settings] = fit(
+                burn.features[: config.n_ref],
+                method=config.method,
+                alpha=config.alpha,
+                window=config.window,
+                seed=seed,
+                n_perm=config.n_perm,
+            )
 
-    scene = spawn_scenario(scenario, seed)
     interned: dict[bytes, int] = {}
     memos = {settings: {} for settings in detectors}
     episodes = [
-        _Episode(c, detectors[s], memos[s], interned, scene, seed)
+        _Episode(c, detectors[s], memos[s], interned, burn.scenes[0], seed)
         for c, s in zip(configs, map(_detector_settings, configs))
     ]
     lockstep = len(episodes) > 1
     for index in range(steps):
-        shared = {} if lockstep else None
-        for episode in episodes:
-            episode.advance(index, injections, endpoint, shared)
+        reused = burn.entry(index, injections)
+        if lockstep:
+            shared = {} if reused is None else {reused["effective"].key: reused}
+            for episode in episodes:
+                entry = shared.setdefault(episode.scene.key, {})
+                episode.advance(index, injections, endpoint, entry)
+        else:
+            for episode in episodes:
+                if reused is not None and episode.scene is not reused["effective"]:
+                    reused = None
+                episode.advance(index, injections, endpoint, reused)
 
     traces = []
     for episode in episodes:
@@ -495,17 +556,18 @@ def run_episode(
     seed: int,
     steps: int,
     endpoint: EndpointConfig | None = None,
-    detector: DriftDetector | None = None,
+    burn: BurnIn | None = None,
 ) -> EpisodeTrace:
     """Run one seeded episode of the collaboration loop:
     ``run_episodes(..., (config,), ...)[0]``.
 
-    The detector comes from :func:`fit_reference` (a burn-in pass of
-    ``config.n_ref`` injection-free steps from the same seed) unless an
-    already fitted one is passed; the measured episode then restarts from
-    the identical initial scene. A detector shared by several episodes
-    stays frozen: in Collaborative mode, where the drift report decides
-    whether a step escalates, the episode keeps its own
+    The detector is fitted to the features of a :func:`burn_in` of
+    ``config.n_ref`` injection-free steps from the same seed, ``burn`` or
+    one made here; the measured episode then starts from the burn-in's
+    first scene, and takes over the burn-in's steps for as long as it
+    follows the burn-in with no injection overlaid. A detector shared by
+    several episodes stays frozen: in Collaborative mode, where the drift
+    report decides whether a step escalates, the episode keeps its own
     :class:`SlidingWindow` of features and tests each window as it fills;
     in EdgeOnly and CloudOnly the report decides nothing, so the windows
     are tested in one batch after the last step (:func:`predict_windows`),
@@ -513,7 +575,7 @@ def run_episode(
     failures degrade to the local policy of the affected role and never
     abort.
     """
-    return run_episodes(scenario, injections, (config,), seed, steps, endpoint, detector)[0]
+    return run_episodes(scenario, injections, (config,), seed, steps, endpoint, burn)[0]
 
 
 def _nearest_rank_p95(values: list[float]) -> float:

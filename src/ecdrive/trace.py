@@ -9,8 +9,11 @@ order.
 The header is written by ``json``. Each step record is written by a text
 writer generated once per dataclass from the same type hints
 (:func:`_text_writer`): it gives the bytes ``json`` would give for the
-record's JSON object, and formats each distinct float64 array element once
-per trace, through a memo keyed by the element's bit pattern.
+record's JSON object. Through a :class:`TextMemo` it writes each nested
+decision and drift report and each 1-D float64 array once, by object
+identity, and formats each distinct float64 array element once, by its bit
+pattern; traces that share record parts, as a seed's modes do, can share
+one memo.
 
 Every dataclass crosses JSON through :func:`to_json` and :func:`from_json`,
 whose per-class converters are built once from the field type hints: an
@@ -223,6 +226,27 @@ class _FloatTexts(dict):
         return text
 
 
+class TextMemo(dict):
+    """The JSON text of the record parts that several trace records share,
+    for every trace written through it.
+
+    It maps the ``id`` of each nested dataclass (a :class:`Decision`, a
+    :class:`DriftReport`) and of each 1-D float64 array written so far to
+    its text, and keeps a reference to each such object in :attr:`kept`,
+    so no id is reused while the memo lives. Keyed by identity, not
+    content: 0.0 and -0.0 compare equal but are written apart, and ``==``
+    on arrays does not give a bool. That is sound only because the record
+    parts are immutable (frozen dataclasses, read-only arrays), and only
+    while the memo lives: let it live no longer than the traces it writes.
+    :attr:`floats` gives the text of each float64 element by its bit
+    pattern."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.kept: list = []
+        self.floats = _FloatTexts().__getitem__
+
+
 # names the generated writers read, besides each field's own helpers
 _WRITER_SCOPE = {
     "float_repr": float.__repr__,
@@ -236,19 +260,24 @@ _WRITER_SCOPE = {
 }
 
 
+def _slow_writer(hint):
+    """``json``'s text of a value of ``hint``, through its codec encoder;
+    it raises wherever ``json`` would."""
+    encode = _codec(hint)[0]
+    return _dumps if encode is None else lambda value: _dumps(encode(value))
+
+
 def _text_expr(hint, var: str, scope: dict) -> str:
     """A Python expression for the JSON text of local ``var``, a value of
     ``hint``, as ``_dumps`` would write the value's JSON object (see
     :func:`_text_writer`). A value of the hint's usual runtime type is
-    written inline; any other goes through its codec encoder and
-    ``_dumps``, which also raises wherever ``json`` would."""
+    written inline; any other goes through :func:`_slow_writer`."""
     args = typing.get_args(hint)
     if type(None) in args:
         (inner,) = (a for a in args if a is not type(None))
         return f'("null" if {var} is None else {_text_expr(inner, var, scope)})'
     n = len(scope)
-    encode = _codec(hint)[0]
-    scope[f"slow{n}"] = _dumps if encode is None else lambda value: _dumps(encode(value))
+    scope[f"slow{n}"] = _slow_writer(hint)
     slow = f"slow{n}({var})"
     if hint is float:  # NaN and infinities fall through to json's spelling
         return f"(float_repr({var}) if type({var}) is float and -inf < {var} < inf else {slow})"
@@ -258,18 +287,9 @@ def _text_expr(hint, var: str, scope: dict) -> str:
         return f'("true" if {var} is True else "false" if {var} is False else {slow})'
     if hint is str:
         return f"(encode_str({var}) if type({var}) is str else {slow})"
-    if hint is np.ndarray:
-        return (
-            f'("[" + ",".join(map(floats, {var}.view(int64).tolist())) + "]"'
-            f" if type({var}) is ndarray and {var}.ndim == 1 and {var}.dtype == float64"
-            f" else {slow})"
-        )
     if isinstance(hint, type) and issubclass(hint, Enum):
         scope[f"enum{n}"], scope[f"texts{n}"] = hint, {m: _dumps(m.value) for m in hint}
         return f"(texts{n}[{var}] if type({var}) is enum{n} else {slow})"
-    if dataclasses.is_dataclass(hint):
-        scope[f"cls{n}"], scope[f"write{n}"] = hint, _text_writer(hint)
-        return f"(write{n}({var}, floats) if type({var}) is cls{n} else {slow})"
     if typing.get_origin(hint) is tuple and args[0] is str:
         return (
             f'("[" + ",".join(map(encode_str, {var})) + "]"'
@@ -278,38 +298,74 @@ def _text_expr(hint, var: str, scope: dict) -> str:
     return slow
 
 
+def _memo_lines(hint, var: str, text: str, scope: dict) -> list[str] | None:
+    """Statements that set local ``text`` to the JSON text of local ``var``,
+    a value of ``hint``, through the :class:`TextMemo` ``texts``, when the
+    hint is a 1-D float64 array or a dataclass, or either or None; None
+    for any other hint. A value of the usual runtime type is looked up by
+    its id, and written and added on a miss; any other goes through
+    :func:`_slow_writer` and is not kept."""
+    args = typing.get_args(hint)
+    optional = type(None) in args
+    if optional:
+        (hint,) = (a for a in args if a is not type(None))
+    n = len(scope)
+    if hint is np.ndarray:
+        test = f"type({var}) is ndarray and {var}.ndim == 1 and {var}.dtype == float64"
+        fast = f'"[" + ",".join(map(floats, {var}.view(int64).tolist())) + "]"'
+    elif dataclasses.is_dataclass(hint):
+        scope[f"cls{n}"], scope[f"write{n}"] = hint, _text_writer(hint)
+        test, fast = f"type({var}) is cls{n}", f"write{n}({var}, texts, floats)"
+    else:
+        return None
+    scope[f"slow{n}"] = _slow_writer(hint)
+    lookup = f"texts.get(id({var}))"
+    return [
+        f"{text} = " + (f'"null" if {var} is None else {lookup}' if optional else lookup),
+        f"if {text} is None:",
+        f"    if {test}:",
+        f"        {text} = texts[id({var})] = {fast}",
+        f"        texts.kept.append({var})",
+        "    else:",
+        f"        {text} = slow{n}({var})",
+    ]
+
+
 @functools.cache
 def _text_writer(cls):
-    """``write(obj, floats)``: the JSON text that ``_dumps(to_json(obj))``
-    gives for a ``cls`` instance, generated once per dataclass the way
-    :func:`_full_decoder` is. ``floats`` maps the bit pattern of a float64
-    to its text; every element of a 1-D float64 array is written through
-    it. A value's runtime type picks its spelling wherever it picks
-    json's: an int in a float field is written as an int, a non-finite
-    float as ``NaN`` or ``Infinity``, and an array that is not 1-D float64
-    as its ``tolist()``."""
+    """``write(obj, texts, floats)``: the JSON text that
+    ``_dumps(to_json(obj))`` gives for a ``cls`` instance, generated once
+    per dataclass the way :func:`_full_decoder` is. ``texts`` is a
+    :class:`TextMemo`, ``floats`` its :attr:`~TextMemo.floats`: each
+    nested dataclass and 1-D float64 array is written once per memo (see
+    :func:`_memo_lines`), each of the array's elements through ``floats``.
+    A value's runtime type picks its spelling wherever it picks json's: an
+    int in a float field is written as an int, a non-finite float as
+    ``NaN`` or ``Infinity``, and an array that is not 1-D float64 as its
+    ``tolist()``."""
     hints = typing.get_type_hints(cls)
     names = tuple(f.name for f in dataclasses.fields(cls))
     scope = {**_WRITER_SCOPE, "values": operator.attrgetter(*names, names[0])}
-    parts = []
+    unpack = "".join(f"v{i}, " for i in range(len(names)))
+    body, parts = [f"{unpack}_ = values(obj)"], []
     for i, name in enumerate(names):
         # a field name holds no brace or quote; a non-ASCII one is \u-escaped
         key = _dumps(name).replace("\\", "\\\\")
-        parts.append(f"{key}:{{{_text_expr(hints[name], f'v{i}', scope)}}}")
-    unpack = "".join(f"v{i}, " for i in range(len(names)))
-    exec(
-        "def write(obj, floats):\n"
-        f"    {unpack}_ = values(obj)\n"
-        f"    return f'{{{{{','.join(parts)}}}}}'\n",
-        scope,
-    )
+        memo = _memo_lines(hints[name], f"v{i}", f"t{i}", scope)
+        if memo is None:
+            parts.append(f"{key}:{{{_text_expr(hints[name], f'v{i}', scope)}}}")
+        else:
+            body += memo
+            parts.append(f"{key}:{{t{i}}}")
+    body.append(f"return f'{{{{{','.join(parts)}}}}}'")
+    exec("def write(obj, texts, floats):\n" + "".join(f"    {line}\n" for line in body), scope)
     return scope["write"]
 
 
-def trace_lines(trace: EpisodeTrace) -> list[str]:
+def trace_lines(trace: EpisodeTrace, texts: TextMemo | None = None) -> list[str]:
     """Serialize a trace to its JSONL lines (header first). The records are
-    written by the generated :func:`_text_writer`, with one float memo for
-    the whole trace."""
+    written by the generated :func:`_text_writer` through ``texts``, or
+    through a memo of their own: the lines are the same either way."""
     config = {
         "scenario": to_json(trace.scenario),
         "injections": [to_json(i) for i in trace.injections],
@@ -324,8 +380,11 @@ def trace_lines(trace: EpisodeTrace) -> list[str]:
         "seed": trace.seed,
         "summary": to_json(trace.summary),
     }
-    write, floats = _text_writer(StepRecord), _FloatTexts().__getitem__
-    return [_dumps(header)] + [write(r, floats) for r in trace.records]
+    write = _text_writer(StepRecord)
+    if texts is None:
+        texts = TextMemo()
+    floats = texts.floats
+    return [_dumps(header)] + [write(r, texts, floats) for r in trace.records]
 
 
 def temp_name(name: str, pid: int) -> str:
@@ -334,12 +393,13 @@ def temp_name(name: str, pid: int) -> str:
     return f".{name}.{pid}.tmp"
 
 
-def write_trace(trace: EpisodeTrace, path) -> None:
+def write_trace(trace: EpisodeTrace, path, texts: TextMemo | None = None) -> None:
     """Write a trace atomically: to a temporary file beside ``path``, then
     renamed over it, so a failed write leaves no partial trace behind and
-    any earlier file at ``path`` intact."""
+    any earlier file at ``path`` intact. Traces that share record parts
+    can share ``texts`` (see :func:`trace_lines`)."""
     path = Path(path)
-    text = "\n".join(trace_lines(trace)) + "\n"
+    text = "\n".join(trace_lines(trace, texts)) + "\n"
     tmp = path.with_name(temp_name(path.name, os.getpid()))
     try:
         tmp.write_text(text, encoding="utf-8")

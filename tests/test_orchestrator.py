@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ecdrive import (
     MODES,
     Action,
+    BurnIn,
     Decision,
     DriftInjection,
     DriftReport,
@@ -20,8 +21,8 @@ from ecdrive import (
     SlidingWindow,
     StepRecord,
     aggregate_metrics,
+    burn_in,
     fit,
-    fit_reference,
     load_trace,
     offload_rule,
     predict,
@@ -164,30 +165,38 @@ class TestRunEpisodeModes:
                             OffloadConfig(mode="EdgeOnly"), seed=0, steps=120)
         assert trace.summary.collision_count > 0
 
-    def test_prefitted_detector_gives_the_same_trace(self):
-        cfg = OffloadConfig(mode="Collaborative", tau=0.0, n_ref=60, window=20)
-        detector = fit_reference(corridor_config(), replace(cfg, mode="EdgeOnly"), seed=2)
+    @pytest.mark.parametrize("change", [{}, {"window": 30}, {"method": "mmd"},
+                                        {"alpha": 0.01}, {"n_perm": 30}])
+    def test_a_burn_in_serves_every_detector_setting(self, change):
+        # the burn-in depends on neither the mode nor the detector settings
+        burn = burn_in(corridor_config(), 60, seed=2)
+        cfg = replace(OffloadConfig(mode="Collaborative", tau=0.0, n_ref=60, window=20),
+                      **change)
         shared = run_episode(corridor_config(), corridor_obstacle(), cfg, seed=2, steps=80,
-                             detector=detector)
+                             burn=burn)
         own = run_episode(corridor_config(), corridor_obstacle(), cfg, seed=2, steps=80)
         assert trace_lines(shared) == trace_lines(own)
 
-    @pytest.mark.parametrize("change", [{"seed": 3}, {"window": 30}, {"method": "mmd"},
-                                        {"n_ref": 70}, {"alpha": 0.01}])
+    @pytest.mark.parametrize("change", [
+        {"seed": 3},
+        {"n_ref": 70},
+        {"scenario": replace(corridor_config(), ego_speed=9.0)},
+        {"scenario": open_highway_config()},
+    ], ids=["seed", "n_ref", "ego_speed", "scenario"])
     def test_mismatched_detector_rejected(self, change):
         cfg = OffloadConfig(mode="EdgeOnly", n_ref=60, window=20)
-        detector = fit_reference(corridor_config(), cfg, seed=2)
+        burn = burn_in(corridor_config(), cfg.n_ref, seed=2)
         seed = change.pop("seed", 2)
-        with pytest.raises(ValueError, match="detector was not fitted"):
-            run_episode(corridor_config(), (), replace(cfg, **change), seed=seed, steps=5,
-                        detector=detector)
+        scenario = change.pop("scenario", corridor_config())
+        with pytest.raises(ValueError, match="burn-in was not made for this episode"):
+            run_episode(scenario, (), replace(cfg, **change), seed=seed, steps=5, burn=burn)
 
     @pytest.mark.parametrize("seed", [-1, 2.0, True])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         cfg = OffloadConfig(mode="EdgeOnly", n_ref=60, window=20)
         message = f"seed must be a non-negative integer, got {seed!r}"
         with pytest.raises(ValueError, match=message):
-            fit_reference(corridor_config(), cfg, seed=seed)
+            burn_in(corridor_config(), cfg.n_ref, seed=seed)
         with pytest.raises(ValueError, match=message):
             run_episode(corridor_config(), (), cfg, seed=seed, steps=5)
 
@@ -228,7 +237,7 @@ class TestRunEpisodeModes:
         trace = run_episode(open_highway_config(), (shift,), cfg, seed=1, steps=60)
         # no decision waits for a report, so no window is tested during the episode
         assert calls == []
-        detector = fit_reference(open_highway_config(), cfg, seed=1)
+        detector = _fitted(open_highway_config(), cfg, seed=1)
         window = SlidingWindow(detector)
         for record in trace.records:
             window.push(record.feature)
@@ -249,6 +258,13 @@ class TestRunEpisodeModes:
         assert len(reports) == steps
         assert reports[:11] == [None] * min(steps, 11)
         assert all(r is not None for r in reports[11:])
+
+
+def _fitted(scenario, config: OffloadConfig, seed: int):
+    """The detector ``run_episodes`` fits for ``config``: fitted to the
+    features of the seed's burn-in."""
+    return fit(burn_in(scenario, config.n_ref, seed).features, method=config.method,
+               alpha=config.alpha, window=config.window, seed=seed, n_perm=config.n_perm)
 
 
 def _count_tested_windows(monkeypatch) -> dict[str, int]:
@@ -314,37 +330,86 @@ class TestRunEpisodes:
             alone = run_episode(scenario, injections, config, seed=seed, steps=steps)
             assert trace_lines(trace) == trace_lines(alone)
 
-    def test_modes_share_their_scenes(self, monkeypatch):
+    def test_modes_and_burn_in_share_their_scenes(self, monkeypatch):
         steps = 120
         configs = [OffloadConfig(mode=mode, n_ref=40, window=12) for mode in MODES]
-        detector = fit_reference(open_highway_config(), configs[0], seed=3)
-        calls = {"featurize": 0, "cloud_decide": 0}
-        for name in calls:
+        # the content of each scene every call is made for, and the action of a step
+        seen = {"featurize": [], "edge_decide": [], "step": [], "cloud_decide": []}
+        for name, keys in seen.items():
             real = getattr(orchestrator, name)
 
-            def counting(*args, real=real, name=name):
-                calls[name] += 1
-                return real(*args)
+            def counting(scene, *args, real=real, keys=keys, name=name):
+                keys.append((scene.key, args[0]) if name == "step" else scene.key)
+                return real(scene, *args)
 
             monkeypatch.setattr(orchestrator, name, counting)
         shift = DriftInjection(kind="TrafficPatternShift", start_step=40, end_step=80,
                                speed_offset=-6.0)
-        traces = run_episodes(open_highway_config(), (shift,), configs, seed=3, steps=steps,
-                              detector=detector)
+        traces = run_episodes(open_highway_config(), (shift,), configs, seed=3, steps=steps)
+        # once per distinct scene (and action) of the burn-in and the episodes
+        # together: the episodes follow the 40-step burn-in until the shift
+        for keys in seen.values():
+            assert len(keys) == len(set(keys))
+        assert {name: len(keys) for name, keys in seen.items()} == {
+            "featurize": 123, "edge_decide": 123, "step": 124, "cloud_decide": 120,
+        }
         offloaded = sum(r.offloaded for trace in traces for r in trace.records)
-        assert 0 < calls["cloud_decide"] < offloaded
-        assert 0 < calls["featurize"] < len(configs) * steps
+        assert len(seen["cloud_decide"]) < offloaded
+
+    @pytest.mark.parametrize("injections", [
+        (DriftInjection(kind="SensorNoise", start_step=10, end_step=20, sigma=1.0),),
+        (DriftInjection(kind="NewObstacle", start_step=0, end_step=30, lane=0,
+                        position=400.0, extent_m=4.0),),
+        (DriftInjection(kind="TrafficPatternShift", start_step=25, end_step=35,
+                        speed_offset=-6.0),
+         DriftInjection(kind="SensorNoise", start_step=5, end_step=15, sigma=0.5)),
+    ], ids=["noise", "obstacle_from_0", "shift_and_noise"])
+    @pytest.mark.parametrize("lockstep", [True, False])
+    def test_traces_equal_a_run_that_reuses_no_burn_in_step(
+        self, monkeypatch, injections, lockstep
+    ):
+        configs = [OffloadConfig(mode=mode, n_ref=40, window=12) for mode in MODES]
+        burn = burn_in(open_highway_config(), 40, seed=1)
+
+        def run():
+            if lockstep:
+                return run_episodes(open_highway_config(), injections, configs, seed=1,
+                                    steps=60, burn=burn)
+            return [run_episode(open_highway_config(), injections, c, seed=1, steps=60,
+                                burn=burn) for c in configs]
+
+        calls = []
+        real = orchestrator.featurize
+        monkeypatch.setattr(orchestrator, "featurize",
+                            lambda *args: calls.append(args) or real(*args))
+        traces = run()
+        reused = len(calls)
+        monkeypatch.setattr(BurnIn, "entry", lambda self, index, injections: None)
+        expected = run()
+        assert [trace_lines(t) for t in traces] == [trace_lines(t) for t in expected]
+        # the first step takes over the burn-in's feature unless overlaid
+        overlaid = any(i.start_step == 0 for i in injections)
+        fresh = len(calls) - reused
+        assert reused == fresh if overlaid and not lockstep else reused < fresh
+        assert all((t.records[0].feature is burn.features[0]) is not overlaid for t in traces)
+        for i in injections:
+            if i.kind == "SensorNoise":
+                # inside the noise window every episode draws its own features
+                for t in traces:
+                    for step in range(i.start_step, i.end_step):
+                        feature = t.records[step].feature
+                        assert feature.tobytes() != burn.features[step].tobytes()
 
     def test_each_distinct_window_is_tested_once(self, monkeypatch):
         steps = 120
         configs = [OffloadConfig(mode=mode, n_ref=40, window=12) for mode in MODES]
         configs.append(replace(configs[-1], tau=0.3))
-        detector = fit_reference(open_highway_config(), configs[0], seed=3)
+        burn = burn_in(open_highway_config(), 40, seed=3)
         tested = _count_tested_windows(monkeypatch)
         shift = DriftInjection(kind="TrafficPatternShift", start_step=40, end_step=80,
                                speed_offset=-6.0)
         traces = run_episodes(open_highway_config(), (shift,), configs, seed=3, steps=steps,
-                              detector=detector)
+                              burn=burn)
         # each distinct window is tested once, and its report shared by
         # every record whose window holds the same features
         report_of = {}
@@ -366,14 +431,18 @@ class TestRunEpisodes:
         reference = rng.normal(size=(40, 15))
         cycle = reference[:12].copy()
         cycle.setflags(write=False)
+        # a burn-in whose features are the reference, and a zero-sigma noise
+        # overlay at every step, so no episode step takes over its features
+        burn = replace(burn_in(corridor_config(), 40, seed=4), features=tuple(reference))
+        overlay = DriftInjection(kind="SensorNoise", start_step=0, end_step=40, sigma=0.0)
         monkeypatch.setattr(orchestrator, "featurize",
                             lambda scene, rng: cycle[int(scene.time) % 12])
         configs = [OffloadConfig(mode=mode, method="mmd", n_ref=40, window=12, n_perm=30)
                    for mode in ("Collaborative", "EdgeOnly")]
         detector = fit(reference, method="mmd", window=12, seed=4, n_perm=30)
         tested = _count_tested_windows(monkeypatch)
-        traces = run_episodes(corridor_config(), (), configs, seed=4, steps=40,
-                              detector=detector)
+        traces = run_episodes(corridor_config(), (overlay,), configs, seed=4, steps=40,
+                              burn=burn)
         assert tested == {"predict": 12, "predict_windows": 0}
         expected = [r.p_values.tolist()
                     for r in predict_windows(detector, np.tile(cycle, (4, 1))[:40])]
@@ -420,12 +489,18 @@ class TestRunEpisodes:
         trace = run_episodes(open_highway_config(), (), [cfg], seed=0, steps=20)[0]
         assert trace.summary.offload_rate == 1.0
 
-    def test_a_detector_must_fit_every_config(self):
-        cfg = OffloadConfig(mode="EdgeOnly", n_ref=60, window=20)
-        detector = fit_reference(corridor_config(), cfg, seed=2)
-        with pytest.raises(ValueError, match="detector was not fitted"):
-            run_episodes(corridor_config(), (), [cfg, replace(cfg, window=30)], seed=2,
-                         steps=5, detector=detector)
+    def test_a_burn_in_must_have_the_largest_n_ref(self):
+        cfg = OffloadConfig(mode="EdgeOnly", n_ref=40, window=12)
+        configs = [cfg, replace(cfg, mode="CloudOnly", n_ref=60)]
+        with pytest.raises(ValueError, match="burn-in was not made for this episode"):
+            run_episodes(open_highway_config(), (), configs, seed=2, steps=50,
+                         burn=burn_in(open_highway_config(), 40, seed=2))
+        # each detector is fitted to its own prefix of the one burn-in
+        traces = run_episodes(open_highway_config(), (), configs, seed=2, steps=50,
+                              burn=burn_in(open_highway_config(), 60, seed=2))
+        for config, trace in zip(configs, traces):
+            alone = run_episode(open_highway_config(), (), config, seed=2, steps=50)
+            assert trace_lines(trace) == trace_lines(alone)
 
 
 def _record(step: int, offloaded: bool, latency: float, edge_action=Action.KEEP,

@@ -16,6 +16,7 @@ from ecdrive import (
     NoDecisionFound,
     OffloadConfig,
     RemoteUnavailable,
+    burn_in,
     remote_decide,
     run_episode,
     run_episodes,
@@ -227,6 +228,20 @@ class TestOrchestratorFallback:
         # CloudOnly asks on every step, whichever the role
         assert counts[MODES.index("CloudOnly")] == 14
         assert len(_StubHandler.requests_seen) == sum(counts)
+
+    @pytest.mark.parametrize("modes", [("EdgeOnly",), MODES], ids=["alone", "lockstep"])
+    def test_a_remote_edge_never_takes_the_burn_in_decision(self, stub_server, modes):
+        # with no injection the episodes start on the burn-in's scenes and
+        # take over its features, but each step asks the remote edge itself
+        endpoint = EndpointConfig(base_url=stub_server, timeout_s=5.0, role="Edge")
+        configs = [self._config(mode=mode) for mode in modes]
+        burn = burn_in(obstacle_zone_config(), 40, seed=0)
+        traces = run_episodes(obstacle_zone_config(), (), configs, seed=0, steps=14,
+                              endpoint=endpoint, burn=burn)
+        for trace in traces:
+            assert trace.records[0].feature is burn.features[0]
+            assert all(r.edge_decision.source == "Remote" for r in trace.records)
+        assert len(_StubHandler.requests_seen) == 14 * len(configs)
 
 
 class TestEndpointConfig:

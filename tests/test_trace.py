@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecdrive import (
+    MODES,
     Action,
     Decision,
     DriftInjection,
@@ -25,17 +26,19 @@ from ecdrive import (
     VehicleState,
     from_json,
     run_episode,
+    run_episodes,
     to_json,
 )
 from ecdrive import trace as trace_module
 from ecdrive.cli import EXIT_OK, cmd_run
-from ecdrive.trace import load_trace, trace_lines, write_trace
+from ecdrive.trace import TextMemo, load_trace, trace_lines, write_trace
 
 from scenarios import (
     corridor_config,
     corridor_obstacle,
     drift_injections,
     offload_configs,
+    open_highway_config,
     scenario_configs,
 )
 
@@ -289,6 +292,57 @@ class TestRecordWriter:
         with mock.patch.object(trace_module.typing, "get_type_hints",
                                side_effect=AssertionError("hints walked again")):
             assert trace_lines(trace) == lines
+
+
+class TestTextMemo:
+    def test_a_seeds_traces_through_one_memo_give_their_own_bytes(self):
+        configs = [OffloadConfig(mode=mode, n_ref=40, window=12) for mode in MODES]
+        shift = DriftInjection(kind="TrafficPatternShift", start_step=20, end_step=30,
+                               speed_offset=-6.0)
+        traces = run_episodes(open_highway_config(), (shift,), configs, seed=1, steps=60)
+        texts = TextMemo()
+        shared = [trace_lines(trace, texts) for trace in traces]
+        assert shared == [trace_lines(trace) for trace in traces]
+        # the modes share feature vectors, each written once
+        features = {id(r.feature) for t in traces for r in t.records}
+        assert len(features) < sum(len(t.records) for t in traces)
+        assert features <= set(texts) == {id(part) for part in texts.kept}
+
+    def test_zero_and_negative_zero_features_keep_their_own_text(self):
+        record = _episode(steps=1).records[0]
+        records = [
+            dataclasses.replace(record, feature=np.array([0.0, 1.0])),
+            dataclasses.replace(record, feature=np.array([-0.0, 1.0])),
+        ]
+        assert records[0].feature.tolist() == records[1].feature.tolist()
+        texts = TextMemo()
+        lines = [trace_lines(_trace_of([r]), texts)[1] for r in records]
+        assert '"feature":[0.0,1.0]' in lines[0]
+        assert '"feature":[-0.0,1.0]' in lines[1]
+
+    def test_equal_but_distinct_decisions_are_each_written(self):
+        record = _episode(steps=1).records[0]
+        edges = [dataclasses.replace(record.edge_decision, confidence=c) for c in (0.0, -0.0)]
+        assert edges[0] == edges[1] and edges[0] is not edges[1]
+        records = [dataclasses.replace(record, edge_decision=e) for e in edges]
+        texts = TextMemo()
+        lines = [trace_lines(_trace_of([r]), texts)[1] for r in records]
+        assert lines == _json_lines(records)
+        assert '"confidence":0.0' in lines[0] and '"confidence":-0.0' in lines[1]
+
+    def test_the_memo_keeps_what_it_holds_text_for(self):
+        # each trace and its record parts are dropped after writing; only the
+        # memo's references keep their ids from being handed out again
+        record = _episode(steps=1).records[0]
+        texts = TextMemo()
+        for i in range(50):
+            fresh = dataclasses.replace(record, feature=np.array([float(i)]),
+                                        edge_decision=dataclasses.replace(
+                                            record.edge_decision, confidence=i / 64))
+            (line,) = trace_lines(_trace_of([fresh]), texts)[1:]
+            assert line == _json_lines([fresh])[0]
+        # 50 features, 50 edge decisions and the one cloud decision they share
+        assert len(texts) == len(texts.kept) == 101
 
 
 def _episode(mode: str = "CloudOnly", steps: int = 15):
