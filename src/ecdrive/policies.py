@@ -7,21 +7,24 @@ perceives vehicles only; obstacles are invisible to it by design, which is
 exactly the situation that makes escalation to the cloud worthwhile.
 
 The cloud policy perceives the full scene (obstacles included), predicts
-every entity forward with a constant-acceleration rollout, and picks the
-cheapest action under a collision-dominated cost. A crashed rollout halts
-the ego (speed zero for the remaining horizon), so unavoidable impacts are
-priced by how much motion survives before them: later and slower is cheaper.
-The entities' paths do not depend on the ego, and the ego's path depends
-only on its first-step command, so both are computed once per decision.
-The hazards in the lanes the ego can reach are then sorted against the
-range of the ego's paths: those that stay behind it are dropped, those
-that stay ahead of it are reduced to each lane's nearest position per
-step, and only the rest are checked one by one by each candidate action's
-rollout. The results are bit-identical to checking every hazard (see
-``_plan_hazards``). The rationale's perception stage lists the hazards that
-plan is made of, the near ones and those that hold a lane's nearest
-position at some step, rather than every entity on the road: a scene with
-only those hazards in it yields the same plan, costs and choice.
+every entity in a lane the ego can reach forward with a
+constant-acceleration rollout, and picks the cheapest action under a
+collision-dominated cost. A crashed rollout halts the ego (speed zero for
+the remaining horizon), so unavoidable impacts are priced by how much
+motion survives before them: later and slower is cheaper. The entities'
+paths do not depend on the ego, and the ego's path depends only on its
+first-step command, so both are computed once per decision. The hazards
+are then sorted against the range of the ego's paths: those that stay
+behind it are dropped, those that stay ahead of it are reduced to each
+lane's nearest position per step, and only the rest are checked one by
+one by each candidate action's rollout. The results are bit-identical to
+checking every hazard (see ``_plan_hazards``). The rationale's perception
+stage lists the hazards that plan is made of, the near ones and those
+that hold a lane's nearest position at some step, rather than every
+entity on the road: a scene with only those hazards in it yields the same
+plan, costs and choice. A scene whose plan lists no hazard, an open road,
+is decided once per ego speed, ego lane, lane count, ``v_max`` and
+horizon, and every such scene shares that decision.
 
 ``remote_decide`` delegates either role to a chat-completion HTTP endpoint
 and decodes the reply with the decision lexicon.
@@ -29,23 +32,27 @@ and decodes the reply with the decision lexicon.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
 import os
+import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .codec import GAP_SENTINEL, describe, parse_decision
 from .highway import (
     ACCEL_CMD,
     DECEL_CMD,
     DEFAULT_DT,
+    EGO_ID,
     VEHICLE_LENGTH_M,
     Action,
     Scene,
+    VehicleState,
+    _is_int,
     lane_neighbors,
     legal_actions,
     nearest_neighbors,
@@ -214,37 +221,52 @@ def edge_decide(scene: Scene) -> Decision:
     )
 
 
-def _predict_hazards(
-    scene: Scene, horizon: int
-) -> tuple[list[int], list[float], list[list[float]]]:
-    """Predict every hazard ``horizon`` steps ahead; the ego does not matter.
+def _check_horizon(horizon) -> None:
+    if not _is_int(horizon) or horizon < 1:
+        raise ValueError(f"horizon must be an int >= 1, got {horizon!r}")
 
-    Returns the hazards' lanes, their radii (the center distance below
-    which the ego overlaps them) and ``horizon + 1`` rows of positions,
-    row 0 being the current one, all as lists. Vehicles come first, then
-    obstacles. Vehicles keep their current acceleration, and each row of
-    theirs is one elementwise pass over the columns; obstacles stay put.
+
+def _predict_hazards(
+    scene: Scene, horizon: int, lanes
+) -> Iterator[tuple[int, int, float, list[float]]]:
+    """Predict the hazards in ``lanes`` ``horizon`` steps ahead; the ego
+    does not matter.
+
+    Yields, lane by lane in the order given, each vehicle of the lane
+    (through ``Vehicles.by_lane``, ascending) and then each obstacle of
+    it, as ``(index, lane, radius, track)``: its entity index (vehicles in
+    column order, then obstacles), its radius (the center distance below
+    which the ego overlaps it) and its ``horizon + 1`` positions, the
+    current one first. Vehicles keep their current acceleration, clamped
+    by the comparisons :func:`_ego_paths` uses, which agree with the
+    builtin ``min``/``max`` also on signed zeros (``np.maximum(-0.0, 0.0)``
+    may give 0.0); obstacles stay put.
     """
-    dt = DEFAULT_DT
+    dt, v_max = DEFAULT_DT, scene.v_max
     others, obstacles = scene.others, scene.obstacles
-    lanes = others.lists.lane + [o.lane for o in obstacles]
-    radii = [VEHICLE_LENGTH_M] * len(others) + [
-        VEHICLE_LENGTH_M / 2.0 + o.extent_m / 2.0 for o in obstacles
-    ]
-    fixed = [o.position for o in obstacles]
-    # p + 0.5 * (0.0 + 0.0) * dt: a standing obstacle moves by +0.0
-    parked = [p + 0.0 for p in fixed]
-    rows = [others.lists.position + fixed]
-    if not len(others):
-        return lanes, radii, rows + [parked] * horizon
-    positions, speeds = others.position, others.speed
-    dv = others.accel * dt
-    for _ in range(horizon):
-        new_speeds = np.minimum(np.maximum(speeds + dv, 0.0), scene.v_max)
-        positions = positions + 0.5 * (speeds + new_speeds) * dt
-        speeds = new_speeds
-        rows.append(positions.tolist() + parked)
-    return lanes, radii, rows
+    positions, speeds, accels = others.lists.position, others.lists.speed, others.accel.tolist()
+    n_vehicles = len(speeds)
+    for lane in lanes:
+        for i in others.by_lane.get(lane, ()):
+            p, v = positions[i], speeds[i]
+            dv = accels[i] * dt
+            track = [p]
+            for _ in range(horizon):
+                # min(max(v + a * dt, 0.0), v_max), compared as the builtins do
+                v_new = v + dv
+                if 0.0 > v_new:
+                    v_new = 0.0
+                if v_max < v_new:
+                    v_new = v_max
+                p = p + 0.5 * (v + v_new) * dt
+                v = v_new
+                track.append(p)
+            yield i, lane, VEHICLE_LENGTH_M, track
+        for j, obs in enumerate(obstacles):
+            if obs.lane == lane:
+                # p + 0.5 * (0.0 + 0.0) * dt: a standing obstacle moves by +0.0
+                track = [obs.position] + [obs.position + 0.0] * horizon
+                yield n_vehicles + j, lane, VEHICLE_LENGTH_M / 2.0 + obs.extent_m / 2.0, track
 
 
 def _segment_hits(rel0: float, rel1: float, radius: float) -> bool:
@@ -284,7 +306,7 @@ class _HazardPlan(NamedTuple):
     #: first-step command -> the ego's (positions, speeds)
     paths: dict[float, tuple[list[float], list[float]]]
     #: lane -> (radius, positions) of each near hazard, in entity order
-    near: dict[int, list[tuple[float, tuple[float, ...]]]]
+    near: dict[int, list[tuple[float, list[float]]]]
     #: lane -> per-row minimum position of the hazards ahead
     ahead: dict[int, list[float]]
     #: entity indices (vehicles in column order, then obstacles), ascending,
@@ -296,7 +318,8 @@ _FIRST_CMD = {Action.ACCELERATE: ACCEL_CMD, Action.DECELERATE: DECEL_CMD}
 
 
 def _plan_hazards(scene: Scene, horizon: int) -> _HazardPlan:
-    """Predict the hazards once and sort each lane's against the ego's reach.
+    """Predict the hazards in the lanes the ego can reach (its own and the
+    two beside it) once, and sort each lane's against the ego's reach.
 
     The ego's uncollided path depends only on its first-step command (0,
     ``ACCEL_CMD`` or ``DECEL_CMD``; lane changes keep speed), and a rollout
@@ -322,26 +345,27 @@ def _plan_hazards(scene: Scene, horizon: int) -> _HazardPlan:
     its hazards' extremes only grow with the horizon. The argument assumes
     finite positions; a config with NaN or Infinity in it fails validation.
 
-    ``listed`` names the hazards the plan is made of: every near hazard,
-    and in each ahead lane, per row, the hazard that holds the minimum (on
-    a tie the first in entity order, which is the one ``min`` returns). A
-    scene that holds only the listed hazards yields the same plan, so the
-    same rollouts and costs: each hazard is classified on its own, from its
-    own track and the ego's range; near hazards are checked one by one and
-    keep their entity order; an ahead lane is reduced to its per-row
-    minima, and the listed hazards attain every one of them, bit for bit.
+    ``listed`` names the hazards the plan is made of, by ascending entity
+    index: every near hazard, and in each ahead lane, per row, the hazard
+    that holds the minimum (on a tie the first in entity order, which is
+    the one ``min`` returns). A scene that holds only the listed hazards
+    yields the same plan, so the same rollouts and costs: each hazard is
+    classified on its own, from its own track and the ego's range; near
+    hazards are checked one by one and keep their entity order; an ahead
+    lane is reduced to its per-row minima, and the listed hazards attain
+    every one of them, bit for bit.
+    A plan that lists nothing has no near or ahead hazard, so no rollout
+    that reads it looks at a position (see :func:`cloud_decide`).
     """
     paths = _ego_paths(scene, horizon)
     reach = [p for positions, _ in paths.values() for p in positions]
     e_lo, e_hi = min(reach), max(reach)
     ego_lane = scene.ego.lane
-    near: dict[int, list[tuple[float, tuple[float, ...]]]] = {}
-    ahead_tracks: dict[int, tuple[list[int], list[tuple[float, ...]]]] = {}
+    near: dict[int, list[tuple[float, list[float]]]] = {}
+    ahead_tracks: dict[int, tuple[list[int], list[list[float]]]] = {}
     listed = []
-    lanes, radii, rows = _predict_hazards(scene, horizon)
-    for index, (lane, radius, track) in enumerate(zip(lanes, radii, zip(*rows))):
-        if not -1 <= lane - ego_lane <= 1:
-            continue
+    reachable = (ego_lane - 1, ego_lane, ego_lane + 1)
+    for index, lane, radius, track in _predict_hazards(scene, horizon, reachable):
         if radius > 0.0 and radius * radius > 0.0:
             if max(track) - e_lo <= -radius:
                 continue
@@ -359,9 +383,7 @@ def _plan_hazards(scene: Scene, horizon: int) -> _HazardPlan:
             low = min(row)
             minima.append(low)
             listed.append(indices[row.index(low)])
-    if ahead:
-        listed = sorted(set(listed))
-    return _HazardPlan(paths, near, ahead, listed)
+    return _HazardPlan(paths, near, ahead, sorted(set(listed)))
 
 
 def rollout_cost(
@@ -382,9 +404,9 @@ def rollout_cost(
     cost = 1000 * [collision] + (v_max - mean ego speed)
          + 2 * [lane change] + 50 * max(0, T_h - min headway) / T_h.
     Illegal lane changes cost infinity and are excluded from planning.
+    Raises ``ValueError`` unless ``horizon`` is an int >= 1 (not a bool).
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_horizon(horizon)
     if action not in legal_actions(scene):
         return RolloutResult(action, math.inf, 0.0, False)
     if hazards is None:
@@ -443,6 +465,8 @@ def rollout_cost(
 
 
 _PERCEIVED_VEHICLE = "perceived: vehicle %d in lane %d at %.2f m, speed %.1f m/s"
+# a float keys the open-road cache by its IEEE 754 bits, so 0.0 and -0.0 differ
+_DOUBLE = struct.Struct("<d")
 
 
 def cloud_decide(scene: Scene, horizon: int = HORIZON) -> Decision:
@@ -455,8 +479,40 @@ def cloud_decide(scene: Scene, horizon: int = HORIZON) -> Decision:
     the ego, in unreachable lanes or hidden behind a nearer one ahead are
     left out), the per-action rollout costs, and the selection. Confidence
     comes from the cost margin between the best and second-best action.
+
+    A scene whose plan lists nothing is an open road: no rollout reads a
+    position, and the rationale has no "perceived:" line, so the decision
+    depends only on the ego's speed and lane, ``lane_count``, ``v_max`` and
+    ``horizon``. It is made once per such key (:func:`_open_road_decision`)
+    and the same immutable :class:`Decision` is returned for every scene
+    with that key. Raises ``ValueError`` unless ``horizon`` is an int >= 1
+    (not a bool).
     """
+    _check_horizon(horizon)
     hazards = _plan_hazards(scene, horizon)
+    if not hazards.listed:
+        ego = scene.ego
+        return _open_road_decision(
+            _DOUBLE.pack(ego.speed), ego.lane, scene.lane_count, _DOUBLE.pack(scene.v_max), horizon
+        )
+    return _decide(scene, horizon, hazards)
+
+
+@functools.lru_cache(maxsize=1024)
+def _open_road_decision(
+    speed_bits: bytes, lane: int, lane_count: int, v_max_bits: bytes, horizon: int
+) -> Decision:
+    """The decision of every scene whose plan lists no hazard, made on the
+    canonical road of its key: the same lane count and ``v_max``, and the
+    ego at 0.0 m with that speed and lane, alone."""
+    (speed,), (v_max,) = _DOUBLE.unpack(speed_bits), _DOUBLE.unpack(v_max_bits)
+    road = Scene(time=0.0, lane_count=lane_count, ego=VehicleState(EGO_ID, lane, 0.0, speed),
+                 v_max=v_max)
+    return _decide(road, horizon, _plan_hazards(road, horizon))
+
+
+def _decide(scene: Scene, horizon: int, hazards: _HazardPlan) -> Decision:
+    """:func:`cloud_decide` from the plan ``hazards`` of ``scene``."""
     ids, lanes, positions, speeds = scene.others.lists
     n_vehicles = len(ids)
     rationale = []

@@ -23,6 +23,7 @@ from ecdrive import (
     aggregate_metrics,
     burn_in,
     fit,
+    legal_actions,
     load_trace,
     offload_rule,
     predict,
@@ -32,8 +33,9 @@ from ecdrive import (
     spawn_scenario,
     write_trace,
 )
-from ecdrive import orchestrator
+from ecdrive import orchestrator, policies
 from ecdrive.highway import validate_injection
+from ecdrive.policies import HORIZON
 from ecdrive.trace import trace_lines
 
 from scenarios import (
@@ -355,6 +357,44 @@ class TestRunEpisodes:
         }
         offloaded = sum(r.offloaded for trace in traces for r in trace.records)
         assert len(seen["cloud_decide"]) < offloaded
+
+    def test_open_road_decisions_roll_out_once_per_key(self, monkeypatch):
+        # the ego passes the six vehicles of open_highway and then decides
+        # on an empty road; each such decision's rollouts run once per key
+        policies._open_road_decision.cache_clear()
+        decided, rolled_out = [], []
+        real_decide, real_rollout = orchestrator.cloud_decide, policies.rollout_cost
+
+        def counting_decide(scene, *args):
+            decided.append(scene)
+            return real_decide(scene, *args)
+
+        def counting_rollout(scene, action, *args):
+            rolled_out.append(action)
+            return real_rollout(scene, action, *args)
+
+        monkeypatch.setattr(orchestrator, "cloud_decide", counting_decide)
+        monkeypatch.setattr(policies, "rollout_cost", counting_rollout)
+        shift = DriftInjection(kind="TrafficPatternShift", start_step=150, end_step=250,
+                               speed_offset=-6.0)
+        configs = [OffloadConfig(mode=mode) for mode in MODES]
+        run_episodes(open_highway_config(), (shift,), configs, seed=3, steps=300)
+        # the cache shares rollouts, not cloud_decide calls
+        assert len(decided) == 300
+        expected, open_roads, keys = 0, 0, set()
+        for scene in decided:
+            candidates = len(legal_actions(scene))
+            if policies._plan_hazards(scene, HORIZON).listed:
+                expected += candidates
+                continue
+            open_roads += 1
+            ego = scene.ego
+            key = (ego.speed.hex(), ego.lane, scene.lane_count, scene.v_max.hex())
+            if key not in keys:
+                keys.add(key)
+                expected += candidates
+        assert len(rolled_out) == expected
+        assert 1 <= len(keys) < open_roads
 
     @pytest.mark.parametrize("injections", [
         (DriftInjection(kind="SensorNoise", start_step=10, end_step=20, sigma=1.0),),

@@ -304,14 +304,21 @@ def _on_the_bounds() -> Scene:
                  obstacles=(Obstacle(0, 39.5, 4.0), Obstacle(0, -4.5, 4.0)))
 
 
+def _all_hazards(scene: Scene, horizon: int) -> dict[int, tuple[int, float, list[float]]]:
+    """Entity index -> (lane, radius, track) of every hazard on the road,
+    in any lane."""
+    lanes = {*scene.others.lists.lane, *(o.lane for o in scene.obstacles)}
+    return {index: (lane, radius, track)
+            for index, lane, radius, track in policies._predict_hazards(scene, horizon, lanes)}
+
+
 def _hazard_classes(scene: Scene, horizon: int) -> dict[int, str]:
     """Entity index -> the class of ``_plan_hazards`` that each reachable
     hazard falls in, recomputed from the definitions."""
     paths = policies._plan_hazards(scene, horizon).paths
     reach = [p for positions, _ in paths.values() for p in positions]
-    lanes, radii, rows = policies._predict_hazards(scene, horizon)
     classes = {}
-    for i, (lane, radius, track) in enumerate(zip(lanes, radii, zip(*rows))):
+    for i, (lane, radius, track) in sorted(_all_hazards(scene, horizon).items()):
         if abs(lane - scene.ego.lane) > 1:
             continue
         if radius > 0 and max(track) - min(reach) <= -radius:
@@ -352,6 +359,21 @@ class TestSharedHazardPrediction:
         # accelerating
         @example(scene=_road(obstacles=(Obstacle(1, 0.0, -5.0), Obstacle(0, 34.0, -9.0))),
                  horizon=3)
+        # vehicles and obstacles two and three lanes from the ego, one level
+        # with it and one in its path were it reachable
+        @example(scene=Scene(time=0.0, lane_count=4, ego=VehicleState(0, 0, 0.0, 20.0),
+                             others=(VehicleState(1, 2, 0.0, 20.0),
+                                     VehicleState(2, 0, 50.0, 15.0, accel=-1.0),
+                                     VehicleState(3, 3, 30.0, 5.0)),
+                             obstacles=(Obstacle(2, 10.0, 4.0), Obstacle(3, 40.0, 2.0),
+                                        Obstacle(1, 60.0, 4.0))),
+                 horizon=3)
+        # only far hazards: an open road at v_max in the leftmost lane
+        @example(scene=Scene(time=0.0, lane_count=4, ego=VehicleState(0, 3, 0.0, 30.0),
+                             others=(VehicleState(1, 1, 20.0, 10.0),
+                                     VehicleState(2, 0, 10.0, 30.0)),
+                             obstacles=(Obstacle(1, 15.0, 3.0),)),
+                 horizon=2)
         def check(scene, horizon):
             for action in Action:  # illegal lane changes included
                 result = rollout_cost(scene, action, horizon)
@@ -359,10 +381,21 @@ class TestSharedHazardPrediction:
                 assert result == expected and repr(result) == repr(expected)
                 seen.add("illegal" if math.isinf(result.cost) else
                          "collision" if result.collision_predicted else "clean")
+            # an open-road decision cached under the oracle must not serve
+            # the real call, nor one cached earlier the oracle's
+            policies._open_road_decision.cache_clear()
             with mock.patch.object(policies, "rollout_cost", _oracle_rollout):
                 expected = cloud_decide(scene, horizon)
+            policies._open_road_decision.cache_clear()
             decision = cloud_decide(scene, horizon)
             assert decision == expected and repr(decision) == repr(expected)
+            # hazards two or more lanes away do not change the plan
+            reduced, kept = _without_far_hazards(scene)
+            plan, reduced_plan = (policies._plan_hazards(s, horizon) for s in (scene, reduced))
+            _same_plan(reduced_plan, plan)
+            assert reduced_plan.listed == [kept.index(i) for i in plan.listed]
+            if len(kept) < len(scene.others) + len(scene.obstacles):
+                seen.add("far")
             for v in others_states(scene):
                 if v.speed + v.accel * DEFAULT_DT < 0:
                     seen.add("clamp at 0")
@@ -373,7 +406,7 @@ class TestSharedHazardPrediction:
         check()
         # the scenes must reach every branch for the property to mean much
         assert seen == {"illegal", "collision", "clean", "clamp at 0", "clamp at v_max",
-                        "near", "ahead", "behind"}
+                        "near", "ahead", "behind", "far"}
 
     def test_examples_sit_on_the_pruning_bounds(self):
         # every hazard of _on_the_bounds is exactly on a bound, so the plan
@@ -394,6 +427,14 @@ def _listed_only(scene: Scene, listed) -> Scene:
         others=tuple(others[i] for i in listed if i < n),
         obstacles=tuple(scene.obstacles[i - n] for i in listed if i >= n),
     )
+
+
+def _without_far_hazards(scene: Scene) -> tuple[Scene, list[int]]:
+    """``scene`` without the hazards two or more lanes from the ego, and
+    the entity indices of the hazards it keeps, ascending."""
+    lanes = [*scene.others.lists.lane, *(o.lane for o in scene.obstacles)]
+    kept = [i for i, lane in enumerate(lanes) if abs(lane - scene.ego.lane) <= 1]
+    return _listed_only(scene, kept), kept
 
 
 def _same_plan(actual, expected) -> None:
@@ -428,8 +469,8 @@ class TestPerceptionSet:
             assert all(classes.get(i) in ("near", "ahead") for i in listed)
             dropped = {i for i, c in classes.items() if c == "ahead"} - set(listed)
             seen.update({"ahead dropped"} if dropped else ())
-            hazard_lanes = policies._predict_hazards(scene, horizon)[0]
-            lanes = [hazard_lanes[i] for i in listed if classes[i] == "ahead"]
+            hazards = _all_hazards(scene, horizon)
+            lanes = [hazards[i][0] for i in listed if classes[i] == "ahead"]
             seen.update({"two ahead listed in a lane"} if len(lanes) > len(set(lanes)) else ())
 
             reduced = _listed_only(scene, listed)
@@ -517,6 +558,100 @@ class TestCloudDecide:
     def test_pure_function(self):
         scene = static_obstacle_scene(gap=40.0)
         assert cloud_decide(scene) == cloud_decide(scene)
+
+
+@st.composite
+def _open_road_scenes(draw) -> Scene:
+    """Scenes whose cloud plan lists no hazard: the ego in an edge lane or
+    any lane, at 0.0, -0.0, below or at ``v_max``, anywhere on the road,
+    with vehicles and obstacles 200 m or more behind it, out of reach of
+    any rollout, or two or more lanes away at any distance."""
+    lane_count = draw(st.integers(1, 5))
+    ego_lane = draw(st.sampled_from((0, lane_count - 1)) | st.integers(0, lane_count - 1))
+    v_max = draw(st.sampled_from((10.0, 30.0)))
+    speed = draw(st.sampled_from((0.0, -0.0, v_max)) | st.floats(0.0, v_max))
+    ego_position = draw(st.floats(-1e3, 1e3))
+
+    def hazard_lane_and_position() -> tuple[int, float]:
+        lane = draw(st.integers(0, lane_count - 1))
+        if abs(lane - ego_lane) <= 1:
+            return lane, ego_position - draw(st.floats(200.0, 1000.0))
+        return lane, ego_position + draw(st.floats(-300.0, 300.0))
+
+    others = []
+    for i in range(draw(st.integers(0, 6))):
+        lane, position = hazard_lane_and_position()
+        others.append(VehicleState(i + 1, lane, position, draw(st.floats(0.0, v_max)),
+                                   accel=draw(st.floats(-5.0, 5.0))))
+    obstacles = []
+    for _ in range(draw(st.integers(0, 3))):
+        lane, position = hazard_lane_and_position()
+        obstacles.append(Obstacle(lane, position, draw(st.floats(0.5, 10.0))))
+    return Scene(time=draw(st.floats(0.0, 500.0)), lane_count=lane_count,
+                 ego=VehicleState(0, ego_lane, ego_position, speed,
+                                  accel=draw(st.floats(-3.0, 2.0))),
+                 others=tuple(others), obstacles=tuple(obstacles), v_max=v_max)
+
+
+class TestOpenRoad:
+    @settings(max_examples=150, deadline=None)
+    @given(scene=_open_road_scenes(), horizon=st.integers(1, 5))
+    @example(scene=empty_road(-0.0, lane=3), horizon=1)
+    @example(scene=empty_road(30.0, lane=0), horizon=5)
+    def test_cached_decision_is_the_scene_decision(self, scene, horizon):
+        assert not policies._plan_hazards(scene, horizon).listed
+        ego = scene.ego
+        road = Scene(time=0.0, lane_count=scene.lane_count,
+                     ego=VehicleState(0, ego.lane, 0.0, ego.speed), v_max=scene.v_max)
+        # the decide code run on the scene itself, past the cache
+        expected = policies._decide(scene, horizon, policies._plan_hazards(scene, horizon))
+        policies._open_road_decision.cache_clear()
+        cold = cloud_decide(scene, horizon)
+        warm = cloud_decide(scene, horizon)
+        assert warm is cold
+        policies._open_road_decision.cache_clear()
+        on_road = cloud_decide(road, horizon)
+        for decision in (cold, warm, on_road):
+            assert decision == expected and repr(decision) == repr(expected)
+        assert not any(r.startswith("perceived:") for r in expected.rationale)
+
+    def test_signed_zero_speeds_take_separate_entries(self):
+        policies._open_road_decision.cache_clear()
+        decisions = [cloud_decide(empty_road(speed)) for speed in (0.0, -0.0, 0.0, -0.0)]
+        info = policies._open_road_decision.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+        assert decisions[0] is decisions[2] and decisions[1] is decisions[3]
+        assert decisions[0] is not decisions[1]
+
+    def test_scene_with_a_listed_hazard_bypasses_the_cache(self):
+        policies._open_road_decision.cache_clear()
+        decision = cloud_decide(static_obstacle_scene(gap=40.0))
+        assert any(r.startswith("perceived:") for r in decision.rationale)
+        assert policies._open_road_decision.cache_info().currsize == 0
+
+
+class TestHorizonValidation:
+    @pytest.mark.parametrize("horizon", [0, -1, True, False, 2.0, 1.0, "3", None],
+                             ids=repr)
+    def test_rejected_before_any_planning(self, monkeypatch, horizon):
+        def no_plan(scene, horizon):
+            raise AssertionError("planned with a bad horizon")
+
+        monkeypatch.setattr(policies, "_plan_hazards", no_plan)
+        for scene in (empty_road(25.0), static_obstacle_scene(gap=40.0)):
+            with pytest.raises(ValueError, match="horizon must be an int >= 1"):
+                cloud_decide(scene, horizon)
+            for action in (Action.KEEP, Action.LANE_CHANGE_RIGHT):
+                with pytest.raises(ValueError, match="horizon must be an int >= 1"):
+                    rollout_cost(scene, action, horizon)
+
+    def test_true_is_not_a_one_step_horizon(self):
+        # True == 1 and hashes alike, so only the check keeps it out of the
+        # open-road cache entry of horizon 1
+        one = cloud_decide(empty_road(25.0), 1)
+        assert one.rationale[0] == "predicted 1-step rollouts for 4 candidate actions"
+        with pytest.raises(ValueError):
+            cloud_decide(empty_road(25.0), True)
 
 
 def _true_swept_collision(scene: Scene, action: Action, horizon: int = 3) -> bool:

@@ -146,6 +146,15 @@ def _oracle_predict_hazards(scene: Scene, horizon: int):
     return lanes, radii, rows
 
 
+def _oracle_hazard_tracks(scene: Scene, horizon: int, lanes):
+    """``_predict_hazards``'s layout from the oracle's rows: lane by lane,
+    each hazard of the lane in entity order, with its track."""
+    hazard_lanes, radii, rows = _oracle_predict_hazards(scene, horizon)
+    tracks = [list(track) for track in zip(*rows)]
+    return [(i, lane, radii[i], tracks[i])
+            for lane in lanes for i, hazard_lane in enumerate(hazard_lanes) if hazard_lane == lane]
+
+
 def _oracle_describe(scene: Scene) -> str:
     ego = scene.ego
     parts = [
@@ -262,7 +271,11 @@ class TestColumnReaders:
             _same(lane_neighbors(scene, lane), _oracle_lane_neighbors(scene, lane))
         _same(nearest_neighbors(scene), _oracle_nearest_neighbors(scene))
         assert check_collision(scene) is _oracle_check_collision(scene)
-        _same(_predict_hazards(scene, horizon), _oracle_predict_hazards(scene, horizon))
+        # every lane, in descending order, then the lanes the planner asks for
+        ego_lane = scene.ego.lane
+        for lanes in (range(scene.lane_count, -2, -1), (ego_lane - 1, ego_lane, ego_lane + 1)):
+            _same(list(_predict_hazards(scene, horizon, lanes)),
+                  _oracle_hazard_tracks(scene, horizon, lanes))
 
     @settings(max_examples=100, deadline=None)
     @given(scene=SCENES, sigma=st.sampled_from((0.0, 0.5, 3.0)), seed=st.integers(0, 2**32 - 1))
