@@ -82,7 +82,7 @@ def describe(scene: Scene) -> str:
         f"and its lane position is {ego.position:.2f} m."
     ]
     others = scene.others
-    rows = zip(*others.lists, others.accel.tolist())
+    rows = zip(others.id, others.lane, others.position, others.speed, others.accel)
     by_gap = sorted(rows, key=lambda row: (abs(row[2] - ego.position), row[0]))
     for vid, lane, position, speed, accel in by_gap:
         direction = "ahead" if position >= ego.position else "behind"

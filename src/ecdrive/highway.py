@@ -6,24 +6,21 @@ on an infinite straight road. One decision step lasts ``DEFAULT_DT`` = 1 s.
 
 The ego is a :class:`VehicleState`; the other vehicles are struct-of-arrays
 :class:`Vehicles` columns (id, lane, position, speed, accel and target
-speed), read-only numpy arrays in vehicle order.
-:func:`step` advances all of them in one elementwise pass through the same
-:func:`_advance` expressions the ego uses, with ``np.maximum`` and
-``np.minimum`` as the clamps, so every element rounds exactly as a
-per-vehicle float loop would. The scalar readers (:func:`lane_neighbors`,
-:func:`check_collision`, ``Scene.validate``, the scene text and the cloud
-planner's perception) scan ``Vehicles.lists``, the columns as Python lists
-made with each column set, and visit only the lanes they ask about through
+speed), tuples in vehicle order. :func:`step` advances the ego and all the
+other vehicles through the one integrator :func:`_advance`, the ego as a
+column of one, the others in one pass over their columns. The scalar
+readers (:func:`lane_neighbors`, :func:`check_collision`,
+``Scene.validate``, the scene text and the cloud planner's perception) read
+the columns directly and visit only the lanes they ask about through
 ``Vehicles.by_lane``, which :func:`step` carries over because vehicles
-never change lanes. With up to a few tens of vehicles such a scan beats a
-chain of masked numpy calls, each of which costs about a microsecond. The
-four neighbor slots are computed once per scene, and so are the other
-vehicles' columns one step on, which no ego action changes.
-``Scene.others`` is the column set. A ``Scene`` built with ``others=`` a
-tuple of ``VehicleState`` converts it, resolving a ``None`` target speed to
-the vehicle's speed then. Scenes and columns compare by identity; a scene's
-content is compared through ``Scene.key``, built from the bit pattern of
-every field.
+never change lanes. The four neighbor slots are computed once per scene,
+and so are the other vehicles' columns one step on, which no ego action
+changes. ``Scene.others`` is the column set. A ``Scene`` built with
+``others=`` a tuple of ``VehicleState`` converts it, resolving a ``None``
+target speed to the vehicle's speed then. Scenes and columns compare by
+identity; a scene's content is compared through ``Scene.key``, built from
+the bit pattern of every field. numpy only draws the spawn positions and
+speeds.
 
 Scripted perturbations (new obstacles, traffic-pattern shifts, sensor noise)
 are applied per step through :func:`inject_drift`, which is the identity
@@ -39,7 +36,6 @@ import os
 import pickle
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -142,74 +138,56 @@ class VehicleState:
         return self.speed if self.target_speed is None else self.target_speed
 
 
-def _read_only(column: np.ndarray) -> np.ndarray:
-    column.setflags(write=False)
-    return column
-
-
-class VehicleLists(NamedTuple):
-    """The columns the scalar readers scan, as Python lists."""
-
-    id: list[int]
-    lane: list[int]
-    position: list[float]
-    speed: list[float]
+_COLUMNS = ("id", "lane", "position", "speed", "accel", "target")
 
 
 @dataclass(frozen=True, eq=False)
 class Vehicles:
-    """Read-only columns of a scene's non-ego vehicles, in vehicle order.
+    """Columns of a scene's non-ego vehicles, as tuples in vehicle order.
 
-    ``target`` holds each vehicle's target speed; :meth:`from_states`
-    resolves a ``None`` target to the vehicle's speed at that moment.
-    Columns compare by identity.
+    ``id`` and ``lane`` hold ints, the other columns floats; ``target``
+    holds each vehicle's target speed. :meth:`from_states` converts with
+    ``int`` and ``float`` and resolves a ``None`` target to the vehicle's
+    speed at that moment. Columns compare by identity.
     """
 
-    id: np.ndarray
-    lane: np.ndarray
-    position: np.ndarray
-    speed: np.ndarray
-    accel: np.ndarray
-    target: np.ndarray
+    id: tuple[int, ...]
+    lane: tuple[int, ...]
+    position: tuple[float, ...]
+    speed: tuple[float, ...]
+    accel: tuple[float, ...]
+    target: tuple[float, ...]
     #: lane -> indices of its vehicles, ascending; derived from ``lane``
-    #: unless passed in by :meth:`moved`, which keeps every lane
+    #: unless passed in, as :meth:`Scene._moved_others` does, since vehicles
+    #: keep their lanes
     by_lane: dict[int, tuple[int, ...]] | None = field(default=None, repr=False)
-    #: id, lane, position and speed as lists, for the scalar readers
-    lists: VehicleLists = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        lists = VehicleLists(
-            self.id.tolist(), self.lane.tolist(), self.position.tolist(), self.speed.tolist()
-        )
-        object.__setattr__(self, "lists", lists)
+        n = len(self.id)
+        for name in _COLUMNS:
+            column = getattr(self, name)
+            if type(column) is not tuple:
+                column = tuple(column)
+                object.__setattr__(self, name, column)
+            if len(column) != n:
+                raise ValueError(f"vehicle columns differ in length: {n} ids, "
+                                 f"{len(column)} {name} values")
         if self.by_lane is None:
             by_lane: dict[int, list[int]] = {}
-            for i, lane in enumerate(lists.lane):
+            for i, lane in enumerate(self.lane):
                 by_lane.setdefault(lane, []).append(i)
             object.__setattr__(self, "by_lane", {k: tuple(v) for k, v in by_lane.items()})
 
     @classmethod
     def from_states(cls, states) -> Vehicles:
         states = tuple(states)
-
-        def column(values, dtype) -> np.ndarray:
-            return _read_only(np.array(values, dtype=dtype))
-
         return cls(
-            id=column([v.id for v in states], np.int64),
-            lane=column([v.lane for v in states], np.int64),
-            position=column([v.position for v in states], np.float64),
-            speed=column([v.speed for v in states], np.float64),
-            accel=column([v.accel for v in states], np.float64),
-            target=column([v.resolved_target() for v in states], np.float64),
-        )
-
-    def moved(self, speed: np.ndarray, position: np.ndarray, accel: np.ndarray) -> Vehicles:
-        """The same vehicles, in the same lanes, with new kinematic columns
-        (made read-only here), in :func:`_advance`'s return order."""
-        return Vehicles(
-            self.id, self.lane, _read_only(position), _read_only(speed), _read_only(accel),
-            self.target, self.by_lane,
+            id=tuple([int(v.id) for v in states]),
+            lane=tuple([int(v.lane) for v in states]),
+            position=tuple([float(v.position) for v in states]),
+            speed=tuple([float(v.speed) for v in states]),
+            accel=tuple([float(v.accel) for v in states]),
+            target=tuple([float(v.resolved_target()) for v in states]),
         )
 
     def __len__(self) -> int:
@@ -217,13 +195,13 @@ class Vehicles:
 
     @_cached
     def key(self) -> bytes:
-        """Content key of the columns: the pickle of each one's type code,
-        byte order and shape, then their bytes. The scenes that
-        :func:`step` and the injection overlays derive from one another
-        share their columns, so it is formed once for all of them."""
-        columns = (self.id, self.lane, self.position, self.speed, self.accel, self.target)
-        layout = [(c.dtype.char, c.dtype.byteorder, c.shape) for c in columns]
-        return _content_bytes(layout) + b"".join([c.tobytes() for c in columns])
+        """Content key of the columns, the pickle of the six tuples (see
+        :func:`_content_bytes`). The scenes that :func:`step` and the
+        injection overlays derive from one another share their columns, so
+        it is formed once for all of them."""
+        return _content_bytes(
+            (self.id, self.lane, self.position, self.speed, self.accel, self.target)
+        )
 
 
 @dataclass(frozen=True)
@@ -281,14 +259,16 @@ class Scene:
         others = self.others
         if not len(others):
             return others
-        dt = DEFAULT_DT
-        speed = others.speed
-        delta = others.target + self.target_offset - speed
-        # Land exactly on the target instead of oscillating around it.
-        a_rev = np.maximum(-REVERSION_ACCEL, np.minimum(REVERSION_ACCEL, delta / dt))
-        return others.moved(
-            *_advance(speed, a_rev, others.position, dt, self.v_max, np.maximum, np.minimum)
-        )
+        dt, offset, limit = DEFAULT_DT, self.target_offset, REVERSION_ACCEL
+        commands = []
+        for target, v in zip(others.target, others.speed):
+            # Land exactly on the target instead of oscillating around it:
+            # the value of max(-limit, min(limit, command))
+            command = (target + offset - v) / dt
+            commands.append(limit if command > limit else -limit if command < -limit else command)
+        speed, position, accel = _advance(others.speed, commands, others.position, self.v_max)
+        return Vehicles(others.id, others.lane, position, speed, accel, others.target,
+                        others.by_lane)
 
     @_cached
     def _neighbors(self) -> NeighborSet:
@@ -305,13 +285,13 @@ class Scene:
     def validate(self) -> None:
         if self.lane_count < 1:
             raise ScenarioError("lane_count must be >= 1")
-        ego, others = self.ego, self.others.lists
-        ids = [ego.id] + others.id
+        ego, others = self.ego, self.others
+        ids = (ego.id, *others.id)
         if len(set(ids)) != len(ids):
             raise ScenarioError("vehicle ids must be unique")
-        lanes = [ego.lane] + others.lane
-        positions = [ego.position] + others.position
-        speeds = [ego.speed] + others.speed
+        lanes = (ego.lane, *others.lane)
+        positions = (ego.position, *others.position)
+        speeds = (ego.speed, *others.speed)
         for vid, lane, position, speed in zip(ids, lanes, positions, speeds):
             if speed < 0:
                 raise ScenarioError(f"vehicle {vid} has negative speed")
@@ -569,18 +549,28 @@ def legal_actions(scene: Scene) -> tuple[Action, ...]:
     return _LEGAL_ACTIONS[lane < scene.lane_count - 1, lane > 0]
 
 
-def _advance(v, a_cmd, position, dt: float, v_max: float, lo=max, hi=min):
-    """Integrate one step with the speed clamp folded into the acceleration.
+def _advance(speeds, commands, positions, v_max: float):
+    """Integrate a column of vehicles one ``DEFAULT_DT`` step, each with the
+    speed clamp folded into its acceleration.
 
-    Returns (new_speed, new_position, effective_accel). When no clamp binds
-    this is exactly p' = p + v dt + a dt^2 / 2. With the builtin clamps it
-    works on floats; with ``np.maximum``/``np.minimum`` it works elementwise
-    on columns, and every element rounds as the float expression does.
+    Returns the new (speeds, positions, effective accels) as tuples. The
+    clamp is ``min(max(v + a dt, 0.0), float(v_max))``, compared as the
+    builtins do, so a speed clamped to an int ``v_max`` is a float too;
+    when it does not bind this is exactly p' = p + v dt + a dt^2 / 2.
     """
-    v_new = hi(lo(v + a_cmd * dt, 0.0), v_max)
-    a_eff = (v_new - v) / dt
-    p_new = position + v * dt + 0.5 * a_eff * dt * dt
-    return v_new, p_new, a_eff
+    dt, v_max = DEFAULT_DT, float(v_max)
+    new_speeds, new_positions, accels = [], [], []
+    for v, a_cmd, p in zip(speeds, commands, positions):
+        v_new = v + a_cmd * dt
+        if 0.0 > v_new:
+            v_new = 0.0
+        if v_max < v_new:
+            v_new = v_max
+        a_eff = (v_new - v) / dt
+        new_speeds.append(v_new)
+        new_positions.append(p + v * dt + 0.5 * a_eff * dt * dt)
+        accels.append(a_eff)
+    return tuple(new_speeds), tuple(new_positions), tuple(accels)
 
 
 def step(scene: Scene, action: Action) -> Scene:
@@ -613,7 +603,7 @@ def step(scene: Scene, action: Action) -> Scene:
     else:
         a_cmd = 0.0
 
-    v_new, p_new, a_eff = _advance(ego.speed, a_cmd, ego.position, dt, scene.v_max)
+    (v_new,), (p_new,), (a_eff,) = _advance((ego.speed,), (a_cmd,), (ego.position,), scene.v_max)
     new_ego = VehicleState(ego.id, lane, p_new, v_new, a_eff, ego.target_speed)
 
     return replace(scene, time=scene.time + dt, ego=new_ego, others=scene._moved_others)
@@ -626,7 +616,7 @@ def check_collision(scene: Scene) -> bool:
     overlap is strict interval intersection.
     """
     ego = scene.ego
-    positions = scene.others.lists.position
+    positions = scene.others.position
     for i in scene.others.by_lane.get(ego.lane, ()):
         if abs(positions[i] - ego.position) < VEHICLE_LENGTH_M:
             return True
@@ -670,7 +660,7 @@ def lane_neighbors(
     position-to-position; the first vehicle wins a tie."""
     ego = scene.ego
     others = scene.others
-    positions = others.lists.position
+    positions = others.position
     front = rear = None
     front_gap = rear_gap = math.inf
     for i in others.by_lane.get(lane, ()):
@@ -680,7 +670,7 @@ def lane_neighbors(
                 front, front_gap = i, gap
         elif -gap < rear_gap:
             rear, rear_gap = i, -gap
-    speeds = others.lists.speed
+    speeds = others.speed
     return (
         None if front is None else NeighborInfo(front_gap, speeds[front] - ego.speed),
         None if rear is None else NeighborInfo(rear_gap, speeds[rear] - ego.speed),

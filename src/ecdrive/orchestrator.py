@@ -482,8 +482,8 @@ def run_episodes(
     in one :func:`predict_windows` batch. Each trace equals the one
     :func:`run_episode` gives for its config alone, byte for byte.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not _is_int(steps) or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
     _check_seed(seed)
     configs = tuple(configs)
     for config in configs:

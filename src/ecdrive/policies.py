@@ -238,13 +238,12 @@ def _predict_hazards(
     column order, then obstacles), its radius (the center distance below
     which the ego overlaps it) and its ``horizon + 1`` positions, the
     current one first. Vehicles keep their current acceleration, clamped
-    by the comparisons :func:`_ego_paths` uses, which agree with the
-    builtin ``min``/``max`` also on signed zeros (``np.maximum(-0.0, 0.0)``
-    may give 0.0); obstacles stay put.
+    by the comparisons :func:`_ego_paths` and ``highway._advance`` use, in
+    the builtin ``min``/``max`` order; obstacles stay put.
     """
     dt, v_max = DEFAULT_DT, scene.v_max
     others, obstacles = scene.others, scene.obstacles
-    positions, speeds, accels = others.lists.position, others.lists.speed, others.accel.tolist()
+    positions, speeds, accels = others.position, others.speed, others.accel
     n_vehicles = len(speeds)
     for lane in lanes:
         for i in others.by_lane.get(lane, ()):
@@ -513,7 +512,8 @@ def _open_road_decision(
 
 def _decide(scene: Scene, horizon: int, hazards: _HazardPlan) -> Decision:
     """:func:`cloud_decide` from the plan ``hazards`` of ``scene``."""
-    ids, lanes, positions, speeds = scene.others.lists
+    others = scene.others
+    ids, lanes, positions, speeds = others.id, others.lane, others.position, others.speed
     n_vehicles = len(ids)
     rationale = []
     for i in hazards.listed:

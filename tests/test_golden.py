@@ -144,6 +144,31 @@ CASES = {
         "seeds": [1],
         "steps": 70,
     },
+    # pinned vehicles whose position, speed, accel and target speed are
+    # JSON integers: the columns hold them as floats from the first scene on
+    "pinned_ints": {
+        "scenario": {
+            "name": "pinned_ints",
+            "lane_count": 3,
+            "ego_lane": 1,
+            "ego_speed": 24.0,
+            "ego_position": 0.0,
+            "n_random_vehicles": 4,
+            "speed_range": [16.0, 22.0],
+            "spawn_span": [200.0, 900.0],
+            "fixed_others": [
+                {"id": 3, "lane": 1, "position": 60, "speed": 18},
+                {"id": 4, "lane": 0, "position": -20, "speed": 26, "accel": 1,
+                 "target_speed": 22},
+                {"id": 5, "lane": 2, "position": 35, "speed": 0},
+            ],
+        },
+        "injections": [],
+        "offload": {"mode": "Collaborative", "tau": 0.5, **_SMALL_KS},
+        "modes": ["EdgeOnly", "Collaborative", "CloudOnly"],
+        "seeds": [4],
+        "steps": 40,
+    },
 }
 
 GOLDEN = {
@@ -186,6 +211,14 @@ GOLDEN = {
             "cd1d9ddfe86e818c70e221c9df39d7156775ec905112212fa3e4919b98b773e3",
         "open_highway_EdgeOnly_1.jsonl":
             "e3e60c9a0eb10f453955d249277b7073ccfbe2da9f7e2e5522acfa57471adee5",
+    },
+    "pinned_ints": {
+        "pinned_ints_CloudOnly_4.jsonl":
+            "aa635a23b9dd67eaf4c0d84833009ea3d9a66f537b393f0510be66cd7a73b231",
+        "pinned_ints_Collaborative_4.jsonl":
+            "3baac019fa1f40c7923ac9bacb43226e50939e7384f1e3dac14b057e6f12cf18",
+        "pinned_ints_EdgeOnly_4.jsonl":
+            "af474eef6f54fdd72225bce75bb05934f1d3b3ef48f7fc34fac6342fae8189d9",
     },
 }
 

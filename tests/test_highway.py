@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from ecdrive import (
     step,
 )
 
+from ecdrive import highway
 from ecdrive.highway import (
     ACCEL_CMD,
     DECEL_CMD,
@@ -56,7 +58,7 @@ class TestSpawn:
 
     def test_zero_vehicles_gives_empty_others(self):
         scene = spawn_scenario(ScenarioConfig(name="empty", n_random_vehicles=0), seed=7)
-        assert len(scene.others) == 0 and scene.others.id.dtype == np.int64
+        assert len(scene.others) == 0
 
     def test_same_config_and_seed_is_deterministic(self):
         config = ScenarioConfig(name="rand", n_random_vehicles=8)
@@ -198,17 +200,22 @@ class TestSceneKey:
     ])
     def test_a_column_value_changes_the_key(self, column, value):
         others = self._scene().others
-        values = getattr(others, column).copy()
+        values = list(getattr(others, column))
         values[0] = value
         changed = Vehicles(**{**{c: getattr(others, c) for c in self.COLUMNS},
                               column: values})
         assert self._scene(others=changed).key != self._scene().key
 
-    def test_a_column_dtype_changes_the_key(self):
+    @pytest.mark.parametrize("column", COLUMNS)
+    def test_an_int_column_and_a_float_one_differ(self, column):
+        # the first vehicle's values are integral: the other type holds them exactly
         others = self._scene().others
-        columns = {c: getattr(others, c) for c in self.COLUMNS}
-        columns["id"] = columns["id"].astype(np.uint64)
-        assert self._scene(others=Vehicles(**columns)).key != self._scene().key
+        values = list(getattr(others, column))
+        values[0] = (float if type(values[0]) is int else int)(values[0])
+        changed = Vehicles(**{**{c: getattr(others, c) for c in self.COLUMNS},
+                              column: values})
+        assert getattr(changed, column) == getattr(others, column)
+        assert self._scene(others=changed).key != self._scene().key
 
     @pytest.mark.parametrize("field, value", [
         ("lane", 0), ("position", -0.0), ("position", 3.0), ("extent_m", 5.0), ("kind", "cone"),
@@ -216,6 +223,14 @@ class TestSceneKey:
     def test_an_obstacle_field_changes_the_key(self, field, value):
         obstacle = dataclasses.replace(self._scene().obstacles[0], **{field: value})
         assert self._scene(obstacles=(obstacle,)).key != self._scene().key
+
+
+def _oracle_advance(v, a_cmd, position, v_max):
+    """One vehicle one step, the update written out with the builtin clamps."""
+    dt = DEFAULT_DT
+    v_new = min(max(v + a_cmd * dt, 0.0), v_max)
+    a_eff = (v_new - v) / dt
+    return v_new, position + v * dt + 0.5 * a_eff * dt * dt, a_eff
 
 
 def _oracle_step(scene: Scene, action: Action) -> Scene:
@@ -232,13 +247,13 @@ def _oracle_step(scene: Scene, action: Action) -> Scene:
         if lane <= 0:
             raise IllegalLaneChange("already in the rightmost lane")
         lane -= 1
-    v_new, p_new, a_eff = _advance(ego.speed, a_cmd, ego.position, dt, scene.v_max)
+    v_new, p_new, a_eff = _oracle_advance(ego.speed, a_cmd, ego.position, scene.v_max)
     new_ego = dataclasses.replace(ego, lane=lane, position=p_new, speed=v_new, accel=a_eff)
     new_others = []
     for veh in others_states(scene):
         target = veh.target_speed + scene.target_offset
         a_rev = max(-REVERSION_ACCEL, min(REVERSION_ACCEL, (target - veh.speed) / dt))
-        v2, p2, a2 = _advance(veh.speed, a_rev, veh.position, dt, scene.v_max)
+        v2, p2, a2 = _oracle_advance(veh.speed, a_rev, veh.position, scene.v_max)
         new_others.append(dataclasses.replace(veh, position=p2, speed=v2, accel=a2))
     return dataclasses.replace(scene, time=scene.time + dt, ego=new_ego,
                                others=tuple(new_others))
@@ -285,6 +300,11 @@ class TestStep:
         # effective acceleration reflects the clamp, keeping kinematics consistent
         assert nxt.ego.position == pytest.approx(0.5 * (29.5 + 30.0))
         assert nxt.ego.accel == pytest.approx(0.5)
+
+    def test_an_int_v_max_clamps_to_a_float(self):
+        # the ego, like every other vehicle, keeps float speeds
+        nxt = step(dataclasses.replace(_ego_scene(29.5), v_max=30), Action.ACCELERATE)
+        assert repr(nxt.ego.speed) == "30.0"
 
     def test_others_relax_toward_target(self):
         lead = VehicleState(id=1, lane=0, position=100.0, speed=20.0, target_speed=23.5)
@@ -348,6 +368,42 @@ class TestStep:
                 continue
             assert 0.0 <= scene.ego.speed <= scene.v_max
             assert 0 <= scene.ego.lane < scene.lane_count
+
+
+def _reprs(*values) -> list[tuple[type, str]]:
+    return [(type(v), repr(v)) for v in values]
+
+
+class TestAdvance:
+    """``_advance`` is the one integrator of the ego and the other vehicles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scene=random_scenes())
+    def test_each_vehicle_steps_as_a_column_of_one_and_as_the_ego(self, scene):
+        stepped = step(scene, Action.KEEP).others
+        others, offset = scene.others, scene.target_offset
+        for i in range(len(others)):
+            v, p = others.speed[i], others.position[i]
+            command = max(-REVERSION_ACCEL,
+                          min(REVERSION_ACCEL, (others.target[i] + offset - v) / DEFAULT_DT))
+            moved = (stepped.speed[i], stepped.position[i], stepped.accel[i])
+            (v1,), (p1,), (a1,) = _advance((v,), (command,), (p,), scene.v_max)
+            assert _reprs(v1, p1, a1) == _reprs(*moved)
+            ego_scene = Scene(time=0.0, lane_count=1, ego=VehicleState(0, 0, p, v),
+                              v_max=scene.v_max)
+            with mock.patch.object(highway, "ACCEL_CMD", command):
+                ego = step(ego_scene, Action.ACCELERATE).ego
+            assert _reprs(ego.speed, ego.position, ego.accel) == _reprs(*moved)
+
+    @pytest.mark.parametrize("v_max", [30.0, 0.0, -0.0])
+    def test_signed_zeros_clamp_as_the_builtins(self, v_max):
+        zeros = (0.0, -0.0)
+        inputs = [(v, a, p) for v in zeros for a in zeros for p in zeros]
+        speeds, positions, accels = _advance(*zip(*inputs), v_max)
+        assert type(speeds) is type(positions) is type(accels) is tuple
+        for (v, a, p), *got in zip(inputs, speeds, positions, accels):
+            assert _reprs(*got) == _reprs(*_oracle_advance(v, a, p, v_max))
+            assert repr(got[0]) == repr(min(max(v + a * DEFAULT_DT, 0.0), v_max))
 
 
 def _collision_oracle(ego_pos: float, other_pos: float, half_a: float, half_b: float) -> bool:
@@ -420,8 +476,8 @@ class TestInjectDrift:
         for _ in range(10):
             scene = step(scene, Action.KEEP)
         # -1 m/s^2 for eight steps, then held at the shifted targets
-        assert scene.others.speed.tolist() == [pytest.approx(13.2), pytest.approx(16.0)]
-        assert scene.others.target.tolist() == [21.2, 24.0]
+        assert scene.others.speed == (pytest.approx(13.2), pytest.approx(16.0))
+        assert scene.others.target == (21.2, 24.0)
 
     def test_sensor_noise_sets_sigma_and_featurize_variance(self):
         scene = _ego_scene(25.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -211,9 +212,14 @@ class TestRunEpisodeModes:
         with pytest.raises(ValueError, match=field):
             run_episode(corridor_config(), (), config, seed=0, steps=5)
 
-    def test_steps_must_be_positive(self):
-        with pytest.raises(ValueError):
-            run_episode(corridor_config(), (), OffloadConfig(), seed=0, steps=0)
+    @pytest.mark.parametrize("steps", [0, -1, True, False, 2.0, "3", None])
+    def test_steps_must_be_a_positive_integer(self, steps):
+        # True ran one step and wrote a header load_trace rejects; 2.0 made range() raise
+        message = f"steps must be a positive integer, got {steps!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_episode(corridor_config(), (), OffloadConfig(), seed=0, steps=steps)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_episodes(corridor_config(), (), [OffloadConfig()], seed=0, steps=steps)
 
     @pytest.mark.parametrize("method", ["ks", "mmd"])
     def test_drift_report_absent_until_window_fills(self, monkeypatch, method):

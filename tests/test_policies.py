@@ -307,7 +307,7 @@ def _on_the_bounds() -> Scene:
 def _all_hazards(scene: Scene, horizon: int) -> dict[int, tuple[int, float, list[float]]]:
     """Entity index -> (lane, radius, track) of every hazard on the road,
     in any lane."""
-    lanes = {*scene.others.lists.lane, *(o.lane for o in scene.obstacles)}
+    lanes = {*scene.others.lane, *(o.lane for o in scene.obstacles)}
     return {index: (lane, radius, track)
             for index, lane, radius, track in policies._predict_hazards(scene, horizon, lanes)}
 
@@ -432,7 +432,7 @@ def _listed_only(scene: Scene, listed) -> Scene:
 def _without_far_hazards(scene: Scene) -> tuple[Scene, list[int]]:
     """``scene`` without the hazards two or more lanes from the ego, and
     the entity indices of the hazards it keeps, ascending."""
-    lanes = [*scene.others.lists.lane, *(o.lane for o in scene.obstacles)]
+    lanes = [*scene.others.lane, *(o.lane for o in scene.obstacles)]
     kept = [i for i, lane in enumerate(lanes) if abs(lane - scene.ego.lane) <= 1]
     return _listed_only(scene, kept), kept
 

@@ -331,7 +331,7 @@ class TestVehicleColumns:
     def test_none_target_becomes_the_speed(self):
         vehicles = (VehicleState(1, 0, 10.0, 12.5), VehicleState(2, 0, 20.0, 12.0, 0.0, 14.0))
         scene = Scene(time=0.0, lane_count=1, ego=VehicleState(0, 0, 0.0, 5.0), others=vehicles)
-        assert scene.others.target.tolist() == [12.5, 14.0]
+        assert scene.others.target == (12.5, 14.0)
 
     def test_zero_vehicles(self):
         scene = Scene(time=0.0, lane_count=1, ego=VehicleState(0, 0, 0.0, 5.0))
@@ -343,26 +343,43 @@ class TestVehicleColumns:
         scene = spawn_scenario(ScenarioConfig(name="dense", n_random_vehicles=30), seed=2)
         by_lane = scene.others.by_lane
         expected = {}
-        for i, lane in enumerate(scene.others.lane.tolist()):
+        for i, lane in enumerate(scene.others.lane):
             expected.setdefault(lane, []).append(i)
         assert by_lane == {lane: tuple(ix) for lane, ix in expected.items()}
         for action in (Action.KEEP, Action.ACCELERATE):
             scene = step(scene, action)
             assert scene.others.by_lane is by_lane
-            assert scene.others.lists.position == scene.others.position.tolist()
 
-    def test_columns_are_read_only(self):
-        config = ScenarioConfig(name="dense", n_random_vehicles=12)
-        for scene in (spawn_scenario(config, seed=1),
-                      step(spawn_scenario(config, seed=1), Action.KEEP)):
+    def test_columns_are_tuples(self):
+        # an int v_max clamps vehicle 7, which relaxes toward 30 m/s, to a float
+        config = ScenarioConfig(name="dense", n_random_vehicles=12, v_max=24, ego_speed=20.0,
+                                speed_range=(18.0, 24.0),
+                                fixed_others=(VehicleState(7, 0, 3000.0, 23.5, 0.0, 30.0),))
+        scene = spawn_scenario(config, seed=1)
+        for scene in (scene, step(scene, Action.KEEP), step(step(scene, Action.KEEP), Action.KEEP)):
             others = scene.others
             columns = (others.id, others.lane, others.position, others.speed, others.accel,
                        others.target)
-            assert [c.dtype.kind for c in columns] == ["i", "i", "f", "f", "f", "f"]
-            for column in columns:
-                assert not column.flags.writeable
-                with pytest.raises(ValueError):
-                    column[:1] = 0
+            assert all(type(c) is tuple and len(c) == 13 for c in columns)
+            assert [{type(v) for v in c} for c in columns] == [{int}] * 2 + [{float}] * 4
+
+    def test_states_enter_as_ints_and_floats(self):
+        # JSON keeps 60 an int; the columns hold it as 60.0
+        pinned = VehicleState(id=3, lane=1, position=60, speed=18, accel=1, target_speed=None)
+        others = Scene(time=0.0, lane_count=2, ego=VehicleState(0, 0, 0.0, 5.0),
+                       others=(pinned,)).others
+        assert (others.id, others.lane) == ((3,), (1,))
+        assert [repr(c) for c in (others.position, others.speed, others.accel, others.target)] \
+            == ["(60.0,)", "(18.0,)", "(1.0,)", "(18.0,)"]
+
+    def test_a_column_set_holds_tuples_of_one_length(self):
+        vehicles = Vehicles(id=[1, 2], lane=[0, 1], position=[5.0, 9.0], speed=[1.0, 2.0],
+                            accel=[0.0, 0.0], target=[1.0, 2.0])
+        assert vehicles.position == (5.0, 9.0) and type(vehicles.position) is tuple
+        assert vehicles.by_lane == {0: (0,), 1: (1,)}
+        with pytest.raises(ValueError, match="differ in length"):
+            Vehicles(id=[1, 2], lane=[0, 1], position=[5.0], speed=[1.0, 2.0],
+                     accel=[0.0, 0.0], target=[1.0, 2.0])
 
     def test_step_builds_no_vehicle_state_for_other_vehicles(self, monkeypatch):
         scene = spawn_scenario(
