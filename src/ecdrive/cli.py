@@ -37,7 +37,6 @@ from .orchestrator import (
     Metrics,
     OffloadConfig,
     aggregate_metrics,
-    burn_in,
     run_episode,  # noqa: F401 (bench/tracer.py wraps this name)
     run_episodes,
 )
@@ -289,7 +288,6 @@ def _run_seed(config: ExperimentConfig, offloads: list[OffloadConfig], seed: int
         seed=seed,
         steps=config.steps,
         endpoint=config.endpoint,
-        burn=burn_in(config.scenario, config.offload.n_ref, seed),
     )
     texts = TextMemo()
     written = True

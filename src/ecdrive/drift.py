@@ -23,7 +23,7 @@ Where no decision waits for a window's report, :func:`predict_windows`
 tests the windows of a whole sequence at once, every one or a chosen
 subset: KS ranks all samples with one ``searchsorted`` per side and runs
 the window test over blocks of the chosen windows gathered from those
-ranks, each block copied to be sorted; MMD slides one window and
+ranks, each block copied to be sorted; MMD fills one window and
 tests it where a window is chosen.
 Its reports are those of a :class:`SlidingWindow` pushed sample by sample,
 bit for bit. A report depends only on the window's samples in order, not
@@ -39,11 +39,11 @@ are drawn once per fitted detector, in ``default_rng(seed)`` order, so
 every window is tested against the same permutations; ``fit`` computes the
 reference's squared distances once, for the median-heuristic bandwidth and
 the reference-reference kernel block, and reduces that block to
-per-permutation sums. An episode slides a :class:`SlidingWindow` one
-sample per step: ``push`` evaluates only the kernel entries of the sample
-that enters (its column against the reference and its row against the
-window) and keeps the terms a test needs, and ``predict`` combines them, so
-no kernel entry is evaluated twice. A plain array passed to ``predict``
+per-permutation sums. A :class:`SlidingWindow` takes one sample at a
+time: ``push`` evaluates only the kernel entries of the sample that enters
+(its column against the reference and its row against the window) and
+keeps the terms a test needs, and ``predict`` combines them, so no kernel
+entry is evaluated twice. A plain array passed to ``predict``
 is tested as the one window of :func:`predict_windows`. A
 permuted statistic counts as reaching the observed one when it is at least
 ``observed - TIE_TOLERANCE``, so exact ties are not decided by rounding.
@@ -286,6 +286,14 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a non-integer (a bool is not one) or one below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -334,8 +342,7 @@ def _mmd_reference(
 ) -> _MmdReference:
     """Draw the permutations and reduce the reference kernel block once,
     from the reference's squared distances."""
-    if n_perm < 20:
-        raise ValueError("n_perm must be >= 20")
+    _check_count("n_perm", n_perm, 20)
     n = sq_dists.shape[0]
     total = n + window
     rng = np.random.default_rng(seed)
@@ -430,6 +437,16 @@ class SlidingWindow:
         else:
             self._rows[slot] = row
             self._store_kernel_terms(slot, row)
+
+    def fill(self, samples, stop: int) -> None:
+        """Push the samples of ``samples[stop - window:stop]`` the window
+        has not yet seen, for a sequence it alone fills, ``stop`` never
+        falling. ``pushed`` counts the samples passed, pushed or skipped."""
+        if stop < self.pushed:
+            raise ValueError(f"stop {stop} lies before the {self.pushed} samples passed")
+        self.pushed = max(self.pushed, stop - self.detector.window)
+        for row in samples[self.pushed : stop]:
+            self.push(row)
 
     def _rank(self, query: np.ndarray) -> np.ndarray:
         """Stacked ranks of samples against the KS reference, from their
@@ -561,8 +578,7 @@ def fit(
         raise ValueError(f"unknown method {method!r}")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    if window < 10:
-        raise ValueError("window must be >= 10")
+    _check_count("window", window, 10)
     ref = _readonly(ref.copy())
     keys = None
     if method == "ks":
@@ -647,9 +663,10 @@ def predict_windows(detector: DriftDetector, samples, starts=None) -> list[Drift
     the picked ones in blocks of at most ``window`` windows, which bounds
     the copy :func:`_ks_statistic` sorts; the memoized Q is looked up once
     per distinct D.
-    MMD slides one :class:`SlidingWindow` and tests it at each picked
-    window. A window's report does not depend on the samples before it, so
-    the samples that no picked window holds are never pushed.
+    MMD fills one :class:`SlidingWindow` up to each picked window
+    (:meth:`SlidingWindow.fill`) and tests it. A window's report does not
+    depend on the samples before it, so the samples that no picked window
+    holds are never pushed.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] != detector.n_features:
@@ -658,7 +675,10 @@ def predict_windows(detector: DriftDetector, samples, starts=None) -> list[Drift
         )
     m = detector.window
     full = max(len(samples) - m + 1, 0)
-    starts = np.arange(full) if starts is None else np.asarray(starts, dtype=np.intp)
+    starts = np.arange(full) if starts is None else np.asarray(starts)
+    if starts.size and starts.dtype.kind not in "iu":  # a bool is not an index
+        raise ValueError(f"starts must be integers, got {starts.dtype}")
+    starts = starts.astype(np.intp)  # an unsigned diff would wrap
     if starts.ndim != 1 or (
         len(starts) and (starts[0] < 0 or starts[-1] >= full or np.any(np.diff(starts) <= 0))
     ):
@@ -667,11 +687,8 @@ def predict_windows(detector: DriftDetector, samples, starts=None) -> list[Drift
     window = SlidingWindow(detector)
     if detector.method == "mmd":
         reports = []
-        end = 0  # one past the last sample pushed
         for start in starts.tolist():
-            for row in samples[max(end, start) : start + m]:
-                window.push(row)
-            end = start + m
+            window.fill(samples, start + m)
             reports.append(predict(detector, window))
         return reports
     if not len(starts):

@@ -17,9 +17,9 @@ traffic targets revert and noise stops once their window closes.
 The episodes of a seed rest on one :func:`burn_in`: ``n_ref`` injection-free
 steps of the local edge policy from the seed's initial scene, kept scene by
 scene. Every detector is fitted to its features, every episode starts from
-its first scene, and an episode that stands on one of its scenes at a step
-with no injection overlaid takes over that step's feature, edge decision
-and stepped successor instead of computing them again.
+its first scene, and an episode that stands on a scene equal to one of
+its scenes at a step with no injection overlaid takes over that step's
+feature, edge decision and stepped successor instead of computing them.
 
 Drift reports are memoized by window content for the length of one
 :func:`run_episodes` call. Each distinct feature vector, by its bytes, is
@@ -259,26 +259,20 @@ class BurnIn:
     than steps. Its scenes, feature vectors and decisions are immutable, so
     the episodes of :func:`run_episodes` take them over as they are."""
 
-    scenario: ScenarioConfig
-    seed: int
     scenes: tuple[Scene, ...]
     features: tuple[np.ndarray, ...]
     edges: tuple[Decision, ...]
 
-    @property
-    def n_ref(self) -> int:
-        return len(self.features)
-
     def entry(self, index: int, injections: tuple[DriftInjection, ...]) -> dict | None:
-        """Step ``index`` of the burn-in as an entry of :func:`_shared`: what
-        an episode standing on its scene at that step reuses. None past the
-        burn-in's end and at a step where an injection overlays the scene."""
+        """Step ``index`` of the burn-in as an entry of :func:`_entry_of`;
+        None past its end and where an injection overlays its scene."""
         if index >= len(self.edges):
             return None
         scene, edge = self.scenes[index], self.edges[index]
         if _apply_injections(scene, injections, index) is not scene:
             return None
         return {
+            "scene": scene,
             "effective": scene,
             "feature": self.features[index],
             "edge": edge,
@@ -304,7 +298,7 @@ def burn_in(scenario: ScenarioConfig, n_ref: int, seed: int) -> BurnIn:
         edges.append(edge_decide(scene))
         scene = step(scene, edges[-1].action)
         scenes.append(scene)
-    return BurnIn(scenario, seed, tuple(scenes), tuple(features), tuple(edges))
+    return BurnIn(tuple(scenes), tuple(features), tuple(edges))
 
 
 def _detector_settings(config: OffloadConfig) -> tuple:
@@ -312,11 +306,22 @@ def _detector_settings(config: OffloadConfig) -> tuple:
     return (config.method.lower(), config.alpha, config.window, config.n_ref, config.n_perm)
 
 
-def _shared(entry: dict | None, name, compute, *args):
-    """``compute(*args)``, computed once per ``entry`` and ``name``; with no
-    entry, computed on every call."""
-    if entry is None:
-        return compute(*args)
+def _entry_of(scene: Scene, entries: list[dict]) -> dict:
+    """The first of a step's ``entries`` whose scene is ``scene`` itself or
+    has an equal ego and key; else a new entry, appended. The other
+    vehicles move whatever the ego does, so the scenes of one step mostly
+    differ in the ego alone: comparing it first keeps keys rare."""
+    for entry in entries:
+        other = entry["scene"]
+        if other is scene or (other.ego == scene.ego and other.key == scene.key):
+            return entry
+    entry = {"scene": scene}
+    entries.append(entry)
+    return entry
+
+
+def _shared(entry: dict, name, compute, *args):
+    """``compute(*args)``, computed once per ``entry`` and ``name``."""
     value = entry.get(name, entry)  # the entry itself is never a stored value
     if value is entry:
         value = entry[name] = compute(*args)
@@ -349,20 +354,20 @@ class _Episode:
         self.outcomes: list[tuple] = []
 
     def advance(self, index: int, injections: tuple[DriftInjection, ...],
-                endpoint: EndpointConfig | None, entry: dict | None) -> None:
+                endpoint: EndpointConfig | None, entry: dict) -> None:
         """Run step ``index``. The pure per-scene results are looked up in,
         or added to, ``entry``, the results of the step on scenes equal to
-        the episode's (None: computed for this episode alone); a remote call
-        and a noisy feature are always the episode's own. Every episode
-        overlays the same injections at the same index, so equal scenes have
-        equal effective scenes, and the entry holds the effective scene too."""
+        the episode's; a remote call and a noisy feature are always the
+        episode's own. Every episode overlays the same injections at the
+        same index, so equal scenes have equal effective scenes, and the
+        entry holds the effective scene too."""
         config = self.config
         scene = self.scene
         effective = _shared(entry, "effective", _apply_injections, scene, injections, index)
         collision = _shared(entry, "collision", check_collision, effective)
-        # noise is drawn from the episode's own rng
-        noiseless = entry if not effective.noise_sigma > 0 else None
-        feature = _shared(noiseless, "feature", featurize, effective, self.noise_rng)
+        # a noisy feature is drawn from the episode's own rng, kept apart
+        own = entry if not effective.noise_sigma > 0 else {}
+        feature = _shared(own, "feature", featurize, effective, self.noise_rng)
 
         if endpoint is not None and endpoint.role == "Edge":
             edge, edge_latency = _timed_remote(effective, endpoint, "Edge", edge_decide)
@@ -374,15 +379,15 @@ class _Episode:
         self.feature_ids.append(interned.setdefault(feature.tobytes(), len(interned)))
         self.edges.append(edge)
         report = None
-        window = self.window
-        if window is not None:
-            # the ring stays current; only a window the memo misses is tested
-            window.push(feature)
-            if window.full:
-                key = tuple(self.feature_ids[-self.detector.window:])
+        if self.window is not None:
+            ids, m = self.feature_ids, self.detector.window
+            if len(ids) >= m:
+                key = tuple(ids[-m:])
                 report = self.memo.get(key)
                 if report is None:
-                    report = self.memo[key] = predict(self.detector, window)
+                    # the window is brought up to date only for a test
+                    self.window.fill(self.features, len(ids))
+                    report = self.memo[key] = predict(self.detector, self.window)
             self.reports.append(report)
         offloaded, reason = offload_rule(report, edge.confidence, config)
 
@@ -448,39 +453,33 @@ def run_episodes(
     seed: int,
     steps: int,
     endpoint: EndpointConfig | None = None,
-    burn: BurnIn | None = None,
 ) -> list[EpisodeTrace]:
     """Run one seeded episode per offload config, in lockstep; one trace
-    each, in the order of ``configs``.
+    each, in the order of ``configs``, each equal byte for byte to the one
+    :func:`run_episode` gives for its config alone.
 
     The episodes rest on one :func:`burn_in` of the largest ``n_ref`` of
-    ``configs``: ``burn``, which must have been made for this scenario, seed
-    and ``n_ref`` (``ValueError`` otherwise), or else one made here. Each
-    distinct detector setting is fitted once, to the first ``n_ref``
-    features of the burn-in.
+    ``configs``. Each distinct detector setting is fitted once, to the
+    first ``n_ref`` features of the burn-in, and stays frozen. Every
+    episode starts from the burn-in's first scene.
 
-    Every episode starts from the burn-in's first scene and advances one
-    step at a time beside the others. At each step index the pure per-scene
-    calls (the injection overlay, :func:`check_collision`, a noiseless
-    :func:`featurize`, the local :func:`edge_decide` and
-    :func:`cloud_decide`, and :func:`step` for each executed action) run
-    once per distinct scene: episodes find each other through
-    ``Scene.key``, and what they share is dropped after the step. At a step
-    the burn-in made with no injection overlaid, an episode on a scene equal
-    to the burn-in's takes over its feature, edge decision and stepped
-    successor. The drift test, the offload rule, a noisy feature (drawn
-    from the episode's own rng) and every remote call stay each episode's
-    own. One episode alone forms no scene key: it takes over a burn-in step
-    only on the very scene object of that step.
+    At each step index the pure per-scene calls (the injection overlay,
+    :func:`check_collision`, a noiseless :func:`featurize`, the local
+    :func:`edge_decide` and :func:`cloud_decide`, and :func:`step` for each
+    executed action) run once per distinct scene, into the entry
+    :func:`_entry_of` finds among the burn-in's step, if no injection
+    overlays it, and the entries of the episodes before. The drift test,
+    the offload rule, a noisy feature (drawn from the episode's own rng)
+    and every remote call stay each episode's own; a remote failure
+    degrades to the local policy of its role and never aborts.
 
     The episodes that share a fitted detector share a memo of its drift
-    reports, keyed by window content (see the module docstring) and dropped
-    when the call returns. A Collaborative episode pushes every feature into
-    its own :class:`SlidingWindow` and calls :func:`predict` only for a
-    window the memo misses; an EdgeOnly or CloudOnly episode looks up every
-    window after its last step and tests the distinct ones the memo misses
-    in one :func:`predict_windows` batch. Each trace equals the one
-    :func:`run_episode` gives for its config alone, byte for byte.
+    reports, keyed by window content (see the module docstring). Only a
+    Collaborative step waits for its report: the episode fills its own
+    :class:`SlidingWindow` and calls :func:`predict` only for a window the
+    memo misses. An EdgeOnly or CloudOnly episode looks up every window
+    after its last step and tests the distinct ones the memo misses in one
+    :func:`predict_windows` batch.
     """
     if not _is_int(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
@@ -495,11 +494,7 @@ def run_episodes(
     if endpoint is not None:
         endpoint.validate()
 
-    n_ref = max((config.n_ref for config in configs), default=0)
-    if burn is None:
-        burn = burn_in(scenario, n_ref, seed)
-    elif burn.scenario != scenario or burn.seed != seed or burn.n_ref != n_ref:
-        raise ValueError("burn-in was not made for this episode's scenario, seed and n_ref")
+    burn = burn_in(scenario, max((config.n_ref for config in configs), default=0), seed)
     detectors = {}
     for config in configs:
         settings = _detector_settings(config)
@@ -519,19 +514,11 @@ def run_episodes(
         _Episode(c, detectors[s], memos[s], interned, burn.scenes[0], seed)
         for c, s in zip(configs, map(_detector_settings, configs))
     ]
-    lockstep = len(episodes) > 1
     for index in range(steps):
         reused = burn.entry(index, injections)
-        if lockstep:
-            shared = {} if reused is None else {reused["effective"].key: reused}
-            for episode in episodes:
-                entry = shared.setdefault(episode.scene.key, {})
-                episode.advance(index, injections, endpoint, entry)
-        else:
-            for episode in episodes:
-                if reused is not None and episode.scene is not reused["effective"]:
-                    reused = None
-                episode.advance(index, injections, endpoint, reused)
+        entries = [] if reused is None else [reused]
+        for episode in episodes:
+            episode.advance(index, injections, endpoint, _entry_of(episode.scene, entries))
 
     traces = []
     for episode in episodes:
@@ -556,26 +543,10 @@ def run_episode(
     seed: int,
     steps: int,
     endpoint: EndpointConfig | None = None,
-    burn: BurnIn | None = None,
 ) -> EpisodeTrace:
     """Run one seeded episode of the collaboration loop:
-    ``run_episodes(..., (config,), ...)[0]``.
-
-    The detector is fitted to the features of a :func:`burn_in` of
-    ``config.n_ref`` injection-free steps from the same seed, ``burn`` or
-    one made here; the measured episode then starts from the burn-in's
-    first scene, and takes over the burn-in's steps for as long as it
-    follows the burn-in with no injection overlaid. A detector shared by
-    several episodes stays frozen: in Collaborative mode, where the drift
-    report decides whether a step escalates, the episode keeps its own
-    :class:`SlidingWindow` of features and tests each window as it fills;
-    in EdgeOnly and CloudOnly the report decides nothing, so the windows
-    are tested in one batch after the last step (:func:`predict_windows`),
-    with the same reports. Each distinct window is tested once. Remote
-    failures degrade to the local policy of the affected role and never
-    abort.
-    """
-    return run_episodes(scenario, injections, (config,), seed, steps, endpoint, burn)[0]
+    ``run_episodes(..., (config,), ...)[0]``."""
+    return run_episodes(scenario, injections, (config,), seed, steps, endpoint)[0]
 
 
 def _nearest_rank_p95(values: list[float]) -> float:

@@ -291,6 +291,21 @@ class TestDetector:
         with pytest.raises(ValueError):
             fit(np.zeros((10, 15)))
 
+    @pytest.mark.parametrize("window", [10.5, 12.0, True])
+    def test_window_must_be_an_integer(self, window):
+        # 10.5 was accepted here and made the SlidingWindow raise a TypeError
+        with pytest.raises(ValueError, match=f"window must be an integer, got {window!r}"):
+            fit(np.zeros((40, 3)), window=window)
+
+    @pytest.mark.parametrize("n_perm", [20.5, 30.0, True])
+    def test_n_perm_must_be_an_integer(self, n_perm):
+        with pytest.raises(ValueError, match=f"n_perm must be an integer, got {n_perm!r}"):
+            fit(np.random.default_rng(0).normal(size=(40, 3)), method="mmd", window=10,
+                n_perm=n_perm)
+        # a numpy integer is an integer
+        fit(np.random.default_rng(0).normal(size=(40, 3)), method="mmd", window=np.int64(10),
+            n_perm=np.int64(20))
+
     def test_degenerate_mmd_bandwidth_falls_back(self):
         det = fit(np.ones((40, 15)), method="mmd")
         assert det.bandwidth == 1.0
@@ -589,6 +604,29 @@ class TestSlidingWindow:
             predict(other, ring)
         predict(det, ring)
 
+    @pytest.mark.parametrize("method", ["ks", "mmd"])
+    def test_fill_equals_pushing_every_sample(self, method):
+        # stops one apart, less than a window apart and more than a window apart
+        ref, stream = sliding_stream(57, 13, 4, 1)
+        det = fit(ref, method=method, window=13, seed=1, n_perm=30)
+        expected = slid_reports(det, stream)
+        ring, pushed = SlidingWindow(det), []
+        real_push = ring.push
+        ring.push = lambda row: pushed.append(row) or real_push(row)
+        passed = 0
+        for stop in (5, 13, 14, 20, 40, 41, 52):
+            ring.fill(stream, stop)
+            assert len(pushed) == stop - max(passed, stop - 13)
+            passed = stop
+            pushed.clear()
+            assert ring.full is (stop >= 13)
+            if ring.full:
+                report = predict(det, ring)
+                assert report.statistic.tolist() == expected[stop - 13].statistic.tolist()
+                assert report.p_values.tolist() == expected[stop - 13].p_values.tolist()
+        with pytest.raises(ValueError, match="stop 51 lies before the 52 samples passed"):
+            ring.fill(stream, 51)
+
 
 def slid_reports(detector, stream):
     """The report of every full window, pushed one sample at a time."""
@@ -648,6 +686,13 @@ class TestPredictWindows:
     def test_picked_windows_must_ascend_within_the_full_ones(self, starts):
         det = fit(np.random.default_rng(0).normal(size=(40, 3)), window=10)
         with pytest.raises(ValueError, match="starts must ascend strictly"):
+            predict_windows(det, np.zeros((49, 3)), starts)
+
+    @pytest.mark.parametrize("starts", [[0.7, 2.9], [True], [0, 1.0]])
+    def test_picked_windows_must_be_integers(self, starts):
+        # [0.7, 2.9] tested windows 0 and 2, and [True] window 1
+        det = fit(np.random.default_rng(0).normal(size=(40, 3)), window=10)
+        with pytest.raises(ValueError, match="starts must be integers"):
             predict_windows(det, np.zeros((49, 3)), starts)
 
     @pytest.mark.parametrize("method", ["ks", "mmd"])

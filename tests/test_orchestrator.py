@@ -170,29 +170,17 @@ class TestRunEpisodeModes:
 
     @pytest.mark.parametrize("change", [{}, {"window": 30}, {"method": "mmd"},
                                         {"alpha": 0.01}, {"n_perm": 30}])
-    def test_a_burn_in_serves_every_detector_setting(self, change):
+    def test_a_burn_in_serves_every_detector_setting(self, monkeypatch, change):
         # the burn-in depends on neither the mode nor the detector settings
-        burn = burn_in(corridor_config(), 60, seed=2)
-        cfg = replace(OffloadConfig(mode="Collaborative", tau=0.0, n_ref=60, window=20),
-                      **change)
-        shared = run_episode(corridor_config(), corridor_obstacle(), cfg, seed=2, steps=80,
-                             burn=burn)
-        own = run_episode(corridor_config(), corridor_obstacle(), cfg, seed=2, steps=80)
-        assert trace_lines(shared) == trace_lines(own)
-
-    @pytest.mark.parametrize("change", [
-        {"seed": 3},
-        {"n_ref": 70},
-        {"scenario": replace(corridor_config(), ego_speed=9.0)},
-        {"scenario": open_highway_config()},
-    ], ids=["seed", "n_ref", "ego_speed", "scenario"])
-    def test_mismatched_detector_rejected(self, change):
-        cfg = OffloadConfig(mode="EdgeOnly", n_ref=60, window=20)
-        burn = burn_in(corridor_config(), cfg.n_ref, seed=2)
-        seed = change.pop("seed", 2)
-        scenario = change.pop("scenario", corridor_config())
-        with pytest.raises(ValueError, match="burn-in was not made for this episode"):
-            run_episode(scenario, (), replace(cfg, **change), seed=seed, steps=5, burn=burn)
+        burns = _made_burn_ins(monkeypatch)
+        cfg = OffloadConfig(mode="Collaborative", tau=0.0, n_ref=60, window=20)
+        configs = [cfg, replace(cfg, **change)]
+        traces = run_episodes(corridor_config(), corridor_obstacle(), configs, seed=2,
+                              steps=80)
+        assert len(burns) == 1
+        for config, shared in zip(configs, traces):
+            own = run_episode(corridor_config(), corridor_obstacle(), config, seed=2, steps=80)
+            assert trace_lines(shared) == trace_lines(own)
 
     @pytest.mark.parametrize("seed", [-1, 2.0, True])
     def test_seed_must_be_a_non_negative_integer(self, seed):
@@ -266,6 +254,15 @@ class TestRunEpisodeModes:
         assert len(reports) == steps
         assert reports[:11] == [None] * min(steps, 11)
         assert all(r is not None for r in reports[11:])
+
+
+def _made_burn_ins(monkeypatch) -> list[BurnIn]:
+    """Every burn-in the loop makes from now on, in order."""
+    made = []
+    real = orchestrator.burn_in
+    monkeypatch.setattr(orchestrator, "burn_in",
+                        lambda *args: made.append(real(*args)) or made[-1])
+    return made
 
 
 def _fitted(scenario, config: OffloadConfig, seed: int):
@@ -415,47 +412,50 @@ class TestRunEpisodes:
         self, monkeypatch, injections, lockstep
     ):
         configs = [OffloadConfig(mode=mode, n_ref=40, window=12) for mode in MODES]
-        burn = burn_in(open_highway_config(), 40, seed=1)
 
         def run():
             if lockstep:
                 return run_episodes(open_highway_config(), injections, configs, seed=1,
-                                    steps=60, burn=burn)
-            return [run_episode(open_highway_config(), injections, c, seed=1, steps=60,
-                                burn=burn) for c in configs]
+                                    steps=60)
+            return [run_episode(open_highway_config(), injections, c, seed=1, steps=60)
+                    for c in configs]
 
         calls = []
         real = orchestrator.featurize
         monkeypatch.setattr(orchestrator, "featurize",
                             lambda *args: calls.append(args) or real(*args))
+        burns = _made_burn_ins(monkeypatch)
         traces = run()
+        # one burn-in per call: for all episodes in lockstep, for each one alone
+        burn_of = burns * len(traces) if lockstep else list(burns)
         reused = len(calls)
         monkeypatch.setattr(BurnIn, "entry", lambda self, index, injections: None)
         expected = run()
         assert [trace_lines(t) for t in traces] == [trace_lines(t) for t in expected]
-        # the first step takes over the burn-in's feature unless overlaid
+        # the first step takes over the burn-in's feature unless overlaid; an
+        # episode overlaid from step 0 takes over the burn-in's steps whose
+        # content it reaches once the overlay ends, alone or in lockstep
         overlaid = any(i.start_step == 0 for i in injections)
         fresh = len(calls) - reused
-        assert reused == fresh if overlaid and not lockstep else reused < fresh
-        assert all((t.records[0].feature is burn.features[0]) is not overlaid for t in traces)
+        assert reused < fresh
+        assert all((t.records[0].feature is b.features[0]) is not overlaid
+                   for t, b in zip(traces, burn_of))
         for i in injections:
             if i.kind == "SensorNoise":
                 # inside the noise window every episode draws its own features
-                for t in traces:
+                for t, b in zip(traces, burn_of):
                     for step in range(i.start_step, i.end_step):
                         feature = t.records[step].feature
-                        assert feature.tobytes() != burn.features[step].tobytes()
+                        assert feature.tobytes() != b.features[step].tobytes()
 
     def test_each_distinct_window_is_tested_once(self, monkeypatch):
         steps = 120
         configs = [OffloadConfig(mode=mode, n_ref=40, window=12) for mode in MODES]
         configs.append(replace(configs[-1], tau=0.3))
-        burn = burn_in(open_highway_config(), 40, seed=3)
         tested = _count_tested_windows(monkeypatch)
         shift = DriftInjection(kind="TrafficPatternShift", start_step=40, end_step=80,
                                speed_offset=-6.0)
-        traces = run_episodes(open_highway_config(), (shift,), configs, seed=3, steps=steps,
-                              burn=burn)
+        traces = run_episodes(open_highway_config(), (shift,), configs, seed=3, steps=steps)
         # each distinct window is tested once, and its report shared by
         # every record whose window holds the same features
         report_of = {}
@@ -480,6 +480,7 @@ class TestRunEpisodes:
         # a burn-in whose features are the reference, and a zero-sigma noise
         # overlay at every step, so no episode step takes over its features
         burn = replace(burn_in(corridor_config(), 40, seed=4), features=tuple(reference))
+        monkeypatch.setattr(orchestrator, "burn_in", lambda *args: burn)
         overlay = DriftInjection(kind="SensorNoise", start_step=0, end_step=40, sigma=0.0)
         monkeypatch.setattr(orchestrator, "featurize",
                             lambda scene, rng: cycle[int(scene.time) % 12])
@@ -487,8 +488,7 @@ class TestRunEpisodes:
                    for mode in ("Collaborative", "EdgeOnly")]
         detector = fit(reference, method="mmd", window=12, seed=4, n_perm=30)
         tested = _count_tested_windows(monkeypatch)
-        traces = run_episodes(corridor_config(), (overlay,), configs, seed=4, steps=40,
-                              burn=burn)
+        traces = run_episodes(corridor_config(), (overlay,), configs, seed=4, steps=40)
         assert tested == {"predict": 12, "predict_windows": 0}
         expected = [r.p_values.tolist()
                     for r in predict_windows(detector, np.tile(cycle, (4, 1))[:40])]
@@ -526,24 +526,99 @@ class TestRunEpisodes:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = -1.0
 
-    def test_one_episode_forms_no_key(self, monkeypatch):
-        def no_key(scene):
-            raise AssertionError("a key was formed")
+    def test_a_key_is_formed_only_for_an_equal_ego_on_another_object(self, monkeypatch):
+        formed = []
+        real = orchestrator.Scene.__dict__["key"].compute
+        monkeypatch.setattr(orchestrator.Scene, "key",
+                            property(lambda scene: formed.append(scene) or real(scene)))
+        scene = spawn_scenario(open_highway_config(), 0)
+        entries = [{"scene": scene}]
+        # the very scene object, and a scene with another ego: no key
+        assert orchestrator._entry_of(scene, entries) is entries[0]
+        moved = replace(scene, ego=replace(scene.ego, position=scene.ego.position + 1.0))
+        assert orchestrator._entry_of(moved, entries) is entries[1]
+        assert formed == []
+        # an equal ego on another object: the keys decide
+        twin, later = replace(scene), replace(scene, time=scene.time + 1.0)
+        assert orchestrator._entry_of(twin, entries) is entries[0]
+        assert orchestrator._entry_of(later, entries) is entries[2]
+        assert [entry["scene"] for entry in entries] == [scene, moved, later]
+        assert set(map(id, formed)) == {id(scene), id(twin), id(later)}
+        # an episode that follows the burn-in stands on its very scenes
+        formed.clear()
+        cfg = OffloadConfig(mode="EdgeOnly", n_ref=40, window=12)
+        run_episodes(open_highway_config(), (), [cfg], seed=0, steps=20)
+        assert formed == []
 
-        monkeypatch.setattr(orchestrator.Scene, "key", property(no_key))
-        cfg = OffloadConfig(mode="CloudOnly", n_ref=40, window=12)
-        trace = run_episodes(open_highway_config(), (), [cfg], seed=0, steps=20)[0]
-        assert trace.summary.offload_rate == 1.0
+    def test_one_episode_takes_over_a_burn_in_step_it_reaches_by_content(self, monkeypatch):
+        # a zero-sigma noise overlay changes no value, but the episode steps
+        # its own scenes until the overlay ends
+        burns = _made_burn_ins(monkeypatch)
+        overlay = DriftInjection(kind="SensorNoise", start_step=0, end_step=5, sigma=0.0)
+        cfg = OffloadConfig(mode="EdgeOnly", n_ref=40, window=12)
+        trace = run_episode(open_highway_config(), (overlay,), cfg, seed=0, steps=10)
+        (burn,) = burns
+        for step, record in enumerate(trace.records):
+            assert record.feature.tobytes() == burn.features[step].tobytes()
+            assert (record.feature is burn.features[step]) is (step >= 5)
+            assert (record.edge_decision is burn.edges[step]) is (step >= 5)
 
-    def test_a_burn_in_must_have_the_largest_n_ref(self):
+    def test_episodes_that_commute_two_lane_changes_share_one_entry(self, monkeypatch):
+        # from lane 1 EdgeOnly changes left and back, CloudOnly right and
+        # back: at step 2 both stand on equal scenes, on distinct objects
+        def deciding(source, moves):
+            def decide(scene, *args):
+                action = moves.get(scene.ego.lane, Action.KEEP)
+                return Decision(action=action, rationale=("r",), confidence=0.9, source=source)
+            return decide
+
+        left, right = Action.LANE_CHANGE_LEFT, Action.LANE_CHANGE_RIGHT
+        monkeypatch.setattr(orchestrator, "edge_decide", deciding("Edge", {1: left, 2: right}))
+        monkeypatch.setattr(orchestrator, "cloud_decide", deciding("Cloud", {1: right, 0: left}))
+        # an overlay at every step, so no episode takes over a burn-in step
+        overlay = DriftInjection(kind="SensorNoise", start_step=0, end_step=3, sigma=0.0)
+        configs = [OffloadConfig(mode=mode, n_ref=40, window=12)
+                   for mode in ("EdgeOnly", "CloudOnly")]
+        edge, cloud = run_episodes(replace(open_highway_config(), ego_lane=1), (overlay,),
+                                   configs, seed=0, steps=3)
+        assert [r.executed_action for r in edge.records] == [left, right, left]
+        assert [r.executed_action for r in cloud.records][:2] == [right, left]
+        shared = [a.feature is b.feature and a.edge_decision is b.edge_decision
+                  for a, b in zip(edge.records, cloud.records)]
+        assert shared == [True, False, True]
+
+    def test_a_collaborative_window_is_filled_only_on_a_miss(self, monkeypatch):
+        pushed = []
+        real_push = SlidingWindow.push
+        monkeypatch.setattr(SlidingWindow, "push",
+                            lambda window, sample: pushed.append(1) or real_push(window, sample))
+        cfg = OffloadConfig(mode="Collaborative", tau=0.0, method="mmd", n_ref=40, window=12,
+                            n_perm=30)
+        trace = run_episode(corridor_config(), corridor_obstacle(), cfg, seed=0, steps=200)
+        # the samples of each window the memo misses that no earlier missed
+        # window held, as SlidingWindow.fill passes them
+        features = [r.feature.tobytes() for r in trace.records]
+        seen, passed, expected = set(), 0, 0
+        for stop in range(12, len(features) + 1):
+            key = tuple(features[stop - 12 : stop])
+            if key not in seen:
+                seen.add(key)
+                expected += stop - max(passed, stop - 12)
+                passed = stop
+        assert len(pushed) == expected < len(features)
+        reports = predict_windows(_fitted(corridor_config(), cfg, seed=0),
+                                  [r.feature for r in trace.records])
+        for record, report in zip(trace.records[11:], reports):
+            assert record.drift_report.statistic.tolist() == report.statistic.tolist()
+            assert record.drift_report.p_values.tolist() == report.p_values.tolist()
+
+    def test_a_burn_in_must_have_the_largest_n_ref(self, monkeypatch):
         cfg = OffloadConfig(mode="EdgeOnly", n_ref=40, window=12)
         configs = [cfg, replace(cfg, mode="CloudOnly", n_ref=60)]
-        with pytest.raises(ValueError, match="burn-in was not made for this episode"):
-            run_episodes(open_highway_config(), (), configs, seed=2, steps=50,
-                         burn=burn_in(open_highway_config(), 40, seed=2))
+        burns = _made_burn_ins(monkeypatch)
+        traces = run_episodes(open_highway_config(), (), configs, seed=2, steps=50)
+        assert [len(burn.features) for burn in burns] == [60]
         # each detector is fitted to its own prefix of the one burn-in
-        traces = run_episodes(open_highway_config(), (), configs, seed=2, steps=50,
-                              burn=burn_in(open_highway_config(), 60, seed=2))
         for config, trace in zip(configs, traces):
             alone = run_episode(open_highway_config(), (), config, seed=2, steps=50)
             assert trace_lines(trace) == trace_lines(alone)

@@ -21,6 +21,7 @@ from ecdrive import (
     run_episode,
     run_episodes,
 )
+from ecdrive import orchestrator
 
 from scenarios import obstacle_zone_config, obstacle_zone_injections, reference_scene
 
@@ -230,14 +231,19 @@ class TestOrchestratorFallback:
         assert len(_StubHandler.requests_seen) == sum(counts)
 
     @pytest.mark.parametrize("modes", [("EdgeOnly",), MODES], ids=["alone", "lockstep"])
-    def test_a_remote_edge_never_takes_the_burn_in_decision(self, stub_server, modes):
+    def test_a_remote_edge_never_takes_the_burn_in_decision(
+        self, stub_server, monkeypatch, modes
+    ):
         # with no injection the episodes start on the burn-in's scenes and
         # take over its features, but each step asks the remote edge itself
         endpoint = EndpointConfig(base_url=stub_server, timeout_s=5.0, role="Edge")
         configs = [self._config(mode=mode) for mode in modes]
-        burn = burn_in(obstacle_zone_config(), 40, seed=0)
+        burns = []
+        monkeypatch.setattr(orchestrator, "burn_in",
+                            lambda *args: burns.append(burn_in(*args)) or burns[-1])
         traces = run_episodes(obstacle_zone_config(), (), configs, seed=0, steps=14,
-                              endpoint=endpoint, burn=burn)
+                              endpoint=endpoint)
+        (burn,) = burns
         for trace in traces:
             assert trace.records[0].feature is burn.features[0]
             assert all(r.edge_decision.source == "Remote" for r in trace.records)
