@@ -11,7 +11,7 @@ Run:  python3 demos/02_drift_detection.py     (~15 s, most of it MMD permutation
 
 import numpy as np
 
-from ecdrive import fit, ks_two_sample, predict
+from ecdrive import fit, ks_two_sample, predict_windows
 
 TRIALS = 100
 
@@ -25,7 +25,7 @@ def flag_rate(method: str, shift: float) -> float:
         window[:, 0] += shift
         window[:, 3] += shift
         detector = fit(reference, method=method, alpha=0.05, window=40, seed=trial)
-        flags += predict(detector, window).is_drift
+        flags += predict_windows(detector, window)[0].is_drift
     return flags / TRIALS
 
 

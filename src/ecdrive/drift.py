@@ -43,9 +43,9 @@ per-permutation sums. A :class:`SlidingWindow` takes one sample at a
 time: ``push`` evaluates only the kernel entries of the sample that enters
 (its column against the reference and its row against the window) and
 keeps the terms a test needs, and ``predict`` combines them, so no kernel
-entry is evaluated twice. A plain array passed to ``predict``
-is tested as the one window of :func:`predict_windows`. A
-permuted statistic counts as reaching the observed one when it is at least
+entry is evaluated twice. ``predict`` tests only such a window; an array
+of samples is tested with :func:`predict_windows`. A permuted statistic
+counts as reaching the observed one when it is at least
 ``observed - TIE_TOLERANCE``, so exact ties are not decided by rounding.
 """
 
@@ -605,12 +605,11 @@ def fit(
     )
 
 
-def predict(detector: DriftDetector, window_samples) -> DriftReport:
+def predict(detector: DriftDetector, window: SlidingWindow) -> DriftReport:
     """Test one window of samples against the frozen reference.
 
-    ``window_samples`` is a full :class:`SlidingWindow` built for this
-    detector, or an array of exactly ``detector.window`` samples, which is
-    tested as the one window of :func:`predict_windows`.
+    ``window`` is a full :class:`SlidingWindow` built for this detector;
+    :func:`predict_windows` tests the windows of an array of samples.
     KS: per-feature tests, drift iff min p < alpha / n_features (Bonferroni).
     All features are tested at once from the reference ranks the window
     stored at ``push`` (KS does not depend on sample order): only those
@@ -620,16 +619,11 @@ def predict(detector: DriftDetector, window_samples) -> DriftReport:
     MMD: single permutation test over the window's cached kernel terms,
     drift iff p < alpha.
     """
-    if not isinstance(window_samples, SlidingWindow):
-        win = np.asarray(window_samples, dtype=np.float64)
-        if win.ndim != 2 or win.shape[0] != detector.window:
-            raise ValueError(
-                f"window must contain exactly {detector.window} samples, got {win.shape}"
-            )
-        if win.shape[1] != detector.n_features:
-            raise ValueError("window dimension does not match the reference")
-        return predict_windows(detector, win)[0]
-    window = window_samples
+    if not isinstance(window, SlidingWindow):
+        raise TypeError(
+            f"window must be a SlidingWindow, got {type(window).__name__};"
+            " test an array of samples with predict_windows"
+        )
     if window.detector is not detector:
         raise ValueError("window was built for another detector")
     if not window.full:

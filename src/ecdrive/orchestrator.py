@@ -217,30 +217,22 @@ def _next_scene(scene: Scene, effective: Scene, action: Action) -> Scene:
     return replace(scene, time=advanced.time, ego=advanced.ego, others=advanced.others)
 
 
-def _timed_remote(
-    scene: Scene,
-    endpoint: EndpointConfig,
-    role: str,
-    fallback,
-) -> tuple[Decision, float]:
-    """Call the remote endpoint, falling back to the local policy of the role.
+def _timed_remote(scene: Scene, endpoint: EndpointConfig, fallback) -> tuple[Decision, float]:
+    """Call the remote endpoint, falling back to ``fallback``, the local
+    policy of the endpoint's role.
 
     Returns the decision and the measured wall-clock milliseconds; a timed
     out request accounts for exactly the configured timeout.
     """
     start = time.perf_counter()
     try:
-        decision = remote_decide(scene, endpoint, role)
+        decision = remote_decide(scene, endpoint)
         return decision, (time.perf_counter() - start) * 1000.0
-    except RemoteUnavailable as exc:
-        elapsed = endpoint.timeout_s * 1000.0 if exc.timed_out else (
-            time.perf_counter() - start
-        ) * 1000.0
-        logger.warning("remote %s unavailable, using local policy: %s", role, exc)
-        return fallback(scene), elapsed
-    except NoDecisionFound as exc:
+    except (RemoteUnavailable, NoDecisionFound) as exc:
         elapsed = (time.perf_counter() - start) * 1000.0
-        logger.warning("remote %s reply had no decision, using local policy: %s", role, exc)
+        if isinstance(exc, RemoteUnavailable) and exc.timed_out:
+            elapsed = endpoint.timeout_s * 1000.0
+        logger.warning("remote %s failed, using local policy: %s", endpoint.role, exc)
         return fallback(scene), elapsed
 
 
@@ -370,7 +362,7 @@ class _Episode:
         feature = _shared(own, "feature", featurize, effective, self.noise_rng)
 
         if endpoint is not None and endpoint.role == "Edge":
-            edge, edge_latency = _timed_remote(effective, endpoint, "Edge", edge_decide)
+            edge, edge_latency = _timed_remote(effective, endpoint, edge_decide)
         else:
             edge, edge_latency = _shared(entry, "edge", edge_decide, effective), config.edge_ms
 
@@ -395,7 +387,7 @@ class _Episode:
         cloud_latency = 0.0
         if offloaded:
             if endpoint is not None and endpoint.role == "Cloud":
-                cloud, cloud_latency = _timed_remote(effective, endpoint, "Cloud", cloud_decide)
+                cloud, cloud_latency = _timed_remote(effective, endpoint, cloud_decide)
             else:
                 cloud = _shared(entry, "cloud", cloud_decide, effective)
                 cloud_latency = config.rtt_ms + config.cloud_ms

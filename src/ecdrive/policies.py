@@ -23,11 +23,12 @@ stage lists the hazards that plan is made of, the near ones and those
 that hold a lane's nearest position at some step, rather than every
 entity on the road: a scene with only those hazards in it yields the same
 plan, costs and choice. A scene whose plan lists no hazard, an open road,
-is decided once per ego speed, ego lane, lane count, ``v_max`` and
-horizon, and every such scene shares that decision.
+is decided once per ego speed, ego lane, lane count and ``v_max``, and
+every such scene shares that decision. Every rollout spans ``HORIZON``
+steps.
 
-``remote_decide`` delegates either role to a chat-completion HTTP endpoint
-and decodes the reply with the decision lexicon.
+``remote_decide`` delegates the endpoint's role to a chat-completion HTTP
+endpoint and decodes the reply with the decision lexicon.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ import logging
 import math
 import os
 import struct
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
+from urllib.parse import urlsplit
 
 from .codec import GAP_SENTINEL, describe, parse_decision
 from .highway import (
@@ -52,7 +55,7 @@ from .highway import (
     Action,
     Scene,
     VehicleState,
-    _is_int,
+    _is_number,
     lane_neighbors,
     legal_actions,
     nearest_neighbors,
@@ -121,16 +124,24 @@ class EndpointConfig:
     def validate(self) -> None:
         if not isinstance(self.base_url, str) or not self.base_url:
             raise ValueError(f"base_url must be a non-empty string, got {self.base_url!r}")
+        try:
+            url = urlsplit(self.base_url)
+            url.port  # raises on a port that is not an integer in [0, 65535]
+        except ValueError:  # or on an unbalanced IPv6 bracket
+            url = None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(
+                "base_url must be an http(s) URL with a host and, if any, a port in"
+                f" [0, 65535], got {self.base_url!r}"
+            )
         if not isinstance(self.model, str):
             raise ValueError(f"model must be a string, got {self.model!r}")
         timeout = self.timeout_s
-        if (
-            isinstance(timeout, bool)
-            or not isinstance(timeout, (int, float))
-            or not math.isfinite(timeout)
-            or timeout <= 0
-        ):
-            raise ValueError(f"timeout_s must be a finite number > 0, got {timeout!r}")
+        # the socket layer overflows above TIMEOUT_MAX; NaN fails the comparison
+        if not _is_number(timeout) or not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"timeout_s must be a number in (0, {threading.TIMEOUT_MAX:.0f}], got {timeout!r}"
+            )
         if self.role not in ("Edge", "Cloud"):
             raise ValueError(f"role must be 'Edge' or 'Cloud', got {self.role!r}")
 
@@ -221,22 +232,15 @@ def edge_decide(scene: Scene) -> Decision:
     )
 
 
-def _check_horizon(horizon) -> None:
-    if not _is_int(horizon) or horizon < 1:
-        raise ValueError(f"horizon must be an int >= 1, got {horizon!r}")
-
-
-def _predict_hazards(
-    scene: Scene, horizon: int, lanes
-) -> Iterator[tuple[int, int, float, list[float]]]:
-    """Predict the hazards in ``lanes`` ``horizon`` steps ahead; the ego
+def _predict_hazards(scene: Scene, lanes) -> Iterator[tuple[int, int, float, list[float]]]:
+    """Predict the hazards in ``lanes`` ``HORIZON`` steps ahead; the ego
     does not matter.
 
     Yields, lane by lane in the order given, each vehicle of the lane
     (through ``Vehicles.by_lane``, ascending) and then each obstacle of
     it, as ``(index, lane, radius, track)``: its entity index (vehicles in
     column order, then obstacles), its radius (the center distance below
-    which the ego overlaps it) and its ``horizon + 1`` positions, the
+    which the ego overlaps it) and its ``HORIZON + 1`` positions, the
     current one first. Vehicles keep their current acceleration, clamped
     by the comparisons :func:`_ego_paths` and ``highway._advance`` use, in
     the builtin ``min``/``max`` order; obstacles stay put.
@@ -250,7 +254,7 @@ def _predict_hazards(
             p, v = positions[i], speeds[i]
             dv = accels[i] * dt
             track = [p]
-            for _ in range(horizon):
+            for _ in range(HORIZON):
                 # min(max(v + a * dt, 0.0), v_max), compared as the builtins do
                 v_new = v + dv
                 if 0.0 > v_new:
@@ -264,7 +268,7 @@ def _predict_hazards(
         for j, obs in enumerate(obstacles):
             if obs.lane == lane:
                 # p + 0.5 * (0.0 + 0.0) * dt: a standing obstacle moves by +0.0
-                track = [obs.position] + [obs.position + 0.0] * horizon
+                track = [obs.position] + [obs.position + 0.0] * HORIZON
                 yield n_vehicles + j, lane, VEHICLE_LENGTH_M / 2.0 + obs.extent_m / 2.0, track
 
 
@@ -275,15 +279,15 @@ def _segment_hits(rel0: float, rel1: float, radius: float) -> bool:
     return min(abs(rel0), abs(rel1)) < radius
 
 
-def _ego_paths(scene: Scene, horizon: int) -> dict[float, tuple[list[float], list[float]]]:
-    """The ego's positions and speeds, ``horizon + 1`` of each, for every
+def _ego_paths(scene: Scene) -> dict[float, tuple[list[float], list[float]]]:
+    """The ego's positions and speeds, ``HORIZON + 1`` of each, for every
     first-step command (then holding speed), had nothing been hit."""
     dt, v_max = DEFAULT_DT, scene.v_max
     paths = {}
     for first_cmd in (0.0, ACCEL_CMD, DECEL_CMD):
         v, p, a_cmd = scene.ego.speed, scene.ego.position, first_cmd
         positions, speeds = [p], [v]
-        for _ in range(horizon):
+        for _ in range(HORIZON):
             # min(max(v + a_cmd * dt, 0.0), v_max), compared as the builtins do
             v_new = v + a_cmd * dt
             if 0.0 > v_new:
@@ -316,7 +320,7 @@ class _HazardPlan(NamedTuple):
 _FIRST_CMD = {Action.ACCELERATE: ACCEL_CMD, Action.DECELERATE: DECEL_CMD}
 
 
-def _plan_hazards(scene: Scene, horizon: int) -> _HazardPlan:
+def _plan_hazards(scene: Scene) -> _HazardPlan:
     """Predict the hazards in the lanes the ego can reach (its own and the
     two beside it) once, and sort each lane's against the ego's reach.
 
@@ -340,9 +344,8 @@ def _plan_hazards(scene: Scene, horizon: int) -> _HazardPlan:
     - **near** otherwise; so is every hazard with another radius. Near
       hazards keep their own positions and are checked as before, in
       entity order.
-    A plan built for a longer horizon serves a shorter one: its range and
-    its hazards' extremes only grow with the horizon. The argument assumes
-    finite positions; a config with NaN or Infinity in it fails validation.
+    The argument assumes finite positions; a config with NaN or Infinity
+    in it fails validation.
 
     ``listed`` names the hazards the plan is made of, by ascending entity
     index: every near hazard, and in each ahead lane, per row, the hazard
@@ -356,7 +359,7 @@ def _plan_hazards(scene: Scene, horizon: int) -> _HazardPlan:
     A plan that lists nothing has no near or ahead hazard, so no rollout
     that reads it looks at a position (see :func:`cloud_decide`).
     """
-    paths = _ego_paths(scene, horizon)
+    paths = _ego_paths(scene)
     reach = [p for positions, _ in paths.values() for p in positions]
     e_lo, e_hi = min(reach), max(reach)
     ego_lane = scene.ego.lane
@@ -364,7 +367,7 @@ def _plan_hazards(scene: Scene, horizon: int) -> _HazardPlan:
     ahead_tracks: dict[int, tuple[list[int], list[list[float]]]] = {}
     listed = []
     reachable = (ego_lane - 1, ego_lane, ego_lane + 1)
-    for index, lane, radius, track in _predict_hazards(scene, horizon, reachable):
+    for index, lane, radius, track in _predict_hazards(scene, reachable):
         if radius > 0.0 and radius * radius > 0.0:
             if max(track) - e_lo <= -radius:
                 continue
@@ -386,30 +389,25 @@ def _plan_hazards(scene: Scene, horizon: int) -> _HazardPlan:
 
 
 def rollout_cost(
-    scene: Scene,
-    action: Action,
-    horizon: int = HORIZON,
-    hazards: _HazardPlan | None = None,
+    scene: Scene, action: Action, hazards: _HazardPlan | None = None
 ) -> RolloutResult:
-    """Predict ``horizon`` steps of executing ``action`` then holding speed.
+    """Predict ``HORIZON`` steps of executing ``action`` then holding speed.
 
     Other vehicles keep their current acceleration; obstacles stay put.
     Their trajectories do not depend on the ego, so ``hazards`` may carry
-    a plan from :func:`_plan_hazards`, covering at least ``horizon``
-    steps, shared by several actions; without it the plan is made here.
+    the plan of :func:`_plan_hazards`, shared by several actions; without
+    it the plan is made here.
     Only hazards in the ego's target lane are checked, and of those only
     the ones the plan could not rule out. A predicted collision zeroes the
     ego's speed for the rest of the horizon.
     cost = 1000 * [collision] + (v_max - mean ego speed)
          + 2 * [lane change] + 50 * max(0, T_h - min headway) / T_h.
     Illegal lane changes cost infinity and are excluded from planning.
-    Raises ``ValueError`` unless ``horizon`` is an int >= 1 (not a bool).
     """
-    _check_horizon(horizon)
     if action not in legal_actions(scene):
         return RolloutResult(action, math.inf, 0.0, False)
     if hazards is None:
-        hazards = _plan_hazards(scene, horizon)
+        hazards = _plan_hazards(scene)
 
     ego_lane = scene.ego.lane
     if action is Action.LANE_CHANGE_LEFT:
@@ -425,7 +423,7 @@ def rollout_cost(
     min_headway = math.inf
     speed_sum = 0.0
 
-    for k in range(horizon):
+    for k in range(HORIZON):
         ego_p, ego_p_new = positions[k], positions[k + 1]
         front = []
         for radius, track in near:
@@ -451,7 +449,7 @@ def rollout_cost(
         if headway < min_headway:
             min_headway = headway
 
-    mean_speed = speed_sum / horizon
+    mean_speed = speed_sum / HORIZON
     headway_term = 0.0 if math.isinf(min_headway) else max(0.0, T_HEADWAY - min_headway) / T_HEADWAY
     is_lc = action in (Action.LANE_CHANGE_LEFT, Action.LANE_CHANGE_RIGHT)
     cost = (
@@ -468,7 +466,7 @@ _PERCEIVED_VEHICLE = "perceived: vehicle %d in lane %d at %.2f m, speed %.1f m/s
 _DOUBLE = struct.Struct("<d")
 
 
-def cloud_decide(scene: Scene, horizon: int = HORIZON) -> Decision:
+def cloud_decide(scene: Scene) -> Decision:
     """Three-stage cloud policy: perceive everything, predict, plan by argmin.
 
     The hazards are predicted and sorted against the ego's reach once
@@ -481,25 +479,22 @@ def cloud_decide(scene: Scene, horizon: int = HORIZON) -> Decision:
 
     A scene whose plan lists nothing is an open road: no rollout reads a
     position, and the rationale has no "perceived:" line, so the decision
-    depends only on the ego's speed and lane, ``lane_count``, ``v_max`` and
-    ``horizon``. It is made once per such key (:func:`_open_road_decision`)
-    and the same immutable :class:`Decision` is returned for every scene
-    with that key. Raises ``ValueError`` unless ``horizon`` is an int >= 1
-    (not a bool).
+    depends only on the ego's speed and lane, ``lane_count`` and ``v_max``.
+    It is made once per such key (:func:`_open_road_decision`) and the same
+    immutable :class:`Decision` is returned for every scene with that key.
     """
-    _check_horizon(horizon)
-    hazards = _plan_hazards(scene, horizon)
+    hazards = _plan_hazards(scene)
     if not hazards.listed:
         ego = scene.ego
         return _open_road_decision(
-            _DOUBLE.pack(ego.speed), ego.lane, scene.lane_count, _DOUBLE.pack(scene.v_max), horizon
+            _DOUBLE.pack(ego.speed), ego.lane, scene.lane_count, _DOUBLE.pack(scene.v_max)
         )
-    return _decide(scene, horizon, hazards)
+    return _decide(scene, hazards)
 
 
 @functools.lru_cache(maxsize=1024)
 def _open_road_decision(
-    speed_bits: bytes, lane: int, lane_count: int, v_max_bits: bytes, horizon: int
+    speed_bits: bytes, lane: int, lane_count: int, v_max_bits: bytes
 ) -> Decision:
     """The decision of every scene whose plan lists no hazard, made on the
     canonical road of its key: the same lane count and ``v_max``, and the
@@ -507,10 +502,10 @@ def _open_road_decision(
     (speed,), (v_max,) = _DOUBLE.unpack(speed_bits), _DOUBLE.unpack(v_max_bits)
     road = Scene(time=0.0, lane_count=lane_count, ego=VehicleState(EGO_ID, lane, 0.0, speed),
                  v_max=v_max)
-    return _decide(road, horizon, _plan_hazards(road, horizon))
+    return _decide(road, _plan_hazards(road))
 
 
-def _decide(scene: Scene, horizon: int, hazards: _HazardPlan) -> Decision:
+def _decide(scene: Scene, hazards: _HazardPlan) -> Decision:
     """:func:`cloud_decide` from the plan ``hazards`` of ``scene``."""
     others = scene.others
     ids, lanes, positions, speeds = others.id, others.lane, others.position, others.speed
@@ -528,8 +523,8 @@ def _decide(scene: Scene, horizon: int, hazards: _HazardPlan) -> Decision:
 
     legal = legal_actions(scene)
     candidates = [a for a in ACTION_ORDER if a in legal]
-    rationale.append(f"predicted {horizon}-step rollouts for {len(candidates)} candidate actions")
-    results = [rollout_cost(scene, a, horizon, hazards) for a in candidates]
+    rationale.append(f"predicted {HORIZON}-step rollouts for {len(candidates)} candidate actions")
+    results = [rollout_cost(scene, a, hazards) for a in candidates]
     for res in results:
         rationale.append(f"cost[{res.action.value}] = {res.cost:.3f}")
 
@@ -566,11 +561,13 @@ _SYSTEM_PROMPTS = {
 }
 
 
-def remote_decide(scene: Scene, endpoint: EndpointConfig, role: str | None = None) -> Decision:
+def remote_decide(scene: Scene, endpoint: EndpointConfig) -> Decision:
     """Delegate one decision to a chat-completion endpoint.
 
-    Sends the rendered scene description with the role's system prompt at
-    temperature 0 and decodes the reply with the decision lexicon. Raises
+    Sends the rendered scene description with the system prompt of
+    ``endpoint.role`` at temperature 0 and decodes the reply with the
+    decision lexicon. Raises ``ValueError`` before any request if the
+    endpoint fails :meth:`EndpointConfig.validate`. Raises
     :class:`RemoteUnavailable` on transport failure or timeout and lets
     :class:`NoDecisionFound` propagate on undecodable replies; the caller is
     expected to fall back to the local policy of the same role.
@@ -578,9 +575,7 @@ def remote_decide(scene: Scene, endpoint: EndpointConfig, role: str | None = Non
     import urllib.request
     from http.client import HTTPException
 
-    role = role or endpoint.role
-    if role not in _SYSTEM_PROMPTS:
-        raise ValueError(f"unknown remote role {role!r}")
+    endpoint.validate()
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get("EC_DRIVE_API_KEY")
     if api_key:
@@ -588,7 +583,7 @@ def remote_decide(scene: Scene, endpoint: EndpointConfig, role: str | None = Non
     body = {
         "model": endpoint.model,
         "messages": [
-            {"role": "system", "content": _SYSTEM_PROMPTS[role]},
+            {"role": "system", "content": _SYSTEM_PROMPTS[endpoint.role]},
             {"role": "user", "content": describe(scene)},
         ],
         "temperature": 0,

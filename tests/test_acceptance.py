@@ -23,7 +23,7 @@ from ecdrive import (
     ks_two_sample,
     mmd_permutation,
     parse_decision,
-    predict,
+    predict_windows,
     run_episode,
 )
 from ecdrive.cli import EXIT_OK, cmd_run, cmd_summarize
@@ -63,7 +63,7 @@ def _null_rate(method: str, trials: int = 200) -> float:
         reference = rng.normal(size=(200, 15))
         window = rng.normal(size=(40, 15))
         detector = fit(reference, method=method, alpha=0.05, window=40, seed=t)
-        flags += predict(detector, window).is_drift
+        flags += predict_windows(detector, window)[0].is_drift
     return flags / trials
 
 
@@ -76,7 +76,7 @@ def _power(method: str, trials: int = 200, shift: float = 3.0) -> float:
         window[:, 0] += shift
         window[:, 3] += shift
         detector = fit(reference, method=method, alpha=0.05, window=40, seed=t)
-        hits += predict(detector, window).is_drift
+        hits += predict_windows(detector, window)[0].is_drift
     return hits / trials
 
 

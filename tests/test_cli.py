@@ -438,6 +438,11 @@ class TestCmdValidate:
         ({"base_url": "http://localhost:9", "timeout_s": 0}, "remote: timeout_s"),
         ({"base_url": "http://localhost:9", "timeout_s": True}, "remote: timeout_s"),
         ({"base_url": "http://localhost:9", "role": "Fog"}, "remote: role"),
+        # no scheme: every call would fall back to the local policy
+        ({"base_url": "localhost:8000"}, "remote: base_url"),
+        ({"base_url": "file:///tmp"}, "remote: base_url"),
+        # above threading.TIMEOUT_MAX the socket layer raises OverflowError
+        ({"base_url": "http://localhost:9", "timeout_s": 1e300}, "remote: timeout_s"),
     ])
     def test_malformed_remote_rejected(self, tmp_path, capsys, remote, message):
         config = base_config(tmp_path)

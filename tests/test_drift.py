@@ -311,17 +311,17 @@ class TestDetector:
         assert det.bandwidth == 1.0
         assert median_bandwidth(np.ones((5, 3))) == 1.0
 
-    def test_wrong_window_length_raises(self):
+    def test_predict_rejects_an_array(self):
         rng = np.random.default_rng(0)
         det = fit(rng.normal(size=(100, 4)), window=40)
-        with pytest.raises(ValueError):
-            predict(det, rng.normal(size=(39, 4)))
+        with pytest.raises(TypeError, match="predict_windows"):
+            predict(det, rng.normal(size=(40, 4)))
 
     def test_window_equal_to_reference_is_null(self):
         rng = np.random.default_rng(1)
         ref = rng.normal(size=(40, 6))
         det = fit(ref, method="ks", window=40)
-        report = predict(det, ref)
+        report = predict_windows(det, ref)[0]
         assert not report.is_drift
         np.testing.assert_array_equal(report.statistic, np.zeros(6))
         np.testing.assert_array_equal(report.p_values, np.ones(6))
@@ -331,7 +331,7 @@ class TestDetector:
         ref = rng.normal(size=(60, 3))
         det = fit(ref, window=20)
         before = det.reference.copy()
-        predict(det, rng.normal(size=(20, 3)))
+        predict_windows(det, rng.normal(size=(20, 3)))
         np.testing.assert_array_equal(det.reference, before)
         with pytest.raises(ValueError):
             det.reference[0, 0] = 99.0
@@ -345,7 +345,7 @@ class TestDetector:
             ref = rng.normal(size=(200, 15))
             win = ref[rng.integers(0, 200, size=40)]
             det = fit(ref, method="ks", alpha=0.05, window=40, seed=t)
-            flags += predict(det, win).is_drift
+            flags += predict_windows(det, win)[0].is_drift
         assert flags / trials <= 0.05 + 0.03
 
     def test_mean_shift_power(self):
@@ -358,7 +358,7 @@ class TestDetector:
             win[:, 0] += 3.0
             win[:, 3] += 3.0
             det = fit(ref, method="ks", alpha=0.05, window=40, seed=t)
-            detected += predict(det, win).is_drift
+            detected += predict_windows(det, win)[0].is_drift
         assert detected / trials >= 0.95
 
 
@@ -373,7 +373,7 @@ class TestBatchedKs:
             ref[:, 1] = win[:, 1] = 0.0  # constant in both samples
             ref[:, 2] = 1.0  # constant in the reference only
             ref[:, 3], win[:, 3] = 7.0, 8.0  # two different constants
-            report = predict(fit(ref, window=window, seed=seed), win)
+            report = predict_windows(fit(ref, window=window, seed=seed), win)[0]
             stats, p_values = per_feature_ks(ref, win)
             assert report.statistic.tolist() == stats.tolist()
             assert report.p_values.tolist() == p_values.tolist()
@@ -389,7 +389,7 @@ class TestBatchedKs:
         values = st.one_of(st.integers(-3, 3).map(float), st.floats(-50, 50))
         ref = data.draw(arrays(np.float64, (n_ref, n_features), elements=values))
         win = data.draw(arrays(np.float64, (window, n_features), elements=values))
-        report = predict(fit(ref, window=window), win)
+        report = predict_windows(fit(ref, window=window), win)[0]
         n_eff = n_ref * window / (n_ref + window)
         for j in range(n_features):
             stat = report.statistic[j]
@@ -497,7 +497,7 @@ class TestMmdDetector:
             det, rng = self._detector(seed)
             for shift in (0.0, 0.3, 1.0):
                 win = rng.normal(loc=shift, size=(40, 15))
-                report = predict(det, win)
+                report = predict_windows(det, win)[0]
                 mmd2, p = mmd_permutation(det.reference, win, det.bandwidth,
                                           det.n_perm, det.rng_seed)
                 assert report.statistic.tolist() == [mmd2]
@@ -507,7 +507,7 @@ class TestMmdDetector:
     def test_repeated_predict_is_identical(self):
         det, rng = self._detector()
         win = rng.normal(loc=0.5, size=(40, 15))
-        first, second = predict(det, win), predict(det, win)
+        first, second = predict_windows(det, win)[0], predict_windows(det, win)[0]
         np.testing.assert_array_equal(first.statistic, second.statistic)
         np.testing.assert_array_equal(first.p_values, second.p_values)
         assert first.is_drift == second.is_drift
@@ -557,7 +557,8 @@ class TestSlidingWindow:
                 if not ring.full:
                     continue
                 report = predict(det, ring)
-                for expected in (predict(det, slots), predict(det, stream[t - window + 1:t + 1])):
+                for expected in (predict_windows(det, slots)[0],
+                                 predict_windows(det, stream[t - window + 1:t + 1])[0]):
                     assert report.statistic.tolist() == expected.statistic.tolist()
                     assert report.p_values.tolist() == expected.p_values.tolist()
                     assert report.is_drift == expected.is_drift
@@ -581,7 +582,7 @@ class TestSlidingWindow:
                 block = stream[t - window + 1:t + 1]
                 stats, p_values = merged_ks_rows(ref_sorted, block.T)
                 # the ring ranked one sample per push; the array is ranked as one block
-                for report in (predict(det, ring), predict(det, block)):
+                for report in (predict(det, ring), predict_windows(det, block)[0]):
                     assert report.statistic.tolist() == stats.tolist()
                     assert report.p_values.tolist() == p_values.tolist()
                     assert report.is_drift == bool(p_values.min() < det.alpha / d)

@@ -36,7 +36,6 @@ from ecdrive import (
 )
 from ecdrive import orchestrator, policies
 from ecdrive.highway import validate_injection
-from ecdrive.policies import HORIZON
 from ecdrive.trace import trace_lines
 
 from scenarios import (
@@ -368,13 +367,13 @@ class TestRunEpisodes:
         decided, rolled_out = [], []
         real_decide, real_rollout = orchestrator.cloud_decide, policies.rollout_cost
 
-        def counting_decide(scene, *args):
+        def counting_decide(scene):
             decided.append(scene)
-            return real_decide(scene, *args)
+            return real_decide(scene)
 
-        def counting_rollout(scene, action, *args):
+        def counting_rollout(scene, action, hazards=None):
             rolled_out.append(action)
-            return real_rollout(scene, action, *args)
+            return real_rollout(scene, action, hazards)
 
         monkeypatch.setattr(orchestrator, "cloud_decide", counting_decide)
         monkeypatch.setattr(policies, "rollout_cost", counting_rollout)
@@ -387,7 +386,7 @@ class TestRunEpisodes:
         expected, open_roads, keys = 0, 0, set()
         for scene in decided:
             candidates = len(legal_actions(scene))
-            if policies._plan_hazards(scene, HORIZON).listed:
+            if policies._plan_hazards(scene).listed:
                 expected += candidates
                 continue
             open_roads += 1

@@ -187,10 +187,6 @@ class TestRolloutCost:
         result = rollout_cost(empty_road(10.0, lane=0), Action.LANE_CHANGE_RIGHT)
         assert math.isinf(result.cost)
 
-    def test_bad_horizon_raises(self):
-        with pytest.raises(ValueError):
-            rollout_cost(empty_road(10.0), Action.KEEP, horizon=0)
-
     def test_following_at_safe_headway_not_flagged(self):
         scene = Scene(
             time=0.0, lane_count=1,
@@ -210,8 +206,8 @@ class _Entity:
     moves: bool
 
 
-def _oracle_rollout(scene: Scene, action: Action, horizon: int = HORIZON,
-                    hazards=None) -> RolloutResult:
+def _oracle_rollout(scene: Scene, action: Action, hazards=None,
+                    horizon: int = HORIZON) -> RolloutResult:
     """Per-action rollout that propagates every entity itself and scans all
     lanes (``hazards`` is ignored); the shared-prediction planner must
     reproduce it bit for bit."""
@@ -304,21 +300,21 @@ def _on_the_bounds() -> Scene:
                  obstacles=(Obstacle(0, 39.5, 4.0), Obstacle(0, -4.5, 4.0)))
 
 
-def _all_hazards(scene: Scene, horizon: int) -> dict[int, tuple[int, float, list[float]]]:
+def _all_hazards(scene: Scene) -> dict[int, tuple[int, float, list[float]]]:
     """Entity index -> (lane, radius, track) of every hazard on the road,
     in any lane."""
     lanes = {*scene.others.lane, *(o.lane for o in scene.obstacles)}
     return {index: (lane, radius, track)
-            for index, lane, radius, track in policies._predict_hazards(scene, horizon, lanes)}
+            for index, lane, radius, track in policies._predict_hazards(scene, lanes)}
 
 
-def _hazard_classes(scene: Scene, horizon: int) -> dict[int, str]:
+def _hazard_classes(scene: Scene) -> dict[int, str]:
     """Entity index -> the class of ``_plan_hazards`` that each reachable
     hazard falls in, recomputed from the definitions."""
-    paths = policies._plan_hazards(scene, horizon).paths
+    paths = policies._plan_hazards(scene).paths
     reach = [p for positions, _ in paths.values() for p in positions]
     classes = {}
-    for i, (lane, radius, track) in sorted(_all_hazards(scene, horizon).items()):
+    for i, (lane, radius, track) in sorted(_all_hazards(scene).items()):
         if abs(lane - scene.ego.lane) > 1:
             continue
         if radius > 0 and max(track) - min(reach) <= -radius:
@@ -335,30 +331,28 @@ class TestSharedHazardPrediction:
         seen = set()
 
         @settings(max_examples=150, deadline=None)
-        @given(scene=random_scenes(), horizon=st.integers(1, 5))
+        @given(scene=random_scenes())
         # the nearest vehicle ahead is stopped by the clamp at 0, then at v_max
-        @example(scene=_follow(VehicleState(1, 0, 60.0, 0.5, accel=-3.0)), horizon=3)
-        @example(scene=_follow(VehicleState(1, 0, 20.0, 29.8, accel=2.0), 29.5), horizon=3)
-        @example(scene=_on_the_bounds(), horizon=3)
+        @example(scene=_follow(VehicleState(1, 0, 60.0, 0.5, accel=-3.0)))
+        @example(scene=_follow(VehicleState(1, 0, 20.0, 29.8, accel=2.0), 29.5))
+        @example(scene=_on_the_bounds())
         # 0.25 m inside those bounds the same vehicles are hit: accelerating
         # reaches the one ahead, changing left starts beside the one behind
-        @example(scene=_road(others=(VehicleState(1, 0, 39.75, 0.0), VehicleState(2, 1, -4.75, 0.0))),
-                 horizon=3)
+        @example(scene=_road(others=(VehicleState(1, 0, 39.75, 0.0),
+                                     VehicleState(2, 1, -4.75, 0.0))))
         # two hazards ahead that swap order within the horizon
         @example(scene=_road(others=(VehicleState(1, 0, 60.0, 28.0),
-                                     VehicleState(2, 0, 70.0, 10.0))), horizon=3)
+                                     VehicleState(2, 0, 70.0, 10.0))))
         # an obstacle at -0.0 with the ego at 0.0
-        @example(scene=_road(obstacles=(Obstacle(0, -0.0, 4.0),)), horizon=3)
+        @example(scene=_road(obstacles=(Obstacle(0, -0.0, 4.0),)))
         # a standing ego (paths 0..5 m); obstacles with extent 0 (r = 2.5),
         # one near and one on the ahead bound
         @example(scene=_road(0.0, others=(VehicleState(1, 1, 30.0, 20.0),),
-                             obstacles=(Obstacle(0, 4.0, 0.0), Obstacle(0, 7.5, 0.0))),
-                 horizon=3)
+                             obstacles=(Obstacle(0, 4.0, 0.0), Obstacle(0, 7.5, 0.0))))
         # radii 0 and below are always checked one by one: read as behind or
         # ahead, these two would miss the hits of changing left and of
         # accelerating
-        @example(scene=_road(obstacles=(Obstacle(1, 0.0, -5.0), Obstacle(0, 34.0, -9.0))),
-                 horizon=3)
+        @example(scene=_road(obstacles=(Obstacle(1, 0.0, -5.0), Obstacle(0, 34.0, -9.0))))
         # vehicles and obstacles two and three lanes from the ego, one level
         # with it and one in its path were it reachable
         @example(scene=Scene(time=0.0, lane_count=4, ego=VehicleState(0, 0, 0.0, 20.0),
@@ -366,18 +360,16 @@ class TestSharedHazardPrediction:
                                      VehicleState(2, 0, 50.0, 15.0, accel=-1.0),
                                      VehicleState(3, 3, 30.0, 5.0)),
                              obstacles=(Obstacle(2, 10.0, 4.0), Obstacle(3, 40.0, 2.0),
-                                        Obstacle(1, 60.0, 4.0))),
-                 horizon=3)
+                                        Obstacle(1, 60.0, 4.0))))
         # only far hazards: an open road at v_max in the leftmost lane
         @example(scene=Scene(time=0.0, lane_count=4, ego=VehicleState(0, 3, 0.0, 30.0),
                              others=(VehicleState(1, 1, 20.0, 10.0),
                                      VehicleState(2, 0, 10.0, 30.0)),
-                             obstacles=(Obstacle(1, 15.0, 3.0),)),
-                 horizon=2)
-        def check(scene, horizon):
+                             obstacles=(Obstacle(1, 15.0, 3.0),)))
+        def check(scene):
             for action in Action:  # illegal lane changes included
-                result = rollout_cost(scene, action, horizon)
-                expected = _oracle_rollout(scene, action, horizon)
+                result = rollout_cost(scene, action)
+                expected = _oracle_rollout(scene, action)
                 assert result == expected and repr(result) == repr(expected)
                 seen.add("illegal" if math.isinf(result.cost) else
                          "collision" if result.collision_predicted else "clean")
@@ -385,13 +377,13 @@ class TestSharedHazardPrediction:
             # the real call, nor one cached earlier the oracle's
             policies._open_road_decision.cache_clear()
             with mock.patch.object(policies, "rollout_cost", _oracle_rollout):
-                expected = cloud_decide(scene, horizon)
+                expected = cloud_decide(scene)
             policies._open_road_decision.cache_clear()
-            decision = cloud_decide(scene, horizon)
+            decision = cloud_decide(scene)
             assert decision == expected and repr(decision) == repr(expected)
             # hazards two or more lanes away do not change the plan
             reduced, kept = _without_far_hazards(scene)
-            plan, reduced_plan = (policies._plan_hazards(s, horizon) for s in (scene, reduced))
+            plan, reduced_plan = (policies._plan_hazards(s) for s in (scene, reduced))
             _same_plan(reduced_plan, plan)
             assert reduced_plan.listed == [kept.index(i) for i in plan.listed]
             if len(kept) < len(scene.others) + len(scene.obstacles):
@@ -401,7 +393,7 @@ class TestSharedHazardPrediction:
                     seen.add("clamp at 0")
                 if v.speed + v.accel * DEFAULT_DT > scene.v_max:
                     seen.add("clamp at v_max")
-            seen.update(_hazard_classes(scene, horizon).values())
+            seen.update(_hazard_classes(scene).values())
 
         check()
         # the scenes must reach every branch for the property to mean much
@@ -411,7 +403,7 @@ class TestSharedHazardPrediction:
     def test_examples_sit_on_the_pruning_bounds(self):
         # every hazard of _on_the_bounds is exactly on a bound, so the plan
         # keeps none of them as near
-        plan = policies._plan_hazards(_on_the_bounds(), 3)
+        plan = policies._plan_hazards(_on_the_bounds())
         reach = [p for positions, _ in plan.paths.values() for p in positions]
         assert (min(reach), max(reach)) == (0.0, 35.0)
         assert plan.near == {}
@@ -451,37 +443,36 @@ class TestPerceptionSet:
 
         @settings(max_examples=150, deadline=None)
         @given(scene=random_scenes() | random_scenes(positions=st.sampled_from(
-                   (-12.5, -5.0, 0.0, 5.0, 40.0, 60.0, 90.0))),
-               horizon=st.integers(1, 5))
-        @example(scene=_on_the_bounds(), horizon=3)
+                   (-12.5, -5.0, 0.0, 5.0, 40.0, 60.0, 90.0))))
+        @example(scene=_on_the_bounds())
         # two hazards ahead that swap order within the horizon: both listed
         @example(scene=_road(others=(VehicleState(1, 0, 60.0, 28.0),
-                                     VehicleState(2, 0, 70.0, 10.0))), horizon=3)
+                                     VehicleState(2, 0, 70.0, 10.0))))
         # level with each other ahead: only the first in entity order is listed
         @example(scene=_road(others=(VehicleState(1, 0, 60.0, 10.0), VehicleState(2, 1, 80.0, 0.0),
-                                     VehicleState(3, 0, 60.0, 10.0))), horizon=3)
-        def check(scene, horizon):
-            plan = policies._plan_hazards(scene, horizon)
+                                     VehicleState(3, 0, 60.0, 10.0))))
+        def check(scene):
+            plan = policies._plan_hazards(scene)
             listed = plan.listed
             assert listed == sorted(set(listed))
-            classes = _hazard_classes(scene, horizon)
+            classes = _hazard_classes(scene)
             assert {i for i, c in classes.items() if c == "near"} <= set(listed)
             assert all(classes.get(i) in ("near", "ahead") for i in listed)
             dropped = {i for i, c in classes.items() if c == "ahead"} - set(listed)
             seen.update({"ahead dropped"} if dropped else ())
-            hazards = _all_hazards(scene, horizon)
+            hazards = _all_hazards(scene)
             lanes = [hazards[i][0] for i in listed if classes[i] == "ahead"]
             seen.update({"two ahead listed in a lane"} if len(lanes) > len(set(lanes)) else ())
 
             reduced = _listed_only(scene, listed)
-            reduced_plan = policies._plan_hazards(reduced, horizon)
+            reduced_plan = policies._plan_hazards(reduced)
             _same_plan(reduced_plan, plan)
             assert reduced_plan.listed == list(range(len(listed)))
             for action in Action:
-                result = rollout_cost(reduced, action, horizon)
-                expected = rollout_cost(scene, action, horizon)
+                result = rollout_cost(reduced, action)
+                expected = rollout_cost(scene, action)
                 assert result == expected and repr(result) == repr(expected)
-            decision, expected = cloud_decide(reduced, horizon), cloud_decide(scene, horizon)
+            decision, expected = cloud_decide(reduced), cloud_decide(scene)
             assert decision == expected and repr(decision) == repr(expected)
             perceived = [r for r in decision.rationale if r.startswith("perceived:")]
             assert len(perceived) == len(listed)
@@ -595,22 +586,22 @@ def _open_road_scenes(draw) -> Scene:
 
 class TestOpenRoad:
     @settings(max_examples=150, deadline=None)
-    @given(scene=_open_road_scenes(), horizon=st.integers(1, 5))
-    @example(scene=empty_road(-0.0, lane=3), horizon=1)
-    @example(scene=empty_road(30.0, lane=0), horizon=5)
-    def test_cached_decision_is_the_scene_decision(self, scene, horizon):
-        assert not policies._plan_hazards(scene, horizon).listed
+    @given(scene=_open_road_scenes())
+    @example(scene=empty_road(-0.0, lane=3))
+    @example(scene=empty_road(30.0, lane=0))
+    def test_cached_decision_is_the_scene_decision(self, scene):
+        assert not policies._plan_hazards(scene).listed
         ego = scene.ego
         road = Scene(time=0.0, lane_count=scene.lane_count,
                      ego=VehicleState(0, ego.lane, 0.0, ego.speed), v_max=scene.v_max)
         # the decide code run on the scene itself, past the cache
-        expected = policies._decide(scene, horizon, policies._plan_hazards(scene, horizon))
+        expected = policies._decide(scene, policies._plan_hazards(scene))
         policies._open_road_decision.cache_clear()
-        cold = cloud_decide(scene, horizon)
-        warm = cloud_decide(scene, horizon)
+        cold = cloud_decide(scene)
+        warm = cloud_decide(scene)
         assert warm is cold
         policies._open_road_decision.cache_clear()
-        on_road = cloud_decide(road, horizon)
+        on_road = cloud_decide(road)
         for decision in (cold, warm, on_road):
             assert decision == expected and repr(decision) == repr(expected)
         assert not any(r.startswith("perceived:") for r in expected.rationale)
@@ -628,30 +619,6 @@ class TestOpenRoad:
         decision = cloud_decide(static_obstacle_scene(gap=40.0))
         assert any(r.startswith("perceived:") for r in decision.rationale)
         assert policies._open_road_decision.cache_info().currsize == 0
-
-
-class TestHorizonValidation:
-    @pytest.mark.parametrize("horizon", [0, -1, True, False, 2.0, 1.0, "3", None],
-                             ids=repr)
-    def test_rejected_before_any_planning(self, monkeypatch, horizon):
-        def no_plan(scene, horizon):
-            raise AssertionError("planned with a bad horizon")
-
-        monkeypatch.setattr(policies, "_plan_hazards", no_plan)
-        for scene in (empty_road(25.0), static_obstacle_scene(gap=40.0)):
-            with pytest.raises(ValueError, match="horizon must be an int >= 1"):
-                cloud_decide(scene, horizon)
-            for action in (Action.KEEP, Action.LANE_CHANGE_RIGHT):
-                with pytest.raises(ValueError, match="horizon must be an int >= 1"):
-                    rollout_cost(scene, action, horizon)
-
-    def test_true_is_not_a_one_step_horizon(self):
-        # True == 1 and hashes alike, so only the check keeps it out of the
-        # open-road cache entry of horizon 1
-        one = cloud_decide(empty_road(25.0), 1)
-        assert one.rationale[0] == "predicted 1-step rollouts for 4 candidate actions"
-        with pytest.raises(ValueError):
-            cloud_decide(empty_road(25.0), True)
 
 
 def _true_swept_collision(scene: Scene, action: Action, horizon: int = 3) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -21,7 +22,7 @@ from ecdrive import (
     run_episode,
     run_episodes,
 )
-from ecdrive import orchestrator
+from ecdrive import orchestrator, policies
 
 from scenarios import obstacle_zone_config, obstacle_zone_injections, reference_scene
 
@@ -72,7 +73,7 @@ def stub_server():
 class TestRemoteDecide:
     def test_stub_round_trip(self, stub_server):
         endpoint = EndpointConfig(base_url=stub_server, model="stub-model", timeout_s=5.0)
-        decision = remote_decide(reference_scene(), endpoint, role="Cloud")
+        decision = remote_decide(reference_scene(), replace(endpoint, role="Cloud"))
         assert decision.action is Action.KEEP
         assert decision.source == "Remote"
         assert decision.confidence == 1.0
@@ -81,7 +82,7 @@ class TestRemoteDecide:
     def test_request_shape_and_prompt_contract(self, stub_server, monkeypatch):
         monkeypatch.setenv("EC_DRIVE_API_KEY", "sk-test")
         endpoint = EndpointConfig(base_url=stub_server, model="stub-model", timeout_s=5.0)
-        remote_decide(reference_scene(), endpoint, role="Edge")
+        remote_decide(reference_scene(), replace(endpoint, role="Edge"))
         seen = _StubHandler.requests_seen[-1]
         assert seen["path"] == "/chat/completions"
         assert seen["auth"] == "Bearer sk-test"
@@ -90,6 +91,21 @@ class TestRemoteDecide:
         assert body["temperature"] == 0
         assert [m["role"] for m in body["messages"]] == ["system", "user"]
         assert "rightmost lane of a four-lane road" in body["messages"][1]["content"]
+
+    @pytest.mark.parametrize("role", ["Edge", "Cloud"])
+    def test_system_prompt_is_the_endpoints_role(self, stub_server, role):
+        endpoint = EndpointConfig(base_url=stub_server, timeout_s=5.0, role=role)
+        remote_decide(reference_scene(), endpoint)
+        system = _StubHandler.requests_seen[-1]["body"]["messages"][0]
+        assert system == {"role": "system", "content": policies._SYSTEM_PROMPTS[role]}
+
+    @pytest.mark.parametrize("fields", [{"role": "cloud"}, {"timeout_s": 0.0},
+                                        {"base_url": "file:///tmp"}])
+    def test_invalid_endpoint_raises_before_any_request(self, stub_server, fields):
+        endpoint = replace(EndpointConfig(base_url=stub_server, timeout_s=5.0), **fields)
+        with pytest.raises(ValueError, match=f"^{next(iter(fields))} must be"):
+            remote_decide(reference_scene(), endpoint)
+        assert _StubHandler.requests_seen == []
 
     def test_reply_without_decision_raises(self, stub_server):
         _StubHandler.reply_text = "The weather is lovely today."
@@ -260,6 +276,14 @@ class TestEndpointConfig:
         ({"base_url": "http://localhost:9", "timeout_s": -1.0}, "timeout_s"),
         ({"base_url": "http://localhost:9", "timeout_s": "10"}, "timeout_s"),
         ({"base_url": "http://localhost:9", "role": "cloud"}, "role"),
+        # not http(s), no scheme, no host: such a URL never reaches a model
+        ({"base_url": "file:///dir"}, "base_url"),
+        ({"base_url": "localhost:8000"}, "base_url"),
+        ({"base_url": "http://"}, "base_url"),
+        ({"base_url": "http://:8000"}, "base_url"),
+        ({"base_url": "http://[::1"}, "base_url"),
+        ({"base_url": "http://localhost:port"}, "base_url"),
+        ({"base_url": "http://localhost:9", "timeout_s": 1e300}, "timeout_s"),
     ])
     def test_invalid_fields_rejected(self, fields, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -268,6 +292,8 @@ class TestEndpointConfig:
     def test_defaults_are_valid(self):
         EndpointConfig(base_url="http://localhost:9").validate()
         EndpointConfig(base_url="http://localhost:9", timeout_s=2, role="Edge").validate()
+        EndpointConfig(base_url="https://example.com/v1",
+                       timeout_s=threading.TIMEOUT_MAX).validate()
 
     def test_run_episode_rejects_an_invalid_endpoint(self):
         with pytest.raises(ValueError, match="base_url"):

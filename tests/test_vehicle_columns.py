@@ -264,9 +264,9 @@ def _tie_scene() -> Scene:
 
 class TestColumnReaders:
     @settings(max_examples=150, deadline=None)
-    @given(scene=SCENES, horizon=st.integers(1, 5))
-    @example(scene=_tie_scene(), horizon=3)
-    def test_neighbors_collision_and_hazards_match_oracle(self, scene, horizon):
+    @given(scene=SCENES)
+    @example(scene=_tie_scene())
+    def test_neighbors_collision_and_hazards_match_oracle(self, scene):
         for lane in range(-1, scene.lane_count + 1):
             _same(lane_neighbors(scene, lane), _oracle_lane_neighbors(scene, lane))
         _same(nearest_neighbors(scene), _oracle_nearest_neighbors(scene))
@@ -274,8 +274,8 @@ class TestColumnReaders:
         # every lane, in descending order, then the lanes the planner asks for
         ego_lane = scene.ego.lane
         for lanes in (range(scene.lane_count, -2, -1), (ego_lane - 1, ego_lane, ego_lane + 1)):
-            _same(list(_predict_hazards(scene, horizon, lanes)),
-                  _oracle_hazard_tracks(scene, horizon, lanes))
+            _same(list(_predict_hazards(scene, lanes)),
+                  _oracle_hazard_tracks(scene, HORIZON, lanes))
 
     @settings(max_examples=100, deadline=None)
     @given(scene=SCENES, sigma=st.sampled_from((0.0, 0.5, 3.0)), seed=st.integers(0, 2**32 - 1))
