@@ -5,6 +5,10 @@ Commands:
     ecdrive summarize <trace_glob> --out <csv>
     ecdrive validate <config.json>
 
+An experiment file is a run's description, read by ``trace.read_run`` as
+a trace header's config is, plus ``seeds``, ``output_dir`` and ``modes``;
+any other key is a config error.
+
 Exit codes: 0 success, 2 invalid config or empty glob, 3 I/O failure,
 4 malformed or inconsistent trace. Remote credentials are read from the
 EC_DRIVE_API_KEY environment variable only; config files and trace
@@ -23,25 +27,19 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .highway import (
-    DriftInjection,
-    ScenarioConfig,
-    ScenarioError,
-    _is_int,
-    spawn_scenario,
-    validate_injection,
-)
+from .highway import DriftInjection, ScenarioConfig, ScenarioError, spawn_scenario
 from .orchestrator import (
     MODES,
     EpisodeTrace,
     Metrics,
     OffloadConfig,
+    _is_seed,
     aggregate_metrics,
     run_episode,  # noqa: F401 (bench/tracer.py wraps this name)
     run_episodes,
 )
 from .policies import EndpointConfig
-from .trace import TextMemo, from_json, load_trace, temp_name, write_trace
+from .trace import ConfigError, TextMemo, _require, load_trace, read_run, temp_name, write_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,10 +65,6 @@ CSV_COLUMNS = (
 )
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; the message names the field."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed and validated experiment file."""
@@ -85,21 +79,15 @@ class ExperimentConfig:
     endpoint: EndpointConfig | None = None
 
 
-def _require(data: dict, field: str):
-    if field not in data:
-        raise ConfigError(f"{field}: missing required field")
-    return data[field]
-
-
 def _reject_constant(name: str):
     raise ConfigError(f"non-finite number {name} is not allowed")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Parse and invariant-check an experiment JSON file.
-
-    NaN and Infinity are rejected while parsing, and booleans never pass
-    as integers.
+    """Parse and invariant-check an experiment JSON file: the run's
+    description through :func:`read_run`, then ``seeds``, ``output_dir``
+    and ``modes``; any other key is an error. NaN and Infinity are
+    rejected while parsing.
     """
     path = Path(path)
     try:
@@ -108,47 +96,13 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: cannot read config ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-
-    try:
-        scenario = from_json(ScenarioConfig, _require(data, "scenario"))
-        scenario.validate()
-    except ScenarioError as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"scenario: unknown or malformed field ({exc})") from exc
-
-    injections = []
-    items = data.get("injections", [])
-    if not isinstance(items, list):
-        raise ConfigError("injections: must be a list")
-    for i, item in enumerate(items):
-        try:
-            injection = from_json(DriftInjection, item)
-            validate_injection(injection, scenario.lane_count)
-        except (ScenarioError, TypeError) as exc:
-            raise ConfigError(f"injections[{i}]: {exc}") from exc
-        injections.append(injection)
-
-    try:
-        offload = from_json(OffloadConfig, _require(data, "offload"))
-        offload.validate()
-    except ValueError as exc:
-        raise ConfigError(f"offload: {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"offload: unknown or malformed field ({exc})") from exc
+    others = ("seeds", "output_dir", "modes")
+    scenario, injections, offload, steps, endpoint = read_run(data, others)
 
     seeds = _require(data, "seeds")
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("seeds: must be a non-empty list of non-negative integers")
-    if not all(_is_int(s) and s >= 0 for s in seeds):
+    if not isinstance(seeds, list) or not seeds or not all(map(_is_seed, seeds)):
         raise ConfigError("seeds: must be a non-empty list of non-negative integers")
     _reject_repeats("seeds", seeds)
-
-    steps = _require(data, "steps")
-    if not _is_int(steps) or steps < 1:
-        raise ConfigError("steps: must be an integer >= 1")
 
     output_dir = _require(data, "output_dir")
     if not isinstance(output_dir, str):
@@ -166,29 +120,8 @@ def load_experiment_config(path) -> ExperimentConfig:
     _reject_repeats("modes", modes)
     _check_trace_names(scenario.name, modes, seeds)
 
-    endpoint = None
-    remote = data.get("remote")
-    if remote is not None:
-        if not isinstance(remote, dict):
-            raise ConfigError("remote: must be a JSON object")
-        try:
-            endpoint = from_json(EndpointConfig, remote)
-            endpoint.validate()
-        except ValueError as exc:
-            raise ConfigError(f"remote: {exc}") from exc
-        except TypeError as exc:
-            raise ConfigError(f"remote: unknown or malformed field ({exc})") from exc
-
-    return ExperimentConfig(
-        scenario=scenario,
-        injections=tuple(injections),
-        offload=offload,
-        seeds=tuple(seeds),
-        steps=steps,
-        output_dir=Path(output_dir),
-        modes=modes,
-        endpoint=endpoint,
-    )
+    return ExperimentConfig(scenario, injections, offload, tuple(seeds), steps,
+                            Path(output_dir), modes, endpoint)
 
 
 def _reject_repeats(field: str, values) -> None:
@@ -221,10 +154,6 @@ def _check_trace_names(scenario_name: str, modes, seeds) -> None:
         )
 
 
-def _seed_error(seed: int, exc: ScenarioError) -> ConfigError:
-    return ConfigError(f"scenario: seed {seed}: {exc}")
-
-
 def _spawn_seeds(config: ExperimentConfig) -> None:
     """Spawn every seed's initial scene: a seed that cannot spawn is a
     config error."""
@@ -232,7 +161,7 @@ def _spawn_seeds(config: ExperimentConfig) -> None:
         try:
             spawn_scenario(config.scenario, seed)
         except ScenarioError as exc:
-            raise _seed_error(seed, exc) from exc
+            raise ConfigError(f"scenario: seed {seed}: {exc}") from exc
 
 
 def cmd_run(config_path: str) -> int:

@@ -236,9 +236,20 @@ def _timed_remote(scene: Scene, endpoint: EndpointConfig, fallback) -> tuple[Dec
         return fallback(scene), elapsed
 
 
+def _is_seed(value) -> bool:
+    """The one rule for a seed, wherever one is read."""
+    return _is_int(value) and value >= 0
+
+
 def _check_seed(seed) -> None:
-    if not _is_int(seed) or seed < 0:
+    if not _is_seed(seed):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_steps(steps) -> None:
+    """The one rule for an episode's step count, wherever one is read."""
+    if not _is_int(steps) or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,8 +484,7 @@ def run_episodes(
     after its last step and tests the distinct ones the memo misses in one
     :func:`predict_windows` batch.
     """
-    if not _is_int(steps) or steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps!r}")
+    _check_steps(steps)
     _check_seed(seed)
     configs = tuple(configs)
     for config in configs:

@@ -129,10 +129,13 @@ class EndpointConfig:
             url.port  # raises on a port that is not an integer in [0, 65535]
         except ValueError:  # or on an unbalanced IPv6 bracket
             url = None
-        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+        # the request path is appended to the URL's text, so a "?" or "#"
+        # (even with an empty query or fragment) would end up before it
+        if (url is None or url.scheme not in ("http", "https") or not url.hostname
+                or "?" in self.base_url or "#" in self.base_url):
             raise ValueError(
-                "base_url must be an http(s) URL with a host and, if any, a port in"
-                f" [0, 65535], got {self.base_url!r}"
+                "base_url must be an http(s) URL with a host, no query or fragment and,"
+                f" if any, a port in [0, 65535], got {self.base_url!r}"
             )
         if not isinstance(self.model, str):
             raise ValueError(f"model must be a string, got {self.model!r}")

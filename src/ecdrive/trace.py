@@ -1,10 +1,11 @@
 """JSON Lines traces and the dataclass codec that traces and configs share.
 
 A trace is a header object (schema_version "1", config snapshot, seed,
-summary), then one object per step record. The loader requires a
-non-negative integer seed, a string ``remote.base_url`` when there is a
-remote, and ``config.steps`` records whose ``step`` values run 0, 1, ... in
-order.
+summary), then one object per step record. The config snapshot is a run's
+description, read by :func:`read_run`, the reader of experiment files too,
+so a header passes exactly the checks ``ecdrive validate`` makes. The
+loader also requires a non-negative integer seed, no other header key, and
+``steps`` records whose ``step`` values run 0, 1, ... in order.
 
 The header is written by ``json``. Each step record is written by a text
 writer generated once per dataclass from the same type hints
@@ -46,8 +47,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .highway import DriftInjection, ScenarioConfig, _is_int, validate_injection
-from .orchestrator import EpisodeTrace, Metrics, OffloadConfig, StepRecord
+from .highway import DriftInjection, ScenarioConfig, validate_injection
+from .orchestrator import (
+    EpisodeTrace, Metrics, OffloadConfig, StepRecord, _check_seed, _check_steps,
+)
+from .policies import EndpointConfig
 
 TRACE_SCHEMA_VERSION = "1"
 
@@ -206,6 +210,69 @@ def to_json(obj) -> dict:
 def from_json(cls, data):
     """Build a ``cls`` dataclass from its JSON object (see the module doc)."""
     return _codec(cls)[1](data)
+
+
+class ConfigError(ValueError):
+    """An invalid run description; the message names the field."""
+
+
+def _require(data: dict, field: str):
+    if field not in data:
+        raise ConfigError(f"{field}: missing required field")
+    return data[field]
+
+
+def _reject_unknown(data: dict, known) -> None:
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"{key}: unknown field")
+
+
+def _read_block(field: str, cls, data, check=None):
+    """``from_json(cls, data)``, checked by ``check`` (by default the
+    class's ``validate``); any error names ``field``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{field}: must be a JSON object")
+    try:
+        block = from_json(cls, data)
+        (check or cls.validate)(block)
+    except TypeError as exc:
+        raise ConfigError(f"{field}: unknown or malformed field ({exc})") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
+    return block
+
+
+def read_run(data, others=()) -> tuple:
+    """``(scenario, injections, offload, steps, endpoint)`` from a run's
+    description: an experiment file's JSON object, or a trace header's
+    ``config``. ``injections`` (a list) and ``remote`` (an object) are
+    optional; each block passes :func:`from_json` and its own ``validate``.
+    Raises :class:`ConfigError` naming the field, also for a key other than
+    these five and ``others``, the keys the caller reads itself.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
+    _reject_unknown(data, ("scenario", "injections", "offload", "steps", "remote", *others))
+    scenario = _read_block("scenario", ScenarioConfig, _require(data, "scenario"))
+    items = data.get("injections", [])
+    if not isinstance(items, list):
+        raise ConfigError("injections: must be a list")
+    injections = tuple(
+        _read_block(f"injections[{i}]", DriftInjection, item,
+                    lambda injection: validate_injection(injection, scenario.lane_count))
+        for i, item in enumerate(items)
+    )
+    offload = _read_block("offload", OffloadConfig, _require(data, "offload"))
+    steps = _require(data, "steps")
+    try:
+        _check_steps(steps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    endpoint = None
+    if "remote" in data:
+        endpoint = _read_block("remote", EndpointConfig, data["remote"])
+    return scenario, injections, offload, steps, endpoint
 
 
 # one encoder for every line: json.dumps would build one per call
@@ -415,10 +482,11 @@ def load_trace(path) -> EpisodeTrace:
     Raises ``ValueError`` naming the file on text that is not UTF-8, and
     naming the offending line on malformed content, a header whose
     ``schema_version`` is missing or not ``TRACE_SCHEMA_VERSION``, a
-    header config that fails its own ``validate``, a header seed, steps or
-    remote of the wrong type, a record whose ``step`` is out of order
-    (named on its line), or a record count other than ``config.steps``
-    (named on line 1). A file that cannot be read raises ``OSError``.
+    header with a key other than ``schema_version``, ``config``, ``seed``
+    and ``summary``, a wrong seed or summary, a ``config`` that
+    :func:`read_run` rejects, a record whose ``step`` is out of order
+    (named on its line), or a record count other than ``steps`` (named on
+    line 1). A file that cannot be read raises ``OSError``.
     """
     path = Path(path)
     try:
@@ -437,29 +505,11 @@ def load_trace(path) -> EpisodeTrace:
             f"{path}: line 1: schema_version {version!r} is not {TRACE_SCHEMA_VERSION!r}"
         )
     try:
-        config = header["config"]
-        scenario = from_json(ScenarioConfig, config["scenario"])
-        injections = tuple(from_json(DriftInjection, i) for i in config["injections"])
-        offload = from_json(OffloadConfig, config["offload"])
-        scenario.validate()
-        offload.validate()
-        for injection in injections:
-            validate_injection(injection, scenario.lane_count)
-        summary = from_json(Metrics, header["summary"])
-        remote = None
-        if "remote" in config:
-            block = config["remote"]
-            if type(block) is not dict:
-                raise TypeError(f"config.remote is {type(block).__name__}, not an object")
-            remote = block.get("base_url")
-            if type(remote) is not str:
-                raise TypeError(f"config.remote.base_url must be a string, got {remote!r}")
+        _reject_unknown(header, ("schema_version", "config", "seed", "summary"))
         seed = header["seed"]
-        if not _is_int(seed) or seed < 0:
-            raise TypeError(f"seed must be a non-negative integer, got {seed!r}")
-        steps = config["steps"]
-        if not _is_int(steps) or steps < 1:
-            raise TypeError(f"config.steps must be a positive integer, got {steps!r}")
+        _check_seed(seed)
+        summary = from_json(Metrics, header["summary"])
+        scenario, injections, offload, steps, endpoint = read_run(header["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: line 1: malformed header ({exc})") from exc
     decode = _codec(StepRecord)[1]
@@ -476,7 +526,7 @@ def load_trace(path) -> EpisodeTrace:
         records.append(record)
     if len(records) != steps:
         raise ValueError(
-            f"{path}: line 1: malformed header (config.steps is {steps}, "
+            f"{path}: line 1: malformed header (steps is {steps}, "
             f"but the trace has {len(records)} records)"
         )
     return EpisodeTrace(
@@ -487,5 +537,5 @@ def load_trace(path) -> EpisodeTrace:
         steps=steps,
         records=tuple(records),
         summary=summary,
-        remote_base_url=remote,
+        remote_base_url=endpoint.base_url if endpoint else None,
     )

@@ -443,6 +443,11 @@ class TestCmdValidate:
         ({"base_url": "file:///tmp"}, "remote: base_url"),
         # above threading.TIMEOUT_MAX the socket layer raises OverflowError
         ({"base_url": "http://localhost:9", "timeout_s": 1e300}, "remote: timeout_s"),
+        # the request would go to .../v1?key=abc/chat/completions
+        ({"base_url": "http://localhost:9/v1?key=abc"}, "remote: base_url"),
+        ({"base_url": "http://localhost:9/v1#top"}, "remote: base_url"),
+        # "no remote" is the absent key
+        (None, "remote: must be a JSON object"),
     ])
     def test_malformed_remote_rejected(self, tmp_path, capsys, remote, message):
         config = base_config(tmp_path)
@@ -463,6 +468,9 @@ class TestCmdValidate:
         ("injections", 5, "injections: must be a list"),
         ("injections", {"kind": "NewObstacle"}, "injections: must be a list"),
         ("modes", "EdgeOnly", "modes: must be a list"),
+        # ignored, a misspelled key would run offload.mode alone or no remote
+        ("mdoes", ["EdgeOnly", "CloudOnly"], "mdoes: unknown field"),
+        ("remtoe", {"base_url": "http://localhost:9"}, "remtoe: unknown field"),
     ])
     def test_malformed_top_level_fields_rejected(self, tmp_path, capsys, key, value, message):
         config = base_config(tmp_path)
@@ -719,6 +727,14 @@ class TestSummarizeHeaderAndRecordOrder:
         (["config", "steps"], 0),
         (["config", "steps"], 20.0),
         (["config", "steps"], True),
+        # the header config passes the checks of ecdrive validate
+        (["note"], "x"),
+        (["config", "seeds"], [0]),
+        (["config", "injections"], {}),
+        (["config", "injections"], ""),
+        (["config", "remote"], {"base_url": "ftp://x"}),
+        (["config", "remote"], {"base_url": "http://localhost:9/v1?key=abc"}),
+        (["config", "remote"], {"base_url": "http://localhost:9", "api_key": "x"}),
     ])
     def test_wrongly_typed_header_value_is_a_malformed_header(self, victim, capsys,
                                                               keys, value):

@@ -808,7 +808,7 @@ class TestTraceRoundTrip:
         header["config"]["remote"] = remote
         lines[0] = json.dumps(header)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"line 1: malformed header \(config\.remote"):
+        with pytest.raises(ValueError, match=r"line 1: malformed header \(remote: must be a JSON object"):
             load_trace(path)
 
     def test_non_utf8_text_names_the_file(self, tmp_path):

@@ -284,6 +284,10 @@ class TestEndpointConfig:
         ({"base_url": "http://[::1"}, "base_url"),
         ({"base_url": "http://localhost:port"}, "base_url"),
         ({"base_url": "http://localhost:9", "timeout_s": 1e300}, "timeout_s"),
+        # the request path is appended to the URL's text
+        ({"base_url": "http://localhost:9/v1?key=abc"}, "base_url"),
+        ({"base_url": "http://localhost:9/v1#top"}, "base_url"),
+        ({"base_url": "http://localhost:9/v1?"}, "base_url"),
     ])
     def test_invalid_fields_rejected(self, fields, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):

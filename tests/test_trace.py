@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ecdrive import (
@@ -31,7 +31,8 @@ from ecdrive import (
 )
 from ecdrive import trace as trace_module
 from ecdrive.cli import EXIT_OK, cmd_run
-from ecdrive.trace import TextMemo, load_trace, trace_lines, write_trace
+from ecdrive.highway import validate_injection
+from ecdrive.trace import TextMemo, load_trace, read_run, trace_lines, write_trace
 
 from scenarios import (
     corridor_config,
@@ -39,6 +40,9 @@ from scenarios import (
     drift_injections,
     offload_configs,
     open_highway_config,
+    runnable_injections,
+    runnable_offloads,
+    runnable_scenarios,
     scenario_configs,
 )
 
@@ -503,3 +507,51 @@ class TestStrictLoader:
     def test_an_untouched_trace_loads(self, tmp_path):
         path = _mutated_trace(tmp_path, 0, lambda data: None)
         assert len(load_trace(path).records) == 15
+
+
+def _validates(scenario, injections, offload) -> bool:
+    try:
+        scenario.validate()
+        offload.validate()
+        for injection in injections:
+            validate_injection(injection, scenario.lane_count)
+    except ValueError:
+        return False
+    return True
+
+
+_BASE_URLS = st.builds(
+    "{}://{}{}{}".format,
+    st.sampled_from(["http", "https"]),
+    st.sampled_from(["localhost", "127.0.0.1", "[::1]", "llm.example.com"]),
+    st.just("") | st.integers(0, 65535).map(":{}".format),
+    st.sampled_from(["", "/", "/v1", "/api/v1/"]),
+)
+
+
+class TestReadRun:
+    """A trace header's config is read by the reader of experiment files."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(scenario=runnable_scenarios(), injections=runnable_injections(),
+           offload=runnable_offloads(), steps=st.integers(1, 10**6),
+           base_url=st.none() | _BASE_URLS)
+    def test_a_header_config_reads_back_to_the_trace_config(
+        self, scenario, injections, offload, steps, base_url
+    ):
+        assume(_validates(scenario, injections, offload))
+        trace = EpisodeTrace(
+            scenario=scenario,
+            injections=tuple(injections),
+            offload=offload,
+            seed=0,
+            steps=steps,
+            records=(),
+            summary=Metrics(0.0, 50.0, 50.0, 0, 0, 1.0, 0.0),
+            remote_base_url=base_url,
+        )
+        config = json.loads(trace_lines(trace)[0])["config"]
+        *configs, endpoint = read_run(config)
+        assert configs == [scenario, tuple(injections), offload, steps]
+        assert (None if endpoint is None else endpoint.base_url) == base_url
