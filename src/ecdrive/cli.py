@@ -12,8 +12,9 @@ any other key is a config error.
 Exit codes: 0 success, 2 invalid config or empty glob, 3 I/O failure,
 4 malformed or inconsistent trace. Remote credentials are read from the
 EC_DRIVE_API_KEY environment variable only; config files and trace
-snapshots never carry secrets (the endpoint block is reduced to its
-base_url in trace headers).
+snapshots never carry secrets. A trace header holds the endpoint block as
+configured (base_url, model, timeout_s, role), and a base_url with a user
+name or password in it is a config error.
 """
 
 from __future__ import annotations

@@ -214,6 +214,11 @@ class Obstacle:
     extent_m: float
     kind: str = "debris"
 
+    @property
+    def radius(self) -> float:
+        """The center distance below which the ego overlaps it."""
+        return VEHICLE_LENGTH_M / 2.0 + self.extent_m / 2.0
+
 
 @dataclass(frozen=True, eq=False)
 class Scene:
@@ -533,11 +538,27 @@ def spawn_scenario(config: ScenarioConfig, seed: int) -> Scene:
     return scene
 
 
-# (lane to the left?, lane to the right?) -> legal actions, in a fixed order
+class _Effects(dict):
+    def __missing__(self, action):
+        raise ValueError(f"unknown action {action!r}")
+
+
+#: action -> (lane shift, first-step command in m/s^2), for the world and the
+#: planners alike; an action's value finds the same entry (``Action`` is a
+#: ``str`` enum) and any other key raises ``ValueError`` naming it.
+EFFECTS = _Effects({
+    Action.ACCELERATE: (0, ACCEL_CMD),
+    Action.DECELERATE: (0, DECEL_CMD),
+    Action.KEEP: (0, 0.0),
+    Action.LANE_CHANGE_LEFT: (1, 0.0),
+    Action.LANE_CHANGE_RIGHT: (-1, 0.0),
+})
+
+# (lane to the left?, lane to the right?) -> legal actions, in EFFECTS order
 _LEGAL_ACTIONS = {
-    (left, right): (Action.ACCELERATE, Action.DECELERATE, Action.KEEP)
-    + (Action.LANE_CHANGE_LEFT,) * left
-    + (Action.LANE_CHANGE_RIGHT,) * right
+    (left, right): tuple(
+        a for a, (shift, _) in EFFECTS.items() if shift == 0 or (left if shift > 0 else right)
+    )
     for left in (False, True)
     for right in (False, True)
 }
@@ -557,6 +578,10 @@ def _advance(speeds, commands, positions, v_max: float):
     clamp is ``min(max(v + a dt, 0.0), float(v_max))``, compared as the
     builtins do, so a speed clamped to an int ``v_max`` is a float too;
     when it does not bind this is exactly p' = p + v dt + a dt^2 / 2.
+
+    The world's integrator only: the planner's ``policies._track`` moves by
+    the trapezoid p + (v + v') dt / 2, which may differ in the last ulp, so
+    one formula for both would change trace bytes.
     """
     dt, v_max = DEFAULT_DT, float(v_max)
     new_speeds, new_positions, accels = [], [], []
@@ -573,35 +598,23 @@ def _advance(speeds, commands, positions, v_max: float):
     return tuple(new_speeds), tuple(new_positions), tuple(accels)
 
 
-def step(scene: Scene, action: Action) -> Scene:
+def step(scene: Scene, action: Action | str) -> Scene:
     """Advance the world one decision step of ``DEFAULT_DT`` with the ego
     executing ``action``.
 
     The step length is fixed because the planners in :mod:`ecdrive.policies`
     predict with the same ``DEFAULT_DT``. Lane changes complete within the
     step and preserve speed. Other vehicles relax toward their target speeds
-    plus ``scene.target_offset`` at +-1 m/s^2. Raises
-    :class:`IllegalLaneChange` for a lane change at the road edge.
+    plus ``scene.target_offset`` at +-1 m/s^2. ``action`` is read through
+    :data:`EFFECTS`. Raises :class:`IllegalLaneChange` for a lane change at
+    the road edge.
     """
     dt = DEFAULT_DT
     ego = scene.ego
-    lane = ego.lane
-    if action is Action.LANE_CHANGE_LEFT:
-        if lane >= scene.lane_count - 1:
-            raise IllegalLaneChange("already in the leftmost lane")
-        lane += 1
-        a_cmd = 0.0
-    elif action is Action.LANE_CHANGE_RIGHT:
-        if lane <= 0:
-            raise IllegalLaneChange("already in the rightmost lane")
-        lane -= 1
-        a_cmd = 0.0
-    elif action is Action.ACCELERATE:
-        a_cmd = ACCEL_CMD
-    elif action is Action.DECELERATE:
-        a_cmd = DECEL_CMD
-    else:
-        a_cmd = 0.0
+    shift, a_cmd = EFFECTS[action]
+    lane = ego.lane + shift
+    if shift and not 0 <= lane < scene.lane_count:
+        raise IllegalLaneChange(f"already in the {'left' if shift > 0 else 'right'}most lane")
 
     (v_new,), (p_new,), (a_eff,) = _advance((ego.speed,), (a_cmd,), (ego.position,), scene.v_max)
     new_ego = VehicleState(ego.id, lane, p_new, v_new, a_eff, ego.target_speed)
@@ -609,20 +622,31 @@ def step(scene: Scene, action: Action) -> Scene:
     return replace(scene, time=scene.time + dt, ego=new_ego, others=scene._moved_others)
 
 
+def overlaps(rel0: float, rel1: float, radius: float) -> bool:
+    """Did a body come within ``radius`` of the ego during a step that took
+    their relative position from ``rel0`` to ``rel1``: did it cross (a sign
+    change) or end either side within ``radius``? With ``rel0 == rel1`` and
+    ``radius * radius > 0`` this is ``abs(rel0) < radius``."""
+    if rel0 * rel1 <= 0:
+        return True
+    return min(abs(rel0), abs(rel1)) < radius
+
+
 def check_collision(scene: Scene) -> bool:
     """True iff the ego overlaps a same-lane vehicle or obstacle.
 
     Vehicles occupy +-2.5 m around their position, obstacles +-extent/2;
-    overlap is strict interval intersection.
+    overlap is strict interval intersection, :func:`overlaps` at an instant.
     """
     ego = scene.ego
     positions = scene.others.position
     for i in scene.others.by_lane.get(ego.lane, ()):
-        if abs(positions[i] - ego.position) < VEHICLE_LENGTH_M:
+        rel = positions[i] - ego.position
+        if overlaps(rel, rel, VEHICLE_LENGTH_M):
             return True
     for obs in scene.obstacles:
-        radius = VEHICLE_LENGTH_M / 2.0 + obs.extent_m / 2.0
-        if obs.lane == ego.lane and abs(obs.position - ego.position) < radius:
+        rel = obs.position - ego.position
+        if obs.lane == ego.lane and overlaps(rel, rel, obs.radius):
             return True
     return False
 

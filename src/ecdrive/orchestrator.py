@@ -173,7 +173,7 @@ class EpisodeTrace:
     steps: int
     records: tuple[StepRecord, ...]
     summary: Metrics
-    remote_base_url: str | None = None
+    endpoint: EndpointConfig | None = None
 
 
 def offload_rule(
@@ -533,7 +533,7 @@ def run_episodes(
             steps=steps,
             records=tuple(records),
             summary=aggregate_metrics(records, injections, episode.config.window),
-            remote_base_url=endpoint.base_url if endpoint else None,
+            endpoint=endpoint,
         ))
     return traces
 

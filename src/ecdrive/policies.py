@@ -47,9 +47,8 @@ from urllib.parse import urlsplit
 
 from .codec import GAP_SENTINEL, describe, parse_decision
 from .highway import (
-    ACCEL_CMD,
-    DECEL_CMD,
     DEFAULT_DT,
+    EFFECTS,
     EGO_ID,
     VEHICLE_LENGTH_M,
     Action,
@@ -59,6 +58,7 @@ from .highway import (
     lane_neighbors,
     legal_actions,
     nearest_neighbors,
+    overlaps,
 )
 
 logger = logging.getLogger(__name__)
@@ -137,6 +137,9 @@ class EndpointConfig:
                 "base_url must be an http(s) URL with a host, no query or fragment and,"
                 f" if any, a port in [0, 65535], got {self.base_url!r}"
             )
+        if url.username is not None or url.password is not None:  # traces hold it as it is
+            raise ValueError("base_url must hold no user name or password; put the"
+                             " bearer token in the EC_DRIVE_API_KEY environment variable")
         if not isinstance(self.model, str):
             raise ValueError(f"model must be a string, got {self.model!r}")
         timeout = self.timeout_s
@@ -152,6 +155,10 @@ class EndpointConfig:
 def _confidence(margin_m: float, kappa: float) -> float:
     delta = max(0.0, margin_m)
     return delta / (delta + kappa)
+
+
+def _edge(action: Action, rationale: list[str], margin_m: float) -> Decision:
+    return Decision(action, tuple(rationale), _confidence(margin_m, KAPPA_EDGE), "Edge")
 
 
 def edge_decide(scene: Scene) -> Decision:
@@ -170,7 +177,7 @@ def edge_decide(scene: Scene) -> Decision:
     gap_f = slots.front_same.gap if slots.front_same else GAP_SENTINEL
     rationale: list[str] = []
 
-    v_acc = min(v + ACCEL_CMD * DEFAULT_DT, scene.v_max)
+    v_acc = min(v + EFFECTS[Action.ACCELERATE][1] * DEFAULT_DT, scene.v_max)
     h_acc = gap_f / v_acc if v_acc > 0 else math.inf
     margin_headway = gap_f - T_HEADWAY * v
     # at the speed limit the clamp makes Accelerate step exactly as Keep does
@@ -182,12 +189,7 @@ def edge_decide(scene: Scene) -> Decision:
         f" -> {'yes' if ok else 'no'}."
     )
     if ok:
-        return Decision(
-            action=Action.ACCELERATE,
-            rationale=tuple(rationale),
-            confidence=_confidence(margin_headway, KAPPA_EDGE),
-            source="Edge",
-        )
+        return _edge(Action.ACCELERATE, rationale, margin_headway)
 
     h_keep = gap_f / v if v > 0 else math.inf
     ok = h_keep >= T_HEADWAY
@@ -195,15 +197,10 @@ def edge_decide(scene: Scene) -> Decision:
         f"Can keep speed? current headway {h_keep:.2f} s -> {'yes' if ok else 'no'}."
     )
     if ok:
-        return Decision(
-            action=Action.KEEP,
-            rationale=tuple(rationale),
-            confidence=_confidence(margin_headway, KAPPA_EDGE),
-            source="Edge",
-        )
+        return _edge(Action.KEEP, rationale, margin_headway)
 
     for side, action in (("left", Action.LANE_CHANGE_LEFT), ("right", Action.LANE_CHANGE_RIGHT)):
-        target_lane = ego.lane + 1 if side == "left" else ego.lane - 1
+        target_lane = ego.lane + EFFECTS[action][0]
         if not (0 <= target_lane < scene.lane_count):
             rationale.append(f"Can change lane {side}? no lane to the {side}.")
             continue
@@ -219,20 +216,30 @@ def edge_decide(scene: Scene) -> Decision:
         )
         if ok:
             margin = min(front_t - front_need, rear_t - G_MIN)
-            return Decision(
-                action=action,
-                rationale=tuple(rationale),
-                confidence=_confidence(margin, KAPPA_EDGE),
-                source="Edge",
-            )
+            return _edge(action, rationale, margin)
 
     rationale.append(f"Falling back to braking: front gap {gap_f:.1f} m.")
-    return Decision(
-        action=Action.DECELERATE,
-        rationale=tuple(rationale),
-        confidence=_confidence(gap_f - G_MIN, KAPPA_EDGE),
-        source="Edge",
-    )
+    return _edge(Action.DECELERATE, rationale, gap_f - G_MIN)
+
+
+def _track(p: float, v: float, accels, v_max: float) -> tuple[list[float], list[float]]:
+    """The positions and speeds of one body from ``p`` and ``v``, one step
+    per command in ``accels``, the current values first: each step clamps
+    the speed as ``highway._advance`` does and moves by the trapezoid
+    p + (v + v') dt / 2. A standing body (all 0.0) stays at ``p + 0.0``."""
+    dt = DEFAULT_DT
+    positions, speeds = [p], [v]
+    for a in accels:
+        v_new = v + a * dt
+        if 0.0 > v_new:
+            v_new = 0.0
+        if v_max < v_new:
+            v_new = v_max
+        p = p + 0.5 * (v + v_new) * dt
+        v = v_new
+        positions.append(p)
+        speeds.append(v)
+    return positions, speeds
 
 
 def _predict_hazards(scene: Scene, lanes) -> Iterator[tuple[int, int, float, list[float]]]:
@@ -244,65 +251,31 @@ def _predict_hazards(scene: Scene, lanes) -> Iterator[tuple[int, int, float, lis
     it, as ``(index, lane, radius, track)``: its entity index (vehicles in
     column order, then obstacles), its radius (the center distance below
     which the ego overlaps it) and its ``HORIZON + 1`` positions, the
-    current one first. Vehicles keep their current acceleration, clamped
-    by the comparisons :func:`_ego_paths` and ``highway._advance`` use, in
-    the builtin ``min``/``max`` order; obstacles stay put.
+    current one first. Vehicles keep their current acceleration; obstacles
+    stand still.
     """
-    dt, v_max = DEFAULT_DT, scene.v_max
+    v_max, still = scene.v_max, (0.0,) * HORIZON
     others, obstacles = scene.others, scene.obstacles
     positions, speeds, accels = others.position, others.speed, others.accel
     n_vehicles = len(speeds)
     for lane in lanes:
         for i in others.by_lane.get(lane, ()):
-            p, v = positions[i], speeds[i]
-            dv = accels[i] * dt
-            track = [p]
-            for _ in range(HORIZON):
-                # min(max(v + a * dt, 0.0), v_max), compared as the builtins do
-                v_new = v + dv
-                if 0.0 > v_new:
-                    v_new = 0.0
-                if v_max < v_new:
-                    v_new = v_max
-                p = p + 0.5 * (v + v_new) * dt
-                v = v_new
-                track.append(p)
+            track = _track(positions[i], speeds[i], (accels[i],) * HORIZON, v_max)[0]
             yield i, lane, VEHICLE_LENGTH_M, track
         for j, obs in enumerate(obstacles):
             if obs.lane == lane:
-                # p + 0.5 * (0.0 + 0.0) * dt: a standing obstacle moves by +0.0
-                track = [obs.position] + [obs.position + 0.0] * HORIZON
-                yield n_vehicles + j, lane, VEHICLE_LENGTH_M / 2.0 + obs.extent_m / 2.0, track
-
-
-def _segment_hits(rel0: float, rel1: float, radius: float) -> bool:
-    """Did the relative position cross within ``radius`` during the step?"""
-    if rel0 * rel1 <= 0:
-        return True
-    return min(abs(rel0), abs(rel1)) < radius
+                yield n_vehicles + j, lane, obs.radius, _track(obs.position, 0.0, still, v_max)[0]
 
 
 def _ego_paths(scene: Scene) -> dict[float, tuple[list[float], list[float]]]:
     """The ego's positions and speeds, ``HORIZON + 1`` of each, for every
-    first-step command (then holding speed), had nothing been hit."""
-    dt, v_max = DEFAULT_DT, scene.v_max
-    paths = {}
-    for first_cmd in (0.0, ACCEL_CMD, DECEL_CMD):
-        v, p, a_cmd = scene.ego.speed, scene.ego.position, first_cmd
-        positions, speeds = [p], [v]
-        for _ in range(HORIZON):
-            # min(max(v + a_cmd * dt, 0.0), v_max), compared as the builtins do
-            v_new = v + a_cmd * dt
-            if 0.0 > v_new:
-                v_new = 0.0
-            if v_max < v_new:
-                v_new = v_max
-            p = p + 0.5 * (v + v_new) * dt
-            v, a_cmd = v_new, 0.0
-            positions.append(p)
-            speeds.append(v)
-        paths[first_cmd] = positions, speeds
-    return paths
+    first-step command of :data:`EFFECTS` (then holding speed), had nothing
+    been hit."""
+    ego, hold = scene.ego, (0.0,) * (HORIZON - 1)
+    return {
+        command: _track(ego.position, ego.speed, (command, *hold), scene.v_max)
+        for command in dict.fromkeys(command for _, command in EFFECTS.values())
+    }
 
 
 class _HazardPlan(NamedTuple):
@@ -320,15 +293,12 @@ class _HazardPlan(NamedTuple):
     listed: list[int]
 
 
-_FIRST_CMD = {Action.ACCELERATE: ACCEL_CMD, Action.DECELERATE: DECEL_CMD}
-
-
 def _plan_hazards(scene: Scene) -> _HazardPlan:
     """Predict the hazards in the lanes the ego can reach (its own and the
     two beside it) once, and sort each lane's against the ego's reach.
 
-    The ego's uncollided path depends only on its first-step command (0,
-    ``ACCEL_CMD`` or ``DECEL_CMD``; lane changes keep speed), and a rollout
+    The ego's uncollided path depends only on its first-step command (one
+    of :data:`EFFECTS`; lane changes keep speed), and a rollout
     checks hazards only at positions on that path, so every check of
     every candidate looks at an ego position in ``[e_lo, e_hi]``, the range
     of the three paths. A hazard in a lane the ego can reach, with radius
@@ -392,7 +362,7 @@ def _plan_hazards(scene: Scene) -> _HazardPlan:
 
 
 def rollout_cost(
-    scene: Scene, action: Action, hazards: _HazardPlan | None = None
+    scene: Scene, action: Action | str, hazards: _HazardPlan | None = None
 ) -> RolloutResult:
     """Predict ``HORIZON`` steps of executing ``action`` then holding speed.
 
@@ -406,20 +376,17 @@ def rollout_cost(
     cost = 1000 * [collision] + (v_max - mean ego speed)
          + 2 * [lane change] + 50 * max(0, T_h - min headway) / T_h.
     Illegal lane changes cost infinity and are excluded from planning.
+    ``action`` is read through :data:`EFFECTS`.
     """
-    if action not in legal_actions(scene):
+    shift, command = EFFECTS[action]
+    ego_lane = scene.ego.lane + shift
+    if shift and not 0 <= ego_lane < scene.lane_count:
         return RolloutResult(action, math.inf, 0.0, False)
     if hazards is None:
         hazards = _plan_hazards(scene)
-
-    ego_lane = scene.ego.lane
-    if action is Action.LANE_CHANGE_LEFT:
-        ego_lane += 1
-    elif action is Action.LANE_CHANGE_RIGHT:
-        ego_lane -= 1
     near = hazards.near.get(ego_lane, ())
     ahead = hazards.ahead.get(ego_lane)
-    positions, speeds = hazards.paths[_FIRST_CMD.get(action, 0.0)]
+    positions, speeds = hazards.paths[command]
 
     collided = False
     min_gap = GAP_SENTINEL
@@ -431,7 +398,7 @@ def rollout_cost(
         front = []
         for radius, track in near:
             rel_new = track[k + 1] - ego_p_new
-            if _segment_hits(track[k] - ego_p, rel_new, radius):
+            if overlaps(track[k] - ego_p, rel_new, radius):
                 collided = True
                 break
             if track[k + 1] >= ego_p_new:
@@ -454,11 +421,10 @@ def rollout_cost(
 
     mean_speed = speed_sum / HORIZON
     headway_term = 0.0 if math.isinf(min_headway) else max(0.0, T_HEADWAY - min_headway) / T_HEADWAY
-    is_lc = action in (Action.LANE_CHANGE_LEFT, Action.LANE_CHANGE_RIGHT)
     cost = (
         W_COLLISION * collided
         + W_SPEED * (scene.v_max - mean_speed)
-        + W_LANE_CHANGE * is_lc
+        + W_LANE_CHANGE * (shift != 0)
         + W_HEADWAY * headway_term
     )
     return RolloutResult(action, cost, min_gap, collided)

@@ -5,7 +5,9 @@ summary), then one object per step record. The config snapshot is a run's
 description, read by :func:`read_run`, the reader of experiment files too,
 so a header passes exactly the checks ``ecdrive validate`` makes. The
 loader also requires a non-negative integer seed, no other header key, and
-``steps`` records whose ``step`` values run 0, 1, ... in order.
+``steps`` records whose ``step`` values run 0, 1, ... in order and whose
+``offload_reason`` is one of ``orchestrator.REASONS``. A run with a remote
+endpoint writes its whole ``remote`` block into the header.
 
 The header is written by ``json``. Each step record is written by a text
 writer generated once per dataclass from the same type hints
@@ -49,7 +51,7 @@ import numpy as np
 
 from .highway import DriftInjection, ScenarioConfig, validate_injection
 from .orchestrator import (
-    EpisodeTrace, Metrics, OffloadConfig, StepRecord, _check_seed, _check_steps,
+    REASONS, EpisodeTrace, Metrics, OffloadConfig, StepRecord, _check_seed, _check_steps,
 )
 from .policies import EndpointConfig
 
@@ -439,8 +441,8 @@ def trace_lines(trace: EpisodeTrace, texts: TextMemo | None = None) -> list[str]
         "offload": to_json(trace.offload),
         "steps": trace.steps,
     }
-    if trace.remote_base_url is not None:
-        config["remote"] = {"base_url": trace.remote_base_url}
+    if trace.endpoint is not None:
+        config["remote"] = to_json(trace.endpoint)
     header = {
         "schema_version": TRACE_SCHEMA_VERSION,
         "config": config,
@@ -484,9 +486,10 @@ def load_trace(path) -> EpisodeTrace:
     ``schema_version`` is missing or not ``TRACE_SCHEMA_VERSION``, a
     header with a key other than ``schema_version``, ``config``, ``seed``
     and ``summary``, a wrong seed or summary, a ``config`` that
-    :func:`read_run` rejects, a record whose ``step`` is out of order
-    (named on its line), or a record count other than ``steps`` (named on
-    line 1). A file that cannot be read raises ``OSError``.
+    :func:`read_run` rejects, a record whose ``step`` is out of order or
+    whose ``offload_reason`` is not one of ``orchestrator.REASONS`` (named
+    on its line), or a record count other than ``steps`` (named on line 1).
+    A file that cannot be read raises ``OSError``.
     """
     path = Path(path)
     try:
@@ -521,6 +524,8 @@ def load_trace(path) -> EpisodeTrace:
             record = decode(json.loads(line))
             if record.step != len(records):
                 raise ValueError(f"step is {record.step}, not {len(records)}")
+            if record.offload_reason not in REASONS:
+                raise ValueError(f"offload_reason {record.offload_reason!r} not in {REASONS}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: line {lineno}: malformed record ({exc})") from exc
         records.append(record)
@@ -537,5 +542,5 @@ def load_trace(path) -> EpisodeTrace:
         steps=steps,
         records=tuple(records),
         summary=summary,
-        remote_base_url=endpoint.base_url if endpoint else None,
+        endpoint=endpoint,
     )

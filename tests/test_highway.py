@@ -24,12 +24,13 @@ from ecdrive import (
     featurize,
     inject_drift,
     lane_neighbors,
+    legal_actions,
     nearest_neighbors,
     spawn_scenario,
     step,
 )
 
-from ecdrive import highway
+from ecdrive import highway, policies
 from ecdrive.highway import (
     ACCEL_CMD,
     DECEL_CMD,
@@ -391,7 +392,7 @@ class TestAdvance:
             assert _reprs(v1, p1, a1) == _reprs(*moved)
             ego_scene = Scene(time=0.0, lane_count=1, ego=VehicleState(0, 0, p, v),
                               v_max=scene.v_max)
-            with mock.patch.object(highway, "ACCEL_CMD", command):
+            with mock.patch.dict(highway.EFFECTS, {Action.ACCELERATE: (0, command)}):
                 ego = step(ego_scene, Action.ACCELERATE).ego
             assert _reprs(ego.speed, ego.position, ego.accel) == _reprs(*moved)
 
@@ -404,6 +405,36 @@ class TestAdvance:
         for (v, a, p), *got in zip(inputs, speeds, positions, accels):
             assert _reprs(*got) == _reprs(*_oracle_advance(v, a, p, v_max))
             assert repr(got[0]) == repr(min(max(v + a * DEFAULT_DT, 0.0), v_max))
+
+
+class TestEffects:
+    """``highway.EFFECTS`` is the one table of what each action does, read
+    by the world and the planner alike."""
+
+    def test_an_unknown_action_raises_value_error_naming_it(self):
+        scene = _ego_scene(20.0, lane=1, lane_count=3)
+        with pytest.raises(ValueError, match="'Fly'"):
+            step(scene, "Fly")
+        with pytest.raises(ValueError, match="'Fly'"):
+            highway.EFFECTS["Fly"]
+
+    def test_an_action_value_steps_as_the_action(self):
+        scene = _ego_scene(20.0, lane=1, lane_count=3)
+        for action in Action:
+            assert_same_scene(step(scene, action.value), step(scene, action))
+        with pytest.raises(IllegalLaneChange):
+            step(_ego_scene(20.0, lane=0), Action.LANE_CHANGE_RIGHT.value)
+
+    @settings(max_examples=80, deadline=None)
+    @given(scene=random_scenes())
+    def test_step_moves_the_ego_by_its_effect_and_as_the_planner_predicts(self, scene):
+        paths = policies._ego_paths(scene)
+        for action in legal_actions(scene):
+            shift, command = highway.EFFECTS[action]
+            ego = step(scene, action).ego
+            assert ego.lane == scene.ego.lane + shift
+            # bit for bit: same type and repr, which tells -0.0 from 0.0
+            assert _reprs(ego.speed) == _reprs(paths[command][1][1])
 
 
 def _collision_oracle(ego_pos: float, other_pos: float, half_a: float, half_b: float) -> bool:

@@ -26,7 +26,7 @@ from ecdrive import (
 )
 from ecdrive import policies
 from ecdrive.codec import GAP_SENTINEL
-from ecdrive.highway import ACCEL_CMD, DECEL_CMD, DEFAULT_DT, VEHICLE_LENGTH_M
+from ecdrive.highway import ACCEL_CMD, DECEL_CMD, DEFAULT_DT, VEHICLE_LENGTH_M, overlaps
 from ecdrive.policies import (
     G_MIN,
     HORIZON,
@@ -36,7 +36,6 @@ from ecdrive.policies import (
     W_LANE_CHANGE,
     W_SPEED,
     RolloutResult,
-    _segment_hits,
 )
 
 from scenarios import (
@@ -187,6 +186,19 @@ class TestRolloutCost:
         result = rollout_cost(empty_road(10.0, lane=0), Action.LANE_CHANGE_RIGHT)
         assert math.isinf(result.cost)
 
+    def test_an_action_value_plans_as_the_action(self):
+        # a slow leader ahead in the ego's lane 1 of 3; lanes 0 and 2 are open
+        scene = Scene(time=0.0, lane_count=3,
+                      ego=VehicleState(id=0, lane=1, position=0.0, speed=20.0),
+                      others=(VehicleState(id=1, lane=1, position=30.0, speed=5.0),))
+        for action in Action:
+            assert rollout_cost(scene, action.value) == rollout_cost(scene, action)
+        assert not rollout_cost(scene, "LaneChangeLeft").collision_predicted
+
+    def test_an_unknown_action_raises_value_error_naming_it(self):
+        with pytest.raises(ValueError, match="'Fly'"):
+            rollout_cost(empty_road(10.0, lane=1), "Fly")
+
     def test_following_at_safe_headway_not_flagged(self):
         scene = Scene(
             time=0.0, lane_count=1,
@@ -255,7 +267,7 @@ def _oracle_rollout(scene: Scene, action: Action, hazards=None,
             for ent, pos, pos_new in zip(entities, positions, new_positions):
                 if ent.lane != ego_lane:
                     continue
-                if _segment_hits(pos - ego_p, pos_new - ego_p_new, ent.radius):
+                if overlaps(pos - ego_p, pos_new - ego_p_new, ent.radius):
                     collided = True
                     ego_v_new = 0.0
                     break
@@ -632,7 +644,7 @@ def _true_swept_collision(scene: Scene, action: Action, horizon: int = 3) -> boo
                 continue
             rel0 = before.position - current.ego.position
             rel1 = after.position - nxt.ego.position
-            if _segment_hits(rel0, rel1, 5.0):
+            if overlaps(rel0, rel1, 5.0):
                 return True
         if check_collision(nxt):
             return True
