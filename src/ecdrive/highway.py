@@ -472,12 +472,29 @@ class ScenarioConfig:
         if self.n_random_vehicles > 0 and hi > self.v_max:
             raise ScenarioError(f"speed_range upper bound {hi} exceeds v_max {self.v_max}")
         for vehicle in self.fixed_others:
+            if not (0 <= vehicle.lane < self.lane_count):
+                raise ScenarioError(
+                    f"vehicle {vehicle.id} lane {vehicle.lane} out of range "
+                    f"for {self.lane_count} lanes"
+                )
+            if vehicle.speed < 0:
+                raise ScenarioError(f"vehicle {vehicle.id} speed {vehicle.speed} must be >= 0")
             if vehicle.speed > self.v_max:
                 raise ScenarioError(
                     f"vehicle {vehicle.id} speed {vehicle.speed} exceeds v_max {self.v_max}"
                 )
-        if self.spawn_span[1] < self.spawn_span[0]:
+        near, far = self.spawn_span
+        if far < near:
             raise ScenarioError("spawn_span must be ordered")
+        # a random vehicle is placed at ego_position + uniform(near, far)
+        if not math.isfinite(far - near):
+            raise ScenarioError(f"spawn_span width must be finite, got {self.spawn_span!r}")
+        for i, bound in enumerate(self.spawn_span):
+            if not math.isfinite(self.ego_position + bound):
+                raise ScenarioError(
+                    f"ego_position + spawn_span[{i}] must be finite, got "
+                    f"{self.ego_position!r} + {bound!r}"
+                )
         for lane in self.spawn_lanes or ():
             if not (0 <= lane < self.lane_count):
                 raise ScenarioError(f"spawn lane {lane} out of range")

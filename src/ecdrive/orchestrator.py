@@ -5,7 +5,9 @@ sliding feature window and, together with the confidence gate, decides
 whether the step escalates to the cloud, whose decision overrides the
 edge's for execution. Latency and uplink bytes are accounted from
 configured constants so seeded experiments are machine independent; only
-measured remote calls record wall-clock time.
+remote calls record wall-clock time: an answer costs its own, and a failed
+call costs the attempt plus the configured cost of the local policy that
+stands in.
 
 Injections never mutate the persistent world: the effective scene of a step
 is the pristine scene with the active injections overlaid, and only the
@@ -14,12 +16,14 @@ Obstacles, the traffic target offset and the noise level therefore come
 from the pristine scene again on the next step, so an obstacle vanishes,
 traffic targets revert and noise stops once their window closes.
 
-The episodes of a seed rest on one :func:`burn_in`: ``n_ref`` injection-free
-steps of the local edge policy from the seed's initial scene, kept scene by
-scene. Every detector is fitted to its features, every episode starts from
-its first scene, and an episode that stands on a scene equal to one of
-its scenes at a step with no injection overlaid takes over that step's
-feature, edge decision and stepped successor instead of computing them.
+The episodes of a seed rest on one burn-in: an injection-free EdgeOnly
+episode of ``n_ref`` steps from the seed's initial scene, run by the same
+step function as every other episode, with each step's results kept.
+Every detector is fitted to its features, every episode starts from its
+first scene, and an episode that stands on a scene equal to one of its
+scenes at a step with no injection overlaid takes over that step's
+feature, collision, edge decision and stepped successor instead of
+computing them.
 
 Drift reports are memoized by window content for the length of one
 :func:`run_episodes` call. Each distinct feature vector, by its bytes, is
@@ -217,23 +221,28 @@ def _next_scene(scene: Scene, effective: Scene, action: Action) -> Scene:
     return replace(scene, time=advanced.time, ego=advanced.ego, others=advanced.others)
 
 
-def _timed_remote(scene: Scene, endpoint: EndpointConfig, fallback) -> tuple[Decision, float]:
-    """Call the remote endpoint, falling back to ``fallback``, the local
-    policy of the endpoint's role.
+def _decide_role(entry: dict, role: str, local, local_ms: float, effective: Scene,
+            endpoint: EndpointConfig | None) -> tuple[Decision, float]:
+    """The decision of ``role`` ("Edge" or "Cloud") on ``effective`` and
+    the milliseconds it costs.
 
-    Returns the decision and the measured wall-clock milliseconds; a timed
-    out request accounts for exactly the configured timeout.
+    The local policy ``local`` decides once per ``entry`` and costs its
+    configured ``local_ms``. An endpoint of the role is asked instead, and
+    its answer costs its wall-clock time. If it fails, the local decision
+    stands in and costs the attempt (its wall-clock time, or the endpoint's
+    timeout if it timed out) plus ``local_ms``.
     """
+    if endpoint is None or endpoint.role != role:
+        return _shared(entry, role, local, effective), local_ms
     start = time.perf_counter()
     try:
-        decision = remote_decide(scene, endpoint)
-        return decision, (time.perf_counter() - start) * 1000.0
+        return remote_decide(effective, endpoint), (time.perf_counter() - start) * 1000.0
     except (RemoteUnavailable, NoDecisionFound) as exc:
-        elapsed = (time.perf_counter() - start) * 1000.0
+        attempt = (time.perf_counter() - start) * 1000.0
         if isinstance(exc, RemoteUnavailable) and exc.timed_out:
-            elapsed = endpoint.timeout_s * 1000.0
-        logger.warning("remote %s failed, using local policy: %s", endpoint.role, exc)
-        return fallback(scene), elapsed
+            attempt = endpoint.timeout_s * 1000.0
+        logger.warning("remote %s failed, using local policy: %s", role, exc)
+        return _shared(entry, role, local, effective), attempt + local_ms
 
 
 def _is_seed(value) -> bool:
@@ -250,58 +259,6 @@ def _check_steps(steps) -> None:
     """The one rule for an episode's step count, wherever one is read."""
     if not _is_int(steps) or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class BurnIn:
-    """The injection-free trajectory of the local edge policy from a seed's
-    initial scene, as :func:`burn_in` makes it.
-
-    Step ``k`` stands on ``scenes[k]``, observes ``features[k]``, decides
-    ``edges[k]`` and steps to ``scenes[k + 1]``, so there is one scene more
-    than steps. Its scenes, feature vectors and decisions are immutable, so
-    the episodes of :func:`run_episodes` take them over as they are."""
-
-    scenes: tuple[Scene, ...]
-    features: tuple[np.ndarray, ...]
-    edges: tuple[Decision, ...]
-
-    def entry(self, index: int, injections: tuple[DriftInjection, ...]) -> dict | None:
-        """Step ``index`` of the burn-in as an entry of :func:`_entry_of`;
-        None past its end and where an injection overlays its scene."""
-        if index >= len(self.edges):
-            return None
-        scene, edge = self.scenes[index], self.edges[index]
-        if _apply_injections(scene, injections, index) is not scene:
-            return None
-        return {
-            "scene": scene,
-            "effective": scene,
-            "feature": self.features[index],
-            "edge": edge,
-            ("step", edge.action): self.scenes[index + 1],
-        }
-
-
-def burn_in(scenario: ScenarioConfig, n_ref: int, seed: int) -> BurnIn:
-    """Run ``n_ref`` injection-free steps of the local edge policy from the
-    seed's initial scene.
-
-    The burn-in depends on neither the mode nor any detector or latency
-    setting: every episode of the seed starts from its first scene, and
-    every detector of the seed is fitted to a prefix of its features (see
-    :func:`run_episodes`)."""
-    _check_seed(seed)
-    if not _is_int(n_ref) or n_ref < 0:
-        raise ValueError(f"n_ref must be a non-negative integer, got {n_ref!r}")
-    scene = spawn_scenario(scenario, seed)
-    scenes, features, edges = [scene], [], []
-    for _ in range(n_ref):
-        features.append(featurize(scene))
-        edges.append(edge_decide(scene))
-        scene = step(scene, edges[-1].action)
-        scenes.append(scene)
-    return BurnIn(tuple(scenes), tuple(features), tuple(edges))
 
 
 def _detector_settings(config: OffloadConfig) -> tuple:
@@ -339,7 +296,7 @@ class _Episode:
     its features oldest first, to its report, for every episode of the call
     with this detector."""
 
-    def __init__(self, config: OffloadConfig, detector: DriftDetector, memo: dict,
+    def __init__(self, config: OffloadConfig, detector: DriftDetector | None, memo: dict,
                  interned: dict[bytes, int], scene: Scene, seed: int):
         self.config = config
         self.detector = detector
@@ -372,10 +329,8 @@ class _Episode:
         own = entry if not effective.noise_sigma > 0 else {}
         feature = _shared(own, "feature", featurize, effective, self.noise_rng)
 
-        if endpoint is not None and endpoint.role == "Edge":
-            edge, edge_latency = _timed_remote(effective, endpoint, edge_decide)
-        else:
-            edge, edge_latency = _shared(entry, "edge", edge_decide, effective), config.edge_ms
+        edge, edge_latency = _decide_role(entry, "Edge", edge_decide, config.edge_ms,
+                                          effective, endpoint)
 
         self.features.append(feature)
         interned = self.interned
@@ -397,11 +352,9 @@ class _Episode:
         cloud: Decision | None = None
         cloud_latency = 0.0
         if offloaded:
-            if endpoint is not None and endpoint.role == "Cloud":
-                cloud, cloud_latency = _timed_remote(effective, endpoint, cloud_decide)
-            else:
-                cloud = _shared(entry, "cloud", cloud_decide, effective)
-                cloud_latency = config.rtt_ms + config.cloud_ms
+            cloud, cloud_latency = _decide_role(entry, "Cloud", cloud_decide,
+                                                config.rtt_ms + config.cloud_ms, effective,
+                                                endpoint)
 
         executed = cloud.action if cloud is not None else edge.action
         if executed not in legal_actions(effective):
@@ -449,6 +402,22 @@ class _Episode:
         ]
 
 
+def _burn_in(start: Scene, n_ref: int, seed: int,
+             interned: dict[bytes, int]) -> tuple[list[np.ndarray], list[dict]]:
+    """Run ``n_ref`` steps of an injection-free EdgeOnly episode from
+    ``start``, with no endpoint.
+
+    Returns its features and the entry of each step: the results the step
+    found for its scene (see :meth:`_Episode.advance`), which an episode of
+    :func:`run_episodes` that stands on the same scene takes over."""
+    burn = _Episode(OffloadConfig(mode="EdgeOnly"), None, {}, interned, start, seed)
+    entries = []
+    for index in range(n_ref):
+        entries.append({"scene": burn.scene})
+        burn.advance(index, (), None, entries[-1])
+    return burn.features, entries
+
+
 def run_episodes(
     scenario: ScenarioConfig,
     injections,
@@ -461,20 +430,24 @@ def run_episodes(
     each, in the order of ``configs``, each equal byte for byte to the one
     :func:`run_episode` gives for its config alone.
 
-    The episodes rest on one :func:`burn_in` of the largest ``n_ref`` of
-    ``configs``. Each distinct detector setting is fitted once, to the
-    first ``n_ref`` features of the burn-in, and stays frozen. Every
-    episode starts from the burn-in's first scene.
+    The seed's initial scene is spawned once. The episodes rest on one
+    burn-in from it (:func:`_burn_in`): an injection-free EdgeOnly episode
+    of the largest ``n_ref`` of ``configs`` steps, with no endpoint. Each
+    distinct detector setting is fitted once, to the first ``n_ref``
+    features of the burn-in, and stays frozen. Every episode starts from
+    the initial scene.
 
     At each step index the pure per-scene calls (the injection overlay,
     :func:`check_collision`, a noiseless :func:`featurize`, the local
     :func:`edge_decide` and :func:`cloud_decide`, and :func:`step` for each
     executed action) run once per distinct scene, into the entry
     :func:`_entry_of` finds among the burn-in's step, if no injection
-    overlays it, and the entries of the episodes before. The drift test,
-    the offload rule, a noisy feature (drawn from the episode's own rng)
-    and every remote call stay each episode's own; a remote failure
-    degrades to the local policy of its role and never aborts.
+    overlays its scene, and the entries of the episodes before. A burn-in
+    step's entry is dropped once its index has run, so its scene is freed.
+    The drift test, the offload rule, a noisy feature (drawn from the
+    episode's own rng) and every remote call stay each episode's own; a
+    remote failure degrades to the local policy of its role and never
+    aborts.
 
     The episodes that share a fitted detector share a memo of its drift
     reports, keyed by window content (see the module docstring). Only a
@@ -496,13 +469,17 @@ def run_episodes(
     if endpoint is not None:
         endpoint.validate()
 
-    burn = burn_in(scenario, max((config.n_ref for config in configs), default=0), seed)
+    start = spawn_scenario(scenario, seed)
+    interned: dict[bytes, int] = {}
+    features, entries = _burn_in(
+        start, max((config.n_ref for config in configs), default=0), seed, interned
+    )
     detectors = {}
     for config in configs:
         settings = _detector_settings(config)
         if settings not in detectors:
             detectors[settings] = fit(
-                burn.features[: config.n_ref],
+                features[: config.n_ref],
                 method=config.method,
                 alpha=config.alpha,
                 window=config.window,
@@ -510,17 +487,20 @@ def run_episodes(
                 n_perm=config.n_perm,
             )
 
-    interned: dict[bytes, int] = {}
     memos = {settings: {} for settings in detectors}
     episodes = [
-        _Episode(c, detectors[s], memos[s], interned, burn.scenes[0], seed)
+        _Episode(c, detectors[s], memos[s], interned, start, seed)
         for c, s in zip(configs, map(_detector_settings, configs))
     ]
     for index in range(steps):
-        reused = burn.entry(index, injections)
-        entries = [] if reused is None else [reused]
+        candidates = []
+        if index < len(entries):
+            scene = entries[index]["scene"]
+            if _apply_injections(scene, injections, index) is scene:
+                candidates.append(entries[index])
+            entries[index] = None  # each burn-in scene is freed once passed
         for episode in episodes:
-            episode.advance(index, injections, endpoint, _entry_of(episode.scene, entries))
+            episode.advance(index, injections, endpoint, _entry_of(episode.scene, candidates))
 
     traces = []
     for episode in episodes:

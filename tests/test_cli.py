@@ -427,6 +427,32 @@ class TestCmdValidate:
         err = capsys.readouterr().err
         assert "seed 0" in err and "spawn_span" in err
 
+    @pytest.mark.parametrize("scenario, message", [
+        # numpy's uniform overflows on an infinitely wide span
+        ({"n_random_vehicles": 2, "speed_range": [5.0, 9.0], "spawn_span": [-1e308, 1e308]},
+         "spawn_span width must be finite, got (-1e+308, 1e+308)"),
+        # a vehicle placed near the far end is off the number line on some seeds
+        ({"n_random_vehicles": 2, "speed_range": [5.0, 9.0], "spawn_span": [0.0, 1e308],
+          "ego_position": 1e308},
+         "ego_position + spawn_span[1] must be finite, got 1e+308 + 1e+308"),
+        ({"fixed_others": [{"id": 1, "lane": 7, "position": 100.0, "speed": 5.0}]},
+         "vehicle 1 lane 7 out of range for 1 lanes"),
+        ({"fixed_others": [{"id": 1, "lane": -1, "position": 100.0, "speed": 5.0}]},
+         "vehicle 1 lane -1 out of range for 1 lanes"),
+        ({"fixed_others": [{"id": 1, "lane": 0, "position": 100.0, "speed": -3.0}]},
+         "vehicle 1 speed -3.0 must be >= 0"),
+    ])
+    def test_scenario_errors_are_found_before_a_spawn(self, tmp_path, capsys, scenario,
+                                                      message):
+        config = base_config(tmp_path)
+        config["scenario"].update(scenario)
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: scenario: {message}\n"
+        assert cmd_run(str(path)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: scenario: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("remote, message", [
         ({"base_url": "http://localhost:9", "timeout_s": "10"}, "remote: timeout_s"),
         (["x"], "remote: must be a JSON object"),

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from ecdrive import (
     MODES,
     Action,
-    BurnIn,
     Decision,
     DriftInjection,
     DriftReport,
@@ -22,7 +21,6 @@ from ecdrive import (
     SlidingWindow,
     StepRecord,
     aggregate_metrics,
-    burn_in,
     fit,
     legal_actions,
     load_trace,
@@ -186,8 +184,6 @@ class TestRunEpisodeModes:
         cfg = OffloadConfig(mode="EdgeOnly", n_ref=60, window=20)
         message = f"seed must be a non-negative integer, got {seed!r}"
         with pytest.raises(ValueError, match=message):
-            burn_in(corridor_config(), cfg.n_ref, seed=seed)
-        with pytest.raises(ValueError, match=message):
             run_episode(corridor_config(), (), cfg, seed=seed, steps=5)
 
     @pytest.mark.parametrize("field", ["edge_ms", "cloud_ms", "rtt_ms"])
@@ -255,19 +251,33 @@ class TestRunEpisodeModes:
         assert all(r is not None for r in reports[11:])
 
 
-def _made_burn_ins(monkeypatch) -> list[BurnIn]:
-    """Every burn-in the loop makes from now on, in order."""
+def _made_burn_ins(monkeypatch) -> list[tuple[list[np.ndarray], list[dict]]]:
+    """Every burn-in the loop makes from now on, in order: its features and
+    a copy of its entries, as the loop drops each entry once it has passed it."""
     made = []
-    real = orchestrator.burn_in
-    monkeypatch.setattr(orchestrator, "burn_in",
-                        lambda *args: made.append(real(*args)) or made[-1])
+    real = orchestrator._burn_in
+
+    def burn_in(*args):
+        features, entries = real(*args)
+        made.append((features, list(entries)))
+        return features, entries
+
+    monkeypatch.setattr(orchestrator, "_burn_in", burn_in)
     return made
+
+
+def _burn_in_features(scenario, n_ref: int, seed: int) -> list[np.ndarray]:
+    """The features of the seed's burn-in: an injection-free EdgeOnly
+    episode of ``n_ref`` steps."""
+    trace = run_episode(scenario, (), OffloadConfig(mode="EdgeOnly", n_ref=n_ref), seed,
+                        steps=n_ref)
+    return [record.feature for record in trace.records]
 
 
 def _fitted(scenario, config: OffloadConfig, seed: int):
     """The detector ``run_episodes`` fits for ``config``: fitted to the
     features of the seed's burn-in."""
-    return fit(burn_in(scenario, config.n_ref, seed).features, method=config.method,
+    return fit(_burn_in_features(scenario, config.n_ref, seed), method=config.method,
                alpha=config.alpha, window=config.window, seed=seed, n_perm=config.n_perm)
 
 
@@ -428,7 +438,8 @@ class TestRunEpisodes:
         # one burn-in per call: for all episodes in lockstep, for each one alone
         burn_of = burns * len(traces) if lockstep else list(burns)
         reused = len(calls)
-        monkeypatch.setattr(BurnIn, "entry", lambda self, index, injections: None)
+        burn_in = orchestrator._burn_in
+        monkeypatch.setattr(orchestrator, "_burn_in", lambda *args: (burn_in(*args)[0], []))
         expected = run()
         assert [trace_lines(t) for t in traces] == [trace_lines(t) for t in expected]
         # the first step takes over the burn-in's feature unless overlaid; an
@@ -437,15 +448,15 @@ class TestRunEpisodes:
         overlaid = any(i.start_step == 0 for i in injections)
         fresh = len(calls) - reused
         assert reused < fresh
-        assert all((t.records[0].feature is b.features[0]) is not overlaid
-                   for t, b in zip(traces, burn_of))
+        assert all((t.records[0].feature is features[0]) is not overlaid
+                   for t, (features, _) in zip(traces, burn_of))
         for i in injections:
             if i.kind == "SensorNoise":
                 # inside the noise window every episode draws its own features
-                for t, b in zip(traces, burn_of):
+                for t, (features, _) in zip(traces, burn_of):
                     for step in range(i.start_step, i.end_step):
                         feature = t.records[step].feature
-                        assert feature.tobytes() != b.features[step].tobytes()
+                        assert feature.tobytes() != features[step].tobytes()
 
     def test_each_distinct_window_is_tested_once(self, monkeypatch):
         steps = 120
@@ -476,18 +487,16 @@ class TestRunEpisodes:
         reference = rng.normal(size=(40, 15))
         cycle = reference[:12].copy()
         cycle.setflags(write=False)
-        # a burn-in whose features are the reference, and a zero-sigma noise
-        # overlay at every step, so no episode step takes over its features
-        burn = replace(burn_in(corridor_config(), 40, seed=4), features=tuple(reference))
-        monkeypatch.setattr(orchestrator, "burn_in", lambda *args: burn)
-        overlay = DriftInjection(kind="SensorNoise", start_step=0, end_step=40, sigma=0.0)
+        # a burn-in whose features are the reference and which leaves no
+        # step to take over
+        monkeypatch.setattr(orchestrator, "_burn_in", lambda *args: (reference, []))
         monkeypatch.setattr(orchestrator, "featurize",
                             lambda scene, rng: cycle[int(scene.time) % 12])
         configs = [OffloadConfig(mode=mode, method="mmd", n_ref=40, window=12, n_perm=30)
                    for mode in ("Collaborative", "EdgeOnly")]
         detector = fit(reference, method="mmd", window=12, seed=4, n_perm=30)
         tested = _count_tested_windows(monkeypatch)
-        traces = run_episodes(corridor_config(), (overlay,), configs, seed=4, steps=40)
+        traces = run_episodes(corridor_config(), (), configs, seed=4, steps=40)
         assert tested == {"predict": 12, "predict_windows": 0}
         expected = [r.p_values.tolist()
                     for r in predict_windows(detector, np.tile(cycle, (4, 1))[:40])]
@@ -556,11 +565,11 @@ class TestRunEpisodes:
         overlay = DriftInjection(kind="SensorNoise", start_step=0, end_step=5, sigma=0.0)
         cfg = OffloadConfig(mode="EdgeOnly", n_ref=40, window=12)
         trace = run_episode(open_highway_config(), (overlay,), cfg, seed=0, steps=10)
-        (burn,) = burns
+        ((features, entries),) = burns
         for step, record in enumerate(trace.records):
-            assert record.feature.tobytes() == burn.features[step].tobytes()
-            assert (record.feature is burn.features[step]) is (step >= 5)
-            assert (record.edge_decision is burn.edges[step]) is (step >= 5)
+            assert record.feature.tobytes() == features[step].tobytes()
+            assert (record.feature is features[step]) is (step >= 5)
+            assert (record.edge_decision is entries[step]["Edge"]) is (step >= 5)
 
     def test_episodes_that_commute_two_lane_changes_share_one_entry(self, monkeypatch):
         # from lane 1 EdgeOnly changes left and back, CloudOnly right and
@@ -616,11 +625,43 @@ class TestRunEpisodes:
         configs = [cfg, replace(cfg, mode="CloudOnly", n_ref=60)]
         burns = _made_burn_ins(monkeypatch)
         traces = run_episodes(open_highway_config(), (), configs, seed=2, steps=50)
-        assert [len(burn.features) for burn in burns] == [60]
+        assert [len(features) for features, _ in burns] == [60]
         # each detector is fitted to its own prefix of the one burn-in
         for config, trace in zip(configs, traces):
             alone = run_episode(open_highway_config(), (), config, seed=2, steps=50)
             assert trace_lines(trace) == trace_lines(alone)
+
+    @settings(max_examples=15, deadline=None)
+    @given(scenario=st.sampled_from([corridor_config(), open_highway_config()]),
+           mode=st.sampled_from(MODES), n_ref=st.integers(30, 80),
+           seed=st.integers(0, 2**32 - 1))
+    def test_detectors_are_fitted_to_an_edge_only_episode(self, scenario, mode, n_ref, seed):
+        fitted = []
+        real_fit = orchestrator.fit
+        config = OffloadConfig(mode=mode, n_ref=n_ref, window=12, n_perm=20)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orchestrator, "fit", lambda reference, **kw: fitted.append(
+                np.asarray(reference)) or real_fit(reference, **kw))
+            run_episodes(scenario, (), [config], seed=seed, steps=1)
+        (reference,) = fitted
+        expected = np.asarray(_burn_in_features(scenario, n_ref, seed))
+        assert reference.shape == (n_ref, 15)
+        assert reference.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("steps", [40, 70])
+    def test_every_burn_in_entry_is_dropped_once_passed(self, monkeypatch, steps):
+        made = []
+        real = orchestrator._burn_in
+        monkeypatch.setattr(orchestrator, "_burn_in",
+                            lambda *args: made.append(real(*args)) or made[-1])
+        shift = DriftInjection(kind="TrafficPatternShift", start_step=10, end_step=20,
+                               speed_offset=-6.0)
+        configs = [OffloadConfig(mode=mode, n_ref=40, window=12) for mode in MODES]
+        run_episodes(open_highway_config(), (shift,), configs, seed=0, steps=steps)
+        # taken over or overlaid, every entry of the burn-in is gone
+        ((features, entries),) = made
+        assert len(features) == len(entries) == 40
+        assert entries == [None] * 40
 
 
 def _record(step: int, offloaded: bool, latency: float, edge_action=Action.KEEP,
@@ -654,7 +695,16 @@ class TestInjectionLifecycle:
             scenes.append(scene)
             return check_collision(scene)
 
-        monkeypatch.setattr(orchestrator, "check_collision", capture)
+        real_burn_in = orchestrator._burn_in
+
+        def burn_in(*args):
+            # capture from the episode's first step on, which takes over no
+            # burn-in step, so each step checks its own effective scene
+            features, _ = real_burn_in(*args)
+            monkeypatch.setattr(orchestrator, "check_collision", capture)
+            return features, []
+
+        monkeypatch.setattr(orchestrator, "_burn_in", burn_in)
         trace = run_episode(scenario, injections, self.CONFIG, seed=0, steps=self.STEPS)
         assert len(scenes) == self.STEPS
         return trace, scenes

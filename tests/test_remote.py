@@ -17,7 +17,6 @@ from ecdrive import (
     NoDecisionFound,
     OffloadConfig,
     RemoteUnavailable,
-    burn_in,
     remote_decide,
     run_episode,
     run_episodes,
@@ -209,8 +208,9 @@ class TestOrchestratorFallback:
         )
         offloaded = [r for r in trace.records if r.offloaded]
         assert offloaded
-        # edge_ms is 0, so the step latency equals the configured timeout
-        assert all(r.latency_ms == pytest.approx(250.0) for r in offloaded)
+        # the timeout plus the configured cost of the local cloud policy
+        # that stands in: cloud_ms is 10, edge_ms and rtt_ms are 0
+        assert all(r.latency_ms == pytest.approx(260.0) for r in offloaded)
         assert all(r.cloud_decision.source == "Cloud" for r in offloaded)
 
     def test_illegal_remote_action_is_replaced_by_keep(self, stub_server):
@@ -255,13 +255,14 @@ class TestOrchestratorFallback:
         endpoint = EndpointConfig(base_url=stub_server, timeout_s=5.0, role="Edge")
         configs = [self._config(mode=mode) for mode in modes]
         burns = []
-        monkeypatch.setattr(orchestrator, "burn_in",
-                            lambda *args: burns.append(burn_in(*args)) or burns[-1])
+        real = orchestrator._burn_in
+        monkeypatch.setattr(orchestrator, "_burn_in",
+                            lambda *args: burns.append(real(*args)) or burns[-1])
         traces = run_episodes(obstacle_zone_config(), (), configs, seed=0, steps=14,
                               endpoint=endpoint)
-        (burn,) = burns
+        ((features, _),) = burns
         for trace in traces:
-            assert trace.records[0].feature is burn.features[0]
+            assert trace.records[0].feature is features[0]
             assert all(r.edge_decision.source == "Remote" for r in trace.records)
         assert len(_StubHandler.requests_seen) == 14 * len(configs)
 
