@@ -40,7 +40,9 @@ from .orchestrator import (
     run_episodes,
 )
 from .policies import EndpointConfig
-from .trace import ConfigError, TextMemo, _require, load_trace, read_run, temp_name, write_trace
+from .trace import (
+    ConfigError, TextMemo, _loads, _require, load_trace, read_run, temp_name, write_trace,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,10 +82,6 @@ class ExperimentConfig:
     endpoint: EndpointConfig | None = None
 
 
-def _reject_constant(name: str):
-    raise ConfigError(f"non-finite number {name} is not allowed")
-
-
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse and invariant-check an experiment JSON file: the run's
     description through :func:`read_run`, then ``seeds``, ``output_dir``
@@ -92,7 +90,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        data = _loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config ({exc})") from exc
     except json.JSONDecodeError as exc:

@@ -18,9 +18,9 @@ and so are the other vehicles' columns one step on, which no ego action
 changes. ``Scene.others`` is the column set. A ``Scene`` built with
 ``others=`` a tuple of ``VehicleState`` converts it, resolving a ``None``
 target speed to the vehicle's speed then. Scenes and columns compare by
-identity; a scene's content is compared through ``Scene.key``, built from
-the bit pattern of every field. numpy only draws the spawn positions and
-speeds.
+identity; a scene's content is compared through ``Scene.key``, one pickle
+of the bit pattern of every field, the column values included. numpy only
+draws the spawn positions and speeds.
 
 Scripted perturbations (new obstacles, traffic-pattern shifts, sensor noise)
 are applied per step through :func:`inject_drift`, which is the identity
@@ -31,6 +31,7 @@ caller can keep a pristine scene and overlay it afresh every step.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import pickle
@@ -47,6 +48,11 @@ REVERSION_ACCEL = 1.0  # m/s^2, other vehicles relaxing toward target speed
 DEFAULT_V_MAX = 30.0
 DEFAULT_DT = 1.0
 EGO_ID = 0
+#: the largest ``v_max`` (m/s), ``abs(ego_accel)`` (m/s^2) and
+#: ``SensorNoise`` sigma a config may set: each feature then stays below
+#: about 1e8 in magnitude, so every MMD squared distance (a sum of 15
+#: squared differences) and its bandwidth stay finite
+MAX_MAGNITUDE = 1e6
 
 
 class Action(str, Enum):
@@ -193,16 +199,6 @@ class Vehicles:
     def __len__(self) -> int:
         return len(self.id)
 
-    @_cached
-    def key(self) -> bytes:
-        """Content key of the columns, the pickle of the six tuples (see
-        :func:`_content_bytes`). The scenes that :func:`step` and the
-        injection overlays derive from one another share their columns, so
-        it is formed once for all of them."""
-        return _content_bytes(
-            (self.id, self.lane, self.position, self.speed, self.accel, self.target)
-        )
-
 
 @dataclass(frozen=True)
 class Obstacle:
@@ -247,15 +243,17 @@ class Scene:
     @_cached
     def key(self) -> bytes:
         """Content key: the pickle of every scalar field of the scene, its
-        ego and each obstacle, then the columns' key. Scenes with equal keys
-        hold the same values bit for bit, so every pure function of a scene
-        gives them the same result (see :func:`_content_bytes`)."""
-        ego = self.ego
+        ego, each obstacle and the six columns of the other vehicles. Scenes
+        with equal keys hold the same values bit for bit, so every pure
+        function of a scene gives them the same result (see
+        :func:`_content_bytes`)."""
+        ego, others = self.ego, self.others
         return _content_bytes((
             self.time, self.lane_count, self.noise_sigma, self.v_max, self.target_offset,
             ego.id, ego.lane, ego.position, ego.speed, ego.accel, ego.target_speed,
             [(o.lane, o.position, o.extent_m, o.kind) for o in self.obstacles],
-        )) + self.others.key
+            others.id, others.lane, others.position, others.speed, others.accel, others.target,
+        ))
 
     @_cached
     def _moved_others(self) -> Vehicles:
@@ -376,8 +374,9 @@ class DriftInjection:
             raise ScenarioError("injection start_step must be < end_step")
         if self.kind == "NewObstacle" and self.extent_m <= 0:
             raise ScenarioError("obstacle extent_m must be positive")
-        if self.kind == "SensorNoise" and self.sigma < 0:
-            raise ScenarioError("noise sigma must be >= 0")
+        if self.kind == "SensorNoise" and not 0 <= self.sigma <= MAX_MAGNITUDE:
+            raise ScenarioError(f"noise sigma must lie in [0, {MAX_MAGNITUDE:g}], "
+                                f"got {self.sigma!r}")
 
 
 def validate_injection(injection: DriftInjection, lane_count: int) -> None:
@@ -464,8 +463,13 @@ class ScenarioConfig:
         lo, hi = self.speed_range
         if lo < 0 or hi < lo:
             raise ScenarioError("speed_range must satisfy 0 <= lo <= hi")
-        if self.v_max <= 0:
-            raise ScenarioError("v_max must be positive")
+        if not 0 < self.v_max <= MAX_MAGNITUDE:
+            raise ScenarioError(f"v_max must lie in (0, {MAX_MAGNITUDE:g}], got {self.v_max!r}")
+        if abs(self.ego_accel) > MAX_MAGNITUDE:
+            raise ScenarioError(
+                f"ego_accel must lie in [-{MAX_MAGNITUDE:g}, {MAX_MAGNITUDE:g}], "
+                f"got {self.ego_accel!r}"
+            )
         # step clamps speeds to v_max, a jump no action could produce
         if self.ego_speed > self.v_max:
             raise ScenarioError(f"ego_speed {self.ego_speed} exceeds v_max {self.v_max}")
@@ -517,17 +521,21 @@ def spawn_scenario(config: ScenarioConfig, seed: int) -> Scene:
     rng = np.random.default_rng(seed)
     lanes = config.spawn_lanes or tuple(range(config.lane_count))
     next_id = max([1000] + [v.id + 1 for v in others])
-    placed: list[tuple[int, float]] = [(ego.lane, ego.position)]
-    placed += [(v.lane, v.position) for v in others]
+    # lane -> positions placed in it, ascending: a candidate keeps its gap to
+    # every one iff it keeps it to the nearest on either side, since a
+    # rounded difference is monotone in each operand
+    placed: dict[int, list[float]] = {}
+    for vehicle in (ego, *others):
+        bisect.insort(placed.setdefault(vehicle.lane, []), vehicle.position)
     lo, hi = config.spawn_span
     for _ in range(config.n_random_vehicles):
         for _attempt in range(200):
             lane = int(rng.choice(lanes))
             position = config.ego_position + float(rng.uniform(lo, hi))
-            if all(
-                pl != lane or abs(pp - position) >= MIN_SPAWN_GAP_M
-                for pl, pp in placed
-            ):
+            row = placed.setdefault(lane, [])
+            i = bisect.bisect_left(row, position)
+            if ((i == len(row) or row[i] - position >= MIN_SPAWN_GAP_M)
+                    and (i == 0 or position - row[i - 1] >= MIN_SPAWN_GAP_M)):
                 break
         else:
             raise ScenarioError("could not place vehicles with 10 m gaps; widen spawn_span")
@@ -542,7 +550,7 @@ def spawn_scenario(config: ScenarioConfig, seed: int) -> Scene:
                 target_speed=speed,
             )
         )
-        placed.append((lane, position))
+        row.insert(i, position)
         next_id += 1
     scene = Scene(
         time=0.0,

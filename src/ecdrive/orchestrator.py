@@ -26,13 +26,12 @@ feature, collision, edge decision and stepped successor instead of
 computing them.
 
 Drift reports are memoized by window content for the length of one
-:func:`run_episodes` call. Each distinct feature vector, by its bytes, is
-interned as a small id the first time the call sees it, and a window's key
-is the tuple of its ids, oldest first: exact, and in order, because the
-MMD permutations depend on each sample's age. A window's report depends
-only on that content, so every window with the key shares one report,
-tested once, whether a Collaborative step tests it or an EdgeOnly or
-CloudOnly episode tests it in a batch after its last step.
+:func:`run_episodes` call. A window's key is the tuple of its features'
+bytes, oldest first: exact, and in order, because the MMD permutations
+depend on each sample's age. A window's report depends only on that
+content, so every window with the key shares one report, tested once,
+whether a Collaborative step tests it or an EdgeOnly or CloudOnly episode
+tests it in a batch after its last step.
 
 The records and summary of an episode come back as an :class:`EpisodeTrace`;
 :mod:`ecdrive.trace` writes and reads it as JSON Lines.
@@ -85,6 +84,9 @@ logger = logging.getLogger(__name__)
 
 MODES = ("EdgeOnly", "CloudOnly", "Collaborative")
 REASONS = ("Drift", "LowConfidence", "None", "Both")
+#: the largest ``edge_ms``, ``cloud_ms`` and ``rtt_ms``: a step then costs
+#: at most 3e9 ms, so an episode's summed latency stays finite
+MAX_LATENCY_MS = 1e9
 
 
 @dataclass(frozen=True)
@@ -130,8 +132,8 @@ class OffloadConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= value <= MAX_LATENCY_MS:
+                raise ValueError(f"{name} must lie in [0, {MAX_LATENCY_MS:g}], got {value!r}")
         if self.uplink_bytes_per_sample < 0:
             raise ValueError("uplink_bytes_per_sample must be >= 0")
 
@@ -291,23 +293,20 @@ def _shared(entry: dict, name, compute, *args):
 class _Episode:
     """The state one episode of :func:`run_episodes` carries between steps.
 
-    ``interned`` maps each distinct feature vector's bytes to a small id,
-    for every episode of the call; ``memo`` maps a window's key, the ids of
-    its features oldest first, to its report, for every episode of the call
-    with this detector."""
+    ``memo`` maps a window's key, the bytes of its features oldest first,
+    to its report, for every episode of the call with this detector."""
 
     def __init__(self, config: OffloadConfig, detector: DriftDetector | None, memo: dict,
-                 interned: dict[bytes, int], scene: Scene, seed: int):
+                 scene: Scene, seed: int):
         self.config = config
         self.detector = detector
         self.memo = memo
-        self.interned = interned
         self.scene = scene
         self.noise_rng = np.random.default_rng(seed)
         # only a Collaborative step waits for its drift report
         self.window = SlidingWindow(detector) if config.mode == "Collaborative" else None
         self.features: list[np.ndarray] = []
-        self.feature_ids: list[int] = []
+        self.feature_keys: list[bytes] = []
         self.edges: list[Decision] = []
         self.reports: list[DriftReport | None] = []
         # each step's record fields after drift_report, in StepRecord's field order
@@ -333,18 +332,17 @@ class _Episode:
                                           effective, endpoint)
 
         self.features.append(feature)
-        interned = self.interned
-        self.feature_ids.append(interned.setdefault(feature.tobytes(), len(interned)))
+        self.feature_keys.append(feature.tobytes())
         self.edges.append(edge)
         report = None
         if self.window is not None:
-            ids, m = self.feature_ids, self.detector.window
-            if len(ids) >= m:
-                key = tuple(ids[-m:])
+            keys, m = self.feature_keys, self.detector.window
+            if len(keys) >= m:
+                key = tuple(keys[-m:])
                 report = self.memo.get(key)
                 if report is None:
                     # the window is brought up to date only for a test
-                    self.window.fill(self.features, len(ids))
+                    self.window.fill(self.features, len(keys))
                     report = self.memo[key] = predict(self.detector, self.window)
             self.reports.append(report)
         offloaded, reason = offload_rule(report, edge.confidence, config)
@@ -381,8 +379,8 @@ class _Episode:
     def _batch_reports(self) -> list[DriftReport]:
         """The report of every full window, from the memo; the distinct
         windows it misses are tested in one :func:`predict_windows` batch."""
-        m, ids, memo = self.detector.window, self.feature_ids, self.memo
-        keys = [tuple(ids[t : t + m]) for t in range(len(ids) - m + 1)]
+        m, samples, memo = self.detector.window, self.feature_keys, self.memo
+        keys = [tuple(samples[t : t + m]) for t in range(len(samples) - m + 1)]
         missing: dict[tuple, int] = {}  # key -> its first window, ascending
         for start, key in enumerate(keys):
             if key not in memo:
@@ -402,15 +400,14 @@ class _Episode:
         ]
 
 
-def _burn_in(start: Scene, n_ref: int, seed: int,
-             interned: dict[bytes, int]) -> tuple[list[np.ndarray], list[dict]]:
+def _burn_in(start: Scene, n_ref: int, seed: int) -> tuple[list[np.ndarray], list[dict]]:
     """Run ``n_ref`` steps of an injection-free EdgeOnly episode from
     ``start``, with no endpoint.
 
     Returns its features and the entry of each step: the results the step
     found for its scene (see :meth:`_Episode.advance`), which an episode of
     :func:`run_episodes` that stands on the same scene takes over."""
-    burn = _Episode(OffloadConfig(mode="EdgeOnly"), None, {}, interned, start, seed)
+    burn = _Episode(OffloadConfig(mode="EdgeOnly"), None, {}, start, seed)
     entries = []
     for index in range(n_ref):
         entries.append({"scene": burn.scene})
@@ -470,10 +467,7 @@ def run_episodes(
         endpoint.validate()
 
     start = spawn_scenario(scenario, seed)
-    interned: dict[bytes, int] = {}
-    features, entries = _burn_in(
-        start, max((config.n_ref for config in configs), default=0), seed, interned
-    )
+    features, entries = _burn_in(start, max((c.n_ref for c in configs), default=0), seed)
     detectors = {}
     for config in configs:
         settings = _detector_settings(config)
@@ -489,7 +483,7 @@ def run_episodes(
 
     memos = {settings: {} for settings in detectors}
     episodes = [
-        _Episode(c, detectors[s], memos[s], interned, start, seed)
+        _Episode(c, detectors[s], memos[s], start, seed)
         for c, s in zip(configs, map(_detector_settings, configs))
     ]
     for index in range(steps):

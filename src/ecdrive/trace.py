@@ -218,6 +218,16 @@ class ConfigError(ValueError):
     """An invalid run description; the message names the field."""
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} is not allowed")
+
+
+#: ``json.loads`` for experiment files and trace lines, which must hold no
+#: ``NaN``, ``Infinity`` or ``-Infinity``; one decoder, since ``json.loads``
+#: with an option builds a decoder per call
+_loads = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+
 def _require(data: dict, field: str):
     if field not in data:
         raise ConfigError(f"{field}: missing required field")
@@ -482,7 +492,8 @@ def load_trace(path) -> EpisodeTrace:
     """Parse a JSONL trace file back into an :class:`EpisodeTrace`.
 
     Raises ``ValueError`` naming the file on text that is not UTF-8, and
-    naming the offending line on malformed content, a header whose
+    naming the offending line on malformed content, a ``NaN``,
+    ``Infinity`` or ``-Infinity`` anywhere in a line, a header whose
     ``schema_version`` is missing or not ``TRACE_SCHEMA_VERSION``, a
     header with a key other than ``schema_version``, ``config``, ``seed``
     and ``summary``, a wrong seed or summary, a ``config`` that
@@ -499,8 +510,8 @@ def load_trace(path) -> EpisodeTrace:
     if not lines:
         raise ValueError(f"{path}: empty trace file")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = _loads(lines[0])
+    except ValueError as exc:
         raise ValueError(f"{path}: line 1: malformed header ({exc})") from exc
     version = header.get("schema_version") if isinstance(header, dict) else None
     if version != TRACE_SCHEMA_VERSION:
@@ -521,7 +532,7 @@ def load_trace(path) -> EpisodeTrace:
         if not line.strip():
             continue
         try:
-            record = decode(json.loads(line))
+            record = decode(_loads(line))
             if record.step != len(records):
                 raise ValueError(f"step is {record.step}, not {len(records)}")
             if record.offload_reason not in REASONS:

@@ -15,6 +15,8 @@ from ecdrive import (
     Scene,
     VehicleState,
 )
+from ecdrive.highway import MAX_MAGNITUDE
+from ecdrive.orchestrator import MAX_LATENCY_MS
 
 
 def others_states(scene: Scene) -> tuple[VehicleState, ...]:
@@ -291,35 +293,48 @@ def offload_configs(**fields):
 
 _SPEEDS = st.floats(0.0, 40.0) | st.integers(0, 40)
 _SPANS = st.tuples(_numbers(-2000.0, 2000.0), _numbers(-2000.0, 2000.0)).map(sorted).map(tuple)
+_V_MAX = st.floats(0.5, 40.0) | st.floats(0.5, MAX_MAGNITUDE) | st.integers(1, 40)
+
+
+def _speeds_up_to(v_max):
+    """Speeds in [0, ``v_max``], edges included, half of them integers."""
+    return st.floats(0.0, v_max) | st.integers(0, int(v_max))
 
 
 def runnable_scenarios():
     """``scenario_configs`` with the fields ``validate`` rejects most often
-    drawn from around their valid ranges, edges included, so that most
-    draws validate; the rest of the field space stays as drawn there."""
-    return scenario_configs(
-        lane_count=st.integers(1, 4),
-        ego_lane=st.integers(0, 3),
-        ego_speed=_SPEEDS,
-        v_max=st.floats(0.5, 40.0) | st.integers(1, 40),
-        n_random_vehicles=st.integers(0, 30),
-        speed_range=st.tuples(_SPEEDS, _SPEEDS).map(sorted).map(tuple),
-        spawn_span=_SPANS,
-        spawn_lanes=st.none() | st.lists(st.integers(0, 3), max_size=3).map(tuple),
-        fixed_others=st.lists(vehicle_states(
-            id=st.integers(1, 100),
-            lane=st.integers(0, 3),
-            position=_numbers(-2000.0, 2000.0),
-            speed=_SPEEDS,
-            target_speed=st.none() | _SPEEDS,
-        ), max_size=3).map(tuple),
-    )
+    drawn from their valid ranges, edges included, so that most draws
+    validate; the rest of the field space stays as drawn there. Every lane
+    lies on the road, every speed but a target speed is at most ``v_max``,
+    and ``v_max`` and ``ego_accel`` reach their validated bounds."""
+    def on_road(lanes: int, v_max):
+        lane, speeds = st.integers(0, lanes - 1), _speeds_up_to(v_max)
+        return scenario_configs(
+            lane_count=st.just(lanes),
+            ego_lane=lane,
+            ego_speed=speeds,
+            ego_accel=_numbers(-10.0, 10.0) | _numbers(-MAX_MAGNITUDE, MAX_MAGNITUDE),
+            v_max=st.just(v_max),
+            n_random_vehicles=st.integers(0, 30),
+            speed_range=st.tuples(speeds, speeds).map(sorted).map(tuple),
+            spawn_span=_SPANS,
+            spawn_lanes=st.none() | st.lists(lane, max_size=3).map(tuple),
+            fixed_others=st.lists(vehicle_states(
+                id=st.integers(1, 100),
+                lane=lane,
+                position=_numbers(-2000.0, 2000.0),
+                speed=speeds,
+                target_speed=st.none() | _SPEEDS,
+            ), max_size=3).map(tuple),
+        )
+
+    return st.tuples(st.integers(1, 4), _V_MAX).flatmap(lambda road: on_road(*road))
 
 
 def runnable_offloads():
     """``offload_configs`` around the valid ranges, with the small detector
-    (``n_ref`` 30, ``window`` 10) and latency constants that are JSON
-    integers about half the time."""
+    (``n_ref`` 30, ``window`` 10) and latency constants up to their
+    validated bound that are JSON integers about half the time."""
     return offload_configs(
         mode=st.sampled_from(MODES),
         tau=st.floats(0.0, 1.0) | st.integers(0, 1),
@@ -328,9 +343,9 @@ def runnable_offloads():
         window=st.just(10),
         n_ref=st.just(30),
         n_perm=st.integers(20, 40),
-        edge_ms=_numbers(0.0, 1e4),
-        cloud_ms=_numbers(0.0, 1e4),
-        rtt_ms=_numbers(0.0, 1e4),
+        edge_ms=_numbers(0.0, MAX_LATENCY_MS),
+        cloud_ms=_numbers(0.0, MAX_LATENCY_MS),
+        rtt_ms=_numbers(0.0, MAX_LATENCY_MS),
     )
 
 
@@ -338,7 +353,7 @@ def runnable_injections():
     """Up to three ``drift_injections`` of every kind, with windows of up to
     10 steps starting around the first 25 and the other fields drawn
     around their valid ranges, edges included, so that most draws
-    validate."""
+    validate; a noise sigma reaches its validated bound."""
     windows = st.tuples(st.integers(-1, 25), st.integers(0, 10))
     return st.lists(windows.flatmap(lambda w: drift_injections(
         kind=st.sampled_from(DriftInjection.KINDS),
@@ -348,5 +363,5 @@ def runnable_injections():
         position=_numbers(-2000.0, 2000.0),
         extent_m=st.floats(0.0, 30.0) | st.integers(0, 30),
         speed_offset=_numbers(-40.0, 40.0),
-        sigma=st.floats(0.0, 10.0) | st.integers(-1, 10),
+        sigma=st.floats(0.0, 10.0) | st.floats(0.0, MAX_MAGNITUDE) | st.integers(-1, 10),
     )), max_size=3)

@@ -5,9 +5,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -392,6 +395,32 @@ class TestCmdValidate:
         assert cmd_validate(str(path)) == EXIT_CONFIG
         assert "non-finite" in capsys.readouterr().err
 
+    # each value validated before, and its run wrote Infinity or NaN into
+    # the trace or raised overflow warnings
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("scenario", "v_max", 1e200, "scenario: v_max must lie in (0, 1e+06], got 1e+200"),
+        ("scenario", "ego_accel", 1e200,
+         "scenario: ego_accel must lie in [-1e+06, 1e+06], got 1e+200"),
+        ("scenario", "ego_accel", -1e200,
+         "scenario: ego_accel must lie in [-1e+06, 1e+06], got -1e+200"),
+        ("injection", "sigma", 1e308,
+         "injections[0]: noise sigma must lie in [0, 1e+06], got 1e+308"),
+        ("offload", "edge_ms", 1e306, "offload: edge_ms must lie in [0, 1e+09], got 1e+306"),
+        ("offload", "rtt_ms", 1e308, "offload: rtt_ms must lie in [0, 1e+09], got 1e+308"),
+        ("offload", "cloud_ms", 1e9 + 1, "offload: cloud_ms must lie in [0, 1e+09], got "),
+    ])
+    def test_values_above_their_bound_rejected(self, tmp_path, capsys, section, key, value,
+                                               message):
+        config = base_config(tmp_path)
+        config["injections"] = [{"kind": "SensorNoise", "start_step": 0, "end_step": 60}]
+        target = config["injections"][0] if section == "injection" else config[section]
+        target[key] = value
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert cmd_run(str(path)) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("seeds", [True]), ("seeds", [0, False]),
                                             ("steps", True)])
     def test_booleans_are_not_integers(self, tmp_path, capsys, key, value):
@@ -706,6 +735,22 @@ class TestCmdSummarize:
         assert err.startswith(f"trace error: {victim}: line 4: malformed record (")
         assert keys[-1] in err
 
+    def test_non_finite_number_is_a_trace_error(self, run_outputs, capsys):
+        # an EdgeOnly record's infinite latency and the summary it gives:
+        # the mean is infinite, the p95 still one of the other 50 ms steps
+        victim = next((run_outputs / "out").glob("*_EdgeOnly_*.jsonl"))
+        lines = victim.read_text().splitlines()
+        header, record = json.loads(lines[0]), json.loads(lines[3])
+        header["summary"]["mean_latency_ms"] = math.inf
+        record["latency_ms"] = math.inf
+        lines[0], lines[3] = json.dumps(header), json.dumps(record)
+        victim.write_text("\n".join(lines) + "\n")
+        code = cmd_summarize(str(run_outputs / "out" / "*.jsonl"),
+                             str(run_outputs / "bad.csv"))
+        assert code == EXIT_TRACE
+        assert capsys.readouterr().err.startswith(f"trace error: {victim}: line 1: ")
+        assert not (run_outputs / "bad.csv").exists()
+
     def test_unreadable_match_is_an_io_error(self, tmp_path, capsys):
         (tmp_path / "x.jsonl").mkdir()
         code = cmd_summarize(str(tmp_path / "*.jsonl"), str(tmp_path / "o.csv"))
@@ -842,7 +887,35 @@ class TestValidatedConfigsRun:
             assert "\n".join(trace_lines(trace)) + "\n" == trace_path.read_text()
             for record in trace.records:
                 validate_features(record.feature)
+                assert math.isfinite(record.latency_ms)
+            assert all(map(math.isfinite, dataclasses.astuple(trace.summary)))
             assert cmd_summarize(str(trace_path), str(tmp / "o.csv")) == EXIT_OK
+
+    @pytest.mark.parametrize("method", ["ks", "mmd"])
+    def test_the_largest_validated_values_run_finite(self, tmp_path, method):
+        config = base_config(tmp_path)
+        config["scenario"].update(ego_speed=1e6, ego_accel=-1e6, v_max=1e6, lane_count=2,
+                                  n_random_vehicles=8, speed_range=[0.0, 1e6])
+        config["injections"] = [{"kind": "SensorNoise", "start_step": 0, "end_step": 80,
+                                 "sigma": 1e6}]
+        config["offload"].update(method=method, tau=0.5, n_ref=30, window=10, n_perm=20,
+                                 edge_ms=1e9, cloud_ms=1e9, rtt_ms=1e9)
+        config["modes"] = list(MODES)
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_OK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cmd_run(str(path)) == EXIT_OK
+        for trace_path in sorted((tmp_path / "out").glob("*.jsonl")):
+            trace = load_trace(trace_path)
+            for record in trace.records:
+                validate_features(record.feature)
+                report = record.drift_report
+                if report is not None:
+                    assert np.all(np.isfinite(report.statistic))
+            assert all(map(math.isfinite, dataclasses.astuple(trace.summary)))
+        assert cmd_summarize(str(tmp_path / "out" / "*.jsonl"),
+                             str(tmp_path / "o.csv")) == EXIT_OK
 
 
 class TestMain:

@@ -42,7 +42,78 @@ from ecdrive.highway import (
 from scenarios import assert_same_scene, others_states, random_scenes, reference_config
 
 
+def _spawn_all_pairs(config: ScenarioConfig, seed: int) -> Scene:
+    """:func:`spawn_scenario` by its plain rule: a candidate position is
+    checked against every vehicle placed so far, in every lane."""
+    config.validate()
+    ego = VehicleState(id=0, lane=config.ego_lane, position=config.ego_position,
+                       speed=config.ego_speed, accel=config.ego_accel)
+    others = list(config.fixed_others)
+    rng = np.random.default_rng(seed)
+    lanes = config.spawn_lanes or tuple(range(config.lane_count))
+    next_id = max([1000] + [v.id + 1 for v in others])
+    placed = [(ego.lane, ego.position)] + [(v.lane, v.position) for v in others]
+    lo, hi = config.spawn_span
+    for _ in range(config.n_random_vehicles):
+        for _attempt in range(200):
+            lane = int(rng.choice(lanes))
+            position = config.ego_position + float(rng.uniform(lo, hi))
+            if all(pl != lane or abs(pp - position) >= 10.0 for pl, pp in placed):
+                break
+        else:
+            raise ScenarioError("could not place vehicles with 10 m gaps; widen spawn_span")
+        speed = float(rng.uniform(*config.speed_range))
+        others.append(VehicleState(next_id, lane, position, speed, 0.0, speed))
+        placed.append((lane, position))
+        next_id += 1
+    scene = Scene(time=0.0, lane_count=config.lane_count, ego=ego, others=tuple(others),
+                  v_max=config.v_max)
+    scene.validate()
+    return scene
+
+
+_CROWDED_POSITIONS = st.sampled_from([0.0, 10.0, 15, -9.5]) | st.floats(-50.0, 250.0)
+
+
+@st.composite
+def crowded_configs(draw) -> ScenarioConfig:
+    """Valid configs whose random vehicles crowd a short span, next to
+    fixed vehicles at positions that often tie, so that candidates are
+    often rejected and some spawns fail."""
+    lane_count = draw(st.integers(1, 3))
+    lane = st.integers(0, lane_count - 1)
+    near = draw(_CROWDED_POSITIONS)
+    fixed = draw(st.lists(
+        st.builds(VehicleState, id=st.integers(1, 30), lane=lane, position=_CROWDED_POSITIONS,
+                  speed=st.just(10.0)),
+        max_size=4, unique_by=lambda v: v.id,
+    ))
+    return ScenarioConfig(
+        name="crowded",
+        lane_count=lane_count,
+        ego_lane=draw(lane),
+        ego_position=draw(_CROWDED_POSITIONS),
+        ego_speed=10.0,
+        n_random_vehicles=draw(st.integers(0, 40)),
+        speed_range=(5.0, 20.0),
+        spawn_span=(near, near + draw(st.sampled_from([0.0, 20.0]) | st.floats(0.0, 400.0))),
+        spawn_lanes=draw(st.none() | st.lists(lane, min_size=1, max_size=3).map(tuple)),
+        fixed_others=tuple(fixed),
+    )
+
+
 class TestSpawn:
+    @settings(max_examples=150, deadline=None)
+    @given(config=crowded_configs(), seed=st.integers(0, 2**32 - 1))
+    def test_placement_equals_the_all_pairs_rule(self, config, seed):
+        try:
+            expected = _spawn_all_pairs(config, seed)
+        except ScenarioError as exc:
+            with pytest.raises(ScenarioError, match=str(exc)):
+                spawn_scenario(config, seed)
+            return
+        assert_same_scene(spawn_scenario(config, seed), expected)
+
     def test_pinned_vehicle_round_trip(self):
         scene = spawn_scenario(reference_config(), seed=0)
         assert scene.lane_count == 4
@@ -91,6 +162,18 @@ class TestSpawn:
         config = dataclasses.replace(ScenarioConfig(name="bad"), **bad)
         with pytest.raises(ScenarioError):
             spawn_scenario(config, seed=0)
+
+    @pytest.mark.parametrize("bad, field", [
+        (dict(v_max=np.nextafter(highway.MAX_MAGNITUDE, np.inf)), "v_max"),
+        (dict(ego_accel=-2 * highway.MAX_MAGNITUDE), "ego_accel"),
+    ])
+    def test_magnitudes_above_their_bound_rejected(self, bad, field):
+        config = dataclasses.replace(ScenarioConfig(name="bad"), **bad)
+        with pytest.raises(ScenarioError, match=f"{field} must lie in "):
+            config.validate()
+        at_bound = {key: float(np.sign(value)) * highway.MAX_MAGNITUDE
+                    for key, value in bad.items()}
+        dataclasses.replace(config, **at_bound).validate()
 
     @pytest.mark.parametrize(
         "bad, field",

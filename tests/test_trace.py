@@ -526,6 +526,20 @@ class TestStrictLoader:
         with pytest.raises(ValueError, match=r"trace\.jsonl: line 1: malformed header"):
             load_trace(path)
 
+    @pytest.mark.parametrize("line, mutate, what", [
+        (0, _set("summary", "mean_latency_ms", float("nan")), "header"),
+        (0, _set("config", "scenario", "ego_position", float("-inf")), "header"),
+        (13, _set("latency_ms", float("inf")), "record"),
+        (13, _set("feature", [float("nan")] * 15), "record"),
+        (13, _set("drift_report", "p_values", [float("-inf")]), "record"),
+    ], ids=["nan_summary", "negative_infinity_in_config", "infinite_latency",
+            "nan_features", "negative_infinity_p_value"])
+    def test_non_finite_numbers_are_rejected_on_their_line(self, tmp_path, line, mutate, what):
+        path = _mutated_trace(tmp_path, line, mutate)
+        with pytest.raises(ValueError, match=rf"trace\.jsonl: line {line + 1}: malformed "
+                                             rf"{what} \(non-finite number -?(NaN|Infinity)"):
+            load_trace(path)
+
     def test_an_untouched_trace_loads(self, tmp_path):
         path = _mutated_trace(tmp_path, 0, lambda data: None)
         assert len(load_trace(path).records) == 15
