@@ -13,9 +13,12 @@ readers (:func:`lane_neighbors`, :func:`check_collision`,
 ``Scene.validate``, the scene text and the cloud planner's perception) read
 the columns directly and visit only the lanes they ask about through
 ``Vehicles.by_lane``, which :func:`step` carries over because vehicles
-never change lanes. The four neighbor slots are computed once per scene,
-and so are the other vehicles' columns one step on, which no ego action
-changes. ``Scene.others`` is the column set. A ``Scene`` built with
+never change lanes. The four neighbor slots are computed once per scene.
+The other vehicles' columns one step on, which no ego action changes, are
+computed once per column set and overlay (``target_offset`` and
+``v_max``): scenes of one step that share the columns, as episodes that
+differ only in the ego do, find the moved columns on them, held weakly.
+``Scene.others`` is the column set. A ``Scene`` built with
 ``others=`` a tuple of ``VehicleState`` converts it, resolving a ``None``
 target speed to the vehicle's speed then. Scenes and columns compare by
 identity; a scene's content is compared through ``Scene.key``, one pickle
@@ -35,6 +38,8 @@ import bisect
 import math
 import os
 import pickle
+import struct
+import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -53,6 +58,8 @@ EGO_ID = 0
 #: about 1e8 in magnitude, so every MMD squared distance (a sum of 15
 #: squared differences) and its bandwidth stay finite
 MAX_MAGNITUDE = 1e6
+# the key of a column move: the scene's target_offset and v_max as doubles
+_MOVE_KEY = struct.Struct("<dd")
 
 
 class Action(str, Enum):
@@ -199,6 +206,12 @@ class Vehicles:
     def __len__(self) -> int:
         return len(self.id)
 
+    @_cached
+    def _moves(self) -> dict[bytes, weakref.ref]:
+        """The bits of (target_offset, float(v_max)) -> a weak reference to
+        these columns one step on; see :meth:`Scene._moved_others`."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Obstacle:
@@ -257,11 +270,20 @@ class Scene:
 
     @_cached
     def _moved_others(self) -> Vehicles:
-        # the other vehicles one step on: no ego action moves them, so a
-        # scene stepped with several actions moves them once
+        # the other vehicles one step on. No ego action moves them, and the
+        # move reads only the columns, target_offset and float(v_max), so it
+        # is made once per column set and overlay: scenes of one step that
+        # share the columns (episodes that differ only in the ego) find it
+        # on the columns, keyed by the IEEE 754 bits of those two values
+        # (0.0 and -0.0 apart) and held there weakly, so the cache keeps no
+        # trajectory alive
         others = self.others
         if not len(others):
             return others
+        key = _MOVE_KEY.pack(self.target_offset, self.v_max)
+        ref = others._moves.get(key)
+        if ref is not None and (moved := ref()) is not None:
+            return moved
         dt, offset, limit = DEFAULT_DT, self.target_offset, REVERSION_ACCEL
         commands = []
         for target, v in zip(others.target, others.speed):
@@ -270,8 +292,10 @@ class Scene:
             command = (target + offset - v) / dt
             commands.append(limit if command > limit else -limit if command < -limit else command)
         speed, position, accel = _advance(others.speed, commands, others.position, self.v_max)
-        return Vehicles(others.id, others.lane, position, speed, accel, others.target,
-                        others.by_lane)
+        moved = Vehicles(others.id, others.lane, position, speed, accel, others.target,
+                         others.by_lane)
+        others._moves[key] = weakref.ref(moved)
+        return moved
 
     @_cached
     def _neighbors(self) -> NeighborSet:

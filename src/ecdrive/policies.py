@@ -7,7 +7,7 @@ perceives vehicles only; obstacles are invisible to it by design, which is
 exactly the situation that makes escalation to the cloud worthwhile.
 
 The cloud policy perceives the full scene (obstacles included), predicts
-every entity in a lane the ego can reach forward with a
+the entities in the lanes the ego can reach forward with a
 constant-acceleration rollout, and picks the cheapest action under a
 collision-dominated cost. A crashed rollout halts the ego (speed zero for
 the remaining horizon), so unavoidable impacts are priced by how much
@@ -17,8 +17,13 @@ first-step command, so both are computed once per decision. The hazards
 are then sorted against the range of the ego's paths: those that stay
 behind it are dropped, those that stay ahead of it are reduced to each
 lane's nearest position per step, and only the rest are checked one by
-one by each candidate action's rollout. The results are bit-identical to
-checking every hazard (see ``_plan_hazards``). The rationale's perception
+one by each candidate action's rollout. A vehicle track never falls, and
+never passes the position a body at the larger of the vehicle's speed
+and ``v_max`` reaches, so two bounds leave out vehicles before their
+track is built: one whose bound stays behind the ego's reach, and one
+that starts past the bound of its lane's nearest vehicle ahead, which it
+can neither pass nor tie. The results are bit-identical to checking every
+hazard's full track (see ``_plan_hazards``). The rationale's perception
 stage lists the hazards that plan is made of, the near ones and those
 that hold a lane's nearest position at some step, rather than every
 entity on the road: a scene with only those hazards in it yields the same
@@ -40,7 +45,6 @@ import math
 import os
 import struct
 import threading
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 from urllib.parse import urlsplit
@@ -242,31 +246,6 @@ def _track(p: float, v: float, accels, v_max: float) -> tuple[list[float], list[
     return positions, speeds
 
 
-def _predict_hazards(scene: Scene, lanes) -> Iterator[tuple[int, int, float, list[float]]]:
-    """Predict the hazards in ``lanes`` ``HORIZON`` steps ahead; the ego
-    does not matter.
-
-    Yields, lane by lane in the order given, each vehicle of the lane
-    (through ``Vehicles.by_lane``, ascending) and then each obstacle of
-    it, as ``(index, lane, radius, track)``: its entity index (vehicles in
-    column order, then obstacles), its radius (the center distance below
-    which the ego overlaps it) and its ``HORIZON + 1`` positions, the
-    current one first. Vehicles keep their current acceleration; obstacles
-    stand still.
-    """
-    v_max, still = scene.v_max, (0.0,) * HORIZON
-    others, obstacles = scene.others, scene.obstacles
-    positions, speeds, accels = others.position, others.speed, others.accel
-    n_vehicles = len(speeds)
-    for lane in lanes:
-        for i in others.by_lane.get(lane, ()):
-            track = _track(positions[i], speeds[i], (accels[i],) * HORIZON, v_max)[0]
-            yield i, lane, VEHICLE_LENGTH_M, track
-        for j, obs in enumerate(obstacles):
-            if obs.lane == lane:
-                yield n_vehicles + j, lane, obs.radius, _track(obs.position, 0.0, still, v_max)[0]
-
-
 def _ego_paths(scene: Scene) -> dict[float, tuple[list[float], list[float]]]:
     """The ego's positions and speeds, ``HORIZON + 1`` of each, for every
     first-step command of :data:`EFFECTS` (then holding speed), had nothing
@@ -320,6 +299,35 @@ def _plan_hazards(scene: Scene) -> _HazardPlan:
     The argument assumes finite positions; a config with NaN or Infinity
     in it fails validation.
 
+    Hazards are visited lane by lane, each lane's vehicles in column order
+    and then its obstacles; an obstacle stands still, a vehicle keeps its
+    acceleration. Two rules leave out vehicles whose track cannot change
+    the result, without building it. Both rest on one property: with a
+    speed ``v >= 0`` and ``v_max >= 0`` every speed of a track lies in
+    ``[0, b]``, ``b = max(v, v_max)``, and each step adds
+    ``0.5 * (v + v') * dt >= 0``, so the track never falls and, rounding
+    being monotone in every operand, never passes ``U``, the position
+    reached from ``P_0`` by ``H`` steps of ``0.5 * (b + b) * dt`` (that is
+    ``b`` unless ``b + b`` overflows):
+    - **behind by its bound.** If ``U - e_lo <= -r``, then
+      ``max P - e_lo <= -r``: the vehicle is behind (a NaN acceleration
+      makes the later positions NaN, which ``max`` passes over).
+    - **past the nearest ahead.** Of the lane's vehicles with ``v >= 0``,
+      a finite acceleration and ``P_0 - e_hi >= r``, the nearest (``n``,
+      least ``P_0``) is ahead, with a track that never passes its bound
+      ``U_n``. A vehicle with ``v >= 0`` and a finite acceleration whose
+      ``P_0 > U_n`` is ahead too (its least position is ``P_0``), and at
+      every step it lies strictly above ``n``, so it attains no per-row
+      minimum, neither value nor tie: leaving it out changes no minimum
+      and no listed hazard. One exception needs care: ``min`` returns NaN
+      for a row whose first value is NaN, which only a hand-built scene
+      can hold, so where a row of the kept tracks starts with NaN and a
+      left-out vehicle came first in entity order, the minimum is taken
+      over the numbers, as the full row would have given it.
+    Every other vehicle, and every vehicle with a NaN or negative speed,
+    is classified from its full track, so a comparison that fails on NaN
+    keeps the track. A ``v_max`` below 0 (or NaN) turns both rules off.
+
     ``listed`` names the hazards the plan is made of, by ascending entity
     index: every near hazard, and in each ahead lane, per row, the hazard
     that holds the minimum (on a tie the first in entity order, which is
@@ -335,30 +343,88 @@ def _plan_hazards(scene: Scene) -> _HazardPlan:
     paths = _ego_paths(scene)
     reach = [p for positions, _ in paths.values() for p in positions]
     e_lo, e_hi = min(reach), max(reach)
+    dt, v_max, r = DEFAULT_DT, scene.v_max, VEHICLE_LENGTH_M
+    top = float(v_max)
+    if not top >= 0.0:
+        top = math.nan  # the bounds are NaN, so no comparison prunes
+    # U grows with P_0, so a vehicle with v <= top that starts at or below a
+    # point whose bound is behind is behind too, its own bound unformed
+    floor = e_lo - r - (HORIZON + 1) * top
+    if not _bound(floor, 0.0, top) - e_lo <= -r:
+        floor = math.nan
+    others, obstacles = scene.others, scene.obstacles
+    positions, speeds, accels = others.position, others.speed, others.accel
+    n_vehicles, still, inf = len(speeds), (0.0,) * HORIZON, math.inf
     ego_lane = scene.ego.lane
     near: dict[int, list[tuple[float, list[float]]]] = {}
-    ahead_tracks: dict[int, tuple[list[int], list[list[float]]]] = {}
+    ahead: dict[int, list[float]] = {}
     listed = []
-    reachable = (ego_lane - 1, ego_lane, ego_lane + 1)
-    for index, lane, radius, track in _predict_hazards(scene, reachable):
-        if radius > 0.0 and radius * radius > 0.0:
-            if max(track) - e_lo <= -radius:
-                continue
-            if min(track) - e_hi >= radius:
-                indices, tracks = ahead_tracks.setdefault(lane, ([], []))
-                indices.append(index)
-                tracks.append(track)
-                continue
-        near.setdefault(lane, []).append((radius, track))
-        listed.append(index)
-    ahead = {}
-    for lane, (indices, tracks) in ahead_tracks.items():
-        minima = ahead[lane] = []
-        for row in zip(*tracks):
-            low = min(row)
-            minima.append(low)
-            listed.append(indices[row.index(low)])
+    for lane in (ego_lane - 1, ego_lane, ego_lane + 1):
+        members = others.by_lane.get(lane, ())
+        nearest, front = -1, inf
+        for i in members:
+            p = positions[i]
+            if p < front and p - e_hi >= r and speeds[i] >= 0.0 and -inf < accels[i] < inf:
+                nearest, front = i, p
+        cut = _bound(front, speeds[nearest], top) if nearest >= 0 else inf
+        hazards, first_left_out = [], inf
+        for i in members:
+            p, v, a = positions[i], speeds[i], accels[i]
+            if v >= 0.0:
+                if p - e_lo <= -r and (
+                        p <= floor and v <= top or _bound(p, v, top) - e_lo <= -r):
+                    continue
+                if p > cut and -inf < a < inf:
+                    if first_left_out > i:
+                        first_left_out = i
+                    continue
+            track = [p]
+            for _ in range(HORIZON):
+                v_new = v + a * dt
+                if 0.0 > v_new:
+                    v_new = 0.0
+                if v_max < v_new:
+                    v_new = v_max
+                p = p + 0.5 * (v + v_new) * dt
+                v = v_new
+                track.append(p)
+            hazards.append((i, r, track))
+        for j, obs in enumerate(obstacles):
+            if obs.lane == lane:
+                track = _track(obs.position, 0.0, still, v_max)[0]
+                hazards.append((n_vehicles + j, obs.radius, track))
+        indices, tracks = [], []
+        for index, radius, track in hazards:
+            if radius > 0.0 and radius * radius > 0.0:
+                if max(track) - e_lo <= -radius:
+                    continue
+                if min(track) - e_hi >= radius:
+                    indices.append(index)
+                    tracks.append(track)
+                    continue
+            near.setdefault(lane, []).append((radius, track))
+            listed.append(index)
+        if indices:
+            minima = ahead[lane] = []
+            for row in zip(*tracks):
+                low = min(row)
+                if low != low and first_left_out < indices[0]:
+                    # the full row began with a left-out vehicle's number,
+                    # so its min passed over the NaN
+                    low = min([x for x in row if x == x])
+                minima.append(low)
+                listed.append(indices[row.index(low)])
     return _HazardPlan(paths, near, ahead, sorted(set(listed)))
+
+
+def _bound(p: float, v: float, top: float) -> float:
+    """``U`` of :func:`_plan_hazards`: ``p`` moved ``HORIZON`` times by
+    ``0.5 * (b + b) * dt``, ``b = max(top, v)``, NaN if ``top`` is."""
+    b = v if v > top else top
+    stride = 0.5 * (b + b) * DEFAULT_DT
+    for _ in range(HORIZON):
+        p = p + stride
+    return p
 
 
 def rollout_cost(

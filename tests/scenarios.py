@@ -15,8 +15,9 @@ from ecdrive import (
     Scene,
     VehicleState,
 )
-from ecdrive.highway import MAX_MAGNITUDE
+from ecdrive.highway import MAX_MAGNITUDE, VEHICLE_LENGTH_M
 from ecdrive.orchestrator import MAX_LATENCY_MS
+from ecdrive.policies import HORIZON, _ego_paths, _HazardPlan, _track
 
 
 def others_states(scene: Scene) -> tuple[VehicleState, ...]:
@@ -27,6 +28,60 @@ def others_states(scene: Scene) -> tuple[VehicleState, ...]:
         VehicleState,
         others.id, others.lane, others.position, others.speed, others.accel, others.target,
     ))
+
+
+def predict_hazards(scene: Scene, lanes):
+    """Every hazard in ``lanes``, lane by lane in the order given, each
+    lane's vehicles (ascending, through ``Vehicles.by_lane``) and then its
+    obstacles, as ``(index, lane, radius, track)``: its entity index
+    (vehicles in column order, then obstacles), the center distance below
+    which the ego overlaps it, and its ``HORIZON + 1`` positions from
+    ``policies._track``, the current one first. Vehicles keep their
+    acceleration; obstacles stand still. The planner builds only the tracks
+    that can change its plan; this builds them all."""
+    v_max, still = scene.v_max, (0.0,) * HORIZON
+    others, obstacles = scene.others, scene.obstacles
+    positions, speeds, accels = others.position, others.speed, others.accel
+    n_vehicles = len(speeds)
+    for lane in lanes:
+        for i in others.by_lane.get(lane, ()):
+            track = _track(positions[i], speeds[i], (accels[i],) * HORIZON, v_max)[0]
+            yield i, lane, VEHICLE_LENGTH_M, track
+        for j, obs in enumerate(obstacles):
+            if obs.lane == lane:
+                yield n_vehicles + j, lane, obs.radius, _track(obs.position, 0.0, still, v_max)[0]
+
+
+def full_plan(scene: Scene) -> _HazardPlan:
+    """``policies._plan_hazards`` without its pruning: every hazard of the
+    reachable lanes is classified behind, ahead or near from its full track
+    (:func:`predict_hazards`), and each ahead lane is reduced to its per-row
+    minima over all of its ahead tracks."""
+    paths = _ego_paths(scene)
+    reach = [p for positions, _ in paths.values() for p in positions]
+    e_lo, e_hi = min(reach), max(reach)
+    ego_lane = scene.ego.lane
+    near, ahead_tracks, listed = {}, {}, []
+    for index, lane, radius, track in predict_hazards(
+            scene, (ego_lane - 1, ego_lane, ego_lane + 1)):
+        if radius > 0.0 and radius * radius > 0.0:
+            if max(track) - e_lo <= -radius:
+                continue
+            if min(track) - e_hi >= radius:
+                indices, tracks = ahead_tracks.setdefault(lane, ([], []))
+                indices.append(index)
+                tracks.append(track)
+                continue
+        near.setdefault(lane, []).append((radius, track))
+        listed.append(index)
+    ahead = {}
+    for lane, (indices, tracks) in ahead_tracks.items():
+        minima = ahead[lane] = []
+        for row in zip(*tracks):
+            low = min(row)
+            minima.append(low)
+            listed.append(indices[row.index(low)])
+    return _HazardPlan(paths, near, ahead, sorted(set(listed)))
 
 
 def assert_same_scene(actual: Scene, expected: Scene) -> None:

@@ -58,6 +58,25 @@ CASES = {
         "seeds": [0, 1],
         "steps": 60,
     },
+    # 200 vehicles at the density of dense_cloud (four lanes, a 10 km
+    # spawn span): most vehicles of the reachable lanes are behind the ego
+    # or past the nearest one ahead, so the planner leaves out their tracks
+    "dense_200": {
+        "scenario": {
+            "name": "dense200",
+            "lane_count": 4,
+            "ego_lane": 1,
+            "ego_speed": 25.0,
+            "ego_position": 0.0,
+            "n_random_vehicles": 200,
+            "speed_range": [18.0, 28.0],
+            "spawn_span": [-2000.0, 8000.0],
+        },
+        "injections": [],
+        "offload": {"mode": "CloudOnly", **_SMALL_KS},
+        "seeds": [0, 1],
+        "steps": 60,
+    },
     "traffic_shift": {
         "scenario": _open_highway(),
         "injections": [{"kind": "TrafficPatternShift", "start_step": 20, "end_step": 50,
@@ -177,6 +196,12 @@ GOLDEN = {
             "8a4c75e5ad615b497275f27d301c6b686fd4eae1137dabb1713ed04e2b1fe246",
         "dense_CloudOnly_1.jsonl":
             "07cdaa268c77998cee8b489edb0f2e2e2d63fb53b841dc65a63bedf72a4f9d39",
+    },
+    "dense_200": {
+        "dense200_CloudOnly_0.jsonl":
+            "bc6804621c7426de3b7f9dd3373c765efba5199182647dc70a62fc928c682f69",
+        "dense200_CloudOnly_1.jsonl":
+            "2f6c0b1c6d181006f6ce53ac1c86272893bf76220ef4499c23e2149a236d2765",
     },
     "traffic_shift": {
         "open_highway_CloudOnly_3.jsonl":

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,7 @@ from ecdrive import (
     Action,
     DriftInjection,
     IllegalLaneChange,
+    OffloadConfig,
     Obstacle,
     ScenarioConfig,
     ScenarioError,
@@ -26,11 +29,12 @@ from ecdrive import (
     lane_neighbors,
     legal_actions,
     nearest_neighbors,
+    run_episodes,
     spawn_scenario,
     step,
 )
 
-from ecdrive import highway, policies
+from ecdrive import highway, orchestrator, policies
 from ecdrive.highway import (
     ACCEL_CMD,
     DECEL_CMD,
@@ -452,6 +456,73 @@ class TestStep:
                 continue
             assert 0.0 <= scene.ego.speed <= scene.v_max
             assert 0 <= scene.ego.lane < scene.lane_count
+
+
+def _dense_config() -> ScenarioConfig:
+    """40 vehicles on four lanes around an ego in lane 1."""
+    return ScenarioConfig(name="dense", lane_count=4, ego_lane=1, ego_speed=25.0,
+                          n_random_vehicles=40, speed_range=(18.0, 28.0),
+                          spawn_span=(-400.0, 1600.0))
+
+
+class TestColumnMoves:
+    """The other vehicles move once per column set and overlay."""
+
+    def test_scenes_that_share_columns_share_their_move(self):
+        scene = spawn_scenario(_dense_config(), seed=0)
+        moved = step(scene, Action.KEEP).others
+        # another ego, another object, an int v_max of the same value: the
+        # very same columns one step on
+        twin = dataclasses.replace(scene, ego=dataclasses.replace(scene.ego, speed=10.0),
+                                   v_max=30)
+        assert step(twin, Action.DECELERATE).others is moved
+        # a NewObstacle overlay does not touch the move
+        overlay = inject_drift(scene, DriftInjection(kind="NewObstacle", start_step=0,
+                                                     end_step=1, position=50.0), 0)
+        assert step(overlay, Action.KEEP).others is moved
+        # another target_offset or v_max, down to the sign of a zero, is a
+        # move of its own, equal to a fresh one
+        for changes in ({"target_offset": -0.0}, {"target_offset": -6.0}, {"v_max": 29.0}):
+            other = dataclasses.replace(scene, **changes)
+            fresh = dataclasses.replace(other, others=others_states(other))
+            assert step(other, Action.KEEP).others is not moved
+            assert_same_scene(step(other, Action.KEEP), step(fresh, Action.KEEP))
+
+    def test_the_cache_keeps_no_moved_columns_alive(self):
+        scene = spawn_scenario(_dense_config(), seed=0)
+        columns = scene.others
+        stepped = step(scene, Action.KEEP)
+        ref = weakref.ref(stepped.others)
+        del scene, stepped
+        gc.collect()
+        assert ref() is None
+        # the columns are moved again, to equal values, when a scene asks
+        again = Scene(time=0.0, lane_count=4, ego=VehicleState(0, 1, 0.0, 25.0), others=columns)
+        fresh = dataclasses.replace(again, others=others_states(again))
+        assert_same_scene(step(again, Action.KEEP), step(fresh, Action.KEEP))
+
+    @pytest.mark.parametrize("steps", [60, 250])
+    def test_one_move_per_step_index_in_a_run(self, monkeypatch, steps):
+        # the burn-in (n_ref steps) and the CloudOnly episode step the same
+        # 40 columns on the indices they share, which are moved once each
+        moves, indices = [], set()
+        real_advance, real_step = highway._advance, orchestrator.step
+
+        def advance(speeds, *args):
+            if len(speeds) > 1:
+                moves.append(len(speeds))
+            return real_advance(speeds, *args)
+
+        def counted_step(scene, action):
+            indices.add(scene.time)
+            return real_step(scene, action)
+
+        monkeypatch.setattr(highway, "_advance", advance)
+        monkeypatch.setattr(orchestrator, "step", counted_step)
+        config = OffloadConfig(mode="CloudOnly", n_ref=200, window=20)
+        run_episodes(_dense_config(), (), [config], seed=0, steps=steps)
+        assert moves == [40] * len(indices)
+        assert len(indices) == max(steps, config.n_ref)
 
 
 def _reprs(*values) -> list[tuple[type, str]]:

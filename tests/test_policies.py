@@ -40,7 +40,9 @@ from ecdrive.policies import (
 
 from scenarios import (
     assert_same_scene,
+    full_plan,
     others_states,
+    predict_hazards,
     random_scenes,
     reference_scene,
     static_obstacle_scene,
@@ -317,7 +319,7 @@ def _all_hazards(scene: Scene) -> dict[int, tuple[int, float, list[float]]]:
     in any lane."""
     lanes = {*scene.others.lane, *(o.lane for o in scene.obstacles)}
     return {index: (lane, radius, track)
-            for index, lane, radius, track in policies._predict_hazards(scene, lanes)}
+            for index, lane, radius, track in predict_hazards(scene, lanes)}
 
 
 def _hazard_classes(scene: Scene) -> dict[int, str]:
@@ -447,6 +449,131 @@ def _same_plan(actual, expected) -> None:
     for a, b in zip(actual[:3], expected[:3]):
         a, b = sorted(a.items()), sorted(b.items())
         assert a == b and repr(a) == repr(b)
+
+
+def _left_out(scene: Scene) -> dict[int, str]:
+    """Vehicle index -> the rule of ``_plan_hazards`` that leaves out its
+    track ("behind by its bound" or "past the nearest ahead"), recomputed
+    from the rules, for the vehicles of the reachable lanes it applies to."""
+    paths = policies._plan_hazards(scene).paths
+    reach = [p for positions, _ in paths.values() for p in positions]
+    e_lo, e_hi, r = min(reach), max(reach), VEHICLE_LENGTH_M
+    top = float(scene.v_max) if scene.v_max >= 0 else math.nan
+
+    def bound(i):
+        v = scene.others.speed[i]
+        stride = 0.5 * (max(top, v) + max(top, v)) * DEFAULT_DT
+        p = scene.others.position[i]
+        for _ in range(HORIZON):
+            p += stride
+        return p
+
+    rules = {}
+    for lane in range(scene.ego.lane - 1, scene.ego.lane + 2):
+        members = scene.others.by_lane.get(lane, ())
+        sane = [i for i in members if scene.others.speed[i] >= 0.0]
+        finite = [i for i in sane if math.isfinite(scene.others.accel[i])]
+        far = [i for i in finite if scene.others.position[i] - e_hi >= r]
+        cut = bound(min(far, key=lambda i: scene.others.position[i])) if far else math.inf
+        for i in sane:
+            if bound(i) - e_lo <= -r:
+                rules[i] = "behind by its bound"
+            elif i in finite and scene.others.position[i] > cut:
+                rules[i] = "past the nearest ahead"
+    return rules
+
+
+def _lane_of(lane: int, *vehicles) -> Scene:
+    """``_road`` (e_lo = 0 m, e_hi = 35 m) with ``vehicles``, given as
+    (position, speed, accel), in lane ``lane``, ids from 1."""
+    return _road(others=tuple(VehicleState(k + 1, lane, p, v, accel=a)
+                              for k, (p, v, a) in enumerate(vehicles)))
+
+
+_NAN = float("nan")
+
+
+class TestPrunedPlan:
+    """The plan leaves out tracks that cannot change it, and is, bit for
+    bit, the plan built from every hazard's full track."""
+
+    def test_equals_the_plan_of_every_full_track(self):
+        seen = set()
+        wide = st.floats(-400.0, 1600.0)
+
+        @settings(max_examples=200, deadline=None)
+        @given(scene=random_scenes() | random_scenes(positions=wide)
+               | random_scenes(positions=st.sampled_from((-95.0, -5.0, 40.0, 130.0, 190.0))))
+        # exactly on the bound U = P_0 + 3 * 30 of a vehicle at v_max
+        # (behind, left out), and 0.25 m inside it (near)
+        @example(scene=_road(others=(VehicleState(1, 0, -95.0, 30.0),
+                                     VehicleState(2, 1, -94.75, 30.0))))
+        # a vehicle of a smaller index that starts exactly on the nearest
+        # ahead vehicle's bound (60 + 3 * 30 = 150) ties its last position
+        # and is kept and listed; one 0.25 m beyond it is left out
+        @example(scene=_lane_of(0, (150.0, 0.0, 0.0), (150.25, 5.0, 0.0), (60.0, 30.0, 0.0)))
+        # speeds clamped at 0 and at v_max, behind and ahead
+        @example(scene=_lane_of(0, (-200.0, 0.5, -3.0), (-100.0, 29.8, 2.0),
+                                (50.0, 0.5, -3.0), (300.0, 29.8, 2.0), (400.0, 1.0, -3.0)))
+        # hand-built speeds above v_max (40 m/s: U = P_0 + 3 * 40, so the
+        # one at -95 m is near, and so is the one at 100 m/s from -125 m,
+        # below the bound of v_max) and below 0
+        @example(scene=_lane_of(1, (-125.0, 40.0, 0.0), (-95.0, 40.0, 0.0), (60.0, 40.0, 0.0),
+                                (200.0, -5.0, 1.0), (-300.0, -1.0, 0.0), (500.0, 31.0, 0.0),
+                                (-125.0, 100.0, 0.0)))
+        # the nearest ahead at 40 m/s ends at 155 m, past 60 + 3 * 30: the
+        # vehicle at 152 m holds the last row's minimum
+        @example(scene=_lane_of(0, (60.0, 40.0, 0.0), (152.0, 0.0, 0.0)))
+        # a vehicle ahead with a speed below 0 falls back near, so it is not
+        # the nearest ahead that leaves out the one behind it
+        @example(scene=_lane_of(0, (60.0, -60.0, 0.0), (200.0, 5.0, 0.0)))
+        # -0.0 and 0.0 level ahead of an ego at -100 m (e_hi = -65 m), with a
+        # vehicle past them
+        @example(scene=Scene(time=0.0, lane_count=2, ego=VehicleState(0, 0, -100.0, 10.0),
+                             others=(VehicleState(1, 0, 0.0, 0.0), VehicleState(2, 0, -0.0, 0.0),
+                                     VehicleState(3, 0, 200.0, 5.0),
+                                     VehicleState(4, 1, -0.0, 0.0))))
+        # hand-built NaN: a kept vehicle whose rows after the first are NaN
+        # follows a left-out one (the full row's minimum skips the NaN) or
+        # precedes it (the minimum is NaN); NaN speeds and positions keep
+        # their tracks
+        @example(scene=_lane_of(0, (500.0, 10.0, 0.0), (400.0, 10.0, _NAN), (100.0, 10.0, 0.0)))
+        @example(scene=_lane_of(0, (400.0, 10.0, _NAN), (500.0, 10.0, 0.0), (100.0, 10.0, 0.0)))
+        @example(scene=_lane_of(0, (500.0, _NAN, 0.0), (_NAN, 10.0, 0.0), (-300.0, _NAN, 1.0),
+                                (100.0, 10.0, 0.0)))
+        # the nearest ahead has a NaN acceleration, so it bounds nothing: the
+        # vehicle past it holds the rows after the first
+        @example(scene=_lane_of(0, (200.0, 5.0, 0.0), (60.0, 10.0, _NAN)))
+        # an int v_max, and a v_max below 0, which turns the rules off
+        @example(scene=dataclasses.replace(
+            _lane_of(0, (-200.0, 20.0, 0.0), (60.0, 20.0, 0.0), (300.0, 20.0, 0.0)), v_max=30))
+        @example(scene=dataclasses.replace(
+            _lane_of(0, (-200.0, 20.0, 0.0), (60.0, 20.0, 0.0), (300.0, 20.0, 0.0)), v_max=-1.0))
+        # under v_max -1 the tracks fall (the ego's reach is 0..4.5 m): both
+        # vehicles start ahead and end near
+        @example(scene=dataclasses.replace(
+            _lane_of(0, (9.5, 0.0, 0.0), (9.75, 0.0, 0.0)), v_max=-1.0))
+        def check(scene):
+            plan, expected = policies._plan_hazards(scene), full_plan(scene)
+            assert repr(plan) == repr(expected)
+            if "nan" not in repr(expected):
+                assert plan == expected
+            seen.update(_left_out(scene).values())
+
+        check()
+        assert seen == {"behind by its bound", "past the nearest ahead"}
+
+    def test_examples_sit_on_the_bounds(self):
+        on_bound = _road(others=(VehicleState(1, 0, -95.0, 30.0),
+                                 VehicleState(2, 1, -94.75, 30.0)))
+        assert _left_out(on_bound) == {0: "behind by its bound"}
+        assert policies._plan_hazards(on_bound).listed == [1]
+        tie = _lane_of(0, (150.0, 0.0, 0.0), (150.25, 5.0, 0.0), (60.0, 30.0, 0.0))
+        assert _left_out(tie) == {1: "past the nearest ahead"}
+        plan = policies._plan_hazards(tie)
+        assert plan.ahead == {0: [60.0, 90.0, 120.0, 150.0]} and plan.listed == [0, 2]
+        for v_max in (-1.0, _NAN):
+            assert _left_out(dataclasses.replace(tie, v_max=v_max)) == {}
 
 
 class TestPerceptionSet:

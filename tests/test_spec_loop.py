@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from ecdrive import MODES, DriftInjection, OffloadConfig, run_episodes
@@ -32,7 +32,11 @@ def _example(*injections):
                    injections=injections, tau=0.5, n_refs=(40, 40), seed=1, steps=60)
 
 
+# no shrink phase: a failing example of this property took minutes and
+# hundreds of MB to shrink, so a regression reports the example it found
+# as it is, within seconds
 @settings(max_examples=50, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(scenario=runnable_scenarios(), offload=runnable_offloads(),
        injections=st.tuples(runnable_injections(), _NOISE).map(lambda t: (*t[0], t[1])),

@@ -49,9 +49,15 @@ from ecdrive.highway import (
     NeighborInfo,
     Vehicles,
 )
-from ecdrive.policies import HORIZON, _predict_hazards
+from ecdrive.policies import HORIZON, _plan_hazards
 
-from scenarios import assert_same_scene, others_states, random_scenes
+from scenarios import (
+    assert_same_scene,
+    full_plan,
+    others_states,
+    predict_hazards,
+    random_scenes,
+)
 
 # A few positions, the ego's 0.0 among them, so vehicles tie with each other
 # and with the ego.
@@ -147,7 +153,7 @@ def _oracle_predict_hazards(scene: Scene, horizon: int):
 
 
 def _oracle_hazard_tracks(scene: Scene, horizon: int, lanes):
-    """``_predict_hazards``'s layout from the oracle's rows: lane by lane,
+    """``predict_hazards``'s layout from the oracle's rows: lane by lane,
     each hazard of the lane in entity order, with its track."""
     hazard_lanes, radii, rows = _oracle_predict_hazards(scene, horizon)
     tracks = [list(track) for track in zip(*rows)]
@@ -274,8 +280,11 @@ class TestColumnReaders:
         # every lane, in descending order, then the lanes the planner asks for
         ego_lane = scene.ego.lane
         for lanes in (range(scene.lane_count, -2, -1), (ego_lane - 1, ego_lane, ego_lane + 1)):
-            _same(list(_predict_hazards(scene, lanes)),
+            _same(list(predict_hazards(scene, lanes)),
                   _oracle_hazard_tracks(scene, HORIZON, lanes))
+        # and the planner, which builds only the tracks that can change its
+        # plan, makes the plan of all of them
+        assert repr(_plan_hazards(scene)) == repr(full_plan(scene))
 
     @settings(max_examples=100, deadline=None)
     @given(scene=SCENES, sigma=st.sampled_from((0.0, 0.5, 3.0)), seed=st.integers(0, 2**32 - 1))
