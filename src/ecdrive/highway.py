@@ -628,9 +628,15 @@ def _advance(speeds, commands, positions, v_max: float):
     builtins do, so a speed clamped to an int ``v_max`` is a float too;
     when it does not bind this is exactly p' = p + v dt + a dt^2 / 2.
 
-    The world's integrator only: the planner's ``policies._track`` moves by
-    the trapezoid p + (v + v') dt / 2, which may differ in the last ulp, so
-    one formula for both would change trace bytes.
+    The world's integrator only: the planner's tracks move by the trapezoid
+    p + (v + v') dt / 2, which may differ in the last ulp. Moving them by
+    this formula instead changed no bench trace at seed 0 and no golden
+    trace. What rests on the trapezoid is the planner's bound ``U``
+    (``policies._bound``, whose rounding argument compares each step's
+    ``0.5 * (v + v') * dt`` with ``0.5 * (b + b) * dt``) and the two oracle
+    tests that encode it, ``TestSharedHazardPrediction`` in
+    ``tests/test_policies.py`` and ``TestColumnReaders`` in
+    ``tests/test_vehicle_columns.py``.
     """
     dt, v_max = DEFAULT_DT, float(v_max)
     new_speeds, new_positions, accels = [], [], []

@@ -87,6 +87,14 @@ REASONS = ("Drift", "LowConfidence", "None", "Both")
 #: the largest ``edge_ms``, ``cloud_ms`` and ``rtt_ms``: a step then costs
 #: at most 3e9 ms, so an episode's summed latency stays finite
 MAX_LATENCY_MS = 1e9
+#: the largest ``window``, ``n_ref`` and ``n_perm``. ``n_ref`` is also the
+#: burn-in's length in steps. The MMD detector holds n_ref x n_ref and
+#: n_perm x (n_ref + window) arrays and a (2 window)^2 ring, so a run at all
+#: three peaks near 200 MB; a window test then costs about n_perm * window^2
+#: multiply-adds
+MAX_WINDOW = 1000
+MAX_N_REF = 2000
+MAX_N_PERM = 1000
 
 
 @dataclass(frozen=True)
@@ -122,12 +130,11 @@ class OffloadConfig:
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.window < 10:
-            raise ValueError("window must be >= 10")
-        if self.n_ref < 30:
-            raise ValueError("n_ref must be >= 30")
-        if self.n_perm < 20:
-            raise ValueError("n_perm must be >= 20")
+        for name, least, most in (("window", 10, MAX_WINDOW), ("n_ref", 30, MAX_N_REF),
+                                  ("n_perm", 20, MAX_N_PERM)):
+            value = getattr(self, name)
+            if not least <= value <= most:
+                raise ValueError(f"{name} must lie in [{least}, {most}], got {value!r}")
         for name in ("edge_ms", "cloud_ms", "rtt_ms"):
             value = getattr(self, name)
             if not math.isfinite(value):

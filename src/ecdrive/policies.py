@@ -21,7 +21,7 @@ one by each candidate action's rollout. A vehicle track never falls, and
 never passes the position a body at the larger of the vehicle's speed
 and ``v_max`` reaches, so two bounds leave out vehicles before their
 track is built: one whose bound stays behind the ego's reach, and one
-that starts past the bound of its lane's nearest vehicle ahead, which it
+that starts past its lane's running cut, a kept vehicle's bound, which it
 can neither pass nor tie. The results are bit-identical to checking every
 hazard's full track (see ``_plan_hazards``). The rationale's perception
 stage lists the hazards that plan is made of, the near ones and those
@@ -246,6 +246,10 @@ def _track(p: float, v: float, accels, v_max: float) -> tuple[list[float], list[
     return positions, speeds
 
 
+#: the first-step commands of :data:`EFFECTS`, each once, in its order
+_COMMANDS = tuple(dict.fromkeys(command for _, command in EFFECTS.values()))
+
+
 def _ego_paths(scene: Scene) -> dict[float, tuple[list[float], list[float]]]:
     """The ego's positions and speeds, ``HORIZON + 1`` of each, for every
     first-step command of :data:`EFFECTS` (then holding speed), had nothing
@@ -253,7 +257,7 @@ def _ego_paths(scene: Scene) -> dict[float, tuple[list[float], list[float]]]:
     ego, hold = scene.ego, (0.0,) * (HORIZON - 1)
     return {
         command: _track(ego.position, ego.speed, (command, *hold), scene.v_max)
-        for command in dict.fromkeys(command for _, command in EFFECTS.values())
+        for command in _COMMANDS
     }
 
 
@@ -302,28 +306,28 @@ def _plan_hazards(scene: Scene) -> _HazardPlan:
     Hazards are visited lane by lane, each lane's vehicles in column order
     and then its obstacles; an obstacle stands still, a vehicle keeps its
     acceleration. Two rules leave out vehicles whose track cannot change
-    the result, without building it. Both rest on one property: with a
-    speed ``v >= 0`` and ``v_max >= 0`` every speed of a track lies in
-    ``[0, b]``, ``b = max(v, v_max)``, and each step adds
-    ``0.5 * (v + v') * dt >= 0``, so the track never falls and, rounding
-    being monotone in every operand, never passes ``U``, the position
-    reached from ``P_0`` by ``H`` steps of ``0.5 * (b + b) * dt`` (that is
-    ``b`` unless ``b + b`` overflows):
+    the result, without building it, in the one pass over the lane. Both
+    rest on one property: with a speed ``v >= 0`` and ``v_max >= 0`` every
+    speed of a track lies in ``[0, b]``, ``b = max(v, v_max)``, and each
+    step adds ``0.5 * (v + v') * dt >= 0``, so the track never falls and,
+    rounding being monotone in every operand, never passes ``U``, the
+    position reached from ``P_0`` by ``H`` steps of ``0.5 * (b + b) * dt``
+    (that is ``b`` unless ``b + b`` overflows):
     - **behind by its bound.** If ``U - e_lo <= -r``, then
       ``max P - e_lo <= -r``: the vehicle is behind (a NaN acceleration
       makes the later positions NaN, which ``max`` passes over).
-    - **past the nearest ahead.** Of the lane's vehicles with ``v >= 0``,
-      a finite acceleration and ``P_0 - e_hi >= r``, the nearest (``n``,
-      least ``P_0``) is ahead, with a track that never passes its bound
-      ``U_n``. A vehicle with ``v >= 0`` and a finite acceleration whose
-      ``P_0 > U_n`` is ahead too (its least position is ``P_0``), and at
-      every step it lies strictly above ``n``, so it attains no per-row
-      minimum, neither value nor tie: leaving it out changes no minimum
-      and no listed hazard. One exception needs care: ``min`` returns NaN
-      for a row whose first value is NaN, which only a hand-built scene
-      can hold, so where a row of the kept tracks starts with NaN and a
-      left-out vehicle came first in entity order, the minimum is taken
-      over the numbers, as the full row would have given it.
+    - **past the cut.** A lane's cut starts at ``inf``. A vehicle with
+      ``v >= 0`` and a finite acceleration is left out if ``P_0 > cut``;
+      else, if ``P_0 - e_hi >= r`` and ``P_0`` is below the start of every
+      vehicle that set the cut before, its ``U`` becomes the cut. So a
+      left-out vehicle starts past ``U_m`` of a kept vehicle ``m`` earlier
+      in column order; ``m`` is ahead (its least position is ``P_0``) and
+      lies strictly below the left-out one at every step, so a row's first
+      entry is never a left-out vehicle's. ``min`` returns NaN when a row
+      starts with NaN and the least number otherwise, so the row minimum
+      and its ``row.index`` are those of the full row. Any kept ahead
+      vehicle's ``U`` is a sound cut, so a nearer one faster than ``v_max``
+      may loosen it; it is tight once column order reaches the nearest.
     Every other vehicle, and every vehicle with a NaN or negative speed,
     is classified from its full track, so a comparison that fails on NaN
     keeps the track. A ``v_max`` below 0 (or NaN) turns both rules off.
@@ -360,24 +364,18 @@ def _plan_hazards(scene: Scene) -> _HazardPlan:
     ahead: dict[int, list[float]] = {}
     listed = []
     for lane in (ego_lane - 1, ego_lane, ego_lane + 1):
-        members = others.by_lane.get(lane, ())
-        nearest, front = -1, inf
-        for i in members:
-            p = positions[i]
-            if p < front and p - e_hi >= r and speeds[i] >= 0.0 and -inf < accels[i] < inf:
-                nearest, front = i, p
-        cut = _bound(front, speeds[nearest], top) if nearest >= 0 else inf
-        hazards, first_left_out = [], inf
-        for i in members:
+        hazards, cut, front = [], inf, inf
+        for i in others.by_lane.get(lane, ()):
             p, v, a = positions[i], speeds[i], accels[i]
             if v >= 0.0:
                 if p - e_lo <= -r and (
                         p <= floor and v <= top or _bound(p, v, top) - e_lo <= -r):
                     continue
-                if p > cut and -inf < a < inf:
-                    if first_left_out > i:
-                        first_left_out = i
-                    continue
+                if -inf < a < inf:
+                    if p > cut:
+                        continue
+                    if p < front and p - e_hi >= r:
+                        front, cut = p, _bound(p, v, top)
             track = [p]
             for _ in range(HORIZON):
                 v_new = v + a * dt
@@ -408,10 +406,6 @@ def _plan_hazards(scene: Scene) -> _HazardPlan:
             minima = ahead[lane] = []
             for row in zip(*tracks):
                 low = min(row)
-                if low != low and first_left_out < indices[0]:
-                    # the full row began with a left-out vehicle's number,
-                    # so its min passed over the NaN
-                    low = min([x for x in row if x == x])
                 minima.append(low)
                 listed.append(indices[row.index(low)])
     return _HazardPlan(paths, near, ahead, sorted(set(listed)))

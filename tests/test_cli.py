@@ -29,7 +29,14 @@ from ecdrive.cli import (
     main,
 )
 from ecdrive.highway import ScenarioConfig
-from ecdrive.orchestrator import Metrics, OffloadConfig, run_episode
+from ecdrive.orchestrator import (
+    MAX_N_PERM,
+    MAX_N_REF,
+    MAX_WINDOW,
+    Metrics,
+    OffloadConfig,
+    run_episode,
+)
 from ecdrive.trace import load_trace, trace_lines, write_trace
 
 from scenarios import runnable_injections, runnable_offloads, runnable_scenarios
@@ -408,6 +415,15 @@ class TestCmdValidate:
         ("offload", "edge_ms", 1e306, "offload: edge_ms must lie in [0, 1e+09], got 1e+306"),
         ("offload", "rtt_ms", 1e308, "offload: rtt_ms must lie in [0, 1e+09], got 1e+308"),
         ("offload", "cloud_ms", 1e9 + 1, "offload: cloud_ms must lie in [0, 1e+09], got "),
+        # run then ran out of memory allocating the detector's arrays
+        ("offload", "window", 10**12,
+         "offload: window must lie in [10, 1000], got 1000000000000"),
+        ("offload", "n_perm", 10**12,
+         "offload: n_perm must lie in [20, 1000], got 1000000000000"),
+        ("offload", "n_ref", 10**12, "offload: n_ref must lie in [30, 2000], got 1000000000000"),
+        ("offload", "window", 1001, "offload: window must lie in [10, 1000], got 1001"),
+        ("offload", "n_perm", 1001, "offload: n_perm must lie in [20, 1000], got 1001"),
+        ("offload", "n_ref", 2001, "offload: n_ref must lie in [30, 2000], got 2001"),
     ])
     def test_values_above_their_bound_rejected(self, tmp_path, capsys, section, key, value,
                                                message):
@@ -916,6 +932,25 @@ class TestValidatedConfigsRun:
             assert all(map(math.isfinite, dataclasses.astuple(trace.summary)))
         assert cmd_summarize(str(tmp_path / "out" / "*.jsonl"),
                              str(tmp_path / "o.csv")) == EXIT_OK
+
+    # about 2.8 s and a peak RSS of 222 MB under MMD (0.3 s and 67 MB under
+    # KS; 62 MB for the smallest detector) for this test alone in pytest on a
+    # 2-vCPU x86-64 host; the last step tests a full window
+    @pytest.mark.parametrize("method", ["ks", "mmd"])
+    def test_the_largest_validated_detector_runs(self, tmp_path, method):
+        config = base_config(tmp_path)
+        config["offload"].update(method=method, n_ref=MAX_N_REF, window=MAX_WINDOW,
+                                 n_perm=MAX_N_PERM)
+        config.update(modes=list(MODES), seeds=[0], steps=MAX_WINDOW)
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_OK
+        assert cmd_run(str(path)) == EXIT_OK
+        for trace_path in sorted((tmp_path / "out").glob("*.jsonl")):
+            trace = load_trace(trace_path)
+            assert len(trace.records) == MAX_WINDOW
+            assert trace.records[-2].drift_report is None
+            report = trace.records[-1].drift_report
+            assert np.all(np.isfinite(report.statistic)) and np.all(report.p_values <= 1.0)
 
 
 class TestMain:

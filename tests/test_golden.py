@@ -60,7 +60,8 @@ CASES = {
     },
     # 200 vehicles at the density of dense_cloud (four lanes, a 10 km
     # spawn span): most vehicles of the reachable lanes are behind the ego
-    # or past the nearest one ahead, so the planner leaves out their tracks
+    # or past the bound of a nearer vehicle ahead that comes before them in
+    # column order, so the planner leaves out their tracks
     "dense_200": {
         "scenario": {
             "name": "dense200",

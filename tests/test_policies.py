@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ecdrive import (
     Action,
     Obstacle,
+    ScenarioConfig,
     Scene,
     VehicleState,
     check_collision,
@@ -22,6 +23,7 @@ from ecdrive import (
     lane_neighbors,
     legal_actions,
     rollout_cost,
+    spawn_scenario,
     step,
 )
 from ecdrive import policies
@@ -451,35 +453,89 @@ def _same_plan(actual, expected) -> None:
         assert a == b and repr(a) == repr(b)
 
 
-def _left_out(scene: Scene) -> dict[int, str]:
-    """Vehicle index -> the rule of ``_plan_hazards`` that leaves out its
-    track ("behind by its bound" or "past the nearest ahead"), recomputed
-    from the rules, for the vehicles of the reachable lanes it applies to."""
+def _running_cut(scene: Scene) -> tuple[dict[int, str], list[int]]:
+    """The rules of ``_plan_hazards``, recomputed: vehicle index -> the rule
+    that leaves out its track ("behind by its bound" or "past the cut"),
+    for the vehicles of the reachable lanes it applies to, and the
+    vehicles that set a lane's cut, in the order they set it."""
     paths = policies._plan_hazards(scene).paths
     reach = [p for positions, _ in paths.values() for p in positions]
     e_lo, e_hi, r = min(reach), max(reach), VEHICLE_LENGTH_M
     top = float(scene.v_max) if scene.v_max >= 0 else math.nan
+    others = scene.others
 
     def bound(i):
-        v = scene.others.speed[i]
+        v = others.speed[i]
         stride = 0.5 * (max(top, v) + max(top, v)) * DEFAULT_DT
-        p = scene.others.position[i]
+        p = others.position[i]
         for _ in range(HORIZON):
             p += stride
         return p
 
-    rules = {}
+    rules, setters = {}, []
     for lane in range(scene.ego.lane - 1, scene.ego.lane + 2):
-        members = scene.others.by_lane.get(lane, ())
-        sane = [i for i in members if scene.others.speed[i] >= 0.0]
-        finite = [i for i in sane if math.isfinite(scene.others.accel[i])]
-        far = [i for i in finite if scene.others.position[i] - e_hi >= r]
-        cut = bound(min(far, key=lambda i: scene.others.position[i])) if far else math.inf
-        for i in sane:
+        cut = front = math.inf
+        for i in others.by_lane.get(lane, ()):
+            p = others.position[i]
+            if not others.speed[i] >= 0.0:
+                continue
             if bound(i) - e_lo <= -r:
                 rules[i] = "behind by its bound"
-            elif i in finite and scene.others.position[i] > cut:
-                rules[i] = "past the nearest ahead"
+            elif math.isfinite(others.accel[i]):
+                if p > cut:
+                    rules[i] = "past the cut"
+                elif p < front and p - e_hi >= r:
+                    front, cut = p, bound(i)
+                    setters.append(i)
+    return rules, setters
+
+
+def _left_out(scene: Scene) -> dict[int, str]:
+    """Vehicle index -> the rule of ``_plan_hazards`` that leaves out its
+    track; see :func:`_running_cut`."""
+    return _running_cut(scene)[0]
+
+
+def _touched(scene: Scene) -> set[int]:
+    """The vehicles whose position ``_plan_hazards`` adds to, which it does
+    only to build the vehicle's track or its bound: the scene is planned
+    with each position a float subclass that notes its vehicle on ``+``."""
+    touched = set()
+
+    class Position(float):
+        def __add__(self, other):
+            touched.add(self.index)
+            return float(self) + other
+
+    positions = []
+    for i, p in enumerate(scene.others.position):
+        positions.append(Position(p))
+        positions[-1].index = i
+    others = dataclasses.replace(scene.others, position=tuple(positions))
+    policies._plan_hazards(dataclasses.replace(scene, others=others))
+    return touched
+
+
+def _assert_cut_is_sound(scene: Scene) -> dict[int, str]:
+    """Check that ``_plan_hazards`` builds the track of every reachable
+    vehicle but those :func:`_left_out` names, builds none past the cut,
+    and that each vehicle past the cut has, earlier in its lane's column
+    order, a kept ahead vehicle whose track lies strictly below its own in
+    every row. Returns ``_left_out(scene)``."""
+    rules = _left_out(scene)
+    others, touched = scene.others, _touched(scene)
+    reachable = {i for i, lane in enumerate(others.lane) if abs(lane - scene.ego.lane) <= 1}
+    assert reachable - set(rules) <= touched
+    past = {i for i, rule in rules.items() if rule == "past the cut"}
+    assert not past & touched
+    hazards, classes = _all_hazards(scene), _hazard_classes(scene)
+    for j in past:
+        lane, _, track = hazards[j]
+        assert any(
+            classes[m] == "ahead" and m not in rules
+            and all(low < high for low, high in zip(hazards[m][2], track))
+            for m in others.by_lane[lane] if m < j
+        ), j
     return rules
 
 
@@ -508,10 +564,10 @@ class TestPrunedPlan:
         # (behind, left out), and 0.25 m inside it (near)
         @example(scene=_road(others=(VehicleState(1, 0, -95.0, 30.0),
                                      VehicleState(2, 1, -94.75, 30.0))))
-        # a vehicle of a smaller index that starts exactly on the nearest
-        # ahead vehicle's bound (60 + 3 * 30 = 150) ties its last position
-        # and is kept and listed; one 0.25 m beyond it is left out
-        @example(scene=_lane_of(0, (150.0, 0.0, 0.0), (150.25, 5.0, 0.0), (60.0, 30.0, 0.0)))
+        # after the vehicle that sets the cut (60 + 3 * 30 = 150), one that
+        # starts exactly on it ties its last position and is kept; one
+        # 0.25 m beyond it is left out
+        @example(scene=_lane_of(0, (60.0, 30.0, 0.0), (150.0, 0.0, 0.0), (150.25, 5.0, 0.0)))
         # speeds clamped at 0 and at v_max, behind and ahead
         @example(scene=_lane_of(0, (-200.0, 0.5, -3.0), (-100.0, 29.8, 2.0),
                                 (50.0, 0.5, -3.0), (300.0, 29.8, 2.0), (400.0, 1.0, -3.0)))
@@ -524,8 +580,8 @@ class TestPrunedPlan:
         # the nearest ahead at 40 m/s ends at 155 m, past 60 + 3 * 30: the
         # vehicle at 152 m holds the last row's minimum
         @example(scene=_lane_of(0, (60.0, 40.0, 0.0), (152.0, 0.0, 0.0)))
-        # a vehicle ahead with a speed below 0 falls back near, so it is not
-        # the nearest ahead that leaves out the one behind it
+        # a vehicle ahead with a speed below 0 falls back near, so it sets
+        # no cut that leaves out the one past it
         @example(scene=_lane_of(0, (60.0, -60.0, 0.0), (200.0, 5.0, 0.0)))
         # -0.0 and 0.0 level ahead of an ego at -100 m (e_hi = -65 m), with a
         # vehicle past them
@@ -539,11 +595,17 @@ class TestPrunedPlan:
         # their tracks
         @example(scene=_lane_of(0, (500.0, 10.0, 0.0), (400.0, 10.0, _NAN), (100.0, 10.0, 0.0)))
         @example(scene=_lane_of(0, (400.0, 10.0, _NAN), (500.0, 10.0, 0.0), (100.0, 10.0, 0.0)))
+        # the cut of the vehicle at 100 m leaves out the one at 500 m, beside
+        # a NaN row after it, or before it, where the row minima are NaN
+        @example(scene=_lane_of(0, (100.0, 10.0, 0.0), (400.0, 10.0, _NAN), (500.0, 10.0, 0.0)))
+        @example(scene=_lane_of(0, (400.0, 10.0, _NAN), (100.0, 10.0, 0.0), (500.0, 10.0, 0.0)))
         @example(scene=_lane_of(0, (500.0, _NAN, 0.0), (_NAN, 10.0, 0.0), (-300.0, _NAN, 1.0),
                                 (100.0, 10.0, 0.0)))
         # the nearest ahead has a NaN acceleration, so it bounds nothing: the
-        # vehicle past it holds the rows after the first
+        # vehicle at 200 m, past its bound, holds the rows after the first,
+        # which the one at 1000 m starts
         @example(scene=_lane_of(0, (200.0, 5.0, 0.0), (60.0, 10.0, _NAN)))
+        @example(scene=_lane_of(0, (1000.0, 10.0, 0.0), (60.0, 10.0, _NAN), (200.0, 5.0, 0.0)))
         # an int v_max, and a v_max below 0, which turns the rules off
         @example(scene=dataclasses.replace(
             _lane_of(0, (-200.0, 20.0, 0.0), (60.0, 20.0, 0.0), (300.0, 20.0, 0.0)), v_max=30))
@@ -558,22 +620,45 @@ class TestPrunedPlan:
             assert repr(plan) == repr(expected)
             if "nan" not in repr(expected):
                 assert plan == expected
-            seen.update(_left_out(scene).values())
+            seen.update(_assert_cut_is_sound(scene).values())
 
         check()
-        assert seen == {"behind by its bound", "past the nearest ahead"}
+        assert seen == {"behind by its bound", "past the cut"}
+
+    def test_equals_the_plan_of_every_full_track_at_200_vehicles(self):
+        # the scenes of the dense_200 golden case's CloudOnly episodes: 200
+        # vehicles at dense_cloud's density, so a lane's cut moves often
+        config = ScenarioConfig(name="dense200", lane_count=4, ego_lane=1, ego_speed=25.0,
+                                n_random_vehicles=200, speed_range=(18.0, 28.0),
+                                spawn_span=(-2000.0, 8000.0))
+        moved = past = 0
+        for seed in (0, 1):
+            scene = spawn_scenario(config, seed)
+            for _ in range(60):
+                plan, expected = policies._plan_hazards(scene), full_plan(scene)
+                assert plan == expected and repr(plan) == repr(expected)
+                past += list(_assert_cut_is_sound(scene).values()).count("past the cut")
+                lanes = [scene.others.lane[i] for i in _running_cut(scene)[1]]
+                moved += len(lanes) - len(set(lanes))
+                scene = step(scene, cloud_decide(scene).action)
+        # over the 120 plans a lane's cut moves 989 times after its first
+        # and leaves out 11577 tracks
+        assert moved > 240 and past > 6000, (moved, past)
 
     def test_examples_sit_on_the_bounds(self):
         on_bound = _road(others=(VehicleState(1, 0, -95.0, 30.0),
                                  VehicleState(2, 1, -94.75, 30.0)))
         assert _left_out(on_bound) == {0: "behind by its bound"}
         assert policies._plan_hazards(on_bound).listed == [1]
-        tie = _lane_of(0, (150.0, 0.0, 0.0), (150.25, 5.0, 0.0), (60.0, 30.0, 0.0))
-        assert _left_out(tie) == {1: "past the nearest ahead"}
+        tie = _lane_of(0, (60.0, 30.0, 0.0), (150.0, 0.0, 0.0), (150.25, 5.0, 0.0))
+        assert _running_cut(tie) == ({2: "past the cut"}, [0])
+        # the vehicle on the bound has its track built, and the one past it not
+        assert _touched(tie) == {0, 1}
         plan = policies._plan_hazards(tie)
-        assert plan.ahead == {0: [60.0, 90.0, 120.0, 150.0]} and plan.listed == [0, 2]
+        assert plan.ahead == {0: [60.0, 90.0, 120.0, 150.0]} and plan.listed == [0]
         for v_max in (-1.0, _NAN):
             assert _left_out(dataclasses.replace(tie, v_max=v_max)) == {}
+            assert _touched(dataclasses.replace(tie, v_max=v_max)) == {0, 1, 2}
 
 
 class TestPerceptionSet:
