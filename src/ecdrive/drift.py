@@ -201,16 +201,19 @@ def _ks_statistic(ranks: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def _ks_query(rows: np.ndarray) -> np.ndarray:
-    """The search keys ``feature + 1j * value`` of samples (k x d)."""
+    """The search keys ``feature + 1j * value`` of one sample (d values) or
+    of an array of them (... x d), features along the last axis."""
     query = np.empty(rows.shape, dtype=np.complex128)
-    query.real = np.arange(rows.shape[1])
+    query.real = np.arange(rows.shape[-1])
     query.imag = rows
     return query
 
 
 def _ks_p_values(stats: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
-    root_n_eff = math.sqrt(n_a * n_b / (n_a + n_b))
-    return np.array([_kolmogorov_sf(d * root_n_eff) for d in stats.tolist()])
+    """Q(D * sqrt(n_eff)) of every D in ``stats``, in its shape, each
+    looked up in the bounded memo of :func:`_kolmogorov_sf`."""
+    lams = stats * math.sqrt(n_a * n_b / (n_a + n_b))
+    return np.array(list(map(_kolmogorov_sf, lams.ravel().tolist()))).reshape(stats.shape)
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
@@ -404,9 +407,6 @@ class SlidingWindow:
             self._steps = _ks_steps(d, m)
             self._keys = detector._ref_keys.ravel()
             self._offsets = np.tile(np.arange(d) * n, 2)
-            # the entering sample's search keys
-            self._query = np.zeros(d, dtype=np.complex128)
-            self._query.real = np.arange(d)
             return
         # reference columns, then the ring; zeros keep unfilled slots finite
         self._stacked = np.zeros((d, n + m))
@@ -432,8 +432,7 @@ class SlidingWindow:
         slot = self.pushed % self.detector.window
         self.pushed += 1
         if self.detector.method == "ks":
-            self._query.imag = row
-            self._ranks[:, slot] = self._rank(self._query)
+            self._ranks[:, slot] = self._rank(_ks_query(row))
         else:
             self._rows[slot] = row
             self._store_kernel_terms(slot, row)
@@ -582,10 +581,7 @@ def fit(
     ref = _readonly(ref.copy())
     keys = None
     if method == "ks":
-        keys = np.empty((ref.shape[1], ref.shape[0]), dtype=np.complex128)
-        keys.real = np.arange(ref.shape[1])[:, None]
-        keys.imag = np.sort(ref, axis=0).T
-        keys = _readonly(keys)
+        keys = _readonly(np.ascontiguousarray(_ks_query(np.sort(ref, axis=0)).T))
     bandwidth, mmd = 1.0, None
     if method == "mmd":
         # one distance matrix serves the bandwidth and the reference kernel block
@@ -655,8 +651,8 @@ def predict_windows(detector: DriftDetector, samples, starts=None) -> list[Drift
     KS ranks all T samples with one ``searchsorted`` per side, views the
     windows of the stacked ranks with ``sliding_window_view`` and gathers
     the picked ones in blocks of at most ``window`` windows, which bounds
-    the copy :func:`_ks_statistic` sorts; the memoized Q is looked up once
-    per distinct D.
+    the copy :func:`_ks_statistic` sorts; each D's p-value comes from the
+    bounded memo of Q, as in ``predict``.
     MMD fills one :class:`SlidingWindow` up to each picked window
     (:meth:`SlidingWindow.fill`) and tests it. A window's report does not
     depend on the samples before it, so the samples that no picked window
@@ -695,9 +691,7 @@ def predict_windows(detector: DriftDetector, samples, starts=None) -> list[Drift
         _ks_statistic(windows[starts[i : i + m]], window._steps)
         for i in range(0, len(starts), m)
     ])
-    distinct, index = np.unique(stats.ravel(), return_inverse=True)
-    p_values = _ks_p_values(distinct, detector.n_ref, m)[index].reshape(stats.shape)
-    return _ks_reports(detector, stats, p_values)
+    return _ks_reports(detector, stats, _ks_p_values(stats, detector.n_ref, m))
 
 
 def _ks_reports(

@@ -77,15 +77,6 @@ W_SPEED = 1.0
 W_LANE_CHANGE = 2.0
 W_HEADWAY = 50.0
 
-#: Deterministic tie-break order for the cloud argmin.
-ACTION_ORDER = (
-    Action.KEEP,
-    Action.ACCELERATE,
-    Action.LANE_CHANGE_LEFT,
-    Action.LANE_CHANGE_RIGHT,
-    Action.DECELERATE,
-)
-
 
 class RemoteUnavailable(RuntimeError):
     """Transport failure or timeout while calling the remote endpoint."""
@@ -550,8 +541,8 @@ def _decide(scene: Scene, hazards: _HazardPlan) -> Decision:
             f"extent {obs.extent_m:.1f} m"
         )
 
-    legal = legal_actions(scene)
-    candidates = [a for a in ACTION_ORDER if a in legal]
+    # in EFFECTS order, which also breaks ties between equal costs
+    candidates = legal_actions(scene)
     rationale.append(f"predicted {HORIZON}-step rollouts for {len(candidates)} candidate actions")
     results = [rollout_cost(scene, a, hazards) for a in candidates]
     for res in results:

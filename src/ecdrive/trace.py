@@ -5,9 +5,11 @@ summary), then one object per step record. The config snapshot is a run's
 description, read by :func:`read_run`, the reader of experiment files too,
 so a header passes exactly the checks ``ecdrive validate`` makes. The
 loader also requires a non-negative integer seed, no other header key, and
-``steps`` records whose ``step`` values run 0, 1, ... in order and whose
-``offload_reason`` is one of ``orchestrator.REASONS``. A run with a remote
-endpoint writes its whole ``remote`` block into the header.
+``steps`` records whose ``step`` values run 0, 1, ... in order, whose
+``offload_reason`` is one of ``orchestrator.REASONS``, whose feature
+vectors and drift reports have the sizes a run writes, and whose decision
+confidences lie in [0, 1]. A run with a remote endpoint writes its whole
+``remote`` block into the header.
 
 The header is written by ``json``. Each step record is written by a text
 writer generated once per dataclass from the same type hints
@@ -49,6 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import FEATURE_DIM
 from .highway import DriftInjection, ScenarioConfig, validate_injection
 from .orchestrator import (
     REASONS, EpisodeTrace, Metrics, OffloadConfig, StepRecord, _check_seed, _check_steps,
@@ -488,6 +491,27 @@ def write_trace(trace: EpisodeTrace, path, texts: TextMemo | None = None) -> Non
         raise
 
 
+def _check_record(record: StepRecord, report_size: int) -> None:
+    """Reject a record whose feature vector does not hold ``FEATURE_DIM``
+    numbers, whose drift report does not hold ``report_size`` p-values and
+    statistics, or whose decision confidence lies outside [0, 1]."""
+    if record.feature.size != FEATURE_DIM:
+        raise ValueError(f"feature must have length {FEATURE_DIM}, got {record.feature.size}")
+    report = record.drift_report
+    if report is not None:
+        for name, values in (("p_values", report.p_values), ("statistic", report.statistic)):
+            if values.size != report_size:
+                raise ValueError(
+                    f"drift_report.{name} must have length {report_size}, got {values.size}"
+                )
+    for name, decision in (("edge_decision", record.edge_decision),
+                           ("cloud_decision", record.cloud_decision)):
+        if decision is not None and not 0.0 <= decision.confidence <= 1.0:
+            raise ValueError(
+                f"{name}.confidence must lie in [0, 1], got {decision.confidence!r}"
+            )
+
+
 def load_trace(path) -> EpisodeTrace:
     """Parse a JSONL trace file back into an :class:`EpisodeTrace`.
 
@@ -497,9 +521,13 @@ def load_trace(path) -> EpisodeTrace:
     ``schema_version`` is missing or not ``TRACE_SCHEMA_VERSION``, a
     header with a key other than ``schema_version``, ``config``, ``seed``
     and ``summary``, a wrong seed or summary, a ``config`` that
-    :func:`read_run` rejects, a record whose ``step`` is out of order or
-    whose ``offload_reason`` is not one of ``orchestrator.REASONS`` (named
-    on its line), or a record count other than ``steps`` (named on line 1).
+    :func:`read_run` rejects, a record whose ``step`` is out of order,
+    whose ``offload_reason`` is not one of ``orchestrator.REASONS``, whose
+    ``feature`` does not hold ``FEATURE_DIM`` numbers, whose drift report's
+    ``p_values`` or ``statistic`` does not hold ``FEATURE_DIM`` numbers
+    under KS or one under MMD (the header's method, in any case), or whose
+    decision confidence lies outside [0, 1] (each named on its line), or a
+    record count other than ``steps`` (named on line 1).
     A file that cannot be read raises ``OSError``.
     """
     path = Path(path)
@@ -527,6 +555,8 @@ def load_trace(path) -> EpisodeTrace:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: line 1: malformed header ({exc})") from exc
     decode = _codec(StepRecord)[1]
+    # a KS report holds one p-value and one D per feature, an MMD report one
+    report_size = FEATURE_DIM if offload.method.lower() == "ks" else 1
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -537,6 +567,7 @@ def load_trace(path) -> EpisodeTrace:
                 raise ValueError(f"step is {record.step}, not {len(records)}")
             if record.offload_reason not in REASONS:
                 raise ValueError(f"offload_reason {record.offload_reason!r} not in {REASONS}")
+            _check_record(record, report_size)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: line {lineno}: malformed record ({exc})") from exc
         records.append(record)

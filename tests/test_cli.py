@@ -28,7 +28,7 @@ from ecdrive.cli import (
     load_experiment_config,
     main,
 )
-from ecdrive.highway import ScenarioConfig
+from ecdrive.highway import MAX_LANES, MAX_VEHICLES, ScenarioConfig
 from ecdrive.orchestrator import (
     MAX_N_PERM,
     MAX_N_REF,
@@ -424,6 +424,15 @@ class TestCmdValidate:
         ("offload", "window", 1001, "offload: window must lie in [10, 1000], got 1001"),
         ("offload", "n_perm", 1001, "offload: n_perm must lie in [20, 1000], got 1001"),
         ("offload", "n_ref", 2001, "offload: n_ref must lie in [30, 2000], got 2001"),
+        # run died with a MemoryError building the lane tuple
+        ("scenario", "lane_count", 10**12,
+         "scenario: lane_count must lie in [1, 100], got 1000000000000"),
+        ("scenario", "lane_count", 101, "scenario: lane_count must lie in [1, 100], got 101"),
+        # validate kept placing vehicles in a wide enough span
+        ("scenario", "n_random_vehicles", 10**12,
+         "scenario: n_random_vehicles must lie in [0, 10000], got 1000000000000"),
+        ("scenario", "n_random_vehicles", 10001,
+         "scenario: n_random_vehicles must lie in [0, 10000], got 10001"),
     ])
     def test_values_above_their_bound_rejected(self, tmp_path, capsys, section, key, value,
                                                message):
@@ -641,6 +650,28 @@ class TestCmdSummarize:
         assert code == EXIT_TRACE
         err = capsys.readouterr().err
         assert victim.name in err and "line 4" in err
+
+    @pytest.mark.parametrize("index, mutate, message", [
+        (0, lambda record: record.update(feature=[1.0]), "feature must have length 15, got 1"),
+        (1, lambda record: record["edge_decision"].update(confidence=7.5),
+         "edge_decision.confidence must lie in [0, 1], got 7.5"),
+    ], ids=["one_feature", "confidence_above_one"])
+    def test_record_of_impossible_sizes_or_confidence(self, tmp_path, capsys, index, mutate,
+                                                      message):
+        config = base_config(tmp_path)
+        config.update(modes=["EdgeOnly"], seeds=[0], steps=5)
+        assert cmd_run(str(write_config(tmp_path, config))) == EXIT_OK
+        capsys.readouterr()
+        (victim,) = (tmp_path / "out").glob("*.jsonl")
+        lines = victim.read_text().splitlines()
+        record = json.loads(lines[1 + index])
+        mutate(record)
+        lines[1 + index] = json.dumps(record)
+        victim.write_text("\n".join(lines) + "\n")
+        assert cmd_summarize(str(victim), str(tmp_path / "o.csv")) == EXIT_TRACE
+        err = capsys.readouterr().err
+        assert f"line {2 + index}: malformed record ({message})" in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_tampered_summary_fails_integrity(self, run_outputs, capsys):
         victim = next((run_outputs / "out").glob("*.jsonl"))
@@ -951,6 +982,25 @@ class TestValidatedConfigsRun:
             assert trace.records[-2].drift_report is None
             report = trace.records[-1].drift_report
             assert np.all(np.isfinite(report.statistic)) and np.all(report.p_values <= 1.0)
+
+    # about 2.3 s and a peak RSS of 97 MB (60 MB for the smallest test) for
+    # this test alone in pytest on a 2-vCPU x86-64 host
+    def test_the_largest_valid_scenario_runs(self, tmp_path):
+        config = base_config(tmp_path)
+        config["scenario"].update(lane_count=MAX_LANES, ego_lane=MAX_LANES // 2, v_max=30.0,
+                                  n_random_vehicles=MAX_VEHICLES,
+                                  spawn_span=[-20000.0, 20000.0])
+        config["injections"] = []
+        config["offload"].update(n_ref=30, window=10)
+        config.update(modes=list(MODES), seeds=[0], steps=12)
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_OK
+        assert cmd_run(str(path)) == EXIT_OK
+        assert cmd_summarize(str(tmp_path / "out" / "*.jsonl"),
+                             str(tmp_path / "o.csv")) == EXIT_OK
+        for trace_path in sorted((tmp_path / "out").glob("*.jsonl")):
+            trace = load_trace(trace_path)
+            assert len(trace.records) == 12 and trace.records[-1].drift_report is not None
 
 
 class TestMain:

@@ -179,6 +179,16 @@ class TestSpawn:
                     for key, value in bad.items()}
         dataclasses.replace(config, **at_bound).validate()
 
+    @pytest.mark.parametrize("field, cap", [("lane_count", highway.MAX_LANES),
+                                            ("n_random_vehicles", highway.MAX_VEHICLES)])
+    def test_sizes_above_their_cap_rejected(self, field, cap):
+        config = ScenarioConfig(name="big")
+        for value in (cap + 1, 10**12):
+            with pytest.raises(ScenarioError, match=rf"{field} must lie in \[\d+, {cap}\], "
+                                                    rf"got {value}$"):
+                dataclasses.replace(config, **{field: value}).validate()
+        dataclasses.replace(config, **{field: cap}).validate()
+
     @pytest.mark.parametrize(
         "bad, field",
         [

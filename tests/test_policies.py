@@ -737,6 +737,17 @@ class TestCloudDecide:
                       ego=VehicleState(id=0, lane=0, position=0.0, speed=30.0))
         assert cloud_decide(scene).action is Action.KEEP
 
+    @pytest.mark.parametrize("lane_count, lane", [(1, 0), (3, 0), (3, 1), (3, 2)],
+                             ids=["one_lane", "rightmost", "middle", "leftmost"])
+    def test_cost_lines_name_the_legal_actions_in_order(self, lane_count, lane):
+        # EFFECTS' order is legal_actions' order and the tie-break order
+        scene = Scene(time=0.0, lane_count=lane_count,
+                      ego=VehicleState(id=0, lane=lane, position=0.0, speed=20.0),
+                      others=(VehicleState(id=1, lane=lane, position=60.0, speed=15.0),))
+        rationale = cloud_decide(scene).rationale
+        named = [line[5:line.index("]")] for line in rationale if line.startswith("cost[")]
+        assert named == [action.value for action in legal_actions(scene)]
+
     def test_argmin_invariant_under_constant_cost_shift(self):
         # raising the speed baseline adds the same constant to every rollout
         # as long as no speed clamps: the chosen action must not move

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -495,10 +496,53 @@ class TestStrictLoader:
     def test_an_int_is_accepted_for_a_float_field(self, tmp_path):
         def mutate(data):
             data["latency_ms"] = int(data["latency_ms"])
-            data["drift_report"]["p_values"] = [1]
+            data["drift_report"]["p_values"] = [1] * 15  # one per feature under KS
 
         record = load_trace(_mutated_trace(tmp_path, 13, mutate)).records[12]
-        assert record.latency_ms == 850 and record.drift_report.p_values.tolist() == [1]
+        assert record.latency_ms == 850 and record.drift_report.p_values.tolist() == [1] * 15
+
+    @pytest.mark.parametrize("mutate, message", [
+        (_set("feature", [1.0]), "feature must have length 15, got 1"),
+        (_set("feature", [0.5] * 16), "feature must have length 15, got 16"),
+        (_set("drift_report", "p_values", [0.5]),
+         "drift_report.p_values must have length 15, got 1"),
+        (_set("drift_report", "statistic", [0.1] * 14),
+         "drift_report.statistic must have length 15, got 14"),
+        (_set("edge_decision", "confidence", 7.5),
+         "edge_decision.confidence must lie in [0, 1], got 7.5"),
+        (_set("edge_decision", "confidence", -0.5),
+         "edge_decision.confidence must lie in [0, 1], got -0.5"),
+        (_set("cloud_decision", "confidence", 1.0000001),
+         "cloud_decision.confidence must lie in [0, 1], got 1.0000001"),
+    ], ids=["one_feature", "sixteen_features", "one_ks_p_value", "fourteen_ks_statistics",
+            "edge_confidence_above_one", "negative_edge_confidence",
+            "cloud_confidence_above_one"])
+    def test_impossible_size_or_confidence_names_its_line(self, tmp_path, mutate, message):
+        path = _mutated_trace(tmp_path, 13, mutate)
+        with pytest.raises(ValueError, match=re.escape(
+                f"trace.jsonl: line 14: malformed record ({message})")):
+            load_trace(path)
+
+    @pytest.mark.parametrize("method, size, loads", [
+        ("KS", 15, True), ("KS", 1, False), ("mmd", 1, True), ("MMD", 1, True),
+        ("mmd", 15, False),
+    ])
+    def test_report_size_follows_the_header_method_in_any_case(self, tmp_path, method, size,
+                                                                loads):
+        path = tmp_path / "trace.jsonl"
+        write_trace(_episode(), path)
+        header, *records = map(json.loads, path.read_text().splitlines())
+        header["config"]["offload"]["method"] = method
+        for record in records:
+            if record["drift_report"] is not None:
+                record["drift_report"].update(p_values=[0.5] * size, statistic=[0.1] * size)
+        path.write_text("".join(json.dumps(data) + "\n" for data in (header, *records)))
+        if loads:
+            assert load_trace(path).records[12].drift_report.p_values.size == size
+        else:
+            expected = "malformed record (drift_report.p_values must have length"
+            with pytest.raises(ValueError, match=re.escape(f"{expected} {15 // size}, got")):
+                load_trace(path)
 
     @pytest.mark.parametrize("mutate", [
         _set("config", "offload", "window", "a"),
