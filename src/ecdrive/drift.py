@@ -14,8 +14,8 @@ feature, the fractions of reference values at or below and strictly below
 the entering value; a whole array of samples is ranked as one block the
 same way. The two fractions are stacked, 2 x n_features rows per window,
 and a window test sorts only those ranks, once; the window's values are
-never needed (see :func:`_ks_statistic`). ``ks_two_sample`` ranks its
-``b`` the same way and shares that function. D lies on a lattice of
+never needed (see :func:`_ks_statistic`). ``ks_two_sample`` tests its
+``b`` as the one window of a one-feature detector. D lies on a lattice of
 multiples of 1 / (n_a * n_b), so its values recur from window to window
 and Q is memoized in a bounded cache.
 
@@ -61,6 +61,22 @@ import numpy as np
 # margin below it: ties are exact in real arithmetic (e.g. on constant
 # features) and rounding of kernel sums (about N * eps) must not break them.
 TIE_TOLERANCE = 1e-12
+
+#: the detector methods, matched in any case
+METHODS = ("ks", "mmd")
+
+
+def report_rule(method: str, alpha: float, n_features: int) -> tuple[int, float]:
+    """``(size, threshold)`` of a drift report: one p-value and one D per
+    feature against the Bonferroni ``alpha / n_features`` for KS, one
+    p-value and one MMD^2 against ``alpha`` for MMD. A report flags drift
+    iff its least p-value lies below the threshold."""
+    method = method.lower()
+    if method == "ks":
+        return n_features, alpha / n_features
+    if method == "mmd":
+        return 1, alpha
+    raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)
@@ -209,6 +225,12 @@ def _ks_query(rows: np.ndarray) -> np.ndarray:
     return query
 
 
+def _ks_keys(reference: np.ndarray) -> np.ndarray:
+    """The KS search keys of a reference (n x d): each feature's values
+    sorted, one contiguous row per feature (see :class:`DriftDetector`)."""
+    return _readonly(np.ascontiguousarray(_ks_query(np.sort(reference, axis=0)).T))
+
+
 def _ks_p_values(stats: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
     """Q(D * sqrt(n_eff)) of every D in ``stats``, in its shape, each
     looked up in the bounded memo of :func:`_kolmogorov_sf`."""
@@ -220,18 +242,18 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     """Two-sample KS test: exact sup-CDF-difference statistic, asymptotic p.
 
     Ties are handled by evaluating both empirical CDFs just after every
-    merged sample point. Ranks ``b`` against the sorted ``a`` and runs the
-    detector's window test on one row.
+    merged sample point. ``b`` is tested as the one window of
+    :func:`predict_windows` of a one-feature KS detector fitted to ``a``,
+    so exactly as ``predict`` tests a window.
     """
-    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
-    b = np.asarray(b, dtype=np.float64).reshape(1, -1)
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 1)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 1)
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
-    ranks = np.concatenate(
-        (np.searchsorted(a, b, side="right"), np.searchsorted(a, b, side="left"))
-    ) / a.size
-    stats = _ks_statistic(ranks, _ks_steps(1, b.size))
-    return float(stats[0]), float(_ks_p_values(stats, a.size, b.size)[0])
+    # alpha sets only the report's drift flag, which is not returned
+    detector = DriftDetector(a, "ks", 0.05, b.shape[0], 0, _ref_keys=_ks_keys(a))
+    report = predict_windows(detector, b)[0]
+    return float(report.statistic[0]), float(report.p_values[0])
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -573,15 +595,13 @@ def fit(
     if ref.shape[0] < 30:
         raise ValueError(f"need at least 30 reference samples, got {ref.shape[0]}")
     method = method.lower()
-    if method not in ("ks", "mmd"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     _check_count("window", window, 10)
     ref = _readonly(ref.copy())
-    keys = None
-    if method == "ks":
-        keys = _readonly(np.ascontiguousarray(_ks_query(np.sort(ref, axis=0)).T))
+    keys = _ks_keys(ref) if method == "ks" else None
     bandwidth, mmd = 1.0, None
     if method == "mmd":
         # one distance matrix serves the bandwidth and the reference kernel block
@@ -606,14 +626,13 @@ def predict(detector: DriftDetector, window: SlidingWindow) -> DriftReport:
 
     ``window`` is a full :class:`SlidingWindow` built for this detector;
     :func:`predict_windows` tests the windows of an array of samples.
-    KS: per-feature tests, drift iff min p < alpha / n_features (Bonferroni).
-    All features are tested at once from the reference ranks the window
+    KS: per-feature tests, all at once from the reference ranks the window
     stored at ``push`` (KS does not depend on sample order): only those
     ranks are sorted, and D is bit-identical to merging the window with
     the reference (see :func:`_ks_statistic`); p-values come from the
     memoized Q.
-    MMD: single permutation test over the window's cached kernel terms,
-    drift iff p < alpha.
+    MMD: single permutation test over the window's cached kernel terms.
+    The drift flag and threshold are those of :func:`report_rule`.
     """
     if not isinstance(window, SlidingWindow):
         raise TypeError(
@@ -628,15 +647,10 @@ def predict(detector: DriftDetector, window: SlidingWindow) -> DriftReport:
     if detector.method == "ks":
         stats = _ks_statistic(window._ranks, window._steps)
         p_values = _ks_p_values(stats, detector.n_ref, detector.window)
-        return _ks_reports(detector, stats[None], p_values[None])[0]
+        return _reports(detector, stats[None], p_values[None])[0]
 
     mmd2, p_value = _mmd_test(window)
-    return DriftReport(
-        is_drift=bool(p_value < detector.alpha),
-        p_values=_readonly(np.array([p_value])),
-        statistic=_readonly(np.array([mmd2])),
-        threshold_used=detector.alpha,
-    )
+    return _reports(detector, [[mmd2]], [[p_value]])[0]
 
 
 def predict_windows(detector: DriftDetector, samples, starts=None) -> list[DriftReport]:
@@ -691,18 +705,16 @@ def predict_windows(detector: DriftDetector, samples, starts=None) -> list[Drift
         _ks_statistic(windows[starts[i : i + m]], window._steps)
         for i in range(0, len(starts), m)
     ])
-    return _ks_reports(detector, stats, _ks_p_values(stats, detector.n_ref, m))
+    return _reports(detector, stats, _ks_p_values(stats, detector.n_ref, m))
 
 
-def _ks_reports(
-    detector: DriftDetector, stats: np.ndarray, p_values: np.ndarray
-) -> list[DriftReport]:
-    """The reports of KS windows from their D statistics and p-values
-    (windows x features, each array its own, made read-only here): drift
-    iff min p < alpha / n_features (Bonferroni)."""
-    _readonly(stats)
-    _readonly(p_values)
-    threshold = detector.alpha / detector.n_features
+def _reports(detector: DriftDetector, stats, p_values) -> list[DriftReport]:
+    """The reports of windows from their statistics and p-values (windows x
+    the report size, each its own array, made read-only here), against the
+    threshold of :func:`report_rule`: drift iff min p < threshold."""
+    stats = _readonly(np.asarray(stats, dtype=np.float64))
+    p_values = _readonly(np.asarray(p_values, dtype=np.float64))
+    _, threshold = report_rule(detector.method, detector.alpha, detector.n_features)
     flags = (p_values.min(axis=1) < threshold).tolist()
     return [
         DriftReport(is_drift=flag, p_values=p, statistic=stat, threshold_used=threshold)

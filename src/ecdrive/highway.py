@@ -35,6 +35,7 @@ caller can keep a pristine scene and overlay it afresh every step.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import os
 import pickle
@@ -104,28 +105,6 @@ def _content_bytes(values) -> bytes:
     of equal types. An equal string held twice may pickle apart, which can
     only lose a match."""
     return pickle.dumps(values, 5)
-
-
-class _cached:
-    """An attribute computed on first access and stored in the instance
-    ``__dict__``, where it shadows this non-data descriptor from then on.
-    It writes the ``__dict__`` directly, past a frozen dataclass's
-    ``__setattr__``. Unlike ``functools.cached_property`` on Python 3.11 it
-    takes no lock: each value is a pure function of the instance, so two
-    threads that race to compute it store equal values."""
-
-    def __init__(self, compute) -> None:
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
 
 
 def _require(test, what: str, prefix: str = "", **values) -> None:
@@ -213,7 +192,7 @@ class Vehicles:
     def __len__(self) -> int:
         return len(self.id)
 
-    @_cached
+    @functools.cached_property
     def _moves(self) -> dict[bytes, weakref.ref]:
         """The bits of (target_offset, float(v_max)) -> a weak reference to
         these columns one step on; see :meth:`Scene._moved_others`."""
@@ -260,7 +239,7 @@ class Scene:
         if not isinstance(self.others, Vehicles):
             object.__setattr__(self, "others", Vehicles.from_states(self.others))
 
-    @_cached
+    @functools.cached_property
     def key(self) -> bytes:
         """Content key: the pickle of every scalar field of the scene, its
         ego, each obstacle and the six columns of the other vehicles. Scenes
@@ -304,7 +283,7 @@ class Scene:
         others._moves[key] = weakref.ref(moved)
         return moved
 
-    @_cached
+    @functools.cached_property
     def _neighbors(self) -> NeighborSet:
         # computed once per scene: the features and the edge policy both read it
         lane = self.ego.lane
@@ -624,7 +603,8 @@ _LEGAL_ACTIONS = {
 
 
 def legal_actions(scene: Scene) -> tuple[Action, ...]:
-    """Actions executable from the ego's current lane."""
+    """Actions executable from the ego's current lane: the one lane-change
+    rule, which :func:`step`, the planners and the loop all read."""
     lane = scene.ego.lane
     return _LEGAL_ACTIONS[lane < scene.lane_count - 1, lane > 0]
 
@@ -677,12 +657,11 @@ def step(scene: Scene, action: Action | str) -> Scene:
     dt = DEFAULT_DT
     ego = scene.ego
     shift, a_cmd = EFFECTS[action]
-    lane = ego.lane + shift
-    if shift and not 0 <= lane < scene.lane_count:
+    if action not in legal_actions(scene):
         raise IllegalLaneChange(f"already in the {'left' if shift > 0 else 'right'}most lane")
 
     (v_new,), (p_new,), (a_eff,) = _advance((ego.speed,), (a_cmd,), (ego.position,), scene.v_max)
-    new_ego = VehicleState(ego.id, lane, p_new, v_new, a_eff, ego.target_speed)
+    new_ego = VehicleState(ego.id, ego.lane + shift, p_new, v_new, a_eff, ego.target_speed)
 
     return replace(scene, time=scene.time + dt, ego=new_ego, others=scene._moved_others)
 

@@ -48,6 +48,7 @@ import numpy as np
 
 from .codec import featurize
 from .drift import (
+    METHODS,
     DriftDetector,
     DriftReport,
     SlidingWindow,
@@ -83,10 +84,12 @@ from .codec import NoDecisionFound
 logger = logging.getLogger(__name__)
 
 MODES = ("EdgeOnly", "CloudOnly", "Collaborative")
-REASONS = ("Drift", "LowConfidence", "None", "Both")
 #: the largest ``edge_ms``, ``cloud_ms`` and ``rtt_ms``: a step then costs
 #: at most 3e9 ms, so an episode's summed latency stays finite
 MAX_LATENCY_MS = 1e9
+#: the largest ``uplink_bytes_per_sample``, a terabyte: the byte totals a
+#: run can reach then average to finite floats in ``ecdrive summarize``
+MAX_UPLINK_BYTES = 10**12
 #: the largest ``window``, ``n_ref`` and ``n_perm``. ``n_ref`` is also the
 #: burn-in's length in steps. The MMD detector holds n_ref x n_ref and
 #: n_perm x (n_ref + window) arrays and a (2 window)^2 ring, so a run at all
@@ -122,7 +125,7 @@ class OffloadConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not (0.0 <= self.tau <= 1.0):
             raise ValueError("tau must lie in [0, 1]")
-        if not isinstance(self.method, str) or self.method.lower() not in ("ks", "mmd"):
+        if not isinstance(self.method, str) or self.method.lower() not in METHODS:
             raise ValueError(f"unknown detector method {self.method!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
@@ -131,7 +134,8 @@ class OffloadConfig:
             if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name, least, most in (("window", 10, MAX_WINDOW), ("n_ref", 30, MAX_N_REF),
-                                  ("n_perm", 20, MAX_N_PERM)):
+                                  ("n_perm", 20, MAX_N_PERM),
+                                  ("uplink_bytes_per_sample", 0, MAX_UPLINK_BYTES)):
             value = getattr(self, name)
             if not least <= value <= most:
                 raise ValueError(f"{name} must lie in [{least}, {most}], got {value!r}")
@@ -141,8 +145,6 @@ class OffloadConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if not 0 <= value <= MAX_LATENCY_MS:
                 raise ValueError(f"{name} must lie in [0, {MAX_LATENCY_MS:g}], got {value!r}")
-        if self.uplink_bytes_per_sample < 0:
-            raise ValueError("uplink_bytes_per_sample must be >= 0")
 
 
 @dataclass(frozen=True)

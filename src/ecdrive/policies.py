@@ -194,14 +194,14 @@ def edge_decide(scene: Scene) -> Decision:
     if ok:
         return _edge(Action.KEEP, rationale, margin_headway)
 
+    legal = legal_actions(scene)
     for side, action in (("left", Action.LANE_CHANGE_LEFT), ("right", Action.LANE_CHANGE_RIGHT)):
-        target_lane = ego.lane + EFFECTS[action][0]
-        if not (0 <= target_lane < scene.lane_count):
+        if action not in legal:
             rationale.append(f"Can change lane {side}? no lane to the {side}.")
             continue
         front_t, rear_t = (
             GAP_SENTINEL if n is None else min(n.gap, GAP_SENTINEL)
-            for n in lane_neighbors(scene, target_lane)
+            for n in lane_neighbors(scene, ego.lane + EFFECTS[action][0])
         )
         front_need = G_MIN + T_HEADWAY * v
         ok = front_t >= front_need and rear_t >= G_MIN
@@ -430,9 +430,9 @@ def rollout_cost(
     ``action`` is read through :data:`EFFECTS`.
     """
     shift, command = EFFECTS[action]
-    ego_lane = scene.ego.lane + shift
-    if shift and not 0 <= ego_lane < scene.lane_count:
+    if action not in legal_actions(scene):
         return RolloutResult(action, math.inf, 0.0, False)
+    ego_lane = scene.ego.lane + shift
     if hazards is None:
         hazards = _plan_hazards(scene)
     near = hazards.near.get(ego_lane, ())

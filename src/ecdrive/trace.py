@@ -5,11 +5,11 @@ summary), then one object per step record. The config snapshot is a run's
 description, read by :func:`read_run`, the reader of experiment files too,
 so a header passes exactly the checks ``ecdrive validate`` makes. The
 loader also requires a non-negative integer seed, no other header key, and
-``steps`` records whose ``step`` values run 0, 1, ... in order, whose
-``offload_reason`` is one of ``orchestrator.REASONS``, whose feature
-vectors and drift reports have the sizes a run writes, and whose decision
-confidences lie in [0, 1]. A run with a remote endpoint writes its whole
-``remote`` block into the header.
+``steps`` records, no blank line among them, whose ``step`` values run 0,
+1, ... in order and that agree with themselves and the header through the
+rules the run used (:func:`drift.report_rule` and
+:func:`orchestrator.offload_rule`; see :func:`_check_record`). A run with a
+remote endpoint writes its whole ``remote`` block into the header.
 
 The header is written by ``json``. Each step record is written by a text
 writer generated once per dataclass from the same type hints
@@ -52,9 +52,10 @@ from pathlib import Path
 import numpy as np
 
 from .codec import FEATURE_DIM
-from .highway import DriftInjection, ScenarioConfig, validate_injection
+from .drift import report_rule
+from .highway import Action, DriftInjection, ScenarioConfig, validate_injection
 from .orchestrator import (
-    REASONS, EpisodeTrace, Metrics, OffloadConfig, StepRecord, _check_seed, _check_steps,
+    EpisodeTrace, Metrics, OffloadConfig, StepRecord, _check_seed, _check_steps, offload_rule,
 )
 from .policies import EndpointConfig
 
@@ -491,25 +492,75 @@ def write_trace(trace: EpisodeTrace, path, texts: TextMemo | None = None) -> Non
         raise
 
 
-def _check_record(record: StepRecord, report_size: int) -> None:
-    """Reject a record whose feature vector does not hold ``FEATURE_DIM``
-    numbers, whose drift report does not hold ``report_size`` p-values and
-    statistics, or whose decision confidence lies outside [0, 1]."""
+def _check_record(record: StepRecord, offload: OffloadConfig, report_size: int,
+                  threshold: float) -> None:
+    """Reject a record that no run of ``offload`` writes: a feature vector
+    that does not hold ``FEATURE_DIM`` numbers; a drift report that is not
+    null exactly before step ``window - 1``, that does not hold
+    ``report_size`` p-values and statistics, whose p-values lie outside
+    [0, 1], whose ``threshold_used`` is not ``threshold`` or whose
+    ``is_drift`` is not its least p-value's test against it (the sizes and
+    threshold of :func:`drift.report_rule`, and the flag a
+    :class:`~drift.DriftReport` holds); a decision confidence outside
+    [0, 1]; an offload and reason other than :func:`offload_rule`'s; a
+    cloud decision that is not present exactly on an offloaded step; an
+    executed action other than the deciding decision's or Keep; and
+    ``bytes_up`` other than ``uplink_bytes_per_sample`` on an offloaded
+    step and 0 on the others. Latency is not checked: a remote call's is
+    wall-clock."""
     if record.feature.size != FEATURE_DIM:
         raise ValueError(f"feature must have length {FEATURE_DIM}, got {record.feature.size}")
     report = record.drift_report
+    if (report is None) != (record.step < offload.window - 1):
+        raise ValueError(
+            f"drift_report must be {'null' if report is not None else 'present'} at step "
+            f"{record.step} of a window of {offload.window}"
+        )
     if report is not None:
         for name, values in (("p_values", report.p_values), ("statistic", report.statistic)):
             if values.size != report_size:
                 raise ValueError(
                     f"drift_report.{name} must have length {report_size}, got {values.size}"
                 )
-    for name, decision in (("edge_decision", record.edge_decision),
-                           ("cloud_decision", record.cloud_decision)):
+        p_values = report.p_values.tolist()
+        least = min(p_values)
+        if not 0.0 <= least or not max(p_values) <= 1.0:
+            raise ValueError(f"drift_report.p_values must lie in [0, 1], got {p_values!r}")
+        if report.threshold_used != threshold:
+            raise ValueError(
+                f"drift_report.threshold_used must be {threshold!r}, got {report.threshold_used!r}"
+            )
+        if report.is_drift != (least < threshold):
+            raise ValueError(
+                f"drift_report.is_drift must be {least < threshold} for a least p-value of "
+                f"{least!r} against {threshold!r}"
+            )
+    edge, cloud = record.edge_decision, record.cloud_decision
+    for name, decision in (("edge_decision", edge), ("cloud_decision", cloud)):
         if decision is not None and not 0.0 <= decision.confidence <= 1.0:
             raise ValueError(
                 f"{name}.confidence must lie in [0, 1], got {decision.confidence!r}"
             )
+    rule = offload_rule(report, edge.confidence, offload)
+    if (record.offloaded, record.offload_reason) != rule:
+        raise ValueError(
+            f"offloaded {record.offloaded} and offload_reason {record.offload_reason!r} "
+            f"are not the offload rule's {rule[0]} and {rule[1]!r}"
+        )
+    if (cloud is not None) != record.offloaded:
+        raise ValueError(
+            f"cloud_decision must be {'present' if record.offloaded else 'null'} "
+            f"when offloaded is {record.offloaded}"
+        )
+    chosen = (cloud or edge).action
+    if record.executed_action not in (chosen, Action.KEEP):
+        raise ValueError(
+            f"executed_action must be the {(cloud or edge).source} decision's {chosen.value}"
+            f" or Keep, got {record.executed_action.value}"
+        )
+    bytes_up = offload.uplink_bytes_per_sample if record.offloaded else 0
+    if record.bytes_up != bytes_up:
+        raise ValueError(f"bytes_up must be {bytes_up}, got {record.bytes_up}")
 
 
 def load_trace(path) -> EpisodeTrace:
@@ -521,13 +572,10 @@ def load_trace(path) -> EpisodeTrace:
     ``schema_version`` is missing or not ``TRACE_SCHEMA_VERSION``, a
     header with a key other than ``schema_version``, ``config``, ``seed``
     and ``summary``, a wrong seed or summary, a ``config`` that
-    :func:`read_run` rejects, a record whose ``step`` is out of order,
-    whose ``offload_reason`` is not one of ``orchestrator.REASONS``, whose
-    ``feature`` does not hold ``FEATURE_DIM`` numbers, whose drift report's
-    ``p_values`` or ``statistic`` does not hold ``FEATURE_DIM`` numbers
-    under KS or one under MMD (the header's method, in any case), or whose
-    decision confidence lies outside [0, 1] (each named on its line), or a
-    record count other than ``steps`` (named on line 1).
+    :func:`read_run` rejects, a blank line, a record whose ``step`` is out
+    of order or that :func:`_check_record` rejects against the header's
+    ``offload`` (each named on its line), or a record count other than
+    ``steps`` (named on line 1).
     A file that cannot be read raises ``OSError``.
     """
     path = Path(path)
@@ -555,19 +603,16 @@ def load_trace(path) -> EpisodeTrace:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: line 1: malformed header ({exc})") from exc
     decode = _codec(StepRecord)[1]
-    # a KS report holds one p-value and one D per feature, an MMD report one
-    report_size = FEATURE_DIM if offload.method.lower() == "ks" else 1
+    report_size, threshold = report_rule(offload.method, offload.alpha, FEATURE_DIM)
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         try:
+            if not line.strip():
+                raise ValueError("blank line")
             record = decode(_loads(line))
             if record.step != len(records):
                 raise ValueError(f"step is {record.step}, not {len(records)}")
-            if record.offload_reason not in REASONS:
-                raise ValueError(f"offload_reason {record.offload_reason!r} not in {REASONS}")
-            _check_record(record, report_size)
+            _check_record(record, offload, report_size, threshold)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: line {lineno}: malformed record ({exc})") from exc
         records.append(record)

@@ -433,6 +433,12 @@ class TestCmdValidate:
          "scenario: n_random_vehicles must lie in [0, 10000], got 1000000000000"),
         ("scenario", "n_random_vehicles", 10001,
          "scenario: n_random_vehicles must lie in [0, 10000], got 10001"),
+        # at 10**400 summarize then died with an OverflowError averaging total_bytes_up
+        ("offload", "uplink_bytes_per_sample", 10**16,
+         "offload: uplink_bytes_per_sample must lie in [0, 1000000000000], "
+         "got 10000000000000000"),
+        ("offload", "uplink_bytes_per_sample", 10**12 + 1,
+         "offload: uplink_bytes_per_sample must lie in [0, 1000000000000], got 1000000000001"),
     ])
     def test_values_above_their_bound_rejected(self, tmp_path, capsys, section, key, value,
                                                message):
@@ -671,6 +677,39 @@ class TestCmdSummarize:
         assert cmd_summarize(str(victim), str(tmp_path / "o.csv")) == EXIT_TRACE
         err = capsys.readouterr().err
         assert f"line {2 + index}: malformed record ({message})" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_uplink_at_its_cap_runs_and_summarizes(self, tmp_path):
+        config = base_config(tmp_path)
+        config["offload"]["uplink_bytes_per_sample"] = 10**12
+        config.update(modes=["CloudOnly"], seeds=[0], steps=5)
+        path = write_config(tmp_path, config)
+        assert cmd_validate(str(path)) == EXIT_OK
+        assert cmd_run(str(path)) == EXIT_OK
+        assert cmd_summarize(str(tmp_path / "out" / "*.jsonl"),
+                             str(tmp_path / "o.csv")) == EXIT_OK
+        with open(tmp_path / "o.csv", newline="") as handle:
+            assert {float(r["total_bytes_up"]) for r in csv.DictReader(handle)} == {5e12}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines, i: lines.__setitem__(i, lines[i].replace(
+            '"is_drift":false', '"is_drift":true', 1)),
+         "drift_report.is_drift must be False"),
+        (lambda lines, i: lines.insert(i, ""), "blank line"),
+    ], ids=["drift_flag_flipped", "blank_line"])
+    def test_a_record_that_contradicts_itself(self, tmp_path, capsys, edit, message):
+        config = base_config(tmp_path)
+        config.update(modes=["Collaborative"], seeds=[0], steps=25)
+        assert cmd_run(str(write_config(tmp_path, config))) == EXIT_OK
+        capsys.readouterr()
+        (victim,) = (tmp_path / "out").glob("*.jsonl")
+        lines = victim.read_text().splitlines()
+        # line 21 holds step 19, the first full window of 20 samples
+        assert '"is_drift":false' in lines[20]
+        edit(lines, 20)
+        victim.write_text("\n".join(lines) + "\n")
+        assert cmd_summarize(str(victim), str(tmp_path / "o.csv")) == EXIT_TRACE
+        assert f"line 21: malformed record ({message}" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     def test_tampered_summary_fails_integrity(self, run_outputs, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -705,6 +706,23 @@ class TestPredictWindows:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0.5
 
+    @pytest.mark.parametrize("method, size, threshold", [
+        ("ks", 3, 0.1 / 3), ("mmd", 1, 0.1),
+    ])
+    def test_reports_hold_what_the_report_rule_says(self, method, size, threshold):
+        ref, stream = sliding_stream(45, 12, 3, 5)
+        det = fit(ref, method=method, alpha=0.1, window=12, n_perm=30)
+        assert drift.report_rule(method, 0.1, 3) == (size, threshold)
+        for reports in (predict_windows(det, stream), slid_reports(det, stream)):
+            assert any(r.is_drift for r in reports) and not all(r.is_drift for r in reports)
+            for report in reports:
+                assert report.threshold_used == threshold
+                assert report.p_values.size == report.statistic.size == size
+                assert report.is_drift == (min(report.p_values.tolist()) < threshold)
+                for array in (report.p_values, report.statistic):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 0.5
+
     def test_spans_several_blocks_of_windows(self):
         # 200 samples are 161 windows, blocks of at most 40 windows each
         rng = np.random.default_rng(3)
@@ -775,3 +793,29 @@ class TestConfidenceGate:
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError):
             confidence_gate(0.5, 1.5)
+
+
+class TestReportRule:
+    @pytest.mark.parametrize("method, expected", [
+        ("ks", (15, 0.05 / 15)), ("KS", (15, 0.05 / 15)), ("mmd", (1, 0.05)), ("Mmd", (1, 0.05)),
+    ])
+    def test_size_and_threshold_of_each_method_in_any_case(self, method, expected):
+        assert drift.report_rule(method, 0.05, 15) == expected
+
+    def test_unknown_method_raises(self):
+        with pytest.raises(ValueError, match="unknown method 'residual'"):
+            drift.report_rule("residual", 0.05, 15)
+
+    def test_fit_and_the_offload_config_read_the_one_method_list(self):
+        from ecdrive import OffloadConfig
+
+        ref = np.random.default_rng(0).normal(size=(40, 3))
+        for method in drift.METHODS:
+            fit(ref, method=method.upper(), window=10, n_perm=20)
+            OffloadConfig(method=method.upper()).validate()
+        with mock.patch.object(drift, "METHODS", ("ks",)):
+            with pytest.raises(ValueError, match="unknown method 'mmd'"):
+                fit(ref, method="mmd", window=10)
+        with mock.patch("ecdrive.orchestrator.METHODS", ("ks",)):
+            with pytest.raises(ValueError, match="unknown detector method 'mmd'"):
+                OffloadConfig(method="mmd").validate()

@@ -536,7 +536,7 @@ class TestRunEpisodes:
 
     def test_a_key_is_formed_only_for_an_equal_ego_on_another_object(self, monkeypatch):
         formed = []
-        real = orchestrator.Scene.__dict__["key"].compute
+        real = orchestrator.Scene.__dict__["key"].func
         monkeypatch.setattr(orchestrator.Scene, "key",
                             property(lambda scene: formed.append(scene) or real(scene)))
         scene = spawn_scenario(open_highway_config(), 0)

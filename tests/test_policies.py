@@ -28,7 +28,9 @@ from ecdrive import (
 )
 from ecdrive import policies
 from ecdrive.codec import GAP_SENTINEL
-from ecdrive.highway import ACCEL_CMD, DECEL_CMD, DEFAULT_DT, VEHICLE_LENGTH_M, overlaps
+from ecdrive.highway import (
+    ACCEL_CMD, DECEL_CMD, DEFAULT_DT, EFFECTS, VEHICLE_LENGTH_M, IllegalLaneChange, overlaps,
+)
 from ecdrive.policies import (
     G_MIN,
     HORIZON,
@@ -164,6 +166,40 @@ class TestEdgeDecide:
             front_t, rear_t = _gaps_for_lane(scene, target)
             assert front_t >= G_MIN + T_HEADWAY * v
             assert rear_t >= G_MIN
+
+
+class TestOneLaneChangeRule:
+    """``step``, ``rollout_cost`` and ``edge_decide`` refuse a lane change
+    exactly when ``legal_actions`` leaves it out, which is exactly when its
+    target lane is off the road."""
+
+    @pytest.mark.parametrize("lane_count, lane",
+                             [(n, lane) for n in range(1, 5) for lane in range(n)])
+    def test_every_reader_follows_legal_actions(self, lane_count, lane):
+        # a slow vehicle 7 m ahead in every lane: the edge can neither
+        # accelerate, keep speed nor change lanes, so it reports on both sides
+        scene = Scene(
+            time=0.0, lane_count=lane_count,
+            ego=VehicleState(id=0, lane=lane, position=0.0, speed=10.0),
+            others=tuple(VehicleState(id=1 + k, lane=k, position=7.0, speed=2.0)
+                         for k in range(lane_count)),
+        )
+        legal = legal_actions(scene)
+        rationale = edge_decide(scene).rationale
+        for action in Action:
+            shift = EFFECTS[action][0]
+            illegal = action not in legal
+            assert illegal == (not 0 <= lane + shift < lane_count)
+            if illegal:
+                with pytest.raises(IllegalLaneChange):
+                    step(scene, action)
+            else:
+                assert step(scene, action).ego.lane == lane + shift
+            assert math.isinf(rollout_cost(scene, action).cost) == illegal
+            if shift:
+                side = "left" if shift > 0 else "right"
+                (line,) = (r for r in rationale if r.startswith(f"Can change lane {side}?"))
+                assert (line == f"Can change lane {side}? no lane to the {side}.") == illegal
 
 
 class TestRolloutCost:

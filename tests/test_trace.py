@@ -433,6 +433,100 @@ def _delete(*keys):
     return mutate
 
 
+def _collaborative_lines(tmp_path) -> tuple:
+    """The path and lines of a 30-step Collaborative KS trace with a
+    10-step window. Steps 10 and 11 offload on drift (the cloud keeps, then
+    changes lane left; the edge keeps), steps 12-19 and 25-29 do not."""
+    path = tmp_path / "trace.jsonl"
+    config = OffloadConfig(mode="Collaborative", n_ref=40, window=10)
+    write_trace(run_episode(open_highway_config(), (), config, seed=0, steps=30), path)
+    return path, path.read_text().splitlines()
+
+
+def _on_step(step: int, mutate):
+    """An edit of a trace's lines that applies ``mutate`` to one record."""
+    def edit(lines):
+        data = json.loads(lines[1 + step])
+        mutate(data)
+        lines[1 + step] = json.dumps(data)
+
+    return edit
+
+
+def _copy(key: str, source_step: int, step: int, target: str | None = None):
+    """An edit that copies a record field to another record's field."""
+    def edit(lines):
+        value = json.loads(lines[1 + source_step])[key]
+        _on_step(step, _set(target or key, value))(lines)
+
+    return edit
+
+
+def _blank_line_before(step: int):
+    return lambda lines: lines.insert(1 + step, "")
+
+
+class TestSelfConsistentRecords:
+    @pytest.mark.parametrize("edit, line, message", [
+        (_on_step(12, _set("drift_report", "is_drift", True)), 14,
+         "drift_report.is_drift must be False for a least p-value of "),
+        (_on_step(10, _set("drift_report", "is_drift", False)), 12,
+         "drift_report.is_drift must be True for a least p-value of "),
+        (_on_step(12, _set("drift_report", "threshold_used", -5.0)), 14,
+         f"drift_report.threshold_used must be {0.05 / 15!r}, got -5.0"),
+        (_on_step(12, _set("drift_report", "p_values", [7.0] * 15)), 14,
+         "drift_report.p_values must lie in [0, 1], got [7.0, "),
+        (_on_step(12, _set("drift_report", "p_values", [-0.5] + [0.5] * 14)), 14,
+         "drift_report.p_values must lie in [0, 1], got [-0.5, "),
+        (_on_step(12, _set("offload_reason", "Drift")), 14,
+         "offloaded False and offload_reason 'Drift' are not the offload rule's False and "
+         "'None'"),
+        (_on_step(12, _set("offload_reason", "Bogus")), 14,
+         "offloaded False and offload_reason 'Bogus' are not"),
+        (_on_step(12, _set("executed_action", "Accelerate")), 14,
+         "executed_action must be the Edge decision's Keep or Keep, got Accelerate"),
+        (_on_step(10, _set("executed_action", "LaneChangeRight")), 12,
+         "executed_action must be the Cloud decision's Keep or Keep, got LaneChangeRight"),
+        (_blank_line_before(13), 15, "blank line"),
+        (_copy("drift_report", 12, 3), 5, "drift_report must be null at step 3 of a window of 10"),
+        (_on_step(12, _set("drift_report", None)), 14,
+         "drift_report must be present at step 12 of a window of 10"),
+        (_copy("edge_decision", 12, 12, "cloud_decision"), 14,
+         "cloud_decision must be null when offloaded is False"),
+        (_on_step(10, _set("cloud_decision", None)), 12,
+         "cloud_decision must be present when offloaded is True"),
+        (_on_step(10, _set("bytes_up", 0)), 12, "bytes_up must be 2048, got 0"),
+        (_on_step(12, _set("bytes_up", 2048)), 14, "bytes_up must be 0, got 2048"),
+    ], ids=["drift_flag_set", "drift_flag_cleared", "negative_threshold", "p_values_above_one",
+            "negative_p_value", "drift_reason_without_offload", "unknown_reason",
+            "action_no_decision_chose", "action_the_cloud_did_not_choose", "blank_line",
+            "report_before_the_first_window", "no_report_after_it",
+            "cloud_decision_without_offload", "offload_without_cloud_decision",
+            "no_bytes_on_an_offload", "bytes_without_an_offload"])
+    def test_a_record_that_contradicts_itself_names_its_line(self, tmp_path, edit, line,
+                                                              message):
+        path, lines = _collaborative_lines(tmp_path)
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"trace.jsonl: line {line}: malformed record ({message}")):
+            load_trace(path)
+
+    def test_keep_in_place_of_the_chosen_lane_change_loads(self, tmp_path):
+        # the loop executes Keep in place of an illegal lane change; the
+        # record holds no lane, so the loader cannot tell the two apart
+        path, lines = _collaborative_lines(tmp_path)
+        assert json.loads(lines[12])["cloud_decision"]["action"] == "LaneChangeLeft"
+        _on_step(11, _set("executed_action", "Keep"))(lines)
+        path.write_text("\n".join(lines) + "\n")
+        assert load_trace(path).records[11].executed_action is Action.KEEP
+
+    def test_the_untouched_trace_loads(self, tmp_path):
+        path, _ = _collaborative_lines(tmp_path)
+        records = load_trace(path).records
+        assert [r.offloaded for r in records[9:13]] == [False, True, True, False]
+
+
 class TestStrictLoader:
     @pytest.mark.parametrize("mutate", [
         _set("extra", 1),
@@ -533,9 +627,12 @@ class TestStrictLoader:
         write_trace(_episode(), path)
         header, *records = map(json.loads, path.read_text().splitlines())
         header["config"]["offload"]["method"] = method
+        # the method's threshold, which p-values of 0.5 do not reach
+        threshold = 0.05 / 15 if method.lower() == "ks" else 0.05
         for record in records:
             if record["drift_report"] is not None:
-                record["drift_report"].update(p_values=[0.5] * size, statistic=[0.1] * size)
+                record["drift_report"].update(p_values=[0.5] * size, statistic=[0.1] * size,
+                                              threshold_used=threshold, is_drift=False)
         path.write_text("".join(json.dumps(data) + "\n" for data in (header, *records)))
         if loads:
             assert load_trace(path).records[12].drift_report.p_values.size == size
