@@ -9,6 +9,13 @@ An experiment file is a run's description, read by ``trace.read_run`` as
 a trace header's config is, plus ``seeds``, ``output_dir`` and ``modes``;
 any other key is a config error.
 
+``run`` splits the seeds over one process per CPU it may run on, at most
+one per seed: it runs the first share itself and forks a child for each
+other share, and each process holds one seed at a time. Traces, summary
+lines, ``io error:`` lines and exit codes are those of one process running
+every seed. A platform without ``os.sched_getaffinity``, or a process that
+has other threads, runs them all in one process.
+
 Exit codes: 0 success, 2 invalid config or empty glob, 3 I/O failure,
 4 malformed or inconsistent trace. Remote credentials are read from the
 EC_DRIVE_API_KEY environment variable only; config files and trace
@@ -24,7 +31,10 @@ import csv
 import glob as globmod
 import json
 import os
+import pickle
 import sys
+import threading
+import traceback
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -172,11 +182,15 @@ def cmd_run(config_path: str) -> int:
     each scene the modes and the burn-in share once. That seed's traces are
     then written, through one :class:`TextMemo`, so each record part they
     share is serialized once, and the burn-in, the traces and the memo are
-    freed before the next seed runs. The summary lines follow at the end,
-    one per written trace, in (mode, seed) order. A seed whose scene cannot
-    be spawned is a config error, reported before any output. A trace that
-    cannot be written is reported and the remaining episodes still run; the
-    exit code is then EXIT_IO.
+    freed before the next seed runs. The seeds are split over one process
+    per CPU this process may run on, at most one per seed, and none is
+    forked from a process with other threads (see :func:`_run_shares`);
+    each process holds one seed at a time. The ``io error:`` lines follow
+    in seed order, one per trace that could not be written, and then the
+    summary lines, one per written trace, in (mode, seed) order. A seed
+    whose scene cannot be spawned is a config error, reported before any
+    output. A trace that cannot be written does not stop the remaining
+    episodes; the exit code is then EXIT_IO.
     """
     try:
         config = load_experiment_config(config_path)
@@ -191,24 +205,115 @@ def cmd_run(config_path: str) -> int:
         print(f"io error: cannot create output_dir: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    exit_code = EXIT_OK
-    offloads = [replace(config.offload, mode=mode) for mode in config.modes]
-    lines = {}
+    # a forked child holds only the thread that forked it, so a lock another
+    # thread held would stay locked there: a process with threads forks none
+    share = min(_usable_cpus(), len(config.seeds)) if threading.active_count() == 1 else 1
+    lines, errors = _run_shares(config, share)
     for seed in config.seeds:
-        if not _run_seed(config, offloads, seed, lines):
-            exit_code = EXIT_IO
+        for mode in config.modes:
+            if (mode, seed) in errors:
+                print(errors[mode, seed], file=sys.stderr)
     for mode in config.modes:
         for seed in config.seeds:
             if (mode, seed) in lines:
                 print(lines[mode, seed])
-    return exit_code
+    return EXIT_IO if errors else EXIT_OK
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on; 1 where the platform
+    cannot tell (it has no ``os.sched_getaffinity``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+class _ChildTraceback(Exception):
+    """The traceback of an exception raised in a forked share, as text."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
+
+
+def _run_shares(config: ExperimentConfig, share: int) -> tuple[dict, dict]:
+    """Run ``config.seeds[j::share]`` in process ``j`` for ``j < share``:
+    this process runs share 0 and forks one child for each other share.
+
+    Returns the summary line of each written trace and the ``io error:``
+    text of each trace that could not be written, both keyed by
+    (mode, seed). A child prints nothing; it pickles back its two dicts, or
+    the exception it raised, over a pipe, and this process re-raises that
+    exception. Every child is waited for before this returns or raises.
+    """
+    offloads = [replace(config.offload, mode=mode) for mode in config.modes]
+    children = []
+    try:
+        for j in range(1, share):
+            _fork_share(config, offloads, config.seeds[j::share], children)
+        lines, errors = _run_share(config, offloads, config.seeds[0::share])
+        for pid, pipe in children:
+            try:
+                result, child_traceback = pickle.load(pipe)
+            except EOFError:  # killed, say, by a signal
+                raise RuntimeError(f"child process {pid} ended before it sent its result")
+            if child_traceback is not None:
+                raise result from _ChildTraceback(child_traceback)
+            lines.update(result[0])
+            errors.update(result[1])
+    finally:
+        # closing a pipe first ends a child that still writes to it
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return lines, errors
+
+
+def _fork_share(config: ExperimentConfig, offloads: list[OffloadConfig], seeds,
+                children: list) -> None:
+    """Fork a child that runs ``seeds`` and pickles back ``(result, None)``
+    or ``(exception, traceback text)``; append its (pid, pipe) to
+    ``children``. The child ends in ``os._exit`` and never returns."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_end)
+        children.append((pid, os.fdopen(read_end, "rb")))
+        return
+    try:
+        os.close(read_end)
+        for _, pipe in children:
+            pipe.close()
+        try:
+            message = (_run_share(config, offloads, seeds), None)
+        except BaseException as exc:
+            message = (exc, traceback.format_exc())
+        try:
+            payload = pickle.dumps(message)
+        except Exception:  # an exception pickle cannot carry
+            error = RuntimeError(f"{type(message[0]).__name__}: {message[0]}")
+            payload = pickle.dumps((error, message[1]))
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _run_share(config: ExperimentConfig, offloads: list[OffloadConfig],
+               seeds) -> tuple[dict, dict]:
+    """Run and write ``seeds``' episodes one seed at a time, as
+    :func:`_run_shares` describes its result."""
+    lines, errors = {}, {}
+    for seed in seeds:
+        _run_seed(config, offloads, seed, lines, errors)
+    return lines, errors
 
 
 def _run_seed(config: ExperimentConfig, offloads: list[OffloadConfig], seed: int,
-              lines: dict) -> bool:
+              lines: dict, errors: dict) -> None:
     """Run and write one seed's episodes, adding a summary line per written
-    trace to ``lines``; False if a trace could not be written. The seed's
-    burn-in, traces and memo live only as long as this call."""
+    trace to ``lines`` and an ``io error:`` text per unwritten one to
+    ``errors``. The seed's burn-in, traces and memo live only as long as
+    this call."""
     traces = run_episodes(
         config.scenario,
         config.injections,
@@ -218,14 +323,12 @@ def _run_seed(config: ExperimentConfig, offloads: list[OffloadConfig], seed: int
         endpoint=config.endpoint,
     )
     texts = TextMemo()
-    written = True
     for mode, trace in zip(config.modes, traces):
         path = config.output_dir / trace_filename(config.scenario.name, mode, seed)
         try:
             write_trace(trace, path, texts)
         except OSError as exc:
-            print(f"io error: cannot write {path}: {exc}", file=sys.stderr)
-            written = False
+            errors[mode, seed] = f"io error: cannot write {path}: {exc}"
             continue
         s = trace.summary
         lines[mode, seed] = (
@@ -234,7 +337,6 @@ def _run_seed(config: ExperimentConfig, offloads: list[OffloadConfig], seed: int
             f"mean_latency={s.mean_latency_ms:.1f}ms "
             f"bytes_up={s.total_bytes_up} collisions={s.collision_count}"
         )
-    return written
 
 
 def _metrics_row(trace: EpisodeTrace, metrics: Metrics) -> dict:

@@ -6,7 +6,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ecdrive import MODES, DriftInjection, ScenarioError, from_json, orchestrator, to_json
+from ecdrive import MODES, DriftInjection, ScenarioError, cli, from_json, orchestrator, to_json
 from ecdrive.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -92,6 +94,27 @@ def write_config(tmp_path: Path, data: dict, name: str = "config.json") -> Path:
     return path
 
 
+def pin_cpus(monkeypatch, count: int) -> None:
+    """Make ``cmd_run`` see ``count`` usable CPUs, so it splits the seeds
+    over that many processes at most."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+
+
+def _raise_value_error(seed: int):
+    raise ValueError(f"seed {seed} failed")
+
+
+def _raise_local_error(seed: int):
+    class LocalError(Exception):  # pickle cannot carry a local class
+        pass
+
+    raise LocalError(f"seed {seed} failed")
+
+
+def _die(seed: int):
+    os._exit(1)
+
+
 class TestCmdRun:
     def test_three_seeds_three_traces(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path))
@@ -127,6 +150,8 @@ class TestCmdRun:
             return real_fit(*args, **kwargs)
 
         monkeypatch.setattr(orchestrator, "fit", counting_fit)
+        # a forked child's calls would not reach this process's counter
+        pin_cpus(monkeypatch, 1)
         assert cmd_run(str(path)) == EXIT_OK
         assert sorted(fitted) == seeds
         # printed mode by mode, each mode over all seeds
@@ -186,7 +211,10 @@ class TestCmdRun:
         assert cmd_run(str(path)) == EXIT_IO
         assert "output_dir" in capsys.readouterr().err
 
-    def test_write_error_finishes_the_suite(self, tmp_path, capsys):
+    # under two CPUs the blocked trace belongs to the child's share, seed 1
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_write_error_finishes_the_suite(self, tmp_path, capsys, monkeypatch, cpus):
+        pin_cpus(monkeypatch, cpus)
         config = base_config(tmp_path)
         config["modes"] = ["EdgeOnly", "Collaborative"]
         out = tmp_path / "out"
@@ -208,6 +236,85 @@ class TestCmdRun:
             "corridor_EdgeOnly_2.jsonl",
         ]
         assert not list(out.glob(".*.tmp"))
+
+    def test_traces_and_stdout_do_not_depend_on_the_cpu_count(self, tmp_path, capsys,
+                                                              monkeypatch):
+        config = base_config(tmp_path)
+        config["modes"] = list(MODES)
+        real_fork = os.fork
+        forks = []
+
+        def counting_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        outputs = {}
+        for cpus in (1, 2, 3):
+            pin_cpus(monkeypatch, cpus)
+            config["output_dir"] = str(tmp_path / f"cpus{cpus}")
+            forks.clear()
+            assert cmd_run(str(write_config(tmp_path, config))) == EXIT_OK
+            assert len(forks) == cpus - 1
+            captured = capsys.readouterr()
+            traces = {f.name: f.read_bytes() for f in (tmp_path / f"cpus{cpus}").iterdir()}
+            outputs[cpus] = (captured.out, captured.err, traces)
+        assert len(outputs[1][2]) == 9 and outputs[1][0].count("mode=") == 9
+        assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+    # a forked child would hold only the forking thread, so a lock another
+    # thread held would never be released there
+    @pytest.mark.parametrize("cpus, seeds, other_thread", [
+        (1, [0, 1, 2], False), (4, [0], False), (4, [0, 1, 2], True),
+    ], ids=["one_cpu", "one_seed", "other_thread"])
+    def test_nothing_is_forked_for_one_cpu_one_seed_or_threads(self, tmp_path, monkeypatch,
+                                                               cpus, seeds, other_thread):
+        def no_fork():
+            raise AssertionError("forked")
+
+        pin_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(os, "fork", no_fork)
+        config = base_config(tmp_path)
+        config["seeds"] = seeds
+        path = write_config(tmp_path, config)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        if other_thread:
+            thread.start()
+        try:
+            assert cmd_run(str(path)) == EXIT_OK
+        finally:
+            release.set()
+            if other_thread:
+                thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(list((tmp_path / "out").glob("*.jsonl"))) == len(seeds)
+
+    # under two CPUs this process runs seeds 0 and 2 and a child runs seed 1
+    @pytest.mark.parametrize("failing_seed, fail, error, message", [
+        (0, _raise_value_error, ValueError, "^seed 0 failed$"),
+        (1, _raise_value_error, ValueError, "^seed 1 failed$"),
+        (1, _raise_local_error, RuntimeError, "^LocalError: seed 1 failed$"),
+        (1, _die, RuntimeError, "ended before it sent its result"),
+    ], ids=["this_process", "child", "child_unpicklable", "child_dies"])
+    def test_a_failure_in_any_share_is_raised_and_no_child_is_left(
+        self, tmp_path, monkeypatch, failing_seed, fail, error, message
+    ):
+        real_run_episodes = cli.run_episodes
+
+        def failing_run_episodes(*args, seed, **kwargs):
+            if seed == failing_seed:
+                fail(seed)
+            return real_run_episodes(*args, seed=seed, **kwargs)
+
+        pin_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "run_episodes", failing_run_episodes)
+        with pytest.raises(error, match=message) as raised:
+            cmd_run(str(write_config(tmp_path, base_config(tmp_path))))
+        if failing_seed == 1 and fail is not _die:  # the child's traceback is the cause
+            assert fail.__name__ in str(raised.value.__cause__)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_run_is_byte_deterministic(self, tmp_path):
         config_a = base_config(tmp_path)
