@@ -26,9 +26,14 @@ the window test over blocks of the chosen windows gathered from those
 ranks, each block copied to be sorted; MMD fills one window and
 tests it where a window is chosen.
 Its reports are those of a :class:`SlidingWindow` pushed sample by sample,
-bit for bit. A report depends only on the window's samples in order, not
-on the samples before it, so a caller may keep one report per distinct
-window. Report arrays are read-only, since such a report may be shared.
+bit for bit. A report depends only on the window's samples in order, so
+the :class:`Monitor` objects of one fitted detector, which give each step's
+report, share one memo keyed by the tuple of a window's sample bytes,
+oldest first (in order: the MMD permutations depend on each sample's age),
+and test only the windows it misses: a streaming monitor in its own
+:class:`SlidingWindow`, and ``reports`` the distinct ones in one
+:func:`predict_windows` batch. Report arrays are read-only, as reports are
+shared.
 
 The MMD test uses the unbiased MMD^2 estimator (Gretton et al., "A Kernel
 Two-Sample Test", JMLR 2012). A squared distance adds the squared
@@ -123,6 +128,11 @@ class DriftDetector:
     @property
     def n_features(self) -> int:
         return self.reference.shape[1]
+
+    @functools.cached_property
+    def _memo(self) -> dict[tuple[bytes, ...], DriftReport]:
+        """The reports of the windows its monitors tested, by window key."""
+        return {}
 
 
 @functools.lru_cache(maxsize=4096)
@@ -465,6 +475,8 @@ class SlidingWindow:
         falling. ``pushed`` counts the samples passed, pushed or skipped."""
         if stop < self.pushed:
             raise ValueError(f"stop {stop} lies before the {self.pushed} samples passed")
+        if stop > len(samples):
+            raise ValueError(f"stop {stop} lies past the {len(samples)} samples")
         self.pushed = max(self.pushed, stop - self.detector.window)
         for row in samples[self.pushed : stop]:
             self.push(row)
@@ -720,6 +732,52 @@ def _reports(detector: DriftDetector, stats, p_values) -> list[DriftReport]:
         DriftReport(is_drift=flag, p_values=p, statistic=stat, threshold_used=threshold)
         for flag, p, stat in zip(flags, p_values, stats)
     ]
+
+
+class Monitor:
+    """The drift report of each step of one episode. ``samples`` is always
+    the episode's sequence so far, the newest last: a streaming monitor
+    gives each report as its window fills, every monitor all of them."""
+
+    def __init__(self, detector: DriftDetector, streaming: bool):
+        self.detector = detector
+        self.window = SlidingWindow(detector) if streaming else None
+        self._keys: list[bytes] = []  # the bytes of each sample, each taken once
+        self._given: list[DriftReport] = []  # the report of each window pushed
+
+    def _sample_keys(self, samples) -> list[bytes]:
+        self._keys.extend(map(np.ndarray.tobytes, samples[len(self._keys) :]))
+        return self._keys
+
+    def push(self, samples) -> DriftReport | None:
+        """The report of the window the newest sample completes; ``None``
+        before the first full window and if the monitor does not stream."""
+        if self.window is None or len(samples) < self.detector.window:
+            return None
+        key = tuple(self._sample_keys(samples)[-self.detector.window :])
+        report = self.detector._memo.get(key)
+        if report is None:
+            # the window is brought up to date only for a test
+            self.window.fill(samples, len(samples))
+            report = self.detector._memo[key] = predict(self.detector, self.window)
+        self._given.append(report)
+        return report
+
+    def reports(self, samples) -> list[DriftReport | None]:
+        """Every step's report: ``None`` until the first window fills, then
+        its window's. The distinct windows neither pushed nor in the memo
+        are tested in one :func:`predict_windows` batch."""
+        memo, m, given = self.detector._memo, self.detector.window, self._given
+        each = self._sample_keys(samples)
+        keys = [tuple(each[t : t + m]) for t in range(len(given), len(each) - m + 1)]
+        missing: dict[tuple, int] = {}  # key -> its first window, ascending
+        for start, key in enumerate(keys, len(given)):
+            if key not in memo:
+                missing.setdefault(key, start)
+        if missing:
+            tested = predict_windows(self.detector, samples, list(missing.values()))
+            memo.update(zip(missing, tested))
+        return [None] * min(len(samples), m - 1) + given + [memo[key] for key in keys]
 
 
 def confidence_gate(decision_confidence: float, tau: float) -> bool:

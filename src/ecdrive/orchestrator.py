@@ -25,14 +25,6 @@ scenes at a step with no injection overlaid takes over that step's
 feature, collision, edge decision and stepped successor instead of
 computing them.
 
-Drift reports are memoized by window content for the length of one
-:func:`run_episodes` call. A window's key is the tuple of its features'
-bytes, oldest first: exact, and in order, because the MMD permutations
-depend on each sample's age. A window's report depends only on that
-content, so every window with the key shares one report, tested once,
-whether a Collaborative step tests it or an EdgeOnly or CloudOnly episode
-tests it in a batch after its last step.
-
 The records and summary of an episode come back as an :class:`EpisodeTrace`;
 :mod:`ecdrive.trace` writes and reads it as JSON Lines.
 """
@@ -47,16 +39,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .codec import featurize
-from .drift import (
-    METHODS,
-    DriftDetector,
-    DriftReport,
-    SlidingWindow,
-    confidence_gate,
-    fit,
-    predict,
-    predict_windows,
-)
+from .drift import METHODS, DriftDetector, DriftReport, Monitor, confidence_gate, fit
+from .drift import predict  # noqa: F401 (bench/tracer.py wraps this name)
 from .highway import (
     Action,
     DriftInjection,
@@ -300,24 +284,17 @@ def _shared(entry: dict, name, compute, *args):
 
 
 class _Episode:
-    """The state one episode of :func:`run_episodes` carries between steps.
+    """The state one episode of :func:`run_episodes` carries between steps."""
 
-    ``memo`` maps a window's key, the bytes of its features oldest first,
-    to its report, for every episode of the call with this detector."""
-
-    def __init__(self, config: OffloadConfig, detector: DriftDetector | None, memo: dict,
-                 scene: Scene, seed: int):
+    def __init__(self, config: OffloadConfig, detector: DriftDetector | None, scene: Scene,
+                 seed: int):
         self.config = config
-        self.detector = detector
-        self.memo = memo
         self.scene = scene
         self.noise_rng = np.random.default_rng(seed)
         # only a Collaborative step waits for its drift report
-        self.window = SlidingWindow(detector) if config.mode == "Collaborative" else None
+        self.monitor = Monitor(detector, config.mode == "Collaborative")
         self.features: list[np.ndarray] = []
-        self.feature_keys: list[bytes] = []
         self.edges: list[Decision] = []
-        self.reports: list[DriftReport | None] = []
         # each step's record fields after drift_report, in StepRecord's field order
         self.outcomes: list[tuple] = []
 
@@ -341,19 +318,8 @@ class _Episode:
                                           effective, endpoint)
 
         self.features.append(feature)
-        self.feature_keys.append(feature.tobytes())
         self.edges.append(edge)
-        report = None
-        if self.window is not None:
-            keys, m = self.feature_keys, self.detector.window
-            if len(keys) >= m:
-                key = tuple(keys[-m:])
-                report = self.memo.get(key)
-                if report is None:
-                    # the window is brought up to date only for a test
-                    self.window.fill(self.features, len(keys))
-                    report = self.memo[key] = predict(self.detector, self.window)
-            self.reports.append(report)
+        report = self.monitor.push(self.features)
         offloaded, reason = offload_rule(report, edge.confidence, config)
 
         cloud: Decision | None = None
@@ -385,28 +351,10 @@ class _Episode:
 
         self.scene = _shared(entry, ("step", executed), _next_scene, scene, effective, executed)
 
-    def _batch_reports(self) -> list[DriftReport]:
-        """The report of every full window, from the memo; the distinct
-        windows it misses are tested in one :func:`predict_windows` batch."""
-        m, samples, memo = self.detector.window, self.feature_keys, self.memo
-        keys = [tuple(samples[t : t + m]) for t in range(len(samples) - m + 1)]
-        missing: dict[tuple, int] = {}  # key -> its first window, ascending
-        for start, key in enumerate(keys):
-            if key not in memo:
-                missing.setdefault(key, start)
-        tested = predict_windows(self.detector, self.features, list(missing.values()))
-        memo.update(zip(missing, tested))
-        return [memo[key] for key in keys]
-
-    def records(self, steps: int) -> list[StepRecord]:
-        reports = self.reports
-        if self.window is None:
-            reports = [None] * min(steps, self.detector.window - 1) + self._batch_reports()
-        return [
-            StepRecord(index, feature, edge, report, *outcome)
-            for index, (feature, edge, report, outcome)
-            in enumerate(zip(self.features, self.edges, reports, self.outcomes))
-        ]
+    def records(self) -> list[StepRecord]:
+        steps = zip(self.features, self.edges, self.monitor.reports(self.features), self.outcomes)
+        return [StepRecord(index, feature, edge, report, *outcome)
+                for index, (feature, edge, report, outcome) in enumerate(steps)]
 
 
 def _burn_in(start: Scene, n_ref: int, seed: int) -> tuple[list[np.ndarray], list[dict]]:
@@ -416,7 +364,7 @@ def _burn_in(start: Scene, n_ref: int, seed: int) -> tuple[list[np.ndarray], lis
     Returns its features and the entry of each step: the results the step
     found for its scene (see :meth:`_Episode.advance`), which an episode of
     :func:`run_episodes` that stands on the same scene takes over."""
-    burn = _Episode(OffloadConfig(mode="EdgeOnly"), None, {}, start, seed)
+    burn = _Episode(OffloadConfig(mode="EdgeOnly"), None, start, seed)
     entries = []
     for index in range(n_ref):
         entries.append({"scene": burn.scene})
@@ -455,13 +403,10 @@ def run_episodes(
     remote failure degrades to the local policy of its role and never
     aborts.
 
-    The episodes that share a fitted detector share a memo of its drift
-    reports, keyed by window content (see the module docstring). Only a
-    Collaborative step waits for its report: the episode fills its own
-    :class:`SlidingWindow` and calls :func:`predict` only for a window the
-    memo misses. An EdgeOnly or CloudOnly episode looks up every window
-    after its last step and tests the distinct ones the memo misses in one
-    :func:`predict_windows` batch.
+    Each episode's :class:`~ecdrive.drift.Monitor` gives its drift
+    reports; only a Collaborative one streams. The episodes that share a
+    fitted detector share its memo of reports, so each distinct window is
+    tested once.
     """
     _check_steps(steps)
     _check_seed(seed)
@@ -490,11 +435,7 @@ def run_episodes(
                 n_perm=config.n_perm,
             )
 
-    memos = {settings: {} for settings in detectors}
-    episodes = [
-        _Episode(c, detectors[s], memos[s], start, seed)
-        for c, s in zip(configs, map(_detector_settings, configs))
-    ]
+    episodes = [_Episode(c, detectors[_detector_settings(c)], start, seed) for c in configs]
     for index in range(steps):
         candidates = []
         if index < len(entries):
@@ -507,7 +448,7 @@ def run_episodes(
 
     traces = []
     for episode in episodes:
-        records = episode.records(steps)
+        records = episode.records()
         traces.append(EpisodeTrace(
             scenario=scenario,
             injections=injections,

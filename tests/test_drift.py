@@ -628,6 +628,9 @@ class TestSlidingWindow:
                 assert report.p_values.tolist() == expected[stop - 13].p_values.tolist()
         with pytest.raises(ValueError, match="stop 51 lies before the 52 samples passed"):
             ring.fill(stream, 51)
+        # a stop past the samples would leave the window on an earlier one
+        with pytest.raises(ValueError, match="stop 15 lies past the 12 samples"):
+            SlidingWindow(det).fill(stream[:12], 15)
 
 
 def slid_reports(detector, stream):
@@ -660,7 +663,16 @@ class TestPredictWindows:
             expected = slid_reports(det, stream)
             reports = predict_windows(det, stream)
             assert len(reports) == len(expected) == len(stream) - window + 1
-            for report, want in zip(reports, expected):
+            # a batch monitor tests every window, and a streaming monitor of
+            # the same detector, pushed sample by sample, takes each report
+            # from their shared memo and gives them all again at the end
+            batch = drift.Monitor(det, False).reports(stream)
+            streaming = drift.Monitor(det, True)
+            pushed = [streaming.push(stream[: t + 1]) for t in range(len(stream))]
+            for given in (pushed, streaming.reports(stream)):
+                assert all(a is b for a, b in zip(given, batch, strict=True))
+            assert batch[: window - 1] == [None] * (window - 1)
+            for report, want in zip(reports + batch[window - 1 :], expected * 2, strict=True):
                 assert report.statistic.tolist() == want.statistic.tolist()
                 assert report.p_values.tolist() == want.p_values.tolist()
                 assert report.is_drift is want.is_drift

@@ -32,7 +32,7 @@ from ecdrive import (
     spawn_scenario,
     write_trace,
 )
-from ecdrive import orchestrator, policies
+from ecdrive import drift, orchestrator, policies
 from ecdrive.highway import validate_injection
 from ecdrive.trace import trace_lines
 
@@ -220,14 +220,13 @@ class TestRunEpisodeModes:
     def test_deferred_reports_equal_a_window_slid_over_the_features(
         self, monkeypatch, mode, method
     ):
-        calls = []
-        monkeypatch.setattr(orchestrator, "predict", lambda *args: calls.append(args))
+        tested = _count_tested_windows(monkeypatch)
         cfg = OffloadConfig(mode=mode, method=method, n_ref=40, window=12, n_perm=30)
         shift = DriftInjection(kind="TrafficPatternShift", start_step=20, end_step=40,
                                speed_offset=-6.0)
         trace = run_episode(open_highway_config(), (shift,), cfg, seed=1, steps=60)
         # no decision waits for a report, so no window is tested during the episode
-        assert calls == []
+        assert tested["predict"] == 0
         detector = _fitted(open_highway_config(), cfg, seed=1)
         window = SlidingWindow(detector)
         for record in trace.records:
@@ -282,21 +281,28 @@ def _fitted(scenario, config: OffloadConfig, seed: int):
 
 
 def _count_tested_windows(monkeypatch) -> dict[str, int]:
-    """Count the windows the loop tests from now on: one per ``predict``
-    call, and each window ``predict_windows`` is asked to test."""
+    """Count the windows the loop's drift monitors test from now on: one per
+    ``predict`` call of a streaming monitor, and each window
+    ``predict_windows`` is asked to test. The MMD ``predict_windows`` calls
+    ``predict`` for each of its windows; those calls are not counted again."""
     tested = {"predict": 0, "predict_windows": 0}
-    predict_one, predict_some = orchestrator.predict, orchestrator.predict_windows
+    predict_one, predict_some = drift.predict, drift.predict_windows
+    in_batch = []
 
     def counting_predict(detector, window):
-        tested["predict"] += 1
+        tested["predict"] += not in_batch
         return predict_one(detector, window)
 
     def counting_predict_windows(detector, samples, starts):
         tested["predict_windows"] += len(starts)
-        return predict_some(detector, samples, starts)
+        in_batch.append(True)
+        try:
+            return predict_some(detector, samples, starts)
+        finally:
+            in_batch.pop()
 
-    monkeypatch.setattr(orchestrator, "predict", counting_predict)
-    monkeypatch.setattr(orchestrator, "predict_windows", counting_predict_windows)
+    monkeypatch.setattr(drift, "predict", counting_predict)
+    monkeypatch.setattr(drift, "predict_windows", counting_predict_windows)
     return tested
 
 
