@@ -9,12 +9,14 @@ An experiment file is a run's description, read by ``trace.read_run`` as
 a trace header's config is, plus ``seeds``, ``output_dir`` and ``modes``;
 any other key is a config error.
 
-``run`` splits the seeds over one process per CPU it may run on, at most
-one per seed: it runs the first share itself and forks a child for each
-other share, and each process holds one seed at a time. Traces, summary
-lines, ``io error:`` lines and exit codes are those of one process running
-every seed. A platform without ``os.sched_getaffinity``, or a process that
-has other threads, runs them all in one process.
+``run`` splits the seeds, and ``summarize`` the sorted matched paths, over
+one process per CPU it may run on, at most one per seed or path: it runs
+the first share itself and forks a child for each other share, and each
+process holds one seed or trace at a time. Traces, summary lines, the CSV,
+``io error:`` and ``trace error:`` lines, exit codes and an exception
+``run`` raises are those of one process handling every seed or path in
+order. A platform without ``os.sched_getaffinity``, or a process that has
+other threads, handles them all in one process.
 
 Exit codes: 0 success, 2 invalid config or empty glob, 3 I/O failure,
 4 malformed or inconsistent trace. Remote credentials are read from the
@@ -184,13 +186,15 @@ def cmd_run(config_path: str) -> int:
     share is serialized once, and the burn-in, the traces and the memo are
     freed before the next seed runs. The seeds are split over one process
     per CPU this process may run on, at most one per seed, and none is
-    forked from a process with other threads (see :func:`_run_shares`);
+    forked from a process with other threads (see :func:`_map_over_cpus`);
     each process holds one seed at a time. The ``io error:`` lines follow
     in seed order, one per trace that could not be written, and then the
     summary lines, one per written trace, in (mode, seed) order. A seed
     whose scene cannot be spawned is a config error, reported before any
     output. A trace that cannot be written does not stop the remaining
-    episodes; the exit code is then EXIT_IO.
+    episodes; the exit code is then EXIT_IO. A seed whose episodes raise
+    ends the run with the exception of the earliest such seed, as one
+    process would.
     """
     try:
         config = load_experiment_config(config_path)
@@ -205,19 +209,16 @@ def cmd_run(config_path: str) -> int:
         print(f"io error: cannot create output_dir: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    # a forked child holds only the thread that forked it, so a lock another
-    # thread held would stay locked there: a process with threads forks none
-    share = min(_usable_cpus(), len(config.seeds)) if threading.active_count() == 1 else 1
-    lines, errors = _run_shares(config, share)
-    for seed in config.seeds:
-        for mode in config.modes:
-            if (mode, seed) in errors:
-                print(errors[mode, seed], file=sys.stderr)
+    offloads = [replace(config.offload, mode=mode) for mode in config.modes]
+    outcomes = _map_over_cpus(lambda seed: _run_seed(config, offloads, seed), config.seeds)
+    for _, errors in outcomes:
+        for error in errors.values():
+            print(error, file=sys.stderr)
     for mode in config.modes:
-        for seed in config.seeds:
-            if (mode, seed) in lines:
-                print(lines[mode, seed])
-    return EXIT_IO if errors else EXIT_OK
+        for lines, _ in outcomes:
+            if mode in lines:
+                print(lines[mode])
+    return EXIT_IO if any(errors for _, errors in outcomes) else EXIT_OK
 
 
 def _usable_cpus() -> int:
@@ -235,44 +236,71 @@ class _ChildTraceback(Exception):
         return "\n" + self.args[0]
 
 
-def _run_shares(config: ExperimentConfig, share: int) -> tuple[dict, dict]:
-    """Run ``config.seeds[j::share]`` in process ``j`` for ``j < share``:
-    this process runs share 0 and forks one child for each other share.
+def _map_over_cpus(work, items) -> list:
+    """Return ``[work(item) for item in items]``, computed by one process
+    per CPU this process may run on, at most one per item.
 
-    Returns the summary line of each written trace and the ``io error:``
-    text of each trace that could not be written, both keyed by
-    (mode, seed). A child prints nothing; it pickles back its two dicts, or
-    the exception it raised, over a pipe, and this process re-raises that
-    exception. Every child is waited for before this returns or raises.
+    Process ``j`` of ``n`` runs ``work`` on ``items[j::n]`` in order and
+    stops at its first failing item: this process runs share 0 and forks a
+    child for each other share. A child prints nothing; it pickles back its
+    results and its failure over a pipe. An exception pickle cannot carry
+    comes back as a ``RuntimeError`` naming its type, and a child that ends
+    without sending anything fails at its first item with a
+    ``RuntimeError``. If items fail, the exception of the earliest failing
+    item is raised, a child's with its traceback text as the cause, so the
+    outcome is that of one process running every item in order. Every
+    child is waited for before this returns or raises. A process that has
+    other threads runs every item itself.
     """
-    offloads = [replace(config.offload, mode=mode) for mode in config.modes]
+    # a forked child holds only the thread that forked it, so a lock another
+    # thread held would stay locked there: a process with threads forks none
+    share = min(_usable_cpus(), len(items)) if threading.active_count() == 1 else 1
     children = []
     try:
         for j in range(1, share):
-            _fork_share(config, offloads, config.seeds[j::share], children)
-        lines, errors = _run_share(config, offloads, config.seeds[0::share])
-        for pid, pipe in children:
+            _fork_share(work, items, j, share, children)
+        shares = [_run_share(work, items, 0, share)]
+        for j, (pid, pipe) in enumerate(children, 1):
             try:
-                result, child_traceback = pickle.load(pipe)
+                shares.append(pickle.load(pipe))
             except EOFError:  # killed, say, by a signal
-                raise RuntimeError(f"child process {pid} ended before it sent its result")
-            if child_traceback is not None:
-                raise result from _ChildTraceback(child_traceback)
-            lines.update(result[0])
-            errors.update(result[1])
+                error = RuntimeError(f"child process {pid} ended before it sent its result")
+                shares.append(([], (j, error, None)))
     finally:
         # closing a pipe first ends a child that still writes to it
         for pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
-    return lines, errors
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        _, exc, child_traceback = min(failures, key=lambda failure: failure[0])
+        if child_traceback is None:
+            raise exc
+        raise exc from _ChildTraceback(child_traceback)
+    results = [None] * len(items)
+    for j, (done, _) in enumerate(shares):
+        results[j::share] = done
+    return results
 
 
-def _fork_share(config: ExperimentConfig, offloads: list[OffloadConfig], seeds,
-                children: list) -> None:
-    """Fork a child that runs ``seeds`` and pickles back ``(result, None)``
-    or ``(exception, traceback text)``; append its (pid, pipe) to
-    ``children``. The child ends in ``os._exit`` and never returns."""
+def _run_share(work, items, j: int, share: int) -> tuple[list, tuple | None]:
+    """Run ``work`` on ``items[j::share]`` in order. Returns the results and
+    ``None``, or, from the first item that raises, the results before it
+    and ``(index of that item, its exception, None)``."""
+    done = []
+    for index in range(j, len(items), share):
+        try:
+            done.append(work(items[index]))
+        except Exception as exc:
+            return done, (index, exc, None)
+    return done, None
+
+
+def _fork_share(work, items, j: int, share: int, children: list) -> None:
+    """Fork a child that runs share ``j`` and pickles back what
+    :func:`_run_share` returns, with the failure's traceback as text;
+    append its (pid, pipe) to ``children``. The child ends in ``os._exit``
+    and never returns."""
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid:
@@ -283,37 +311,28 @@ def _fork_share(config: ExperimentConfig, offloads: list[OffloadConfig], seeds,
         os.close(read_end)
         for _, pipe in children:
             pipe.close()
+        done, failure = _run_share(work, items, j, share)
+        if failure is not None:
+            index, exc, _ = failure
+            failure = (index, exc, "".join(traceback.format_exception(exc)))
         try:
-            message = (_run_share(config, offloads, seeds), None)
-        except BaseException as exc:
-            message = (exc, traceback.format_exc())
-        try:
-            payload = pickle.dumps(message)
+            payload = pickle.dumps((done, failure))
         except Exception:  # an exception pickle cannot carry
-            error = RuntimeError(f"{type(message[0]).__name__}: {message[0]}")
-            payload = pickle.dumps((error, message[1]))
+            index, exc, text = failure
+            error = RuntimeError(f"{type(exc).__name__}: {exc}")
+            payload = pickle.dumps((done, (index, error, text)))
         with os.fdopen(write_end, "wb") as pipe:
             pipe.write(payload)
     finally:
         os._exit(0)
 
 
-def _run_share(config: ExperimentConfig, offloads: list[OffloadConfig],
-               seeds) -> tuple[dict, dict]:
-    """Run and write ``seeds``' episodes one seed at a time, as
-    :func:`_run_shares` describes its result."""
-    lines, errors = {}, {}
-    for seed in seeds:
-        _run_seed(config, offloads, seed, lines, errors)
-    return lines, errors
-
-
-def _run_seed(config: ExperimentConfig, offloads: list[OffloadConfig], seed: int,
-              lines: dict, errors: dict) -> None:
-    """Run and write one seed's episodes, adding a summary line per written
-    trace to ``lines`` and an ``io error:`` text per unwritten one to
-    ``errors``. The seed's burn-in, traces and memo live only as long as
-    this call."""
+def _run_seed(config: ExperimentConfig, offloads: list[OffloadConfig],
+              seed: int) -> tuple[dict, dict]:
+    """Run and write one seed's episodes. Returns the summary line of each
+    written trace and the ``io error:`` text of each trace that could not
+    be written, both keyed by mode in the config's order. The seed's
+    burn-in, traces and memo live only as long as this call."""
     traces = run_episodes(
         config.scenario,
         config.injections,
@@ -323,20 +342,22 @@ def _run_seed(config: ExperimentConfig, offloads: list[OffloadConfig], seed: int
         endpoint=config.endpoint,
     )
     texts = TextMemo()
+    lines, errors = {}, {}
     for mode, trace in zip(config.modes, traces):
         path = config.output_dir / trace_filename(config.scenario.name, mode, seed)
         try:
             write_trace(trace, path, texts)
         except OSError as exc:
-            errors[mode, seed] = f"io error: cannot write {path}: {exc}"
+            errors[mode] = f"io error: cannot write {path}: {exc}"
             continue
         s = trace.summary
-        lines[mode, seed] = (
+        lines[mode] = (
             f"{config.scenario.name} mode={mode} seed={seed}: "
             f"offload_rate={s.offload_rate:.3f} "
             f"mean_latency={s.mean_latency_ms:.1f}ms "
             f"bytes_up={s.total_bytes_up} collisions={s.collision_count}"
         )
+    return lines, errors
 
 
 def _metrics_row(trace: EpisodeTrace, metrics: Metrics) -> dict:
@@ -348,38 +369,58 @@ def _metrics_row(trace: EpisodeTrace, metrics: Metrics) -> dict:
     }
 
 
+class _ExitError(Exception):
+    """A failure that ends a command: print ``message`` to standard error
+    and exit with ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(code, message)  # pickle rebuilds it from these
+        self.code = code
+        self.message = message
+
+
+def _summary_row(path: str) -> dict:
+    """Load one trace, re-derive its summary from its records and return
+    its CSV row. A file that cannot be read, a malformed trace and a stored
+    summary that differs from the re-derived one raise :class:`_ExitError`.
+    """
+    try:
+        trace = load_trace(path)
+    except OSError as exc:
+        raise _ExitError(EXIT_IO, f"io error: cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise _ExitError(EXIT_TRACE, f"trace error: {exc}") from exc
+    recomputed = aggregate_metrics(trace.records, trace.injections, trace.offload.window)
+    if recomputed != trace.summary:
+        raise _ExitError(
+            EXIT_TRACE, f"trace error: {path}: stored summary does not match recomputed metrics"
+        )
+    return _metrics_row(trace, recomputed)
+
+
 def cmd_summarize(trace_glob: str, out_csv: str) -> int:
     """Recompute and tabulate metrics for every trace matching the glob.
 
     Each trace's embedded summary is re-derived from its records; any
     mismatch is an integrity failure (exit 4), as is a malformed trace; a
-    matched file that cannot be read is an I/O failure (exit 3). The CSV
-    gets one row per trace plus one aggregate row per mode with means
-    across seeds.
+    matched file that cannot be read is an I/O failure (exit 3). The
+    sorted matched paths are split over the CPUs as ``run`` splits its
+    seeds (see :func:`_map_over_cpus`), and each process keeps one trace at
+    a time; the first failing path in sorted order is the one reported, so
+    the CSV, the messages and the exit code are those of one process
+    checking every path in order. The CSV gets one row per trace plus one
+    aggregate row per mode with means across seeds.
     """
     paths = sorted(globmod.glob(trace_glob))
     if not paths:
         print(f"error: no trace files match {trace_glob!r}", file=sys.stderr)
         return EXIT_CONFIG
 
-    rows = []
-    for path in paths:
-        try:
-            trace = load_trace(path)
-        except OSError as exc:
-            print(f"io error: cannot read {path}: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except ValueError as exc:
-            print(f"trace error: {exc}", file=sys.stderr)
-            return EXIT_TRACE
-        recomputed = aggregate_metrics(trace.records, trace.injections, trace.offload.window)
-        if recomputed != trace.summary:
-            print(
-                f"trace error: {path}: stored summary does not match recomputed metrics",
-                file=sys.stderr,
-            )
-            return EXIT_TRACE
-        rows.append(_metrics_row(trace, recomputed))
+    try:
+        rows = _map_over_cpus(_summary_row, paths)
+    except _ExitError as exc:
+        print(exc.message, file=sys.stderr)
+        return exc.code
 
     numeric = CSV_COLUMNS[3:]
     aggregates = []

@@ -95,9 +95,48 @@ def write_config(tmp_path: Path, data: dict, name: str = "config.json") -> Path:
 
 
 def pin_cpus(monkeypatch, count: int) -> None:
-    """Make ``cmd_run`` see ``count`` usable CPUs, so it splits the seeds
-    over that many processes at most."""
+    """Make ``cmd_run`` and ``cmd_summarize`` see ``count`` usable CPUs, so
+    they split their seeds or paths over that many processes at most."""
     monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """Record the forking pid of each ``os.fork`` call in the returned list."""
+    real_fork = os.fork
+    forks = []
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def forbid_forks(monkeypatch) -> None:
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+def call_beside_a_thread(call, other_thread: bool):
+    """Return ``call()``, made while another thread waits if ``other_thread``.
+
+    A forked child would hold only the forking thread, so a lock another
+    thread held would never be released there."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    if other_thread:
+        thread.start()
+    try:
+        result = call()
+    finally:
+        release.set()
+        if other_thread:
+            thread.join(timeout=60)
+    assert not thread.is_alive()
+    return result
 
 
 def _raise_value_error(seed: int):
@@ -113,6 +152,25 @@ def _raise_local_error(seed: int):
 
 def _die(seed: int):
     os._exit(1)
+
+
+def _make_unreadable(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
+def _cut_a_record(path: Path) -> None:
+    lines = path.read_text().splitlines()
+    lines[3] = '{"nope": '
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _tamper_summary(path: Path) -> None:
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["summary"]["mean_latency_ms"] += 1.0
+    lines[0] = json.dumps(header, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestCmdRun:
@@ -241,14 +299,7 @@ class TestCmdRun:
                                                               monkeypatch):
         config = base_config(tmp_path)
         config["modes"] = list(MODES)
-        real_fork = os.fork
-        forks = []
-
-        def counting_fork():
-            forks.append(os.getpid())
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+        forks = count_forks(monkeypatch)
         outputs = {}
         for cpus in (1, 2, 3):
             pin_cpus(monkeypatch, cpus)
@@ -262,32 +313,17 @@ class TestCmdRun:
         assert len(outputs[1][2]) == 9 and outputs[1][0].count("mode=") == 9
         assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
 
-    # a forked child would hold only the forking thread, so a lock another
-    # thread held would never be released there
     @pytest.mark.parametrize("cpus, seeds, other_thread", [
         (1, [0, 1, 2], False), (4, [0], False), (4, [0, 1, 2], True),
     ], ids=["one_cpu", "one_seed", "other_thread"])
     def test_nothing_is_forked_for_one_cpu_one_seed_or_threads(self, tmp_path, monkeypatch,
                                                                cpus, seeds, other_thread):
-        def no_fork():
-            raise AssertionError("forked")
-
         pin_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(os, "fork", no_fork)
+        forbid_forks(monkeypatch)
         config = base_config(tmp_path)
         config["seeds"] = seeds
         path = write_config(tmp_path, config)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait, args=(60,))
-        if other_thread:
-            thread.start()
-        try:
-            assert cmd_run(str(path)) == EXIT_OK
-        finally:
-            release.set()
-            if other_thread:
-                thread.join(timeout=60)
-        assert not thread.is_alive()
+        assert call_beside_a_thread(lambda: cmd_run(str(path)), other_thread) == EXIT_OK
         assert len(list((tmp_path / "out").glob("*.jsonl"))) == len(seeds)
 
     # under two CPUs this process runs seeds 0 and 2 and a child runs seed 1
@@ -313,6 +349,24 @@ class TestCmdRun:
             cmd_run(str(write_config(tmp_path, base_config(tmp_path))))
         if failing_seed == 1 and fail is not _die:  # the child's traceback is the cause
             assert fail.__name__ in str(raised.value.__cause__)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    # under two CPUs seed 1 is the child's and seed 2 this process's; under
+    # three each seed has a process of its own
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_the_earliest_failing_seed_is_raised(self, tmp_path, monkeypatch, cpus):
+        real_run_episodes = cli.run_episodes
+
+        def failing_run_episodes(*args, seed, **kwargs):
+            if seed in (1, 2):
+                _raise_value_error(seed)
+            return real_run_episodes(*args, seed=seed, **kwargs)
+
+        pin_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(cli, "run_episodes", failing_run_episodes)
+        with pytest.raises(ValueError, match="^seed 1 failed$"):
+            cmd_run(str(write_config(tmp_path, base_config(tmp_path))))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -755,9 +809,7 @@ class TestCmdSummarize:
 
     def test_malformed_trace_line(self, run_outputs, capsys):
         victim = next((run_outputs / "out").glob("*.jsonl"))
-        lines = victim.read_text().splitlines()
-        lines[3] = '{"nope": '
-        victim.write_text("\n".join(lines) + "\n")
+        _cut_a_record(victim)
         code = cmd_summarize(str(run_outputs / "out" / "*.jsonl"),
                              str(run_outputs / "bad.csv"))
         assert code == EXIT_TRACE
@@ -821,11 +873,7 @@ class TestCmdSummarize:
 
     def test_tampered_summary_fails_integrity(self, run_outputs, capsys):
         victim = next((run_outputs / "out").glob("*.jsonl"))
-        lines = victim.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["summary"]["mean_latency_ms"] += 1.0
-        lines[0] = json.dumps(header, separators=(",", ":"))
-        victim.write_text("\n".join(lines) + "\n")
+        _tamper_summary(victim)
         code = cmd_summarize(str(run_outputs / "out" / "*.jsonl"),
                              str(run_outputs / "bad.csv"))
         assert code == EXIT_TRACE
@@ -963,6 +1011,114 @@ class TestCmdSummarize:
         # anything cmd_run produced must summarize cleanly
         assert cmd_summarize(str(run_outputs / "out" / "*.jsonl"),
                              str(run_outputs / "ok.csv")) == EXIT_OK
+
+    @pytest.fixture()
+    def nine_traces(self, tmp_path, capsys) -> list[Path]:
+        """Three modes by three seeds, in the sorted order summarize reads them."""
+        config = base_config(tmp_path)
+        config["modes"] = list(MODES)
+        assert cmd_run(str(write_config(tmp_path, config))) == EXIT_OK
+        capsys.readouterr()
+        return sorted((tmp_path / "out").glob("*.jsonl"), key=str)
+
+    def test_results_do_not_depend_on_the_cpu_count(self, nine_traces, tmp_path, capsys,
+                                                    monkeypatch):
+        forks = count_forks(monkeypatch)
+        out_csv = tmp_path / "summary.csv"
+        outputs = {}
+        for cpus in (1, 2, 3):
+            pin_cpus(monkeypatch, cpus)
+            forks.clear()
+            code = cmd_summarize(str(tmp_path / "out" / "*.jsonl"), str(out_csv))
+            assert len(forks) == cpus - 1
+            captured = capsys.readouterr()
+            outputs[cpus] = (code, captured.out, captured.err, out_csv.read_bytes())
+            out_csv.unlink()
+        assert outputs[1][0] == EXIT_OK and outputs[1][2] == ""
+        assert outputs[1][3].count(b"\n") == 1 + 9 + 3  # header, traces, aggregates
+        assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+    # sorted path 1 is a child's under two and three CPUs, path 6 this process's
+    @pytest.mark.parametrize("damage, code, message", [
+        (_make_unreadable, EXIT_IO, "io error: cannot read {path}: "),
+        (_cut_a_record, EXIT_TRACE, "trace error: {path}: line 4: "),
+        (_tamper_summary, EXIT_TRACE,
+         "trace error: {path}: stored summary does not match recomputed metrics\n"),
+    ], ids=["unreadable", "malformed_record", "summary_mismatch"])
+    def test_the_first_failing_path_is_reported_on_any_cpu_count(
+        self, nine_traces, tmp_path, capsys, monkeypatch, damage, code, message
+    ):
+        for index in (1, 6):
+            damage(nine_traces[index])
+        out_csv = tmp_path / "summary.csv"
+        outputs = {}
+        for cpus in (1, 2, 3):
+            pin_cpus(monkeypatch, cpus)
+            returned = cmd_summarize(str(tmp_path / "out" / "*.jsonl"), str(out_csv))
+            captured = capsys.readouterr()
+            outputs[cpus] = (returned, captured.out, captured.err)
+            assert not out_csv.exists()
+        returned, out, err = outputs[1]
+        assert returned == code and out == ""
+        assert err.startswith(message.format(path=nine_traces[1]))
+        assert err.count("\n") == 1 and str(nine_traces[6]) not in err
+        assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+    def test_one_process_stops_at_the_first_failing_trace(self, nine_traces, tmp_path,
+                                                           monkeypatch):
+        # a call counted in a forked child would not reach this process
+        pin_cpus(monkeypatch, 1)
+        real_load_trace = cli.load_trace
+        loaded = []
+
+        def counting_load_trace(path):
+            loaded.append(path)
+            return real_load_trace(path)
+
+        monkeypatch.setattr(cli, "load_trace", counting_load_trace)
+        _tamper_summary(nine_traces[1])
+        assert cmd_summarize(str(tmp_path / "out" / "*.jsonl"),
+                             str(tmp_path / "o.csv")) == EXIT_TRACE
+        assert loaded == [str(path) for path in nine_traces[:2]]
+
+    @pytest.mark.parametrize("cpus, paths, other_thread", [
+        (1, 9, False), (4, 1, False), (4, 9, True),
+    ], ids=["one_cpu", "one_path", "other_thread"])
+    def test_nothing_is_forked_for_one_cpu_one_path_or_threads(
+        self, nine_traces, tmp_path, monkeypatch, cpus, paths, other_thread
+    ):
+        pin_cpus(monkeypatch, cpus)
+        forbid_forks(monkeypatch)
+        glob = str(tmp_path / "out" / "*.jsonl") if paths == 9 else str(nine_traces[0])
+        out_csv = tmp_path / "summary.csv"
+        code = call_beside_a_thread(lambda: cmd_summarize(glob, str(out_csv)), other_thread)
+        assert code == EXIT_OK
+        with open(out_csv, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert sum(row["scenario"] != "aggregate" for row in rows) == paths
+
+    # under two CPUs sorted path 1 is the child's
+    @pytest.mark.parametrize("fail, message", [
+        (_raise_local_error, "^LocalError: seed 1 failed$"),
+        (_die, "ended before it sent its result"),
+    ], ids=["child_unpicklable", "child_dies"])
+    def test_a_child_that_dies_or_sends_what_pickle_cannot_carry(
+        self, nine_traces, tmp_path, monkeypatch, fail, message
+    ):
+        real_load_trace = cli.load_trace
+
+        def failing_load_trace(path):
+            if path == str(nine_traces[1]):
+                fail(1)
+            return real_load_trace(path)
+
+        pin_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cli, "load_trace", failing_load_trace)
+        with pytest.raises(RuntimeError, match=message):
+            cmd_summarize(str(tmp_path / "out" / "*.jsonl"), str(tmp_path / "o.csv"))
+        assert not (tmp_path / "o.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestSummarizeHeaderAndRecordOrder:
