@@ -9,7 +9,11 @@ loader also requires a non-negative integer seed, no other header key, and
 1, ... in order and that agree with themselves and the header through the
 rules the run used (:func:`drift.report_rule` and
 :func:`orchestrator.offload_rule`; see :func:`_check_record`). A run with a
-remote endpoint writes its whole ``remote`` block into the header.
+remote endpoint writes its whole ``remote`` block into the header. A record
+line whose body, the text after the writer's ``{"step":<n>,`` member,
+repeats the previous line's is the previous record again, with its own
+step and its own copies of the arrays, without a ``json`` parse; every
+record is still checked (see :func:`load_trace`).
 
 The header is written by ``json``. Each step record is written by a text
 writer generated once per dataclass from the same type hints
@@ -44,6 +48,7 @@ import json
 import math
 import operator
 import os
+import re
 import struct
 import typing
 from enum import Enum
@@ -52,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import FEATURE_DIM
-from .drift import report_rule
+from .drift import DriftReport, report_rule
 from .highway import Action, DriftInjection, ScenarioConfig, validate_injection
 from .orchestrator import (
     EpisodeTrace, Metrics, OffloadConfig, StepRecord, _check_seed, _check_steps, offload_rule,
@@ -563,22 +568,10 @@ def _check_record(record: StepRecord, offload: OffloadConfig, report_size: int,
         raise ValueError(f"bytes_up must be {bytes_up}, got {record.bytes_up}")
 
 
-def load_trace(path) -> EpisodeTrace:
-    """Parse a JSONL trace file back into an :class:`EpisodeTrace`.
-
-    Raises ``ValueError`` naming the file on text that is not UTF-8, and
-    naming the offending line on malformed content, a ``NaN``,
-    ``Infinity`` or ``-Infinity`` anywhere in a line, a header whose
-    ``schema_version`` is missing or not ``TRACE_SCHEMA_VERSION``, a
-    header with a key other than ``schema_version``, ``config``, ``seed``
-    and ``summary``, a wrong seed or summary, a ``config`` that
-    :func:`read_run` rejects, a blank line, a record whose ``step`` is out
-    of order or that :func:`_check_record` rejects against the header's
-    ``offload`` (each named on its line), or a record count other than
-    ``steps`` (named on line 1).
-    A file that cannot be read raises ``OSError``.
-    """
-    path = Path(path)
+def _read_header(path: Path) -> tuple[EpisodeTrace, list[str]]:
+    """The header of trace file ``path``, as a trace without records, and
+    the file's lines; raises as :func:`load_trace` does for the file and
+    its first line."""
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -602,32 +595,99 @@ def load_trace(path) -> EpisodeTrace:
         scenario, injections, offload, steps, endpoint = read_run(header["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: line 1: malformed header ({exc})") from exc
+    trace = EpisodeTrace(
+        scenario=scenario,
+        injections=injections,
+        offload=offload,
+        seed=seed,
+        steps=steps,
+        records=(),
+        summary=summary,
+        endpoint=endpoint,
+    )
+    return trace, lines
+
+
+#: the step member the writer begins a record line with, ``{"step":<n>,``:
+#: ``n`` a JSON integer with no sign or leading zero, of at most 18 digits
+#: (a longer one is parsed, and is never the next step)
+_step_member = re.compile(r'\{"step":(0|[1-9][0-9]{0,17}),').match
+
+
+def _again(record: StepRecord, step: int) -> StepRecord:
+    """``record`` at ``step``. It shares ``record``'s decisions, which are
+    frozen, and holds its own copies of the feature and the drift report's
+    arrays, so every loaded array stays writable and shares no memory. The
+    copies are built as the generated decoders build a record (see
+    :func:`_full_decoder`): neither class has ``__post_init__``."""
+    again = object.__new__(StepRecord)
+    again.__dict__.update(record.__dict__, step=step, feature=record.feature.copy())
+    if (report := record.drift_report) is not None:
+        copied = object.__new__(DriftReport)
+        copied.__dict__.update(report.__dict__, p_values=report.p_values.copy(),
+                               statistic=report.statistic.copy())
+        again.__dict__["drift_report"] = copied
+    return again
+
+
+def load_trace(path) -> EpisodeTrace:
+    """Parse a JSONL trace file back into an :class:`EpisodeTrace`.
+
+    Raises ``ValueError`` naming the file on text that is not UTF-8, and
+    naming the offending line on malformed content, a ``NaN``,
+    ``Infinity`` or ``-Infinity`` anywhere in a line, a header whose
+    ``schema_version`` is missing or not ``TRACE_SCHEMA_VERSION``, a
+    header with a key other than ``schema_version``, ``config``, ``seed``
+    and ``summary``, a wrong seed or summary, a ``config`` that
+    :func:`read_run` rejects, a blank line, a record whose ``step`` is out
+    of order or that :func:`_check_record` rejects against the header's
+    ``offload`` (each named on its line), or a record count other than
+    ``steps`` (named on line 1).
+    A file that cannot be read raises ``OSError``.
+
+    A record line that repeats the previous line's body, the text after
+    the writer's ``{"step":<n>,`` member, where both lines begin with that
+    member and the body holds no ``"step"`` key of its own (parsed once
+    per run of repeats), is the previous record again with its own
+    ``step`` and its own copies of the arrays (see :func:`_again`), with
+    no ``json`` parse or decode: ``json`` would give it those very values.
+    Every other line is parsed and decoded. Either way each record passes
+    the step-order check and :func:`_check_record`, so the records, the
+    errors and the lines they name are those a parse of every line gives.
+    """
+    path = Path(path)
+    trace, lines = _read_header(path)
+    offload = trace.offload
     decode = _codec(StepRecord)[1]
     report_size, threshold = report_rule(offload.method, offload.alpha, FEATURE_DIM)
     records = []
+    # the body of the last line json decoded (None when that line did not
+    # begin with the writer's step member), the record decoded from it, and
+    # whether the body was found to hold no "step" key
+    body, last, keyless = None, None, False
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             if not line.strip():
                 raise ValueError("blank line")
-            record = decode(_loads(line))
+            member = _step_member(line)
+            if (member is not None and body is not None
+                    and len(line) - member.end() == len(body) and line.endswith(body)
+                    and (keyless or "step" not in _loads("{" + body))):
+                keyless = True
+                record = _again(last, int(member[1]))
+            else:
+                record = last = decode(_loads(line))
+                body = None if member is None else line[member.end():]
+                keyless = False
             if record.step != len(records):
                 raise ValueError(f"step is {record.step}, not {len(records)}")
             _check_record(record, offload, report_size, threshold)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: line {lineno}: malformed record ({exc})") from exc
         records.append(record)
-    if len(records) != steps:
+    if len(records) != trace.steps:
         raise ValueError(
-            f"{path}: line 1: malformed header (steps is {steps}, "
+            f"{path}: line 1: malformed header (steps is {trace.steps}, "
             f"but the trace has {len(records)} records)"
         )
-    return EpisodeTrace(
-        scenario=scenario,
-        injections=injections,
-        offload=offload,
-        seed=seed,
-        steps=steps,
-        records=tuple(records),
-        summary=summary,
-        endpoint=endpoint,
-    )
+    return dataclasses.replace(trace, records=tuple(records))

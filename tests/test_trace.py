@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -10,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from ecdrive import (
@@ -47,6 +48,8 @@ from scenarios import (
     runnable_scenarios,
     scenario_configs,
 )
+from spec_trace import spec_load_trace
+from test_orchestrator import _runs
 
 
 def _json_round_trip(cls, value):
@@ -688,6 +691,254 @@ class TestStrictLoader:
     def test_a_remote_block_of_only_a_base_url_loads_with_defaults(self, tmp_path):
         path = _mutated_trace(tmp_path, 0, _set("config", "remote", {"base_url": "http://h:9"}))
         assert load_trace(path).endpoint == EndpointConfig("http://h:9")
+
+
+def _body(line: str) -> str:
+    """The text of a record line after its step member, as written."""
+    return line.partition(",")[2]
+
+
+def _with_body(line: str, body: str) -> str:
+    return line.partition(",")[0] + "," + body
+
+
+def _outcome(load, path):
+    """The trace ``load`` gives for ``path``, or its exception's type and
+    message."""
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _arrays(record: StepRecord) -> tuple:
+    report = record.drift_report
+    return (record.feature,) if report is None else (
+        record.feature, report.p_values, report.statistic)
+
+
+def _assert_loads_as_the_spec(path):
+    """``load_trace(path)`` gives what :func:`spec_load_trace` gives: the
+    same exception type and message, or equal traces whose arrays have
+    the spec's dtypes and are each writable and their own."""
+    expected, actual = _outcome(spec_load_trace, path), _outcome(load_trace, path)
+    if not isinstance(expected, EpisodeTrace):
+        assert actual == expected
+        return expected
+    assert isinstance(actual, EpisodeTrace), actual
+    for field in dataclasses.fields(EpisodeTrace):
+        if field.name != "records":
+            assert getattr(actual, field.name) == getattr(expected, field.name)
+    assert trace_lines(actual) == trace_lines(expected)
+    arrays = []
+    for got, want in zip(actual.records, expected.records, strict=True):
+        assert [a.dtype for a in _arrays(got)] == [a.dtype for a in _arrays(want)]
+        arrays += _arrays(got)
+    assert all(a.flags.writeable for a in arrays)
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+    return actual
+
+
+def _corridor_lines(tmp_path, steps: int = 30) -> tuple:
+    """The path and lines of an empty-corridor Collaborative MMD trace with
+    a 10-step window. Every record line repeats the previous line's body
+    but steps 0 and 9, where the first drift report appears."""
+    path = tmp_path / "trace.jsonl"
+    config = OffloadConfig(mode="Collaborative", method="mmd", tau=0.0, n_ref=30, window=10,
+                           n_perm=20)
+    write_trace(run_episode(corridor_config(), (), config, seed=2, steps=steps), path)
+    return path, path.read_text().splitlines()
+
+
+def _write(path, lines) -> None:
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestRepeatedLines:
+    """A record line that repeats the previous line's body is that line's
+    record again, with its own step and arrays, and is checked as any
+    other; every outcome is the spec's (``spec_trace.py``)."""
+
+    def test_the_corridor_trace_repeats_all_but_two_bodies(self, tmp_path):
+        _, lines = _corridor_lines(tmp_path)
+        repeats = [i for i in range(2, len(lines)) if _body(lines[i]) == _body(lines[i - 1])]
+        assert repeats == [i for i in range(2, 31) if i != 10]
+
+    def test_repeated_lines_load_as_the_spec_with_arrays_of_their_own(self, tmp_path):
+        path, lines = _corridor_lines(tmp_path)
+        trace = _assert_loads_as_the_spec(path)
+        assert [r.step for r in trace.records] == list(range(30))
+        assert trace_lines(trace) == lines
+
+    def test_a_repeated_line_is_neither_parsed_nor_decoded(self, tmp_path):
+        # the header, the first record, the first report and one check per
+        # run of repeats that its body holds no step key
+        path, _ = _corridor_lines(tmp_path)
+        with mock.patch.object(trace_module, "_loads", wraps=trace_module._loads) as loads:
+            load_trace(path)
+        texts = [call.args[0] for call in loads.call_args_list]
+        assert len(texts) == 5
+        assert [text.startswith('{"feature"') for text in texts] == [
+            False, False, True, False, True]
+
+    def test_a_trace_in_which_every_record_repeats(self, tmp_path):
+        # nine steps of a 10-step window: no record holds a drift report
+        path, lines = _corridor_lines(tmp_path, steps=9)
+        assert len({_body(line) for line in lines[1:]}) == 1
+        trace = _assert_loads_as_the_spec(path)
+        records = trace.records
+        assert [r.step for r in records] == list(range(9))
+        assert all(r.edge_decision is records[0].edge_decision for r in records)
+        assert len({id(r.feature) for r in records}) == 9
+
+    @pytest.mark.parametrize("key", ['"step"', '"\\u0073tep"'], ids=["plain", "escaped"])
+    def test_a_repeated_body_with_its_own_step_key_is_parsed(self, tmp_path, key):
+        # steps 19 and 20 both end in "step":19, which json reads last: step
+        # 19 loads, step 20 does not, however the key is spelled
+        path, lines = _corridor_lines(tmp_path)
+        for index in (20, 21):
+            lines[index] = lines[index][:-1] + f",{key}:19}}"
+        _write(path, lines)
+        assert _body(lines[21]) == _body(lines[20])
+        assert _assert_loads_as_the_spec(path) == (
+            ValueError, f"{path}: line 22: malformed record (step is 19, not 20)")
+
+    def test_a_step_key_before_a_repeated_body_is_parsed(self, tmp_path):
+        # the line ends in the previous line's body, but json reads its
+        # second step key
+        path, lines = _corridor_lines(tmp_path)
+        lines[21] = '{"step":20,"step":19,' + _body(lines[21])
+        _write(path, lines)
+        assert lines[21].endswith(_body(lines[20]))
+        assert _assert_loads_as_the_spec(path) == (
+            ValueError, f"{path}: line 22: malformed record (step is 19, not 20)")
+
+    @pytest.mark.parametrize("head, loads", [
+        ('{"step": 20', True), ('{"step":020', False), ('{"step":20.0', False),
+        ('{"step":2e1', False), ('{"step":-0', False),
+    ], ids=["space", "leading_zero", "float", "exponent", "negative_zero"])
+    def test_a_step_member_the_writer_never_writes_is_parsed(self, tmp_path, head, loads):
+        path, lines = _corridor_lines(tmp_path)
+        lines[21] = head + "," + _body(lines[21])
+        _write(path, lines)
+        outcome = _assert_loads_as_the_spec(path)
+        assert isinstance(outcome, EpisodeTrace) == loads
+        if not loads:
+            assert outcome[1].startswith(f"{path}: line 22: malformed record (")
+
+    def test_a_line_after_a_step_member_the_writer_never_writes(self, tmp_path):
+        path, lines = _corridor_lines(tmp_path)
+        lines[20] = '{"step": 19,' + _body(lines[20])
+        _write(path, lines)
+        assert _assert_loads_as_the_spec(path).records[20].step == 20
+
+    def test_a_repeated_body_across_the_window_boundary_is_rejected(self, tmp_path):
+        # step 9's record must hold the first drift report; step 8's body holds none
+        path, lines = _corridor_lines(tmp_path)
+        lines[10] = _with_body(lines[10], _body(lines[9]))
+        _write(path, lines)
+        assert _assert_loads_as_the_spec(path) == (
+            ValueError,
+            f"{path}: line 11: malformed record "
+            "(drift_report must be present at step 9 of a window of 10)")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line.replace('{"step":0,', '{"step":1,'), "step is 1, not 0"),
+        (lambda line: line.replace('"bytes_up":0', '"bytes_up":1'),
+         "bytes_up must be 0, got 1"),
+        (lambda line: line[:-1] + ',"step":0}', None),
+    ], ids=["second_step", "bytes_up", "own_step_key"])
+    def test_the_first_record_follows_no_other(self, tmp_path, edit, message):
+        path, lines = _corridor_lines(tmp_path)
+        lines[1] = edit(lines[1])
+        _write(path, lines)
+        outcome = _assert_loads_as_the_spec(path)
+        if message is not None:
+            assert outcome == (ValueError, f"{path}: line 2: malformed record ({message})")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('"bytes_up":0', '"bytes_up":1', "bytes_up must be 0, got 1"),
+        ('"collision":false', '"collision":fals3', "Expecting value"),
+        ('"offload_reason":"None"', '"offload_reason":"Nope"', "offload_reason 'Nope'"),
+    ], ids=["bytes_up", "not_json", "reason"])
+    def test_an_invalid_line_of_the_valid_lines_length(self, tmp_path, old, new, message):
+        path, lines = _corridor_lines(tmp_path)
+        lines[21] = lines[21].replace(old, new)
+        _write(path, lines)
+        assert len(lines[21]) == len(lines[20])
+        kind, text = _assert_loads_as_the_spec(path)
+        assert kind is ValueError and text.startswith(f"{path}: line 22: malformed record (")
+        assert message in text
+
+
+# the step members a corruption puts in place of the writer's: another
+# step, and spellings of the right one that the writer never writes
+_HEADS = ('{{"step":{}', '{{"step": {}', '{{"step":0{}', '{{"step":{}.0', '{{"step":{}e0')
+
+
+@st.composite
+def _corrupted(draw, lines: list[str]) -> list[str]:
+    """``lines`` with one record line corrupted: a digit edited, a bool
+    flipped, a second step key added, the step member changed, or the line
+    blanked. Most often the line repeats the previous line's body or
+    precedes one that does. At times a line is made a repeat of the one
+    before it first, and the line after the corrupted one a repeat of it
+    last."""
+    lines = list(lines)
+
+    def repeat(index: int) -> None:
+        if 2 <= index < len(lines) and lines[index - 1]:
+            lines[index] = _with_body(lines[index], _body(lines[index - 1]))
+
+    if len(lines) > 2 and draw(st.booleans()):
+        repeat(draw(st.integers(2, len(lines) - 1)))
+    repeats = [i for i in range(2, len(lines)) if _body(lines[i]) == _body(lines[i - 1])]
+    near = sorted({i for r in repeats for i in (r - 1, r)})
+    if near and draw(st.integers(0, 3)):
+        index = draw(st.sampled_from(near))
+    else:
+        index = draw(st.integers(1, len(lines) - 1))
+    head, _, body = lines[index].partition(",")
+    step = index - 1
+    kind = draw(st.sampled_from(["none", "digit", "bool", "step_key", "step", "blank"]))
+    if kind == "digit":
+        spot = draw(st.sampled_from([i for i, c in enumerate(body) if c.isdigit()]))
+        body = body[:spot] + draw(st.sampled_from("0123456789")) + body[spot + 1:]
+    elif kind == "bool":
+        flips = [(m.start(), m.group()) for m in re.finditer("true|false", body)]
+        if flips:
+            spot, word = draw(st.sampled_from(flips))
+            flipped = "false" if word == "true" else "true"
+            body = body[:spot] + flipped + body[spot + len(word):]
+    elif kind == "step_key":
+        key = f'"step":{draw(st.integers(max(step - 1, 0), step + 1))}'
+        body = draw(st.sampled_from([f"{key},{body}", f"{body[:-1]},{key}}}"]))
+    elif kind == "step":
+        head = draw(st.sampled_from(_HEADS)).format(draw(st.sampled_from([step, step + 1])))
+    lines[index] = "" if kind == "blank" else f"{head},{body}"
+    if draw(st.booleans()):
+        repeat(index + 1)
+    return lines
+
+
+class TestLoaderMatchesTheSpec:
+    # no shrink phase: a failing example reports as it was found, in seconds
+    @settings(max_examples=100, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(scenario=runnable_scenarios(), offload=runnable_offloads(),
+           injections=runnable_injections(), seed=st.integers(0, 2**32 - 1),
+           steps=st.integers(1, 25), data=st.data())
+    def test_a_corrupted_trace_loads_or_fails_as_the_spec(
+        self, tmp_path, scenario, offload, injections, seed, steps, data
+    ):
+        assume(_runs(scenario, injections, [offload], seed))
+        path = tmp_path / "trace.jsonl"
+        write_trace(run_episode(scenario, tuple(injections), offload, seed=seed, steps=steps),
+                    path)
+        _write(path, data.draw(_corrupted(path.read_text().splitlines())))
+        _assert_loads_as_the_spec(path)
 
 
 def _validates(scenario, injections, offload) -> bool:
