@@ -242,7 +242,8 @@ def _map_over_cpus(work, items) -> list:
 
     Process ``j`` of ``n`` runs ``work`` on ``items[j::n]`` in order and
     stops at its first failing item: this process runs share 0 and forks a
-    child for each other share. A child prints nothing; it pickles back its
+    child for each other share; it runs a share whose fork fails itself,
+    after share 0. A child prints nothing; it pickles back its
     results and its failure over a pipe. An exception pickle cannot carry
     comes back as a ``RuntimeError`` naming its type, and a child that ends
     without sending anything fails at its first item with a
@@ -257,28 +258,27 @@ def _map_over_cpus(work, items) -> list:
     share = min(_usable_cpus(), len(items)) if threading.active_count() == 1 else 1
     children = []
     try:
-        for j in range(1, share):
-            _fork_share(work, items, j, share, children)
-        shares = [_run_share(work, items, 0, share)]
-        for j, (pid, pipe) in enumerate(children, 1):
+        unforked = [j for j in range(1, share) if not _fork_share(work, items, j, share, children)]
+        shares = {j: _run_share(work, items, j, share) for j in [0, *unforked]}
+        for j, pid, pipe in children:
             try:
-                shares.append(pickle.load(pipe))
+                shares[j] = pickle.load(pipe)
             except EOFError:  # killed, say, by a signal
                 error = RuntimeError(f"child process {pid} ended before it sent its result")
-                shares.append(([], (j, error, None)))
+                shares[j] = ([], (j, error, None))
     finally:
         # closing a pipe first ends a child that still writes to it
-        for pid, pipe in children:
+        for _, pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
-    failures = [failure for _, failure in shares if failure is not None]
+    failures = [failure for _, failure in shares.values() if failure is not None]
     if failures:
         _, exc, child_traceback = min(failures, key=lambda failure: failure[0])
         if child_traceback is None:
             raise exc
         raise exc from _ChildTraceback(child_traceback)
     results = [None] * len(items)
-    for j, (done, _) in enumerate(shares):
+    for j, (done, _) in shares.items():
         results[j::share] = done
     return results
 
@@ -296,20 +296,28 @@ def _run_share(work, items, j: int, share: int) -> tuple[list, tuple | None]:
     return done, None
 
 
-def _fork_share(work, items, j: int, share: int, children: list) -> None:
+def _fork_share(work, items, j: int, share: int, children: list) -> bool:
     """Fork a child that runs share ``j`` and pickles back what
     :func:`_run_share` returns, with the failure's traceback as text;
-    append its (pid, pipe) to ``children``. The child ends in ``os._exit``
-    and never returns."""
-    read_end, write_end = os.pipe()
-    pid = os.fork()
+    append its (j, pid, pipe) to ``children`` and return ``True``. If the
+    pipe or the fork fails (say, at a process limit), close what was
+    opened and return ``False``: this process runs the share itself. The
+    child ends in ``os._exit`` and never returns."""
+    ends = ()
+    try:
+        ends = read_end, write_end = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for end in ends:
+            os.close(end)
+        return False
     if pid:
         os.close(write_end)
-        children.append((pid, os.fdopen(read_end, "rb")))
-        return
+        children.append((j, pid, os.fdopen(read_end, "rb")))
+        return True
     try:
         os.close(read_end)
-        for _, pipe in children:
+        for _, _, pipe in children:
             pipe.close()
         done, failure = _run_share(work, items, j, share)
         if failure is not None:

@@ -8,7 +8,7 @@ KS p-values are asymptotic: p = Q(D * sqrt(n_eff)) where Q is the Kolmogorov
 survival function and n_eff = n_a * n_b / (n_a + n_b). Window sizes of 40+
 make the approximation adequate and avoid exact-distribution combinatorics.
 The reference is frozen, so each window sample is ranked against it once,
-when it enters: ``fit`` stores the sorted reference as complex keys
+when it enters: a detector stores the sorted reference as complex keys
 ``feature + 1j * value``, and one ``searchsorted`` per side gives, for every
 feature, the fractions of reference values at or below and strictly below
 the entering value; a whole array of samples is ranked as one block the
@@ -30,10 +30,11 @@ bit for bit. A report depends only on the window's samples in order, so
 the :class:`Monitor` objects of one fitted detector, which give each step's
 report, share one memo keyed by the tuple of a window's sample bytes,
 oldest first (in order: the MMD permutations depend on each sample's age),
-and test only the windows it misses: a streaming monitor in its own
-:class:`SlidingWindow`, and ``reports`` the distinct ones in one
-:func:`predict_windows` batch. Report arrays are read-only, as reports are
-shared.
+and test only the windows it misses. A monitor keeps the ``samples`` it is
+pushed: a streaming monitor's ``push(sample)`` tests the window the sample
+completes in its own :class:`SlidingWindow`, and ``reports()`` tests the
+distinct windows left in one :func:`predict_windows` batch. Report arrays
+are read-only, as reports are shared.
 
 The MMD test uses the unbiased MMD^2 estimator (Gretton et al., "A Kernel
 Two-Sample Test", JMLR 2012). A squared distance adds the squared
@@ -41,9 +42,11 @@ coordinate differences one feature at a time, never through BLAS, so the
 observed statistic does not depend on the BLAS build, a row's distance to
 itself is exactly 0 and every self-kernel is exactly 1. Its permutations
 are drawn once per fitted detector, in ``default_rng(seed)`` order, so
-every window is tested against the same permutations; ``fit`` computes the
-reference's squared distances once, for the median-heuristic bandwidth and
-the reference-reference kernel block, and reduces that block to
+every window is tested against the same permutations. A detector derives
+its own test state from its settings: it computes the reference's squared
+distances once, for the median-heuristic bandwidth (taken when its
+``bandwidth`` is ``None``; a KS detector's stays ``None``) and the
+reference-reference kernel block, and reduces that block to
 per-permutation sums. A :class:`SlidingWindow` takes one sample at a
 time: ``push`` evaluates only the kernel entries of the sample that enters
 (its column against the reference and its row against the window) and
@@ -101,14 +104,18 @@ class DriftReport:
 
 @dataclass(frozen=True)
 class DriftDetector:
-    """Immutable detector state: frozen reference sample plus test settings.
+    """Immutable detector state: frozen reference sample, test settings (a
+    ``method`` of :data:`METHODS`) and the test state derived from them.
 
     For KS, ``_ref_keys`` is the reference sorted per feature, one
     contiguous row per feature (n_features x n_ref), as complex keys
     ``feature + 1j * value``. numpy orders complex numbers by real part,
     then imaginary part, so the flattened array is sorted and one
     ``searchsorted`` ranks a value against every feature's reference at
-    once. The comparison is the float one (-0.0 equals 0.0).
+    once. The comparison is the float one (-0.0 equals 0.0). KS has no
+    kernel, so ``bandwidth`` stays ``None``. For MMD, one matrix of the
+    reference's squared distances gives a ``bandwidth`` of ``None`` its
+    median-heuristic value, and ``_mmd`` (:func:`_mmd_reference`).
     """
 
     reference: np.ndarray
@@ -117,9 +124,23 @@ class DriftDetector:
     window: int
     rng_seed: int
     n_perm: int = 100
-    bandwidth: float = 1.0
-    _ref_keys: np.ndarray | None = field(default=None, repr=False)
-    _mmd: _MmdReference | None = field(default=None, repr=False)
+    bandwidth: float | None = None
+    _ref_keys: np.ndarray | None = field(init=False, repr=False)
+    _mmd: _MmdReference | None = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        keys = mmd = None
+        if self.method == "ks":
+            keys = _ks_keys(self.reference)
+        elif self.method == "mmd":
+            sq_dists = _sq_dists(self.reference, self.reference)
+            if self.bandwidth is None:
+                object.__setattr__(self, "bandwidth", _median_distance(sq_dists))
+            mmd = _mmd_reference(sq_dists, self.window, self.bandwidth, self.n_perm, self.rng_seed)
+        else:
+            raise ValueError(f"unknown method {self.method!r}")
+        object.__setattr__(self, "_ref_keys", keys)
+        object.__setattr__(self, "_mmd", mmd)
 
     @property
     def n_ref(self) -> int:
@@ -261,7 +282,7 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
     # alpha sets only the report's drift flag, which is not returned
-    detector = DriftDetector(a, "ks", 0.05, b.shape[0], 0, _ref_keys=_ks_keys(a))
+    detector = DriftDetector(a, "ks", 0.05, b.shape[0], 0)
     report = predict_windows(detector, b)[0]
     return float(report.statistic[0]), float(report.p_values[0])
 
@@ -572,16 +593,8 @@ def mmd_permutation(
         raise ValueError(f"both samples need at least 2 rows, got {x.shape[0]} and {y.shape[0]}")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"column counts differ: {x.shape[1]} vs {y.shape[1]}")
-    detector = DriftDetector(
-        reference=x,
-        method="mmd",
-        alpha=0.05,  # sets only the report's drift flag, which is not returned
-        window=y.shape[0],
-        rng_seed=seed,
-        n_perm=n_perm,
-        bandwidth=bandwidth,
-        _mmd=_mmd_reference(_sq_dists(x, x), y.shape[0], bandwidth, n_perm, seed),
-    )
+    # alpha sets only the report's drift flag, which is not returned
+    detector = DriftDetector(x, "mmd", 0.05, y.shape[0], seed, n_perm, bandwidth)
     report = predict_windows(detector, y)[0]
     return float(report.statistic[0]), float(report.p_values[0])
 
@@ -596,10 +609,10 @@ def fit(
 ) -> DriftDetector:
     """Freeze a reference sample into a detector.
 
-    Requires at least 30 reference vectors of a consistent dimension. For
-    the KS method the sorted reference is stored as complex search keys.
-    For the MMD method the median-heuristic bandwidth, the permutations and
-    the reference kernel block's per-permutation sums are precomputed here.
+    Requires at least 30 reference vectors of a consistent dimension. The
+    detector derives its test state from a read-only copy of the reference
+    (see :class:`DriftDetector`); an MMD detector takes the
+    median-heuristic bandwidth.
     """
     ref = np.asarray(reference, dtype=np.float64)
     if ref.ndim != 2:
@@ -612,25 +625,7 @@ def fit(
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     _check_count("window", window, 10)
-    ref = _readonly(ref.copy())
-    keys = _ks_keys(ref) if method == "ks" else None
-    bandwidth, mmd = 1.0, None
-    if method == "mmd":
-        # one distance matrix serves the bandwidth and the reference kernel block
-        sq_dists = _sq_dists(ref, ref)
-        bandwidth = _median_distance(sq_dists)
-        mmd = _mmd_reference(sq_dists, window, bandwidth, n_perm, seed)
-    return DriftDetector(
-        reference=ref,
-        method=method,
-        alpha=alpha,
-        window=window,
-        rng_seed=seed,
-        n_perm=n_perm,
-        bandwidth=bandwidth,
-        _ref_keys=keys,
-        _mmd=mmd,
-    )
+    return DriftDetector(_readonly(ref.copy()), method, alpha, window, seed, n_perm)
 
 
 def predict(detector: DriftDetector, window: SlidingWindow) -> DriftReport:
@@ -735,49 +730,48 @@ def _reports(detector: DriftDetector, stats, p_values) -> list[DriftReport]:
 
 
 class Monitor:
-    """The drift report of each step of one episode. ``samples`` is always
-    the episode's sequence so far, the newest last: a streaming monitor
-    gives each report as its window fills, every monitor all of them."""
+    """The drift report of each step of one episode. ``samples`` holds the
+    samples it was pushed, the newest last: a streaming monitor gives each
+    report as its window fills, every monitor all of them."""
 
     def __init__(self, detector: DriftDetector, streaming: bool):
         self.detector = detector
         self.window = SlidingWindow(detector) if streaming else None
-        self._keys: list[bytes] = []  # the bytes of each sample, each taken once
+        self.samples: list[np.ndarray] = []
+        self._keys: list[bytes] = []  # the bytes of each sample
         self._given: list[DriftReport] = []  # the report of each window pushed
 
-    def _sample_keys(self, samples) -> list[bytes]:
-        self._keys.extend(map(np.ndarray.tobytes, samples[len(self._keys) :]))
-        return self._keys
-
-    def push(self, samples) -> DriftReport | None:
-        """The report of the window the newest sample completes; ``None``
-        before the first full window and if the monitor does not stream."""
-        if self.window is None or len(samples) < self.detector.window:
+    def push(self, sample: np.ndarray) -> DriftReport | None:
+        """Add the newest sample, a float64 array. Returns the report of the
+        window it completes; ``None`` before the first full window and if
+        the monitor does not stream."""
+        self.samples.append(sample)
+        self._keys.append(sample.tobytes())
+        if self.window is None or len(self.samples) < self.detector.window:
             return None
-        key = tuple(self._sample_keys(samples)[-self.detector.window :])
+        key = tuple(self._keys[-self.detector.window :])
         report = self.detector._memo.get(key)
         if report is None:
             # the window is brought up to date only for a test
-            self.window.fill(samples, len(samples))
+            self.window.fill(self.samples, len(self.samples))
             report = self.detector._memo[key] = predict(self.detector, self.window)
         self._given.append(report)
         return report
 
-    def reports(self, samples) -> list[DriftReport | None]:
+    def reports(self) -> list[DriftReport | None]:
         """Every step's report: ``None`` until the first window fills, then
         its window's. The distinct windows neither pushed nor in the memo
         are tested in one :func:`predict_windows` batch."""
-        memo, m, given = self.detector._memo, self.detector.window, self._given
-        each = self._sample_keys(samples)
+        memo, m, given, each = self.detector._memo, self.detector.window, self._given, self._keys
         keys = [tuple(each[t : t + m]) for t in range(len(given), len(each) - m + 1)]
         missing: dict[tuple, int] = {}  # key -> its first window, ascending
         for start, key in enumerate(keys, len(given)):
             if key not in memo:
                 missing.setdefault(key, start)
         if missing:
-            tested = predict_windows(self.detector, samples, list(missing.values()))
+            tested = predict_windows(self.detector, self.samples, list(missing.values()))
             memo.update(zip(missing, tested))
-        return [None] * min(len(samples), m - 1) + given + [memo[key] for key in keys]
+        return [None] * min(len(each), m - 1) + given + [memo[key] for key in keys]
 
 
 def confidence_gate(decision_confidence: float, tau: float) -> bool:

@@ -293,7 +293,6 @@ class _Episode:
         self.noise_rng = np.random.default_rng(seed)
         # only a Collaborative step waits for its drift report
         self.monitor = Monitor(detector, config.mode == "Collaborative")
-        self.features: list[np.ndarray] = []
         self.edges: list[Decision] = []
         # each step's record fields after drift_report, in StepRecord's field order
         self.outcomes: list[tuple] = []
@@ -317,9 +316,8 @@ class _Episode:
         edge, edge_latency = _decide_role(entry, "Edge", edge_decide, config.edge_ms,
                                           effective, endpoint)
 
-        self.features.append(feature)
         self.edges.append(edge)
-        report = self.monitor.push(self.features)
+        report = self.monitor.push(feature)
         offloaded, reason = offload_rule(report, edge.confidence, config)
 
         cloud: Decision | None = None
@@ -352,7 +350,7 @@ class _Episode:
         self.scene = _shared(entry, ("step", executed), _next_scene, scene, effective, executed)
 
     def records(self) -> list[StepRecord]:
-        steps = zip(self.features, self.edges, self.monitor.reports(self.features), self.outcomes)
+        steps = zip(self.monitor.samples, self.edges, self.monitor.reports(), self.outcomes)
         return [StepRecord(index, feature, edge, report, *outcome)
                 for index, (feature, edge, report, outcome) in enumerate(steps)]
 
@@ -369,7 +367,7 @@ def _burn_in(start: Scene, n_ref: int, seed: int) -> tuple[list[np.ndarray], lis
     for index in range(n_ref):
         entries.append({"scene": burn.scene})
         burn.advance(index, (), None, entries[-1])
-    return burn.features, entries
+    return burn.monitor.samples, entries
 
 
 def run_episodes(

@@ -10,10 +10,11 @@ loader also requires a non-negative integer seed, no other header key, and
 rules the run used (:func:`drift.report_rule` and
 :func:`orchestrator.offload_rule`; see :func:`_check_record`). A run with a
 remote endpoint writes its whole ``remote`` block into the header. A record
-line whose body, the text after the writer's ``{"step":<n>,`` member,
-repeats the previous line's is the previous record again, with its own
-step and its own copies of the arrays, without a ``json`` parse; every
-record is still checked (see :func:`load_trace`).
+line that begins with the writer's member of the next step,
+``{"step":<n>,``, and whose body, the text after it, repeats the previous
+line's is the previous record again, with its own copies of the arrays,
+without a ``json`` parse; every record is still checked (see
+:func:`load_trace`).
 
 The header is written by ``json``. Each step record is written by a text
 writer generated once per dataclass from the same type hints
@@ -48,7 +49,6 @@ import json
 import math
 import operator
 import os
-import re
 import struct
 import typing
 from enum import Enum
@@ -608,12 +608,6 @@ def _read_header(path: Path) -> tuple[EpisodeTrace, list[str]]:
     return trace, lines
 
 
-#: the step member the writer begins a record line with, ``{"step":<n>,``:
-#: ``n`` a JSON integer with no sign or leading zero, of at most 18 digits
-#: (a longer one is parsed, and is never the next step)
-_step_member = re.compile(r'\{"step":(0|[1-9][0-9]{0,17}),').match
-
-
 def _again(record: StepRecord, step: int) -> StepRecord:
     """``record`` at ``step``. It shares ``record``'s decisions, which are
     frozen, and holds its own copies of the feature and the drift report's
@@ -645,12 +639,12 @@ def load_trace(path) -> EpisodeTrace:
     ``steps`` (named on line 1).
     A file that cannot be read raises ``OSError``.
 
-    A record line that repeats the previous line's body, the text after
-    the writer's ``{"step":<n>,`` member, where both lines begin with that
-    member and the body holds no ``"step"`` key of its own (parsed once
-    per run of repeats), is the previous record again with its own
-    ``step`` and its own copies of the arrays (see :func:`_again`), with
-    no ``json`` parse or decode: ``json`` would give it those very values.
+    A record line that begins with the member the writer gives the next
+    step, ``{"step":<n>,``, where the body after it repeats the previous
+    line's and holds no ``"step"`` key of its own (parsed once per run of
+    repeats), is the previous record again with that step and its own
+    copies of the arrays (see :func:`_again`), with no ``json`` parse or
+    decode: ``json`` would give it those very values.
     Every other line is parsed and decoded. Either way each record passes
     the step-order check and :func:`_check_record`, so the records, the
     errors and the lines they name are those a parse of every line gives.
@@ -662,22 +656,22 @@ def load_trace(path) -> EpisodeTrace:
     report_size, threshold = report_rule(offload.method, offload.alpha, FEATURE_DIM)
     records = []
     # the body of the last line json decoded (None when that line did not
-    # begin with the writer's step member), the record decoded from it, and
-    # whether the body was found to hold no "step" key
+    # begin with the member the writer gives its step), the record decoded
+    # from it, and whether the body was found to hold no "step" key
     body, last, keyless = None, None, False
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             if not line.strip():
                 raise ValueError("blank line")
-            member = _step_member(line)
-            if (member is not None and body is not None
-                    and len(line) - member.end() == len(body) and line.endswith(body)
+            member = '{"step":%d,' % len(records)
+            if (body is not None and line.startswith(member)
+                    and len(line) - len(member) == len(body) and line.endswith(body)
                     and (keyless or "step" not in _loads("{" + body))):
                 keyless = True
-                record = _again(last, int(member[1]))
+                record = _again(last, len(records))
             else:
                 record = last = decode(_loads(line))
-                body = None if member is None else line[member.end():]
+                body = line[len(member):] if line.startswith(member) else None
                 keyless = False
             if record.step != len(records):
                 raise ValueError(f"step is {record.step}, not {len(records)}")

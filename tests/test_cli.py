@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -111,6 +112,29 @@ def count_forks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return forks
+
+
+def fail_second_fork(monkeypatch) -> list[int]:
+    """Make the second ``os.fork`` call raise ``BlockingIOError``, as a fork
+    at a process limit does; record the forking pid of each call."""
+    real_fork = os.fork
+    forks = []
+
+    def failing_fork():
+        forks.append(os.getpid())
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    return forks
+
+
+def open_fds() -> int:
+    """The number of file descriptors this process holds open."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("the platform lists no open file descriptors")
+    return len(os.listdir("/proc/self/fd"))
 
 
 def forbid_forks(monkeypatch) -> None:
@@ -312,6 +336,28 @@ class TestCmdRun:
             outputs[cpus] = (captured.out, captured.err, traces)
         assert len(outputs[1][2]) == 9 and outputs[1][0].count("mode=") == 9
         assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+    def test_a_failed_fork_runs_its_share_here(self, tmp_path, capsys, monkeypatch):
+        # under three CPUs the fork of seed 2's share fails, so this process
+        # runs seeds 0 and 2 and a child seed 1
+        config = base_config(tmp_path)
+        outputs = {}
+        for cpus in (1, 3):
+            pin_cpus(monkeypatch, cpus)
+            config["output_dir"] = str(tmp_path / f"cpus{cpus}")
+            path = write_config(tmp_path, config)
+            if cpus == 3:
+                forks = fail_second_fork(monkeypatch)
+                fds = open_fds()
+            code = cli.main(["run", str(path)])
+            captured = capsys.readouterr()
+            traces = {f.name: f.read_bytes() for f in (tmp_path / f"cpus{cpus}").iterdir()}
+            outputs[cpus] = (code, captured.out, captured.err, traces)
+        assert len(forks) == 2 and open_fds() == fds
+        assert outputs[1][0] == EXIT_OK and len(outputs[1][3]) == 3
+        assert outputs[3] == outputs[1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("cpus, seeds, other_thread", [
         (1, [0, 1, 2], False), (4, [0], False), (4, [0, 1, 2], True),
@@ -1037,6 +1083,28 @@ class TestCmdSummarize:
         assert outputs[1][0] == EXIT_OK and outputs[1][2] == ""
         assert outputs[1][3].count(b"\n") == 1 + 9 + 3  # header, traces, aggregates
         assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+
+    def test_a_failed_fork_checks_its_share_here(self, nine_traces, tmp_path, capsys,
+                                                  monkeypatch):
+        # under three CPUs the fork of the share of sorted paths 2, 5 and 8
+        # fails, so this process checks it after its own
+        glob = str(tmp_path / "out" / "*.jsonl")
+        out_csv = tmp_path / "summary.csv"
+        outputs = {}
+        for cpus in (1, 3):
+            pin_cpus(monkeypatch, cpus)
+            if cpus == 3:
+                forks = fail_second_fork(monkeypatch)
+                fds = open_fds()
+            code = cli.main(["summarize", glob, "--out", str(out_csv)])
+            captured = capsys.readouterr()
+            outputs[cpus] = (code, captured.out, captured.err, out_csv.read_bytes())
+            out_csv.unlink()
+        assert len(forks) == 2 and open_fds() == fds
+        assert outputs[1][0] == EXIT_OK and outputs[1][3].count(b"\n") == 1 + 9 + 3
+        assert outputs[3] == outputs[1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     # sorted path 1 is a child's under two and three CPUs, path 6 this process's
     @pytest.mark.parametrize("damage, code, message", [

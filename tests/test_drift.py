@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -522,6 +523,71 @@ class TestMmdDetector:
                 array[(0,) * array.ndim] = 1.0
 
 
+class TestDerivedState:
+    """A detector derives its KS keys, its MMD terms and an MMD bandwidth of
+    ``None`` from its reference and settings."""
+
+    @pytest.mark.parametrize("method", ["ks", "mmd"])
+    def test_a_detector_built_from_fit_settings_equals_fit(self, method):
+        rng = np.random.default_rng(4)
+        ref = rng.normal(size=(50, 4))
+        fitted = fit(ref, method=method, alpha=0.1, window=12, seed=3, n_perm=30)
+        built = drift.DriftDetector(ref, method, 0.1, 12, 3, n_perm=30)
+        assert built.bandwidth == fitted.bandwidth
+        assert (built.bandwidth is None) == (method == "ks")
+        if method == "ks":
+            assert built._mmd is None and fitted._mmd is None
+            pairs = [(built._ref_keys, fitted._ref_keys)]
+        else:
+            assert built._ref_keys is None and fitted._ref_keys is None
+            pairs = [(getattr(built._mmd, f.name), getattr(fitted._mmd, f.name))
+                     for f in dataclasses.fields(fitted._mmd)]
+        for got, want in pairs:
+            np.testing.assert_array_equal(got, want)
+            if isinstance(got, np.ndarray):
+                assert not got.flags.writeable
+        win = rng.normal(size=(12, 4))
+        got, want = predict_windows(built, win)[0], predict_windows(fitted, win)[0]
+        assert got.statistic.tolist() == want.statistic.tolist()
+        assert got.p_values.tolist() == want.p_values.tolist()
+
+    def test_mmd_permutation_keeps_its_bandwidth(self):
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(30, 3)), rng.normal(loc=0.2, size=(10, 3))
+        bandwidth = 0.37 * median_bandwidth(x)
+        got = mmd_permutation(x, y, bandwidth=bandwidth, n_perm=40, seed=2)
+        stacked = np.vstack([x, y])
+        kernel = rbf_block(stacked, stacked, bandwidth)
+        assert got == loop_mmd_permutation(kernel, 30, 40, 2)
+        assert got != mmd_permutation(x, y, bandwidth=median_bandwidth(x), n_perm=40, seed=2)
+
+    @pytest.mark.parametrize("name", ["_ref_keys", "_mmd"])
+    def test_derived_state_is_no_constructor_parameter(self, name):
+        with pytest.raises(TypeError, match=name):
+            drift.DriftDetector(np.zeros((40, 3)), "ks", 0.05, 10, 0, **{name: None})
+
+    @pytest.mark.parametrize("method", ["KS", "foo"])
+    def test_an_unknown_method_is_rejected_at_construction(self, method):
+        with pytest.raises(ValueError, match=f"unknown method {method!r}"):
+            drift.DriftDetector(np.zeros((40, 3)), method, 0.05, 10, 0)
+
+    def test_fit_matches_the_method_in_any_case(self):
+        assert fit(np.zeros((40, 3)), method="KS", window=10).method == "ks"
+        assert fit(np.zeros((40, 3)), method="Mmd", window=10).method == "mmd"
+
+    def test_an_mmd_fit_computes_one_distance_matrix(self, monkeypatch):
+        real_sq_dists = drift._sq_dists
+        calls = []
+
+        def counting_sq_dists(a, b):
+            calls.append((a.shape, b.shape))
+            return real_sq_dists(a, b)
+
+        monkeypatch.setattr(drift, "_sq_dists", counting_sq_dists)
+        fit(np.random.default_rng(0).normal(size=(40, 3)), method="mmd", window=10)
+        assert calls == [((40, 3), (40, 3))]
+
+
 class TestSlidingWindow:
     # 210 x 40 x-y kernel entries exceed numpy's 8192-element reduction
     # buffer, past which a whole block would sum in another order
@@ -665,12 +731,18 @@ class TestPredictWindows:
             assert len(reports) == len(expected) == len(stream) - window + 1
             # a batch monitor tests every window, and a streaming monitor of
             # the same detector, pushed sample by sample, takes each report
-            # from their shared memo and gives them all again at the end
-            batch = drift.Monitor(det, False).reports(stream)
+            # from their shared memo and gives them all again at the end;
+            # each keeps the very samples it was pushed
+            rows = list(stream)
+            batching = drift.Monitor(det, False)
+            assert [batching.push(row) for row in rows] == [None] * len(rows)
+            batch = batching.reports()
             streaming = drift.Monitor(det, True)
-            pushed = [streaming.push(stream[: t + 1]) for t in range(len(stream))]
-            for given in (pushed, streaming.reports(stream)):
+            pushed = [streaming.push(row) for row in rows]
+            for given in (pushed, streaming.reports()):
                 assert all(a is b for a, b in zip(given, batch, strict=True))
+            for monitor in (batching, streaming):
+                assert all(a is b for a, b in zip(monitor.samples, rows, strict=True))
             assert batch[: window - 1] == [None] * (window - 1)
             for report, want in zip(reports + batch[window - 1 :], expected * 2, strict=True):
                 assert report.statistic.tolist() == want.statistic.tolist()
